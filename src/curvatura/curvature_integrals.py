@@ -28,23 +28,34 @@ import numpy as np
 from .errors import GeometryError
 from .model_manifolds import (
     ModelManifold,
+    metric_diag_stack,
     radial_profile,
     riemann_at,
+    riemann_stack,
     unit_sphere_volume,
 )
 from .level_set_geometry import (
     ScalarField,
+    _rowdot,
     hessian_frame,
+    hessian_frame_stack,
     principal_frame,
+    principal_frame_stack,
     div_newton_frame,
 )
 from .quadrature import (
     QuadratureSpec,
     coarea_volume_integral_multi,
+    field_partials_stack,
     radial_integral,
+    stacked_integrand,
     surface_integral,
 )
-from .symmetric_algebra import binomial, double_factorial, sigma_elementary
+from .symmetric_algebra import (
+    binomial,
+    double_factorial,
+    elementary_all_stack,
+)
 
 MCR_COLUMNS = ("model", "field", "n", "r", "level", "value", "error_estimate", "nodes")
 BREAKDOWN_COLUMNS = ("model", "field", "n", "r", "c1", "c2", "lhs", "term_principal",
@@ -146,10 +157,12 @@ def mixed_sum_terms(m: int, r: int):
     return tuple(out)
 
 
-def _kprod(kappa, prefix) -> float:
+def _kprod(kappa, prefix):
+    """Product of the kappa entries in prefix, from 1.0 left to right; over
+    the last axis, so a (N, n-1) stack gives the N products."""
     prod = 1.0
     for i in prefix:
-        prod *= kappa[i]
+        prod *= kappa[..., i]
     return prod
 
 
@@ -159,7 +172,7 @@ def correction_terms_pointwise(u: ScalarField, M: ModelManifold, p, r: int):
     n = M.dim
     hd = hessian_frame(u, M, p)
     pf = principal_frame(hd, M, p)
-    if M.family == "euclidean" or (M.family == "constant" and M.a == 0.0):
+    if M.is_flat:
         return 0.0, 0.0
     rd = riemann_at(M, p, pf.frame_chart)
     kap = pf.kappa
@@ -186,6 +199,42 @@ def comparison_correction_residual(u: ScalarField, M: ModelManifold, p, r: int) 
     divT = div_newton_frame(u, M, p, r)
     via_div = float(divT @ hd.grad_frame) / hd.grad_norm ** (r + 1)
     return abs((sect + mixed) - via_div)
+
+
+def correction_sums_stack(kappa, derivs, rd, grad_norm, r: int):
+    """(sectional, mixed) correction integrands at a stack of nodes, by the
+    displayed index enumeration of correction_terms_pointwise, term for term.
+
+    kappa, derivs: (N, n-1) principal curvatures and |grad u| derivatives;
+    rd: riemann_stack in the principal frames; grad_norm: (N,).
+    """
+    last = kappa.shape[1]
+    sect = np.zeros(kappa.shape[0])
+    for prefix, ir in sectional_sum_terms(last, r):
+        sect = sect - _kprod(kappa, prefix) * rd.K[:, ir, last]
+    mixed = np.zeros(kappa.shape[0])
+    for prefix, irm1, ir in mixed_sum_terms(last, r):
+        mixed = mixed + (_kprod(kappa, prefix) * derivs[:, irm1]
+                         * rd.R[:, ir, irm1, ir, last])
+    return sect, mixed / grad_norm
+
+
+def _sigma_stack(e: np.ndarray, r: int) -> np.ndarray:
+    """sigma_r per row from elementary_all_stack rows (sigma_elementary's
+    conventions: 1 at r = 0, 0 beyond the row length)."""
+    if r == 0:
+        return np.ones(e.shape[0])
+    if r >= e.shape[1]:
+        return np.zeros(e.shape[0])
+    return e[:, r]
+
+
+def _node_geometry(u, M, P):
+    """Hessian data and principal frames of a node stack, and the
+    elementary symmetric functions of its principal curvatures."""
+    hd = hessian_frame_stack(u, M, P)
+    pf = principal_frame_stack(hd, M)
+    return hd, pf, elementary_all_stack(pf.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +269,17 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float,
     if u.kind == "quadratic":
         # quadratic levels scale like radius^2, so integrate the coarea
         # profile in s = sqrt(level), where it is smooth down to the core
-        from .quadrature import _gl_on, field_partials, pairwise_sum
-        from .model_manifolds import metric_diag
+        from .quadrature import _gl_on, pairwise_sum
         lam_min = min(np.linalg.eigvalsh(u.Q))
         core_radius = 1e-3
         eps_level = 0.5 * core_radius ** 2 * lam_min
         if eps_level >= level:
             raise GeometryError("level too small for the coarea core split")
 
-        def inv_grad(p):
-            du = field_partials(u, M, p)
-            D = metric_diag(M, p)
-            return 1.0 / math.sqrt(float(np.sum(du * du / D)))
+        @stacked_integrand
+        def inv_grad(P):
+            du = field_partials_stack(u, M, P)
+            return 1.0 / np.sqrt(_rowdot(du, du / metric_diag_stack(M, P)))
 
         def profile(order):
             s_nodes, s_weights = _gl_on(math.sqrt(eps_level), math.sqrt(level), order)
@@ -264,10 +312,9 @@ def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,
         return MeanCurvatureReport(r=r, value=value, error_estimate=err,
                                    hypersurface=desc, node_count=nodes)
 
-    def integrand(p):
-        hd = hessian_frame(u, M, p)
-        pf = principal_frame(hd, M, p)
-        return sigma_elementary(pf.kappa, r)
+    @stacked_integrand
+    def integrand(P):
+        return _sigma_stack(_node_geometry(u, M, P)[2], r)
 
     res = surface_integral(u, M, level, integrand, spec, threads)
     return MeanCurvatureReport(r=r, value=res.value, error_estimate=res.error_estimate,
@@ -296,28 +343,18 @@ def comparison_rhs(u: ScalarField, M: ModelManifold, levels, r: int,
     n = M.dim
     if not 0 <= r <= n - 1:
         raise ValueError(f"order r must lie in [0, {n - 1}], got {r}")
-    flat = M.family == "euclidean" or (M.family == "constant" and M.a == 0.0)
-    sect_terms = sectional_sum_terms(n - 1, r)
-    mix_terms = mixed_sum_terms(n - 1, r)
-    last = n - 1
 
-    def integrand(p):
-        hd = hessian_frame(u, M, p)
-        pf = principal_frame(hd, M, p)
-        principal = (r + 1) * sigma_elementary(pf.kappa, r + 1)
-        if flat:
-            return np.array([principal, 0.0, 0.0])
-        rd = riemann_at(M, p, pf.frame_chart)
-        kap = pf.kappa
-        sect = 0.0
-        for prefix, ir in sect_terms:
-            sect -= _kprod(kap, prefix) * rd.K[ir, last]
-        mixed = 0.0
-        for prefix, irm1, ir in mix_terms:
-            mixed += (_kprod(kap, prefix) * pf.grad_norm_derivs[irm1]
-                      * rd.R[ir, irm1, ir, last])
-        mixed /= hd.grad_norm
-        return np.array([principal, sect, mixed])
+    @stacked_integrand
+    def integrand(P):
+        hd, pf, e = _node_geometry(u, M, P)
+        principal = (r + 1) * _sigma_stack(e, r + 1)
+        zero = np.zeros(len(P))
+        if M.is_flat:
+            return np.column_stack((principal, zero, zero))
+        rd = riemann_stack(M, P, pf.frame_chart)
+        sect, mixed = correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd,
+                                            hd.grad_norm, r)
+        return np.column_stack((principal, sect, mixed))
 
     vals, errs, nodes_rhs = coarea_volume_integral_multi(
         u, M, levels, integrand, spec, 3, threads)
@@ -341,12 +378,13 @@ def comparison_rhs_constant(u: ScalarField, M: ModelManifold, levels, r: int,
         raise ValueError(f"order r must lie in [0, {n - 1}], got {r}")
     a = M.a
 
-    def integrand(p):
-        hd = hessian_frame(u, M, p)
-        pf = principal_frame(hd, M, p)
-        principal = (r + 1) * sigma_elementary(pf.kappa, r + 1)
-        sect = 0.0 if r == 0 else -a * (n - r) * sigma_elementary(pf.kappa, r - 1)
-        return np.array([principal, sect, 0.0])
+    @stacked_integrand
+    def integrand(P):
+        e = _node_geometry(u, M, P)[2]
+        principal = (r + 1) * _sigma_stack(e, r + 1)
+        zero = np.zeros(len(P))
+        sect = zero if r == 0 else -a * (n - r) * _sigma_stack(e, r - 1)
+        return np.column_stack((principal, sect, zero))
 
     vals, errs, nodes_rhs = coarea_volume_integral_multi(
         u, M, levels, integrand, spec, 3, threads)
@@ -361,16 +399,16 @@ def ricci_comparison(u: ScalarField, M: ModelManifold, levels,
                      threads: int = 1) -> ComparisonBreakdown:
     """The r = 1 identity with the sectional term contracted as a Ricci
     curvature: M_1(outer) - M_1(inner) = 2 Int sigma_2 - Int Ric(nu)."""
-    flat = M.family == "euclidean" or (M.family == "constant" and M.a == 0.0)
 
-    def integrand(p):
-        hd = hessian_frame(u, M, p)
-        pf = principal_frame(hd, M, p)
-        principal = 2.0 * sigma_elementary(pf.kappa, 2)
-        if flat:
-            return np.array([principal, 0.0, 0.0])
-        rd = riemann_at(M, p, pf.frame_chart)
-        return np.array([principal, -rd.ricci_n, 0.0])
+    @stacked_integrand
+    def integrand(P):
+        _, pf, e = _node_geometry(u, M, P)
+        principal = 2.0 * _sigma_stack(e, 2)
+        zero = np.zeros(len(P))
+        if M.is_flat:
+            return np.column_stack((principal, zero, zero))
+        rd = riemann_stack(M, P, pf.frame_chart)
+        return np.column_stack((principal, -rd.ricci_n, zero))
 
     vals, errs, nodes_rhs = coarea_volume_integral_multi(
         u, M, levels, integrand, spec, 3, threads)

@@ -27,3 +27,13 @@ class CapabilityError(CurvaturaError):
 
 class ConfigError(CurvaturaError):
     """Invalid run configuration.  The message names the offending key path."""
+
+
+def node_error(cls, node: int, detail: str) -> Exception:
+    """An error of type cls about one node of a node stack, named by its
+    index.  The index and detail stay on the error as `node` and `detail`,
+    so that a caller evaluating a stack that starts at node `lo` of a larger
+    rule can re-raise it with the rule's index node + lo."""
+    err = cls(f"node {node}: {detail}")
+    err.node, err.detail = node, detail
+    return err

@@ -20,12 +20,21 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import DegenerateGradientError
-from .model_manifolds import ModelManifold, christoffel_at, metric_diag
-from .model_manifolds import riemann_at
+from .errors import CurvaturaError, DegenerateGradientError, node_error
+from .model_manifolds import (
+    ModelManifold,
+    _elementwise,
+    christoffel_at,
+    christoffel_stack,
+    metric_diag,
+    metric_diag_stack,
+    riemann_at,
+)
 from .symmetric_algebra import (
-    newton_matrices,
     jacobi_eigh,
+    jacobi_eigh_stack,
+    matmul_stack,
+    newton_matrices,
     parity_between,
     sigma_elementary,
 )
@@ -45,6 +54,19 @@ def sphere_direction(angles) -> np.ndarray:
     return out
 
 
+def _sphere_directions(angles) -> np.ndarray:
+    """sphere_direction of every row of an (N, n-1) angle stack."""
+    angles = np.asarray(angles, dtype=float)
+    N, m = angles.shape
+    out = np.empty((N, m + 1))
+    s = np.ones(N)
+    for k in range(m):
+        out[:, k] = s * _elementwise(math.cos, angles[:, k])
+        s = s * _elementwise(math.sin, angles[:, k])
+    out[:, m] = s
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Scalar fields
 # ---------------------------------------------------------------------------
@@ -56,10 +78,22 @@ class ScalarField:
     true, partials() and second_partials() return chart coordinate partials
     d_i u and d_i d_j u; otherwise the Hessian machinery falls back to
     central finite differences of value().
+
+    The *_stack methods take an (N, n) point stack and return the values
+    (N,), partials (N, n) and second partials (N, n, n) of every row.  By
+    default they call the per-point methods row by row; fields with closed
+    forms override them and set `stacked`.
     """
 
     kind = "abstract"
     analytic = False
+    # true when the *_stack methods are closed forms: hessian_frame_stack
+    # then differentiates the whole stack at once; otherwise it calls
+    # hessian_frame per node.  The quadratic field is analytic but not
+    # stacked only because perfbench counts one hessian_frame call per node
+    # on its ellipsoid workload; once those counters read the stacked spans
+    # (ROADMAP item 6), the route can key on `analytic` and this flag go.
+    stacked = False
 
     def value(self, M: ModelManifold, p) -> float:
         raise NotImplementedError
@@ -70,6 +104,16 @@ class ScalarField:
     def second_partials(self, M: ModelManifold, p) -> np.ndarray:
         raise NotImplementedError
 
+    def value_stack(self, M: ModelManifold, P) -> np.ndarray:
+        return np.array([self.value(M, p) for p in P], dtype=float)
+
+    def partials_stack(self, M: ModelManifold, P) -> np.ndarray:
+        return np.array([self.partials(M, p) for p in P], dtype=float).reshape(len(P), M.dim)
+
+    def second_partials_stack(self, M: ModelManifold, P) -> np.ndarray:
+        return np.array([self.second_partials(M, p) for p in P],
+                        dtype=float).reshape(len(P), M.dim, M.dim)
+
     def star_radius(self, level: float):
         """Radius of the level sphere about the chart base point when the
         field is radial there; None for non-radial fields."""
@@ -79,12 +123,31 @@ class ScalarField:
         return {"field": self.kind}
 
 
+def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, summed in ascending index order."""
+    out = X[:, 0] * Y[:, 0]
+    for i in range(1, X.shape[1]):
+        out = out + X[:, i] * Y[:, i]
+    return out
+
+
+def _centered(center, M: ModelManifold, P) -> np.ndarray:
+    """Points less a radial field's Cartesian center, checked once per stack."""
+    X = np.asarray(P, dtype=float)
+    if center is not None:
+        if M.chart != "cartesian":
+            raise ValueError("radial field centers are Cartesian-chart only")
+        X = X - center
+    return X
+
+
 class RadialDistanceField(ScalarField):
     """u = geodesic distance from the chart base point (or from `center` in
     Cartesian charts)."""
 
     kind = "radial"
     analytic = True
+    stacked = True
 
     def __init__(self, center=None):
         self.center = None if center is None else np.asarray(center, dtype=float)
@@ -120,6 +183,28 @@ class RadialDistanceField(ScalarField):
         w = x / d
         return (np.eye(n) - np.outer(w, w)) / d
 
+    def value_stack(self, M, P):
+        if M.chart == "polar":
+            return np.array(P, dtype=float)[:, 0]
+        X = _centered(self.center, M, P)
+        return np.sqrt(_rowdot(X, X))
+
+    def partials_stack(self, M, P):
+        if M.chart == "polar":
+            du = np.zeros((len(P), M.dim))
+            du[:, 0] = 1.0
+            return du
+        X = _centered(self.center, M, P)
+        return X / np.sqrt(_rowdot(X, X))[:, None]
+
+    def second_partials_stack(self, M, P):
+        if M.chart == "polar":
+            return np.zeros((len(P), M.dim, M.dim))
+        X = _centered(self.center, M, P)
+        d = np.sqrt(_rowdot(X, X))
+        W = X / d[:, None]
+        return (np.eye(M.dim) - W[:, :, None] * W[:, None, :]) / d[:, None, None]
+
     def star_radius(self, level):
         if self.center is not None and np.any(self.center != 0.0):
             return None
@@ -137,6 +222,7 @@ class RadialSquaredHalfField(ScalarField):
 
     kind = "radial_sq"
     analytic = True
+    stacked = True
 
     def __init__(self, center=None):
         self.center = None if center is None else np.asarray(center, dtype=float)
@@ -170,6 +256,27 @@ class RadialSquaredHalfField(ScalarField):
             D2[0, 0] = 1.0
             return D2
         return np.eye(n)
+
+    def value_stack(self, M, P):
+        if M.chart == "polar":
+            return 0.5 * np.asarray(P, dtype=float)[:, 0] ** 2
+        X = _centered(self.center, M, P)
+        return 0.5 * _rowdot(X, X)
+
+    def partials_stack(self, M, P):
+        if M.chart == "polar":
+            du = np.zeros((len(P), M.dim))
+            du[:, 0] = np.asarray(P, dtype=float)[:, 0]
+            return du
+        return _centered(self.center, M, P).copy()
+
+    def second_partials_stack(self, M, P):
+        D2 = np.zeros((len(P), M.dim, M.dim))
+        if M.chart == "polar":
+            D2[:, 0, 0] = 1.0
+        else:
+            D2[:, np.arange(M.dim), np.arange(M.dim)] = 1.0
+        return D2
 
     def star_radius(self, level):
         if self.center is not None and np.any(self.center != 0.0):
@@ -214,11 +321,12 @@ class QuadraticFormField(ScalarField):
     def value(self, M, p):
         self._check(M)
         x = self._offset(p)
-        return 0.5 * float(x @ self.Q @ x)
+        # ndarray.dot: about half the call cost of @ on vectors this short
+        return 0.5 * float(x.dot(self.Q).dot(x))
 
     def partials(self, M, p):
         self._check(M)
-        return self.Q @ self._offset(p)
+        return self.Q.dot(self._offset(p))
 
     def second_partials(self, M, p):
         self._check(M)
@@ -321,7 +429,10 @@ def validate_gradient_on_annulus(u: ScalarField, M: ModelManifold,
 
 @dataclass(frozen=True)
 class HessianData:
-    """Pointwise first/second order data of a field in an orthonormal frame."""
+    """Pointwise first/second order data of a field in an orthonormal frame.
+
+    hessian_frame_stack returns the same record with a leading node axis on
+    every field (value and grad_norm become arrays)."""
     value: float
     grad: np.ndarray          # chart components of the gradient vector
     grad_norm: float
@@ -411,6 +522,49 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p,
                        hess_frame=hess_f, frame=frame, grad_frame=grad_f)
 
 
+def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
+    """hessian_frame of every row of an (N, n) point stack, as one
+    HessianData whose fields carry a leading node axis.
+
+    Stacked fields use their closed forms on the whole stack; pointwise
+    fields call hessian_frame node by node.
+    """
+    P = np.asarray(P, dtype=float)
+    N, n = P.shape
+    if not u.stacked:
+        rows = []
+        for k, p in enumerate(P):
+            try:
+                rows.append(hessian_frame(u, M, p))
+            except CurvaturaError as e:
+                raise node_error(type(e), k, str(e)) from None
+
+        def stack(name, shape):
+            return np.array([getattr(h, name) for h in rows], dtype=float).reshape((N,) + shape)
+
+        return HessianData(value=stack("value", ()), grad=stack("grad", (n,)),
+                           grad_norm=stack("grad_norm", ()),
+                           hess_frame=stack("hess_frame", (n, n)),
+                           frame=stack("frame", (n, n)), grad_frame=stack("grad_frame", (n,)))
+    val = u.value_stack(M, P)
+    du = u.partials_stack(M, P)
+    D2 = u.second_partials_stack(M, P)
+    D = metric_diag_stack(M, P)
+    hess_chart = D2
+    if M.chart == "polar":
+        Gam = christoffel_stack(M, P, D)
+        for k in range(n):
+            hess_chart = hess_chart - du[:, k, None, None] * Gam[:, k]
+    inv_sqrt = 1.0 / np.sqrt(D)
+    hess_f = hess_chart * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
+    hess_f = 0.5 * (hess_f + hess_f.transpose(0, 2, 1))
+    grad_f = du * inv_sqrt
+    frame = np.zeros((N, n, n))
+    frame[:, np.arange(n), np.arange(n)] = inv_sqrt
+    return HessianData(value=val, grad=du / D, grad_norm=np.sqrt(_rowdot(grad_f, grad_f)),
+                       hess_frame=hess_f, frame=frame, grad_frame=grad_f)
+
+
 # ---------------------------------------------------------------------------
 # Principal curvature frames
 # ---------------------------------------------------------------------------
@@ -424,6 +578,8 @@ class PrincipalFrameData:
     grad_norm_derivs[i] is the derivative of |grad u| along direction i,
     equal to the Hessian row against nu in this frame.  frame_chart stacks
     the directions and nu as the columns of a full orthonormal frame.
+    principal_frame_stack returns the same record with a leading node axis
+    on every field.
     """
     kappa: np.ndarray
     directions: np.ndarray
@@ -466,6 +622,38 @@ def principal_frame(hd: HessianData, M: ModelManifold, p,
     frame_chart = np.hstack([dirs_chart, nu_chart[:, None]])
     return PrincipalFrameData(kappa=kappa, directions=dirs_chart, nu=nu_chart,
                               grad_norm_derivs=derivs, frame_chart=frame_chart)
+
+
+def principal_frame_stack(hd: HessianData, M: ModelManifold,
+                          eps_grad: float = EPS_GRAD) -> PrincipalFrameData:
+    """principal_frame of every node of a hessian_frame_stack result, as
+    one PrincipalFrameData with a leading node axis; raises for the first
+    node whose gradient is degenerate.  The shape operators are
+    diagonalized by jacobi_eigh_stack."""
+    gn = hd.grad_norm
+    bad = gn <= eps_grad
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise node_error(DegenerateGradientError, k,
+                         f"|grad u| = {gn[k]:.3e} <= {eps_grad:g}: level-set frame undefined")
+    N, n = hd.grad_frame.shape
+    nu_f = hd.grad_frame / gn[:, None]
+    # Householder complement of nu, as in _householder_complement
+    v = nu_f.copy()
+    v[:, -1] += np.where(nu_f[:, -1] >= 0, 1.0, -1.0)
+    Hm = np.eye(n) - 2.0 * (v[:, :, None] * v[:, None, :]) / _rowdot(v, v)[:, None, None]
+    B = Hm[:, :, : n - 1]
+    Bt = B.transpose(0, 2, 1)
+    S = matmul_stack(matmul_stack(Bt, hd.hess_frame), B) / gn[:, None, None]
+    kappa, V = jacobi_eigh_stack(S)
+    dirs_f = matmul_stack(B, V)
+    H_nu = matmul_stack(hd.hess_frame, nu_f[:, :, None])
+    derivs = matmul_stack(dirs_f.transpose(0, 2, 1), H_nu)[:, :, 0]
+    dirs_chart = matmul_stack(hd.frame, dirs_f)
+    nu_chart = matmul_stack(hd.frame, nu_f[:, :, None])
+    return PrincipalFrameData(kappa=kappa, directions=dirs_chart, nu=nu_chart[:, :, 0],
+                              grad_norm_derivs=derivs,
+                              frame_chart=np.concatenate([dirs_chart, nu_chart], axis=2))
 
 
 def level_mean_curvature(u: ScalarField, M: ModelManifold, p, r: int) -> float:
@@ -537,7 +725,7 @@ def div_newton_frame(u: ScalarField, M: ModelManifold, p, r: int,
     hd = hessian_frame(u, M, p)
     if hd.grad_norm <= eps_grad:
         raise DegenerateGradientError("degenerate gradient in div(T_r)")
-    if M.family == "euclidean" or (M.family == "constant" and M.a == 0.0):
+    if M.is_flat:
         return np.zeros(n)
     rd = riemann_at(M, p, hd.frame)
     W = np.tensordot(rd.R, hd.grad_frame, axes=([3], [0]))

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartSingularityError
+from .errors import ChartSingularityError, node_error
 from .symmetric_algebra import binomial
 
 _AXIS_TOL = 1e-12
@@ -114,6 +114,11 @@ class ModelManifold:
         if self.family == "warped":
             d["profile"] = self.profile.name
         return d
+
+    @property
+    def is_flat(self) -> bool:
+        """Euclidean space, or the a = 0 member of the constant family."""
+        return self.family == "euclidean" or (self.family == "constant" and self.a == 0.0)
 
     @property
     def label(self) -> str:
@@ -212,6 +217,48 @@ def metric_diag(M: ModelManifold, p) -> np.ndarray:
     return D
 
 
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn (a scalar `math` function or warping-profile callable) applied to
+    each element.  Transcendental functions stay on `math`, as on the
+    pointwise route: numpy's vector forms can differ from it in the last bit."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def _polar_guard_stack(M: ModelManifold, P: np.ndarray) -> list:
+    """_polar_guard on every row of P; raises for the first failing node.
+    Returns the sines of the polar angles, columns 1..n-2."""
+    sines = [_elementwise(math.sin, P[:, m]) for m in range(1, M.dim - 1)]
+    r = P[:, 0]
+    bad = (r <= 0) | (r > M.working_radius)
+    for s in sines:
+        bad |= np.abs(s) <= _AXIS_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        try:
+            _polar_guard(M, P[k])
+        except ChartSingularityError as e:
+            raise node_error(ChartSingularityError, k, str(e)) from None
+    return sines
+
+
+def metric_diag_stack(M: ModelManifold, P) -> np.ndarray:
+    """metric_diag of every row of an (N, n) point stack."""
+    P = np.asarray(P, dtype=float)
+    N, n = P.shape
+    if M.chart == "cartesian":
+        return np.ones((N, n))
+    sines = _polar_guard_stack(M, P)
+    f, _, _ = radial_profile(M)
+    acc = _elementwise(f, P[:, 0]) ** 2
+    D = np.empty((N, n))
+    D[:, 0] = 1.0
+    for j in range(1, n):
+        D[:, j] = acc
+        if j < n - 1:
+            acc = acc * sines[j - 1] ** 2
+    return D
+
+
 def metric_at(M: ModelManifold, p) -> np.ndarray:
     """Chart metric as a dense symmetric positive-definite matrix."""
     return np.diag(metric_diag(M, p))
@@ -250,13 +297,43 @@ def christoffel_at(M: ModelManifold, p) -> np.ndarray:
     return G
 
 
+def christoffel_stack(M: ModelManifold, P, D=None) -> np.ndarray:
+    """christoffel_at of every row of an (N, n) point stack: (N, n, n, n).
+    D: the stack's metric_diag_stack, when the caller has it already."""
+    P = np.asarray(P, dtype=float)
+    N, n = P.shape
+    G = np.zeros((N, n, n, n))
+    if M.chart == "cartesian":
+        return G
+    if D is None:
+        D = metric_diag_stack(M, P)
+    f, df, _ = radial_profile(M)
+    L = np.zeros((N, n, n))
+    ratio = 2.0 * _elementwise(df, P[:, 0]) / _elementwise(f, P[:, 0])
+    cot2 = {m: 2.0 / _elementwise(math.tan, P[:, m]) for m in range(1, n - 1)}
+    for j in range(1, n):
+        L[:, 0, j] = ratio
+        for m in range(1, j):
+            L[:, m, j] = cot2[m]
+    for k in range(n):
+        for i in range(n):
+            if i == k:
+                continue
+            half = 0.5 * L[:, i, k]
+            G[:, k, i, k] = half
+            G[:, k, k, i] = half
+            G[:, k, i, i] = -D[:, i] * L[:, k, i] / (2.0 * D[:, k])
+    return G
+
+
 @dataclass(frozen=True)
 class CurvatureTensorData:
     """Riemann tensor components in a g-orthonormal frame.
 
     R[i,j,k,l] uses the sign convention in which K[i,j] = R[i,j,i,j] is the
     sectional curvature of the plane (E_i, E_j); ricci_n is the Ricci
-    curvature of the last frame vector.
+    curvature of the last frame vector.  riemann_stack returns the same
+    record with a leading node axis on every field.
     """
     frame: np.ndarray
     R: np.ndarray
@@ -295,7 +372,7 @@ def riemann_at(M: ModelManifold, p, frame) -> CurvatureTensorData:
     if np.max(np.abs(gram - np.eye(n))) > 1e-8:
         raise ValueError("frame is not g-orthonormal")
 
-    if M.family == "euclidean" or (M.family == "constant" and M.a == 0.0):
+    if M.is_flat:
         R = np.zeros((n, n, n, n))
         K = np.zeros((n, n))
         return CurvatureTensorData(frame=F, R=R, K=K, ricci_n=0.0)
@@ -323,6 +400,60 @@ def riemann_at(M: ModelManifold, p, frame) -> CurvatureTensorData:
     R = np.tensordot(R, P, axes=([0], [0]))
     K = np.einsum("ijij->ij", R)
     ricci = float(np.sum(K[: n - 1, n - 1]))
+    return CurvatureTensorData(frame=F, R=R, K=K, ricci_n=ricci)
+
+
+def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
+    """riemann_at of every row of an (N, n) point stack, in the frames
+    (N, n, n); raises for the first node whose frame fails the 1e-8 gram
+    check.  Constant curvature returns read-only broadcast views."""
+    P = np.asarray(P, dtype=float)
+    F = np.asarray(frames, dtype=float)
+    N, n = P.shape
+    if F.shape != (N, n, n):
+        raise ValueError(f"frames must be {N}x{n}x{n}, got {F.shape}")
+    D = metric_diag_stack(M, P)
+    DF = D[:, :, None] * F
+    gram = F[:, 0, :, None] * DF[:, 0, None, :]
+    for i in range(1, n):
+        gram += F[:, i, :, None] * DF[:, i, None, :]
+    bad = np.abs(gram - np.eye(n)).max(axis=(1, 2)) > 1e-8
+    if bad.any():
+        raise node_error(ValueError, int(np.argmax(bad)), "frame is not g-orthonormal")
+
+    if M.is_flat:
+        return CurvatureTensorData(frame=F, R=np.zeros((N, n, n, n, n)), K=np.zeros((N, n, n)),
+                                   ricci_n=np.zeros(N))
+
+    if M.family == "constant":
+        R, K = _constant_tensors(n, M.a)
+        return CurvatureTensorData(frame=F, R=np.broadcast_to(R, (N,) + R.shape),
+                                   K=np.broadcast_to(K, (N,) + K.shape),
+                                   ricci_n=np.full(N, (n - 1) * M.a))
+
+    # warped product: closed form in the chart-adapted frame, then rotated
+    f, df, d2f = radial_profile(M)
+    fr = _elementwise(f, P[:, 0])
+    k_rad = -_elementwise(d2f, P[:, 0]) / fr
+    k_tan = (1.0 - _elementwise(df, P[:, 0]) ** 2) / fr ** 2
+    K_hat = np.broadcast_to(k_tan[:, None, None], (N, n, n)).copy()
+    K_hat[:, 0, :] = k_rad[:, None]
+    K_hat[:, :, 0] = k_rad[:, None]
+    K_hat[:, np.arange(n), np.arange(n)] = 0.0
+    R = K_hat[:, :, :, None, None] * _pair_patterns(n)
+    # Pm[:, a, i] = <adapted frame vector a, supplied frame vector i>
+    Pm = np.sqrt(D)[:, :, None] * F
+    for _ in range(4):
+        # contract the leading tensor index against Pm; the new index goes last
+        T = R.reshape(N, n, -1)
+        acc = T[:, 0, :, None] * Pm[:, 0, None, :]
+        for a in range(1, n):
+            acc += T[:, a, :, None] * Pm[:, a, None, :]
+        R = acc.reshape((N,) + (n,) * 4)
+    K = np.einsum("nijij->nij", R)
+    ricci = K[:, 0, n - 1].copy()
+    for i in range(1, n - 1):
+        ricci += K[:, i, n - 1]
     return CurvatureTensorData(frame=F, R=R, K=K, ricci_n=ricci)
 
 

@@ -14,26 +14,39 @@ Gauss-Legendre tensor products, with polar angles pulled a fixed margin off
 the axis.  Volume integrals between two levels use the coarea fibration
 (Gauss-Legendre across levels, 1/|grad u|-weighted surface rule inside).
 
-Reductions are fixed-order pairwise sums over the node index, so results are
-bit-identical for any worker count.
+A rule is evaluated as one stack of nodes, not node by node: the field
+derivatives, the surface weights (surface_nodes) and the integrand each run
+once on (N, ...) arrays.  The ray root solve (find_level_radii) is exact for
+level spheres about the base point and otherwise runs find_level_radius ray
+by ray.  Fields without stacked closed forms (ScalarField.stacked false)
+also keep their Hessian per node, inside the stacked stages.
+Integrands marked by stacked_integrand receive the (N, n) point stack; any
+other callable keeps the per-point contract and is called once per node.
+Rules above _CHUNK nodes, and rules split over `threads` workers, run as
+several contiguous stacks.  Every stage computes each node with the same
+operations whatever the stack it sits in, and reductions are fixed-order
+pairwise sums over the node index, so results are bit-identical for any
+split and worker count.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import GeometryError
-from .model_manifolds import ModelManifold, metric_diag, radial_profile
-from .level_set_geometry import ScalarField, sphere_direction
+from .errors import GeometryError, node_error
+from .model_manifolds import ModelManifold, _elementwise, metric_diag_stack, radial_profile
+from .level_set_geometry import ScalarField, _rowdot, _sphere_directions, sphere_direction
 
 _ROOT_BISECT_WIDTH = 1e-6
 _ROOT_NEWTON_TOL = 1e-12
+# nodes per kernel call up to dimension 4; above it the limit shrinks with
+# n^4, so that the (N, n, n, n, n) curvature stacks stay the same size
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -133,8 +146,9 @@ def _gl_on(a: float, b: float, order: int):
 def _angular_grid(n: int, orders: tuple, margin: float):
     """All angular nodes of S^{n-1} with weights including sqrt(det ghat).
 
-    Returns (angles array N x (n-1), weights length N); node order is the
-    lexicographic product order, which fixes the reduction order.
+    Returns (angles array N x (n-1), weights length N, unit ray directions
+    N x n); node order is the lexicographic product order, which fixes the
+    reduction order.
     """
     per_nodes, per_weights = [], []
     for m in range(n - 2):
@@ -150,14 +164,7 @@ def _angular_grid(n: int, orders: tuple, margin: float):
     weights = np.ones(angles.shape[0])
     for wg in wgrids:
         weights = weights * wg.ravel()
-    return angles, weights
-
-
-def ray_point(M: ModelManifold, rho: float, angles) -> np.ndarray:
-    """Chart point at radius rho along the ray with the given angles."""
-    if M.chart == "polar":
-        return np.concatenate(([rho], angles))
-    return rho * sphere_direction(angles)
+    return angles, weights, _sphere_directions(angles)
 
 
 def field_partials(u: ScalarField, M: ModelManifold, p) -> np.ndarray:
@@ -179,42 +186,48 @@ def field_partials(u: ScalarField, M: ModelManifold, p) -> np.ndarray:
     return du
 
 
-def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) -> float:
-    """Radius along the ray where u = level (bisection then Newton).
+def field_partials_stack(u: ScalarField, M: ModelManifold, P) -> np.ndarray:
+    """field_partials of every row of an (N, n) point stack: the field's
+    stacked closed form, or the per-point central differences."""
+    if u.analytic:
+        return u.partials_stack(M, P)
+    return np.array([field_partials(u, M, p) for p in P]).reshape(len(P), M.dim)
 
-    Fields radial about the base point short-circuit to the exact radius.
-    """
+
+def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) -> float:
+    """Radius along one ray where u = level (bisection then Newton), with
+    one scalar value() call per evaluation.  Fields radial about the base
+    point short-circuit to the exact radius."""
     sr = u.star_radius(level)
     if sr is not None:
         return sr
-
+    angles = np.asarray(angles, dtype=float)
     # a Cartesian ray's direction is fixed; only the radius moves
     direction = None if M.chart == "polar" else sphere_direction(angles)
 
     def f(rho):
-        p = ray_point(M, rho, angles) if direction is None else rho * direction
+        p = np.concatenate(([rho], angles)) if direction is None else rho * direction
         return u.value(M, p) - level
 
     lo = 1e-9
     flo = f(lo)
     if flo >= 0:
-        raise GeometryError(
-            f"level {level:g} does not enclose the ray origin (u - c = {flo:.3e} at r=0+)")
+        raise GeometryError(f"level {level:g} does not enclose the ray origin "
+                            f"(u - c = {flo:.3e} at r=0+) (angles {angles.tolist()})")
     hi = 0.25
     fhi = f(hi)
     while fhi < 0:
         hi *= 2.0
         if hi > M.working_radius:
-            raise GeometryError(
-                f"no crossing of level {level:g} found within the working radius")
+            raise GeometryError(f"no crossing of level {level:g} found within the "
+                                f"working radius (angles {angles.tolist()})")
         fhi = f(hi)
     while hi - lo > _ROOT_BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm < 0:
-            lo, flo = mid, fm
+        if f(mid) < 0:
+            lo = mid
         else:
-            hi, fhi = mid, fm
+            hi = mid
     rho = 0.5 * (lo + hi)
     hder = 1e-7 * (1.0 + rho)
     for _ in range(20):
@@ -229,69 +242,129 @@ def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) ->
         if abs(step) <= _ROOT_NEWTON_TOL * max(1.0, rho) and \
            abs(fr) <= _ROOT_NEWTON_TOL * max(1.0, abs(level)):
             break
-    if abs(f(rho)) > 1e-9 * max(1.0, abs(level)):
+    resid = abs(f(rho))
+    if resid > 1e-9 * max(1.0, abs(level)):
         # refuse a half-resolved crossing rather than degrade the quadrature
-        raise GeometryError(
-            f"root polish failed at angles {np.asarray(angles).tolist()}: "
-            f"|u - c| = {abs(f(rho)):.3e}")
+        raise GeometryError(f"root polish failed: |u - c| = {resid:.3e} "
+                            f"(angles {angles.tolist()})")
     return rho
 
 
-def _radial_scale(M: ModelManifold, rho: float, n: int) -> float:
-    if M.chart == "polar":
-        f, _, _ = radial_profile(M)
-        return f(rho) ** (n - 1)
-    return rho ** (n - 1)
+def find_level_radii(u: ScalarField, M: ModelManifold, levels, angles) -> np.ndarray:
+    """Radii along a stack of rays where u = level.
+
+    angles: (N, n-1); levels: one level or one per ray.  Levels whose level
+    set is a sphere about the base point short-circuit to the exact radius;
+    every other ray is solved by find_level_radius.  Raises the error of the
+    first ray that fails a guard, naming its node.
+    """
+    angles = np.asarray(angles, dtype=float)
+    N = angles.shape[0]
+    levels = np.broadcast_to(np.asarray(levels, dtype=float), (N,))
+    rho = np.empty(N)
+    todo = np.ones(N, dtype=bool)
+    for c in np.unique(levels):
+        sr = u.star_radius(float(c))
+        if sr is not None:
+            sel = levels == c
+            rho[sel] = sr
+            todo[sel] = False
+    for k in np.nonzero(todo)[0]:
+        try:
+            rho[k] = find_level_radius(u, M, float(levels[k]), angles[k])
+        except GeometryError as e:
+            raise node_error(GeometryError, int(k), str(e)) from None
+    return rho
 
 
-def _surface_node(u, M, level, angles, w_angle):
-    """(point, surface weight, |grad u|) for one angular node of a level set."""
+def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
+                  directions) -> tuple:
+    """(points, surface weights, |grad u|) of a stack of angular nodes,
+    each on the level set of its level.
+
+    The surface weight of a node is its angular weight times
+    f(rho)^{n-1} |grad u| / d_rho u at the crossing.
+    """
     n = M.dim
-    rho = find_level_radius(u, M, level, angles)
-    p = ray_point(M, rho, angles)
-    du = field_partials(u, M, p)
-    D = metric_diag(M, p)
-    grad_norm = math.sqrt(float(np.sum(du * du / D)))
+    rho = find_level_radii(u, M, levels, angles)
+    P = np.column_stack((rho, angles)) if M.chart == "polar" else rho[:, None] * directions
+    du = field_partials_stack(u, M, P)
+    grad_norm = np.sqrt(_rowdot(du, du / metric_diag_stack(M, P)))
     if M.chart == "polar":
-        u_rho = du[0]
+        u_rho = du[:, 0]
+        f, _, _ = radial_profile(M)
+        scale = _elementwise(lambda t: f(t) ** (n - 1), rho)
     else:
-        u_rho = float(sphere_direction(angles) @ du)
-    if u_rho <= 0:
-        raise GeometryError(
-            f"u is not increasing along the ray at the crossing (angles {angles})")
-    w = w_angle * _radial_scale(M, rho, n) * grad_norm / u_rho
-    return p, w, grad_norm
+        u_rho = _rowdot(directions, du)
+        scale = _elementwise(lambda t: t ** (n - 1), rho)
+    if (u_rho <= 0).any():
+        k = int(np.argmax(u_rho <= 0))
+        raise node_error(GeometryError, k, f"u is not increasing along the ray at the "
+                                           f"crossing (angles {angles[k].tolist()})")
+    return P, weights * scale * grad_norm / u_rho, grad_norm
 
 
-def _map_nodes(fn, count, threads):
-    """Evaluate fn(k) for k in range(count), storing by index (deterministic
-    for any worker count)."""
-    if threads <= 1 or count < 16:
-        return [fn(k) for k in range(count)]
-    out = [None] * count
-    chunk = max(8, count // (8 * threads))
+def _integrand_rows(integrand, P: np.ndarray, n_comp: int) -> np.ndarray:
+    """Integrand values at a point stack, (N, n_comp).  An integrand marked
+    by stacked_integrand takes the whole stack; any other callable is the
+    per-point contract, called once per row."""
+    if getattr(integrand, "stacked", False):
+        vals = np.asarray(integrand(P), dtype=float)
+    else:
+        vals = np.array([np.atleast_1d(np.asarray(integrand(p), dtype=float)) for p in P])
+    return vals.reshape(P.shape[0], n_comp)
 
-    def run(lo):
-        for k in range(lo, min(lo + chunk, count)):
-            out[k] = fn(k)
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(run, range(0, count, chunk)))
-    return out
+def stacked_integrand(fn):
+    """Mark fn as taking an (N, n) point stack and returning the N values
+    (or (N, n_comp) rows) of the integrand at once."""
+    fn.stacked = True
+    return fn
+
+
+def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
+               integrand, n_comp, threads):
+    """Weighted integrand rows, one per node of a rule.
+
+    The node stack is evaluated in contiguous chunks of at most _CHUNK
+    nodes (fewer above dimension 4), split further so that `threads`
+    workers each get one when threads > 1.  Every stage works node by node,
+    so the rows do not depend on the split.  Coarea rules pass level_weights: their rows carry the
+    level weight over |grad u|.
+    """
+    count = len(levels)
+
+    def rows(lo, hi):
+        try:
+            P, w, grad_norm = surface_nodes(u, M, levels[lo:hi], angles[lo:hi],
+                                            weights[lo:hi], directions[lo:hi])
+            if level_weights is not None:
+                w = w * level_weights[lo:hi] / grad_norm
+            return w[:, None] * _integrand_rows(integrand, P, n_comp)
+        except Exception as e:
+            # errors name nodes within this stack; renumber them for the rule
+            if lo and getattr(e, "node", None) is not None:
+                raise node_error(type(e), e.node + lo, e.detail) from None
+            raise
+
+    cap = min(_CHUNK, max(16, _CHUNK * 4 ** 4 // M.dim ** 4))
+    chunk = cap if threads <= 1 or count < 16 else min(cap, -(-count // threads))
+    bounds = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+    if threads <= 1 or len(bounds) < 2:
+        parts = [rows(lo, hi) for lo, hi in bounds]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(rows, *zip(*bounds)))
+    return np.concatenate(parts)
 
 
 def _surface_values(u, M, level, integrand, spec, n_comp, threads):
-    """Weighted integrand rows (one per angular node) and the node count."""
+    """Weighted integrand rows (one per angular node)."""
     n = M.dim
-    angles, weights = _angular_grid(n, spec.angular_for(n), spec.margin)
-
-    def node(k):
-        p, w, _ = _surface_node(u, M, level, angles[k], weights[k])
-        val = integrand(p)
-        return w * np.atleast_1d(np.asarray(val, dtype=float))
-
-    rows = np.array(_map_nodes(node, angles.shape[0], threads))
-    return rows.reshape(angles.shape[0], n_comp)
+    angles, weights, directions = _angular_grid(n, spec.angular_for(n), spec.margin)
+    levels = np.full(angles.shape[0], float(level))
+    return _rule_rows(u, M, levels, angles, weights, directions, None,
+                      integrand, n_comp, threads)
 
 
 def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value: float) -> float:
@@ -321,22 +394,15 @@ def surface_integral(u: ScalarField, M: ModelManifold, level: float,
 
 
 def _coarea_values(u, M, levels, integrand, spec, n_comp, threads):
+    """Weighted integrand rows, level-major over (level node, angular node)."""
     n = M.dim
     c1, c2 = levels
-    angles, weights = _angular_grid(n, spec.angular_for(n), spec.margin)
+    angles, weights, directions = _angular_grid(n, spec.angular_for(n), spec.margin)
     t_nodes, t_weights = _gl_on(c1, c2, spec.level_order)
-    n_ang = angles.shape[0]
-
-    def node(k):
-        lev, ka = divmod(k, n_ang)
-        p, w, grad_norm = _surface_node(u, M, t_nodes[lev], angles[ka], weights[ka])
-        val = integrand(p)
-        w_vol = w * t_weights[lev] / grad_norm
-        return w_vol * np.atleast_1d(np.asarray(val, dtype=float))
-
-    count = len(t_nodes) * n_ang
-    rows = np.array(_map_nodes(node, count, threads))
-    return rows.reshape(count, n_comp)
+    n_ang, n_lev = angles.shape[0], len(t_nodes)
+    return _rule_rows(u, M, np.repeat(t_nodes, n_ang), np.tile(angles, (n_lev, 1)),
+                      np.tile(weights, n_lev), np.tile(directions, (n_lev, 1)),
+                      np.repeat(t_weights, n_ang), integrand, n_comp, threads)
 
 
 def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
@@ -377,19 +443,21 @@ def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
 def radial_integral(g, bounds, order: int = 16, tol: float = 1e-12,
                     max_order: int = 4096) -> float:
     """1-D Gauss-Legendre integral, doubling the order until two successive
-    values differ by less than tol (relative); warns if the cap is hit."""
+    values differ by less than tol (relative).  Raises GeometryError, with
+    the last difference, when the order passes max_order first."""
     a, b = bounds
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("bounds must be finite")
-    prev = None
-    val = 0.0
+    prev = diff = None
     while order <= max_order:
         x, w = _gl_on(a, b, order)
         val = pairwise_sum([wk * g(xk) for xk, wk in zip(x, w)])
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
+        if prev is not None:
+            diff = abs(val - prev)
+            if diff <= tol * max(1.0, abs(val)):
+                return val
         prev = val
         order *= 2
-    warnings.warn(f"radial_integral hit the order cap {max_order} without "
-                  f"meeting tol={tol:g}; last delta {abs(val - prev):.3e}")
-    return val
+    raise GeometryError(f"radial_integral hit the order cap {max_order} without "
+                        f"meeting tol={tol:g}; last difference "
+                        f"{'none' if diff is None else format(diff, '.3e')}")

@@ -62,6 +62,31 @@ def elementary_all(x) -> np.ndarray:
     return e
 
 
+def elementary_all_stack(X) -> np.ndarray:
+    """elementary_all of every row of an (N, k) array, by the same
+    recurrence in the same order, so each row is bit-identical."""
+    X = np.asarray(X, dtype=float)
+    e = np.zeros((X.shape[0], X.shape[1] + 1))
+    e[:, 0] = 1.0
+    for i in range(X.shape[1]):
+        xi = X[:, i]
+        for j in range(i + 1, 0, -1):
+            e[:, j] += xi * e[:, j - 1]
+    return e
+
+
+def matmul_stack(A, B) -> np.ndarray:
+    """Products A[k] @ B[k] of two matrix stacks, summed over the inner
+    index in ascending order.  Each product is formed by the same
+    operations whatever the stack's length, so a node's result does not
+    depend on how a rule is split into stacks (BLAS kernels may change
+    their summation order with the problem size)."""
+    out = A[:, :, 0, None] * B[:, None, 0, :]
+    for k in range(1, A.shape[2]):
+        out += A[:, :, k, None] * B[:, None, k, :]
+    return out
+
+
 def sigma_elementary(x, r: int) -> float:
     """r-th elementary symmetric function of a real vector.
 
@@ -151,20 +176,31 @@ def jacobi_eigh(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
     if n == 1:
         return H.diagonal().copy(), np.eye(1)
     norm = float(np.abs(H).max())
-    tol = tol_factor * max(norm, np.finfo(float).tiny)
+    A = H.tolist()
+    V = _jacobi_sweeps(A, tol_factor * max(norm, np.finfo(float).tiny), max_sweeps)
+    w, V = _sorted_eigenpairs(np.array([[A[i][i] for i in range(n)]]), np.array([V]))
+    return w[0], V[0]
+
+
+def _jacobi_sweeps(A: list, tol: float, max_sweeps: int) -> list:
+    """The cyclic Jacobi iteration of jacobi_eigh on one validated, exactly
+    symmetric matrix of dimension >= 2, given as nested lists and rotated
+    in place until its off-diagonal part is within tol.  Returns the
+    accumulated rotations V as nested lists; A's diagonal holds the
+    eigenvalues, unsorted."""
     if math.isnan(tol):
         # a NaN entry: `off <= tol` never holds, so no sweep count converges
         raise RuntimeError("Jacobi iteration did not converge")
+    n = len(A)
     skip = tol * 1e-2
-    A = H.tolist()
-    V = np.eye(n).tolist()
+    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for _ in range(max_sweeps):
         off = 0.0
         for p in range(n - 1):
             off = max(off, max(abs(x) for x in A[p][p + 1:]))
         if off <= tol:
-            break
+            return V
         for p, q in pairs:
             Ap, Aq = A[p], A[q]
             apq = Ap[q]
@@ -187,11 +223,55 @@ def jacobi_eigh(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
                 x, y = R[p], R[q]
                 R[p] = c * x - s * y
                 R[q] = s * x + c * y
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    w = np.array([A[i][i] for i in range(n)])
-    order = np.argsort(w, kind="stable")
-    return w[order], np.array(V)[:, order]
+    raise RuntimeError("Jacobi iteration did not converge")
+
+
+def _sorted_eigenpairs(w: np.ndarray, V: np.ndarray):
+    """Eigenvalues (K, m) stably sorted ascending per row, with the columns
+    of the eigenvector matrices (K, m, m) in the same order."""
+    order = np.argsort(w, axis=1, kind="stable")
+    return np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
+
+
+def jacobi_eigh_stack(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
+    """jacobi_eigh of every matrix of a stack (N, m, m), bit-identical to
+    calling it on each matrix.
+
+    The stack is validated once, with as_sym_matrix's checks made per
+    matrix, and symmetrized the same way.  A matrix whose off-diagonal part
+    is already within tolerance (every shape operator of a radial field)
+    keeps its diagonal and the identity, as the sweep loop does when it
+    stops before its first rotation; the others run the sweeps of
+    jacobi_eigh one by one.  The sort is one stable argsort of the stack.
+    """
+    A = np.array(H, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
+    N, m = A.shape[0], A.shape[1]
+    if m < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    if m > MAX_DIM:
+        raise CapabilityError(f"dimension {m} exceeds the design bound {MAX_DIM}")
+    if N == 0:
+        return np.zeros((0, m)), np.zeros((0, m, m))
+    At = A.transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    asym = np.abs(A - At).max(axis=(1, 2)) > 1e-9 * scale
+    if asym.any():
+        raise ValueError(f"matrix {int(np.argmax(asym))} of the stack is not symmetric")
+    A = 0.5 * (A + At)
+    if m == 1:
+        return A[:, :, 0].copy(), np.ones((N, 1, 1))
+    tol = tol_factor * np.maximum(np.abs(A).max(axis=(1, 2)), np.finfo(float).tiny)
+    upper = np.triu_indices(m, 1)
+    rotate = ~(np.abs(A[:, upper[0], upper[1]]).max(axis=1) <= tol)
+    w = np.diagonal(A, axis1=1, axis2=2).copy()
+    V = np.broadcast_to(np.eye(m), (N, m, m)).copy()
+    for k in np.nonzero(rotate)[0]:
+        Ak = A[k].tolist()
+        V[k] = _jacobi_sweeps(Ak, float(tol[k]), max_sweeps)
+        w[k] = [Ak[i][i] for i in range(m)]
+    return _sorted_eigenpairs(w, V)
 
 
 # ---------------------------------------------------------------------------

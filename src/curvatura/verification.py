@@ -249,7 +249,7 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
                 t0 = time.perf_counter()
                 rng = np.random.default_rng((cfg.seed, case_idx))
                 case_idx += 1
-                flat = M.family == "euclidean" or (M.family == "constant" and M.a == 0)
+                flat = M.is_flat
                 worst = worst_corr = 0.0
                 for _ in range(n_pts_div):
                     p = _sample_point(M, rng)

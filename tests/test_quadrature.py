@@ -69,8 +69,8 @@ class TestRadialIntegral:
         assert radial_integral(lambda t: math.cosh(2 * t), (0, 1)) == pytest.approx(
             math.sinh(2) / 2, rel=1e-13)
 
-    def test_cap_warns(self):
-        with pytest.warns(UserWarning):
+    def test_cap_raises_with_last_difference(self):
+        with pytest.raises(GeometryError, match=r"order cap 8 .* last difference \d"):
             radial_integral(lambda t: abs(t - 1 / math.pi) ** 0.1, (0, 1),
                             order=4, max_order=8)
 
