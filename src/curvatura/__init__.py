@@ -18,13 +18,11 @@ from .symmetric_algebra import (
     newton_operator,
     newton_partial_form,
     sigma_elementary,
-    sigma_hessian,
     sigma_hessian_eig,
     sigma_hessian_kronecker,
     trace_identity_residual,
 )
 from .model_manifolds import (
-    ChartPoint,
     CurvatureTensorData,
     ModelManifold,
     WarpingProfile,

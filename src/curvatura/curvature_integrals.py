@@ -45,8 +45,10 @@ from .level_set_geometry import (
 )
 from .quadrature import (
     QuadratureSpec,
+    _gl_on,
     coarea_volume_integral_multi,
     field_partials_stack,
+    pairwise_sum,
     radial_integral,
     stacked_integrand,
     surface_integral,
@@ -111,14 +113,6 @@ class ComparisonBreakdown:
             "residual": self.residual, "error_budget": self.error_budget,
             "nodes": self.node_count,
         }
-
-
-def _make_breakdown(r, levels, lhs, terms, budget, nodes, meta) -> ComparisonBreakdown:
-    residual = lhs - (terms[0] + terms[1] + terms[2])
-    return ComparisonBreakdown(
-        r=r, levels=tuple(levels), lhs=lhs,
-        term_principal=terms[0], term_sectional=terms[1], term_mixed=terms[2],
-        residual=residual, error_budget=budget, node_count=nodes, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +263,6 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float,
     if u.kind == "quadratic":
         # quadratic levels scale like radius^2, so integrate the coarea
         # profile in s = sqrt(level), where it is smooth down to the core
-        from .quadrature import _gl_on, pairwise_sum
         lam_min = min(np.linalg.eigvalsh(u.Q))
         core_radius = 1e-3
         eps_level = 0.5 * core_radius ** 2 * lam_min
@@ -325,13 +318,34 @@ def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,
 # Comparison identity
 # ---------------------------------------------------------------------------
 
-def _lhs_and_budget(u, M, levels, r, spec, threads):
+def _comparison(u, M, levels, r, spec, threads, corrections,
+                path=None) -> ComparisonBreakdown:
+    """The comparison identity between the level sets at levels = (c1, c2):
+    the LHS M_r(outer) - M_r(inner), and the RHS as the coarea integrals of
+    the principal column (r+1) sigma_{r+1} and the path's two correction
+    columns, corrections(P, hd, pf, e) -> (sectional, mixed) at a node
+    stack.  path names a specialised path in the meta."""
+
+    @stacked_integrand
+    def integrand(P):
+        hd, pf, e = _node_geometry(u, M, P)
+        return np.column_stack(((r + 1) * _sigma_stack(e, r + 1), *corrections(P, hd, pf, e)))
+
+    terms, errs, nodes_rhs = coarea_volume_integral_multi(
+        u, M, levels, integrand, spec, 3, threads)
     inner = total_mean_curvature(u, M, levels[0], r, spec, threads)
     outer = total_mean_curvature(u, M, levels[1], r, spec, threads)
     lhs = outer.value - inner.value
-    err = outer.error_estimate + inner.error_estimate
-    meta = {"m_outer": outer.value, "m_inner": inner.value}
-    return lhs, err, meta, inner.node_count + outer.node_count
+    budget = 10.0 * (outer.error_estimate + inner.error_estimate + float(np.sum(errs)))
+    meta = {"m_outer": outer.value, "m_inner": inner.value,
+            "model": M.label, "field": u.kind, "n": M.dim}
+    if path is not None:
+        meta["path"] = path
+    return ComparisonBreakdown(
+        r=r, levels=tuple(levels), lhs=lhs,
+        term_principal=terms[0], term_sectional=terms[1], term_mixed=terms[2],
+        residual=lhs - (terms[0] + terms[1] + terms[2]), error_budget=budget,
+        node_count=nodes_rhs + inner.node_count + outer.node_count, meta=meta)
 
 
 def comparison_rhs(u: ScalarField, M: ModelManifold, levels, r: int,
@@ -344,24 +358,13 @@ def comparison_rhs(u: ScalarField, M: ModelManifold, levels, r: int,
     if not 0 <= r <= n - 1:
         raise ValueError(f"order r must lie in [0, {n - 1}], got {r}")
 
-    @stacked_integrand
-    def integrand(P):
-        hd, pf, e = _node_geometry(u, M, P)
-        principal = (r + 1) * _sigma_stack(e, r + 1)
-        zero = np.zeros(len(P))
+    def corrections(P, hd, pf, e):
         if M.is_flat:
-            return np.column_stack((principal, zero, zero))
+            return np.zeros(len(P)), np.zeros(len(P))
         rd = riemann_stack(M, P, pf.frame_chart)
-        sect, mixed = correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd,
-                                            hd.grad_norm, r)
-        return np.column_stack((principal, sect, mixed))
+        return correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd, hd.grad_norm, r)
 
-    vals, errs, nodes_rhs = coarea_volume_integral_multi(
-        u, M, levels, integrand, spec, 3, threads)
-    lhs, lhs_err, meta, nodes_lhs = _lhs_and_budget(u, M, levels, r, spec, threads)
-    budget = 10.0 * (lhs_err + float(np.sum(errs)))
-    meta.update({"model": M.label, "field": u.kind, "n": n})
-    return _make_breakdown(r, levels, lhs, vals, budget, nodes_rhs + nodes_lhs, meta)
+    return _comparison(u, M, levels, r, spec, threads, corrections)
 
 
 def comparison_rhs_constant(u: ScalarField, M: ModelManifold, levels, r: int,
@@ -378,20 +381,11 @@ def comparison_rhs_constant(u: ScalarField, M: ModelManifold, levels, r: int,
         raise ValueError(f"order r must lie in [0, {n - 1}], got {r}")
     a = M.a
 
-    @stacked_integrand
-    def integrand(P):
-        e = _node_geometry(u, M, P)[2]
-        principal = (r + 1) * _sigma_stack(e, r + 1)
+    def corrections(P, hd, pf, e):
         zero = np.zeros(len(P))
-        sect = zero if r == 0 else -a * (n - r) * _sigma_stack(e, r - 1)
-        return np.column_stack((principal, sect, zero))
+        return (zero if r == 0 else -a * (n - r) * _sigma_stack(e, r - 1)), zero
 
-    vals, errs, nodes_rhs = coarea_volume_integral_multi(
-        u, M, levels, integrand, spec, 3, threads)
-    lhs, lhs_err, meta, nodes_lhs = _lhs_and_budget(u, M, levels, r, spec, threads)
-    budget = 10.0 * (lhs_err + float(np.sum(errs)))
-    meta.update({"model": M.label, "field": u.kind, "n": n, "path": "constant"})
-    return _make_breakdown(r, levels, lhs, vals, budget, nodes_rhs + nodes_lhs, meta)
+    return _comparison(u, M, levels, r, spec, threads, corrections, path="constant")
 
 
 def ricci_comparison(u: ScalarField, M: ModelManifold, levels,
@@ -400,22 +394,13 @@ def ricci_comparison(u: ScalarField, M: ModelManifold, levels,
     """The r = 1 identity with the sectional term contracted as a Ricci
     curvature: M_1(outer) - M_1(inner) = 2 Int sigma_2 - Int Ric(nu)."""
 
-    @stacked_integrand
-    def integrand(P):
-        _, pf, e = _node_geometry(u, M, P)
-        principal = 2.0 * _sigma_stack(e, 2)
+    def corrections(P, hd, pf, e):
         zero = np.zeros(len(P))
         if M.is_flat:
-            return np.column_stack((principal, zero, zero))
-        rd = riemann_stack(M, P, pf.frame_chart)
-        return np.column_stack((principal, -rd.ricci_n, zero))
+            return zero, zero
+        return -riemann_stack(M, P, pf.frame_chart).ricci_n, zero
 
-    vals, errs, nodes_rhs = coarea_volume_integral_multi(
-        u, M, levels, integrand, spec, 3, threads)
-    lhs, lhs_err, meta, nodes_lhs = _lhs_and_budget(u, M, levels, 1, spec, threads)
-    budget = 10.0 * (lhs_err + float(np.sum(errs)))
-    meta.update({"model": M.label, "field": u.kind, "n": M.dim, "path": "ricci"})
-    return _make_breakdown(1, levels, lhs, vals, budget, nodes_rhs + nodes_lhs, meta)
+    return _comparison(u, M, levels, 1, spec, threads, corrections, path="ricci")
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _centered(center, M: ModelManifold, P) -> np.ndarray:
-    """Points less a radial field's Cartesian center, checked once per stack."""
+    """A point, or a stack of points, less a radial field's Cartesian center
+    (checked once per call)."""
     X = np.asarray(P, dtype=float)
     if center is not None:
         if M.chart != "cartesian":
@@ -141,29 +142,43 @@ def _centered(center, M: ModelManifold, P) -> np.ndarray:
     return X
 
 
-class RadialDistanceField(ScalarField):
-    """u = geodesic distance from the chart base point (or from `center` in
-    Cartesian charts)."""
+class _RadialField(ScalarField):
+    """Base of the fields radial about the chart base point, or about a
+    Cartesian `center`: closed-form stacks, and exact level spheres when the
+    center is the base point."""
 
-    kind = "radial"
     analytic = True
     stacked = True
 
     def __init__(self, center=None):
         self.center = None if center is None else np.asarray(center, dtype=float)
 
-    def _offset(self, M, p):
-        x = np.asarray(p, dtype=float)
+    def _level_radius(self, level):
+        """Radius of the level sphere of a positive level."""
+        raise NotImplementedError
+
+    def star_radius(self, level):
+        if self.center is not None and np.any(self.center != 0.0):
+            return None
+        return self._level_radius(level) if level > 0 else None
+
+    def describe(self):
+        d = {"field": self.kind}
         if self.center is not None:
-            if M.chart != "cartesian":
-                raise ValueError("radial field centers are Cartesian-chart only")
-            x = x - self.center
-        return x
+            d["center"] = list(self.center)
+        return d
+
+
+class RadialDistanceField(_RadialField):
+    """u = geodesic distance from the chart base point (or from `center` in
+    Cartesian charts)."""
+
+    kind = "radial"
 
     def value(self, M, p):
         if M.chart == "polar":
             return float(p[0])
-        return float(np.linalg.norm(self._offset(M, p)))
+        return float(np.linalg.norm(_centered(self.center, M, p)))
 
     def partials(self, M, p):
         n = M.dim
@@ -171,14 +186,14 @@ class RadialDistanceField(ScalarField):
             du = np.zeros(n)
             du[0] = 1.0
             return du
-        x = self._offset(M, p)
+        x = _centered(self.center, M, p)
         return x / np.linalg.norm(x)
 
     def second_partials(self, M, p):
         n = M.dim
         if M.chart == "polar":
             return np.zeros((n, n))
-        x = self._offset(M, p)
+        x = _centered(self.center, M, p)
         d = np.linalg.norm(x)
         w = x / d
         return (np.eye(n) - np.outer(w, w)) / d
@@ -205,40 +220,19 @@ class RadialDistanceField(ScalarField):
         W = X / d[:, None]
         return (np.eye(M.dim) - W[:, :, None] * W[:, None, :]) / d[:, None, None]
 
-    def star_radius(self, level):
-        if self.center is not None and np.any(self.center != 0.0):
-            return None
-        return level if level > 0 else None
-
-    def describe(self):
-        d = {"field": self.kind}
-        if self.center is not None:
-            d["center"] = list(self.center)
-        return d
+    def _level_radius(self, level):
+        return level
 
 
-class RadialSquaredHalfField(ScalarField):
+class RadialSquaredHalfField(_RadialField):
     """u = (geodesic distance)^2 / 2 from the base point (or Cartesian center)."""
 
     kind = "radial_sq"
-    analytic = True
-    stacked = True
-
-    def __init__(self, center=None):
-        self.center = None if center is None else np.asarray(center, dtype=float)
-
-    def _offset(self, M, p):
-        x = np.asarray(p, dtype=float)
-        if self.center is not None:
-            if M.chart != "cartesian":
-                raise ValueError("radial field centers are Cartesian-chart only")
-            x = x - self.center
-        return x
 
     def value(self, M, p):
         if M.chart == "polar":
             return 0.5 * float(p[0]) ** 2
-        x = self._offset(M, p)
+        x = _centered(self.center, M, p)
         return 0.5 * float(x @ x)
 
     def partials(self, M, p):
@@ -247,7 +241,7 @@ class RadialSquaredHalfField(ScalarField):
             du = np.zeros(n)
             du[0] = float(p[0])
             return du
-        return self._offset(M, p).copy()
+        return _centered(self.center, M, p).copy()
 
     def second_partials(self, M, p):
         n = M.dim
@@ -278,16 +272,8 @@ class RadialSquaredHalfField(ScalarField):
             D2[:, np.arange(M.dim), np.arange(M.dim)] = 1.0
         return D2
 
-    def star_radius(self, level):
-        if self.center is not None and np.any(self.center != 0.0):
-            return None
-        return math.sqrt(2.0 * level) if level > 0 else None
-
-    def describe(self):
-        d = {"field": self.kind}
-        if self.center is not None:
-            d["center"] = list(self.center)
-        return d
+    def _level_radius(self, level):
+        return math.sqrt(2.0 * level)
 
 
 class QuadraticFormField(ScalarField):

@@ -92,13 +92,6 @@ def profile_by_name(name: str) -> WarpingProfile:
 
 
 @dataclass(frozen=True)
-class ChartPoint:
-    """Coordinates of a point in a named chart."""
-    coords: tuple
-    chart: str
-
-
-@dataclass(frozen=True)
 class ModelManifold:
     family: str                 # "euclidean" | "constant" | "warped"
     dim: int

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import GeometryError, node_error
 from .model_manifolds import ModelManifold, _elementwise, metric_diag_stack, radial_profile
-from .level_set_geometry import ScalarField, _rowdot, _sphere_directions, sphere_direction
+from .level_set_geometry import ScalarField, _rowdot, _sphere_directions, fd_steps, sphere_direction
 
 _ROOT_BISECT_WIDTH = 1e-6
 _ROOT_NEWTON_TOL = 1e-12
@@ -95,39 +95,24 @@ class IntegralResult:
     node_count: int
 
 
-def pairwise_sum(values) -> float:
-    """Fixed-order pairwise summation (binary tree over the index range)."""
+def pairwise_sum(values):
+    """Fixed-order pairwise summation (binary tree over the index range).
+    A 1-d input sums to a float; a 2-d input sums down axis 0, column by
+    column over the same tree (scalar adds beat adds of short rows)."""
     vals = np.asarray(values, dtype=float)
 
-    def rec(lo, hi):
+    def rec(col, lo, hi):
         if hi - lo <= 8:
             s = 0.0
             for k in range(lo, hi):
-                s += vals[k]
+                s += col[k]
             return s
         mid = (lo + hi) // 2
-        return rec(lo, mid) + rec(mid, hi)
+        return rec(col, lo, mid) + rec(col, mid, hi)
 
-    if vals.size == 0:
-        return 0.0
-    return rec(0, vals.size)
-
-
-def _pairwise_sum_rows(rows: np.ndarray) -> np.ndarray:
-    """Pairwise sum down axis 0 of a 2-d array, componentwise."""
-
-    def rec(lo, hi):
-        if hi - lo <= 8:
-            s = np.zeros(rows.shape[1])
-            for k in range(lo, hi):
-                s += rows[k]
-            return s
-        mid = (lo + hi) // 2
-        return rec(lo, mid) + rec(mid, hi)
-
-    if rows.shape[0] == 0:
-        return np.zeros(rows.shape[1])
-    return rec(0, rows.shape[0])
+    if vals.ndim == 2:
+        return np.array([rec(col, 0, len(col)) for col in vals.T])
+    return rec(vals, 0, len(vals))
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +157,6 @@ def field_partials(u: ScalarField, M: ModelManifold, p) -> np.ndarray:
     otherwise first-order central differences."""
     if u.analytic:
         return u.partials(M, p)
-    from .level_set_geometry import fd_steps
     p = np.asarray(p, dtype=float)
     h = 1e-5 * (1.0 + float(np.linalg.norm(p)))
     steps = fd_steps(M, p, h)
@@ -367,13 +351,25 @@ def _surface_values(u, M, level, integrand, spec, n_comp, threads):
                       integrand, n_comp, threads)
 
 
-def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value: float) -> float:
+def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value):
     """Analytic bound on the measure omitted by the polar-axis margin.
 
     The relative measure of each excluded cap is below margin^2, so the
     systematic part of the error (invisible to order halving) is bounded by
     (number of polar angles) * margin^2 * |value|."""
     return (M.dim - 2) * spec.margin ** 2 * abs(value)
+
+
+def _halving_estimate(rule_rows, M: ModelManifold, spec: QuadratureSpec):
+    """(values, error estimates, node count) of a rule and its halved-order
+    companion: rule_rows(spec) gives the weighted integrand rows of one rule,
+    the values are their pairwise sums, and each estimate is
+    |fine - coarse| plus the polar-cap bound."""
+    rows = rule_rows(spec)
+    values = pairwise_sum(rows)
+    values_lo = pairwise_sum(rule_rows(spec.coarser()))
+    errs = np.abs(values - values_lo) + _cap_bound(M, spec, values)
+    return values, errs, rows.shape[0]
 
 
 def surface_integral(u: ScalarField, M: ModelManifold, level: float,
@@ -384,19 +380,17 @@ def surface_integral(u: ScalarField, M: ModelManifold, level: float,
     The error estimate is the difference against the next-lower (halved)
     order companion rule plus the analytic polar-cap omission bound.
     """
-    rows = _surface_values(u, M, level, integrand, spec, 1, threads)
-    value = pairwise_sum(rows[:, 0])
-    rows_lo = _surface_values(u, M, level, integrand, spec.coarser(), 1, threads)
-    value_lo = pairwise_sum(rows_lo[:, 0])
-    err = abs(value - value_lo) + _cap_bound(M, spec, value)
-    return IntegralResult(value=value, error_estimate=err,
-                          node_count=rows.shape[0])
+    values, errs, nodes = _halving_estimate(
+        lambda s: _surface_values(u, M, level, integrand, s, 1, threads), M, spec)
+    return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
 
 
 def _coarea_values(u, M, levels, integrand, spec, n_comp, threads):
     """Weighted integrand rows, level-major over (level node, angular node)."""
     n = M.dim
     c1, c2 = levels
+    if not c1 < c2:
+        raise ValueError(f"levels must satisfy c1 < c2, got ({c1}, {c2})")
     angles, weights, directions = _angular_grid(n, spec.angular_for(n), spec.margin)
     t_nodes, t_weights = _gl_on(c1, c2, spec.level_order)
     n_ang, n_lev = angles.shape[0], len(t_nodes)
@@ -410,16 +404,9 @@ def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
                            threads: int = 1) -> IntegralResult:
     """Integral of a pointwise function over the region {c1 < u < c2},
     computed as a level integral of 1/|grad u|-weighted surface integrals."""
-    c1, c2 = levels
-    if not c1 < c2:
-        raise ValueError(f"levels must satisfy c1 < c2, got ({c1}, {c2})")
-    rows = _coarea_values(u, M, levels, integrand, spec, 1, threads)
-    value = pairwise_sum(rows[:, 0])
-    rows_lo = _coarea_values(u, M, levels, integrand, spec.coarser(), 1, threads)
-    value_lo = pairwise_sum(rows_lo[:, 0])
-    err = abs(value - value_lo) + _cap_bound(M, spec, value)
-    return IntegralResult(value=value, error_estimate=err,
-                          node_count=rows.shape[0])
+    values, errs, nodes = _halving_estimate(
+        lambda s: _coarea_values(u, M, levels, integrand, s, 1, threads), M, spec)
+    return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
 
 
 def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
@@ -428,16 +415,8 @@ def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
 
     Returns (values, error_estimates, node_count) as arrays of length n_comp.
     """
-    c1, c2 = levels
-    if not c1 < c2:
-        raise ValueError(f"levels must satisfy c1 < c2, got ({c1}, {c2})")
-    rows = _coarea_values(u, M, levels, integrand, spec, n_comp, threads)
-    values = _pairwise_sum_rows(rows)
-    rows_lo = _coarea_values(u, M, levels, integrand, spec.coarser(), n_comp, threads)
-    values_lo = _pairwise_sum_rows(rows_lo)
-    errs = np.abs(values - values_lo)
-    errs = errs + (M.dim - 2) * spec.margin ** 2 * np.abs(values)
-    return values, errs, rows.shape[0]
+    return _halving_estimate(
+        lambda s: _coarea_values(u, M, levels, integrand, s, n_comp, threads), M, spec)
 
 
 def radial_integral(g, bounds, order: int = 16, tol: float = 1e-12,

@@ -28,7 +28,8 @@ def as_sym_matrix(H) -> np.ndarray:
     """Validate and return a float copy of a symmetric matrix.
 
     The result is stored exactly symmetric (average of H and H^T after a
-    near-symmetry check), with dimension capped at MAX_DIM.
+    near-symmetry check), with finite entries and dimension capped at
+    MAX_DIM.
     """
     A = np.array(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -38,7 +39,10 @@ def as_sym_matrix(H) -> np.ndarray:
         raise ValueError("matrix dimension must be >= 1")
     if n > MAX_DIM:
         raise CapabilityError(f"dimension {n} exceeds the design bound {MAX_DIM}")
-    scale = max(1.0, float(np.abs(A).max()))
+    amax = float(np.abs(A).max())
+    if not math.isfinite(amax):
+        raise ValueError("matrix has non-finite entries")
+    scale = max(1.0, amax)
     if np.abs(A - A.T).max() > 1e-9 * scale:
         raise ValueError("matrix is not symmetric")
     return 0.5 * (A + A.T)
@@ -168,8 +172,8 @@ def jacobi_eigh(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
     gone.
 
     Returns (eigenvalues ascending, eigenvectors as matching columns); the
-    ascending sort is stable.  Raises RuntimeError when max_sweeps sweeps do
-    not converge, which a NaN entry never does (so it raises at once).
+    ascending sort is stable.  Raises ValueError for a non-finite entry and
+    RuntimeError when max_sweeps sweeps do not converge.
     """
     H = as_sym_matrix(H)
     n = H.shape[0]
@@ -188,9 +192,6 @@ def _jacobi_sweeps(A: list, tol: float, max_sweeps: int) -> list:
     in place until its off-diagonal part is within tol.  Returns the
     accumulated rotations V as nested lists; A's diagonal holds the
     eigenvalues, unsorted."""
-    if math.isnan(tol):
-        # a NaN entry: `off <= tol` never holds, so no sweep count converges
-        raise RuntimeError("Jacobi iteration did not converge")
     n = len(A)
     skip = tol * 1e-2
     V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -254,8 +255,12 @@ def jacobi_eigh_stack(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
         raise CapabilityError(f"dimension {m} exceeds the design bound {MAX_DIM}")
     if N == 0:
         return np.zeros((0, m)), np.zeros((0, m, m))
+    amax = np.abs(A).max(axis=(1, 2))
+    bad = ~np.isfinite(amax)
+    if bad.any():
+        raise ValueError(f"matrix {int(np.argmax(bad))} of the stack has non-finite entries")
     At = A.transpose(0, 2, 1)
-    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    scale = np.maximum(1.0, amax)
     asym = np.abs(A - At).max(axis=(1, 2)) > 1e-9 * scale
     if asym.any():
         raise ValueError(f"matrix {int(np.argmax(asym))} of the stack is not symmetric")
@@ -334,11 +339,6 @@ def sigma_hessian_kronecker(H, r: int) -> float:
             prod *= a[k]
         total += sgn * prod
     return total
-
-
-def sigma_hessian(H, r: int) -> float:
-    """sigma_r of the eigenvalues of a symmetric matrix (eigenvalue route)."""
-    return sigma_hessian_eig(H, r)
 
 
 # ---------------------------------------------------------------------------

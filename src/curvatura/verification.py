@@ -43,6 +43,7 @@ from .level_set_geometry import (
     reilly2_residual,
     hessian_frame,
     principal_frame,
+    sphere_direction,
 )
 from .quadrature import QuadratureSpec, radial_integral
 from .curvature_integrals import (
@@ -166,7 +167,6 @@ def _sample_point(M: ModelManifold, rng) -> np.ndarray:
     angles.append(rng.uniform(0.0, 2.0 * math.pi))
     if M.chart == "polar":
         return np.array([r] + angles)
-    from .level_set_geometry import sphere_direction
     return r * sphere_direction(angles)
 
 

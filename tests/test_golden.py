@@ -1,16 +1,28 @@
 """Behaviour lock: `curvatura compute` outputs of six reference configs,
-pinned in golden_compute.json.
+the two specialised comparison paths on the same configs, and the
+`measured` column of the four quick verification suites, pinned in
+golden_compute.json.
 
 Each config pins M_r at one level for r = -1..n-1 and the comparison
 breakdown over two levels for r = 0..n-1, at low orders so the whole file
-runs in seconds.  Every float of a record is compared with relative
-tolerance 1e-9 against the record's scale (its largest magnitude), so a
-residual or a zero term is measured against the numbers it derives from;
-node counts must match exactly.  A reordered sum passes, changed maths does
-not.
+runs in seconds.  Library calls at the same orders and levels add the
+`comparison_rhs_constant` breakdowns for r = 0..n-1 on the constant-family
+configs and the `ricci_comparison` breakdown on every config.  Every float
+of a record is compared with relative tolerance 1e-9 against the record's
+scale (its largest magnitude), so a residual or a zero term is measured
+against the numbers it derives from; node counts must match exactly.
 
-The data file records the commit it was generated on.  To regenerate it
-(only when a change of results is intended and checked):
+The quick suites run at seed QUICK_SEED and are keyed by case_id.  A row's
+measured value is compared with relative tolerance 1e-9 against the larger
+of its magnitude and its expected value, except for roundoff residuals:
+rows expecting 0 whose pinned value lies within ROUNDOFF_SHARE of their
+tolerance may move anywhere inside that share.  A reordered sum passes,
+changed maths does not.
+
+The data file records the commit its first records were generated on, and
+the commit that last added records.  To add missing records (existing ones
+stay as they are; delete the file to re-pin everything, only when a change
+of results is intended and checked):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,10 +34,23 @@ from pathlib import Path
 
 import pytest
 
+from curvatura import (
+    QuadratureSpec,
+    comparison_rhs_constant,
+    constant_curvature,
+    euclidean,
+    field_from_spec,
+    profile_by_name,
+    ricci_comparison,
+    warped,
+)
 from curvatura.cli import main
+from curvatura.verification import SUITE_NAMES, SuiteConfig, run_suite
 
 DATA = Path(__file__).with_name("golden_compute.json")
 REL_TOL = 1e-9
+QUICK_SEED = 12345
+ROUNDOFF_SHARE = 1e-2
 LEVEL = 0.8
 LEVELS = [0.5, 1.0]
 
@@ -61,6 +86,34 @@ def compute(name, workdir: Path) -> dict:
     return out
 
 
+def paths(name) -> dict:
+    """Breakdowns of the two specialised comparison paths for one config, by
+    direct library calls at compute's orders and levels."""
+    manifold, field, order = CONFIGS[name]
+    n = manifold["dim"]
+    if manifold["family"] == "euclidean":
+        M = euclidean(n)
+    elif manifold["family"] == "constant":
+        M = constant_curvature(manifold["a"], n)
+    else:
+        M = warped(profile_by_name(manifold["profile"]), n)
+    u = field_from_spec(field, M)
+    spec = QuadratureSpec(angular_orders=(order,), level_order=4)
+    out = {"ricci": [ricci_comparison(u, M, tuple(LEVELS), spec).to_record()]}
+    if M.family == "constant":
+        out["constant"] = [comparison_rhs_constant(u, M, tuple(LEVELS), r, spec).to_record()
+                           for r in range(n)]
+    return out
+
+
+def quick_suite(suite: str) -> dict:
+    """measured, expected and tolerance of every case of a quick suite,
+    keyed by case_id."""
+    rep = run_suite(SuiteConfig(suite=suite, seed=QUICK_SEED, quick=True))
+    return {c.case_id: {"measured": c.measured, "expected": c.expected,
+                        "tolerance": c.tolerance} for c in rep.cases}
+
+
 def assert_record_close(got: dict, want: dict, where: str):
     assert got.keys() == want.keys(), where
     floats = [v for v in want.values() if isinstance(v, float)]
@@ -82,6 +135,12 @@ def golden():
 def test_golden_file_covers_every_config(golden):
     assert sorted(golden["configs"]) == sorted(CONFIGS)
     assert len(golden["generated_at_commit"]) == 40
+    assert len(golden.get("extended_at_commit", golden["generated_at_commit"])) == 40
+    for name, (manifold, _, _) in CONFIGS.items():
+        assert ("constant" in golden["configs"][name]) == (manifold["family"] == "constant")
+        assert "ricci" in golden["configs"][name]
+    assert golden["verify_quick"]["seed"] == QUICK_SEED
+    assert sorted(golden["verify_quick"]["suites"]) == sorted(SUITE_NAMES)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -94,12 +153,53 @@ def test_compute_matches_golden(name, golden, tmp_path, capsys):
             assert_record_close(g, w, f"{name}.{key}[r={w['r']}]")
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_paths_match_golden(name, golden):
+    got = paths(name)
+    want = {k: v for k, v in golden["configs"][name].items() if k in ("constant", "ricci")}
+    assert got.keys() == want.keys()
+    for key in want:
+        assert len(got[key]) == len(want[key])
+        for g, w in zip(got[key], want[key]):
+            assert_record_close(g, w, f"{name}.{key}[r={w['r']}]")
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_quick_suite_matches_golden(suite, golden):
+    got = quick_suite(suite)
+    want = golden["verify_quick"]["suites"][suite]
+    assert sorted(got) == sorted(want)
+    for cid, w in want.items():
+        g = got[cid]["measured"]
+        if w["expected"] == 0.0 and abs(w["measured"]) <= ROUNDOFF_SHARE * w["tolerance"]:
+            bound = ROUNDOFF_SHARE * w["tolerance"]
+        else:
+            bound = REL_TOL * max(abs(w["measured"]), abs(w["expected"]))
+        assert abs(g - w["measured"]) <= bound, f"{cid}: {g!r} vs {w['measured']!r}"
+
+
 def write_golden(workdir: Path) -> None:
+    """Pin every record missing from the data file at the current commit.
+    Records already in the file stay byte-identical, so pins taken at an
+    earlier commit keep holding later code to that commit's numbers; delete
+    the file to pin everything afresh."""
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=DATA.parent, check=True,
                             capture_output=True, text=True).stdout.strip()
-    configs = {name: compute(name, workdir) for name in sorted(CONFIGS)}
-    DATA.write_text(json.dumps({"generated_at_commit": commit, "configs": configs},
-                               indent=1, sort_keys=True) + "\n")
+    data = (json.loads(DATA.read_text()) if DATA.exists()
+            else {"generated_at_commit": commit, "configs": {}})
+    added = False
+    for name in sorted(CONFIGS):
+        have = data["configs"].setdefault(name, {})
+        for key, records in {**compute(name, workdir), **paths(name)}.items():
+            if key not in have:
+                have[key], added = records, True
+    if "verify_quick" not in data:
+        data["verify_quick"] = {"seed": QUICK_SEED,
+                                "suites": {s: quick_suite(s) for s in SUITE_NAMES}}
+        added = True
+    if added and data["generated_at_commit"] != commit:
+        data["extended_at_commit"] = commit
+    DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -205,7 +205,7 @@ def test_stacked_jacobi_validates_the_stack():
         jacobi_eigh_stack(np.array([np.eye(3), [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]))
     with pytest.raises(ValueError):
         jacobi_eigh_stack(np.ones((2, 3, 4)))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         jacobi_eigh_stack(np.array([np.eye(2), [[np.nan, 1.0], [1.0, 2.0]]]))
 
 

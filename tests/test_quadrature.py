@@ -3,10 +3,12 @@
 surface-of-revolution quadrature for the ellipsoid, and antiderivatives."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from curvatura import curvature_integrals, quadrature
 from curvatura.errors import GeometryError
 from curvatura.model_manifolds import (
     constant_curvature,
@@ -257,3 +259,60 @@ class TestDeterminism:
         rng = np.random.default_rng(0)
         vals = rng.normal(size=1000)
         assert pairwise_sum(vals) == pairwise_sum(list(vals))
+
+
+# ---------------------------------------------------------------------------
+# Tap contract: each integral passes through exactly one public entry point,
+# so wrappers rebound in every namespace count each rule's nodes once
+# ---------------------------------------------------------------------------
+
+ENTRIES = ("surface_integral", "coarea_volume_integral", "coarea_volume_integral_multi")
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Counting wrappers around the three public entry points, bound in every
+    curvatura namespace that binds them; maps each name to the node counts
+    of its calls."""
+    calls = {name: [] for name in ENTRIES}
+    modules = [m for key, m in sys.modules.items()
+               if key == "curvatura" or key.startswith("curvatura.")]
+    for name in ENTRIES:
+        original = getattr(quadrature, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            res = _fn(*args, **kwargs)
+            calls[_name].append(res[2] if isinstance(res, tuple) else res.node_count)
+            return res
+
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+TAP_SPEC = QuadratureSpec(angular_orders=(6,), level_order=2)
+
+
+def test_direct_integrals_count_once(tally):
+    M = euclidean(3)
+    u = RadialDistanceField()
+    s = quadrature.surface_integral(u, M, 1.0, lambda p: 1.0, TAP_SPEC)
+    c = quadrature.coarea_volume_integral(u, M, (0.5, 1.0), lambda p: 1.0, TAP_SPEC)
+    assert tally == {"surface_integral": [s.node_count],
+                     "coarea_volume_integral": [c.node_count],
+                     "coarea_volume_integral_multi": []}
+
+
+@pytest.mark.parametrize("path", ["comparison_rhs", "comparison_rhs_constant",
+                                  "ricci_comparison"])
+def test_comparison_paths_tally_their_nodes(tally, path):
+    M = constant_curvature(-1.0, 3)
+    u = RadialDistanceField()
+    r_arg = () if path == "ricci_comparison" else (1,)
+    bd = getattr(curvature_integrals, path)(u, M, (0.5, 1.0), *r_arg, TAP_SPEC)
+    assert len(tally["coarea_volume_integral_multi"]) == 1
+    assert len(tally["surface_integral"]) == 2
+    assert tally["coarea_volume_integral"] == []
+    assert sum(sum(counts) for counts in tally.values()) == bd.node_count
