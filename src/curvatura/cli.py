@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -29,6 +30,7 @@ from .errors import (
     GeometryError,
 )
 from .model_manifolds import (
+    ModelManifold,
     constant_curvature,
     euclidean,
     profile_by_name,
@@ -45,7 +47,7 @@ from .curvature_integrals import (
     total_mean_curvature,
 )
 from .reporting import fmt_value, write_csv, write_json
-from .verification import CASE_COLUMNS, SUITE_NAMES, SuiteConfig, run_suite
+from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCE_KEYS, SuiteConfig, run_suite
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240817
@@ -71,6 +73,8 @@ def _check_keys(d: dict, path: str, allowed: set, required: set = frozenset()):
 def _check_number(v, path, lo=None, hi=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
+    if not math.isfinite(v):
+        _fail(path, f"expected a finite number, got {v}")
     if lo is not None and v < lo:
         _fail(path, f"expected >= {lo}, got {v}")
     if hi is not None and v > hi:
@@ -88,10 +92,10 @@ def _check_int(v, path, lo=None, hi=None):
     return v
 
 
-def _check_vector(v, path):
+def _check_vector(v, path, lo=None, hi=None):
     if not isinstance(v, list) or not v:
         _fail(path, "expected a nonempty list of numbers")
-    return [_check_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    return [_check_number(x, f"{path}[{i}]", lo, hi) for i, x in enumerate(v)]
 
 
 def _validate_manifold(d, path="manifold"):
@@ -112,7 +116,10 @@ def _validate_manifold(d, path="manifold"):
         a = _check_number(d["a"], f"{path}.a", hi=0.0)
         if "profile" in d:
             _fail(f"{path}.profile", "the constant family fixes its own profile")
-        return constant_curvature(a, n)
+        try:
+            return constant_curvature(a, n)
+        except ValueError as e:
+            _fail(f"{path}.a", str(e))
     if "profile" not in d:
         _fail(f"{path}.profile", "required for the warped family")
     if d["profile"] not in ("sinh", "linear", "poly3"):
@@ -156,7 +163,7 @@ def _validate_field(d, M, path="field"):
         _fail(path, str(e))
 
 
-def _validate_quadrature(d, path="quadrature"):
+def _validate_quadrature(d, n, path="quadrature"):
     if d is None:
         return QuadratureSpec()
     if not isinstance(d, dict):
@@ -164,6 +171,9 @@ def _validate_quadrature(d, path="quadrature"):
     _check_keys(d, path, {"angular_order", "level_order", "margin"})
     ang = d.get("angular_order", 16)
     if isinstance(ang, list):
+        if len(ang) not in (1, n - 1):
+            _fail(f"{path}.angular_order",
+                  f"expected one order or {n - 1} orders for dim {n}, got {len(ang)}")
         ang = tuple(_check_int(x, f"{path}.angular_order[{i}]", 2)
                     for i, x in enumerate(ang))
     else:
@@ -173,10 +183,13 @@ def _validate_quadrature(d, path="quadrature"):
     return QuadratureSpec(angular_orders=ang, level_order=lvl, margin=margin)
 
 
-def _validate_r(v, n, path="r"):
+def _validate_r(v, n, path="r", lo=-1):
+    """Orders r in [lo, n - 1]; r = -1 asks for the enclosed volume."""
     if isinstance(v, list):
-        return [_check_int(x, f"{path}[{i}]", -1, n - 1) for i, x in enumerate(v)]
-    return [_check_int(v, path, -1, n - 1)]
+        if not v:
+            _fail(path, "expected an integer or a nonempty list of integers")
+        return [_check_int(x, f"{path}[{i}]", lo, n - 1) for i, x in enumerate(v)]
+    return [_check_int(v, path, lo, n - 1)]
 
 
 _TOP_KEYS = {"schema_version", "seed", "manifold", "field", "quadrature", "r",
@@ -229,7 +242,7 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
                 {"schema_version", "manifold", "field"})
     M = _validate_manifold(cfg["manifold"])
     u = _validate_field(cfg["field"], M)
-    spec = _validate_quadrature(cfg.get("quadrature"))
+    spec = _validate_quadrature(cfg.get("quadrature"), M.dim)
     if "r" not in cfg:
         _fail("r", "required for compute")
     rs = _validate_r(cfg["r"], M.dim)
@@ -277,6 +290,9 @@ def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         _fail("tolerances", "expected an object")
+    _check_keys(tolerances, "tolerances", set(TOLERANCE_KEYS))
+    for k, v in tolerances.items():
+        _check_number(v, f"tolerances.{k}", lo=0.0)
     seed = _resolve_seed(cfg)
     all_passed = True
     summary = []
@@ -300,18 +316,24 @@ def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
     return 0 if all_passed else 1
 
 
-def _sweep_grid(d, path):
+def _sweep_grid(d, path, lo=None, hi=None):
+    """A grid of numbers in [lo, hi]: an explicit 'grid', or 'start'/'stop'/
+    'num' with linear or log 'spacing'."""
+    if not isinstance(d, dict):
+        _fail(path, "expected an object")
+    _check_keys(d, path, {"grid", "start", "stop", "num", "spacing"})
     if "grid" in d:
-        return _check_vector(d["grid"], f"{path}.grid")
+        return _check_vector(d["grid"], f"{path}.grid", lo, hi)
     if "start" not in d or "stop" not in d or "num" not in d:
         _fail(path, "expected either 'grid' or 'start'/'stop'/'num'")
-    start = _check_number(d["start"], f"{path}.start")
-    stop = _check_number(d["stop"], f"{path}.stop")
+    start = _check_number(d["start"], f"{path}.start", lo, hi)
+    stop = _check_number(d["stop"], f"{path}.stop", lo, hi)
     num = _check_int(d["num"], f"{path}.num", 2)
     spacing = d.get("spacing", "linear")
     if spacing == "log":
-        if start <= 0:
-            _fail(f"{path}.start", "log spacing needs start > 0")
+        for key, v in (("start", start), ("stop", stop)):
+            if v <= 0:
+                _fail(f"{path}.{key}", "log spacing needs start and stop > 0")
         return list(np.geomspace(start, stop, num))
     if spacing != "linear":
         _fail(f"{path}.spacing", f"expected linear|log, got {spacing!r}")
@@ -328,8 +350,8 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     if kind == "sphere":
         _check_keys(sw, "sweep", {"kind", "rho", "r"}, {"kind", "rho", "r"})
         M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
-        grid = _sweep_grid(sw["rho"], "sweep.rho")
-        rs = _validate_r(sw["r"], M.dim, "sweep.r")
+        grid = _sweep_grid(sw["rho"], "sweep.rho", 1e-12, M.working_radius)
+        rs = _validate_r(sw["r"], M.dim, "sweep.r", lo=0)
         rows = [{"model": M.label, "n": M.dim, "r": r, "rho": rho,
                  "value": sphere_total_mean_curvature(M, r, rho)}
                 for r in rs for rho in grid]
@@ -338,20 +360,23 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         _check_keys(sw, "sweep", {"kind", "a_grid", "rho", "r", "dim"},
                     {"kind", "a_grid", "rho", "r", "dim"})
         n = _check_int(sw["dim"], "sweep.dim", 2, 6)
-        a_grid = _check_vector(sw["a_grid"], "sweep.a_grid")
+        a_grid = _check_vector(sw["a_grid"], "sweep.a_grid", hi=0.0)
         for i, a in enumerate(a_grid):
-            _check_number(a, f"sweep.a_grid[{i}]", hi=0.0)
-        rho = _check_number(sw["rho"], "sweep.rho", lo=1e-12)
-        rs = _validate_r(sw["r"], n, "sweep.r")
+            try:
+                constant_curvature(a, n)
+            except ValueError as e:
+                _fail(f"sweep.a_grid[{i}]", str(e))
+        rho = _check_number(sw["rho"], "sweep.rho", 1e-12, ModelManifold.working_radius)
+        rs = _validate_r(sw["r"], n, "sweep.r", lo=0)
         rows = [{"a": a, "n": n, "r": r, "rho": rho,
                  "value": ball_bound(r, rho, a, n)}
-                for a in a_grid for r in rs if r >= 0]
+                for a in a_grid for r in rs]
         columns = ("a", "n", "r", "rho", "value")
     elif kind == "levels":
         _check_keys(sw, "sweep", {"kind", "levels", "r"}, {"kind", "levels", "r"})
         M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
         u = _validate_field(cfg.get("field") or _fail("field", "required"), M)
-        spec = _validate_quadrature(cfg.get("quadrature"))
+        spec = _validate_quadrature(cfg.get("quadrature"), M.dim)
         grid = _sweep_grid(sw["levels"], "sweep.levels")
         rs = _validate_r(sw["r"], M.dim, "sweep.r")
         validate_gradient_on_annulus(u, M)

@@ -372,17 +372,25 @@ class OffCenterDistanceField(ScalarField):
 def field_from_spec(spec: dict, M: ModelManifold) -> ScalarField:
     """Build a field from its JSON-style description (see the CLI schema)."""
     kind = spec.get("field")
-    if kind == "radial":
-        return RadialDistanceField(center=spec.get("center"))
-    if kind == "radial_sq":
-        return RadialSquaredHalfField(center=spec.get("center"))
+    if kind in ("radial", "radial_sq"):
+        center = spec.get("center")
+        if M.chart == "polar" and center is not None and any(c != 0 for c in center):
+            raise ValueError("radial fields on a polar chart are centred on its base "
+                             "point; their center must be zero")
+        cls = RadialDistanceField if kind == "radial" else RadialSquaredHalfField
+        return cls(center=center)
     if kind == "quadratic":
         if "Q" not in spec:
             raise ValueError("quadratic field requires a 'Q' matrix")
+        if M.chart != "cartesian":
+            raise ValueError("quadratic fields are Cartesian-chart only")
         return QuadraticFormField(spec["Q"], center=spec.get("center"))
     if kind == "offcenter":
         f = OffCenterDistanceField(spec.get("offset", 0.3))
         f._bind_check(M)
+        if f.offset > M.working_radius:
+            raise ValueError(f"offset {f.offset:g} lies beyond the working radius "
+                             f"{M.working_radius:g}")
         return f
     raise ValueError(f"unknown field kind '{kind}'")
 
@@ -478,10 +486,11 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p,
     """Value, gradient and covariant Hessian of u at p, in the orthonormal
     frame from the triangular factorization of the chart metric.
 
-    The covariant Hessian is d_i d_j u - Gamma^k_ij d_k u in the chart, then
-    conjugated into the frame.  Analytic field derivatives are used when
-    available unless use_fd forces the central-difference path with step h
-    (default 1e-4 * (1 + |p|), per-coordinate guarded near the chart axis).
+    The covariant Hessian is d_i d_j u - Gamma^k_ij d_k u in the chart (the
+    symbols vanish on Cartesian charts), then conjugated into the frame.
+    Analytic field derivatives are used when available unless use_fd forces
+    the central-difference path with step h (default 1e-4 * (1 + |p|),
+    per-coordinate guarded near the chart axis).
     """
     n = M.dim
     p = np.asarray(p, dtype=float)
@@ -494,8 +503,9 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p,
             h = 1e-4 * (1.0 + float(np.linalg.norm(p)))
         steps = fd_steps(M, p, h)
         val, du, D2 = _fd_partials(u, M, p, steps)
-    Gam = christoffel_at(M, p)
-    hess_chart = D2 - np.tensordot(du, Gam, axes=([0], [0]))
+    hess_chart = D2
+    if M.chart == "polar":
+        hess_chart = D2 - np.tensordot(du, christoffel_at(M, p), axes=([0], [0]))
     D = metric_diag(M, p)
     inv_sqrt = 1.0 / np.sqrt(D)
     frame = np.diag(inv_sqrt)
@@ -660,13 +670,19 @@ def reilly2_residual(u: ScalarField, M: ModelManifold, p, r: int) -> float:
     Jacobi eigenvalues vs the Newton recursion contracted against the
     gradient); the identity is exact, so the residual is roundoff.
     """
+    lhs, rhs = _reilly2_sides(u, M, p, r)
+    return abs(lhs - rhs)
+
+
+def _reilly2_sides(u: ScalarField, M: ModelManifold, p, r: int):
+    """(sigma_r(kappa), <T_r grad u, grad u> / |grad u|^{r+2}) at p, from
+    one Hessian and one principal frame."""
     hd = hessian_frame(u, M, p)
     pf = principal_frame(hd, M, p)
     lhs = sigma_elementary(pf.kappa, r)
     T = newton_matrices(hd.hess_frame, r)[r]
     g = hd.grad_frame
-    rhs = float(g @ T @ g) / hd.grad_norm ** (r + 2)
-    return abs(lhs - rhs)
+    return lhs, float(g @ T @ g) / hd.grad_norm ** (r + 2)
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,8 @@ from .errors import ChartSingularityError, node_error
 from .symmetric_algebra import binomial
 
 _AXIS_TOL = 1e-12
+# exponents x with e^x well inside the double range (e^710 overflows)
+_MAX_EXP = 700.0
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,9 @@ def constant_curvature(a: float, n: int) -> ModelManifold:
         raise ValueError(f"constant-curvature family requires a <= 0, got {a}")
     if a == 0:
         return ModelManifold(family="constant", dim=n, a=0.0, chart="cartesian")
+    if (n - 1) * math.sqrt(-a) * ModelManifold.working_radius > _MAX_EXP:
+        raise ValueError(f"a = {a:g} is out of range: the volume element "
+                         f"sinh(sqrt(-a) r)^{n - 1} overflows within the working radius")
     return ModelManifold(family="constant", dim=n, a=a,
                          profile=scaled_sinh_profile(a), chart="polar")
 

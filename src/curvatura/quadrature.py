@@ -178,11 +178,21 @@ def field_partials_stack(u: ScalarField, M: ModelManifold, P) -> np.ndarray:
     return np.array([field_partials(u, M, p) for p in P]).reshape(len(P), M.dim)
 
 
+def _star_radius(u: ScalarField, M: ModelManifold, level: float):
+    """u.star_radius(level), refused beyond the working radius, as a root
+    solve refuses a crossing there."""
+    sr = u.star_radius(level)
+    if sr is not None and sr > M.working_radius:
+        raise GeometryError(f"the level-{level:g} sphere (radius {sr:g}) lies beyond "
+                            f"the working radius {M.working_radius:g}")
+    return sr
+
+
 def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) -> float:
     """Radius along one ray where u = level (bisection then Newton), with
     one scalar value() call per evaluation.  Fields radial about the base
     point short-circuit to the exact radius."""
-    sr = u.star_radius(level)
+    sr = _star_radius(u, M, level)
     if sr is not None:
         return sr
     angles = np.asarray(angles, dtype=float)
@@ -248,7 +258,7 @@ def find_level_radii(u: ScalarField, M: ModelManifold, levels, angles) -> np.nda
     rho = np.empty(N)
     todo = np.ones(N, dtype=bool)
     for c in np.unique(levels):
-        sr = u.star_radius(float(c))
+        sr = _star_radius(u, M, float(c))
         if sr is not None:
             sel = levels == c
             rho[sel] = sr

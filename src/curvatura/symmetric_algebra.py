@@ -22,6 +22,8 @@ from .errors import CapabilityError
 
 MAX_DIM = 8
 _KRONECKER_MAX_DIM = 6
+_TINY = float(np.finfo(float).tiny)
+_SYM_MAX = float(np.finfo(float).max) / 2
 
 
 def as_sym_matrix(H) -> np.ndarray:
@@ -29,7 +31,8 @@ def as_sym_matrix(H) -> np.ndarray:
 
     The result is stored exactly symmetric (average of H and H^T after a
     near-symmetry check), with finite entries and dimension capped at
-    MAX_DIM.
+    MAX_DIM.  Entries above half the largest double are refused: H + H^T
+    would overflow.
     """
     A = np.array(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -42,6 +45,8 @@ def as_sym_matrix(H) -> np.ndarray:
     amax = float(np.abs(A).max())
     if not math.isfinite(amax):
         raise ValueError("matrix has non-finite entries")
+    if amax > _SYM_MAX:
+        raise ValueError(f"matrix entry {amax:g} overflows when symmetrized")
     scale = max(1.0, amax)
     if np.abs(A - A.T).max() > 1e-9 * scale:
         raise ValueError("matrix is not symmetric")
@@ -175,15 +180,22 @@ def jacobi_eigh(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
     ascending sort is stable.  Raises ValueError for a non-finite entry and
     RuntimeError when max_sweeps sweeps do not converge.
     """
-    H = as_sym_matrix(H)
-    n = H.shape[0]
+    return _jacobi_eigh(as_sym_matrix(H), tol_factor, max_sweeps)
+
+
+def _jacobi_eigh(A: np.ndarray, tol_factor: float = 1e-13, max_sweeps: int = 60):
+    """jacobi_eigh of a matrix that as_sym_matrix returned.  The pairs are
+    put in order by Python's stable sort, which orders floats as a stable
+    argsort does (-0.0 and 0.0 tie)."""
+    n = A.shape[0]
     if n == 1:
-        return H.diagonal().copy(), np.eye(1)
-    norm = float(np.abs(H).max())
-    A = H.tolist()
-    V = _jacobi_sweeps(A, tol_factor * max(norm, np.finfo(float).tiny), max_sweeps)
-    w, V = _sorted_eigenpairs(np.array([[A[i][i] for i in range(n)]]), np.array([V]))
-    return w[0], V[0]
+        return A.diagonal().copy(), np.eye(1)
+    L = A.tolist()
+    norm = max(abs(x) for row in L for x in row)
+    V = _jacobi_sweeps(L, tol_factor * max(norm, _TINY), max_sweeps)
+    w = [L[i][i] for i in range(n)]
+    order = sorted(range(n), key=w.__getitem__)
+    return np.array([w[i] for i in order]), np.array([[row[i] for i in order] for row in V])
 
 
 def _jacobi_sweeps(A: list, tol: float, max_sweeps: int) -> list:
@@ -288,8 +300,7 @@ def sigma_hessian_eig(H, r: int) -> float:
     A = as_sym_matrix(H)
     if r < 0:
         raise ValueError(f"order r must be nonnegative, got {r}")
-    w, _ = jacobi_eigh(A)
-    return sigma_elementary(w, r)
+    return sigma_elementary(_jacobi_eigh(A)[0], r)
 
 
 @lru_cache(maxsize=None)
@@ -359,13 +370,19 @@ def newton_matrices(H, r: int) -> list[np.ndarray]:
     n = A.shape[0]
     if not 0 <= r <= n:
         raise ValueError(f"order r must satisfy 0 <= r <= {n}, got {r}")
-    w, _ = jacobi_eigh(A)
-    e = elementary_all(w)
-    mats = [np.eye(n)]
+    return _newton_matrices(A, r)[0]
+
+
+def _newton_matrices(A: np.ndarray, r: int):
+    """([T_0, ..., T_r], e_0..e_n of the eigenvalues) of a matrix that
+    as_sym_matrix returned."""
+    I = np.eye(A.shape[0])
+    e = elementary_all(_jacobi_eigh(A)[0])
+    mats = [I]
     for k in range(1, r + 1):
-        T = e[k] * np.eye(n) - mats[-1] @ A
+        T = e[k] * I - mats[-1] @ A
         mats.append(0.5 * (T + T.T))
-    return mats
+    return mats, e
 
 
 def newton_operator(H, r: int) -> NewtonOperator:
@@ -420,9 +437,10 @@ def trace_identity_residual(H, r: int) -> float:
     n = A.shape[0]
     if not 0 <= r <= n - 1:
         raise ValueError(f"order r must satisfy 0 <= r <= {n - 1}, got {r}")
-    T = newton_matrices(A, r)[r]
-    lhs = float(np.trace(T @ A))
-    rhs = (r + 1) * sigma_hessian_eig(A, r + 1)
+    mats, e = _newton_matrices(A, r)
+    lhs = float(np.trace(mats[r] @ A))
+    # e[r + 1] is sigma_hessian_eig(A, r + 1): the same eigenvalues, recurrence and entry
+    rhs = (r + 1) * float(e[r + 1])
     return abs(lhs - rhs)
 
 

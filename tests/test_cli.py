@@ -122,6 +122,53 @@ class TestConfigValidation:
         assert main(["compute", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+HYPERBOLIC = {"family": "constant", "a": -1.0, "dim": 3}
+TINY_QUADRATURE = {"angular_order": 4, "level_order": 2}
+
+
+def compute_cfg(**changes):
+    return dict(BASE_COMPUTE, quadrature=TINY_QUADRATURE, **changes)
+
+
+@pytest.mark.parametrize("command,obj,code,names", [
+    # a field that does not fit its chart is refused when it is built
+    ("compute", compute_cfg(manifold=HYPERBOLIC,
+                            field={"field": "radial", "center": [0.3, 0.0, 0.0]}), 2, "field"),
+    ("compute", compute_cfg(manifold=HYPERBOLIC,
+                            field={"field": "radial_sq", "center": [0.0, 0.0, -0.2]}), 2, "field"),
+    ("compute", compute_cfg(manifold=HYPERBOLIC,
+                            field={"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 4]]}),
+     2, "field"),
+    # tolerances: numbers under known keys only
+    ("verify", {"schema_version": 1, "suites": ["asymptotic"], "tolerances": {"slope": "abc"}},
+     2, "tolerances.slope"),
+    ("verify", {"schema_version": 1, "suites": ["asymptotic"], "tolerances": {"slop": 0.1}},
+     2, "tolerances.slop"),
+    ("verify", {"schema_version": 1, "suites": ["asymptotic"], "tolerances": {"slope": -1}},
+     2, "tolerances.slope"),
+    # radii and levels out of range
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
+               "sweep": {"kind": "sphere", "rho": {"grid": [0.5, -1]}, "r": [1]}},
+     2, "sweep.rho.grid[1]"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
+               "sweep": {"kind": "sphere", "rho": {"grid": [0.5, 1e300]}, "r": [1]}},
+     2, "sweep.rho.grid[1]"),
+    ("compute", compute_cfg(field={"field": "radial"}, level=1e300), 3, "working radius"),
+])
+def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, names):
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv + (["--quick"] if command == "verify" else [])) == code
+    err = capsys.readouterr().err
+    assert names in err and "Traceback" not in err
+
+
+def test_centred_polar_field_is_accepted(tmp_path):
+    obj = compute_cfg(manifold=HYPERBOLIC, field={"field": "radial", "center": [0.0, 0.0, 0.0]})
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 class TestGeometryExit:
     def test_offcenter_level_below_offset(self, tmp_path, capsys):
         obj = {

@@ -8,6 +8,7 @@ import pytest
 
 from curvatura.errors import DegenerateGradientError
 from curvatura.model_manifolds import (
+    christoffel_at,
     constant_curvature,
     euclidean,
     poly3_profile,
@@ -15,12 +16,15 @@ from curvatura.model_manifolds import (
     warped,
 )
 from curvatura.level_set_geometry import (
+    HessianData,
     OffCenterDistanceField,
     QuadraticFormField,
     RadialDistanceField,
     RadialSquaredHalfField,
     div_newton_fd,
+    _fd_partials,
     div_newton_frame,
+    fd_steps,
     field_from_spec,
     hessian_frame,
     level_mean_curvature,
@@ -90,6 +94,49 @@ class TestHessianFrame:
             hd = hessian_frame(u, M, p)
             # |grad u| for u = r^2/2 is r
             assert hd.grad_norm == pytest.approx(p[0], rel=1e-13)
+
+
+def hessian_frame_christoffel_form(u, M, p):
+    """hessian_frame on a Cartesian chart (unit metric), with the
+    Christoffel contraction made as on polar charts; the symbols are zero."""
+    p = np.asarray(p, dtype=float)
+    if u.analytic:
+        val, du, D2 = u.value(M, p), u.partials(M, p), u.second_partials(M, p)
+    else:
+        h = 1e-4 * (1.0 + float(np.linalg.norm(p)))
+        val, du, D2 = _fd_partials(u, M, p, fd_steps(M, p, h))
+    hess_chart = D2 - np.tensordot(du, christoffel_at(M, p), axes=([0], [0]))
+    inv_sqrt = 1.0 / np.sqrt(np.ones(M.dim))
+    hess_f = hess_chart * np.outer(inv_sqrt, inv_sqrt)
+    grad_f = du * inv_sqrt
+    return HessianData(value=float(val), grad=du / np.ones(M.dim),
+                       grad_norm=float(np.linalg.norm(grad_f)),
+                       hess_frame=0.5 * (hess_f + hess_f.T), frame=np.diag(inv_sqrt),
+                       grad_frame=grad_f)
+
+
+class TestCartesianHessianBits:
+    @pytest.mark.parametrize("M", [euclidean(n) for n in range(2, 7)]
+                             + [constant_curvature(0.0, 3)],
+                             ids=lambda M: f"{M.label}-{M.dim}")
+    def test_matches_christoffel_form(self, M):
+        n = M.dim
+        rng = np.random.default_rng(40 + n)
+        A = rng.normal(size=(n, n))
+        Q = A @ A.T + n * np.eye(n)
+        Q[0, n - 1] = Q[n - 1, 0] = -0.0
+        fields = [RadialSquaredHalfField(), RadialDistanceField(),
+                  RadialDistanceField(center=rng.normal(size=n) * 0.1),
+                  QuadraticFormField(Q), QuadraticFormField(Q, center=-0.1 * np.ones(n)),
+                  OffCenterDistanceField(0.3)]
+        points = sample_points(M, 41, 6)
+        points += [np.where(np.arange(n) % 2 == 0, -0.7, 0.0), -np.eye(n)[n - 1]]
+        for u in fields:
+            for p in points:
+                got, ref = hessian_frame(u, M, p), hessian_frame_christoffel_form(u, M, p)
+                for name in HessianData.__dataclass_fields__:
+                    assert (np.asarray(getattr(got, name)).tobytes()
+                            == np.asarray(getattr(ref, name)).tobytes()), (u.kind, name)
 
 
 class TestPrincipalFrame:

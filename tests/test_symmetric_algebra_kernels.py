@@ -5,6 +5,9 @@ The array forms below are the reference: numpy slice updates for the Jacobi
 rotations and nested loops over numpy scalar indexing for the contraction.
 The kernels must give the same bits, not merely close values, because the
 CSVs of the verification pipeline are a byte-level determinism surface.
+The same holds for the eigenpair sort (a stable argsort with
+take_along_axis in the reference) and for the Newton operators and sigma_r,
+whose reference forms validate their matrix again at every step.
 """
 
 import math
@@ -18,7 +21,11 @@ from curvatura.errors import CapabilityError
 from curvatura.symmetric_algebra import (
     as_sym_matrix,
     jacobi_eigh,
+    newton_matrices,
+    sigma_elementary,
+    sigma_hessian_eig,
     sigma_hessian_kronecker,
+    trace_identity_residual,
 )
 
 
@@ -55,6 +62,35 @@ def jacobi_array_form(H, tol_factor=1e-13, max_sweeps=60):
     return w[order], V[:, order]
 
 
+def jacobi_argsort_form(H):
+    # the same sweeps, sorted as a one-matrix stack by a stable argsort
+    H = as_sym_matrix(H)
+    n = H.shape[0]
+    if n == 1:
+        return H.diagonal().copy(), np.eye(1)
+    A = H.tolist()
+    V = sa._jacobi_sweeps(A, 1e-13 * max(float(np.abs(H).max()), np.finfo(float).tiny), 60)
+    w, V = np.array([[A[i][i] for i in range(n)]]), np.array([V])
+    order = np.argsort(w, axis=1, kind="stable")
+    return (np.take_along_axis(w, order, axis=1)[0],
+            np.take_along_axis(V, order[:, None, :], axis=2)[0])
+
+
+def newton_array_form(H, r):
+    # jacobi_eigh validates A again; one identity matrix per step
+    A = as_sym_matrix(H)
+    e = sa.elementary_all(jacobi_eigh(A)[0])
+    mats = [np.eye(A.shape[0])]
+    for k in range(1, r + 1):
+        T = e[k] * np.eye(A.shape[0]) - mats[-1] @ A
+        mats.append(0.5 * (T + T.T))
+    return mats
+
+
+def sigma_eig_array_form(H, r):
+    return sigma_elementary(jacobi_eigh(as_sym_matrix(H))[0], r)
+
+
 def kronecker_array_form(H, r):
     A = as_sym_matrix(H)
     total = 0.0
@@ -86,6 +122,50 @@ def test_jacobi_bits_match_array_form(n):
         w0, V0 = jacobi_array_form(H)
         assert w.tobytes() == w0.tobytes()
         assert V.tobytes() == V0.tobytes()
+
+
+def sort_cases(n):
+    """Ties, signed zeros on the diagonal and diagonal input (no rotation,
+    so the raw diagonal is sorted), with and without off-diagonal terms."""
+    rng = np.random.default_rng(900 + n)
+    zeros = np.resize([0.0, -0.0], n)
+    ties = np.resize([2.0, 1.0, 2.0, -0.0, 1.0, 0.0], n)
+    out = [np.diag(zeros), np.diag(-zeros), np.diag(ties), np.diag(ties[::-1]),
+           np.diag(rng.normal(size=n))]
+    for d in (zeros, ties):
+        A = rng.normal(size=(n, n))
+        A = A + A.T
+        A[np.arange(n), np.arange(n)] = d
+        out.append(A)
+        B = np.diag(d)
+        if n > 1:
+            B[0, n - 1] = B[n - 1, 0] = 1e-3
+        out.append(B)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_jacobi_sort_bits_match_argsort_form(n):
+    for H in sample_matrices(n) + sort_cases(n):
+        w, V = jacobi_eigh(H)
+        w0, V0 = jacobi_argsort_form(H)
+        assert w.tobytes() == w0.tobytes()
+        assert V.tobytes() == V0.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_newton_and_sigma_bits_match_array_forms(n):
+    for H in sample_matrices(n, count=5) + sort_cases(n):
+        ref = newton_array_form(H, n)
+        for r in range(n + 1):
+            got = newton_matrices(H, r)
+            assert len(got) == r + 1
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+            assert sigma_hessian_eig(H, r).hex() == sigma_eig_array_form(H, r).hex()
+        A = as_sym_matrix(H)
+        for r in range(n):
+            old = abs(float(np.trace(ref[r] @ A)) - (r + 1) * sigma_eig_array_form(A, r + 1))
+            assert trace_identity_residual(H, r).hex() == old.hex()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -137,6 +217,7 @@ def test_jacobi_nan_entry_raises():
     (np.array([[1.0, 2.0], [0.0, 1.0]]), ValueError),
     (np.eye(9), CapabilityError),
     (np.array([[np.inf, 1.0], [1.0, 2.0]]), ValueError),
+    (np.array([[1e308, 1e308], [1e308, 1e308]]), ValueError),
 ])
 def test_jacobi_validates_input(H, err):
     with pytest.raises(err):

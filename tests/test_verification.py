@@ -2,13 +2,17 @@
 failure reporting.  Numerical assertions of the suites themselves are covered
 by the acceptance module; here quick mode keeps the runtime down."""
 
+import inspect
+
 import pytest
 
+from curvatura import verification
 from curvatura.errors import ConfigError
 from curvatura.reporting import csv_string
 from curvatura.verification import (
     CASE_COLUMNS,
     SUITE_NAMES,
+    TOLERANCE_KEYS,
     SuiteConfig,
     run_suite,
 )
@@ -23,6 +27,17 @@ def quick_reports():
 def test_all_quick_suites_pass(quick_reports):
     for name, rep in quick_reports.items():
         assert rep.passed, [c.case_id for c in rep.failures()]
+
+
+def test_tolerance_keys_are_the_keys_the_suites_read():
+    # each declared key is read somewhere after the declaration; reading an
+    # undeclared key fails at once
+    src = inspect.getsource(verification)
+    after = src.split("TOLERANCE_KEYS = (", 1)[1].split(")", 1)[1]
+    assert [k for k in TOLERANCE_KEYS if f'"{k}"' not in after] == []
+    assert len(set(TOLERANCE_KEYS)) == len(TOLERANCE_KEYS)
+    with pytest.raises(KeyError, match="TOLERANCE_KEYS"):
+        SuiteConfig(suite="pointwise").tol("reily2", 1e-8)
 
 
 def test_unknown_suite_rejected():
