@@ -37,7 +37,7 @@ from .model_manifolds import (
     sphere_total_mean_curvature,
     warped,
 )
-from .level_set_geometry import field_from_spec, validate_gradient_on_annulus
+from .level_set_geometry import field_from_spec
 from .quadrature import QuadratureSpec
 from .curvature_integrals import (
     BREAKDOWN_COLUMNS,
@@ -248,7 +248,6 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
     rs = _validate_r(cfg["r"], M.dim)
     if ("level" in cfg) == ("levels" in cfg):
         _fail("level", "compute needs exactly one of 'level' or 'levels'")
-    validate_gradient_on_annulus(u, M)
     if "level" in cfg:
         level = _check_number(cfg["level"], "level", lo=1e-12)
         rows = []
@@ -379,7 +378,6 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         spec = _validate_quadrature(cfg.get("quadrature"), M.dim)
         grid = _sweep_grid(sw["levels"], "sweep.levels")
         rs = _validate_r(sw["r"], M.dim, "sweep.r")
-        validate_gradient_on_annulus(u, M)
         rows = []
         for r in rs:
             for lev in grid:

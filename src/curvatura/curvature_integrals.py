@@ -325,6 +325,8 @@ def _comparison(u, M, levels, r, spec, threads, corrections,
     the principal column (r+1) sigma_{r+1} and the path's two correction
     columns, corrections(P, hd, pf, e) -> (sectional, mixed) at a node
     stack.  path names a specialised path in the meta."""
+    if not 0 <= r <= M.dim - 1:
+        raise ValueError(f"order r must lie in [0, {M.dim - 1}], got {r}")
 
     @stacked_integrand
     def integrand(P):
@@ -354,9 +356,6 @@ def comparison_rhs(u: ScalarField, M: ModelManifold, levels, r: int,
     """Both sides of the comparison identity between the level sets at
     levels = (c1, c2), with the right side itemized into the principal,
     sectional, and mixed terms."""
-    n = M.dim
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"order r must lie in [0, {n - 1}], got {r}")
 
     def corrections(P, hd, pf, e):
         if M.is_flat:
@@ -377,8 +376,6 @@ def comparison_rhs_constant(u: ScalarField, M: ModelManifold, levels, r: int,
     if M.family != "constant":
         raise ValueError("comparison_rhs_constant requires the constant-curvature family")
     n = M.dim
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"order r must lie in [0, {n - 1}], got {r}")
     a = M.a
 
     def corrections(P, hd, pf, e):

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import CurvaturaError, DegenerateGradientError, node_error
 from .model_manifolds import (
     ModelManifold,
-    _elementwise,
     christoffel_at,
     christoffel_stack,
     metric_diag,
@@ -51,19 +50,6 @@ def sphere_direction(angles) -> np.ndarray:
         out[m] = s * math.cos(a)
         s *= math.sin(a)
     out[-1] = s
-    return out
-
-
-def _sphere_directions(angles) -> np.ndarray:
-    """sphere_direction of every row of an (N, n-1) angle stack."""
-    angles = np.asarray(angles, dtype=float)
-    N, m = angles.shape
-    out = np.empty((N, m + 1))
-    s = np.ones(N)
-    for k in range(m):
-        out[:, k] = s * _elementwise(math.cos, angles[:, k])
-        s = s * _elementwise(math.sin, angles[:, k])
-    out[:, m] = s
     return out
 
 
@@ -346,11 +332,6 @@ class OffCenterDistanceField(ScalarField):
             raise ValueError(
                 "off-center distance has no closed form in non-constant warped models")
 
-    @property
-    def analytic(self):
-        # Cartesian value is analytic; hyperbolic value uses the FD path.
-        return False
-
     def value(self, M, p):
         self._bind_check(M)
         p = np.asarray(p, dtype=float)
@@ -393,28 +374,6 @@ def field_from_spec(spec: dict, M: ModelManifold) -> ScalarField:
                              f"{M.working_radius:g}")
         return f
     raise ValueError(f"unknown field kind '{kind}'")
-
-
-def validate_gradient_on_annulus(u: ScalarField, M: ModelManifold,
-                                 r_range=(0.4, 1.6), samples: int = 64,
-                                 eps: float = EPS_GRAD) -> None:
-    """Spot-check that |grad u| stays above eps on a deterministic grid of
-    the working annulus (the comparison theorem's hypothesis)."""
-    n = M.dim
-    radii = np.linspace(r_range[0], r_range[1], 8)
-    count = max(2, samples // 8)
-    for r in radii:
-        for k in range(count):
-            angles = [0.4 + 2.2 * ((k * (m + 1)) % count) / count for m in range(n - 2)]
-            angles.append(2 * math.pi * k / count)
-            if M.chart == "polar":
-                p = np.array([r] + angles)
-            else:
-                p = r * sphere_direction(angles)
-            hd = hessian_frame(u, M, p)
-            if hd.grad_norm <= eps:
-                raise DegenerateGradientError(
-                    f"|grad u| = {hd.grad_norm:.3e} <= {eps:g} at {p.tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +553,7 @@ def _householder_complement(nu_f: np.ndarray) -> np.ndarray:
     return Hm[:, : n - 1]
 
 
-def principal_frame(hd: HessianData, M: ModelManifold, p,
-                    eps_grad: float = EPS_GRAD) -> PrincipalFrameData:
+def principal_frame(hd: HessianData, M: ModelManifold, p) -> PrincipalFrameData:
     """Diagonalize the shape operator of the level set through p.
 
     The shape operator is the covariant Hessian restricted to nu^perp and
@@ -604,9 +562,9 @@ def principal_frame(hd: HessianData, M: ModelManifold, p,
     is fine downstream: only symmetric functions of kappa are consumed.
     """
     gn = hd.grad_norm
-    if gn <= eps_grad:
+    if not gn > EPS_GRAD:   # NaN included
         raise DegenerateGradientError(
-            f"|grad u| = {gn:.3e} <= {eps_grad:g}: level-set frame undefined")
+            f"|grad u| = {gn:.3e} <= {EPS_GRAD:g}: level-set frame undefined")
     nu_f = hd.grad_frame / gn
     B = _householder_complement(nu_f)
     S = B.T @ hd.hess_frame @ B / gn
@@ -620,18 +578,17 @@ def principal_frame(hd: HessianData, M: ModelManifold, p,
                               grad_norm_derivs=derivs, frame_chart=frame_chart)
 
 
-def principal_frame_stack(hd: HessianData, M: ModelManifold,
-                          eps_grad: float = EPS_GRAD) -> PrincipalFrameData:
+def principal_frame_stack(hd: HessianData, M: ModelManifold) -> PrincipalFrameData:
     """principal_frame of every node of a hessian_frame_stack result, as
     one PrincipalFrameData with a leading node axis; raises for the first
     node whose gradient is degenerate.  The shape operators are
     diagonalized by jacobi_eigh_stack."""
     gn = hd.grad_norm
-    bad = gn <= eps_grad
+    bad = ~(gn > EPS_GRAD)   # NaN included
     if bad.any():
         k = int(np.argmax(bad))
         raise node_error(DegenerateGradientError, k,
-                         f"|grad u| = {gn[k]:.3e} <= {eps_grad:g}: level-set frame undefined")
+                         f"|grad u| = {gn[k]:.3e} <= {EPS_GRAD:g}: level-set frame undefined")
     N, n = hd.grad_frame.shape
     nu_f = hd.grad_frame / gn[:, None]
     # Householder complement of nu, as in _householder_complement
@@ -713,8 +670,7 @@ def _div_contraction_table(n: int, r: int):
     return tuple(tuple(row) for row in table)
 
 
-def div_newton_frame(u: ScalarField, M: ModelManifold, p, r: int,
-                     eps_grad: float = EPS_GRAD) -> np.ndarray:
+def div_newton_frame(u: ScalarField, M: ModelManifold, p, r: int) -> np.ndarray:
     """Frame components of div(T_r) via the curvature contraction.
 
     Contracts the generalized Kronecker tensor against r-1 Hessian factors
@@ -725,7 +681,7 @@ def div_newton_frame(u: ScalarField, M: ModelManifold, p, r: int,
         raise ValueError(f"div(T_r) contraction needs r >= 1, got {r}")
     n = M.dim
     hd = hessian_frame(u, M, p)
-    if hd.grad_norm <= eps_grad:
+    if hd.grad_norm <= EPS_GRAD:
         raise DegenerateGradientError("degenerate gradient in div(T_r)")
     if M.is_flat:
         return np.zeros(n)
@@ -780,8 +736,7 @@ def div_newton_fd(u: ScalarField, M: ModelManifold, p, r: int, h: float = 1e-3) 
     return hd0.frame.T @ div
 
 
-def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float,
-                     eps_grad: float = EPS_GRAD) -> float:
+def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> float:
     """|LHS - RHS| of the divergence identity for T_{r-1}(grad u/|grad u|^r).
 
     LHS is a central-difference covariant divergence of the vector field
@@ -794,17 +749,17 @@ def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float,
     p = np.asarray(p, dtype=float)
 
     hd0 = hessian_frame(u, M, p)
-    if hd0.grad_norm <= eps_grad:
+    if hd0.grad_norm <= EPS_GRAD:
         raise DegenerateGradientError("degenerate gradient at the center point")
-    pf = principal_frame(hd0, M, p, eps_grad=eps_grad)
+    pf = principal_frame(hd0, M, p)
     rhs = r * sigma_elementary(pf.kappa, r)
     if r >= 2:
-        divT = div_newton_frame(u, M, p, r - 1, eps_grad=eps_grad)
+        divT = div_newton_frame(u, M, p, r - 1)
         rhs += float(divT @ hd0.grad_frame) / hd0.grad_norm ** r
 
     def weighted_field(q):
         hd = hessian_frame(u, M, q)
-        if hd.grad_norm <= eps_grad:
+        if hd.grad_norm <= EPS_GRAD:
             raise DegenerateGradientError("degenerate gradient in the stencil")
         Tm = newton_matrices(hd.hess_frame, r - 1)[r - 1]
         Vf = Tm @ hd.grad_frame / hd.grad_norm ** r

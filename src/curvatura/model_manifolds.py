@@ -18,9 +18,9 @@ nothing on the shipped path is differentiated numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -99,8 +99,13 @@ class ModelManifold:
     dim: int
     a: float = 0.0              # constant family only
     profile: Optional[WarpingProfile] = None
-    chart: str = "cartesian"    # "cartesian" | "polar"
-    working_radius: float = 10.0
+    # "cartesian" for flat models, else "polar" (geodesic polar coordinates
+    # about the base point); stored, since every field evaluation reads it
+    chart: str = field(init=False)
+    working_radius: ClassVar[float] = 10.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "chart", "cartesian" if self.is_flat else "polar")
 
     def describe(self) -> dict:
         d = {"family": self.family, "dim": self.dim}
@@ -131,7 +136,7 @@ def _check_dim(n: int):
 
 def euclidean(n: int) -> ModelManifold:
     _check_dim(n)
-    return ModelManifold(family="euclidean", dim=n, chart="cartesian")
+    return ModelManifold(family="euclidean", dim=n)
 
 
 def constant_curvature(a: float, n: int) -> ModelManifold:
@@ -141,15 +146,14 @@ def constant_curvature(a: float, n: int) -> ModelManifold:
     if a > 0:
         raise ValueError(f"constant-curvature family requires a <= 0, got {a}")
     if a == 0:
-        return ModelManifold(family="constant", dim=n, a=0.0, chart="cartesian")
+        return ModelManifold(family="constant", dim=n, a=0.0)
     if (n - 1) * math.sqrt(-a) * ModelManifold.working_radius > _MAX_EXP:
         raise ValueError(f"a = {a:g} is out of range: the volume element "
                          f"sinh(sqrt(-a) r)^{n - 1} overflows within the working radius")
-    return ModelManifold(family="constant", dim=n, a=a,
-                         profile=scaled_sinh_profile(a), chart="polar")
+    return ModelManifold(family="constant", dim=n, a=a, profile=scaled_sinh_profile(a))
 
 
-def warped(profile: WarpingProfile, n: int, working_radius: float = 10.0) -> ModelManifold:
+def warped(profile: WarpingProfile, n: int) -> ModelManifold:
     """Rotationally symmetric warped product with the given profile.
 
     The profile is screened by sampling: f(0) = 0, f'(0) = 1, f > 0, and both
@@ -159,7 +163,7 @@ def warped(profile: WarpingProfile, n: int, working_radius: float = 10.0) -> Mod
     _check_dim(n)
     if abs(profile.f(0.0)) > 1e-12 or abs(profile.df(0.0) - 1.0) > 1e-10:
         raise ValueError(f"profile '{profile.name}' must satisfy f(0)=0, f'(0)=1")
-    for r in np.linspace(1e-3, working_radius, 1000):
+    for r in np.linspace(1e-3, ModelManifold.working_radius, 1000):
         fr = profile.f(r)
         if fr <= 0:
             raise ValueError(f"profile '{profile.name}' not positive at r={r:g}")
@@ -167,8 +171,7 @@ def warped(profile: WarpingProfile, n: int, working_radius: float = 10.0) -> Mod
             raise ValueError(f"profile '{profile.name}' has positive radial curvature at r={r:g}")
         if (1.0 - profile.df(r) ** 2) / fr ** 2 > 1e-12:
             raise ValueError(f"profile '{profile.name}' has positive tangential curvature at r={r:g}")
-    return ModelManifold(family="warped", dim=n, profile=profile,
-                         chart="polar", working_radius=working_radius)
+    return ModelManifold(family="warped", dim=n, profile=profile)
 
 
 def radial_profile(M: ModelManifold):

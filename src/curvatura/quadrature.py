@@ -40,10 +40,11 @@ import numpy as np
 
 from .errors import GeometryError, node_error
 from .model_manifolds import ModelManifold, _elementwise, metric_diag_stack, radial_profile
-from .level_set_geometry import ScalarField, _rowdot, _sphere_directions, fd_steps, sphere_direction
+from .level_set_geometry import ScalarField, _rowdot, fd_steps, sphere_direction
 
 _ROOT_BISECT_WIDTH = 1e-6
 _ROOT_NEWTON_TOL = 1e-12
+_RADIAL_TOL = 1e-12
 # nodes per kernel call up to dimension 4; above it the limit shrinks with
 # n^4, so that the (N, n, n, n, n) curvature stacks stay the same size
 _CHUNK = 4096
@@ -149,7 +150,7 @@ def _angular_grid(n: int, orders: tuple, margin: float):
     weights = np.ones(angles.shape[0])
     for wg in wgrids:
         weights = weights * wg.ravel()
-    return angles, weights, _sphere_directions(angles)
+    return angles, weights, np.array([sphere_direction(a) for a in angles])
 
 
 def field_partials(u: ScalarField, M: ModelManifold, p) -> np.ndarray:
@@ -211,10 +212,10 @@ def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) ->
     hi = 0.25
     fhi = f(hi)
     while fhi < 0:
-        hi *= 2.0
-        if hi > M.working_radius:
+        if hi >= M.working_radius:
             raise GeometryError(f"no crossing of level {level:g} found within the "
                                 f"working radius (angles {angles.tolist()})")
+        hi = min(2.0 * hi, M.working_radius)
         fhi = f(hi)
     while hi - lo > _ROOT_BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -429,11 +430,10 @@ def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
         lambda s: _coarea_values(u, M, levels, integrand, s, n_comp, threads), M, spec)
 
 
-def radial_integral(g, bounds, order: int = 16, tol: float = 1e-12,
-                    max_order: int = 4096) -> float:
+def radial_integral(g, bounds, order: int = 16, max_order: int = 4096) -> float:
     """1-D Gauss-Legendre integral, doubling the order until two successive
-    values differ by less than tol (relative).  Raises GeometryError, with
-    the last difference, when the order passes max_order first."""
+    values differ by less than _RADIAL_TOL (relative).  Raises GeometryError,
+    with the last difference, when the order passes max_order first."""
     a, b = bounds
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("bounds must be finite")
@@ -443,10 +443,10 @@ def radial_integral(g, bounds, order: int = 16, tol: float = 1e-12,
         val = pairwise_sum([wk * g(xk) for xk, wk in zip(x, w)])
         if prev is not None:
             diff = abs(val - prev)
-            if diff <= tol * max(1.0, abs(val)):
+            if diff <= _RADIAL_TOL * max(1.0, abs(val)):
                 return val
         prev = val
         order *= 2
     raise GeometryError(f"radial_integral hit the order cap {max_order} without "
-                        f"meeting tol={tol:g}; last difference "
+                        f"meeting tol={_RADIAL_TOL:g}; last difference "
                         f"{'none' if diff is None else format(diff, '.3e')}")

@@ -24,6 +24,10 @@ MAX_DIM = 8
 _KRONECKER_MAX_DIM = 6
 _TINY = float(np.finfo(float).tiny)
 _SYM_MAX = float(np.finfo(float).max) / 2
+# Jacobi stops once the largest off-diagonal magnitude is within this
+# fraction of the matrix's largest entry
+_JACOBI_TOL = 1e-13
+_MAX_SWEEPS = 60
 
 
 def as_sym_matrix(H) -> np.ndarray:
@@ -161,12 +165,12 @@ def kronecker_delta(upper, lower) -> int:
 # Eigenvalues: cyclic Jacobi
 # ---------------------------------------------------------------------------
 
-def jacobi_eigh(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
+def jacobi_eigh(H, max_sweeps: int = _MAX_SWEEPS):
     """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi.
 
     Sweeps the strict upper triangle in fixed row-major order and rotates
     every entry, stopping once the largest off-diagonal magnitude drops
-    below tol_factor * ||H||_max.  Deterministic, no external dependency.
+    below _JACOBI_TOL * ||H||_max.  Deterministic, no external dependency.
 
     The sweeps run on plain Python floats (A and V as nested lists): each
     rotation updates the columns p, q of A, then its rows p, q, then zeroes
@@ -180,10 +184,10 @@ def jacobi_eigh(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
     ascending sort is stable.  Raises ValueError for a non-finite entry and
     RuntimeError when max_sweeps sweeps do not converge.
     """
-    return _jacobi_eigh(as_sym_matrix(H), tol_factor, max_sweeps)
+    return _jacobi_eigh(as_sym_matrix(H), max_sweeps)
 
 
-def _jacobi_eigh(A: np.ndarray, tol_factor: float = 1e-13, max_sweeps: int = 60):
+def _jacobi_eigh(A: np.ndarray, max_sweeps: int = _MAX_SWEEPS):
     """jacobi_eigh of a matrix that as_sym_matrix returned.  The pairs are
     put in order by Python's stable sort, which orders floats as a stable
     argsort does (-0.0 and 0.0 tie)."""
@@ -192,7 +196,7 @@ def _jacobi_eigh(A: np.ndarray, tol_factor: float = 1e-13, max_sweeps: int = 60)
         return A.diagonal().copy(), np.eye(1)
     L = A.tolist()
     norm = max(abs(x) for row in L for x in row)
-    V = _jacobi_sweeps(L, tol_factor * max(norm, _TINY), max_sweeps)
+    V = _jacobi_sweeps(L, _JACOBI_TOL * max(norm, _TINY), max_sweeps)
     w = [L[i][i] for i in range(n)]
     order = sorted(range(n), key=w.__getitem__)
     return np.array([w[i] for i in order]), np.array([[row[i] for i in order] for row in V])
@@ -246,7 +250,7 @@ def _sorted_eigenpairs(w: np.ndarray, V: np.ndarray):
     return np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
 
 
-def jacobi_eigh_stack(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
+def jacobi_eigh_stack(H):
     """jacobi_eigh of every matrix of a stack (N, m, m), bit-identical to
     calling it on each matrix.
 
@@ -279,14 +283,14 @@ def jacobi_eigh_stack(H, tol_factor: float = 1e-13, max_sweeps: int = 60):
     A = 0.5 * (A + At)
     if m == 1:
         return A[:, :, 0].copy(), np.ones((N, 1, 1))
-    tol = tol_factor * np.maximum(np.abs(A).max(axis=(1, 2)), np.finfo(float).tiny)
+    tol = _JACOBI_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), _TINY)
     upper = np.triu_indices(m, 1)
     rotate = ~(np.abs(A[:, upper[0], upper[1]]).max(axis=1) <= tol)
     w = np.diagonal(A, axis1=1, axis2=2).copy()
     V = np.broadcast_to(np.eye(m), (N, m, m)).copy()
     for k in np.nonzero(rotate)[0]:
         Ak = A[k].tolist()
-        V[k] = _jacobi_sweeps(Ak, float(tol[k]), max_sweeps)
+        V[k] = _jacobi_sweeps(Ak, float(tol[k]), _MAX_SWEEPS)
         w[k] = [Ak[i][i] for i in range(m)]
     return _sorted_eigenpairs(w, V)
 

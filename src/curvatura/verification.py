@@ -119,15 +119,13 @@ class SuiteReport:
     def to_rows(self):
         return [c.to_row(self.suite) for c in self.cases]
 
-    def to_json_dict(self, with_timings: bool = True) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "suite": self.suite,
             "passed": self.passed,
             "cases": [dict(c.to_row(self.suite), inputs=c.inputs) for c in self.cases],
+            "timings": self.timings,
         }
-        if with_timings:
-            d["timings"] = self.timings
-        return d
 
     def failures(self):
         return [c for c in self.cases if not c.passed]

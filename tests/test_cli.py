@@ -8,6 +8,7 @@ import os
 import pytest
 
 from curvatura.cli import main
+from curvatura.level_set_geometry import sphere_direction
 
 
 def write_cfg(tmp_path, name, obj):
@@ -167,6 +168,40 @@ def test_centred_polar_field_is_accepted(tmp_path):
     obj = compute_cfg(manifold=HYPERBOLIC, field={"field": "radial", "center": [0.0, 0.0, 0.0]})
     cfg = write_cfg(tmp_path, "c.json", obj)
     assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def compute_column(out, name, column):
+    rows = (out / name).read_text().splitlines()
+    header, row = rows[0].split(","), rows[1].split(",")
+    return float(row[header.index(column)])
+
+
+def test_quadratic_sphere_about_an_off_origin_centre(tmp_path):
+    # grad u vanishes at the centre, inside the level set and on no
+    # quadrature node, so the run must not be refused for it
+    centre = 0.4 * sphere_direction([0.4, 0.0])
+    obj = dict(BASE_COMPUTE, field={"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                    "center": centre.tolist()},
+               quadrature={"angular_order": 8, "level_order": 4}, level=4.5)
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    out = tmp_path / "o"
+    assert main(["compute", "--config", cfg, "--out", str(out)]) == 0
+    # a sphere of radius 3: M_1 = 8 pi * 3
+    assert compute_column(out, "mean_curvature.csv", "value") == pytest.approx(24 * math.pi,
+                                                                              rel=1e-6)
+
+
+def test_level_set_between_eight_and_the_working_radius(tmp_path):
+    # a sphere of radius 9: every ray crosses it past the last doubled
+    # bracket below the working radius 10
+    obj = dict(BASE_COMPUTE, field={"field": "quadratic",
+                                    "Q": [[0.02, 0, 0], [0, 0.02, 0], [0, 0, 0.02]]},
+               quadrature={"angular_order": 8, "level_order": 4}, r=0, level=0.81)
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    out = tmp_path / "o"
+    assert main(["compute", "--config", cfg, "--out", str(out)]) == 0
+    assert compute_column(out, "mean_curvature.csv", "value") == pytest.approx(4 * math.pi * 81,
+                                                                              rel=1e-9)
 
 
 class TestGeometryExit:

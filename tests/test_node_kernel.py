@@ -243,6 +243,19 @@ def test_degenerate_gradient_raises():
         principal_frame_stack(hessian_frame_stack(u, M, P), M)
 
 
+def test_nan_gradient_raises():
+    # |grad u| is NaN at a distance field's own centre
+    M = euclidean(3)
+    c = [0.3, 0.1, 0.2]
+    u = RadialDistanceField(center=c)
+    P = np.array([[1.0, 0.0, 0.0], c])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DegenerateGradientError):
+            principal_frame(hessian_frame(u, M, P[1]), M, P[1])
+        with pytest.raises(DegenerateGradientError, match="node 1"):
+            principal_frame_stack(hessian_frame_stack(u, M, P), M)
+
+
 def test_frame_gram_check_raises():
     M = warped(poly3_profile(), 3)
     p = np.array([1.0, 1.0, 0.5])
@@ -266,6 +279,15 @@ def test_no_crossing_within_working_radius_raises():
     u = Anon(lambda M, p: 0.5 * float(p @ p))
     with pytest.raises(GeometryError, match="working radius"):
         surface_integral(u, M, 100.0, lambda p: 1.0, SPEC)
+
+
+def test_crossing_between_eight_and_the_working_radius_is_found():
+    # the bracket doubles 0.25 .. 8, then stops at the working radius 10
+    M = constant_curvature(-1.0, 3)
+    u = Anon(lambda M, p: p[0])
+    assert find_level_radius(u, M, 9.0, np.array([1.0, 2.0])) == pytest.approx(9.0, rel=REL)
+    with pytest.raises(GeometryError, match="working radius"):
+        find_level_radius(u, M, 10.5, np.array([1.0, 2.0]))
 
 
 def test_half_resolved_crossing_is_refused():
