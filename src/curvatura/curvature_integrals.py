@@ -165,7 +165,7 @@ def correction_terms_pointwise(u: ScalarField, M: ModelManifold, p, r: int):
     index enumeration in the principal frame."""
     n = M.dim
     hd = hessian_frame(u, M, p)
-    pf = principal_frame(hd, M, p)
+    pf = principal_frame(hd)
     if M.is_flat:
         return 0.0, 0.0
     rd = riemann_at(M, p, pf.frame_chart)
@@ -227,7 +227,7 @@ def _node_geometry(u, M, P):
     """Hessian data and principal frames of a node stack, and the
     elementary symmetric functions of its principal curvatures."""
     hd = hessian_frame_stack(u, M, P)
-    pf = principal_frame_stack(hd, M)
+    pf = principal_frame_stack(hd)
     return hd, pf, elementary_all_stack(pf.kappa)
 
 

@@ -66,9 +66,9 @@ class ScalarField:
     central finite differences of value().
 
     The *_stack methods take an (N, n) point stack and return the values
-    (N,), partials (N, n) and second partials (N, n, n) of every row.  By
-    default they call the per-point methods row by row; fields with closed
-    forms override them and set `stacked`.
+    (N,), partials (N, n) and second partials (N, n, n) of every row.
+    Fields with closed forms define all three and set `stacked`; the base
+    class defines only partials_stack, which calls partials() row by row.
     """
 
     kind = "abstract"
@@ -78,7 +78,7 @@ class ScalarField:
     # hessian_frame per node.  The quadratic field is analytic but not
     # stacked only because perfbench counts one hessian_frame call per node
     # on its ellipsoid workload; once those counters read the stacked spans
-    # (ROADMAP item 6), the route can key on `analytic` and this flag go.
+    # (ROADMAP item 1), the route can key on `analytic` and this flag go.
     stacked = False
 
     def value(self, M: ModelManifold, p) -> float:
@@ -90,15 +90,8 @@ class ScalarField:
     def second_partials(self, M: ModelManifold, p) -> np.ndarray:
         raise NotImplementedError
 
-    def value_stack(self, M: ModelManifold, P) -> np.ndarray:
-        return np.array([self.value(M, p) for p in P], dtype=float)
-
     def partials_stack(self, M: ModelManifold, P) -> np.ndarray:
         return np.array([self.partials(M, p) for p in P], dtype=float).reshape(len(P), M.dim)
-
-    def second_partials_stack(self, M: ModelManifold, P) -> np.ndarray:
-        return np.array([self.second_partials(M, p) for p in P],
-                        dtype=float).reshape(len(P), M.dim, M.dim)
 
     def star_radius(self, level: float):
         """Radius of the level sphere about the chart base point when the
@@ -553,8 +546,8 @@ def _householder_complement(nu_f: np.ndarray) -> np.ndarray:
     return Hm[:, : n - 1]
 
 
-def principal_frame(hd: HessianData, M: ModelManifold, p) -> PrincipalFrameData:
-    """Diagonalize the shape operator of the level set through p.
+def principal_frame(hd: HessianData) -> PrincipalFrameData:
+    """Diagonalize the shape operator of the level set through hd's point.
 
     The shape operator is the covariant Hessian restricted to nu^perp and
     scaled by 1/|grad u|; its eigenvalues are the principal curvatures.
@@ -578,7 +571,7 @@ def principal_frame(hd: HessianData, M: ModelManifold, p) -> PrincipalFrameData:
                               grad_norm_derivs=derivs, frame_chart=frame_chart)
 
 
-def principal_frame_stack(hd: HessianData, M: ModelManifold) -> PrincipalFrameData:
+def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
     """principal_frame of every node of a hessian_frame_stack result, as
     one PrincipalFrameData with a leading node axis; raises for the first
     node whose gradient is degenerate.  The shape operators are
@@ -612,7 +605,7 @@ def principal_frame_stack(hd: HessianData, M: ModelManifold) -> PrincipalFrameDa
 def level_mean_curvature(u: ScalarField, M: ModelManifold, p, r: int) -> float:
     """sigma_r of the principal curvatures of the level set of u through p."""
     hd = hessian_frame(u, M, p)
-    pf = principal_frame(hd, M, p)
+    pf = principal_frame(hd)
     return sigma_elementary(pf.kappa, r)
 
 
@@ -635,7 +628,7 @@ def _reilly2_sides(u: ScalarField, M: ModelManifold, p, r: int):
     """(sigma_r(kappa), <T_r grad u, grad u> / |grad u|^{r+2}) at p, from
     one Hessian and one principal frame."""
     hd = hessian_frame(u, M, p)
-    pf = principal_frame(hd, M, p)
+    pf = principal_frame(hd)
     lhs = sigma_elementary(pf.kappa, r)
     T = newton_matrices(hd.hess_frame, r)[r]
     g = hd.grad_frame
@@ -751,7 +744,7 @@ def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> f
     hd0 = hessian_frame(u, M, p)
     if hd0.grad_norm <= EPS_GRAD:
         raise DegenerateGradientError("degenerate gradient at the center point")
-    pf = principal_frame(hd0, M, p)
+    pf = principal_frame(hd0)
     rhs = r * sigma_elementary(pf.kappa, r)
     if r >= 2:
         divT = div_newton_frame(u, M, p, r - 1)

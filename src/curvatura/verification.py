@@ -12,8 +12,10 @@ in isolation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -131,21 +133,39 @@ class SuiteReport:
         return [c for c in self.cases if not c.passed]
 
 
-def _require_coverage(cases, required_pairs):
-    """Refuse a vacuous report: every (model label, r) pair of the configured
-    grid must have produced at least one case."""
-    seen = {(c.model, c.r) for c in cases}
-    seen |= {(c.model, None) for c in cases}
-    missing = [p for p in required_pairs if p not in seen]
-    if missing:
-        raise ConfigError(f"suite produced no cases for {missing}")
+class _Cases:
+    """The case records, timings and required (model label, r) pairs of one
+    suite run."""
 
+    def __init__(self, suite: str):
+        self.suite, self.cases, self.timings, self.required = suite, [], {}, []
 
-def _finish(suite, cases, timings):
-    if not cases:
-        raise ConfigError(f"suite '{suite}' produced no cases")
-    return SuiteReport(suite=suite, cases=tuple(cases),
-                       passed=all(c.passed for c in cases), timings=timings)
+    def add(self, cid, model, field, n, r, metric, measured, tol, passed, inputs,
+            expected=0.0, residual=None):
+        if residual is None:
+            residual = abs(measured - expected)
+        self.cases.append(CaseRecord(
+            case_id=cid, model=model, field=field, n=n, r=r, metric=metric,
+            measured=measured, expected=expected, residual=residual, tolerance=tol,
+            passed=passed, inputs=inputs))
+
+    @contextmanager
+    def timed(self, key: str):
+        t0 = time.perf_counter()
+        yield
+        self.timings[key] = time.perf_counter() - t0
+
+    def report(self) -> SuiteReport:
+        """Refuse a vacuous report: every required (model label, r) pair must
+        have produced at least one case, and the suite at least one case."""
+        seen = {(c.model, c.r) for c in self.cases} | {(c.model, None) for c in self.cases}
+        missing = [p for p in self.required if p not in seen]
+        if missing:
+            raise ConfigError(f"suite produced no cases for {missing}")
+        if not self.cases:
+            raise ConfigError(f"suite '{self.suite}' produced no cases")
+        return SuiteReport(suite=self.suite, cases=tuple(self.cases),
+                           passed=all(c.passed for c in self.cases), timings=self.timings)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +194,21 @@ def _sample_point(M: ModelManifold, rng) -> np.ndarray:
     return r * sphere_direction(angles)
 
 
+def _field_grid(models, r_min: int):
+    """The (model, field, r) cases of the pointwise suite, r = r_min..n-1."""
+    for M in models:
+        for u in _fields_for(M):
+            for r in range(r_min, M.dim):
+                yield M, u, r
+
+
+def _spawn(seed: int):
+    """Per-case generators default_rng((seed, k)), k = 0, 1, ..., each with
+    its seed pair.  Zip them after the case grid, so its end spawns none."""
+    for k in itertools.count():
+        yield np.random.default_rng((seed, k)), [seed, k]
+
+
 # ---------------------------------------------------------------------------
 # Pointwise suite
 # ---------------------------------------------------------------------------
@@ -184,136 +219,99 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     divergence identity (with convergence orders), the div(T_r) curvature
     contraction vs its finite-difference oracle, the correction-term
     enumeration vs the div route, and the algebra dual paths."""
-    cases, timings = [], {}
+    cs = _Cases("pointwise")
     models = _default_models()
     n_pts = 40 if cfg.quick else 200
     n_pts_fd = 10 if cfg.quick else 50
     n_pts_div = 6 if cfg.quick else 25
     tol_r2 = cfg.tol("reilly2", 1e-8)
     tol_order = cfg.tol("order", 1.9)
-    required = []
-    case_idx = 0
+    rngs = _spawn(cfg.seed)
 
-    for M in models:
-        for u in _fields_for(M):
-            for r in range(0, M.dim):
-                required.append((M.label, r))
-                t0 = time.perf_counter()
-                rng = np.random.default_rng((cfg.seed, case_idx))
-                case_idx += 1
-                worst, worst_p = 0.0, None
-                for _ in range(n_pts):
-                    p = _sample_point(M, rng)
-                    lhs, rhs = _reilly2_sides(u, M, p, r)
-                    res = abs(lhs - rhs) / max(1.0, abs(lhs))
-                    if res > worst:
-                        worst, worst_p = res, p
-                cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly2"
-                cases.append(CaseRecord(
-                    case_id=cid, model=M.label, field=u.kind, n=M.dim, r=r,
-                    metric="max_rel_residual", measured=worst, expected=0.0,
-                    residual=worst, tolerance=tol_r2, passed=worst < tol_r2,
-                    inputs={"model": M.describe(), "field": u.describe(), "r": r,
-                            "points": n_pts, "seed": [cfg.seed, case_idx - 1],
-                            "worst_point": None if worst_p is None else list(worst_p)}))
-                timings[cid] = time.perf_counter() - t0
+    for (M, u, r), (rng, seed) in zip(_field_grid(models, 0), rngs):
+        cs.required.append((M.label, r))
+        cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly2"
+        with cs.timed(cid):
+            worst, worst_p = 0.0, None
+            for _ in range(n_pts):
+                p = _sample_point(M, rng)
+                lhs, rhs = _reilly2_sides(u, M, p, r)
+                res = abs(lhs - rhs) / max(1.0, abs(lhs))
+                if res > worst:
+                    worst, worst_p = res, p
+            cs.add(cid, M.label, u.kind, M.dim, r, "max_rel_residual", worst, tol_r2, worst < tol_r2,
+                   {"model": M.describe(), "field": u.describe(), "r": r,
+                    "points": n_pts, "seed": seed,
+                    "worst_point": None if worst_p is None else list(worst_p)})
 
-    for M in models:
-        for u in _fields_for(M):
-            if u.kind == "quadratic" and M.dim < 3:
-                continue
-            for r in range(1, M.dim):
-                t0 = time.perf_counter()
-                rng = np.random.default_rng((cfg.seed, case_idx))
-                case_idx += 1
-                # fields without analytic derivatives have an inner-FD noise
-                # floor ~1e-8; a larger outer step keeps truncation dominant
-                h = 2e-3 if u.analytic else 6e-3
-                s_h = s_h2 = 0.0
-                for _ in range(n_pts_fd):
-                    p = _sample_point(M, rng)
-                    s_h += reilly1_residual(u, M, p, r, h)
-                    s_h2 += reilly1_residual(u, M, p, r, h / 2)
-                order = math.log2(s_h / s_h2) if s_h2 > 0 else math.inf
-                cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly1_order"
-                cases.append(CaseRecord(
-                    case_id=cid, model=M.label, field=u.kind, n=M.dim, r=r,
-                    metric="convergence_order", measured=order, expected=2.0,
-                    residual=max(0.0, tol_order - order), tolerance=tol_order,
-                    passed=order >= tol_order,
-                    inputs={"model": M.describe(), "field": u.describe(), "r": r,
-                            "h": h, "points": n_pts_fd, "seed": [cfg.seed, case_idx - 1]}))
-                timings[cid] = time.perf_counter() - t0
+    for (M, u, r), (rng, seed) in zip(_field_grid(models, 1), rngs):
+        cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly1_order"
+        with cs.timed(cid):
+            # fields without analytic derivatives have an inner-FD noise
+            # floor ~1e-8; a larger outer step keeps truncation dominant
+            h = 2e-3 if u.analytic else 6e-3
+            s_h = s_h2 = 0.0
+            for _ in range(n_pts_fd):
+                p = _sample_point(M, rng)
+                s_h += reilly1_residual(u, M, p, r, h)
+                s_h2 += reilly1_residual(u, M, p, r, h / 2)
+            order = math.log2(s_h / s_h2) if s_h2 > 0 else math.inf
+            cs.add(cid, M.label, u.kind, M.dim, r, "convergence_order", order, tol_order,
+                   order >= tol_order,
+                   {"model": M.describe(), "field": u.describe(), "r": r,
+                    "h": h, "points": n_pts_fd, "seed": seed},
+                   expected=2.0, residual=max(0.0, tol_order - order))
 
-    for M in models:
-        for u in _fields_for(M):
-            for r in range(1, M.dim):
-                t0 = time.perf_counter()
-                rng = np.random.default_rng((cfg.seed, case_idx))
-                case_idx += 1
-                flat = M.is_flat
-                worst = worst_corr = 0.0
-                for _ in range(n_pts_div):
-                    p = _sample_point(M, rng)
-                    dn = div_newton_frame(u, M, p, r)
-                    if flat:
-                        worst = max(worst, float(np.max(np.abs(dn))))
-                    else:
-                        oracle = div_newton_fd(u, M, p, r, h=1e-3)
-                        scale = max(1.0, float(np.max(np.abs(dn))))
-                        worst = max(worst, float(np.max(np.abs(dn - oracle))) / scale)
-                        worst_corr = max(worst_corr,
-                                         comparison_correction_residual(u, M, p, r))
-                tol = cfg.tol("div_flat", 1e-12) if flat else cfg.tol("div_fd", 1e-4)
-                cid = f"pointwise/{M.label}/{u.kind}/r={r}/div_newton"
-                cases.append(CaseRecord(
-                    case_id=cid, model=M.label, field=u.kind, n=M.dim, r=r,
-                    metric="max_div_residual", measured=worst, expected=0.0,
-                    residual=worst, tolerance=tol, passed=worst < tol,
-                    inputs={"model": M.describe(), "field": u.describe(), "r": r,
-                            "h": 1e-3, "points": n_pts_div,
-                            "seed": [cfg.seed, case_idx - 1]}))
-                timings[cid] = time.perf_counter() - t0
-                if not flat:
-                    tol_c = cfg.tol("correction_cross", 1e-10)
-                    cid2 = f"pointwise/{M.label}/{u.kind}/r={r}/correction_cross"
-                    cases.append(CaseRecord(
-                        case_id=cid2, model=M.label, field=u.kind, n=M.dim, r=r,
-                        metric="max_abs_residual", measured=worst_corr, expected=0.0,
-                        residual=worst_corr, tolerance=tol_c, passed=worst_corr < tol_c,
-                        inputs={"model": M.describe(), "field": u.describe(), "r": r}))
+    for (M, u, r), (rng, seed) in zip(_field_grid(models, 1), rngs):
+        cid = f"pointwise/{M.label}/{u.kind}/r={r}/div_newton"
+        flat = M.is_flat
+        with cs.timed(cid):
+            worst = worst_corr = 0.0
+            for _ in range(n_pts_div):
+                p = _sample_point(M, rng)
+                dn = div_newton_frame(u, M, p, r)
+                if flat:
+                    worst = max(worst, float(np.max(np.abs(dn))))
+                else:
+                    oracle = div_newton_fd(u, M, p, r, h=1e-3)
+                    scale = max(1.0, float(np.max(np.abs(dn))))
+                    worst = max(worst, float(np.max(np.abs(dn - oracle))) / scale)
+                    worst_corr = max(worst_corr,
+                                     comparison_correction_residual(u, M, p, r))
+            tol = cfg.tol("div_flat", 1e-12) if flat else cfg.tol("div_fd", 1e-4)
+            cs.add(cid, M.label, u.kind, M.dim, r, "max_div_residual", worst, tol, worst < tol,
+                   {"model": M.describe(), "field": u.describe(), "r": r,
+                    "h": 1e-3, "points": n_pts_div, "seed": seed})
+        if not flat:
+            tol_c = cfg.tol("correction_cross", 1e-10)
+            cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/correction_cross", M.label, u.kind,
+                   M.dim, r, "max_abs_residual", worst_corr, tol_c, worst_corr < tol_c,
+                   {"model": M.describe(), "field": u.describe(), "r": r})
 
     # algebra dual paths at randomized matrices
     n_mats = 20 if cfg.quick else 100
-    for n in range(2, 7):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng((cfg.seed, case_idx))
-        case_idx += 1
-        worst_sigma = worst_trace = 0.0
-        for _ in range(n_mats):
-            A = rng.normal(size=(n, n))
-            H = A + A.T
-            scale = max(1.0, float(np.max(np.abs(H))))
-            for r in range(1, n + 1):
-                d = abs(sigma_hessian_eig(H, r) - sigma_hessian_kronecker(H, r))
-                worst_sigma = max(worst_sigma, d / scale ** r)
-                if r <= n - 1:
-                    worst_trace = max(worst_trace,
-                                      trace_identity_residual(H, r) / scale ** (r + 1))
-        for metric, worst, key in (("sigma_dual_path", worst_sigma, "sigma_dual"),
-                                   ("trace_identity", worst_trace, "trace")):
-            tol = cfg.tol(key, 1e-10)
-            cid = f"pointwise/algebra/n={n}/{metric}"
-            cases.append(CaseRecord(
-                case_id=cid, model="algebra", field="-", n=n, r=None,
-                metric=metric, measured=worst, expected=0.0, residual=worst,
-                tolerance=tol, passed=worst < tol,
-                inputs={"n": n, "matrices": n_mats, "seed": [cfg.seed, case_idx - 1]}))
-        timings[f"pointwise/algebra/n={n}"] = time.perf_counter() - t0
+    for n, (rng, seed) in zip(range(2, 7), rngs):
+        with cs.timed(f"pointwise/algebra/n={n}"):
+            worst_sigma = worst_trace = 0.0
+            for _ in range(n_mats):
+                A = rng.normal(size=(n, n))
+                H = A + A.T
+                scale = max(1.0, float(np.max(np.abs(H))))
+                for r in range(1, n + 1):
+                    d = abs(sigma_hessian_eig(H, r) - sigma_hessian_kronecker(H, r))
+                    worst_sigma = max(worst_sigma, d / scale ** r)
+                    if r <= n - 1:
+                        worst_trace = max(worst_trace,
+                                          trace_identity_residual(H, r) / scale ** (r + 1))
+            for metric, worst, key in (("sigma_dual_path", worst_sigma, "sigma_dual"),
+                                       ("trace_identity", worst_trace, "trace")):
+                tol = cfg.tol(key, 1e-10)
+                cs.add(f"pointwise/algebra/n={n}/{metric}", "algebra", "-", n, None, metric,
+                       worst, tol, worst < tol,
+                       {"n": n, "matrices": n_mats, "seed": seed})
 
-    required += [(f"algebra", None)]
-    _require_coverage(cases, required)
-    return _finish("pointwise", cases, timings)
+    cs.required.append(("algebra", None))
+    return cs.report()
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +339,18 @@ def _poly3_rhs_oracle(M: ModelManifold, levels, r: int):
     return p, s
 
 
+def _within(cs: _Cases, cid, M, u, r, metric, measured, tol, extra: dict):
+    """A comparison case, passed when |measured| <= tol, with inputs M, u, r and extra."""
+    cs.add(cid, M.label, u.kind, M.dim, r, metric, measured, tol, abs(measured) <= tol,
+           {"model": M.describe(), "field": u.describe(), "r": r, **extra})
+
+
 def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
     """Comparison identity across nested-sphere, radial-warped, ellipsoid,
     and off-center configurations, with the constant-curvature and Ricci
     specializations cross-checked path against path."""
-    cases, timings = [], {}
-    required = []
+    cs = _Cases("comparison")
     thr = cfg.threads
-    tol_budget_name = "residual_vs_budget"
-
-    def record(cid, M, u, r, metric, measured, tol, inputs, expected=0.0):
-        cases.append(CaseRecord(
-            case_id=cid, model=M.label, field=u.kind, n=M.dim, r=r,
-            metric=metric, measured=measured, expected=expected,
-            residual=abs(measured - expected), tolerance=tol,
-            passed=abs(measured - expected) <= tol, inputs=inputs))
 
     # 1. nested geodesic spheres in constant curvature
     a_grid = (-1.0,) if cfg.quick else (0.0, -0.5, -1.0)
@@ -367,32 +362,29 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
             M = constant_curvature(a, n)
             u = RadialDistanceField()
             for r in range(0, n):
-                required.append((M.label, r))
-                t0 = time.perf_counter()
-                bd = comparison_rhs(u, M, levels, r, spec_sphere, thr)
-                oracle = (sphere_total_mean_curvature(M, r, levels[1])
-                          - sphere_total_mean_curvature(M, r, levels[0]))
+                cs.required.append((M.label, r))
                 base = f"comparison/spheres/a={a:g}/n={n}/r={r}"
-                inputs = {"model": M.describe(), "field": u.describe(), "r": r,
-                          "levels": list(levels), "spec": [8, 12]}
-                record(f"{base}/residual_vs_budget", M, u, r, tol_budget_name,
-                       abs(bd.residual), bd.error_budget, inputs)
-                record(f"{base}/lhs_vs_oracle", M, u, r, "rel_error",
-                       abs(bd.lhs - oracle) / max(1.0, abs(oracle)),
-                       cfg.tol("sphere_oracle", 1e-6), inputs)
-                if a < 0:
-                    cc = comparison_rhs_constant(u, M, levels, r, spec_sphere, thr)
-                    tot = bd.term_principal + bd.term_sectional + bd.term_mixed
-                    tot_cc = cc.term_principal + cc.term_sectional
-                    record(f"{base}/two_path", M, u, r, "rel_error",
-                           abs(tot - tot_cc) / bd.scale, cfg.tol("cc_two_path", 1e-7),
-                           inputs)
-                    if r == 1:
-                        rc = ricci_comparison(u, M, levels, spec_sphere, thr)
-                        record(f"{base}/ricci_path", M, u, r, "rel_error",
-                               abs(rc.term_sectional - bd.term_sectional) / bd.scale,
-                               cfg.tol("ricci_path", 1e-9), inputs)
-                timings[base] = time.perf_counter() - t0
+                with cs.timed(base):
+                    bd = comparison_rhs(u, M, levels, r, spec_sphere, thr)
+                    oracle = (sphere_total_mean_curvature(M, r, levels[1])
+                              - sphere_total_mean_curvature(M, r, levels[0]))
+                    extra = {"levels": list(levels), "spec": [8, 12]}
+                    _within(cs, f"{base}/residual_vs_budget", M, u, r, "residual_vs_budget",
+                            abs(bd.residual), bd.error_budget, extra)
+                    _within(cs, f"{base}/lhs_vs_oracle", M, u, r, "rel_error",
+                            abs(bd.lhs - oracle) / max(1.0, abs(oracle)),
+                            cfg.tol("sphere_oracle", 1e-6), extra)
+                    if a < 0:
+                        cc = comparison_rhs_constant(u, M, levels, r, spec_sphere, thr)
+                        tot = bd.term_principal + bd.term_sectional + bd.term_mixed
+                        tot_cc = cc.term_principal + cc.term_sectional
+                        _within(cs, f"{base}/two_path", M, u, r, "rel_error",
+                                abs(tot - tot_cc) / bd.scale, cfg.tol("cc_two_path", 1e-7), extra)
+                        if r == 1:
+                            rc = ricci_comparison(u, M, levels, spec_sphere, thr)
+                            _within(cs, f"{base}/ricci_path", M, u, r, "rel_error",
+                                    abs(rc.term_sectional - bd.term_sectional) / bd.scale,
+                                    cfg.tol("ricci_path", 1e-9), extra)
 
     # 2. radial field in the poly3 warped product vs the 1-d oracle
     n_poly = 3 if cfg.quick else 4
@@ -401,23 +393,21 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
     spec_poly = QuadratureSpec(angular_orders=(12,) * (n_poly - 2) + (6,), level_order=12)
     levels_poly = (0.5, 1.5)
     for r in range(0, n_poly):
-        required.append((M.label, r))
-        t0 = time.perf_counter()
-        bd = comparison_rhs(u, M, levels_poly, r, spec_poly, thr)
-        oracle_lhs = (sphere_total_mean_curvature(M, r, levels_poly[1])
-                      - sphere_total_mean_curvature(M, r, levels_poly[0]))
-        op, os_ = _poly3_rhs_oracle(M, levels_poly, r)
+        cs.required.append((M.label, r))
         base = f"comparison/poly3/n={n_poly}/r={r}"
-        inputs = {"model": M.describe(), "field": u.describe(), "r": r,
-                  "levels": list(levels_poly)}
-        scale = max(1.0, abs(oracle_lhs), abs(op))
-        record(f"{base}/residual_vs_oracle", M, u, r, "rel_error",
-               (abs(bd.lhs - oracle_lhs) + abs(bd.term_principal - op)
-                + abs(bd.term_sectional - os_) + abs(bd.term_mixed)) / scale,
-               cfg.tol("poly3_oracle", 1e-6), inputs)
-        record(f"{base}/residual_vs_budget", M, u, r, tol_budget_name,
-               abs(bd.residual), bd.error_budget, inputs)
-        timings[base] = time.perf_counter() - t0
+        with cs.timed(base):
+            bd = comparison_rhs(u, M, levels_poly, r, spec_poly, thr)
+            oracle_lhs = (sphere_total_mean_curvature(M, r, levels_poly[1])
+                          - sphere_total_mean_curvature(M, r, levels_poly[0]))
+            op, os_ = _poly3_rhs_oracle(M, levels_poly, r)
+            extra = {"levels": list(levels_poly)}
+            scale = max(1.0, abs(oracle_lhs), abs(op))
+            _within(cs, f"{base}/residual_vs_oracle", M, u, r, "rel_error",
+                    (abs(bd.lhs - oracle_lhs) + abs(bd.term_principal - op)
+                     + abs(bd.term_sectional - os_) + abs(bd.term_mixed)) / scale,
+                    cfg.tol("poly3_oracle", 1e-6), extra)
+            _within(cs, f"{base}/residual_vs_budget", M, u, r, "residual_vs_budget",
+                    abs(bd.residual), bd.error_budget, extra)
 
     # 3. Euclidean ellipsoid levels (flat, non-radial).  |grad u| has a
     # complex branch point near the real angular domain, so convergence is
@@ -428,46 +418,38 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
                 else QuadratureSpec(angular_orders=(48,), level_order=16))
     r_ell = (1,) if cfg.quick else (0, 1, 2)
     for r in r_ell:
-        required.append((M.label, r))
-        t0 = time.perf_counter()
-        bd = comparison_rhs(u, M, (0.5, 1.0), r, spec_ell, thr)
+        cs.required.append((M.label, r))
         base = f"comparison/ellipsoid/r={r}"
-        inputs = {"model": M.describe(), "field": u.describe(), "r": r,
-                  "levels": [0.5, 1.0]}
-        record(f"{base}/rel_residual", M, u, r, "rel_error",
-               abs(bd.residual) / bd.scale, cfg.tol("ellipsoid", 1e-3), inputs)
-        record(f"{base}/correction_zero", M, u, r, "abs_error",
-               abs(bd.term_sectional) + abs(bd.term_mixed), 1e-30, inputs)
-        timings[base] = time.perf_counter() - t0
+        with cs.timed(base):
+            bd = comparison_rhs(u, M, (0.5, 1.0), r, spec_ell, thr)
+            extra = {"levels": [0.5, 1.0]}
+            _within(cs, f"{base}/rel_residual", M, u, r, "rel_error",
+                    abs(bd.residual) / bd.scale, cfg.tol("ellipsoid", 1e-3), extra)
+            _within(cs, f"{base}/correction_zero", M, u, r, "abs_error",
+                    abs(bd.term_sectional) + abs(bd.term_mixed), 1e-30, extra)
 
     # 4. off-center distance field in hyperbolic space
     M = constant_curvature(-1.0, 3)
     u = OffCenterDistanceField(0.3)
     spec_off = QuadratureSpec(angular_orders=(16,), level_order=8)
     for rho in (0.7, 1.2):
-        t0 = time.perf_counter()
-        rep = total_mean_curvature(u, M, rho, 1, spec_off, thr)
-        oracle = sphere_total_mean_curvature(M, 1, rho)
         base = f"comparison/offcenter_sphere/rho={rho:g}"
-        required.append((M.label, 1))
-        record(base, M, u, 1, "rel_error",
-               abs(rep.value - oracle) / abs(oracle),
-               cfg.tol("offcenter_sphere", 1e-6),
-               {"model": M.describe(), "field": u.describe(), "r": 1, "level": rho})
-        timings[base] = time.perf_counter() - t0
+        with cs.timed(base):
+            rep = total_mean_curvature(u, M, rho, 1, spec_off, thr)
+            oracle = sphere_total_mean_curvature(M, 1, rho)
+            cs.required.append((M.label, 1))
+            _within(cs, base, M, u, 1, "rel_error", abs(rep.value - oracle) / abs(oracle),
+                    cfg.tol("offcenter_sphere", 1e-6), {"level": rho})
     if not cfg.quick:
         for r in (1, 2):
-            t0 = time.perf_counter()
-            bd = comparison_rhs(u, M, (0.7, 1.2), r, spec_off, thr)
             base = f"comparison/offcenter/r={r}"
-            record(f"{base}/rel_residual", M, u, r, "rel_error",
-                   abs(bd.residual) / bd.scale, cfg.tol("offcenter", 1e-3),
-                   {"model": M.describe(), "field": u.describe(), "r": r,
-                    "levels": [0.7, 1.2]})
-            timings[base] = time.perf_counter() - t0
+            with cs.timed(base):
+                bd = comparison_rhs(u, M, (0.7, 1.2), r, spec_off, thr)
+                _within(cs, f"{base}/rel_residual", M, u, r, "rel_error",
+                        abs(bd.residual) / bd.scale, cfg.tol("offcenter", 1e-3),
+                        {"levels": [0.7, 1.2]})
 
-    _require_coverage(cases, required)
-    return _finish("comparison", cases, timings)
+    return cs.report()
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +460,9 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
     """Monotonicity and bound corollaries with strictness margins: nested
     M_1, the dimension-3 volume bound, outer-parallel monotonicity of all
     M_r, constant-curvature monotonicity, and the ball comparison."""
-    cases, timings = [], {}
-    required = []
+    cs = _Cases("inequality")
     thr = cfg.threads
     pair_count = 0
-
-    def record(cid, model_label, field_kind, n, r, metric, measured, tol, passed, inputs,
-               expected=0.0):
-        cases.append(CaseRecord(
-            case_id=cid, model=model_label, field=field_kind, n=n, r=r,
-            metric=metric, measured=measured, expected=expected,
-            residual=abs(measured - expected), tolerance=tol, passed=passed,
-            inputs=inputs))
 
     # Cor. 4.3 in dimension 3: M_1 - 4|Omega| = 8 pi rho for hyperbolic balls
     M = constant_curvature(-1.0, 3)
@@ -497,22 +470,21 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
     spec = QuadratureSpec(angular_orders=(12,), level_order=8)
     rho_grid = (0.5, 1.0) if cfg.quick else (0.25, 0.5, 1.0, 2.0)
     for rho in rho_grid:
-        t0 = time.perf_counter()
-        m1 = total_mean_curvature(u, M, rho, 1, spec, thr)
-        vol = total_mean_curvature(u, M, rho, -1, spec, thr)
-        margin = m1.value - 4.0 * vol.value
-        closed = 8.0 * math.pi * rho
-        budget = 10.0 * (m1.error_estimate + 4 * vol.error_estimate)
         base = f"inequality/m1_volume/rho={rho:g}"
-        required.append((M.label, 1))
-        inputs = {"model": M.describe(), "field": u.describe(), "rho": rho}
-        record(f"{base}/margin_vs_closed_form", M.label, u.kind, 3, 1, "rel_error",
-               abs(margin - closed) / closed, cfg.tol("m1_volume", 1e-6),
-               abs(margin - closed) / closed <= cfg.tol("m1_volume", 1e-6), inputs,
-               expected=0.0)
-        record(f"{base}/strict", M.label, u.kind, 3, 1, "margin",
-               margin, 10.0 * budget, margin > 10.0 * budget, inputs)
-        timings[base] = time.perf_counter() - t0
+        with cs.timed(base):
+            m1 = total_mean_curvature(u, M, rho, 1, spec, thr)
+            vol = total_mean_curvature(u, M, rho, -1, spec, thr)
+            margin = m1.value - 4.0 * vol.value
+            closed = 8.0 * math.pi * rho
+            budget = 10.0 * (m1.error_estimate + 4 * vol.error_estimate)
+            cs.required.append((M.label, 1))
+            inputs = {"model": M.describe(), "field": u.describe(), "rho": rho}
+            tol_m1 = cfg.tol("m1_volume", 1e-6)
+            cs.add(f"{base}/margin_vs_closed_form", M.label, u.kind, 3, 1, "rel_error",
+                   abs(margin - closed) / closed, tol_m1,
+                   abs(margin - closed) / closed <= tol_m1, inputs)
+            cs.add(f"{base}/strict", M.label, u.kind, 3, 1, "margin",
+                   margin, 10.0 * budget, margin > 10.0 * budget, inputs)
 
     # Cor. 4.4 / 4.5 / 4.1: monotonicity along parallels and nested levels
     models = [euclidean(3), constant_curvature(-1.0, 3),
@@ -522,90 +494,76 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
     for M in models:
         u = RadialDistanceField()
         for r in range(1, 3):
-            required.append((M.label, r))
-            t0 = time.perf_counter()
-            reps = [total_mean_curvature(u, M, lev, r, spec_par, thr)
-                    for lev in level_grid]
-            for k in range(len(level_grid) - 1):
-                pair_count += 1
-                diff = reps[k + 1].value - reps[k].value
-                budget = 10.0 * (reps[k + 1].error_estimate + reps[k].error_estimate)
-                strict = not (M.label in ("euclidean", "constant(a=0)") and r == 2)
-                base = (f"inequality/parallel/{M.label}/r={r}/"
-                        f"levels=({level_grid[k]:g},{level_grid[k + 1]:g})")
-                inputs = {"model": M.describe(), "field": u.describe(), "r": r,
-                          "levels": [level_grid[k], level_grid[k + 1]]}
-                ok = diff >= (10.0 * budget if strict else -budget)
-                record(base, M.label, u.kind, 3, r,
-                       "mr_outer_minus_inner", diff,
-                       10.0 * budget if strict else budget, ok, inputs)
-            timings[f"inequality/parallel/{M.label}/r={r}"] = time.perf_counter() - t0
+            cs.required.append((M.label, r))
+            with cs.timed(f"inequality/parallel/{M.label}/r={r}"):
+                reps = [total_mean_curvature(u, M, lev, r, spec_par, thr)
+                        for lev in level_grid]
+                for k in range(len(level_grid) - 1):
+                    pair_count += 1
+                    diff = reps[k + 1].value - reps[k].value
+                    budget = 10.0 * (reps[k + 1].error_estimate + reps[k].error_estimate)
+                    strict = not (M.label in ("euclidean", "constant(a=0)") and r == 2)
+                    ok = diff >= (10.0 * budget if strict else -budget)
+                    cs.add(f"inequality/parallel/{M.label}/r={r}/"
+                           f"levels=({level_grid[k]:g},{level_grid[k + 1]:g})",
+                           M.label, u.kind, 3, r, "mr_outer_minus_inner", diff,
+                           10.0 * budget if strict else budget, ok,
+                           {"model": M.describe(), "field": u.describe(), "r": r,
+                            "levels": [level_grid[k], level_grid[k + 1]]})
 
     # Cor. 4.1 for genuinely non-parallel nested pairs (ellipsoid levels and
-    # off-center spheres)
-    t0 = time.perf_counter()
-    M = euclidean(3)
-    uq = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
-    # strictness is certified against 100x the halved-order error estimate,
-    # and the slow-converging ellipsoid integrand needs order 64 for that
+    # off-center spheres).  Strictness is certified against 100x the
+    # halved-order error estimate, and the slow-converging ellipsoid
+    # integrand needs order 64 for that
     spec_ell = QuadratureSpec(angular_orders=(64,), level_order=8)
-    reps = [total_mean_curvature(uq, M, lev, 1, spec_ell, thr) for lev in (0.5, 1.0)]
-    diff = reps[1].value - reps[0].value
-    budget = 10.0 * (reps[0].error_estimate + reps[1].error_estimate)
-    pair_count += 1
-    required.append((M.label, 1))
-    record("inequality/m1_nested/ellipsoid", M.label, uq.kind, 3, 1,
-           "m1_outer_minus_inner", diff, 10.0 * budget, diff > 10.0 * budget,
-           {"model": M.describe(), "field": uq.describe(), "levels": [0.5, 1.0]})
-    Mh = constant_curvature(-1.0, 3)
-    uo = OffCenterDistanceField(0.3)
-    reps = [total_mean_curvature(uo, Mh, lev, 1, spec_ell, thr) for lev in (0.7, 1.2)]
-    diff = reps[1].value - reps[0].value
-    budget = 10.0 * (reps[0].error_estimate + reps[1].error_estimate)
-    pair_count += 1
-    required.append((Mh.label, 1))
-    record("inequality/m1_nested/offcenter", Mh.label, uo.kind, 3, 1,
-           "m1_outer_minus_inner", diff, 10.0 * budget, diff > 10.0 * budget,
-           {"model": Mh.describe(), "field": uo.describe(), "levels": [0.7, 1.2]})
-    timings["inequality/m1_nested"] = time.perf_counter() - t0
+    with cs.timed("inequality/m1_nested"):
+        for name, M, u, levels in (
+                ("ellipsoid", euclidean(3), QuadraticFormField(np.diag([1.0, 1.0, 4.0])),
+                 (0.5, 1.0)),
+                ("offcenter", constant_curvature(-1.0, 3), OffCenterDistanceField(0.3),
+                 (0.7, 1.2))):
+            reps = [total_mean_curvature(u, M, lev, 1, spec_ell, thr) for lev in levels]
+            diff = reps[1].value - reps[0].value
+            budget = 10.0 * (reps[0].error_estimate + reps[1].error_estimate)
+            pair_count += 1
+            cs.required.append((M.label, 1))
+            cs.add(f"inequality/m1_nested/{name}", M.label, u.kind, 3, 1,
+                   "m1_outer_minus_inner", diff, 10.0 * budget, diff > 10.0 * budget,
+                   {"model": M.describe(), "field": u.describe(), "levels": list(levels)})
 
     # Cor. 4.7: warped balls against the constant-curvature bound
-    t0 = time.perf_counter()
-    Mw = warped(poly3_profile(), 3)
-    uw = RadialDistanceField()
-    spec_ball = QuadratureSpec(angular_orders=(12,), level_order=8)
-    rho_ball = (0.5, 1.0) if cfg.quick else (0.5, 1.0, 2.0)
-    for rho in rho_ball:
-        for r in (1, 2):
-            pair_count += 1
-            required.append((Mw.label, r))
-            rep = total_mean_curvature(uw, Mw, rho, r, spec_ball, thr)
-            bound = ball_bound(r, rho, 0.0, 3)
-            margin = rep.value - bound
-            budget = 10.0 * rep.error_estimate
-            base = f"inequality/balls/poly3/rho={rho:g}/r={r}"
-            record(base, Mw.label, uw.kind, 3, r, "margin_over_flat_bound",
-                   margin, 10.0 * budget, margin > 10.0 * budget,
-                   {"model": Mw.describe(), "rho": rho, "r": r})
-    # equality cases: matching profiles hit the bound exactly
-    for name, Meq, a_eq in (("linear", warped(linear_profile(), 3), 0.0),
-                            ("sinh", warped(sinh_profile(), 3), -1.0)):
-        for rho in (0.5, 1.0):
+    with cs.timed("inequality/balls"):
+        Mw = warped(poly3_profile(), 3)
+        uw = RadialDistanceField()
+        spec_ball = QuadratureSpec(angular_orders=(12,), level_order=8)
+        rho_ball = (0.5, 1.0) if cfg.quick else (0.5, 1.0, 2.0)
+        for rho in rho_ball:
             for r in (1, 2):
-                closed = sphere_total_mean_curvature(Meq, r, rho)
-                bound = ball_bound(r, rho, a_eq, 3)
-                dev = abs(closed - bound) / max(1.0, abs(bound))
-                base = f"inequality/balls/equality/{name}/rho={rho:g}/r={r}"
-                record(base, Meq.label, "radial", 3, r, "rel_error", dev,
-                       cfg.tol("ball_equality", 1e-9), dev <= cfg.tol("ball_equality", 1e-9),
-                       {"model": Meq.describe(), "rho": rho, "r": r, "a": a_eq})
-    timings["inequality/balls"] = time.perf_counter() - t0
+                pair_count += 1
+                cs.required.append((Mw.label, r))
+                rep = total_mean_curvature(uw, Mw, rho, r, spec_ball, thr)
+                margin = rep.value - ball_bound(r, rho, 0.0, 3)
+                budget = 10.0 * rep.error_estimate
+                cs.add(f"inequality/balls/poly3/rho={rho:g}/r={r}", Mw.label, uw.kind, 3, r,
+                       "margin_over_flat_bound", margin, 10.0 * budget, margin > 10.0 * budget,
+                       {"model": Mw.describe(), "rho": rho, "r": r})
+        # equality cases: matching profiles hit the bound exactly
+        tol_eq = cfg.tol("ball_equality", 1e-9)
+        for name, Meq, a_eq in (("linear", warped(linear_profile(), 3), 0.0),
+                                ("sinh", warped(sinh_profile(), 3), -1.0)):
+            for rho in (0.5, 1.0):
+                for r in (1, 2):
+                    closed = sphere_total_mean_curvature(Meq, r, rho)
+                    bound = ball_bound(r, rho, a_eq, 3)
+                    dev = abs(closed - bound) / max(1.0, abs(bound))
+                    cs.add(f"inequality/balls/equality/{name}/rho={rho:g}/r={r}", Meq.label,
+                           "radial", 3, r, "rel_error", dev, tol_eq, dev <= tol_eq,
+                           {"model": Meq.describe(), "rho": rho, "r": r, "a": a_eq})
 
     if not cfg.quick and pair_count < 20:
         raise ConfigError(f"inequality suite must exercise >= 20 nested/parallel pairs, "
                           f"got {pair_count}")
-    _require_coverage(cases, required)
-    return _finish("inequality", cases, timings)
+    return cs.report()
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +573,7 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
 def run_asymptotic_suite(cfg: SuiteConfig) -> SuiteReport:
     """Small-sphere behavior of M_r(S_rho): log-log slope n-1-r, the limit
     |S^{n-1}| for r = n-1, and a quadratic bound on the correction factor."""
-    cases, timings = [], {}
-    required = []
+    cs = _Cases("asymptotic")
     thr = cfg.threads
     models = _default_models()
     # slope tolerance 0.02 needs the grid to stay small: the O(rho^2)
@@ -628,44 +585,36 @@ def run_asymptotic_suite(cfg: SuiteConfig) -> SuiteReport:
 
     for M in models:
         for r in range(0, 3):
-            required.append((M.label, r))
-            t0 = time.perf_counter()
-            vals = np.array([total_mean_curvature(u, M, rho, r, spec, thr).value
-                             for rho in rho_grid])
-            logs = np.log(vals)
-            slope = float(np.polyfit(np.log(rho_grid), logs, 1)[0])
+            cs.required.append((M.label, r))
             base = f"asymptotic/{M.label}/r={r}"
-            inputs = {"model": M.describe(), "r": r, "rho_grid": list(rho_grid)}
-            tol_slope = cfg.tol("slope", 0.02)
-            cases.append(CaseRecord(
-                case_id=f"{base}/slope", model=M.label, field=u.kind, n=3, r=r,
-                metric="loglog_slope", measured=slope, expected=float(2 - r),
-                residual=abs(slope - (2 - r)), tolerance=tol_slope,
-                passed=abs(slope - (2 - r)) <= tol_slope, inputs=inputs))
-            ratio = vals / (binomial(2, r) * sphere * rho_grid ** (2 - r))
-            if r == 2:
-                dev = abs(ratio[0] - 1.0)
-                tol_lim = cfg.tol("gauss_limit", 0.01)
-                cases.append(CaseRecord(
-                    case_id=f"{base}/limit", model=M.label, field=u.kind, n=3, r=r,
-                    metric="gauss_kronecker_limit", measured=float(vals[0]),
-                    expected=sphere, residual=dev, tolerance=tol_lim,
-                    passed=dev <= tol_lim, inputs=inputs))
-            # quadratic correction: constant fitted on the two coarsest radii
-            # must cover the rest with a factor-2 allowance
-            corr = np.abs(ratio - 1.0)
-            cfit = max(corr[-1] / rho_grid[-1] ** 2, corr[-2] / rho_grid[-2] ** 2)
-            bound = 2.0 * cfit * rho_grid ** 2 + 1e-10
-            worst = float(np.max(corr - bound))
-            cases.append(CaseRecord(
-                case_id=f"{base}/quadratic_correction", model=M.label, field=u.kind,
-                n=3, r=r, metric="correction_excess", measured=worst, expected=0.0,
-                residual=max(worst, 0.0), tolerance=0.0, passed=worst <= 0.0,
-                inputs=dict(inputs, fitted_constant=float(cfit))))
-            timings[base] = time.perf_counter() - t0
+            with cs.timed(base):
+                vals = np.array([total_mean_curvature(u, M, rho, r, spec, thr).value
+                                 for rho in rho_grid])
+                logs = np.log(vals)
+                slope = float(np.polyfit(np.log(rho_grid), logs, 1)[0])
+                inputs = {"model": M.describe(), "r": r, "rho_grid": list(rho_grid)}
+                tol_slope = cfg.tol("slope", 0.02)
+                cs.add(f"{base}/slope", M.label, u.kind, 3, r, "loglog_slope", slope,
+                       tol_slope, abs(slope - (2 - r)) <= tol_slope, inputs,
+                       expected=float(2 - r))
+                ratio = vals / (binomial(2, r) * sphere * rho_grid ** (2 - r))
+                if r == 2:
+                    dev = abs(ratio[0] - 1.0)
+                    tol_lim = cfg.tol("gauss_limit", 0.01)
+                    cs.add(f"{base}/limit", M.label, u.kind, 3, r, "gauss_kronecker_limit",
+                           float(vals[0]), tol_lim, dev <= tol_lim, inputs,
+                           expected=sphere, residual=dev)
+                # quadratic correction: constant fitted on the two coarsest radii
+                # must cover the rest with a factor-2 allowance
+                corr = np.abs(ratio - 1.0)
+                cfit = max(corr[-1] / rho_grid[-1] ** 2, corr[-2] / rho_grid[-2] ** 2)
+                bound = 2.0 * cfit * rho_grid ** 2 + 1e-10
+                worst = float(np.max(corr - bound))
+                cs.add(f"{base}/quadratic_correction", M.label, u.kind, 3, r,
+                       "correction_excess", worst, 0.0, worst <= 0.0,
+                       dict(inputs, fitted_constant=float(cfit)), residual=max(worst, 0.0))
 
-    _require_coverage(cases, required)
-    return _finish("asymptotic", cases, timings)
+    return cs.report()
 
 
 _RUNNERS = {

@@ -1,7 +1,7 @@
 """Behaviour lock: `curvatura compute` outputs of six reference configs,
 the two specialised comparison paths on the same configs, and the
-`measured` column of the four quick verification suites, pinned in
-golden_compute.json.
+`measured`, `expected` and `tolerance` columns of the four quick
+verification suites, pinned in golden_compute.json.
 
 Each config pins M_r at one level for r = -1..n-1 and the comparison
 breakdown over two levels for r = 0..n-1, at low orders so the whole file
@@ -17,7 +17,8 @@ measured value is compared with relative tolerance 1e-9 against the larger
 of its magnitude and its expected value, except for roundoff residuals:
 rows expecting 0 whose pinned value lies within ROUNDOFF_SHARE of their
 tolerance may move anywhere inside that share.  A reordered sum passes,
-changed maths does not.
+changed maths does not.  A row's expected value and tolerance must match
+exactly.
 
 The data file records the commit its first records were generated on, and
 the commit that last added records.  To add missing records (existing ones
@@ -176,6 +177,8 @@ def test_quick_suite_matches_golden(suite, golden):
         else:
             bound = REL_TOL * max(abs(w["measured"]), abs(w["expected"]))
         assert abs(g - w["measured"]) <= bound, f"{cid}: {g!r} vs {w['measured']!r}"
+        for key in ("expected", "tolerance"):
+            assert got[cid][key] == w[key], f"{cid}.{key}: {got[cid][key]!r} vs {w[key]!r}"
 
 
 def write_golden(workdir: Path) -> None:

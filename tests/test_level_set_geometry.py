@@ -145,7 +145,7 @@ class TestPrincipalFrame:
         u = RadialSquaredHalfField()
         for p in sample_points(M, 3, 5):
             hd = hessian_frame(u, M, p)
-            pf = principal_frame(hd, M, p)
+            pf = principal_frame(hd)
             rho = np.linalg.norm(p)
             np.testing.assert_allclose(pf.kappa, [1 / rho] * 2, rtol=1e-12)
             np.testing.assert_allclose(pf.grad_norm_derivs, 0.0, atol=1e-12)
@@ -154,14 +154,14 @@ class TestPrincipalFrame:
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
         for p in sample_points(M, 4, 5):
-            pf = principal_frame(hessian_frame(u, M, p), M, p)
+            pf = principal_frame(hessian_frame(u, M, p))
             np.testing.assert_allclose(pf.kappa, [1 / math.tanh(p[0])] * 2, rtol=1e-11)
 
     def test_ellipsoid_axis_point(self):
         M = euclidean(3)
         u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
         p = np.array([1.0, 0.0, 0.0])
-        pf = principal_frame(hessian_frame(u, M, p), M, p)
+        pf = principal_frame(hessian_frame(u, M, p))
         np.testing.assert_allclose(pf.nu, [1.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(pf.kappa, [1.0, 4.0], rtol=1e-13)
 
@@ -171,7 +171,7 @@ class TestPrincipalFrame:
         u = OffCenterDistanceField(0.3)
         for p in sample_points(M, 5, 5):
             hd = hessian_frame(u, M, p)
-            pf = principal_frame(hd, M, p)
+            pf = principal_frame(hd)
             F_inv_cols = np.linalg.solve(hd.frame, pf.frame_chart)  # frame comps
             Hp = F_inv_cols.T @ hd.hess_frame @ F_inv_cols
             gp = F_inv_cols.T @ hd.grad_frame
@@ -189,7 +189,7 @@ class TestPrincipalFrame:
         u = QuadraticFormField(A @ A.T + 4 * np.eye(4))
         for p in sample_points(M, 7, 5):
             hd = hessian_frame(u, M, p)
-            pf = principal_frame(hd, M, p)
+            pf = principal_frame(hd)
             nu = hd.grad_frame / hd.grad_norm
             X = rng.normal(size=(4, 3))
             X -= np.outer(nu, nu @ X)
@@ -207,7 +207,7 @@ class TestPrincipalFrame:
         u = RadialDistanceField()
         vals = {}
         for p in sample_points(M, 8, 6):
-            pf = principal_frame(hessian_frame(u, M, p), M, p)
+            pf = principal_frame(hessian_frame(u, M, p))
             for r in range(4):
                 vals.setdefault(r, []).append(sigma_elementary(pf.kappa, r))
         s = math.sqrt(0.5)
@@ -222,14 +222,14 @@ class TestPrincipalFrame:
         u = RadialSquaredHalfField()
         hd = hessian_frame(u, M, np.array([1e-10, 0.0, 0.0]))
         with pytest.raises(DegenerateGradientError):
-            principal_frame(hd, M, np.array([1e-10, 0.0, 0.0]))
+            principal_frame(hd)
 
     def test_grad_norm_derivs_match_fd(self):
         M = constant_curvature(-1.0, 3)
         u = OffCenterDistanceField(0.4)
         p = np.array([1.1, 0.9, 0.5])
         hd = hessian_frame(u, M, p)
-        pf = principal_frame(hd, M, p)
+        pf = principal_frame(hd)
         h = 1e-4
         for i in range(2):
             d = pf.directions[:, i]
@@ -299,7 +299,7 @@ class TestDivNewton:
         u = RadialDistanceField()
         for p in sample_points(M, 14, 5):
             hd = hessian_frame(u, M, p)
-            pf = principal_frame(hd, M, p)
+            pf = principal_frame(hd)
             for r in (1, 2):
                 dn = div_newton_frame(u, M, p, r)
                 got = float(dn @ hd.grad_frame) / hd.grad_norm ** (r + 1)

@@ -120,13 +120,13 @@ def close(a, b):
 def test_stacked_frames_match_pointwise(M, u):
     P = sample_points(M, 7)
     hs = hessian_frame_stack(u, M, P)
-    ps = principal_frame_stack(hs, M)
+    ps = principal_frame_stack(hs)
     es = elementary_all_stack(ps.kappa)
     for k, p in enumerate(P):
         hd = hessian_frame(u, M, p)
         for name in ("value", "grad", "grad_norm", "hess_frame", "frame", "grad_frame"):
             close(getattr(hs, name)[k], getattr(hd, name))
-        pf = principal_frame(hd, M, p)
+        pf = principal_frame(hd)
         close(ps.kappa[k], pf.kappa)
         close(ps.nu[k], pf.nu)
         # invariant under the eigenvector choice inside repeated eigenvalues
@@ -142,8 +142,8 @@ def test_stacked_frames_match_pointwise(M, u):
 def test_stacked_curvature_and_corrections_match_pointwise(M, u):
     P = sample_points(M, 11)
     hs = hessian_frame_stack(u, M, P)
-    ps = principal_frame_stack(hs, M)
-    frames = np.array([principal_frame(hessian_frame(u, M, p), M, p).frame_chart for p in P])
+    ps = principal_frame_stack(hs)
+    frames = np.array([principal_frame(hessian_frame(u, M, p)).frame_chart for p in P])
     rs = riemann_stack(M, P, frames)
     for k, p in enumerate(P):
         rd = riemann_at(M, p, frames[k])
@@ -238,9 +238,9 @@ def test_degenerate_gradient_raises():
     u = RadialSquaredHalfField(center=[0.2, 0.0, 0.0])
     P = np.array([[1.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
     with pytest.raises(DegenerateGradientError):
-        principal_frame(hessian_frame(u, M, P[1]), M, P[1])
+        principal_frame(hessian_frame(u, M, P[1]))
     with pytest.raises(DegenerateGradientError, match="node 1"):
-        principal_frame_stack(hessian_frame_stack(u, M, P), M)
+        principal_frame_stack(hessian_frame_stack(u, M, P))
 
 
 def test_nan_gradient_raises():
@@ -251,9 +251,9 @@ def test_nan_gradient_raises():
     P = np.array([[1.0, 0.0, 0.0], c])
     with np.errstate(invalid="ignore"):
         with pytest.raises(DegenerateGradientError):
-            principal_frame(hessian_frame(u, M, P[1]), M, P[1])
+            principal_frame(hessian_frame(u, M, P[1]))
         with pytest.raises(DegenerateGradientError, match="node 1"):
-            principal_frame_stack(hessian_frame_stack(u, M, P), M)
+            principal_frame_stack(hessian_frame_stack(u, M, P))
 
 
 def test_frame_gram_check_raises():

@@ -145,7 +145,7 @@ class TestSurfaceIntegral:
         u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
 
         def sigma1(p):
-            pf = principal_frame(hessian_frame(u, M, p), M, p)
+            pf = principal_frame(hessian_frame(u, M, p))
             return sigma_elementary(pf.kappa, 1)
 
         res = surface_integral(u, M, 0.5, sigma1,
@@ -180,7 +180,7 @@ class TestCoareaIntegral:
         u = RadialDistanceField()
 
         def sigma2(p):
-            pf = principal_frame(hessian_frame(u, M, p), M, p)
+            pf = principal_frame(hessian_frame(u, M, p))
             return sigma_elementary(pf.kappa, 2)
 
         res = coarea_volume_integral(u, M, (0.5, 1.5), sigma2, SPEC)
@@ -237,7 +237,7 @@ class TestDeterminism:
         u = RadialDistanceField()
 
         def integrand(p):
-            pf = principal_frame(hessian_frame(u, M, p), M, p)
+            pf = principal_frame(hessian_frame(u, M, p))
             return sigma_elementary(pf.kappa, 1)
 
         r1 = surface_integral(u, M, 1.0, integrand, SPEC, threads=1)

@@ -45,6 +45,24 @@ def test_unknown_suite_rejected():
         run_suite(SuiteConfig(suite="nonsense"))
 
 
+def test_coverage_guard_refuses_vacuous_reports():
+    cs = verification._Cases("demo")
+    cs.required += [("euclidean", 1), ("euclidean", 2), ("algebra", None)]
+    cs.add("demo/r=1", "euclidean", "radial", 3, 1, "m", 0.25, 1.0, True, {}, expected=0.5)
+    cs.add("demo/n=2", "algebra", "-", 2, None, "m", 0.0, 1.0, True, {})
+    with pytest.raises(ConfigError, match=r"no cases for \[\('euclidean', 2\)\]$"):
+        cs.report()
+    cs.add("demo/r=2", "euclidean", "radial", 3, 2, "m", 2.0, 1.0, False, {}, residual=1.0)
+    with cs.timed("demo/block"):
+        pass
+    rep = cs.report()
+    assert [c.case_id for c in rep.cases] == ["demo/r=1", "demo/n=2", "demo/r=2"]
+    assert [c.residual for c in rep.cases] == [0.25, 0.0, 1.0]
+    assert not rep.passed and list(rep.timings) == ["demo/block"]
+    with pytest.raises(ConfigError, match="suite 'demo' produced no cases"):
+        verification._Cases("demo").report()
+
+
 def test_structural_coverage(quick_reports):
     # every suite covers each configured model family with >= 1 case
     for name, rep in quick_reports.items():
