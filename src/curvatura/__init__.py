@@ -11,11 +11,9 @@ from .errors import (
     GeometryError,
 )
 from .symmetric_algebra import (
-    NewtonOperator,
     double_factorial,
     jacobi_eigh,
     kronecker_delta,
-    newton_operator,
     newton_partial_form,
     sigma_elementary,
     sigma_hessian_eig,

@@ -50,7 +50,6 @@ from .quadrature import (
     field_partials_stack,
     pairwise_sum,
     radial_integral,
-    stacked_integrand,
     surface_integral,
 )
 from .symmetric_algebra import (
@@ -69,13 +68,13 @@ class MeanCurvatureReport:
     r: int
     value: float
     error_estimate: float
-    hypersurface: dict
+    level: float
     node_count: int
 
     def to_record(self, M: ModelManifold, u: ScalarField) -> dict:
         return {
             "model": M.label, "field": u.kind, "n": M.dim, "r": self.r,
-            "level": self.hypersurface.get("level"),
+            "level": self.level,
             "value": self.value, "error_estimate": self.error_estimate,
             "nodes": self.node_count,
         }
@@ -269,7 +268,6 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float,
         if eps_level >= level:
             raise GeometryError("level too small for the coarea core split")
 
-        @stacked_integrand
         def inv_grad(P):
             du = field_partials_stack(u, M, P)
             return 1.0 / np.sqrt(_rowdot(du, du / metric_diag_stack(M, P)))
@@ -299,19 +297,17 @@ def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,
     n = M.dim
     if not -1 <= r <= n - 1:
         raise ValueError(f"order r must lie in [-1, {n - 1}], got {r}")
-    desc = {"level": level, **u.describe()}
     if r == -1:
         value, err, nodes = _enclosed_volume(u, M, level, spec, threads)
         return MeanCurvatureReport(r=r, value=value, error_estimate=err,
-                                   hypersurface=desc, node_count=nodes)
+                                   level=level, node_count=nodes)
 
-    @stacked_integrand
     def integrand(P):
         return _sigma_stack(_node_geometry(u, M, P)[2], r)
 
     res = surface_integral(u, M, level, integrand, spec, threads)
     return MeanCurvatureReport(r=r, value=res.value, error_estimate=res.error_estimate,
-                               hypersurface=desc, node_count=res.node_count)
+                               level=level, node_count=res.node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,6 @@ def _comparison(u, M, levels, r, spec, threads, corrections,
     if not 0 <= r <= M.dim - 1:
         raise ValueError(f"order r must lie in [0, {M.dim - 1}], got {r}")
 
-    @stacked_integrand
     def integrand(P):
         hd, pf, e = _node_geometry(u, M, P)
         return np.column_stack(((r + 1) * _sigma_stack(e, r + 1), *corrections(P, hd, pf, e)))

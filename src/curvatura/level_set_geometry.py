@@ -65,10 +65,10 @@ class ScalarField:
     d_i u and d_i d_j u; otherwise the Hessian machinery falls back to
     central finite differences of value().
 
-    The *_stack methods take an (N, n) point stack and return the values
-    (N,), partials (N, n) and second partials (N, n, n) of every row.
-    Fields with closed forms define all three and set `stacked`; the base
-    class defines only partials_stack, which calls partials() row by row.
+    partials_stack and second_partials_stack take an (N, n) point stack and
+    return the partials (N, n) and second partials (N, n, n) of every row.
+    Fields with closed forms define both and set `stacked`; the base class
+    defines only partials_stack, which calls partials() row by row.
     """
 
     kind = "abstract"
@@ -177,12 +177,6 @@ class RadialDistanceField(_RadialField):
         w = x / d
         return (np.eye(n) - np.outer(w, w)) / d
 
-    def value_stack(self, M, P):
-        if M.chart == "polar":
-            return np.array(P, dtype=float)[:, 0]
-        X = _centered(self.center, M, P)
-        return np.sqrt(_rowdot(X, X))
-
     def partials_stack(self, M, P):
         if M.chart == "polar":
             du = np.zeros((len(P), M.dim))
@@ -229,12 +223,6 @@ class RadialSquaredHalfField(_RadialField):
             D2[0, 0] = 1.0
             return D2
         return np.eye(n)
-
-    def value_stack(self, M, P):
-        if M.chart == "polar":
-            return 0.5 * np.asarray(P, dtype=float)[:, 0] ** 2
-        X = _centered(self.center, M, P)
-        return 0.5 * _rowdot(X, X)
 
     def partials_stack(self, M, P):
         if M.chart == "polar":
@@ -378,9 +366,7 @@ class HessianData:
     """Pointwise first/second order data of a field in an orthonormal frame.
 
     hessian_frame_stack returns the same record with a leading node axis on
-    every field (value and grad_norm become arrays)."""
-    value: float
-    grad: np.ndarray          # chart components of the gradient vector
+    every field."""
     grad_norm: float
     hess_frame: np.ndarray    # covariant Hessian in the orthonormal frame
     frame: np.ndarray         # columns: chart components of the frame vectors
@@ -430,12 +416,12 @@ def _fd_partials(u: ScalarField, M: ModelManifold, p, steps):
             q = p.copy(); q[i] -= steps[i]; q[j] -= steps[j]
             umm = u.value(M, q)
             D2[i, j] = D2[j, i] = (upp - upm - ump + umm) / (4 * steps[i] * steps[j])
-    return u0, du, D2
+    return du, D2
 
 
 def hessian_frame(u: ScalarField, M: ModelManifold, p,
                   h: float = None, use_fd: bool = False) -> HessianData:
-    """Value, gradient and covariant Hessian of u at p, in the orthonormal
+    """Gradient and covariant Hessian of u at p, in the orthonormal
     frame from the triangular factorization of the chart metric.
 
     The covariant Hessian is d_i d_j u - Gamma^k_ij d_k u in the chart (the
@@ -444,17 +430,15 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p,
     the central-difference path with step h (default 1e-4 * (1 + |p|),
     per-coordinate guarded near the chart axis).
     """
-    n = M.dim
     p = np.asarray(p, dtype=float)
     if u.analytic and not use_fd:
-        val = u.value(M, p)
         du = u.partials(M, p)
         D2 = u.second_partials(M, p)
     else:
         if h is None:
             h = 1e-4 * (1.0 + float(np.linalg.norm(p)))
         steps = fd_steps(M, p, h)
-        val, du, D2 = _fd_partials(u, M, p, steps)
+        du, D2 = _fd_partials(u, M, p, steps)
     hess_chart = D2
     if M.chart == "polar":
         hess_chart = D2 - np.tensordot(du, christoffel_at(M, p), axes=([0], [0]))
@@ -464,9 +448,7 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p,
     hess_f = hess_chart * np.outer(inv_sqrt, inv_sqrt)
     hess_f = 0.5 * (hess_f + hess_f.T)
     grad_f = du * inv_sqrt
-    grad_chart = du / D
-    return HessianData(value=float(val), grad=grad_chart,
-                       grad_norm=float(np.linalg.norm(grad_f)),
+    return HessianData(grad_norm=float(np.linalg.norm(grad_f)),
                        hess_frame=hess_f, frame=frame, grad_frame=grad_f)
 
 
@@ -490,11 +472,9 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
         def stack(name, shape):
             return np.array([getattr(h, name) for h in rows], dtype=float).reshape((N,) + shape)
 
-        return HessianData(value=stack("value", ()), grad=stack("grad", (n,)),
-                           grad_norm=stack("grad_norm", ()),
+        return HessianData(grad_norm=stack("grad_norm", ()),
                            hess_frame=stack("hess_frame", (n, n)),
                            frame=stack("frame", (n, n)), grad_frame=stack("grad_frame", (n,)))
-    val = u.value_stack(M, P)
     du = u.partials_stack(M, P)
     D2 = u.second_partials_stack(M, P)
     D = metric_diag_stack(M, P)
@@ -509,7 +489,7 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
     grad_f = du * inv_sqrt
     frame = np.zeros((N, n, n))
     frame[:, np.arange(n), np.arange(n)] = inv_sqrt
-    return HessianData(value=val, grad=du / D, grad_norm=np.sqrt(_rowdot(grad_f, grad_f)),
+    return HessianData(grad_norm=np.sqrt(_rowdot(grad_f, grad_f)),
                        hess_frame=hess_f, frame=frame, grad_frame=grad_f)
 
 
@@ -674,7 +654,7 @@ def div_newton_frame(u: ScalarField, M: ModelManifold, p, r: int) -> np.ndarray:
         raise ValueError(f"div(T_r) contraction needs r >= 1, got {r}")
     n = M.dim
     hd = hessian_frame(u, M, p)
-    if hd.grad_norm <= EPS_GRAD:
+    if not hd.grad_norm > EPS_GRAD:   # NaN included
         raise DegenerateGradientError("degenerate gradient in div(T_r)")
     if M.is_flat:
         return np.zeros(n)
@@ -742,7 +722,7 @@ def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> f
     p = np.asarray(p, dtype=float)
 
     hd0 = hessian_frame(u, M, p)
-    if hd0.grad_norm <= EPS_GRAD:
+    if not hd0.grad_norm > EPS_GRAD:   # NaN included
         raise DegenerateGradientError("degenerate gradient at the center point")
     pf = principal_frame(hd0)
     rhs = r * sigma_elementary(pf.kappa, r)
@@ -752,7 +732,7 @@ def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> f
 
     def weighted_field(q):
         hd = hessian_frame(u, M, q)
-        if hd.grad_norm <= EPS_GRAD:
+        if not hd.grad_norm > EPS_GRAD:   # NaN included
             raise DegenerateGradientError("degenerate gradient in the stencil")
         Tm = newton_matrices(hd.hess_frame, r - 1)[r - 1]
         Vf = Tm @ hd.grad_frame / hd.grad_norm ** r

@@ -336,7 +336,6 @@ class CurvatureTensorData:
     curvature of the last frame vector.  riemann_stack returns the same
     record with a leading node axis on every field.
     """
-    frame: np.ndarray
     R: np.ndarray
     K: np.ndarray
     ricci_n: float
@@ -376,12 +375,11 @@ def riemann_at(M: ModelManifold, p, frame) -> CurvatureTensorData:
     if M.is_flat:
         R = np.zeros((n, n, n, n))
         K = np.zeros((n, n))
-        return CurvatureTensorData(frame=F, R=R, K=K, ricci_n=0.0)
+        return CurvatureTensorData(R=R, K=K, ricci_n=0.0)
 
     if M.family == "constant":
         R, K = _constant_tensors(n, M.a)
-        return CurvatureTensorData(frame=F, R=R.copy(), K=K.copy(),
-                                   ricci_n=(n - 1) * M.a)
+        return CurvatureTensorData(R=R.copy(), K=K.copy(), ricci_n=(n - 1) * M.a)
 
     # warped product: closed form in the chart-adapted frame, then rotated
     f, df, d2f = radial_profile(M)
@@ -401,7 +399,7 @@ def riemann_at(M: ModelManifold, p, frame) -> CurvatureTensorData:
     R = np.tensordot(R, P, axes=([0], [0]))
     K = np.einsum("ijij->ij", R)
     ricci = float(np.sum(K[: n - 1, n - 1]))
-    return CurvatureTensorData(frame=F, R=R, K=K, ricci_n=ricci)
+    return CurvatureTensorData(R=R, K=K, ricci_n=ricci)
 
 
 def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
@@ -423,12 +421,12 @@ def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
         raise node_error(ValueError, int(np.argmax(bad)), "frame is not g-orthonormal")
 
     if M.is_flat:
-        return CurvatureTensorData(frame=F, R=np.zeros((N, n, n, n, n)), K=np.zeros((N, n, n)),
+        return CurvatureTensorData(R=np.zeros((N, n, n, n, n)), K=np.zeros((N, n, n)),
                                    ricci_n=np.zeros(N))
 
     if M.family == "constant":
         R, K = _constant_tensors(n, M.a)
-        return CurvatureTensorData(frame=F, R=np.broadcast_to(R, (N,) + R.shape),
+        return CurvatureTensorData(R=np.broadcast_to(R, (N,) + R.shape),
                                    K=np.broadcast_to(K, (N,) + K.shape),
                                    ricci_n=np.full(N, (n - 1) * M.a))
 
@@ -455,7 +453,7 @@ def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
     ricci = K[:, 0, n - 1].copy()
     for i in range(1, n - 1):
         ricci += K[:, i, n - 1]
-    return CurvatureTensorData(frame=F, R=R, K=K, ricci_n=ricci)
+    return CurvatureTensorData(R=R, K=K, ricci_n=ricci)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,12 @@ derivatives, the surface weights (surface_nodes) and the integrand each run
 once on (N, ...) arrays.  The ray root solve (find_level_radii) is exact for
 level spheres about the base point and otherwise runs find_level_radius ray
 by ray.  Fields without stacked closed forms (ScalarField.stacked false)
-also keep their Hessian per node, inside the stacked stages.
-Integrands marked by stacked_integrand receive the (N, n) point stack; any
-other callable keeps the per-point contract and is called once per node.
-Rules above _CHUNK nodes, and rules split over `threads` workers, run as
-several contiguous stacks.  Every stage computes each node with the same
-operations whatever the stack it sits in, and reductions are fixed-order
-pairwise sums over the node index, so results are bit-identical for any
-split and worker count.
+also keep their Hessian per node, inside the stacked stages.  Integrands
+receive the (N, n) point stack.  Rules above _CHUNK nodes, and rules split
+over `threads` workers, run as several contiguous stacks.  Every stage
+computes each node with the same operations whatever the stack it sits in,
+and reductions are fixed-order pairwise sums over the node index, so
+results are bit-identical for any split and worker count.
 """
 
 from __future__ import annotations
@@ -206,7 +204,7 @@ def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) ->
 
     lo = 1e-9
     flo = f(lo)
-    if flo >= 0:
+    if not flo < 0:   # NaN included
         raise GeometryError(f"level {level:g} does not enclose the ray origin "
                             f"(u - c = {flo:.3e} at r=0+) (angles {angles.tolist()})")
     hi = 0.25
@@ -238,7 +236,7 @@ def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) ->
            abs(fr) <= _ROOT_NEWTON_TOL * max(1.0, abs(level)):
             break
     resid = abs(f(rho))
-    if resid > 1e-9 * max(1.0, abs(level)):
+    if not resid <= 1e-9 * max(1.0, abs(level)):   # NaN included
         # refuse a half-resolved crossing rather than degrade the quadrature
         raise GeometryError(f"root polish failed: |u - c| = {resid:.3e} "
                             f"(angles {angles.tolist()})")
@@ -292,29 +290,11 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     else:
         u_rho = _rowdot(directions, du)
         scale = _elementwise(lambda t: t ** (n - 1), rho)
-    if (u_rho <= 0).any():
-        k = int(np.argmax(u_rho <= 0))
+    if not (u_rho > 0).all():   # NaN included
+        k = int(np.argmin(u_rho > 0))
         raise node_error(GeometryError, k, f"u is not increasing along the ray at the "
                                            f"crossing (angles {angles[k].tolist()})")
     return P, weights * scale * grad_norm / u_rho, grad_norm
-
-
-def _integrand_rows(integrand, P: np.ndarray, n_comp: int) -> np.ndarray:
-    """Integrand values at a point stack, (N, n_comp).  An integrand marked
-    by stacked_integrand takes the whole stack; any other callable is the
-    per-point contract, called once per row."""
-    if getattr(integrand, "stacked", False):
-        vals = np.asarray(integrand(P), dtype=float)
-    else:
-        vals = np.array([np.atleast_1d(np.asarray(integrand(p), dtype=float)) for p in P])
-    return vals.reshape(P.shape[0], n_comp)
-
-
-def stacked_integrand(fn):
-    """Mark fn as taking an (N, n) point stack and returning the N values
-    (or (N, n_comp) rows) of the integrand at once."""
-    fn.stacked = True
-    return fn
 
 
 def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
@@ -335,7 +315,7 @@ def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
                                             weights[lo:hi], directions[lo:hi])
             if level_weights is not None:
                 w = w * level_weights[lo:hi] / grad_norm
-            return w[:, None] * _integrand_rows(integrand, P, n_comp)
+            return w[:, None] * np.asarray(integrand(P), dtype=float).reshape(len(P), n_comp)
         except Exception as e:
             # errors name nodes within this stack; renumber them for the rule
             if lo and getattr(e, "node", None) is not None:
@@ -386,7 +366,8 @@ def _halving_estimate(rule_rows, M: ModelManifold, spec: QuadratureSpec):
 def surface_integral(u: ScalarField, M: ModelManifold, level: float,
                      integrand, spec: QuadratureSpec,
                      threads: int = 1) -> IntegralResult:
-    """Integral of a pointwise function over the level set {u = level}.
+    """Integral over the level set {u = level} of integrand, which maps an
+    (N, n) point stack to its N values.
 
     The error estimate is the difference against the next-lower (halved)
     order companion rule plus the analytic polar-cap omission bound.
@@ -413,8 +394,9 @@ def _coarea_values(u, M, levels, integrand, spec, n_comp, threads):
 def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
                            integrand, spec: QuadratureSpec,
                            threads: int = 1) -> IntegralResult:
-    """Integral of a pointwise function over the region {c1 < u < c2},
-    computed as a level integral of 1/|grad u|-weighted surface integrals."""
+    """Integral over the region {c1 < u < c2} of integrand, which maps an
+    (N, n) point stack to its N values, computed as a level integral of
+    1/|grad u|-weighted surface integrals."""
     values, errs, nodes = _halving_estimate(
         lambda s: _coarea_values(u, M, levels, integrand, s, 1, threads), M, spec)
     return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
@@ -422,7 +404,8 @@ def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
 
 def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
                                  threads: int = 1):
-    """Vector-valued coarea integral sharing one pass of pointwise work.
+    """Vector-valued coarea integral: integrand maps an (N, n) point stack
+    to its (N, n_comp) rows.
 
     Returns (values, error_estimates, node_count) as arrays of length n_comp.
     """

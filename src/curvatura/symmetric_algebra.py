@@ -12,7 +12,6 @@ two, so neither may be expressed in terms of the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -275,6 +274,9 @@ def jacobi_eigh_stack(H):
     bad = ~np.isfinite(amax)
     if bad.any():
         raise ValueError(f"matrix {int(np.argmax(bad))} of the stack has non-finite entries")
+    big = amax > _SYM_MAX
+    if big.any():
+        raise ValueError(f"matrix {int(np.argmax(big))} of the stack overflows when symmetrized")
     At = A.transpose(0, 2, 1)
     scale = np.maximum(1.0, amax)
     asym = np.abs(A - At).max(axis=(1, 2)) > 1e-9 * scale
@@ -360,16 +362,9 @@ def sigma_hessian_kronecker(H, r: int) -> float:
 # Newton operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonOperator:
-    """Newton operator T_r of a symmetric matrix: T_0 = I,
-    T_r = sigma_r(H) I - T_{r-1} H."""
-    order: int
-    matrix: np.ndarray
-
-
 def newton_matrices(H, r: int) -> list[np.ndarray]:
-    """The sequence [T_0, ..., T_r] from the defining recursion."""
+    """The Newton operators [T_0, ..., T_r] of a symmetric matrix, from the
+    defining recursion T_0 = I, T_r = sigma_r(H) I - T_{r-1} H."""
     A = as_sym_matrix(H)
     n = A.shape[0]
     if not 0 <= r <= n:
@@ -387,11 +382,6 @@ def _newton_matrices(A: np.ndarray, r: int):
         T = e[k] * I - mats[-1] @ A
         mats.append(0.5 * (T + T.T))
     return mats, e
-
-
-def newton_operator(H, r: int) -> NewtonOperator:
-    """T_r of H via the recursion; symmetric by construction."""
-    return NewtonOperator(order=r, matrix=newton_matrices(H, r)[r])
 
 
 def newton_partial_form(H, r: int) -> np.ndarray:

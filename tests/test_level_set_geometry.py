@@ -101,16 +101,15 @@ def hessian_frame_christoffel_form(u, M, p):
     Christoffel contraction made as on polar charts; the symbols are zero."""
     p = np.asarray(p, dtype=float)
     if u.analytic:
-        val, du, D2 = u.value(M, p), u.partials(M, p), u.second_partials(M, p)
+        du, D2 = u.partials(M, p), u.second_partials(M, p)
     else:
         h = 1e-4 * (1.0 + float(np.linalg.norm(p)))
-        val, du, D2 = _fd_partials(u, M, p, fd_steps(M, p, h))
+        du, D2 = _fd_partials(u, M, p, fd_steps(M, p, h))
     hess_chart = D2 - np.tensordot(du, christoffel_at(M, p), axes=([0], [0]))
     inv_sqrt = 1.0 / np.sqrt(np.ones(M.dim))
     hess_f = hess_chart * np.outer(inv_sqrt, inv_sqrt)
     grad_f = du * inv_sqrt
-    return HessianData(value=float(val), grad=du / np.ones(M.dim),
-                       grad_norm=float(np.linalg.norm(grad_f)),
+    return HessianData(grad_norm=float(np.linalg.norm(grad_f)),
                        hess_frame=0.5 * (hess_f + hess_f.T), frame=np.diag(inv_sqrt),
                        grad_frame=grad_f)
 
@@ -283,6 +282,17 @@ class TestReilly2:
         assert reilly2_residual(u, M, p, 0) <= 1e-14
 
 
+class NaNPartialsPast(RadialSquaredHalfField):
+    """u = |x|^2 / 2 whose analytic partials are NaN where x0 > edge."""
+
+    def __init__(self, edge):
+        super().__init__()
+        self.edge = edge
+
+    def partials(self, M, p):
+        return np.full(M.dim, np.nan) if p[0] > self.edge else super().partials(M, p)
+
+
 class TestDivNewton:
     def test_euclidean_zero(self):
         M = euclidean(4)
@@ -335,6 +345,11 @@ class TestDivNewton:
             div_newton_frame(RadialDistanceField(), euclidean(3),
                              np.array([1.0, 0.0, 0.0]), 0)
 
+    def test_nan_gradient_raises(self):
+        u = NaNPartialsPast(0.0)
+        with pytest.raises(DegenerateGradientError):
+            div_newton_frame(u, euclidean(3), np.array([0.6, 0.5, 0.4]), 1)
+
 
 class TestReilly1:
     def test_euclidean_closed_form(self):
@@ -364,6 +379,13 @@ class TestReilly1:
         u = RadialSquaredHalfField()
         with pytest.raises(DegenerateGradientError):
             reilly1_residual(u, M, np.array([0.0, 0.0, 0.0]), 1, 1e-3)
+
+    def test_nan_gradient_in_the_stencil_raises(self):
+        # the centre is regular; the +x0 stencil point is not
+        u = NaNPartialsPast(0.6)
+        p = np.array([0.6, 0.5, 0.4])
+        with pytest.raises(DegenerateGradientError, match="stencil"):
+            reilly1_residual(u, euclidean(3), p, 1, 1e-3)
 
 
 class TestFields:

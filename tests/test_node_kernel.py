@@ -1,7 +1,7 @@
 """The stacked node kernel against the pointwise API it replaced in the
 quadrature: hessian_frame, principal_frame, riemann_at, sigma_elementary,
 the correction sums, the per-ray root solve and jacobi_eigh are its oracles.
-Also the guards of the stacked route, and the per-point integrand contract."""
+Also the guards of the stacked route, and the node-stack integrand contract."""
 
 import math
 
@@ -45,7 +45,6 @@ from curvatura.quadrature import (
     QuadratureSpec,
     find_level_radii,
     find_level_radius,
-    stacked_integrand,
     surface_integral,
 )
 from curvatura.symmetric_algebra import (
@@ -57,6 +56,11 @@ from curvatura.symmetric_algebra import (
 
 REL = 1e-12
 SPEC = QuadratureSpec(angular_orders=(6,), level_order=3)
+
+
+def ones(P):
+    """The integrand 1 at every node of a point stack."""
+    return np.ones(len(P))
 
 
 class Anon(ScalarField):
@@ -124,7 +128,7 @@ def test_stacked_frames_match_pointwise(M, u):
     es = elementary_all_stack(ps.kappa)
     for k, p in enumerate(P):
         hd = hessian_frame(u, M, p)
-        for name in ("value", "grad", "grad_norm", "hess_frame", "frame", "grad_frame"):
+        for name in ("grad_norm", "hess_frame", "frame", "grad_frame"):
             close(getattr(hs, name)[k], getattr(hd, name))
         pf = principal_frame(hd)
         close(ps.kappa[k], pf.kappa)
@@ -207,6 +211,10 @@ def test_stacked_jacobi_validates_the_stack():
         jacobi_eigh_stack(np.ones((2, 3, 4)))
     with pytest.raises(ValueError):
         jacobi_eigh_stack(np.array([np.eye(2), [[np.nan, 1.0], [1.0, 2.0]]]))
+    # entries that overflow when symmetrized, as jacobi_eigh refuses them
+    for A in ([[1.0, 1e308], [1e308, 2.0]], [[1e308, 1.0], [1.0, 2.0]]):
+        with pytest.raises(ValueError, match="matrix 1 of the stack overflows"):
+            jacobi_eigh_stack(np.array([np.eye(2), A]))
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +264,26 @@ def test_nan_gradient_raises():
             principal_frame_stack(hessian_frame_stack(u, M, P))
 
 
+def nan_past(edge):
+    """u = |x|^2 / 2, NaN beyond radius `edge` on the half space x0 < 0."""
+    def value(M, p):
+        q = float(p @ p)
+        return math.nan if p[0] < 0 and q > edge ** 2 else 0.5 * q
+    return Anon(value)
+
+
+def test_nan_values_are_refused_by_the_root_solve():
+    M = euclidean(3)
+    ray = np.array([2.5, 2.0])               # x0 = cos 2.5 < 0
+    u = nan_past(0.6)
+    with pytest.raises(GeometryError, match=r"root polish failed: \|u - c\| = nan"):
+        find_level_radius(u, M, 0.5, ray)
+    with pytest.raises(GeometryError, match=r"^node \d+: root polish failed"):
+        surface_integral(u, M, 0.5, ones, SPEC)
+    with pytest.raises(GeometryError, match=r"does not enclose the ray origin \(u - c = nan"):
+        find_level_radius(nan_past(0.0), M, 0.5, ray)
+
+
 def test_frame_gram_check_raises():
     M = warped(poly3_profile(), 3)
     p = np.array([1.0, 1.0, 0.5])
@@ -271,14 +299,14 @@ def test_level_not_enclosing_origin_raises():
     with pytest.raises(GeometryError):
         find_level_radius(u, M, 0.3, np.array([1.0, 2.0]))
     with pytest.raises(GeometryError, match="does not enclose the ray origin"):
-        surface_integral(u, M, 0.3, lambda p: 1.0, SPEC)
+        surface_integral(u, M, 0.3, ones, SPEC)
 
 
 def test_no_crossing_within_working_radius_raises():
     M = euclidean(3)
     u = Anon(lambda M, p: 0.5 * float(p @ p))
     with pytest.raises(GeometryError, match="working radius"):
-        surface_integral(u, M, 100.0, lambda p: 1.0, SPEC)
+        surface_integral(u, M, 100.0, ones, SPEC)
 
 
 def test_crossing_between_eight_and_the_working_radius_is_found():
@@ -296,7 +324,7 @@ def test_half_resolved_crossing_is_refused():
     with pytest.raises(GeometryError, match="root polish failed"):
         find_level_radius(u, M, 1.0, np.array([1.0, 2.0]))
     with pytest.raises(GeometryError, match="root polish failed"):
-        surface_integral(u, M, 1.0, lambda p: 1.0, SPEC)
+        surface_integral(u, M, 1.0, ones, SPEC)
 
 
 def test_non_increasing_ray_raises():
@@ -307,10 +335,16 @@ def test_non_increasing_ray_raises():
         def partials_stack(self, M, P):
             return -super().partials_stack(M, P)
 
+    class NaNBelow(RadialSquaredHalfField):
+        def partials_stack(self, M, P):
+            du = super().partials_stack(M, P)
+            return np.where(lower_cap(P)[:, None], np.nan, du)
+
     M = euclidean(3)
-    u = Decreasing(center=[0.0, 0.0, 1e-3])
-    with pytest.raises(GeometryError, match="not increasing along the ray"):
-        surface_integral(u, M, 0.5, lambda p: 1.0, SPEC)
+    for field in (Decreasing, NaNBelow):
+        u = field(center=[0.0, 0.0, 1e-3])
+        with pytest.raises(GeometryError, match="not increasing along the ray"):
+            surface_integral(u, M, 0.5, ones, SPEC)
 
 
 def lower_cap(P):
@@ -348,18 +382,17 @@ def test_guards_name_the_node_of_the_rule_whatever_the_split(monkeypatch):
     first = int(np.argmax(lower_cap(grid[2])))
     assert first > 7                     # lies outside the first stack of 7
     u = DownhillBelow(center=[0.0, 0.0, 1e-3])
-    msg = first_failure(lambda t: surface_integral(u, M, 0.5, lambda p: 1.0, SPEC, t),
+    msg = first_failure(lambda t: surface_integral(u, M, 0.5, ones, SPEC, t),
                         SPLITS, monkeypatch)
     assert msg.startswith(f"node {first}: u is not increasing along the ray")
 
     # root solve: the rays of the lower cap never cross the level
     flat_below = Anon(lambda M, p: 0.0 if lower_cap(p) else 0.5 * float(p @ p))
-    msg = first_failure(lambda t: surface_integral(flat_below, M, 0.5, lambda p: 1.0, SPEC, t),
+    msg = first_failure(lambda t: surface_integral(flat_below, M, 0.5, ones, SPEC, t),
                         SPLITS, monkeypatch)
     assert msg.startswith(f"node {first}: no crossing of level 0.5")
 
-    # inside a stacked integrand: the gram check of riemann_stack
-    @stacked_integrand
+    # inside the integrand: the gram check of riemann_stack
     def stretched_below(P):
         F = np.where(lower_cap(P)[:, None, None], 2.0 * np.eye(3), np.eye(3))
         return riemann_stack(M, P, F).ricci_n
@@ -373,19 +406,21 @@ def test_guards_name_the_node_of_the_rule_whatever_the_split(monkeypatch):
 # Integrand contract and the split of a rule into stacks
 # ---------------------------------------------------------------------------
 
-def test_plain_pointwise_integrand_gets_one_point_at_a_time():
+def test_integrand_gets_point_stacks_covering_the_rule(monkeypatch):
     M = euclidean(3)
     u = RadialSquaredHalfField()
     seen = []
 
-    def area(p):
-        seen.append(np.shape(p))
-        return 1.0
+    def area(P):
+        seen.append(np.shape(P))
+        return np.ones(len(P))
 
+    monkeypatch.setattr(quadrature, "_CHUNK", 100)
     res = surface_integral(u, M, 0.5, area, QuadratureSpec(angular_orders=(16,)))
     assert abs(res.value - 4 * math.pi) <= 1e-10
-    assert set(seen) == {(3,)}
     assert res.node_count == 256
+    # the rule in stacks of at most 100 nodes, then its halved companion (8 x 8)
+    assert seen == [(100, 3), (100, 3), (56, 3), (64, 3)]
 
 
 def test_rows_do_not_depend_on_the_split(monkeypatch):

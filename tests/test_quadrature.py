@@ -37,6 +37,11 @@ from curvatura.symmetric_algebra import sigma_elementary
 SPEC = QuadratureSpec(angular_orders=(16,), level_order=8)
 
 
+def ones(P):
+    """The integrand 1 at every node of a point stack."""
+    return np.ones(len(P))
+
+
 def revolution_ellipsoid_m1(c):
     """Oracle: M_1 of {x^2 + y^2 + 4 z^2 = 2c} from its profile curve
     (a sin v, (a/2) cos v) rotated about the z axis (independent of the
@@ -130,23 +135,23 @@ class TestSurfaceIntegral:
     def test_euclidean_unit_sphere_area(self):
         M = euclidean(3)
         u = RadialSquaredHalfField()
-        res = surface_integral(u, M, 0.5, lambda p: 1.0, SPEC)
+        res = surface_integral(u, M, 0.5, ones, SPEC)
         assert abs(res.value - 4 * math.pi) <= 1e-10
         assert res.node_count == 256
 
     def test_hyperbolic_sphere_area(self):
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
-        res = surface_integral(u, M, 1.0, lambda p: 1.0, SPEC)
+        res = surface_integral(u, M, 1.0, ones, SPEC)
         assert abs(res.value - 4 * math.pi * math.sinh(1) ** 2) <= 1e-8
 
     def test_ellipsoid_total_mean_curvature(self):
         M = euclidean(3)
         u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
 
-        def sigma1(p):
-            pf = principal_frame(hessian_frame(u, M, p))
-            return sigma_elementary(pf.kappa, 1)
+        def sigma1(P):
+            return [sigma_elementary(principal_frame(hessian_frame(u, M, p)).kappa, 1)
+                    for p in P]
 
         res = surface_integral(u, M, 0.5, sigma1,
                                QuadratureSpec(angular_orders=(96,), level_order=4))
@@ -157,7 +162,7 @@ class TestSurfaceIntegral:
     def test_dimension_two_circle(self):
         M = euclidean(2)
         u = RadialSquaredHalfField()
-        res = surface_integral(u, M, 0.5, lambda p: 1.0, SPEC)
+        res = surface_integral(u, M, 0.5, ones, SPEC)
         assert res.value == pytest.approx(2 * math.pi, rel=1e-12)
 
 
@@ -165,13 +170,13 @@ class TestCoareaIntegral:
     def test_euclidean_shell_volume(self):
         M = euclidean(3)
         u = RadialDistanceField()
-        res = coarea_volume_integral(u, M, (1.0, 2.0), lambda p: 1.0, SPEC)
+        res = coarea_volume_integral(u, M, (1.0, 2.0), ones, SPEC)
         assert abs(res.value - 4 / 3 * math.pi * 7) <= 1e-9
 
     def test_hyperbolic_shell_volume(self):
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
-        res = coarea_volume_integral(u, M, (0.5, 1.0), lambda p: 1.0, SPEC)
+        res = coarea_volume_integral(u, M, (0.5, 1.0), ones, SPEC)
         oracle = 4 * math.pi * radial_integral(lambda t: math.sinh(t) ** 2, (0.5, 1.0))
         assert abs(res.value - oracle) <= 1e-8
 
@@ -179,9 +184,9 @@ class TestCoareaIntegral:
         M = warped(poly3_profile(), 3)
         u = RadialDistanceField()
 
-        def sigma2(p):
-            pf = principal_frame(hessian_frame(u, M, p))
-            return sigma_elementary(pf.kappa, 2)
+        def sigma2(P):
+            return [sigma_elementary(principal_frame(hessian_frame(u, M, p)).kappa, 2)
+                    for p in P]
 
         res = coarea_volume_integral(u, M, (0.5, 1.5), sigma2, SPEC)
         prof = poly3_profile()
@@ -193,7 +198,7 @@ class TestCoareaIntegral:
         M = euclidean(3)
         u = RadialDistanceField()
         with pytest.raises(ValueError):
-            coarea_volume_integral(u, M, (2.0, 1.0), lambda p: 1.0, SPEC)
+            coarea_volume_integral(u, M, (2.0, 1.0), ones, SPEC)
 
 
 class TestRefinementAndErrorEstimates:
@@ -203,7 +208,7 @@ class TestRefinementAndErrorEstimates:
         oracle = 8.671882703345052  # closed-form oblate area of the c=0.5 level
         errs = []
         for ao in (16, 32):
-            res = surface_integral(u, M, 0.5, lambda p: 1.0,
+            res = surface_integral(u, M, 0.5, ones,
                                    QuadratureSpec(angular_orders=(ao,), level_order=4))
             errs.append(abs(res.value - oracle))
         assert errs[1] < errs[0]
@@ -216,17 +221,17 @@ class TestRefinementAndErrorEstimates:
         uq = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
         oracle = 8.671882703345052
         for ao in (16, 32, 64):
-            res = surface_integral(uq, M, 0.5, lambda p: 1.0,
+            res = surface_integral(uq, M, 0.5, ones,
                                    QuadratureSpec(angular_orders=(ao,), level_order=4))
             assert abs(res.value - oracle) <= 10 * res.error_estimate
         us = RadialSquaredHalfField()
-        res = surface_integral(us, M, 0.5, lambda p: 1.0, SPEC)
+        res = surface_integral(us, M, 0.5, ones, SPEC)
         assert abs(res.value - 4 * math.pi) <= 10 * res.error_estimate
 
     def test_error_estimate_nonnegative_and_nodes_positive(self):
         M = euclidean(3)
         u = RadialSquaredHalfField()
-        res = surface_integral(u, M, 0.5, lambda p: 1.0, SPEC)
+        res = surface_integral(u, M, 0.5, ones, SPEC)
         assert res.error_estimate >= 0
         assert res.node_count > 0
 
@@ -236,9 +241,9 @@ class TestDeterminism:
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
 
-        def integrand(p):
-            pf = principal_frame(hessian_frame(u, M, p))
-            return sigma_elementary(pf.kappa, 1)
+        def integrand(P):
+            return [sigma_elementary(principal_frame(hessian_frame(u, M, p)).kappa, 1)
+                    for p in P]
 
         r1 = surface_integral(u, M, 1.0, integrand, SPEC, threads=1)
         r4 = surface_integral(u, M, 1.0, integrand, SPEC, threads=4)
@@ -251,8 +256,8 @@ class TestDeterminism:
     def test_repeat_runs_identical(self):
         M = euclidean(3)
         u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
-        a = surface_integral(u, M, 0.5, lambda p: 1.0, SPEC).value
-        b = surface_integral(u, M, 0.5, lambda p: 1.0, SPEC).value
+        a = surface_integral(u, M, 0.5, ones, SPEC).value
+        b = surface_integral(u, M, 0.5, ones, SPEC).value
         assert a == b
 
     def test_pairwise_sum_order_independent_of_layout(self):
@@ -298,8 +303,8 @@ TAP_SPEC = QuadratureSpec(angular_orders=(6,), level_order=2)
 def test_direct_integrals_count_once(tally):
     M = euclidean(3)
     u = RadialDistanceField()
-    s = quadrature.surface_integral(u, M, 1.0, lambda p: 1.0, TAP_SPEC)
-    c = quadrature.coarea_volume_integral(u, M, (0.5, 1.0), lambda p: 1.0, TAP_SPEC)
+    s = quadrature.surface_integral(u, M, 1.0, ones, TAP_SPEC)
+    c = quadrature.coarea_volume_integral(u, M, (0.5, 1.0), ones, TAP_SPEC)
     assert tally == {"surface_integral": [s.node_count],
                      "coarea_volume_integral": [c.node_count],
                      "coarea_volume_integral_multi": []}

@@ -13,7 +13,6 @@ from curvatura.symmetric_algebra import (
     jacobi_eigh,
     kronecker_delta,
     newton_matrices,
-    newton_operator,
     newton_partial_form,
     sigma_elementary,
     sigma_hessian_eig,
@@ -127,12 +126,12 @@ class TestSigmaHessian:
 
 class TestNewtonOperator:
     def test_diag_recursion(self):
-        T = newton_operator(np.diag([2.0, 3.0]), 1).matrix
+        T = newton_matrices(np.diag([2.0, 3.0]), 1)[1]
         np.testing.assert_allclose(T, np.diag([3.0, 2.0]), atol=1e-14)
 
     def test_order_zero_is_identity(self):
         rng = np.random.default_rng(1)
-        T = newton_operator(random_sym(rng, 3), 0).matrix
+        T = newton_matrices(random_sym(rng, 3), 0)[0]
         np.testing.assert_allclose(T, np.eye(3), atol=0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -142,7 +141,7 @@ class TestNewtonOperator:
             H = random_sym(rng, n) + 3.0 * np.eye(n)   # keep well-conditioned
             det = np.linalg.det(H)
             Hinv = np.linalg.inv(H)
-            T = newton_operator(H, n - 1).matrix
+            T = newton_matrices(H, n - 1)[n - 1]
             bound = 1e-9 * abs(det) * np.max(np.abs(Hinv)) * max(1.0, np.max(np.abs(H)))
             assert np.max(np.abs(T - det * Hinv)) <= bound
 
@@ -151,7 +150,7 @@ class TestNewtonOperator:
         rng = np.random.default_rng(30 + n)
         for _ in range(10):
             H = random_sym(rng, n)
-            T = newton_operator(H, n).matrix
+            T = newton_matrices(H, n)[n]
             scale = max(1.0, np.max(np.abs(H)))
             assert np.max(np.abs(T)) <= 1e-9 * scale ** n
 
@@ -163,7 +162,7 @@ class TestNewtonOperator:
         H = random_sym(rng, 4)
         w = np.linalg.eigvalsh(H)
         for r in range(5):
-            T = newton_operator(H, r).matrix
+            T = newton_matrices(H, r)[r]
             S = np.zeros((4, 4))
             for i in range(r + 1):
                 S += (-1) ** i * sigma_elementary(w, r - i) * np.linalg.matrix_power(H, i)
@@ -174,16 +173,16 @@ class TestNewtonOperator:
         for n in (2, 4, 6):
             for c in (0.7, -1.3):
                 for r in range(n):
-                    T = newton_operator(c * np.eye(n), r).matrix
+                    T = newton_matrices(c * np.eye(n), r)[r]
                     np.testing.assert_allclose(
                         T, binomial(n - 1, r) * c ** r * np.eye(n),
                         atol=1e-10 * max(1.0, abs(c) ** r))
 
     def test_order_range_validated(self):
         with pytest.raises(ValueError):
-            newton_operator(np.eye(3), 4)
+            newton_matrices(np.eye(3), 4)
         with pytest.raises(ValueError):
-            newton_operator(np.eye(3), -1)
+            newton_matrices(np.eye(3), -1)
 
 
 class TestNewtonPartialForm:
@@ -234,7 +233,7 @@ class TestTraceIdentity:
         H = random_sym(rng, 5)
         w = np.linalg.eigvalsh(H)
         for r in range(4):
-            T = newton_operator(H, r).matrix
+            T = newton_matrices(H, r)[r]
             lhs = np.trace(T @ H)
             rhs = (r + 1) * sigma_elementary(w, r + 1)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
