@@ -28,15 +28,15 @@ import numpy as np
 from .errors import GeometryError
 from .model_manifolds import (
     ModelManifold,
-    metric_diag_stack,
+    constant_curvature,
     radial_profile,
     riemann_at,
     riemann_stack,
+    sphere_total_mean_curvature,
     unit_sphere_volume,
 )
 from .level_set_geometry import (
     ScalarField,
-    _rowdot,
     hessian_frame,
     hessian_frame_stack,
     principal_frame,
@@ -45,18 +45,12 @@ from .level_set_geometry import (
 )
 from .quadrature import (
     QuadratureSpec,
-    _gl_on,
+    _within_working_radius,
     coarea_volume_integral_multi,
-    field_partials_stack,
-    pairwise_sum,
     radial_integral,
     surface_integral,
 )
-from .symmetric_algebra import (
-    binomial,
-    double_factorial,
-    elementary_all_stack,
-)
+from .symmetric_algebra import double_factorial, elementary_all_stack
 
 MCR_COLUMNS = ("model", "field", "n", "r", "level", "value", "error_estimate", "nodes")
 BREAKDOWN_COLUMNS = ("model", "field", "n", "r", "c1", "c2", "lhs", "term_principal",
@@ -234,71 +228,40 @@ def _node_geometry(u, M, P):
 # Total mean curvatures
 # ---------------------------------------------------------------------------
 
-def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float,
-                     spec: QuadratureSpec, threads: int):
-    """|{u < level}| with an exact radial oracle where available.
-
-    Radial fields (including the off-center distance, whose sublevel set is a
-    geodesic ball in a homogeneous model) reduce to the 1-d profile integral.
-    Other fields integrate the coarea fibration down to a small level and add
-    an analytically bounded core.
-    """
+def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
+    """(|{u < level}|, estimate, node count) in closed form: a geodesic ball
+    of radius rho = u.ball_radius(level) has volume |S^{n-1}| Int_0^rho
+    f^{n-1}, a quadratic field's flat ellipsoid |S^{n-1}|/n times its
+    semi-axes sqrt(2 level / lambda_i).  Refuses level <= 0, sets past the
+    working radius and every other field."""
+    if not level > 0:   # NaN included
+        raise GeometryError(f"the enclosed volume needs a positive level, got {level:g}")
     n = M.dim
-    f, _, _ = radial_profile(M)
-    sphere = unit_sphere_volume(n)
-
-    def ball_volume(rad):
-        return sphere * radial_integral(lambda t: f(t) ** (n - 1), (0.0, rad))
-
-    rho = u.star_radius(level)
+    rho = u.ball_radius(level)
     if rho is not None:
-        v = ball_volume(rho)
-        return v, 1e-14 * abs(v), 1
-    if u.kind == "offcenter":
-        # sublevel sets of a distance function are geodesic balls; in the
-        # homogeneous families their volume only depends on the radius
-        v = ball_volume(level)
-        return v, 1e-14 * abs(v), 1
-    if u.kind == "quadratic":
-        # quadratic levels scale like radius^2, so integrate the coarea
-        # profile in s = sqrt(level), where it is smooth down to the core
-        lam_min = min(np.linalg.eigvalsh(u.Q))
-        core_radius = 1e-3
-        eps_level = 0.5 * core_radius ** 2 * lam_min
-        if eps_level >= level:
-            raise GeometryError("level too small for the coarea core split")
-
-        def inv_grad(P):
-            du = field_partials_stack(u, M, P)
-            return 1.0 / np.sqrt(_rowdot(du, du / metric_diag_stack(M, P)))
-
-        def profile(order):
-            s_nodes, s_weights = _gl_on(math.sqrt(eps_level), math.sqrt(level), order)
-            parts, errs, nodes = [], 0.0, 0
-            for s, w in zip(s_nodes, s_weights):
-                res = surface_integral(u, M, s * s, inv_grad, spec, threads)
-                parts.append(w * 2.0 * s * res.value)
-                errs += abs(w) * 2.0 * s * res.error_estimate
-                nodes += res.node_count
-            return pairwise_sum(parts), errs, nodes
-
-        val, lerr, nodes = profile(spec.level_order)
-        val_lo, _, _ = profile(max(2, spec.level_order // 2))
-        core = ball_volume(core_radius)
-        err = abs(val - val_lo) + lerr + 0.5 * core
-        return val + 0.5 * core, err, nodes
-    raise GeometryError(f"no enclosed-volume path for field '{u.kind}'")
+        f, _, _ = radial_profile(M)
+        _within_working_radius(M, level, rho)
+        v = unit_sphere_volume(n) * radial_integral(lambda t: f(t) ** (n - 1), (0.0, rho))
+    elif u.kind == "quadratic":
+        u._check(M)
+        axes = [math.sqrt(2.0 * level / lam) for lam in u.eigenvalues]
+        _within_working_radius(M, level, max(axes), "ellipsoid")
+        v = unit_sphere_volume(n) / n * math.prod(axes)
+    else:
+        raise GeometryError(f"no enclosed-volume path for field '{u.kind}'")
+    return v, 1e-14 * abs(v), 1
 
 
 def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,
                          spec: QuadratureSpec = QuadratureSpec(),
                          threads: int = 1) -> MeanCurvatureReport:
-    """M_r of the level set {u = level}; M_{-1} is the enclosed volume."""
+    """M_r of the level set {u = level}; M_{-1} is the enclosed volume,
+    in closed form (_enclosed_volume, which reads no spec or threads)."""
     n = M.dim
     if not -1 <= r <= n - 1:
         raise ValueError(f"order r must lie in [-1, {n - 1}], got {r}")
     if r == -1:
-        value, err, nodes = _enclosed_volume(u, M, level, spec, threads)
+        value, err, nodes = _enclosed_volume(u, M, level)
         return MeanCurvatureReport(r=r, value=value, error_estimate=err,
                                    level=level, node_count=nodes)
 
@@ -422,20 +385,9 @@ def solanes_prediction(m: dict, a: float, n: int) -> float:
 
 def ball_bound(r: int, rho: float, a: float, n: int) -> float:
     """M_r of the boundary of a radius-rho ball in the constant-curvature-a
-    model (Euclidean closed form at a = 0)."""
-    if a > 0:
-        raise ValueError("ball bounds are for a <= 0")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"order r must lie in [0, {n - 1}], got {r}")
-    if a == 0:
-        fval, dval = rho, 1.0
-    else:
-        s = math.sqrt(-a)
-        fval, dval = math.sinh(s * rho) / s, math.cosh(s * rho)
-    return binomial(n - 1, r) * unit_sphere_volume(n) \
-        * fval ** (n - 1 - r) * dval ** r
+    model: the geodesic-sphere closed form, with that model's checks
+    (a <= 0 and within overflow range, rho > 0, 0 <= r <= n-1)."""
+    return sphere_total_mean_curvature(constant_curvature(a, n), r, rho)
 
 
 def m1_volume_bound(a: float, vol: float, n: int):

@@ -69,6 +69,10 @@ class ScalarField:
     return the partials (N, n) and second partials (N, n, n) of every row.
     Fields with closed forms define both and set `stacked`; the base class
     defines only partials_stack, which calls partials() row by row.
+
+    ball_radius(level) is the radius of the geodesic ball {u < level} when
+    that set is one; star_radius(level) is that radius when the ball is
+    centred on the chart base point.
     """
 
     kind = "abstract"
@@ -92,6 +96,10 @@ class ScalarField:
 
     def partials_stack(self, M: ModelManifold, P) -> np.ndarray:
         return np.array([self.partials(M, p) for p in P], dtype=float).reshape(len(P), M.dim)
+
+    def ball_radius(self, level: float):
+        """None unless {u < level} is a geodesic ball (never for level <= 0)."""
+        return None
 
     def star_radius(self, level: float):
         """Radius of the level sphere about the chart base point when the
@@ -123,8 +131,8 @@ def _centered(center, M: ModelManifold, P) -> np.ndarray:
 
 class _RadialField(ScalarField):
     """Base of the fields radial about the chart base point, or about a
-    Cartesian `center`: closed-form stacks, and exact level spheres when the
-    center is the base point."""
+    Cartesian `center`: closed-form stacks, sublevel balls about any center,
+    and exact level spheres when the center is the base point."""
 
     analytic = True
     stacked = True
@@ -132,14 +140,10 @@ class _RadialField(ScalarField):
     def __init__(self, center=None):
         self.center = None if center is None else np.asarray(center, dtype=float)
 
-    def _level_radius(self, level):
-        """Radius of the level sphere of a positive level."""
-        raise NotImplementedError
-
     def star_radius(self, level):
         if self.center is not None and np.any(self.center != 0.0):
             return None
-        return self._level_radius(level) if level > 0 else None
+        return self.ball_radius(level)
 
     def describe(self):
         d = {"field": self.kind}
@@ -193,8 +197,8 @@ class RadialDistanceField(_RadialField):
         W = X / d[:, None]
         return (np.eye(M.dim) - W[:, :, None] * W[:, None, :]) / d[:, None, None]
 
-    def _level_radius(self, level):
-        return level
+    def ball_radius(self, level):
+        return level if level > 0 else None
 
 
 class RadialSquaredHalfField(_RadialField):
@@ -239,8 +243,8 @@ class RadialSquaredHalfField(_RadialField):
             D2[:, np.arange(M.dim), np.arange(M.dim)] = 1.0
         return D2
 
-    def _level_radius(self, level):
-        return math.sqrt(2.0 * level)
+    def ball_radius(self, level):
+        return math.sqrt(2.0 * level) if level > 0 else None
 
 
 class QuadraticFormField(ScalarField):
@@ -259,6 +263,8 @@ class QuadraticFormField(ScalarField):
         w, _ = jacobi_eigh(self.Q)
         if w[0] <= 0:
             raise ValueError("Q must be positive definite")
+        # ascending, as Python floats: the sublevel ellipsoid's semi-axes
+        self.eigenvalues = tuple(float(x) for x in w)
         self.center = None if center is None else np.asarray(center, dtype=float)
 
     def _check(self, M):
@@ -326,6 +332,10 @@ class OffCenterDistanceField(ScalarField):
         arg = (math.cosh(s * r) * math.cosh(s * self.offset)
                - math.sinh(s * r) * math.sinh(s * self.offset) * cosg)
         return math.acosh(max(arg, 1.0)) / s
+
+    def ball_radius(self, level):
+        # about the offset point, in a model _bind_check keeps homogeneous
+        return level if level > 0 else None
 
     def describe(self):
         return {"field": self.kind, "offset": self.offset}

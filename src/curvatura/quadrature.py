@@ -177,14 +177,19 @@ def field_partials_stack(u: ScalarField, M: ModelManifold, P) -> np.ndarray:
     return np.array([field_partials(u, M, p) for p in P]).reshape(len(P), M.dim)
 
 
-def _star_radius(u: ScalarField, M: ModelManifold, level: float):
-    """u.star_radius(level), refused beyond the working radius, as a root
-    solve refuses a crossing there."""
-    sr = u.star_radius(level)
-    if sr is not None and sr > M.working_radius:
-        raise GeometryError(f"the level-{level:g} sphere (radius {sr:g}) lies beyond "
+def _within_working_radius(M: ModelManifold, level: float, radius: float,
+                           shape: str = "sphere") -> float:
+    """radius, refused past the working radius, as a root solve refuses a crossing there."""
+    if not radius <= M.working_radius:   # NaN included
+        raise GeometryError(f"the level-{level:g} {shape} (radius {radius:g}) lies beyond "
                             f"the working radius {M.working_radius:g}")
-    return sr
+    return radius
+
+
+def _star_radius(u: ScalarField, M: ModelManifold, level: float):
+    """u.star_radius(level), refused beyond the working radius."""
+    sr = u.star_radius(level)
+    return sr if sr is None else _within_working_radius(M, level, sr)
 
 
 def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) -> float:

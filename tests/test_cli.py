@@ -155,6 +155,7 @@ def compute_cfg(**changes):
                "sweep": {"kind": "sphere", "rho": {"grid": [0.5, 1e300]}, "r": [1]}},
      2, "sweep.rho.grid[1]"),
     ("compute", compute_cfg(field={"field": "radial"}, level=1e300), 3, "working radius"),
+    ("compute", compute_cfg(field={"field": "radial"}, r=-1, level=1e300), 3, "working radius"),
 ])
 def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, names):
     cfg = write_cfg(tmp_path, "c.json", obj)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from curvatura.errors import GeometryError
 from curvatura.model_manifolds import (
     constant_curvature,
     euclidean,
@@ -104,8 +105,55 @@ class TestTotalMeanCurvature:
         rep = total_mean_curvature(u, M, 0.5, -1,
                                    QuadratureSpec(angular_orders=(32,), level_order=12))
         exact = 4 / 3 * math.pi * 0.5
-        assert rep.value == pytest.approx(exact, rel=1e-4)
+        assert rep.value == pytest.approx(exact, rel=1e-12)
         assert abs(rep.value - exact) <= 10 * rep.error_estimate
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_enclosed_volume_off_centre_closed_forms(self, n):
+        # balls and ellipsoids about a centre off the base point: the volume
+        # of the unit ball times the semi-axes
+        M = euclidean(n)
+        c = np.zeros(n)
+        c[0] = 0.1
+        unit_ball = {3: 4 * math.pi / 3, 5: 8 * math.pi ** 2 / 15}[n]
+        # Q's eigenvalues are 1 and 3 (its 2x2 block), 1, then n - 3 fours
+        Q = np.diag([2.0, 2.0] + [1.0] + [4.0] * (n - 3))
+        Q[0, 1] = Q[1, 0] = 1.0
+        det = 3.0 * 4.0 ** (n - 3)
+        cases = ((RadialDistanceField(center=c), 1.3, 1.3 ** n),
+                 (RadialSquaredHalfField(center=c), 0.5, 1.0),
+                 (QuadraticFormField(Q, center=c), 0.5, 1.0 / math.sqrt(det)),
+                 (QuadraticFormField(np.diag([1.0] * (n - 1) + [4.0]), center=c), 0.5, 0.5))
+        for u, level, axes_product in cases:
+            rep = total_mean_curvature(u, M, level, -1, SPEC)
+            exact = unit_ball * axes_product
+            assert rep.value == pytest.approx(exact, rel=1e-12)
+            assert abs(rep.value - exact) <= rep.error_estimate
+            assert rep.node_count == 1
+
+    def test_enclosed_volume_refuses_nonpositive_levels(self):
+        H = constant_curvature(-1.0, 3)
+        E = euclidean(3)
+        cases = ((RadialDistanceField(), H), (RadialSquaredHalfField(), H),
+                 (RadialDistanceField(center=[0.1, 0.0, 0.0]), E),
+                 (QuadraticFormField(np.diag([1.0, 1.0, 4.0])), E),
+                 (OffCenterDistanceField(0.3), H), (OffCenterDistanceField(0.3), E))
+        for u, M in cases:
+            for level in (0.0, -0.0, -1.0, math.nan):
+                with pytest.raises(GeometryError, match="positive level"):
+                    total_mean_curvature(u, M, level, -1, SPEC)
+
+    def test_enclosed_volume_refuses_sets_past_the_working_radius(self):
+        # M_0 refuses these level sets too: they cross the working radius
+        cases = ((RadialDistanceField(), constant_curvature(-1.0, 3), 50.0),
+                 (RadialDistanceField(), euclidean(3), 1e300),
+                 (RadialSquaredHalfField(center=[0.1, 0.0, 0.0]), euclidean(3), 50.5),
+                 (OffCenterDistanceField(0.3), constant_curvature(-1.0, 3), 10.5),
+                 (QuadraticFormField(np.diag([1.0, 1.0, 4.0])), euclidean(3), 1e300),
+                 (QuadraticFormField(np.diag([0.01, 1.0, 4.0])), euclidean(3), 0.6))
+        for u, M, level in cases:
+            with pytest.raises(GeometryError, match="working radius"):
+                total_mean_curvature(u, M, level, -1, SPEC)
 
     def test_order_range(self):
         M = euclidean(3)
