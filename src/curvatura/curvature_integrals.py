@@ -50,7 +50,7 @@ from .quadrature import (
     radial_integral,
     surface_integral,
 )
-from .symmetric_algebra import double_factorial, elementary_all_stack
+from .symmetric_algebra import double_factorial, elementary_all_stack, sigma_stack
 
 MCR_COLUMNS = ("model", "field", "n", "r", "level", "value", "error_estimate", "nodes")
 BREAKDOWN_COLUMNS = ("model", "field", "n", "r", "c1", "c2", "lhs", "term_principal",
@@ -206,16 +206,6 @@ def correction_sums_stack(kappa, derivs, rd, grad_norm, r: int):
     return sect, mixed / grad_norm
 
 
-def _sigma_stack(e: np.ndarray, r: int) -> np.ndarray:
-    """sigma_r per row from elementary_all_stack rows (sigma_elementary's
-    conventions: 1 at r = 0, 0 beyond the row length)."""
-    if r == 0:
-        return np.ones(e.shape[0])
-    if r >= e.shape[1]:
-        return np.zeros(e.shape[0])
-    return e[:, r]
-
-
 def _node_geometry(u, M, P):
     """Hessian data and principal frames of a node stack, and the
     elementary symmetric functions of its principal curvatures."""
@@ -266,7 +256,7 @@ def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,
                                    level=level, node_count=nodes)
 
     def integrand(P):
-        return _sigma_stack(_node_geometry(u, M, P)[2], r)
+        return sigma_stack(_node_geometry(u, M, P)[2], r)
 
     res = surface_integral(u, M, level, integrand, spec, threads)
     return MeanCurvatureReport(r=r, value=res.value, error_estimate=res.error_estimate,
@@ -289,7 +279,7 @@ def _comparison(u, M, levels, r, spec, threads, corrections,
 
     def integrand(P):
         hd, pf, e = _node_geometry(u, M, P)
-        return np.column_stack(((r + 1) * _sigma_stack(e, r + 1), *corrections(P, hd, pf, e)))
+        return np.column_stack(((r + 1) * sigma_stack(e, r + 1), *corrections(P, hd, pf, e)))
 
     terms, errs, nodes_rhs = coarea_volume_integral_multi(
         u, M, levels, integrand, spec, 3, threads)
@@ -338,7 +328,7 @@ def comparison_rhs_constant(u: ScalarField, M: ModelManifold, levels, r: int,
 
     def corrections(P, hd, pf, e):
         zero = np.zeros(len(P))
-        return (zero if r == 0 else -a * (n - r) * _sigma_stack(e, r - 1)), zero
+        return (zero if r == 0 else -a * (n - r) * sigma_stack(e, r - 1)), zero
 
     return _comparison(u, M, levels, r, spec, threads, corrections, path="constant")
 

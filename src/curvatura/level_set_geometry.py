@@ -1,7 +1,8 @@
 """Scalar fields on model manifolds and the level-set geometry built on them:
 covariant Hessians in orthonormal frames, principal curvature frames, r-th
-mean curvatures of level sets, and pointwise residuals of the two Reilly-type
-identities together with the curvature contraction for div(T_r).
+mean curvatures of level sets, and residuals of the two Reilly-type identities
+together with the curvature contraction for div(T_r), per point and over node
+stacks.
 
 Conventions.  Operations take chart coordinates as plain arrays.  The
 orthonormal frame attached to a point is the one obtained from the triangular
@@ -28,14 +29,18 @@ from .model_manifolds import (
     metric_diag,
     metric_diag_stack,
     riemann_at,
+    riemann_stack,
 )
 from .symmetric_algebra import (
+    elementary_all_stack,
     jacobi_eigh,
     jacobi_eigh_stack,
     matmul_stack,
     newton_matrices,
+    newton_matrices_stack,
     parity_between,
     sigma_elementary,
+    sigma_stack,
 )
 
 EPS_GRAD = 1e-8
@@ -116,6 +121,21 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     for i in range(1, X.shape[1]):
         out = out + X[:, i] * Y[:, i]
     return out
+
+
+def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Products A[k] @ X[k] of a matrix stack and a vector stack."""
+    return matmul_stack(A, X[:, :, None])[:, :, 0]
+
+
+def _check_gradients(grad_norm: np.ndarray, what: str):
+    """Raise for the first node of a stack whose |grad u| is not above
+    EPS_GRAD (NaN included)."""
+    bad = ~(grad_norm > EPS_GRAD)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise node_error(DegenerateGradientError, k,
+                         f"|grad u| = {grad_norm[k]:.3e} <= {EPS_GRAD:g}: {what}")
 
 
 def _centered(center, M: ModelManifold, P) -> np.ndarray:
@@ -567,11 +587,7 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
     node whose gradient is degenerate.  The shape operators are
     diagonalized by jacobi_eigh_stack."""
     gn = hd.grad_norm
-    bad = ~(gn > EPS_GRAD)   # NaN included
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise node_error(DegenerateGradientError, k,
-                         f"|grad u| = {gn[k]:.3e} <= {EPS_GRAD:g}: level-set frame undefined")
+    _check_gradients(gn, "level-set frame undefined")
     N, n = hd.grad_frame.shape
     nu_f = hd.grad_frame / gn[:, None]
     # Householder complement of nu, as in _householder_complement
@@ -623,6 +639,18 @@ def _reilly2_sides(u: ScalarField, M: ModelManifold, p, r: int):
     T = newton_matrices(hd.hess_frame, r)[r]
     g = hd.grad_frame
     return lhs, float(g @ T @ g) / hd.grad_norm ** (r + 2)
+
+
+def reilly2_sides_stack(u: ScalarField, M: ModelManifold, P, r: int):
+    """_reilly2_sides at every row of an (N, n) point stack: (lhs, rhs), each
+    of shape (N,).  The sides keep their independent routes: sigma_r of the
+    principal curvatures from principal_frame_stack, and the Newton
+    recursion of newton_matrices_stack contracted against the gradient."""
+    hd = hessian_frame_stack(u, M, P)
+    lhs = sigma_stack(elementary_all_stack(principal_frame_stack(hd).kappa), r)
+    T = newton_matrices_stack(hd.hess_frame, r)[r]
+    g = hd.grad_frame
+    return lhs, _rowdot(g, _matvec(T, g)) / hd.grad_norm ** (r + 2)
 
 
 @lru_cache(maxsize=None)
@@ -680,6 +708,34 @@ def div_newton_frame(u: ScalarField, M: ModelManifold, p, r: int) -> np.ndarray:
                 prod *= H[a, b]
             tot += prod * W[wkey]
         out[j] = tot
+    return out
+
+
+def div_newton_stack(M: ModelManifold, P, hd: HessianData, r: int) -> np.ndarray:
+    """div_newton_frame at every row of an (N, n) point stack, given the
+    stack's hessian_frame_stack hd: (N, n), by the same contraction table
+    term for term."""
+    if r < 1:
+        raise ValueError(f"div(T_r) contraction needs r >= 1, got {r}")
+    N, n = hd.grad_frame.shape
+    _check_gradients(hd.grad_norm, "degenerate gradient in div(T_r)")
+    if M.is_flat:
+        return np.zeros((N, n))
+    R = riemann_stack(M, P, hd.frame).R
+    g = hd.grad_frame
+    W = R[..., 0] * g[:, 0, None, None, None]
+    for l in range(1, n):
+        W = W + R[..., l] * g[:, l, None, None, None]
+    H = hd.hess_frame
+    out = np.zeros((N, n))
+    for j, row in enumerate(_div_contraction_table(n, r)):
+        tot = np.zeros(N)
+        for sgn, pairs, (a, b, c) in row:
+            prod = float(sgn)
+            for (x, y) in pairs:
+                prod = prod * H[:, x, y]
+            tot = tot + prod * W[:, a, b, c]
+        out[:, j] = tot
     return out
 
 
@@ -761,3 +817,40 @@ def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> f
         lhs += (wp - wm) / (2 * steps[i])
     lhs /= vol0
     return abs(lhs - rhs)
+
+
+def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> np.ndarray:
+    """reilly1_residual at every row of an (N, n) point stack and every step
+    h of hs: (len(hs), N).
+
+    The RHS does not depend on the step, so it is formed once per row, from
+    one stack of centres.  The 2n stencil points of every row and step form
+    one stack, placed by fd_steps as reilly1_residual places them.
+    """
+    if r < 1:
+        raise ValueError(f"the identity needs r >= 1, got {r}")
+    P = np.asarray(P, dtype=float)
+    N, n = P.shape
+    hd0 = hessian_frame_stack(u, M, P)
+    _check_gradients(hd0.grad_norm, "degenerate gradient at the center point")
+    rhs = r * sigma_stack(elementary_all_stack(principal_frame_stack(hd0).kappa), r)
+    if r >= 2:
+        divT = div_newton_stack(M, P, hd0, r - 1)
+        rhs = rhs + _rowdot(divT, hd0.grad_frame) / hd0.grad_norm ** r
+
+    # Q[s, k, i, 0 / 1] = row k moved by +/- its step-s offset along axis i
+    steps = np.array([[fd_steps(M, p, h) for p in P] for h in hs]).reshape(len(hs), N, n)
+    offsets = steps[:, :, :, None] * np.eye(n)
+    Q = np.stack([P[None, :, None, :] + offsets, P[None, :, None, :] - offsets], axis=3)
+    Q = Q.reshape(-1, n)
+    hd = hessian_frame_stack(u, M, Q)
+    _check_gradients(hd.grad_norm, "degenerate gradient in the stencil")
+    Tm = newton_matrices_stack(hd.hess_frame, r - 1)[r - 1]
+    Vc = _matvec(hd.frame, _matvec(Tm, hd.grad_frame) / hd.grad_norm[:, None] ** r)
+    vol = np.sqrt(np.prod(metric_diag_stack(M, Q), axis=1))
+    weighted = (vol[:, None] * Vc).reshape(len(hs), N, n, 2, n)
+    lhs = 0.0
+    for i in range(n):
+        lhs = lhs + (weighted[:, :, i, 0, i] - weighted[:, :, i, 1, i]) / (2 * steps[:, :, i])
+    lhs = lhs / np.sqrt(np.prod(metric_diag_stack(M, P), axis=1))
+    return np.abs(lhs - rhs)

@@ -87,6 +87,16 @@ def elementary_all_stack(X) -> np.ndarray:
     return e
 
 
+def sigma_stack(e: np.ndarray, r: int) -> np.ndarray:
+    """sigma_r per row from elementary_all_stack rows (sigma_elementary's
+    conventions: 1 at r = 0, 0 beyond the row length)."""
+    if r == 0:
+        return np.ones(e.shape[0])
+    if r >= e.shape[1]:
+        return np.zeros(e.shape[0])
+    return e[:, r]
+
+
 def matmul_stack(A, B) -> np.ndarray:
     """Products A[k] @ B[k] of two matrix stacks, summed over the inner
     index in ascending order.  Each product is formed by the same
@@ -249,17 +259,9 @@ def _sorted_eigenpairs(w: np.ndarray, V: np.ndarray):
     return np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
 
 
-def jacobi_eigh_stack(H):
-    """jacobi_eigh of every matrix of a stack (N, m, m), bit-identical to
-    calling it on each matrix.
-
-    The stack is validated once, with as_sym_matrix's checks made per
-    matrix, and symmetrized the same way.  A matrix whose off-diagonal part
-    is already within tolerance (every shape operator of a radial field)
-    keeps its diagonal and the identity, as the sweep loop does when it
-    stops before its first rotation; the others run the sweeps of
-    jacobi_eigh one by one.  The sort is one stable argsort of the stack.
-    """
+def _as_sym_stack(H) -> np.ndarray:
+    """as_sym_matrix of every matrix of a stack (N, m, m): the checks are
+    made per matrix and name the first one that fails."""
     A = np.array(H, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
@@ -269,7 +271,7 @@ def jacobi_eigh_stack(H):
     if m > MAX_DIM:
         raise CapabilityError(f"dimension {m} exceeds the design bound {MAX_DIM}")
     if N == 0:
-        return np.zeros((0, m)), np.zeros((0, m, m))
+        return A
     amax = np.abs(A).max(axis=(1, 2))
     bad = ~np.isfinite(amax)
     if bad.any():
@@ -282,7 +284,28 @@ def jacobi_eigh_stack(H):
     asym = np.abs(A - At).max(axis=(1, 2)) > 1e-9 * scale
     if asym.any():
         raise ValueError(f"matrix {int(np.argmax(asym))} of the stack is not symmetric")
-    A = 0.5 * (A + At)
+    return 0.5 * (A + At)
+
+
+def jacobi_eigh_stack(H):
+    """jacobi_eigh of every matrix of a stack (N, m, m), bit-identical to
+    calling it on each matrix.
+
+    The stack is validated once, with as_sym_matrix's checks made per
+    matrix, and symmetrized the same way.  A matrix whose off-diagonal part
+    is already within tolerance (every shape operator of a radial field)
+    keeps its diagonal and the identity, as the sweep loop does when it
+    stops before its first rotation; the others run the sweeps of
+    jacobi_eigh one by one.  The sort is one stable argsort of the stack.
+    """
+    return _jacobi_eigh_stack(_as_sym_stack(H))
+
+
+def _jacobi_eigh_stack(A: np.ndarray):
+    """jacobi_eigh_stack of a stack that _as_sym_stack returned."""
+    N, m = A.shape[0], A.shape[1]
+    if N == 0:
+        return np.zeros((0, m)), np.zeros((0, m, m))
     if m == 1:
         return A[:, :, 0].copy(), np.ones((N, 1, 1))
     tol = _JACOBI_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), _TINY)
@@ -382,6 +405,24 @@ def _newton_matrices(A: np.ndarray, r: int):
         T = e[k] * I - mats[-1] @ A
         mats.append(0.5 * (T + T.T))
     return mats, e
+
+
+def newton_matrices_stack(H, r: int) -> list[np.ndarray]:
+    """newton_matrices of every matrix of a stack (N, n, n): [T_0, ..., T_r],
+    each (N, n, n), by the same recursion on jacobi_eigh_stack eigenvalues.
+    Products are summed in ascending index order (matmul_stack), so members
+    agree with newton_matrices to roundoff, not bitwise."""
+    A = _as_sym_stack(H)
+    N, n = A.shape[0], A.shape[1]
+    if not 0 <= r <= n:
+        raise ValueError(f"order r must satisfy 0 <= r <= {n}, got {r}")
+    I = np.eye(n)
+    e = elementary_all_stack(_jacobi_eigh_stack(A)[0])
+    mats = [np.broadcast_to(I, (N, n, n)).copy()]
+    for k in range(1, r + 1):
+        T = e[:, k, None, None] * I - matmul_stack(mats[-1], A)
+        mats.append(0.5 * (T + T.transpose(0, 2, 1)))
+    return mats
 
 
 def newton_partial_form(H, r: int) -> np.ndarray:

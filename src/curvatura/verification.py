@@ -39,10 +39,10 @@ from .level_set_geometry import (
     QuadraticFormField,
     RadialDistanceField,
     RadialSquaredHalfField,
-    _reilly2_sides,
     div_newton_fd,
     div_newton_frame,
-    reilly1_residual,
+    reilly1_residual_stack,
+    reilly2_sides_stack,
     sphere_direction,
 )
 from .quadrature import QuadratureSpec, radial_integral
@@ -213,12 +213,38 @@ def _spawn(seed: int):
 # Pointwise suite
 # ---------------------------------------------------------------------------
 
+def _worst(values) -> float:
+    """The largest of the values, NaN if any is NaN (Python's max drops a
+    NaN that is not its first argument); 0.0 for none."""
+    return float(np.max(values, initial=0.0))
+
+
+def _convergence_order(s_h: float, s_h2: float) -> float:
+    """log2(s_h / s_h2) of two sums of nonnegative residuals: inf when only
+    the finer sum vanishes (or both do), -inf when only the coarser one
+    does, NaN when either is not finite."""
+    if not (math.isfinite(s_h) and math.isfinite(s_h2)):
+        return math.nan
+    if s_h2 == 0.0:
+        return math.inf
+    if s_h == 0.0:
+        return -math.inf
+    return math.log2(s_h / s_h2)
+
+
 def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     """Randomized pointwise checks: the sigma_r identity of the projected
     shape operator vs the Newton contraction, the finite-difference
     divergence identity (with convergence orders), the div(T_r) curvature
     contraction vs its finite-difference oracle, the correction-term
-    enumeration vs the div route, and the algebra dual paths."""
+    enumeration vs the div route, and the algebra dual paths.
+
+    Each case draws all of its sample points first, from its own generator.
+    The reilly2 and reilly1_order cases then evaluate their points as node
+    stacks (reilly2_sides_stack, reilly1_residual_stack); the div_newton
+    cases and the algebra dual paths stay per point, on the scalar kernels.
+    Every worst case and sum propagates NaN, so a NaN residual fails its
+    case."""
     cs = _Cases("pointwise")
     models = _default_models()
     n_pts = 40 if cfg.quick else 200
@@ -232,17 +258,14 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
         cs.required.append((M.label, r))
         cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly2"
         with cs.timed(cid):
-            worst, worst_p = 0.0, None
-            for _ in range(n_pts):
-                p = _sample_point(M, rng)
-                lhs, rhs = _reilly2_sides(u, M, p, r)
-                res = abs(lhs - rhs) / max(1.0, abs(lhs))
-                if res > worst:
-                    worst, worst_p = res, p
+            P = np.array([_sample_point(M, rng) for _ in range(n_pts)])
+            lhs, rhs = reilly2_sides_stack(u, M, P, r)
+            res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
+            worst = _worst(res)
             cs.add(cid, M.label, u.kind, M.dim, r, "max_rel_residual", worst, tol_r2, worst < tol_r2,
                    {"model": M.describe(), "field": u.describe(), "r": r,
                     "points": n_pts, "seed": seed,
-                    "worst_point": None if worst_p is None else list(worst_p)})
+                    "worst_point": None if worst == 0.0 else list(P[int(np.argmax(res))])})
 
     for (M, u, r), (rng, seed) in zip(_field_grid(models, 1), rngs):
         cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly1_order"
@@ -250,34 +273,37 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
             # fields without analytic derivatives have an inner-FD noise
             # floor ~1e-8; a larger outer step keeps truncation dominant
             h = 2e-3 if u.analytic else 6e-3
+            P = np.array([_sample_point(M, rng) for _ in range(n_pts_fd)])
+            res = reilly1_residual_stack(u, M, P, r, (h, h / 2))
+            # summed left to right in sample order (sum() compensates on
+            # Python >= 3.12, which would move the pinned orders)
             s_h = s_h2 = 0.0
-            for _ in range(n_pts_fd):
-                p = _sample_point(M, rng)
-                s_h += reilly1_residual(u, M, p, r, h)
-                s_h2 += reilly1_residual(u, M, p, r, h / 2)
-            order = math.log2(s_h / s_h2) if s_h2 > 0 else math.inf
+            for a, b in res.T.tolist():
+                s_h += a
+                s_h2 += b
+            order = _convergence_order(s_h, s_h2)
             cs.add(cid, M.label, u.kind, M.dim, r, "convergence_order", order, tol_order,
                    order >= tol_order,
                    {"model": M.describe(), "field": u.describe(), "r": r,
                     "h": h, "points": n_pts_fd, "seed": seed},
-                   expected=2.0, residual=max(0.0, tol_order - order))
+                   expected=2.0, residual=0.0 if order >= tol_order else tol_order - order)
 
     for (M, u, r), (rng, seed) in zip(_field_grid(models, 1), rngs):
         cid = f"pointwise/{M.label}/{u.kind}/r={r}/div_newton"
         flat = M.is_flat
         with cs.timed(cid):
-            worst = worst_corr = 0.0
+            divs, corrs = [], []
             for _ in range(n_pts_div):
                 p = _sample_point(M, rng)
                 dn = div_newton_frame(u, M, p, r)
                 if flat:
-                    worst = max(worst, float(np.max(np.abs(dn))))
+                    divs.append(float(np.max(np.abs(dn))))
                 else:
                     oracle = div_newton_fd(u, M, p, r, h=1e-3)
                     scale = max(1.0, float(np.max(np.abs(dn))))
-                    worst = max(worst, float(np.max(np.abs(dn - oracle))) / scale)
-                    worst_corr = max(worst_corr,
-                                     comparison_correction_residual(u, M, p, r))
+                    divs.append(float(np.max(np.abs(dn - oracle))) / scale)
+                    corrs.append(comparison_correction_residual(u, M, p, r))
+            worst, worst_corr = _worst(divs), _worst(corrs)
             tol = cfg.tol("div_flat", 1e-12) if flat else cfg.tol("div_fd", 1e-4)
             cs.add(cid, M.label, u.kind, M.dim, r, "max_div_residual", worst, tol, worst < tol,
                    {"model": M.describe(), "field": u.describe(), "r": r,
@@ -292,19 +318,18 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     n_mats = 20 if cfg.quick else 100
     for n, (rng, seed) in zip(range(2, 7), rngs):
         with cs.timed(f"pointwise/algebra/n={n}"):
-            worst_sigma = worst_trace = 0.0
+            sigmas, traces = [], []
             for _ in range(n_mats):
                 A = rng.normal(size=(n, n))
                 H = A + A.T
                 scale = max(1.0, float(np.max(np.abs(H))))
                 for r in range(1, n + 1):
                     d = abs(sigma_hessian_eig(H, r) - sigma_hessian_kronecker(H, r))
-                    worst_sigma = max(worst_sigma, d / scale ** r)
+                    sigmas.append(d / scale ** r)
                     if r <= n - 1:
-                        worst_trace = max(worst_trace,
-                                          trace_identity_residual(H, r) / scale ** (r + 1))
-            for metric, worst, key in (("sigma_dual_path", worst_sigma, "sigma_dual"),
-                                       ("trace_identity", worst_trace, "trace")):
+                        traces.append(trace_identity_residual(H, r) / scale ** (r + 1))
+            for metric, worst, key in (("sigma_dual_path", _worst(sigmas), "sigma_dual"),
+                                       ("trace_identity", _worst(traces), "trace")):
                 tol = cfg.tol(key, 1e-10)
                 cs.add(f"pointwise/algebra/n={n}/{metric}", "algebra", "-", n, None, metric,
                        worst, tol, worst < tol,

@@ -243,6 +243,20 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "suites[0]" in capsys.readouterr().err
 
+    def test_quick_csvs_are_byte_identical_across_runs_and_threads(self, tmp_path):
+        # the determinism contract: reruns and --threads values write the
+        # same CSV bytes
+        cfg = write_cfg(tmp_path, "v.json", {"schema_version": 1, "seed": 12345,
+                                             "suites": ["pointwise", "asymptotic"]})
+        csvs = []
+        for k, threads in enumerate(("1", "1", "2")):
+            out = tmp_path / f"o{k}"
+            assert main(["verify", "--config", cfg, "--out", str(out), "--quick",
+                         "--threads", threads]) == 0
+            csvs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+        assert sorted(csvs[0]) == ["suite_asymptotic.csv", "suite_pointwise.csv"]
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
     def test_seed_env_override(self, tmp_path):
         cfg = write_cfg(tmp_path, "v.json",
                         {"schema_version": 1, "suites": ["asymptotic"], "seed": 5})

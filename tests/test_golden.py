@@ -26,8 +26,17 @@ stay as they are; delete the file to re-pin everything, only when a change
 of results is intended and checked):
 
     PYTHONPATH=src python tests/test_golden.py
+
+To list every pinned value that the current code moves outside the lock
+(where, pinned value, new value, relative move), writing nothing:
+
+    PYTHONPATH=src python tests/test_golden.py --moved
+
+A value moved on purpose is then re-pinned by hand in the data file.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -115,17 +124,50 @@ def quick_suite(suite: str) -> dict:
                         "tolerance": c.tolerance} for c in rep.cases}
 
 
-def assert_record_close(got: dict, want: dict, where: str):
-    assert got.keys() == want.keys(), where
+def record_moves(got: dict, want: dict, where: str):
+    """(where.key, pinned, new, relative move) for every value of a record
+    outside the lock; the move of a float is relative to the record's
+    scale, other values must be equal (move None)."""
     floats = [v for v in want.values() if isinstance(v, float)]
     scale = max([abs(v) for v in floats] + [1e-300])
-    for key, w in want.items():
-        g = got[key]
-        if isinstance(w, float):
-            assert abs(g - w) <= REL_TOL * scale, \
-                f"{where}.{key}: {g!r} vs {w!r} (scale {scale:.3e})"
+    for key in sorted(got.keys() | want.keys()):
+        w, g = want.get(key), got.get(key)
+        if isinstance(w, float) and isinstance(g, (int, float)):
+            if not abs(g - w) <= REL_TOL * scale:
+                yield f"{where}.{key}", w, g, abs(g - w) / scale
+        elif g != w:
+            yield f"{where}.{key}", w, g, None
+
+
+def records_moves(got: dict, want: dict, where: str):
+    """record_moves of every list of records of one config, matched in order."""
+    for key in sorted(got.keys() | want.keys()):
+        g, w = got.get(key, []), want.get(key, [])
+        if len(g) != len(w):
+            yield f"{where}.{key}", f"{len(w)} records", f"{len(g)} records", None
+        for gr, wr in zip(g, w):
+            yield from record_moves(gr, wr, f"{where}.{key}[r={wr['r']}]")
+
+
+def suite_moves(got: dict, want: dict):
+    """(case_id, pinned, new, relative move) for every quick-suite row
+    outside the lock, and every added or missing row (move None)."""
+    for cid in sorted(got.keys() | want.keys()):
+        if cid not in got or cid not in want:
+            yield cid, want.get(cid), got.get(cid), None
+            continue
+        g, w = got[cid], want[cid]
+        move = abs(g["measured"] - w["measured"])
+        rel = move / max(abs(w["measured"]), abs(w["expected"]), 1e-300)
+        if w["expected"] == 0.0 and abs(w["measured"]) <= ROUNDOFF_SHARE * w["tolerance"]:
+            bound = ROUNDOFF_SHARE * w["tolerance"]
         else:
-            assert g == w, f"{where}.{key}"
+            bound = REL_TOL * max(abs(w["measured"]), abs(w["expected"]))
+        if not move <= bound:
+            yield cid, w["measured"], g["measured"], rel
+        for key in ("expected", "tolerance"):
+            if g[key] != w[key]:
+                yield f"{cid}.{key}", w[key], g[key], None
 
 
 @pytest.fixture(scope="module")
@@ -146,39 +188,55 @@ def test_golden_file_covers_every_config(golden):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_compute_matches_golden(name, golden, tmp_path, capsys):
-    got = compute(name, tmp_path)
-    want = golden["configs"][name]
-    for key in ("mean_curvature", "comparison"):
-        assert len(got[key]) == len(want[key])
-        for g, w in zip(got[key], want[key]):
-            assert_record_close(g, w, f"{name}.{key}[r={w['r']}]")
+    want = {k: golden["configs"][name][k] for k in ("mean_curvature", "comparison")}
+    moves = list(records_moves(compute(name, tmp_path), want, name))
+    assert moves == []
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_paths_match_golden(name, golden):
-    got = paths(name)
     want = {k: v for k, v in golden["configs"][name].items() if k in ("constant", "ricci")}
-    assert got.keys() == want.keys()
-    for key in want:
-        assert len(got[key]) == len(want[key])
-        for g, w in zip(got[key], want[key]):
-            assert_record_close(g, w, f"{name}.{key}[r={w['r']}]")
+    moves = list(records_moves(paths(name), want, name))
+    assert moves == []
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_quick_suite_matches_golden(suite, golden):
-    got = quick_suite(suite)
-    want = golden["verify_quick"]["suites"][suite]
-    assert sorted(got) == sorted(want)
-    for cid, w in want.items():
-        g = got[cid]["measured"]
-        if w["expected"] == 0.0 and abs(w["measured"]) <= ROUNDOFF_SHARE * w["tolerance"]:
-            bound = ROUNDOFF_SHARE * w["tolerance"]
-        else:
-            bound = REL_TOL * max(abs(w["measured"]), abs(w["expected"]))
-        assert abs(g - w["measured"]) <= bound, f"{cid}: {g!r} vs {w['measured']!r}"
-        for key in ("expected", "tolerance"):
-            assert got[cid][key] == w[key], f"{cid}.{key}: {got[cid][key]!r} vs {w[key]!r}"
+    moves = list(suite_moves(quick_suite(suite), golden["verify_quick"]["suites"][suite]))
+    assert moves == []
+
+
+def test_moves_name_what_left_the_lock():
+    want = {"a": {"measured": 2.0, "expected": 2.0, "tolerance": 1.9},
+            "b": {"measured": 1e-16, "expected": 0.0, "tolerance": 1e-8},
+            "c": {"measured": 1.0, "expected": 0.0, "tolerance": 1e-8}}
+    got = {"a": {"measured": 2.0 + 1e-12, "expected": 2.0, "tolerance": 1.9},
+           "b": {"measured": 5e-11, "expected": 0.0, "tolerance": 1e-8},
+           "c": {"measured": float("nan"), "expected": 0.0, "tolerance": 1e-7},
+           "d": {"measured": 0.0, "expected": 0.0, "tolerance": 1.0}}
+    moves = list(suite_moves(got, want))
+    assert [m[0] for m in moves] == ["c", "c.tolerance", "d"]
+    got["a"]["measured"] = 2.0 + 1e-8
+    assert list(suite_moves(got, want))[0] == ("a", 2.0, 2.0 + 1e-8, pytest.approx(5e-9))
+    rec = {"r": 1, "lhs": 4.0, "nodes": 8}
+    assert list(record_moves(dict(rec, lhs=4.0 + 1e-9), rec, "x")) == []
+    assert list(record_moves(dict(rec, lhs=4.0 + 1e-8, nodes=9), rec, "x")) == [
+        ("x.lhs", 4.0, 4.0 + 1e-8, pytest.approx(2.5e-9)), ("x.nodes", 8, 9, None)]
+
+
+def print_moves(workdir: Path) -> None:
+    """Print every pinned value the current code moves outside the lock."""
+    golden = json.loads(DATA.read_text())
+    moves = []
+    with contextlib.redirect_stdout(io.StringIO()):   # the CLI's own report
+        for name in sorted(CONFIGS):
+            moves += records_moves({**compute(name, workdir), **paths(name)},
+                                   golden["configs"][name], name)
+        for suite in SUITE_NAMES:
+            moves += suite_moves(quick_suite(suite), golden["verify_quick"]["suites"][suite])
+    for where, pinned, new, rel in moves:
+        print(f"{where}\t{pinned!r}\t{new!r}\t" + ("-" if rel is None else f"{rel:.3e}"))
+    print(f"{len(moves)} value(s) outside the lock", file=sys.stderr)
 
 
 def write_golden(workdir: Path) -> None:
@@ -208,5 +266,10 @@ def write_golden(workdir: Path) -> None:
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        write_golden(Path(tmp))
+        if sys.argv[1:] == ["--moved"]:
+            print_moves(Path(tmp))
+        elif sys.argv[1:]:
+            sys.exit(f"usage: {sys.argv[0]} [--moved]")
+        else:
+            write_golden(Path(tmp))
     sys.exit(0)

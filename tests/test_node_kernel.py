@@ -1,7 +1,9 @@
 """The stacked node kernel against the pointwise API it replaced in the
-quadrature: hessian_frame, principal_frame, riemann_at, sigma_elementary,
-the correction sums, the per-ray root solve and jacobi_eigh are its oracles.
-Also the guards of the stacked route, and the node-stack integrand contract."""
+quadrature and the pointwise suite: hessian_frame, principal_frame,
+riemann_at, sigma_elementary, the correction sums, the per-ray root solve,
+jacobi_eigh, newton_matrices, div_newton_frame and the Reilly residuals are
+its oracles.  Also the guards of the stacked route, and the node-stack
+integrand contract."""
 
 import math
 
@@ -27,10 +29,16 @@ from curvatura.level_set_geometry import (
     RadialDistanceField,
     RadialSquaredHalfField,
     ScalarField,
+    _reilly2_sides,
+    div_newton_frame,
+    div_newton_stack,
     hessian_frame,
     hessian_frame_stack,
     principal_frame,
     principal_frame_stack,
+    reilly1_residual,
+    reilly1_residual_stack,
+    reilly2_sides_stack,
     sphere_direction,
 )
 from curvatura.model_manifolds import (
@@ -51,8 +59,11 @@ from curvatura.symmetric_algebra import (
     elementary_all_stack,
     jacobi_eigh,
     jacobi_eigh_stack,
+    newton_matrices,
+    newton_matrices_stack,
     sigma_elementary,
 )
+from curvatura.verification import _default_models, _field_grid, _sample_point
 
 REL = 1e-12
 SPEC = QuadratureSpec(angular_orders=(6,), level_order=3)
@@ -166,6 +177,62 @@ def test_stacked_curvature_and_corrections_match_pointwise(M, u):
             assert abs(mixed[k] - m1) <= REL * scale
 
 
+@pytest.mark.parametrize("M,u", [c for c in CASES if not c[0].is_flat],
+                         ids=[i for i, c in zip(IDS, CASES) if not c[0].is_flat])
+def test_stacked_div_newton_matches_pointwise(M, u):
+    P = sample_points(M, 13)
+    hs = hessian_frame_stack(u, M, P)
+    for r in range(1, M.dim):
+        dn = div_newton_stack(M, P, hs, r)
+        for k, p in enumerate(P):
+            close(dn[k], div_newton_frame(u, M, p, r))
+
+
+def test_stacked_newton_operators_match_newton_matrices():
+    # member T_k against the natural scale |H|^k: T_n is roundoff about 0
+    rng = np.random.default_rng(17)
+    for n in range(2, 7):
+        A = rng.normal(size=(8, n, n))
+        stack = A + A.transpose(0, 2, 1)
+        stack[0] = np.diag(np.arange(1.0, n + 1))
+        for r in range(n + 1):
+            mats = newton_matrices_stack(stack, r)
+            assert len(mats) == r + 1
+            for k, H in enumerate(stack):
+                scale = max(1.0, float(np.abs(H).max()))
+                for j, (T, want) in enumerate(zip(mats, newton_matrices(H, r))):
+                    assert np.all(np.abs(T[k] - want) <= REL * scale ** j), (n, r, j)
+    with pytest.raises(ValueError, match="0 <= r <= 3"):
+        newton_matrices_stack(np.array([np.eye(3)]), 4)
+    with pytest.raises(ValueError, match="matrix 1 of the stack is not symmetric"):
+        newton_matrices_stack(np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]), 1)
+
+
+# reilly1's LHS is a central difference of O(1) values, so the stack's
+# roundoff gap to the pointwise route grows like 1/h (measured at most
+# 9e-16 / h on the grid below)
+REILLY1_ABS = 1e-13
+
+
+@pytest.mark.parametrize("M,u,r", list(_field_grid(_default_models(), 0)),
+                         ids=lambda v: getattr(v, "label", getattr(v, "kind", None)))
+def test_stacked_reilly_sides_and_residuals_match_pointwise(M, u, r):
+    rng = np.random.default_rng(19)
+    P = np.array([_sample_point(M, rng) for _ in range(6)])
+    lhs, rhs = reilly2_sides_stack(u, M, P, r)
+    for k, p in enumerate(P):
+        want = _reilly2_sides(u, M, p, r)
+        close([lhs[k], rhs[k]], want)
+    if r == 0:
+        return
+    h = 2e-3 if u.analytic else 6e-3
+    res = reilly1_residual_stack(u, M, P, r, (h, h / 2))
+    assert res.shape == (2, len(P))
+    for j, step in enumerate((h, h / 2)):
+        for k, p in enumerate(P):
+            assert abs(res[j, k] - reilly1_residual(u, M, p, r, step)) <= REILLY1_ABS / step
+
+
 @pytest.mark.parametrize("M,u,level", [
     (euclidean(3), QuadraticFormField(np.diag([1.0, 1.0, 4.0])), 0.5),
     (euclidean(4), Anon(lambda M, p: 0.5 * float(p @ p) + 0.1 * p[0]), 0.7),
@@ -249,6 +316,13 @@ def test_degenerate_gradient_raises():
         principal_frame(hessian_frame(u, M, P[1]))
     with pytest.raises(DegenerateGradientError, match="node 1"):
         principal_frame_stack(hessian_frame_stack(u, M, P))
+    with pytest.raises(DegenerateGradientError, match="node 1: .*div"):
+        div_newton_stack(M, P, hessian_frame_stack(u, M, P), 1)
+    with pytest.raises(DegenerateGradientError, match="node 1: .*center point"):
+        reilly1_residual_stack(u, M, P, 1, (1e-3,))
+    # the centres are regular; the stencil of node 0 steps onto the centre
+    with pytest.raises(DegenerateGradientError, match="stencil"):
+        reilly1_residual_stack(u, M, np.array([[0.2 + 1e-3, 0.0, 0.0]]), 1, (1e-3,))
 
 
 def test_nan_gradient_raises():

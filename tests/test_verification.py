@@ -3,7 +3,10 @@ failure reporting.  Numerical assertions of the suites themselves are covered
 by the acceptance module; here quick mode keeps the runtime down."""
 
 import inspect
+import math
+import re
 
+import numpy as np
 import pytest
 
 from curvatura import verification
@@ -105,6 +108,34 @@ def test_failing_case_carries_rerun_inputs():
     for c in fails:
         assert "model" in c.inputs and "field" in c.inputs and "r" in c.inputs
         assert "seed" in c.inputs
+
+
+@pytest.mark.parametrize("kernel,stub,failing,measured", [
+    ("reilly2_sides_stack", lambda u, M, P, r: (np.full(len(P), math.nan), np.zeros(len(P))),
+     r"/reilly2$", math.nan),
+    ("reilly1_residual_stack", lambda u, M, P, r, hs: np.full((len(hs), len(P)), math.nan),
+     r"/reilly1_order$", math.nan),
+    # the finer sum is not zero, the coarser one is: order -inf, not a log2 error
+    ("reilly1_residual_stack",
+     lambda u, M, P, r, hs: np.outer([0.0, 1.0], np.ones(len(P))), r"/reilly1_order$", -math.inf),
+    ("div_newton_frame", lambda u, M, p, r: np.full(M.dim, math.nan), r"/div_newton$", math.nan),
+    ("div_newton_fd", lambda u, M, p, r, h: np.full(M.dim, math.nan),
+     r"^pointwise/(constant|warped).*/div_newton$", math.nan),
+    ("comparison_correction_residual", lambda u, M, p, r: math.nan, r"/correction_cross$",
+     math.nan),
+    ("sigma_hessian_kronecker", lambda H, r: math.nan, r"/sigma_dual_path$", math.nan),
+    ("trace_identity_residual", lambda H, r: math.nan, r"/trace_identity$", math.nan),
+])
+def test_nan_or_diverging_residuals_fail_their_cases(monkeypatch, kernel, stub, failing,
+                                                     measured):
+    monkeypatch.setattr(verification, kernel, stub)
+    rep = run_suite(SuiteConfig(suite="pointwise", quick=True, seed=424242))
+    hit = [c for c in rep.cases if re.search(failing, c.case_id)]
+    assert hit and not rep.passed
+    assert [c.case_id for c in rep.failures()] == [c.case_id for c in hit]
+    for c in hit:
+        assert (math.isnan(c.measured) and math.isnan(c.residual) if math.isnan(measured)
+                else c.measured == measured and c.residual == math.inf), c.case_id
 
 
 def test_aggregate_pass_iff_all_cases(quick_reports):
