@@ -13,12 +13,9 @@ from .errors import (
 from .symmetric_algebra import (
     double_factorial,
     jacobi_eigh,
-    kronecker_delta,
     newton_partial_form,
     sigma_elementary,
-    sigma_hessian_eig,
     sigma_hessian_kronecker,
-    trace_identity_residual,
 )
 from .model_manifolds import (
     CurvatureTensorData,
@@ -28,10 +25,8 @@ from .model_manifolds import (
     constant_curvature,
     euclidean,
     linear_profile,
-    metric_at,
     poly3_profile,
     profile_by_name,
-    riemann_at,
     sinh_profile,
     sphere_data,
     sphere_total_mean_curvature,
@@ -46,14 +41,8 @@ from .level_set_geometry import (
     RadialDistanceField,
     RadialSquaredHalfField,
     ScalarField,
-    div_newton_fd,
-    div_newton_frame,
     field_from_spec,
     hessian_frame,
-    level_mean_curvature,
-    principal_frame,
-    reilly1_residual,
-    reilly2_residual,
 )
 from .quadrature import (
     IntegralResult,
@@ -66,7 +55,6 @@ from .curvature_integrals import (
     ComparisonBreakdown,
     MeanCurvatureReport,
     ball_bound,
-    comparison_correction_residual,
     comparison_rhs,
     comparison_rhs_constant,
     m1_volume_bound,

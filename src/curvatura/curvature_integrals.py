@@ -30,19 +30,11 @@ from .model_manifolds import (
     ModelManifold,
     constant_curvature,
     radial_profile,
-    riemann_at,
     riemann_stack,
     sphere_total_mean_curvature,
     unit_sphere_volume,
 )
-from .level_set_geometry import (
-    ScalarField,
-    hessian_frame,
-    hessian_frame_stack,
-    principal_frame,
-    principal_frame_stack,
-    div_newton_frame,
-)
+from .level_set_geometry import ScalarField, hessian_frame_stack, principal_frame_stack
 from .quadrature import (
     QuadratureSpec,
     _within_working_radius,
@@ -153,44 +145,9 @@ def _kprod(kappa, prefix):
     return prod
 
 
-def correction_terms_pointwise(u: ScalarField, M: ModelManifold, p, r: int):
-    """(sectional, mixed) correction integrands at a point, by the displayed
-    index enumeration in the principal frame."""
-    n = M.dim
-    hd = hessian_frame(u, M, p)
-    pf = principal_frame(hd)
-    if M.is_flat:
-        return 0.0, 0.0
-    rd = riemann_at(M, p, pf.frame_chart)
-    kap = pf.kappa
-    last = n - 1
-    sect = 0.0
-    for prefix, ir in sectional_sum_terms(n - 1, r):
-        sect -= _kprod(kap, prefix) * rd.K[ir, last]
-    mixed = 0.0
-    for prefix, irm1, ir in mixed_sum_terms(n - 1, r):
-        mixed += (_kprod(kap, prefix) * pf.grad_norm_derivs[irm1]
-                  * rd.R[ir, irm1, ir, last])
-    mixed /= hd.grad_norm
-    return sect, mixed
-
-
-def comparison_correction_residual(u: ScalarField, M: ModelManifold, p, r: int) -> float:
-    """Pointwise residual between the two routes to the correction term:
-    the displayed double sum vs <div(T_r), grad u>/|grad u|^{r+1} via the
-    curvature contraction.  Exact identity; the residual is roundoff."""
-    if r < 1:
-        raise ValueError("the correction term needs r >= 1")
-    sect, mixed = correction_terms_pointwise(u, M, p, r)
-    hd = hessian_frame(u, M, p)
-    divT = div_newton_frame(u, M, p, r)
-    via_div = float(divT @ hd.grad_frame) / hd.grad_norm ** (r + 1)
-    return abs((sect + mixed) - via_div)
-
-
 def correction_sums_stack(kappa, derivs, rd, grad_norm, r: int):
     """(sectional, mixed) correction integrands at a stack of nodes, by the
-    displayed index enumeration of correction_terms_pointwise, term for term.
+    displayed index enumeration in the principal frames.
 
     kappa, derivs: (N, n-1) principal curvatures and |grad u| derivatives;
     rd: riemann_stack in the principal frames; grad_norm: (N,).

@@ -1,8 +1,8 @@
 """Scalar fields on model manifolds and the level-set geometry built on them:
 covariant Hessians in orthonormal frames, principal curvature frames, r-th
 mean curvatures of level sets, and residuals of the two Reilly-type identities
-together with the curvature contraction for div(T_r), per point and over node
-stacks.
+together with the curvature contraction for div(T_r) and its finite-difference
+oracle.  Everything past the per-point covariant Hessian runs on node stacks.
 
 Conventions.  Operations take chart coordinates as plain arrays.  The
 orthonormal frame attached to a point is the one obtained from the triangular
@@ -28,7 +28,6 @@ from .model_manifolds import (
     christoffel_stack,
     metric_diag,
     metric_diag_stack,
-    riemann_at,
     riemann_stack,
 )
 from .symmetric_algebra import (
@@ -36,10 +35,8 @@ from .symmetric_algebra import (
     jacobi_eigh,
     jacobi_eigh_stack,
     matmul_stack,
-    newton_matrices,
     newton_matrices_stack,
     parity_between,
-    sigma_elementary,
     sigma_stack,
 )
 
@@ -529,15 +526,14 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
 
 @dataclass(frozen=True)
 class PrincipalFrameData:
-    """Principal curvatures and frame of the level set through a point.
+    """Principal curvatures and frames of the level sets through a node
+    stack, with a leading node axis on every field.
 
     kappa is ascending; directions are the matching principal directions
     (chart components, columns); nu is the unit normal grad u / |grad u|;
     grad_norm_derivs[i] is the derivative of |grad u| along direction i,
     equal to the Hessian row against nu in this frame.  frame_chart stacks
     the directions and nu as the columns of a full orthonormal frame.
-    principal_frame_stack returns the same record with a leading node axis
-    on every field.
     """
     kappa: np.ndarray
     directions: np.ndarray
@@ -546,51 +542,22 @@ class PrincipalFrameData:
     frame_chart: np.ndarray
 
 
-def _householder_complement(nu_f: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of nu^perp (frame components), deterministic."""
-    n = nu_f.size
-    s = 1.0 if nu_f[-1] >= 0 else -1.0
-    v = nu_f.copy()
-    v[-1] += s
-    Hm = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
-    return Hm[:, : n - 1]
+def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
+    """Diagonalize the shape operators of the level sets through the nodes
+    of a hessian_frame_stack result; raises for the first node whose
+    gradient is degenerate.
 
-
-def principal_frame(hd: HessianData) -> PrincipalFrameData:
-    """Diagonalize the shape operator of the level set through hd's point.
-
-    The shape operator is the covariant Hessian restricted to nu^perp and
-    scaled by 1/|grad u|; its eigenvalues are the principal curvatures.
+    The shape operator is the covariant Hessian restricted to nu^perp (a
+    deterministic Householder basis) and scaled by 1/|grad u|; its
+    eigenvalues, from jacobi_eigh_stack, are the principal curvatures.
     Eigenvector choice inside repeated-eigenvalue spaces is arbitrary, which
     is fine downstream: only symmetric functions of kappa are consumed.
     """
     gn = hd.grad_norm
-    if not gn > EPS_GRAD:   # NaN included
-        raise DegenerateGradientError(
-            f"|grad u| = {gn:.3e} <= {EPS_GRAD:g}: level-set frame undefined")
-    nu_f = hd.grad_frame / gn
-    B = _householder_complement(nu_f)
-    S = B.T @ hd.hess_frame @ B / gn
-    kappa, V = jacobi_eigh(S)
-    dirs_f = B @ V
-    derivs = dirs_f.T @ (hd.hess_frame @ nu_f)
-    dirs_chart = hd.frame @ dirs_f
-    nu_chart = hd.frame @ nu_f
-    frame_chart = np.hstack([dirs_chart, nu_chart[:, None]])
-    return PrincipalFrameData(kappa=kappa, directions=dirs_chart, nu=nu_chart,
-                              grad_norm_derivs=derivs, frame_chart=frame_chart)
-
-
-def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
-    """principal_frame of every node of a hessian_frame_stack result, as
-    one PrincipalFrameData with a leading node axis; raises for the first
-    node whose gradient is degenerate.  The shape operators are
-    diagonalized by jacobi_eigh_stack."""
-    gn = hd.grad_norm
     _check_gradients(gn, "level-set frame undefined")
     N, n = hd.grad_frame.shape
     nu_f = hd.grad_frame / gn[:, None]
-    # Householder complement of nu, as in _householder_complement
+    # Householder reflection taking nu to -/+ e_n: its first n-1 columns span nu^perp
     v = nu_f.copy()
     v[:, -1] += np.where(nu_f[:, -1] >= 0, 1.0, -1.0)
     Hm = np.eye(n) - 2.0 * (v[:, :, None] * v[:, None, :]) / _rowdot(v, v)[:, None, None]
@@ -608,43 +575,16 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
                               frame_chart=np.concatenate([dirs_chart, nu_chart], axis=2))
 
 
-def level_mean_curvature(u: ScalarField, M: ModelManifold, p, r: int) -> float:
-    """sigma_r of the principal curvatures of the level set of u through p."""
-    hd = hessian_frame(u, M, p)
-    pf = principal_frame(hd)
-    return sigma_elementary(pf.kappa, r)
-
-
 # ---------------------------------------------------------------------------
-# Reilly identities, pointwise
+# Reilly identities and div(T_r) over node stacks
 # ---------------------------------------------------------------------------
-
-def reilly2_residual(u: ScalarField, M: ModelManifold, p, r: int) -> float:
-    """|sigma_r(kappa) - <T_r grad u, grad u> / |grad u|^{r+2}|.
-
-    The two sides travel independent routes (projected shape operator and
-    Jacobi eigenvalues vs the Newton recursion contracted against the
-    gradient); the identity is exact, so the residual is roundoff.
-    """
-    lhs, rhs = _reilly2_sides(u, M, p, r)
-    return abs(lhs - rhs)
-
-
-def _reilly2_sides(u: ScalarField, M: ModelManifold, p, r: int):
-    """(sigma_r(kappa), <T_r grad u, grad u> / |grad u|^{r+2}) at p, from
-    one Hessian and one principal frame."""
-    hd = hessian_frame(u, M, p)
-    pf = principal_frame(hd)
-    lhs = sigma_elementary(pf.kappa, r)
-    T = newton_matrices(hd.hess_frame, r)[r]
-    g = hd.grad_frame
-    return lhs, float(g @ T @ g) / hd.grad_norm ** (r + 2)
-
 
 def reilly2_sides_stack(u: ScalarField, M: ModelManifold, P, r: int):
-    """_reilly2_sides at every row of an (N, n) point stack: (lhs, rhs), each
-    of shape (N,).  The sides keep their independent routes: sigma_r of the
-    principal curvatures from principal_frame_stack, and the Newton
+    """(sigma_r(kappa), <T_r grad u, grad u> / |grad u|^{r+2}) at every row of
+    an (N, n) point stack, each of shape (N,), from one Hessian stack.
+
+    The identity is exact; the sides keep independent routes: sigma_r of
+    the principal curvatures from principal_frame_stack, and the Newton
     recursion of newton_matrices_stack contracted against the gradient."""
     hd = hessian_frame_stack(u, M, P)
     lhs = sigma_stack(elementary_all_stack(principal_frame_stack(hd).kappa), r)
@@ -681,40 +621,15 @@ def _div_contraction_table(n: int, r: int):
     return tuple(tuple(row) for row in table)
 
 
-def div_newton_frame(u: ScalarField, M: ModelManifold, p, r: int) -> np.ndarray:
-    """Frame components of div(T_r) via the curvature contraction.
+def div_newton_stack(M: ModelManifold, P, hd: HessianData, r: int) -> np.ndarray:
+    """Frame components of div(T_r) via the curvature contraction at every
+    row of an (N, n) point stack, given the stack's hessian_frame_stack hd:
+    (N, n).
 
     Contracts the generalized Kronecker tensor against r-1 Hessian factors
     and one factor R[i, j_r, i_r, k] u_k, all in the metric-factorization
     frame.  Identically zero in flat space.
     """
-    if r < 1:
-        raise ValueError(f"div(T_r) contraction needs r >= 1, got {r}")
-    n = M.dim
-    hd = hessian_frame(u, M, p)
-    if not hd.grad_norm > EPS_GRAD:   # NaN included
-        raise DegenerateGradientError("degenerate gradient in div(T_r)")
-    if M.is_flat:
-        return np.zeros(n)
-    rd = riemann_at(M, p, hd.frame)
-    W = np.tensordot(rd.R, hd.grad_frame, axes=([3], [0]))
-    H = hd.hess_frame
-    out = np.zeros(n)
-    for j, row in enumerate(_div_contraction_table(n, r)):
-        tot = 0.0
-        for sgn, pairs, wkey in row:
-            prod = float(sgn)
-            for (a, b) in pairs:
-                prod *= H[a, b]
-            tot += prod * W[wkey]
-        out[j] = tot
-    return out
-
-
-def div_newton_stack(M: ModelManifold, P, hd: HessianData, r: int) -> np.ndarray:
-    """div_newton_frame at every row of an (N, n) point stack, given the
-    stack's hessian_frame_stack hd: (N, n), by the same contraction table
-    term for term."""
     if r < 1:
         raise ValueError(f"div(T_r) contraction needs r >= 1, got {r}")
     N, n = hd.grad_frame.shape
@@ -739,93 +654,58 @@ def div_newton_stack(M: ModelManifold, P, hd: HessianData, r: int) -> np.ndarray
     return out
 
 
-def div_newton_fd(u: ScalarField, M: ModelManifold, p, r: int, h: float = 1e-3) -> np.ndarray:
-    """Finite-difference oracle for div(T_r): covariant divergence of the
-    Newton operator as a (1,1) chart tensor field, returned in the same
-    frame as div_newton_frame.  Converges at O(h^2)."""
-    n = M.dim
-    p = np.asarray(p, dtype=float)
-
-    def t_chart(q):
-        hd = hessian_frame(u, M, q)
-        Tf = newton_matrices(hd.hess_frame, r)[r]
-        F = hd.frame
-        return F @ Tf @ np.linalg.inv(F)
-
-    steps = fd_steps(M, p, h)
-    dT = np.zeros((n, n, n))   # dT[i, :, :] = d_i T
-    for i in range(n):
-        q = p.copy(); q[i] += steps[i]
-        Tp = t_chart(q)
-        q = p.copy(); q[i] -= steps[i]
-        Tm = t_chart(q)
-        dT[i] = (Tp - Tm) / (2 * steps[i])
-    T0 = t_chart(p)
-    Gam = christoffel_at(M, p)
-    div = np.zeros(n)
-    for j in range(n):
-        tot = 0.0
-        for i in range(n):
-            tot += dT[i, i, j]
-            for m in range(n):
-                tot += Gam[i, i, m] * T0[m, j]
-                tot -= Gam[m, i, j] * T0[i, m]
-        div[j] = tot
-    hd0 = hessian_frame(u, M, p)
-    return hd0.frame.T @ div
+def _stencil(M: ModelManifold, P: np.ndarray, hs):
+    """The central-difference stencil of every row of P for every step h of
+    hs, placed by fd_steps: (steps (S, N, n), points (S * N * n * 2, n)),
+    the points ordered by step, row, axis i, then +/- the step along i."""
+    N, n = P.shape
+    steps = np.array([[fd_steps(M, p, h) for p in P] for h in hs]).reshape(len(hs), N, n)
+    offsets = steps[:, :, :, None] * np.eye(n)
+    Q = np.stack([P[None, :, None, :] + offsets, P[None, :, None, :] - offsets], axis=3)
+    return steps, Q.reshape(-1, n)
 
 
-def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> float:
-    """|LHS - RHS| of the divergence identity for T_{r-1}(grad u/|grad u|^r).
+def div_newton_fd_stack(u: ScalarField, M: ModelManifold, P, hd: HessianData, r: int,
+                        h: float = 1e-3) -> np.ndarray:
+    """Finite-difference oracle for div(T_r) at every row of an (N, n) point
+    stack, given the stack's hessian_frame_stack hd: the covariant divergence
+    of the Newton operator as a (1,1) chart tensor field, in the frame of
+    div_newton_stack, (N, n).  Converges at O(h^2).
 
-    LHS is a central-difference covariant divergence of the vector field
-    (via the volume-weighted coordinate form); RHS combines the div(T_{r-1})
-    contraction with r * sigma_r(kappa).  Converges to zero at O(h^2).
+    The 2n stencil points of every row form one stack; the Christoffel
+    symbols and the undifferentiated T_r are taken at the centres.
     """
-    if r < 1:
-        raise ValueError(f"the identity needs r >= 1, got {r}")
-    n = M.dim
-    p = np.asarray(p, dtype=float)
+    P = np.asarray(P, dtype=float)
+    N, n = P.shape
 
-    hd0 = hessian_frame(u, M, p)
-    if not hd0.grad_norm > EPS_GRAD:   # NaN included
-        raise DegenerateGradientError("degenerate gradient at the center point")
-    pf = principal_frame(hd0)
-    rhs = r * sigma_elementary(pf.kappa, r)
-    if r >= 2:
-        divT = div_newton_frame(u, M, p, r - 1)
-        rhs += float(divT @ hd0.grad_frame) / hd0.grad_norm ** r
+    def t_chart(hq):
+        F = hq.frame
+        return matmul_stack(matmul_stack(F, newton_matrices_stack(hq.hess_frame, r)[r]),
+                            np.linalg.inv(F))
 
-    def weighted_field(q):
-        hd = hessian_frame(u, M, q)
-        if not hd.grad_norm > EPS_GRAD:   # NaN included
-            raise DegenerateGradientError("degenerate gradient in the stencil")
-        Tm = newton_matrices(hd.hess_frame, r - 1)[r - 1]
-        Vf = Tm @ hd.grad_frame / hd.grad_norm ** r
-        Vc = hd.frame @ Vf
-        vol = math.sqrt(float(np.prod(metric_diag(M, q))))
-        return vol * Vc
-
-    steps = fd_steps(M, p, h)
-    vol0 = math.sqrt(float(np.prod(metric_diag(M, p))))
-    lhs = 0.0
+    steps, Q = _stencil(M, P, (h,))
+    T = t_chart(hessian_frame_stack(u, M, Q)).reshape(N, n, 2, n, n)
+    T0 = t_chart(hd)
+    Gam = christoffel_stack(M, P)
+    div = np.zeros((N, n))
     for i in range(n):
-        q = p.copy(); q[i] += steps[i]
-        wp = weighted_field(q)[i]
-        q = p.copy(); q[i] -= steps[i]
-        wm = weighted_field(q)[i]
-        lhs += (wp - wm) / (2 * steps[i])
-    lhs /= vol0
-    return abs(lhs - rhs)
+        div = div + (T[:, i, 0, i, :] - T[:, i, 1, i, :]) / (2 * steps[0, :, i, None])
+        for m in range(n):
+            div = div + Gam[:, i, i, m, None] * T0[:, m, :]
+            div = div - Gam[:, m, i, :] * T0[:, i, m, None]
+    return _matvec(hd.frame.transpose(0, 2, 1), div)
 
 
 def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> np.ndarray:
-    """reilly1_residual at every row of an (N, n) point stack and every step
-    h of hs: (len(hs), N).
+    """|LHS - RHS| of the divergence identity for T_{r-1}(grad u/|grad u|^r)
+    at every row of an (N, n) point stack and every step h of hs:
+    (len(hs), N).  Converges to zero at O(h^2).
 
-    The RHS does not depend on the step, so it is formed once per row, from
-    one stack of centres.  The 2n stencil points of every row and step form
-    one stack, placed by fd_steps as reilly1_residual places them.
+    LHS is a central-difference covariant divergence of the vector field
+    (via the volume-weighted coordinate form); RHS combines the div(T_{r-1})
+    contraction with r * sigma_r(kappa).  The RHS does not depend on the
+    step, so it is formed once per row, from one stack of centres.  The 2n
+    stencil points of every row and step form one stack.
     """
     if r < 1:
         raise ValueError(f"the identity needs r >= 1, got {r}")
@@ -838,11 +718,7 @@ def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> n
         divT = div_newton_stack(M, P, hd0, r - 1)
         rhs = rhs + _rowdot(divT, hd0.grad_frame) / hd0.grad_norm ** r
 
-    # Q[s, k, i, 0 / 1] = row k moved by +/- its step-s offset along axis i
-    steps = np.array([[fd_steps(M, p, h) for p in P] for h in hs]).reshape(len(hs), N, n)
-    offsets = steps[:, :, :, None] * np.eye(n)
-    Q = np.stack([P[None, :, None, :] + offsets, P[None, :, None, :] - offsets], axis=3)
-    Q = Q.reshape(-1, n)
+    steps, Q = _stencil(M, P, hs)
     hd = hessian_frame_stack(u, M, Q)
     _check_gradients(hd.grad_norm, "degenerate gradient in the stencil")
     Tm = newton_matrices_stack(hd.hess_frame, r - 1)[r - 1]

@@ -260,11 +260,6 @@ def metric_diag_stack(M: ModelManifold, P) -> np.ndarray:
     return D
 
 
-def metric_at(M: ModelManifold, p) -> np.ndarray:
-    """Chart metric as a dense symmetric positive-definite matrix."""
-    return np.diag(metric_diag(M, p))
-
-
 def christoffel_at(M: ModelManifold, p) -> np.ndarray:
     """Levi-Civita symbols Gamma[k, i, j] of the chart metric, closed form.
 
@@ -329,16 +324,16 @@ def christoffel_stack(M: ModelManifold, P, D=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureTensorData:
-    """Riemann tensor components in a g-orthonormal frame.
+    """Riemann tensor components in g-orthonormal frames, with a leading
+    node axis on every field (riemann_stack).
 
     R[i,j,k,l] uses the sign convention in which K[i,j] = R[i,j,i,j] is the
     sectional curvature of the plane (E_i, E_j); ricci_n is the Ricci
-    curvature of the last frame vector.  riemann_stack returns the same
-    record with a leading node axis on every field.
+    curvature of the last frame vector.
     """
     R: np.ndarray
     K: np.ndarray
-    ricci_n: float
+    ricci_n: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -356,56 +351,12 @@ def _constant_tensors(n: int, a: float):
     return R, K
 
 
-def riemann_at(M: ModelManifold, p, frame) -> CurvatureTensorData:
-    """Curvature tensor of the model at p, in the supplied orthonormal frame.
-
-    frame: columns are chart components of n tangent vectors; the Gram matrix
-    against the chart metric must equal the identity to 1e-8.
-    """
-    n = M.dim
-    p = np.asarray(p, dtype=float)
-    F = np.asarray(frame, dtype=float)
-    if F.shape != (n, n):
-        raise ValueError(f"frame must be {n}x{n}, got {F.shape}")
-    D = metric_diag(M, p)
-    gram = F.T @ (D[:, None] * F)
-    if np.max(np.abs(gram - np.eye(n))) > 1e-8:
-        raise ValueError("frame is not g-orthonormal")
-
-    if M.is_flat:
-        R = np.zeros((n, n, n, n))
-        K = np.zeros((n, n))
-        return CurvatureTensorData(R=R, K=K, ricci_n=0.0)
-
-    if M.family == "constant":
-        R, K = _constant_tensors(n, M.a)
-        return CurvatureTensorData(R=R.copy(), K=K.copy(), ricci_n=(n - 1) * M.a)
-
-    # warped product: closed form in the chart-adapted frame, then rotated
-    f, df, d2f = radial_profile(M)
-    r = p[0]
-    k_rad = -d2f(r) / f(r)
-    k_tan = (1.0 - df(r) ** 2) / f(r) ** 2
-    K_hat = np.full((n, n), k_tan)
-    K_hat[0, :] = k_rad
-    K_hat[:, 0] = k_rad
-    np.fill_diagonal(K_hat, 0.0)
-    R_hat = K_hat[:, :, None, None] * _pair_patterns(n)
-    # P[a, i] = <adapted frame vector a, supplied frame vector i>
-    P = np.sqrt(D)[:, None] * F
-    R = np.tensordot(R_hat, P, axes=([0], [0]))
-    R = np.tensordot(R, P, axes=([0], [0]))
-    R = np.tensordot(R, P, axes=([0], [0]))
-    R = np.tensordot(R, P, axes=([0], [0]))
-    K = np.einsum("ijij->ij", R)
-    ricci = float(np.sum(K[: n - 1, n - 1]))
-    return CurvatureTensorData(R=R, K=K, ricci_n=ricci)
-
-
 def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
-    """riemann_at of every row of an (N, n) point stack, in the frames
-    (N, n, n); raises for the first node whose frame fails the 1e-8 gram
-    check.  Constant curvature returns read-only broadcast views."""
+    """Curvature tensor of the model at every row of an (N, n) point stack,
+    in the supplied orthonormal frames (N, n, n): columns are chart
+    components of n tangent vectors.  Raises for the first node whose Gram
+    matrix against the chart metric is not the identity to 1e-8.  Constant
+    curvature returns read-only broadcast views."""
     P = np.asarray(P, dtype=float)
     F = np.asarray(frames, dtype=float)
     N, n = P.shape

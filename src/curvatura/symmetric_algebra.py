@@ -151,25 +151,6 @@ def _perms_with_parity(r: int):
     return tuple((p, _perm_parity(p)) for p in permutations(range(r)))
 
 
-def kronecker_delta(upper, lower) -> int:
-    """Generalized Kronecker tensor delta^{upper}_{lower} in {-1, 0, 1}.
-
-    1 if the upper indices are distinct and lower is an even permutation of
-    them, -1 for an odd permutation, 0 otherwise.
-    """
-    up = tuple(upper)
-    lo = tuple(lower)
-    if len(up) != len(lo):
-        raise ValueError(f"index lists differ in length: {len(up)} vs {len(lo)}")
-    if len(up) > MAX_DIM:
-        raise CapabilityError(f"index lists longer than {MAX_DIM} are unsupported")
-    if len(set(up)) != len(up):
-        return 0
-    if set(lo) != set(up):
-        return 0
-    return parity_between(up, lo)
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalues: cyclic Jacobi
 # ---------------------------------------------------------------------------
@@ -324,14 +305,6 @@ def _jacobi_eigh_stack(A: np.ndarray):
 # sigma_r of a Hessian: the two routes
 # ---------------------------------------------------------------------------
 
-def sigma_hessian_eig(H, r: int) -> float:
-    """sigma_r of the eigenvalues of H (Jacobi + coefficient recurrence)."""
-    A = as_sym_matrix(H)
-    if r < 0:
-        raise ValueError(f"order r must be nonnegative, got {r}")
-    return sigma_elementary(_jacobi_eigh(A)[0], r)
-
-
 @lru_cache(maxsize=None)
 def _kronecker_terms(n: int, r: int):
     """Signed terms of the order-r Kronecker contraction in dimension n.
@@ -385,39 +358,23 @@ def sigma_hessian_kronecker(H, r: int) -> float:
 # Newton operators
 # ---------------------------------------------------------------------------
 
-def newton_matrices(H, r: int) -> list[np.ndarray]:
-    """The Newton operators [T_0, ..., T_r] of a symmetric matrix, from the
-    defining recursion T_0 = I, T_r = sigma_r(H) I - T_{r-1} H."""
-    A = as_sym_matrix(H)
-    n = A.shape[0]
-    if not 0 <= r <= n:
-        raise ValueError(f"order r must satisfy 0 <= r <= {n}, got {r}")
-    return _newton_matrices(A, r)[0]
-
-
-def _newton_matrices(A: np.ndarray, r: int):
-    """([T_0, ..., T_r], e_0..e_n of the eigenvalues) of a matrix that
-    as_sym_matrix returned."""
-    I = np.eye(A.shape[0])
-    e = elementary_all(_jacobi_eigh(A)[0])
-    mats = [I]
-    for k in range(1, r + 1):
-        T = e[k] * I - mats[-1] @ A
-        mats.append(0.5 * (T + T.T))
-    return mats, e
-
-
 def newton_matrices_stack(H, r: int) -> list[np.ndarray]:
-    """newton_matrices of every matrix of a stack (N, n, n): [T_0, ..., T_r],
-    each (N, n, n), by the same recursion on jacobi_eigh_stack eigenvalues.
-    Products are summed in ascending index order (matmul_stack), so members
-    agree with newton_matrices to roundoff, not bitwise."""
+    """The Newton operators [T_0, ..., T_r] of every matrix of a stack
+    (N, n, n), each (N, n, n), from the defining recursion T_0 = I,
+    T_k = sigma_k(H) I - T_{k-1} H on jacobi_eigh_stack eigenvalues.
+    Products are summed in ascending index order (matmul_stack)."""
     A = _as_sym_stack(H)
-    N, n = A.shape[0], A.shape[1]
+    n = A.shape[1]
     if not 0 <= r <= n:
         raise ValueError(f"order r must satisfy 0 <= r <= {n}, got {r}")
+    return _newton_recursion(A, elementary_all_stack(_jacobi_eigh_stack(A)[0]), r)
+
+
+def _newton_recursion(A: np.ndarray, e: np.ndarray, r: int) -> list[np.ndarray]:
+    """[T_0, ..., T_r] of a stack that _as_sym_stack returned, given the
+    elementary symmetric functions e (N, n + 1) of its eigenvalues."""
+    N, n = A.shape[0], A.shape[1]
     I = np.eye(n)
-    e = elementary_all_stack(_jacobi_eigh_stack(A)[0])
     mats = [np.broadcast_to(I, (N, n, n)).copy()]
     for k in range(1, r + 1):
         T = e[:, k, None, None] * I - matmul_stack(mats[-1], A)
@@ -462,21 +419,28 @@ def newton_partial_form(H, r: int) -> np.ndarray:
     return 0.5 * (T + T.T)
 
 
-def trace_identity_residual(H, r: int) -> float:
-    """|trace(T_r H) - (r+1) sigma_{r+1}(H)|.
+def trace_identity_residual_stack(H, e) -> np.ndarray:
+    """|trace(T_r H) - (r+1) sigma_{r+1}(H)| for r = 0..n-1 at every matrix
+    of a stack (N, n, n): (N, n), column r for T_r.
 
-    Both sides are exactly equal in real arithmetic (Euler's identity for
-    the homogeneous polynomial sigma_{r+1}); the residual is pure roundoff.
+    e is elementary_all_stack of the stack's jacobi_eigh_stack eigenvalues,
+    (N, n + 1); it feeds both the Newton recursion and the right side.  Both
+    sides are exactly equal in real arithmetic (Euler's identity for the
+    homogeneous polynomial sigma_{r+1}); the residual is pure roundoff.
     """
-    A = as_sym_matrix(H)
-    n = A.shape[0]
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"order r must satisfy 0 <= r <= {n - 1}, got {r}")
-    mats, e = _newton_matrices(A, r)
-    lhs = float(np.trace(mats[r] @ A))
-    # e[r + 1] is sigma_hessian_eig(A, r + 1): the same eigenvalues, recurrence and entry
-    rhs = (r + 1) * float(e[r + 1])
-    return abs(lhs - rhs)
+    A = _as_sym_stack(H)
+    N, n = A.shape[0], A.shape[1]
+    e = np.asarray(e, dtype=float)
+    if e.shape != (N, n + 1):
+        raise ValueError(f"e must be {N}x{n + 1}, got {e.shape}")
+    out = np.empty((N, n))
+    for r, T in enumerate(_newton_recursion(A, e, n - 1)):
+        TA = matmul_stack(T, A)
+        lhs = TA[:, 0, 0]
+        for i in range(1, n):
+            lhs = lhs + TA[:, i, i]
+        out[:, r] = np.abs(lhs - (r + 1) * e[:, r + 1])
+    return out
 
 
 def double_factorial(k: int) -> int:

@@ -29,6 +29,7 @@ from .model_manifolds import (
     linear_profile,
     poly3_profile,
     radial_profile,
+    riemann_stack,
     sinh_profile,
     sphere_total_mean_curvature,
     unit_sphere_volume,
@@ -39,8 +40,10 @@ from .level_set_geometry import (
     QuadraticFormField,
     RadialDistanceField,
     RadialSquaredHalfField,
-    div_newton_fd,
-    div_newton_frame,
+    div_newton_fd_stack,
+    div_newton_stack,
+    hessian_frame_stack,
+    principal_frame_stack,
     reilly1_residual_stack,
     reilly2_sides_stack,
     sphere_direction,
@@ -48,17 +51,20 @@ from .level_set_geometry import (
 from .quadrature import QuadratureSpec, radial_integral
 from .curvature_integrals import (
     ball_bound,
-    comparison_correction_residual,
     comparison_rhs,
     comparison_rhs_constant,
+    correction_sums_stack,
     ricci_comparison,
     total_mean_curvature,
 )
 from .symmetric_algebra import (
     binomial,
-    sigma_hessian_eig,
+    elementary_all_stack,
+    jacobi_eigh_stack,
+    newton_matrices_stack,
+    newton_partial_form,
     sigma_hessian_kronecker,
-    trace_identity_residual,
+    trace_identity_residual_stack,
 )
 
 SUITE_NAMES = ("pointwise", "comparison", "inequality", "asymptotic")
@@ -239,12 +245,20 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     contraction vs its finite-difference oracle, the correction-term
     enumeration vs the div route, and the algebra dual paths.
 
-    Each case draws all of its sample points first, from its own generator.
-    The reilly2 and reilly1_order cases then evaluate their points as node
-    stacks (reilly2_sides_stack, reilly1_residual_stack); the div_newton
-    cases and the algebra dual paths stay per point, on the scalar kernels.
-    Every worst case and sum propagates NaN, so a NaN residual fails its
-    case."""
+    Each case draws all of its sample points (or matrices) first, from its
+    own generator, and evaluates them as node stacks: reilly2_sides_stack;
+    reilly1_residual_stack; one hessian_frame_stack of the centres shared
+    by div_newton_stack, div_newton_fd_stack and, through
+    principal_frame_stack and riemann_stack, correction_sums_stack; and
+    one jacobi_eigh_stack per algebra case, whose elementary symmetric
+    functions give every eigenvalue sigma_r and the trace identity's right
+    side, against the scalar Kronecker walk sigma_hessian_kronecker.  In
+    flat space div_newton_stack is zero by construction, so the flat cases
+    also report the size of the finite-difference oracle (div_newton_fd).
+    The full grid adds the Newton operators of the recursion against the
+    Kronecker partial form (newton_dual_path, under the sigma_dual
+    tolerance).  Every worst case and sum
+    propagates NaN, so a NaN residual fails its case."""
     cs = _Cases("pointwise")
     models = _default_models()
     n_pts = 40 if cfg.quick else 200
@@ -291,49 +305,68 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     for (M, u, r), (rng, seed) in zip(_field_grid(models, 1), rngs):
         cid = f"pointwise/{M.label}/{u.kind}/r={r}/div_newton"
         flat = M.is_flat
+        inputs = {"model": M.describe(), "field": u.describe(), "r": r,
+                  "h": 1e-3, "points": n_pts_div, "seed": seed}
         with cs.timed(cid):
-            divs, corrs = [], []
-            for _ in range(n_pts_div):
-                p = _sample_point(M, rng)
-                dn = div_newton_frame(u, M, p, r)
-                if flat:
-                    divs.append(float(np.max(np.abs(dn))))
-                else:
-                    oracle = div_newton_fd(u, M, p, r, h=1e-3)
-                    scale = max(1.0, float(np.max(np.abs(dn))))
-                    divs.append(float(np.max(np.abs(dn - oracle))) / scale)
-                    corrs.append(comparison_correction_residual(u, M, p, r))
-            worst, worst_corr = _worst(divs), _worst(corrs)
-            tol = cfg.tol("div_flat", 1e-12) if flat else cfg.tol("div_fd", 1e-4)
+            P = np.array([_sample_point(M, rng) for _ in range(n_pts_div)])
+            hd = hessian_frame_stack(u, M, P)
+            dn = div_newton_stack(M, P, hd, r)
+            oracle = div_newton_fd_stack(u, M, P, hd, r, h=1e-3)
+            tol_fd = cfg.tol("div_fd", 1e-4)
+            if flat:
+                worst, tol = _worst(np.abs(dn)), cfg.tol("div_flat", 1e-12)
+            else:
+                scale = np.maximum(1.0, np.max(np.abs(dn), axis=1))
+                worst, tol = _worst(np.max(np.abs(dn - oracle), axis=1) / scale), tol_fd
+                pf = principal_frame_stack(hd)
+                rd = riemann_stack(M, P, pf.frame_chart)
+                sect, mixed = correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd,
+                                                    hd.grad_norm, r)
+                via_div = np.sum(dn * hd.grad_frame, axis=1) / hd.grad_norm ** (r + 1)
+                worst_corr = _worst(np.abs((sect + mixed) - via_div))
             cs.add(cid, M.label, u.kind, M.dim, r, "max_div_residual", worst, tol, worst < tol,
-                   {"model": M.describe(), "field": u.describe(), "r": r,
-                    "h": 1e-3, "points": n_pts_div, "seed": seed})
-        if not flat:
+                   inputs)
+        if flat:
+            worst_fd = _worst(np.abs(oracle))
+            cs.add(f"{cid}_fd", M.label, u.kind, M.dim, r, "max_abs_fd_oracle", worst_fd, tol_fd,
+                   worst_fd < tol_fd, inputs)
+        else:
             tol_c = cfg.tol("correction_cross", 1e-10)
             cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/correction_cross", M.label, u.kind,
                    M.dim, r, "max_abs_residual", worst_corr, tol_c, worst_corr < tol_c,
                    {"model": M.describe(), "field": u.describe(), "r": r})
 
-    # algebra dual paths at randomized matrices
+    # algebra dual paths at randomized matrices: one Jacobi per matrix
     n_mats = 20 if cfg.quick else 100
+    tol_sigma, tol_trace = cfg.tol("sigma_dual", 1e-10), cfg.tol("trace", 1e-10)
     for n, (rng, seed) in zip(range(2, 7), rngs):
+        inputs = {"n": n, "matrices": n_mats, "seed": seed}
         with cs.timed(f"pointwise/algebra/n={n}"):
-            sigmas, traces = [], []
-            for _ in range(n_mats):
-                A = rng.normal(size=(n, n))
-                H = A + A.T
-                scale = max(1.0, float(np.max(np.abs(H))))
+            A = np.array([rng.normal(size=(n, n)) for _ in range(n_mats)])
+            H = A + A.transpose(0, 2, 1)
+            scale = np.maximum(1.0, np.abs(H).max(axis=(1, 2))).tolist()
+            e = elementary_all_stack(jacobi_eigh_stack(H)[0])
+            traces = trace_identity_residual_stack(H, e)
+            sigmas, trace_rel = [], []
+            for k in range(n_mats):
                 for r in range(1, n + 1):
-                    d = abs(sigma_hessian_eig(H, r) - sigma_hessian_kronecker(H, r))
-                    sigmas.append(d / scale ** r)
+                    d = abs(float(e[k, r]) - sigma_hessian_kronecker(H[k], r))
+                    sigmas.append(d / scale[k] ** r)
                     if r <= n - 1:
-                        traces.append(trace_identity_residual(H, r) / scale ** (r + 1))
-            for metric, worst, key in (("sigma_dual_path", _worst(sigmas), "sigma_dual"),
-                                       ("trace_identity", _worst(traces), "trace")):
-                tol = cfg.tol(key, 1e-10)
+                        trace_rel.append(float(traces[k, r]) / scale[k] ** (r + 1))
+            for metric, worst, tol in (("sigma_dual_path", _worst(sigmas), tol_sigma),
+                                       ("trace_identity", _worst(trace_rel), tol_trace)):
                 cs.add(f"pointwise/algebra/n={n}/{metric}", "algebra", "-", n, None, metric,
-                       worst, tol, worst < tol,
-                       {"n": n, "matrices": n_mats, "seed": seed})
+                       worst, tol, worst < tol, inputs)
+        if not cfg.quick:
+            cid = f"pointwise/algebra/n={n}/newton_dual_path"
+            with cs.timed(cid):
+                # T_0..T_n of the recursion against the Kronecker partial form
+                mats = newton_matrices_stack(H[:20], n)
+                worst = _worst([float(np.max(np.abs(T[k] - newton_partial_form(H[k], r))))
+                                / scale[k] ** r for k in range(20) for r, T in enumerate(mats)])
+                cs.add(cid, "algebra", "-", n, None, "newton_dual_path", worst, tol_sigma,
+                       worst < tol_sigma, dict(inputs, matrices=20))
 
     cs.required.append(("algebra", None))
     return cs.report()

@@ -12,6 +12,7 @@ from curvatura.model_manifolds import (
     constant_curvature,
     euclidean,
     poly3_profile,
+    riemann_stack,
     sinh_profile,
     sphere_total_mean_curvature,
     unit_sphere_volume,
@@ -22,15 +23,18 @@ from curvatura.level_set_geometry import (
     QuadraticFormField,
     RadialDistanceField,
     RadialSquaredHalfField,
+    div_newton_stack,
+    hessian_frame_stack,
+    principal_frame_stack,
 )
 from curvatura.quadrature import QuadratureSpec, radial_integral
 from curvatura.curvature_integrals import (
     BREAKDOWN_COLUMNS,
     MCR_COLUMNS,
     ball_bound,
-    comparison_correction_residual,
     comparison_rhs,
     comparison_rhs_constant,
+    correction_sums_stack,
     m1_volume_bound,
     mixed_sum_terms,
     ricci_comparison,
@@ -236,9 +240,15 @@ class TestComparisonCurved:
         # displayed double sum vs the div(T_r) route, at an asymmetric point
         M = constant_curvature(-1.0, 3)
         u = OffCenterDistanceField(0.3)
-        p = np.array([1.0, 0.9, 0.4])
+        P = np.array([[1.0, 0.9, 0.4]])
+        hd = hessian_frame_stack(u, M, P)
+        pf = principal_frame_stack(hd)
+        rd = riemann_stack(M, P, pf.frame_chart)
         for r in (1, 2):
-            assert comparison_correction_residual(u, M, p, r) <= 1e-10
+            sect, mixed = correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd,
+                                                hd.grad_norm, r)
+            via_div = div_newton_stack(M, P, hd, r)[0] @ hd.grad_frame[0]
+            assert abs(sect[0] + mixed[0] - via_div / hd.grad_norm[0] ** (r + 1)) <= 1e-10
 
 
 class TestConstantCurvaturePaths:

@@ -243,9 +243,13 @@ def write_golden(workdir: Path) -> None:
     """Pin every record missing from the data file at the current commit.
     Records already in the file stay byte-identical, so pins taken at an
     earlier commit keep holding later code to that commit's numbers; delete
-    the file to pin everything afresh."""
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=DATA.parent, check=True,
-                            capture_output=True, text=True).stdout.strip()
+    the file to pin everything afresh.  `extended_at_commit` is stamped
+    only when `src/` has no uncommitted changes: records pinned from an
+    uncommitted tree come from code that no commit holds yet."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=DATA.parent, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    commit = git("rev-parse", "HEAD")
     data = (json.loads(DATA.read_text()) if DATA.exists()
             else {"generated_at_commit": commit, "configs": {}})
     added = False
@@ -254,11 +258,14 @@ def write_golden(workdir: Path) -> None:
         for key, records in {**compute(name, workdir), **paths(name)}.items():
             if key not in have:
                 have[key], added = records, True
-    if "verify_quick" not in data:
-        data["verify_quick"] = {"seed": QUICK_SEED,
-                                "suites": {s: quick_suite(s) for s in SUITE_NAMES}}
-        added = True
-    if added and data["generated_at_commit"] != commit:
+    suites = data.setdefault("verify_quick", {"seed": QUICK_SEED, "suites": {}})["suites"]
+    for suite in SUITE_NAMES:
+        have = suites.setdefault(suite, {})
+        for cid, row in quick_suite(suite).items():
+            if cid not in have:
+                have[cid], added = row, True
+    src_dirty = git("status", "--porcelain", "--", "../src")
+    if added and not src_dirty and data["generated_at_commit"] != commit:
         data["extended_at_commit"] = commit
     DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 

@@ -1,5 +1,6 @@
-"""Tests for fields, covariant Hessians, principal frames, and the pointwise
-Reilly-type identities."""
+"""Tests for fields, covariant Hessians, principal frames, and the Reilly-type
+identities with the div(T_r) contraction and its finite-difference oracle, on
+node stacks."""
 
 import math
 
@@ -21,19 +22,25 @@ from curvatura.level_set_geometry import (
     QuadraticFormField,
     RadialDistanceField,
     RadialSquaredHalfField,
-    div_newton_fd,
     _fd_partials,
-    div_newton_frame,
+    div_newton_fd_stack,
+    div_newton_stack,
     fd_steps,
     field_from_spec,
     hessian_frame,
-    level_mean_curvature,
-    principal_frame,
-    reilly1_residual,
-    reilly2_residual,
+    hessian_frame_stack,
+    principal_frame_stack,
+    reilly1_residual_stack,
+    reilly2_sides_stack,
     sphere_direction,
 )
-from curvatura.symmetric_algebra import binomial, jacobi_eigh, sigma_elementary
+from curvatura.symmetric_algebra import (
+    binomial,
+    elementary_all_stack,
+    jacobi_eigh,
+    sigma_elementary,
+    sigma_stack,
+)
 
 
 def sample_points(M, seed, count):
@@ -138,46 +145,56 @@ class TestCartesianHessianBits:
                             == np.asarray(getattr(ref, name)).tobytes()), (u.kind, name)
 
 
+def frames(u, M, points):
+    """hessian_frame_stack and principal_frame_stack of a list of points."""
+    hd = hessian_frame_stack(u, M, np.array(points, dtype=float))
+    return hd, principal_frame_stack(hd)
+
+
+def sigmas(u, M, points, r):
+    """sigma_r of the principal curvatures at every point."""
+    return sigma_stack(elementary_all_stack(frames(u, M, points)[1].kappa), r)
+
+
 class TestPrincipalFrame:
     def test_euclidean_sphere_curvatures(self):
         M = euclidean(3)
         u = RadialSquaredHalfField()
-        for p in sample_points(M, 3, 5):
-            hd = hessian_frame(u, M, p)
-            pf = principal_frame(hd)
+        points = sample_points(M, 3, 5)
+        _, pf = frames(u, M, points)
+        for k, p in enumerate(points):
             rho = np.linalg.norm(p)
-            np.testing.assert_allclose(pf.kappa, [1 / rho] * 2, rtol=1e-12)
-            np.testing.assert_allclose(pf.grad_norm_derivs, 0.0, atol=1e-12)
+            np.testing.assert_allclose(pf.kappa[k], [1 / rho] * 2, rtol=1e-12)
+        np.testing.assert_allclose(pf.grad_norm_derivs, 0.0, atol=1e-12)
 
     def test_hyperbolic_radial_coth(self):
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
-        for p in sample_points(M, 4, 5):
-            pf = principal_frame(hessian_frame(u, M, p))
-            np.testing.assert_allclose(pf.kappa, [1 / math.tanh(p[0])] * 2, rtol=1e-11)
+        points = sample_points(M, 4, 5)
+        _, pf = frames(u, M, points)
+        for k, p in enumerate(points):
+            np.testing.assert_allclose(pf.kappa[k], [1 / math.tanh(p[0])] * 2, rtol=1e-11)
 
     def test_ellipsoid_axis_point(self):
         M = euclidean(3)
         u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
-        p = np.array([1.0, 0.0, 0.0])
-        pf = principal_frame(hessian_frame(u, M, p))
-        np.testing.assert_allclose(pf.nu, [1.0, 0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(pf.kappa, [1.0, 4.0], rtol=1e-13)
+        _, pf = frames(u, M, [[1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(pf.nu[0], [1.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(pf.kappa[0], [1.0, 4.0], rtol=1e-13)
 
     def test_principal_frame_structure(self):
         # u_i = 0 for i < n, u_n = |grad u|, off-diagonal u_ij = 0 for i,j < n
         M = constant_curvature(-1.0, 3)
         u = OffCenterDistanceField(0.3)
-        for p in sample_points(M, 5, 5):
-            hd = hessian_frame(u, M, p)
-            pf = principal_frame(hd)
-            F_inv_cols = np.linalg.solve(hd.frame, pf.frame_chart)  # frame comps
-            Hp = F_inv_cols.T @ hd.hess_frame @ F_inv_cols
-            gp = F_inv_cols.T @ hd.grad_frame
-            assert np.max(np.abs(gp[:2])) <= 1e-10 * hd.grad_norm
-            assert gp[2] == pytest.approx(hd.grad_norm, rel=1e-12)
-            assert abs(Hp[0, 1]) <= 1e-8 * max(1.0, np.max(np.abs(hd.hess_frame)))
-            np.testing.assert_allclose(np.diag(Hp)[:2] / hd.grad_norm, pf.kappa,
+        hd, pf = frames(u, M, sample_points(M, 5, 5))
+        for k in range(5):
+            F_inv_cols = np.linalg.solve(hd.frame[k], pf.frame_chart[k])  # frame comps
+            Hp = F_inv_cols.T @ hd.hess_frame[k] @ F_inv_cols
+            gp = F_inv_cols.T @ hd.grad_frame[k]
+            assert np.max(np.abs(gp[:2])) <= 1e-10 * hd.grad_norm[k]
+            assert gp[2] == pytest.approx(hd.grad_norm[k], rel=1e-12)
+            assert abs(Hp[0, 1]) <= 1e-8 * max(1.0, np.max(np.abs(hd.hess_frame[k])))
+            np.testing.assert_allclose(np.diag(Hp)[:2] / hd.grad_norm[k], pf.kappa[k],
                                        atol=1e-9)
 
     def test_sigma_r_frame_invariance(self):
@@ -186,17 +203,16 @@ class TestPrincipalFrame:
         rng = np.random.default_rng(6)
         A = rng.normal(size=(4, 4))
         u = QuadraticFormField(A @ A.T + 4 * np.eye(4))
-        for p in sample_points(M, 7, 5):
-            hd = hessian_frame(u, M, p)
-            pf = principal_frame(hd)
-            nu = hd.grad_frame / hd.grad_norm
+        hd, pf = frames(u, M, sample_points(M, 7, 5))
+        for k in range(5):
+            nu = hd.grad_frame[k] / hd.grad_norm[k]
             X = rng.normal(size=(4, 3))
             X -= np.outer(nu, nu @ X)
             B, _ = np.linalg.qr(X)
-            S = B.T @ hd.hess_frame @ B / hd.grad_norm
+            S = B.T @ hd.hess_frame[k] @ B / hd.grad_norm[k]
             w = np.linalg.eigvalsh(S)
             for r in range(4):
-                a = sigma_elementary(pf.kappa, r)
+                a = sigma_elementary(pf.kappa[k], r)
                 b = sigma_elementary(w, r)
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
@@ -204,82 +220,68 @@ class TestPrincipalFrame:
         # spheres have a repeated eigenvalue; sigma_r must still be stable
         M = constant_curvature(-0.5, 4)
         u = RadialDistanceField()
-        vals = {}
-        for p in sample_points(M, 8, 6):
-            pf = principal_frame(hessian_frame(u, M, p))
-            for r in range(4):
-                vals.setdefault(r, []).append(sigma_elementary(pf.kappa, r))
+        points = sample_points(M, 8, 6)
         s = math.sqrt(0.5)
-        for r, seq in vals.items():
+        for r in range(4):
             # kappa depends only on the radius; compare against closed form
-            for v, p in zip(seq, sample_points(M, 8, 6)):
+            for v, p in zip(sigmas(u, M, points, r), points):
                 kap = s / math.tanh(s * p[0])
                 assert v == pytest.approx(binomial(3, r) * kap ** r, rel=1e-10)
+
+    def test_closed_form_mean_curvatures(self):
+        # sigma_2 = 1/rho^2 on the sphere of radius 0.5, sigma_1 = 2 coth on
+        # hyperbolic spheres, sigma_0 = 1
+        assert sigmas(RadialSquaredHalfField(), euclidean(3), [[0.3, 0.4, 0.0]], 2)[0] \
+            == pytest.approx(4.0, rel=1e-12)
+        assert sigmas(RadialDistanceField(), constant_curvature(-1.0, 3),
+                      [[0.8, 1.0, 0.2]], 1)[0] == pytest.approx(2 / math.tanh(0.8), rel=1e-12)
+        assert sigmas(RadialDistanceField(), warped(poly3_profile(), 3),
+                      [[1.0, 1.0, 1.0]], 0)[0] == 1.0
 
     def test_degenerate_gradient_refused(self):
         M = euclidean(3)
         u = RadialSquaredHalfField()
-        hd = hessian_frame(u, M, np.array([1e-10, 0.0, 0.0]))
         with pytest.raises(DegenerateGradientError):
-            principal_frame(hd)
+            frames(u, M, [[1e-10, 0.0, 0.0]])
 
     def test_grad_norm_derivs_match_fd(self):
         M = constant_curvature(-1.0, 3)
         u = OffCenterDistanceField(0.4)
         p = np.array([1.1, 0.9, 0.5])
-        hd = hessian_frame(u, M, p)
-        pf = principal_frame(hd)
+        _, pf = frames(u, M, [p])
         h = 1e-4
         for i in range(2):
-            d = pf.directions[:, i]
+            d = pf.directions[0, :, i]
             gp = hessian_frame(u, M, p + h * d).grad_norm
             gm = hessian_frame(u, M, p - h * d).grad_norm
             fd = (gp - gm) / (2 * h)
-            assert abs(fd - pf.grad_norm_derivs[i]) <= 5e-4
+            assert abs(fd - pf.grad_norm_derivs[0, i]) <= 5e-4
 
 
-class TestLevelMeanCurvature:
-    def test_euclidean_sphere(self):
-        M = euclidean(3)
-        u = RadialSquaredHalfField()
-        p = np.array([0.3, 0.4, 0.0])
-        assert level_mean_curvature(u, M, p, 2) == pytest.approx(4.0, rel=1e-12)
-
-    def test_hyperbolic_mean(self):
-        M = constant_curvature(-1.0, 3)
-        u = RadialDistanceField()
-        p = np.array([0.8, 1.0, 0.2])
-        assert level_mean_curvature(u, M, p, 1) == pytest.approx(
-            2 / math.tanh(0.8), rel=1e-12)
-
-    def test_r0_is_one(self):
-        M = warped(poly3_profile(), 3)
-        u = RadialDistanceField()
-        assert level_mean_curvature(u, M, np.array([1.0, 1.0, 1.0]), 0) == 1.0
+def reilly2_residuals(u, M, points, r):
+    lhs, rhs = reilly2_sides_stack(u, M, np.array(points), r)
+    return np.abs(lhs - rhs)
 
 
 class TestReilly2:
     def test_euclidean_closed_form(self):
         M = euclidean(3)
         u = RadialSquaredHalfField()
-        for p in sample_points(M, 9, 10):
-            for r in range(3):
-                assert reilly2_residual(u, M, p, r) <= 1e-12
+        for r in range(3):
+            assert np.max(reilly2_residuals(u, M, sample_points(M, 9, 10), r)) <= 1e-12
 
     def test_random_quadratics_n4(self):
         M = euclidean(4)
         rng = np.random.default_rng(10)
         A = rng.normal(size=(4, 4))
         u = QuadraticFormField(A @ A.T + 5 * np.eye(4))
-        for p in sample_points(M, 11, 100):
-            for r in range(4):
-                assert reilly2_residual(u, M, p, r) < 1e-9
+        for r in range(4):
+            assert np.max(reilly2_residuals(u, M, sample_points(M, 11, 100), r)) < 1e-9
 
     def test_r0_exact(self):
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
-        p = np.array([1.0, 1.2, 0.1])
-        assert reilly2_residual(u, M, p, 0) <= 1e-14
+        assert reilly2_residuals(u, M, [[1.0, 1.2, 0.1]], 0)[0] <= 1e-14
 
 
 class NaNPartialsPast(RadialSquaredHalfField):
@@ -289,8 +291,19 @@ class NaNPartialsPast(RadialSquaredHalfField):
         super().__init__()
         self.edge = edge
 
-    def partials(self, M, p):
-        return np.full(M.dim, np.nan) if p[0] > self.edge else super().partials(M, p)
+    def partials_stack(self, M, P):
+        du = super().partials_stack(M, P)
+        return np.where(np.asarray(P)[:, :1] > self.edge, np.nan, du)
+
+
+def div_newton(u, M, points, r):
+    P = np.array(points, dtype=float)
+    return div_newton_stack(M, P, hessian_frame_stack(u, M, P), r)
+
+
+def div_newton_fd(u, M, points, r, h):
+    P = np.array(points, dtype=float)
+    return div_newton_fd_stack(u, M, P, hessian_frame_stack(u, M, P), r, h)
 
 
 class TestDivNewton:
@@ -299,21 +312,20 @@ class TestDivNewton:
         rng = np.random.default_rng(12)
         A = rng.normal(size=(4, 4))
         u = QuadraticFormField(A @ A.T + 5 * np.eye(4))
-        for p in sample_points(M, 13, 5):
-            for r in range(1, 4):
-                assert np.max(np.abs(div_newton_frame(u, M, p, r))) <= 1e-12
+        for r in range(1, 4):
+            assert np.max(np.abs(div_newton(u, M, sample_points(M, 13, 5), r))) <= 1e-12
 
     def test_constant_curvature_radial_closed_form(self):
         # <div T_r, grad u>/|grad u|^{r+1} = -a (n - r) sigma_{r-1}(kappa)
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
-        for p in sample_points(M, 14, 5):
-            hd = hessian_frame(u, M, p)
-            pf = principal_frame(hd)
-            for r in (1, 2):
-                dn = div_newton_frame(u, M, p, r)
-                got = float(dn @ hd.grad_frame) / hd.grad_norm ** (r + 1)
-                expected = (3 - r) * sigma_elementary(pf.kappa, r - 1)
+        points = sample_points(M, 14, 5)
+        hd, pf = frames(u, M, points)
+        for r in (1, 2):
+            dn = div_newton(u, M, points, r)
+            for k in range(5):
+                got = float(dn[k] @ hd.grad_frame[k]) / hd.grad_norm[k] ** (r + 1)
+                expected = (3 - r) * sigma_elementary(pf.kappa[k], r - 1)
                 assert got == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("make,field", [
@@ -324,31 +336,34 @@ class TestDivNewton:
     def test_matches_fd_oracle(self, make, field):
         M = make()
         u = field()
-        for p in sample_points(M, 15, 3):
-            for r in (1, 2):
-                dn = div_newton_frame(u, M, p, r)
-                fd = div_newton_fd(u, M, p, r, h=1e-3)
-                scale = max(1.0, np.max(np.abs(dn)))
-                assert np.max(np.abs(dn - fd)) <= 5e-5 * scale
+        points = sample_points(M, 15, 3)
+        for r in (1, 2):
+            dn = div_newton(u, M, points, r)
+            fd = div_newton_fd(u, M, points, r, h=1e-3)
+            for k in range(3):
+                scale = max(1.0, np.max(np.abs(dn[k])))
+                assert np.max(np.abs(dn[k] - fd[k])) <= 5e-5 * scale
 
     def test_fd_oracle_order(self):
         M = warped(poly3_profile(), 3)
         u = RadialDistanceField()
-        p = np.array([0.9, 1.1, 0.4])
-        dn = div_newton_frame(u, M, p, 1)
-        errs = [np.max(np.abs(dn - div_newton_fd(u, M, p, 1, h=h)))
-                for h in (4e-3, 2e-3)]
+        p = [[0.9, 1.1, 0.4]]
+        dn = div_newton(u, M, p, 1)
+        errs = [np.max(np.abs(dn - div_newton_fd(u, M, p, 1, h=h))) for h in (4e-3, 2e-3)]
         assert math.log2(errs[0] / errs[1]) >= 1.9
 
     def test_requires_r_at_least_one(self):
         with pytest.raises(ValueError):
-            div_newton_frame(RadialDistanceField(), euclidean(3),
-                             np.array([1.0, 0.0, 0.0]), 0)
+            div_newton(RadialDistanceField(), euclidean(3), [[1.0, 0.0, 0.0]], 0)
 
     def test_nan_gradient_raises(self):
         u = NaNPartialsPast(0.0)
         with pytest.raises(DegenerateGradientError):
-            div_newton_frame(u, euclidean(3), np.array([0.6, 0.5, 0.4]), 1)
+            div_newton(u, euclidean(3), [[0.6, 0.5, 0.4]], 1)
+
+
+def reilly1_residual(u, M, p, r, hs):
+    return reilly1_residual_stack(u, M, np.array([p], dtype=float), r, hs)[:, 0]
 
 
 class TestReilly1:
@@ -356,36 +371,31 @@ class TestReilly1:
         # div(x/|x|) = (n-1)/|x|; residual only from the FD truncation
         M = euclidean(3)
         u = RadialSquaredHalfField()
-        p = np.array([0.6, 0.5, 0.4])
-        assert reilly1_residual(u, M, p, 1, 1e-3) < 1e-5
+        assert reilly1_residual(u, M, [0.6, 0.5, 0.4], 1, (1e-3,))[0] < 1e-5
 
     def test_hyperbolic_richardson(self):
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
-        p = np.array([0.9, 1.0, 0.3])
-        r_h = reilly1_residual(u, M, p, 2, 2e-3)
-        r_h2 = reilly1_residual(u, M, p, 2, 1e-3)
+        r_h, r_h2 = reilly1_residual(u, M, [0.9, 1.0, 0.3], 2, (2e-3, 1e-3))
         assert 3.3 <= r_h / r_h2 <= 4.7
 
     def test_flat_mean_curvature_identity(self):
         # r = 1 in flat space: div(grad u/|grad u|) = sigma_1(kappa)
         M = euclidean(3)
         u = QuadraticFormField(np.diag([1.0, 2.0, 3.0]))
-        p = np.array([0.7, 0.5, 0.6])
-        assert reilly1_residual(u, M, p, 1, 5e-4) < 1e-5
+        assert reilly1_residual(u, M, [0.7, 0.5, 0.6], 1, (5e-4,))[0] < 1e-5
 
     def test_degenerate_gradient_raises(self):
         M = euclidean(3)
         u = RadialSquaredHalfField()
         with pytest.raises(DegenerateGradientError):
-            reilly1_residual(u, M, np.array([0.0, 0.0, 0.0]), 1, 1e-3)
+            reilly1_residual(u, M, [0.0, 0.0, 0.0], 1, (1e-3,))
 
     def test_nan_gradient_in_the_stencil_raises(self):
         # the centre is regular; the +x0 stencil point is not
         u = NaNPartialsPast(0.6)
-        p = np.array([0.6, 0.5, 0.4])
         with pytest.raises(DegenerateGradientError, match="stencil"):
-            reilly1_residual(u, euclidean(3), p, 1, 1e-3)
+            reilly1_residual(u, euclidean(3), [0.6, 0.5, 0.4], 1, (1e-3,))
 
 
 class TestFields:

@@ -14,16 +14,22 @@ from curvatura.model_manifolds import (
     constant_curvature,
     euclidean,
     linear_profile,
-    metric_at,
     metric_diag,
     poly3_profile,
-    riemann_at,
+    riemann_stack,
     sinh_profile,
     sphere_data,
     sphere_total_mean_curvature,
     unit_sphere_volume,
     warped,
 )
+from oracles import metric_at
+
+
+def riemann_one(M, p, frame):
+    """riemann_stack at one point, as the CurvatureTensorData of that node."""
+    rd = riemann_stack(M, np.asarray(p, dtype=float)[None], np.asarray(frame, dtype=float)[None])
+    return type(rd)(R=rd.R[0], K=rd.K[0], ricci_n=rd.ricci_n[0])
 
 
 def fd_christoffel(M, p, h):
@@ -128,20 +134,20 @@ class TestRiemann:
         for a in (-0.5, -1.0):
             M = constant_curvature(a, 3)
             p = SAMPLE_POINTS[3][0]
-            rd = riemann_at(M, p, orthonormal_frame(M, p))
+            rd = riemann_one(M, p, orthonormal_frame(M, p))
             off = ~np.eye(3, dtype=bool)
             np.testing.assert_allclose(rd.K[off], a, rtol=1e-14)
             assert rd.ricci_n == pytest.approx(2 * a, rel=1e-14)
 
     def test_euclidean_zero(self):
         M = euclidean(3)
-        rd = riemann_at(M, np.array([1.0, 0.3, 0.2]), np.eye(3))
+        rd = riemann_one(M, np.array([1.0, 0.3, 0.2]), np.eye(3))
         assert np.max(np.abs(rd.R)) == 0.0
 
     def test_warped_sinh_is_hyperbolic(self):
         M = warped(sinh_profile(), 3)
         for p in SAMPLE_POINTS[3]:
-            rd = riemann_at(M, p, orthonormal_frame(M, p))
+            rd = riemann_one(M, p, orthonormal_frame(M, p))
             off = ~np.eye(3, dtype=bool)
             np.testing.assert_allclose(rd.K[off], -1.0, atol=1e-12)
 
@@ -149,7 +155,7 @@ class TestRiemann:
         prof = poly3_profile()
         M = warped(prof, 4)
         p = SAMPLE_POINTS[4][0]
-        rd = riemann_at(M, p, orthonormal_frame(M, p))
+        rd = riemann_one(M, p, orthonormal_frame(M, p))
         r = p[0]
         k_rad = -prof.d2f(r) / prof.f(r)
         k_tan = (1 - prof.df(r) ** 2) / prof.f(r) ** 2
@@ -169,7 +175,7 @@ class TestRiemann:
             F = orthonormal_frame(M, p)
             Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
             F = F @ Q  # random g-orthonormal frame
-            rd = riemann_at(M, p, F)
+            rd = riemann_one(M, p, F)
             R = rd.R
             assert np.max(np.abs(R + np.swapaxes(R, 0, 1))) < 1e-10
             assert np.max(np.abs(R + np.swapaxes(R, 2, 3))) < 1e-10
@@ -181,7 +187,7 @@ class TestRiemann:
         M = constant_curvature(-1.0, 3)
         p = SAMPLE_POINTS[3][0]
         with pytest.raises(ValueError):
-            riemann_at(M, p, 2.0 * orthonormal_frame(M, p))
+            riemann_one(M, p, 2.0 * orthonormal_frame(M, p))
 
 
 class TestSphereClosedForms:

@@ -1,20 +1,25 @@
-"""The stacked node kernel against the pointwise API it replaced in the
-quadrature and the pointwise suite: hessian_frame, principal_frame,
-riemann_at, sigma_elementary, the correction sums, the per-ray root solve,
-jacobi_eigh, newton_matrices, div_newton_frame and the Reilly residuals are
-its oracles.  Also the guards of the stacked route, and the node-stack
-integrand contract."""
+"""The stacked node kernel against per-point oracles: hessian_frame,
+sigma_elementary, the per-ray root solve and jacobi_eigh from the package,
+and the former per-point kernels kept in tests/oracles.py (principal_frame,
+riemann_at, the correction sums, newton_matrices, sigma_hessian_eig, the
+trace identity, div_newton_frame, div_newton_fd and the Reilly residuals).
+Also the guards of the stacked route, the node-stack integrand contract, and
+that no oracle name comes back into the package."""
 
+import ast
+import importlib
 import math
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvatura
 import curvatura.quadrature as quadrature
 from curvatura.curvature_integrals import (
     comparison_rhs,
     correction_sums_stack,
-    correction_terms_pointwise,
     total_mean_curvature,
 )
 from curvatura.errors import (
@@ -29,14 +34,11 @@ from curvatura.level_set_geometry import (
     RadialDistanceField,
     RadialSquaredHalfField,
     ScalarField,
-    _reilly2_sides,
-    div_newton_frame,
+    div_newton_fd_stack,
     div_newton_stack,
     hessian_frame,
     hessian_frame_stack,
-    principal_frame,
     principal_frame_stack,
-    reilly1_residual,
     reilly1_residual_stack,
     reilly2_sides_stack,
     sphere_direction,
@@ -45,7 +47,6 @@ from curvatura.model_manifolds import (
     constant_curvature,
     euclidean,
     poly3_profile,
-    riemann_at,
     riemann_stack,
     warped,
 )
@@ -59,11 +60,27 @@ from curvatura.symmetric_algebra import (
     elementary_all_stack,
     jacobi_eigh,
     jacobi_eigh_stack,
-    newton_matrices,
     newton_matrices_stack,
     sigma_elementary,
+    trace_identity_residual_stack,
 )
-from curvatura.verification import _default_models, _field_grid, _sample_point
+from curvatura.verification import (
+    _default_models,
+    _field_grid,
+    _sample_point,
+)
+from oracles import (
+    _reilly2_sides,
+    correction_terms_pointwise,
+    div_newton_fd,
+    div_newton_frame,
+    newton_matrices,
+    principal_frame,
+    reilly1_residual,
+    riemann_at,
+    sigma_hessian_eig,
+    trace_identity_residual,
+)
 
 REL = 1e-12
 SPEC = QuadratureSpec(angular_orders=(6,), level_order=3)
@@ -206,6 +223,55 @@ def test_stacked_newton_operators_match_newton_matrices():
         newton_matrices_stack(np.array([np.eye(3)]), 4)
     with pytest.raises(ValueError, match="matrix 1 of the stack is not symmetric"):
         newton_matrices_stack(np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]), 1)
+
+
+# the FD oracle differences O(1) Newton operators over 2h = 2e-3, so the
+# stack's roundoff gap to the pointwise oracle grows like 1/h (measured at
+# most 4.6e-13 on the grid below, with oracle values up to 3.5)
+DIV_FD_ABS = 5e-12
+
+
+@pytest.mark.parametrize("M,u,r", list(_field_grid(_default_models(), 1)),
+                         ids=lambda v: getattr(v, "label", getattr(v, "kind", None)))
+def test_stacked_div_newton_fd_matches_pointwise(M, u, r):
+    rng = np.random.default_rng(23)
+    P = np.array([_sample_point(M, rng) for _ in range(6)])
+    fd = div_newton_fd_stack(u, M, P, hessian_frame_stack(u, M, P), r, h=1e-3)
+    assert fd.shape == P.shape
+    for k, p in enumerate(P):
+        assert np.max(np.abs(fd[k] - div_newton_fd(u, M, p, r, h=1e-3))) <= DIV_FD_ABS
+
+
+def test_stacked_algebra_route_matches_per_matrix_sigma():
+    # 20 symmetric matrices per n = 2..6, the size of a quick algebra case
+    rng = np.random.default_rng(12345)
+    for n in range(2, 7):
+        A = np.array([rng.normal(size=(n, n)) for _ in range(20)])
+        H = A + A.transpose(0, 2, 1)
+        e = elementary_all_stack(jacobi_eigh_stack(H)[0])
+        traces = trace_identity_residual_stack(H, e)
+        for k in range(len(H)):
+            for r in range(n + 1):
+                assert float(e[k, r]).hex() == sigma_hessian_eig(H[k], r).hex(), (n, k, r)
+            scale = max(1.0, float(np.abs(H[k]).max()))
+            for r in range(n):
+                want = trace_identity_residual(H[k], r)
+                assert abs(traces[k, r] - want) <= 1e-13 * scale ** (r + 1), (n, k, r)
+    with pytest.raises(ValueError, match="e must be 1x4"):
+        trace_identity_residual_stack(np.eye(3)[None], np.ones((1, 3)))
+
+
+def test_no_oracle_name_is_defined_in_the_package():
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert {"principal_frame", "riemann_at", "newton_matrices"} <= defined
+    modules = [curvatura] + [importlib.import_module(f"curvatura.{m.name}")
+                             for m in pkgutil.iter_modules(curvatura.__path__)]
+    back = {(mod.__name__, name) for mod in modules for name in defined if hasattr(mod, name)}
+    assert back == set()
 
 
 # reilly1's LHS is a central difference of O(1) values, so the stack's

@@ -21,8 +21,8 @@ from curvatura.level_set_geometry import (
     RadialDistanceField,
     RadialSquaredHalfField,
     ScalarField,
-    hessian_frame,
-    principal_frame,
+    hessian_frame_stack,
+    principal_frame_stack,
 )
 from curvatura.quadrature import (
     QuadratureSpec,
@@ -32,9 +32,15 @@ from curvatura.quadrature import (
     radial_integral,
     surface_integral,
 )
-from curvatura.symmetric_algebra import sigma_elementary
+from curvatura.symmetric_algebra import elementary_all_stack, sigma_stack
 
 SPEC = QuadratureSpec(angular_orders=(16,), level_order=8)
+
+
+def sigma_r(u, M, P, r):
+    """sigma_r of the principal curvatures at every node of a point stack."""
+    kappa = principal_frame_stack(hessian_frame_stack(u, M, P)).kappa
+    return sigma_stack(elementary_all_stack(kappa), r)
 
 
 def ones(P):
@@ -150,8 +156,7 @@ class TestSurfaceIntegral:
         u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
 
         def sigma1(P):
-            return [sigma_elementary(principal_frame(hessian_frame(u, M, p)).kappa, 1)
-                    for p in P]
+            return sigma_r(u, M, P, 1)
 
         res = surface_integral(u, M, 0.5, sigma1,
                                QuadratureSpec(angular_orders=(96,), level_order=4))
@@ -185,8 +190,7 @@ class TestCoareaIntegral:
         u = RadialDistanceField()
 
         def sigma2(P):
-            return [sigma_elementary(principal_frame(hessian_frame(u, M, p)).kappa, 2)
-                    for p in P]
+            return sigma_r(u, M, P, 2)
 
         res = coarea_volume_integral(u, M, (0.5, 1.5), sigma2, SPEC)
         prof = poly3_profile()
@@ -242,8 +246,7 @@ class TestDeterminism:
         u = RadialDistanceField()
 
         def integrand(P):
-            return [sigma_elementary(principal_frame(hessian_frame(u, M, p)).kappa, 1)
-                    for p in P]
+            return sigma_r(u, M, P, 1)
 
         r1 = surface_integral(u, M, 1.0, integrand, SPEC, threads=1)
         r4 = surface_integral(u, M, 1.0, integrand, SPEC, threads=4)

@@ -1,4 +1,4 @@
-"""Tests for elementary symmetric functions, Kronecker tensors, and Newton
+"""Tests for elementary symmetric functions, permutation parities, and Newton
 operators.  Eigenvalue oracles use numpy.linalg, independent of the in-package
 Jacobi path."""
 
@@ -10,15 +10,34 @@ from curvatura.symmetric_algebra import (
     binomial,
     double_factorial,
     elementary_all,
+    elementary_all_stack,
     jacobi_eigh,
-    kronecker_delta,
-    newton_matrices,
+    jacobi_eigh_stack,
+    newton_matrices_stack,
     newton_partial_form,
+    parity_between,
     sigma_elementary,
-    sigma_hessian_eig,
     sigma_hessian_kronecker,
-    trace_identity_residual,
+    sigma_stack,
+    trace_identity_residual_stack,
 )
+
+
+def sigma_eig(H, r):
+    """sigma_r of H by the eigenvalue route: jacobi_eigh_stack, then the
+    elementary symmetric functions of the eigenvalues."""
+    return float(sigma_stack(elementary_all_stack(jacobi_eigh_stack([H])[0]), r)[0])
+
+
+def newton(H, r):
+    """newton_matrices_stack of the one-matrix stack [H], as matrices."""
+    return [T[0] for T in newton_matrices_stack([H], r)]
+
+
+def trace_residual(H, r):
+    """trace_identity_residual_stack of [H] at order r."""
+    e = elementary_all_stack(jacobi_eigh_stack([H])[0])
+    return float(trace_identity_residual_stack([H], e)[0, r])
 
 
 def random_sym(rng, n, scale=1.0):
@@ -52,25 +71,15 @@ class TestSigmaElementary:
         np.testing.assert_allclose(e, coeffs[::-1], rtol=1e-13, atol=1e-13)
 
 
-class TestKroneckerDelta:
+class TestParity:
     def test_identity_permutation(self):
-        assert kronecker_delta((1, 2), (1, 2)) == 1
+        assert parity_between((1, 2), (1, 2)) == 1
 
     def test_single_transposition(self):
-        assert kronecker_delta((1, 2), (2, 1)) == -1
-
-    def test_repeated_index(self):
-        assert kronecker_delta((1, 1), (1, 1)) == 0
-
-    def test_disjoint_sets(self):
-        assert kronecker_delta((1, 2), (1, 3)) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            kronecker_delta((1, 2), (1, 2, 3))
+        assert parity_between((1, 2), (2, 1)) == -1
 
     def test_three_cycle_is_even(self):
-        assert kronecker_delta((1, 2, 3), (2, 3, 1)) == 1
+        assert parity_between((1, 2, 3), (2, 3, 1)) == 1
 
 
 class TestJacobi:
@@ -92,11 +101,11 @@ class TestJacobi:
 
 class TestSigmaHessian:
     def test_diagonal(self):
-        assert sigma_hessian_eig(np.diag([1.0, 2.0, 3.0]), 2) == pytest.approx(11.0, rel=1e-13)
+        assert sigma_eig(np.diag([1.0, 2.0, 3.0]), 2) == pytest.approx(11.0, rel=1e-13)
 
     def test_order_zero(self):
         rng = np.random.default_rng(0)
-        assert sigma_hessian_eig(random_sym(rng, 4), 0) == 1.0
+        assert sigma_eig(random_sym(rng, 4), 0) == 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_dual_paths_agree(self, n):
@@ -105,7 +114,7 @@ class TestSigmaHessian:
             H = random_sym(rng, n)
             scale = max(1.0, np.max(np.abs(H)))
             for r in range(1, n + 1):
-                a = sigma_hessian_eig(H, r)
+                a = sigma_eig(H, r)
                 b = sigma_hessian_kronecker(H, r)
                 assert abs(a - b) <= 1e-10 * scale ** r
 
@@ -116,7 +125,7 @@ class TestSigmaHessian:
             Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
             Hr = Q @ H @ Q.T
             for r in range(1, 5):
-                a, b = sigma_hessian_eig(H, r), sigma_hessian_eig(Hr, r)
+                a, b = sigma_eig(H, r), sigma_eig(Hr, r)
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
     def test_kronecker_dimension_cap(self):
@@ -126,12 +135,12 @@ class TestSigmaHessian:
 
 class TestNewtonOperator:
     def test_diag_recursion(self):
-        T = newton_matrices(np.diag([2.0, 3.0]), 1)[1]
+        T = newton(np.diag([2.0, 3.0]), 1)[1]
         np.testing.assert_allclose(T, np.diag([3.0, 2.0]), atol=1e-14)
 
     def test_order_zero_is_identity(self):
         rng = np.random.default_rng(1)
-        T = newton_matrices(random_sym(rng, 3), 0)[0]
+        T = newton(random_sym(rng, 3), 0)[0]
         np.testing.assert_allclose(T, np.eye(3), atol=0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -141,7 +150,7 @@ class TestNewtonOperator:
             H = random_sym(rng, n) + 3.0 * np.eye(n)   # keep well-conditioned
             det = np.linalg.det(H)
             Hinv = np.linalg.inv(H)
-            T = newton_matrices(H, n - 1)[n - 1]
+            T = newton(H, n - 1)[n - 1]
             bound = 1e-9 * abs(det) * np.max(np.abs(Hinv)) * max(1.0, np.max(np.abs(H)))
             assert np.max(np.abs(T - det * Hinv)) <= bound
 
@@ -150,7 +159,7 @@ class TestNewtonOperator:
         rng = np.random.default_rng(30 + n)
         for _ in range(10):
             H = random_sym(rng, n)
-            T = newton_matrices(H, n)[n]
+            T = newton(H, n)[n]
             scale = max(1.0, np.max(np.abs(H)))
             assert np.max(np.abs(T)) <= 1e-9 * scale ** n
 
@@ -162,7 +171,7 @@ class TestNewtonOperator:
         H = random_sym(rng, 4)
         w = np.linalg.eigvalsh(H)
         for r in range(5):
-            T = newton_matrices(H, r)[r]
+            T = newton(H, r)[r]
             S = np.zeros((4, 4))
             for i in range(r + 1):
                 S += (-1) ** i * sigma_elementary(w, r - i) * np.linalg.matrix_power(H, i)
@@ -173,16 +182,16 @@ class TestNewtonOperator:
         for n in (2, 4, 6):
             for c in (0.7, -1.3):
                 for r in range(n):
-                    T = newton_matrices(c * np.eye(n), r)[r]
+                    T = newton(c * np.eye(n), r)[r]
                     np.testing.assert_allclose(
                         T, binomial(n - 1, r) * c ** r * np.eye(n),
                         atol=1e-10 * max(1.0, abs(c) ** r))
 
     def test_order_range_validated(self):
         with pytest.raises(ValueError):
-            newton_matrices(np.eye(3), 4)
+            newton(np.eye(3), 4)
         with pytest.raises(ValueError):
-            newton_matrices(np.eye(3), -1)
+            newton(np.eye(3), -1)
 
 
 class TestNewtonPartialForm:
@@ -200,7 +209,7 @@ class TestNewtonPartialForm:
         rng = np.random.default_rng(40 + n)
         for _ in range(10):
             H = random_sym(rng, n)
-            mats = newton_matrices(H, n - 1)
+            mats = newton(H, n - 1)
             scale = max(1.0, np.max(np.abs(H)))
             for r in range(n):
                 P = newton_partial_form(H, r)
@@ -213,11 +222,11 @@ class TestNewtonPartialForm:
 
 class TestTraceIdentity:
     def test_diag_r0(self):
-        assert trace_identity_residual(np.diag([2.0, 3.0]), 0) == pytest.approx(0, abs=1e-13)
+        assert trace_residual(np.diag([2.0, 3.0]), 0) == pytest.approx(0, abs=1e-13)
 
     def test_diag_r1(self):
         # trace(diag(3,2) diag(2,3)) = 12 = 2 sigma_2
-        assert trace_identity_residual(np.diag([2.0, 3.0]), 1) == pytest.approx(0, abs=1e-13)
+        assert trace_residual(np.diag([2.0, 3.0]), 1) == pytest.approx(0, abs=1e-13)
 
     def test_random_5x5(self):
         rng = np.random.default_rng(50)
@@ -225,7 +234,7 @@ class TestTraceIdentity:
             H = random_sym(rng, 5)
             scale = max(1.0, np.max(np.abs(H)))
             for r in range(5):
-                assert trace_identity_residual(H, r) <= 1e-10 * scale ** (r + 1)
+                assert trace_residual(H, r) <= 1e-10 * scale ** (r + 1)
 
     def test_eigenvalue_oracle(self):
         # both sides recomputed from numpy eigenvalues
@@ -233,7 +242,7 @@ class TestTraceIdentity:
         H = random_sym(rng, 5)
         w = np.linalg.eigvalsh(H)
         for r in range(4):
-            T = newton_matrices(H, r)[r]
+            T = newton(H, r)[r]
             lhs = np.trace(T @ H)
             rhs = (r + 1) * sigma_elementary(w, r + 1)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))

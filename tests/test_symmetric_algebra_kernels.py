@@ -6,8 +6,8 @@ rotations and nested loops over numpy scalar indexing for the contraction.
 The kernels must give the same bits, not merely close values, because the
 CSVs of the verification pipeline are a byte-level determinism surface.
 The same holds for the eigenpair sort (a stable argsort with
-take_along_axis in the reference) and for the Newton operators and sigma_r,
-whose reference forms validate their matrix again at every step.
+take_along_axis in the reference) and for sigma_r of the stacked eigenvalue
+route, whose reference form diagonalizes one matrix at a time.
 """
 
 import math
@@ -20,12 +20,12 @@ from curvatura import symmetric_algebra as sa
 from curvatura.errors import CapabilityError
 from curvatura.symmetric_algebra import (
     as_sym_matrix,
+    elementary_all_stack,
     jacobi_eigh,
-    newton_matrices,
+    jacobi_eigh_stack,
     sigma_elementary,
-    sigma_hessian_eig,
     sigma_hessian_kronecker,
-    trace_identity_residual,
+    sigma_stack,
 )
 
 
@@ -74,17 +74,6 @@ def jacobi_argsort_form(H):
     order = np.argsort(w, axis=1, kind="stable")
     return (np.take_along_axis(w, order, axis=1)[0],
             np.take_along_axis(V, order[:, None, :], axis=2)[0])
-
-
-def newton_array_form(H, r):
-    # jacobi_eigh validates A again; one identity matrix per step
-    A = as_sym_matrix(H)
-    e = sa.elementary_all(jacobi_eigh(A)[0])
-    mats = [np.eye(A.shape[0])]
-    for k in range(1, r + 1):
-        T = e[k] * np.eye(A.shape[0]) - mats[-1] @ A
-        mats.append(0.5 * (T + T.T))
-    return mats
 
 
 def sigma_eig_array_form(H, r):
@@ -154,18 +143,15 @@ def test_jacobi_sort_bits_match_argsort_form(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_newton_and_sigma_bits_match_array_forms(n):
-    for H in sample_matrices(n, count=5) + sort_cases(n):
-        ref = newton_array_form(H, n)
-        for r in range(n + 1):
-            got = newton_matrices(H, r)
-            assert len(got) == r + 1
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
-            assert sigma_hessian_eig(H, r).hex() == sigma_eig_array_form(H, r).hex()
-        A = as_sym_matrix(H)
-        for r in range(n):
-            old = abs(float(np.trace(ref[r] @ A)) - (r + 1) * sigma_eig_array_form(A, r + 1))
-            assert trace_identity_residual(H, r).hex() == old.hex()
+def test_stacked_sigma_bits_match_array_form(n):
+    # the eigenvalue route of the pointwise suite: one jacobi_eigh_stack,
+    # then elementary_all_stack, read at every r
+    stack = sample_matrices(n, count=5) + sort_cases(n)
+    e = elementary_all_stack(jacobi_eigh_stack(np.array(stack))[0])
+    for k, H in enumerate(stack):
+        for r in range(n + 2):
+            got = float(sigma_stack(e[k:k + 1], r)[0])
+            assert got.hex() == sigma_eig_array_form(H, r).hex(), (k, r)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -118,13 +118,17 @@ def test_failing_case_carries_rerun_inputs():
     # the finer sum is not zero, the coarser one is: order -inf, not a log2 error
     ("reilly1_residual_stack",
      lambda u, M, P, r, hs: np.outer([0.0, 1.0], np.ones(len(P))), r"/reilly1_order$", -math.inf),
-    ("div_newton_frame", lambda u, M, p, r: np.full(M.dim, math.nan), r"/div_newton$", math.nan),
-    ("div_newton_fd", lambda u, M, p, r, h: np.full(M.dim, math.nan),
-     r"^pointwise/(constant|warped).*/div_newton$", math.nan),
-    ("comparison_correction_residual", lambda u, M, p, r: math.nan, r"/correction_cross$",
-     math.nan),
+    # the curved correction_cross cases read the contraction too
+    ("div_newton_stack", lambda M, P, hd, r: np.full(np.shape(P), math.nan),
+     r"/(div_newton|correction_cross)$", math.nan),
+    # the oracle of the curved div_newton cases, and the flat cases' own row
+    ("div_newton_fd_stack", lambda u, M, P, hd, r, h: np.full(np.shape(P), math.nan),
+     r"^pointwise/(constant|warped).*/div_newton$|/div_newton_fd$", math.nan),
+    ("correction_sums_stack", lambda kappa, derivs, rd, gn, r: (np.full(len(gn), math.nan),) * 2,
+     r"/correction_cross$", math.nan),
     ("sigma_hessian_kronecker", lambda H, r: math.nan, r"/sigma_dual_path$", math.nan),
-    ("trace_identity_residual", lambda H, r: math.nan, r"/trace_identity$", math.nan),
+    ("trace_identity_residual_stack", lambda H, e: np.full(np.shape(H)[:2], math.nan),
+     r"/trace_identity$", math.nan),
 ])
 def test_nan_or_diverging_residuals_fail_their_cases(monkeypatch, kernel, stub, failing,
                                                      measured):
