@@ -137,6 +137,9 @@ def _validate_field(d, M, path="field"):
     if kind not in ("radial", "radial_sq", "quadratic", "offcenter"):
         _fail(f"{path}.field", f"expected radial|radial_sq|quadratic|offcenter, got {kind!r}")
     if "center" in d:
+        if kind == "offcenter":
+            _fail(f"{path}.center", "offcenter fields are centred `offset` along the "
+                                    "first axis and take no 'center'")
         c = _check_vector(d["center"], f"{path}.center")
         if len(c) != M.dim:
             _fail(f"{path}.center", f"expected length {M.dim}, got {len(c)}")

@@ -37,9 +37,9 @@ from .model_manifolds import (
 from .level_set_geometry import ScalarField, hessian_frame_stack, principal_frame_stack
 from .quadrature import (
     QuadratureSpec,
+    _radial_rule,
     _within_working_radius,
     coarea_volume_integral_multi,
-    radial_integral,
     surface_integral,
 )
 from .symmetric_algebra import double_factorial, elementary_all_stack, sigma_stack
@@ -177,10 +177,17 @@ def _node_geometry(u, M, P):
 
 def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     """(|{u < level}|, estimate, node count) in closed form: a geodesic ball
-    of radius rho = u.ball_radius(level) has volume |S^{n-1}| Int_0^rho
-    f^{n-1}, a quadratic field's flat ellipsoid |S^{n-1}|/n times its
-    semi-axes sqrt(2 level / lambda_i).  Refuses level <= 0, sets past the
-    working radius and every other field."""
+    of radius rho = u.ball_radius(level) has volume |S^{n-1}| Int_0^rho g
+    with g = f^{n-1}, a quadratic field's flat ellipsoid |S^{n-1}|/n times
+    its semi-axes sqrt(2 level / lambda_i).  Refuses level <= 0, sets past
+    the working radius and every other field.
+
+    The ball's estimate is the last doubling difference of the radial rule
+    plus its roundoff.  Rounding moves each node by at most 4 eps rho, which
+    moves the rule by at most 4 eps rho Int_0^rho |g'| = 4 eps rho g(rho)
+    (g increases, as f' >= 1 in every model); that term grows with
+    (n - 1) sqrt(-a) rho in the hyperbolic models.  The values, weights,
+    products and the pairwise sum add 2 (n + log2 order) eps |v|."""
     if not level > 0:   # NaN included
         raise GeometryError(f"the enclosed volume needs a positive level, got {level:g}")
     n = M.dim
@@ -188,15 +195,20 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     if rho is not None:
         f, _, _ = radial_profile(M)
         _within_working_radius(M, level, rho)
-        v = unit_sphere_volume(n) * radial_integral(lambda t: f(t) ** (n - 1), (0.0, rho))
-    elif u.kind == "quadratic":
+        sphere = unit_sphere_volume(n)
+        integral, diff, order = _radial_rule(lambda t: f(t) ** (n - 1), (0.0, rho))
+        v = sphere * integral
+        eps = np.finfo(float).eps
+        err = sphere * (diff + 4.0 * eps * rho * f(rho) ** (n - 1)) \
+            + 2.0 * (n + math.log2(order)) * eps * v
+        return v, err, 1
+    if u.kind == "quadratic":
         u._check(M)
         axes = [math.sqrt(2.0 * level / lam) for lam in u.eigenvalues]
         _within_working_radius(M, level, max(axes), "ellipsoid")
         v = unit_sphere_volume(n) / n * math.prod(axes)
-    else:
-        raise GeometryError(f"no enclosed-volume path for field '{u.kind}'")
-    return v, 1e-14 * abs(v), 1
+        return v, 1e-14 * abs(v), 1
+    raise GeometryError(f"no enclosed-volume path for field '{u.kind}'")
 
 
 def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CurvaturaError, DegenerateGradientError, node_error
 from .model_manifolds import (
     ModelManifold,
+    _elementwise,
     christoffel_at,
     christoffel_stack,
     metric_diag,
@@ -60,17 +61,18 @@ def sphere_direction(angles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ScalarField:
-    """Base class: a smooth scalar field with optional analytic derivatives.
+    """Base class: a smooth scalar field with closed-form derivatives.
 
-    value() must work everywhere on the working domain.  When `analytic` is
-    true, partials() and second_partials() return chart coordinate partials
-    d_i u and d_i d_j u; otherwise the Hessian machinery falls back to
-    central finite differences of value().
+    value() must work everywhere on the working domain; partials() and
+    second_partials() return the chart coordinate partials d_i u and
+    d_i d_j u.  Derivatives come from closed forms only: finite differences
+    of value() are a test oracle, not a route of the package.
 
     partials_stack and second_partials_stack take an (N, n) point stack and
     return the partials (N, n) and second partials (N, n, n) of every row.
-    Fields with closed forms define both and set `stacked`; the base class
-    defines only partials_stack, which calls partials() row by row.
+    Fields with stacked closed forms define both on the _StackedField base,
+    whose per-point partials are one-row stacks; this base class defines
+    only partials_stack, which calls partials() row by row.
 
     ball_radius(level) is the radius of the geodesic ball {u < level} when
     that set is one; star_radius(level) is that radius when the ball is
@@ -78,13 +80,12 @@ class ScalarField:
     """
 
     kind = "abstract"
-    analytic = False
     # true when the *_stack methods are closed forms: hessian_frame_stack
     # then differentiates the whole stack at once; otherwise it calls
-    # hessian_frame per node.  The quadratic field is analytic but not
-    # stacked only because perfbench counts one hessian_frame call per node
-    # on its ellipsoid workload; once those counters read the stacked spans
-    # (ROADMAP item 1), the route can key on `analytic` and this flag go.
+    # hessian_frame per node.  Only the quadratic field is not stacked, and
+    # only because perfbench counts one hessian_frame call per node on its
+    # ellipsoid workload; once those counters read the stacked spans
+    # (ROADMAP item 1), it can be stacked and this flag go.
     stacked = False
 
     def value(self, M: ModelManifold, p) -> float:
@@ -146,13 +147,23 @@ def _centered(center, M: ModelManifold, P) -> np.ndarray:
     return X
 
 
-class _RadialField(ScalarField):
+class _StackedField(ScalarField):
+    """Base of the fields with stacked closed forms: their per-point
+    partials are one-row stacks."""
+
+    stacked = True
+
+    def partials(self, M, p):
+        return self.partials_stack(M, np.asarray(p, dtype=float)[None])[0]
+
+    def second_partials(self, M, p):
+        return self.second_partials_stack(M, np.asarray(p, dtype=float)[None])[0]
+
+
+class _RadialField(_StackedField):
     """Base of the fields radial about the chart base point, or about a
     Cartesian `center`: closed-form stacks, sublevel balls about any center,
     and exact level spheres when the center is the base point."""
-
-    analytic = True
-    stacked = True
 
     def __init__(self, center=None):
         self.center = None if center is None else np.asarray(center, dtype=float)
@@ -179,24 +190,6 @@ class RadialDistanceField(_RadialField):
         if M.chart == "polar":
             return float(p[0])
         return float(np.linalg.norm(_centered(self.center, M, p)))
-
-    def partials(self, M, p):
-        n = M.dim
-        if M.chart == "polar":
-            du = np.zeros(n)
-            du[0] = 1.0
-            return du
-        x = _centered(self.center, M, p)
-        return x / np.linalg.norm(x)
-
-    def second_partials(self, M, p):
-        n = M.dim
-        if M.chart == "polar":
-            return np.zeros((n, n))
-        x = _centered(self.center, M, p)
-        d = np.linalg.norm(x)
-        w = x / d
-        return (np.eye(n) - np.outer(w, w)) / d
 
     def partials_stack(self, M, P):
         if M.chart == "polar":
@@ -229,22 +222,6 @@ class RadialSquaredHalfField(_RadialField):
         x = _centered(self.center, M, p)
         return 0.5 * float(x @ x)
 
-    def partials(self, M, p):
-        n = M.dim
-        if M.chart == "polar":
-            du = np.zeros(n)
-            du[0] = float(p[0])
-            return du
-        return _centered(self.center, M, p).copy()
-
-    def second_partials(self, M, p):
-        n = M.dim
-        if M.chart == "polar":
-            D2 = np.zeros((n, n))
-            D2[0, 0] = 1.0
-            return D2
-        return np.eye(n)
-
     def partials_stack(self, M, P):
         if M.chart == "polar":
             du = np.zeros((len(P), M.dim))
@@ -269,7 +246,6 @@ class QuadraticFormField(ScalarField):
     Cartesian charts only; level sets are ellipsoids."""
 
     kind = "quadratic"
-    analytic = True
 
     def __init__(self, Q, center=None):
         self.Q = np.array(Q, dtype=float)
@@ -315,13 +291,23 @@ class QuadraticFormField(ScalarField):
         return d
 
 
-class OffCenterDistanceField(ScalarField):
-    """u = geodesic distance from a point at distance `offset` along the
+class OffCenterDistanceField(_StackedField):
+    """u = geodesic distance from the point at distance `offset` along the
     first axis from the chart base point.
 
-    Cartesian charts subtract the offset; constant-curvature polar charts use
-    the hyperbolic law of cosines, with derivatives supplied by finite
-    differences of the value.
+    Cartesian charts take the radial distance field about (offset, 0, ...).
+    Constant-curvature polar charts use the hyperbolic law of cosines: with
+    s = sqrt(-a), d the offset and theta the first angle (the only angle
+    that enters),
+
+        A = cosh(s rho) cosh(s d) - sinh(s rho) sinh(s d) cos(theta),
+        u = acosh(A) / s,   u_i = A_i / (s B),
+        u_ij = (A_ij - A A_i A_j / B^2) / (s B),   B = sqrt(A^2 - 1).
+
+    Value and stacks form A - 1 = 2 sinh^2(s (rho - d) / 2)
+    + 2 sinh(s rho) sinh(s d) sin^2(theta / 2) as a sum of nonnegative
+    terms, so that u and B keep their relative accuracy near the centre and
+    at small curvature.  The per-point partials are one-row stacks.
     """
 
     kind = "offcenter"
@@ -336,19 +322,62 @@ class OffCenterDistanceField(ScalarField):
             raise ValueError(
                 "off-center distance has no closed form in non-constant warped models")
 
+    def _radial(self, M) -> RadialDistanceField:
+        """The field on a Cartesian chart: the distance from (offset, 0, ...)."""
+        center = np.zeros(M.dim)
+        center[0] = self.offset
+        return RadialDistanceField(center=center)
+
     def value(self, M, p):
         self._bind_check(M)
-        p = np.asarray(p, dtype=float)
         if M.chart == "cartesian":
-            x = p.copy()
-            x[0] -= self.offset
-            return float(np.linalg.norm(x))
+            return self._radial(M).value(M, p)
+        s, rho = math.sqrt(-M.a), float(p[0])
+        Am1 = (2.0 * math.sinh(0.5 * s * (rho - self.offset)) ** 2
+               + 2.0 * math.sinh(s * rho) * math.sinh(s * self.offset)
+               * math.sin(0.5 * float(p[1])) ** 2)
+        # acosh(A) = log(A + B)
+        return math.log1p(Am1 + math.sqrt(Am1 * (2.0 + Am1))) / s
+
+    def _cosines(self, M, P):
+        """(s, A, B, (A_rho, A_theta), the 2x2 second partials of A) at
+        every row of a polar point stack."""
+        P = np.asarray(P, dtype=float)
         s = math.sqrt(-M.a)
-        r = float(p[0])
-        cosg = math.cos(float(p[1]))
-        arg = (math.cosh(s * r) * math.cosh(s * self.offset)
-               - math.sinh(s * r) * math.sinh(s * self.offset) * cosg)
-        return math.acosh(max(arg, 1.0)) / s
+        sh_d = math.sinh(s * self.offset)
+        sr = s * P[:, 0]
+        t = s * (P[:, 0] - self.offset)
+        sh, ch = _elementwise(math.sinh, sr), _elementwise(math.cosh, sr)
+        sin_t, sin_half = _elementwise(math.sin, P[:, 1]), _elementwise(math.sin, 0.5 * P[:, 1])
+        half2 = sin_half * sin_half
+        Am1 = 2.0 * _elementwise(math.sinh, 0.5 * t) ** 2 + 2.0 * sh * sh_d * half2
+        A = 1.0 + Am1
+        B = np.sqrt(Am1 * (2.0 + Am1))
+        dA = np.column_stack((s * (_elementwise(math.sinh, t) + 2.0 * ch * sh_d * half2),
+                              sh * sh_d * sin_t))
+        mixed = s * ch * sh_d * sin_t
+        d2A = np.stack((np.column_stack((s * s * A, mixed)),
+                        np.column_stack((mixed, sh * sh_d * (1.0 - 2.0 * half2)))), axis=1)
+        return s, A, B, dA, d2A
+
+    def partials_stack(self, M, P):
+        self._bind_check(M)
+        if M.chart == "cartesian":
+            return self._radial(M).partials_stack(M, P)
+        s, _, B, dA, _ = self._cosines(M, P)
+        du = np.zeros((len(P), M.dim))
+        du[:, :2] = dA / (s * B)[:, None]
+        return du
+
+    def second_partials_stack(self, M, P):
+        self._bind_check(M)
+        if M.chart == "cartesian":
+            return self._radial(M).second_partials_stack(M, P)
+        s, A, B, dA, d2A = self._cosines(M, P)
+        D2 = np.zeros((len(P), M.dim, M.dim))
+        D2[:, :2, :2] = ((d2A - (A / (B * B))[:, None, None] * dA[:, :, None] * dA[:, None, :])
+                         / (s * B)[:, None, None])
+        return D2
 
     def ball_radius(self, level):
         # about the offset point, in a model _bind_check keeps homogeneous
@@ -375,6 +404,9 @@ def field_from_spec(spec: dict, M: ModelManifold) -> ScalarField:
             raise ValueError("quadratic fields are Cartesian-chart only")
         return QuadraticFormField(spec["Q"], center=spec.get("center"))
     if kind == "offcenter":
+        if "center" in spec:
+            raise ValueError("offcenter fields are centred `offset` along the first axis "
+                             "and take no 'center'")
         f = OffCenterDistanceField(spec.get("offset", 0.3))
         f._bind_check(M)
         if f.offset > M.working_radius:
@@ -401,7 +433,8 @@ class HessianData:
 
 
 def fd_steps(M: ModelManifold, p, h: float) -> np.ndarray:
-    """Per-coordinate finite-difference steps.
+    """Per-coordinate steps of the finite-difference stencils (_stencil) of
+    the div(T_r) oracle and the reilly1 residual.
 
     Polar charts cap the radial step below r/2 and the polar-angle steps a
     safe fraction away from the axis so stencils stay inside the chart.
@@ -417,55 +450,18 @@ def fd_steps(M: ModelManifold, p, h: float) -> np.ndarray:
     return steps
 
 
-def _fd_partials(u: ScalarField, M: ModelManifold, p, steps):
-    n = M.dim
-    p = np.asarray(p, dtype=float)
-    du = np.zeros(n)
-    D2 = np.zeros((n, n))
-    u0 = u.value(M, p)
-    plus = np.empty(n)
-    minus = np.empty(n)
-    for i in range(n):
-        q = p.copy(); q[i] += steps[i]
-        plus[i] = u.value(M, q)
-        q = p.copy(); q[i] -= steps[i]
-        minus[i] = u.value(M, q)
-        du[i] = (plus[i] - minus[i]) / (2 * steps[i])
-        D2[i, i] = (plus[i] - 2 * u0 + minus[i]) / steps[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = p.copy(); q[i] += steps[i]; q[j] += steps[j]
-            upp = u.value(M, q)
-            q = p.copy(); q[i] += steps[i]; q[j] -= steps[j]
-            upm = u.value(M, q)
-            q = p.copy(); q[i] -= steps[i]; q[j] += steps[j]
-            ump = u.value(M, q)
-            q = p.copy(); q[i] -= steps[i]; q[j] -= steps[j]
-            umm = u.value(M, q)
-            D2[i, j] = D2[j, i] = (upp - upm - ump + umm) / (4 * steps[i] * steps[j])
-    return du, D2
-
-
-def hessian_frame(u: ScalarField, M: ModelManifold, p,
-                  h: float = None, use_fd: bool = False) -> HessianData:
+def hessian_frame(u: ScalarField, M: ModelManifold, p) -> HessianData:
     """Gradient and covariant Hessian of u at p, in the orthonormal
     frame from the triangular factorization of the chart metric.
 
     The covariant Hessian is d_i d_j u - Gamma^k_ij d_k u in the chart (the
-    symbols vanish on Cartesian charts), then conjugated into the frame.
-    Analytic field derivatives are used when available unless use_fd forces
-    the central-difference path with step h (default 1e-4 * (1 + |p|),
-    per-coordinate guarded near the chart axis).
+    symbols vanish on Cartesian charts), from the field's closed-form
+    partials, then conjugated into the frame.  The per-node route of
+    hessian_frame_stack for fields that are not stacked.
     """
     p = np.asarray(p, dtype=float)
-    if u.analytic and not use_fd:
-        du = u.partials(M, p)
-        D2 = u.second_partials(M, p)
-    else:
-        if h is None:
-            h = 1e-4 * (1.0 + float(np.linalg.norm(p)))
-        steps = fd_steps(M, p, h)
-        du, D2 = _fd_partials(u, M, p, steps)
+    du = u.partials(M, p)
+    D2 = u.second_partials(M, p)
     hess_chart = D2
     if M.chart == "polar":
         hess_chart = D2 - np.tensordot(du, christoffel_at(M, p), axes=([0], [0]))
@@ -483,8 +479,9 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
     """hessian_frame of every row of an (N, n) point stack, as one
     HessianData whose fields carry a leading node axis.
 
-    Stacked fields use their closed forms on the whole stack; pointwise
-    fields call hessian_frame node by node.
+    Stacked fields use their closed forms on the whole stack; the others
+    (in the package, only the quadratic field) call hessian_frame node by
+    node.
     """
     P = np.asarray(P, dtype=float)
     N, n = P.shape

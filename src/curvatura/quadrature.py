@@ -14,12 +14,13 @@ Gauss-Legendre tensor products, with polar angles pulled a fixed margin off
 the axis.  Volume integrals between two levels use the coarea fibration
 (Gauss-Legendre across levels, 1/|grad u|-weighted surface rule inside).
 
-A rule is evaluated as one stack of nodes, not node by node: the field
-derivatives, the surface weights (surface_nodes) and the integrand each run
-once on (N, ...) arrays.  The ray root solve (find_level_radii) is exact for
-level spheres about the base point and otherwise runs find_level_radius ray
-by ray.  Fields without stacked closed forms (ScalarField.stacked false)
-also keep their Hessian per node, inside the stacked stages.  Integrands
+A rule is evaluated as one stack of nodes, not node by node: the field's
+closed-form partials, the surface weights (surface_nodes) and the integrand
+each run once on (N, ...) arrays.  The ray root solve (find_level_radii) is
+exact for level spheres about the base point and otherwise runs
+find_level_radius ray by ray.  The quadratic field, the one field without
+stacked closed forms (ScalarField.stacked false), keeps its partials and
+Hessian per node, inside the stacked stages.  Integrands
 receive the (N, n) point stack.  Rules above _CHUNK nodes, and rules split
 over `threads` workers, run as several contiguous stacks.  Every stage
 computes each node with the same operations whatever the stack it sits in,
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import GeometryError, node_error
 from .model_manifolds import ModelManifold, _elementwise, metric_diag_stack, radial_profile
-from .level_set_geometry import ScalarField, _rowdot, fd_steps, sphere_direction
+from .level_set_geometry import ScalarField, _rowdot, sphere_direction
 
 _ROOT_BISECT_WIDTH = 1e-6
 _ROOT_NEWTON_TOL = 1e-12
@@ -151,32 +152,6 @@ def _angular_grid(n: int, orders: tuple, margin: float):
     return angles, weights, np.array([sphere_direction(a) for a in angles])
 
 
-def field_partials(u: ScalarField, M: ModelManifold, p) -> np.ndarray:
-    """Chart coordinate partials of u, analytic when the field offers them,
-    otherwise first-order central differences."""
-    if u.analytic:
-        return u.partials(M, p)
-    p = np.asarray(p, dtype=float)
-    h = 1e-5 * (1.0 + float(np.linalg.norm(p)))
-    steps = fd_steps(M, p, h)
-    du = np.zeros(M.dim)
-    for i in range(M.dim):
-        q = p.copy(); q[i] += steps[i]
-        up = u.value(M, q)
-        q = p.copy(); q[i] -= steps[i]
-        um = u.value(M, q)
-        du[i] = (up - um) / (2 * steps[i])
-    return du
-
-
-def field_partials_stack(u: ScalarField, M: ModelManifold, P) -> np.ndarray:
-    """field_partials of every row of an (N, n) point stack: the field's
-    stacked closed form, or the per-point central differences."""
-    if u.analytic:
-        return u.partials_stack(M, P)
-    return np.array([field_partials(u, M, p) for p in P]).reshape(len(P), M.dim)
-
-
 def _within_working_radius(M: ModelManifold, level: float, radius: float,
                            shape: str = "sphere") -> float:
     """radius, refused past the working radius, as a root solve refuses a crossing there."""
@@ -286,7 +261,7 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     n = M.dim
     rho = find_level_radii(u, M, levels, angles)
     P = np.column_stack((rho, angles)) if M.chart == "polar" else rho[:, None] * directions
-    du = field_partials_stack(u, M, P)
+    du = u.partials_stack(M, P)
     grad_norm = np.sqrt(_rowdot(du, du / metric_diag_stack(M, P)))
     if M.chart == "polar":
         u_rho = du[:, 0]
@@ -418,10 +393,8 @@ def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
         lambda s: _coarea_values(u, M, levels, integrand, s, n_comp, threads), M, spec)
 
 
-def radial_integral(g, bounds, order: int = 16, max_order: int = 4096) -> float:
-    """1-D Gauss-Legendre integral, doubling the order until two successive
-    values differ by less than _RADIAL_TOL (relative).  Raises GeometryError,
-    with the last difference, when the order passes max_order first."""
+def _radial_rule(g, bounds, order: int = 16, max_order: int = 4096):
+    """(value, last doubling difference, final order) of radial_integral."""
     a, b = bounds
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("bounds must be finite")
@@ -432,9 +405,16 @@ def radial_integral(g, bounds, order: int = 16, max_order: int = 4096) -> float:
         if prev is not None:
             diff = abs(val - prev)
             if diff <= _RADIAL_TOL * max(1.0, abs(val)):
-                return val
+                return val, diff, order
         prev = val
         order *= 2
     raise GeometryError(f"radial_integral hit the order cap {max_order} without "
                         f"meeting tol={_RADIAL_TOL:g}; last difference "
                         f"{'none' if diff is None else format(diff, '.3e')}")
+
+
+def radial_integral(g, bounds, order: int = 16, max_order: int = 4096) -> float:
+    """1-D Gauss-Legendre integral, doubling the order until two successive
+    values differ by less than _RADIAL_TOL (relative).  Raises GeometryError,
+    with the last difference, when the order passes max_order first."""
+    return _radial_rule(g, bounds, order, max_order)[0]

@@ -284,9 +284,7 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     for (M, u, r), (rng, seed) in zip(_field_grid(models, 1), rngs):
         cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly1_order"
         with cs.timed(cid):
-            # fields without analytic derivatives have an inner-FD noise
-            # floor ~1e-8; a larger outer step keeps truncation dominant
-            h = 2e-3 if u.analytic else 6e-3
+            h = 2e-3
             P = np.array([_sample_point(M, rng) for _ in range(n_pts_fd)])
             res = reilly1_residual_stack(u, M, P, r, (h, h / 2))
             # summed left to right in sample order (sum() compensates on

@@ -3,7 +3,9 @@
 These are the library's former per-point kernels, kept verbatim as test
 oracles: the stacked kernels of curvatura are checked against them in
 tests/test_node_kernel.py and the other test modules, so each stack is
-compared with an independent implementation.  Nothing in curvatura calls
+compared with an independent implementation.  The finite-difference field
+derivatives (fd_partials, hessian_frame_fd) check every field's closed
+forms.  Nothing in curvatura calls
 them, and tests/test_node_kernel.py checks that none of these names comes
 back into the package.
 """
@@ -39,6 +41,60 @@ from curvatura.symmetric_algebra import (
     jacobi_eigh,
     sigma_elementary,
 )
+
+
+def fd_partials(u: ScalarField, M: ModelManifold, p, steps):
+    """Central-difference chart partials (n,) and second partials (n, n) of
+    u.value at p, with one step per coordinate."""
+    n = M.dim
+    p = np.asarray(p, dtype=float)
+    du = np.zeros(n)
+    D2 = np.zeros((n, n))
+    u0 = u.value(M, p)
+    plus = np.empty(n)
+    minus = np.empty(n)
+    for i in range(n):
+        q = p.copy(); q[i] += steps[i]
+        plus[i] = u.value(M, q)
+        q = p.copy(); q[i] -= steps[i]
+        minus[i] = u.value(M, q)
+        du[i] = (plus[i] - minus[i]) / (2 * steps[i])
+        D2[i, i] = (plus[i] - 2 * u0 + minus[i]) / steps[i] ** 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = p.copy(); q[i] += steps[i]; q[j] += steps[j]
+            upp = u.value(M, q)
+            q = p.copy(); q[i] += steps[i]; q[j] -= steps[j]
+            upm = u.value(M, q)
+            q = p.copy(); q[i] -= steps[i]; q[j] += steps[j]
+            ump = u.value(M, q)
+            q = p.copy(); q[i] -= steps[i]; q[j] -= steps[j]
+            umm = u.value(M, q)
+            D2[i, j] = D2[j, i] = (upp - upm - ump + umm) / (4 * steps[i] * steps[j])
+    return du, D2
+
+
+class _PartialsAt(ScalarField):
+    """A field known only by its partials at the one point it is asked at."""
+
+    def __init__(self, du, D2):
+        self.du, self.D2 = du, D2
+
+    def partials(self, M, p):
+        return self.du
+
+    def second_partials(self, M, p):
+        return self.D2
+
+
+def hessian_frame_fd(u: ScalarField, M: ModelManifold, p, h: float = None) -> HessianData:
+    """hessian_frame of u at p with the field's partials replaced by
+    fd_partials of its value, step h (default 1e-4 * (1 + |p|)) placed per
+    coordinate by fd_steps.  Converges at O(h^2)."""
+    p = np.asarray(p, dtype=float)
+    if h is None:
+        h = 1e-4 * (1.0 + float(np.linalg.norm(p)))
+    return hessian_frame(_PartialsAt(*fd_partials(u, M, p, fd_steps(M, p, h))), M, p)
 
 
 def metric_at(M: ModelManifold, p) -> np.ndarray:

@@ -140,6 +140,10 @@ def compute_cfg(**changes):
     ("compute", compute_cfg(manifold=HYPERBOLIC,
                             field={"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 4]]}),
      2, "field"),
+    # an off-center field is centred by its offset, never by a center
+    ("compute", compute_cfg(manifold=HYPERBOLIC, level=0.8,
+                            field={"field": "offcenter", "offset": 0.3, "center": [5, 0, 0]}),
+     2, "field.center"),
     # tolerances: numbers under known keys only
     ("verify", {"schema_version": 1, "suites": ["asymptotic"], "tolerances": {"slope": "abc"}},
      2, "tolerances.slope"),

@@ -11,6 +11,7 @@ from curvatura.errors import GeometryError
 from curvatura.model_manifolds import (
     constant_curvature,
     euclidean,
+    linear_profile,
     poly3_profile,
     riemann_stack,
     sinh_profile,
@@ -134,6 +135,28 @@ class TestTotalMeanCurvature:
             assert rep.value == pytest.approx(exact, rel=1e-12)
             assert abs(rep.value - exact) <= rep.error_estimate
             assert rep.node_count == 1
+
+    @pytest.mark.parametrize("profile", ["sinh[a=-0.25]", "sinh[a=-1]", "sinh[a=-4]",
+                                         "poly3", "linear"])
+    def test_ball_volume_estimate_bounds_the_error(self, profile):
+        # against 40-digit quadrature; the roundoff of the radial rule grows
+        # with (n - 1) sqrt(-a) rho, up to 100 here
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        if profile.startswith("sinh"):
+            a = float(profile[len("sinh[a="):-1])
+            s = mp.sqrt(-mp.mpf(a))
+            model, f = (lambda n: constant_curvature(a, n)), (lambda t: mp.sinh(s * t) / s)
+        else:
+            prof = poly3_profile() if profile == "poly3" else linear_profile()
+            model, f = (lambda n: warped(prof, n)), prof.f
+        for n in range(2, 7):
+            sphere = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+            for rho in (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0):
+                rep = total_mean_curvature(RadialDistanceField(), model(n), rho, -1, SPEC)
+                exact = sphere * mp.quad(lambda t: f(t) ** (n - 1), mp.linspace(0, rho, 5))
+                assert abs(mp.mpf(rep.value) - exact) <= rep.error_estimate, (n, rho)
 
     def test_enclosed_volume_refuses_nonpositive_levels(self):
         H = constant_curvature(-1.0, 3)

@@ -234,8 +234,13 @@ def print_moves(workdir: Path) -> None:
                                    golden["configs"][name], name)
         for suite in SUITE_NAMES:
             moves += suite_moves(quick_suite(suite), golden["verify_quick"]["suites"][suite])
+    def plain(v):
+        """A numpy float as the Python float whose repr pastes into the data file."""
+        return float(v) if isinstance(v, float) else v
+
     for where, pinned, new, rel in moves:
-        print(f"{where}\t{pinned!r}\t{new!r}\t" + ("-" if rel is None else f"{rel:.3e}"))
+        print(f"{where}\t{plain(pinned)!r}\t{plain(new)!r}\t"
+              + ("-" if rel is None else f"{rel:.3e}"))
     print(f"{len(moves)} value(s) outside the lock", file=sys.stderr)
 
 

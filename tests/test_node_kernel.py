@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import curvatura
+import curvatura.level_set_geometry as level_set_geometry
 import curvatura.quadrature as quadrature
 from curvatura.curvature_integrals import (
     comparison_rhs,
@@ -74,6 +75,7 @@ from oracles import (
     correction_terms_pointwise,
     div_newton_fd,
     div_newton_frame,
+    hessian_frame_fd,
     newton_matrices,
     principal_frame,
     reilly1_residual,
@@ -92,22 +94,45 @@ def ones(P):
 
 
 class Anon(ScalarField):
-    """A field known only through its per-point value (no star radius, no
-    stacked closed form): the root solve brackets ray by ray and
-    derivatives take the finite-difference route."""
+    """A field given by per-point callables: its value and, where a test
+    reaches them, its chart partials (no star radius, no stacked closed
+    form).  The root solve brackets ray by ray and the Hessian runs node by
+    node."""
     kind = "anon"
 
-    def __init__(self, value):
-        self._value = value
+    def __init__(self, value, partials=None, second_partials=None):
+        self._value, self._partials, self._second = value, partials, second_partials
 
     def value(self, M, p):
         return self._value(M, p)
+
+    def partials(self, M, p):
+        return np.asarray(self._partials(M, p), dtype=float)
+
+    def second_partials(self, M, p):
+        return np.asarray(self._second(M, p), dtype=float)
 
 
 def bumped(M, p):
     """Non-radial in a polar chart: the mixed correction sum is nonzero in
     a warped model, where radial fields make it vanish."""
     return p[0] * (1.0 + 0.2 * math.cos(p[1]))
+
+
+def bumped_partials(M, p):
+    du = np.zeros(M.dim)
+    du[:2] = 1.0 + 0.2 * math.cos(p[1]), -0.2 * p[0] * math.sin(p[1])
+    return du
+
+
+def bumped_second_partials(M, p):
+    D2 = np.zeros((M.dim, M.dim))
+    D2[0, 1] = D2[1, 0] = -0.2 * math.sin(p[1])
+    D2[1, 1] = -0.2 * p[0] * math.cos(p[1])
+    return D2
+
+
+BUMPED = Anon(bumped, bumped_partials, bumped_second_partials)
 
 
 def cases():
@@ -122,7 +147,7 @@ def cases():
                 (M, OffCenterDistanceField(0.3))]
     for n in (3, 4):
         M = warped(poly3_profile(), n)
-        out += [(M, RadialDistanceField()), (M, RadialSquaredHalfField()), (M, Anon(bumped))]
+        out += [(M, RadialDistanceField()), (M, RadialSquaredHalfField()), (M, BUMPED)]
     return out
 
 
@@ -146,6 +171,15 @@ def close(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     assert np.all(np.abs(a - b) <= REL * max(1.0, float(np.abs(b).max())))
+
+
+def test_bumped_partials_match_the_fd_oracle():
+    for n in (3, 4):
+        M = warped(poly3_profile(), n)
+        for p in sample_points(M, 31):
+            got, fd = hessian_frame(BUMPED, M, p), hessian_frame_fd(BUMPED, M, p, h=1e-4)
+            assert np.max(np.abs(got.grad_frame - fd.grad_frame)) <= 1e-7
+            assert np.max(np.abs(got.hess_frame - fd.hess_frame)) <= 1e-6
 
 
 @pytest.mark.parametrize("M,u", CASES, ids=IDS)
@@ -203,6 +237,21 @@ def test_stacked_div_newton_matches_pointwise(M, u):
         dn = div_newton_stack(M, P, hs, r)
         for k, p in enumerate(P):
             close(dn[k], div_newton_frame(u, M, p, r))
+
+
+@pytest.mark.parametrize("M", [constant_curvature(-1.0, 3), euclidean(4)],
+                         ids=lambda M: f"{M.label}-{M.dim}")
+def test_offcenter_stack_makes_no_per_node_call(M, monkeypatch):
+    def per_node(*args, **kwargs):
+        raise AssertionError("hessian_frame called per node")
+
+    u = OffCenterDistanceField(0.3)
+    P = sample_points(M, 29)
+    want = [hessian_frame(u, M, p) for p in P]
+    monkeypatch.setattr(level_set_geometry, "hessian_frame", per_node)
+    hs = hessian_frame_stack(u, M, P)
+    for k, hd in enumerate(want):
+        close(hs.hess_frame[k], hd.hess_frame)
 
 
 def test_stacked_newton_operators_match_newton_matrices():
@@ -267,7 +316,8 @@ def test_no_oracle_name_is_defined_in_the_package():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
                 for t in node.targets if isinstance(t, ast.Name)}
-    assert {"principal_frame", "riemann_at", "newton_matrices"} <= defined
+    assert {"principal_frame", "riemann_at", "newton_matrices", "fd_partials",
+            "hessian_frame_fd"} <= defined
     modules = [curvatura] + [importlib.import_module(f"curvatura.{m.name}")
                              for m in pkgutil.iter_modules(curvatura.__path__)]
     back = {(mod.__name__, name) for mod in modules for name in defined if hasattr(mod, name)}
@@ -291,7 +341,7 @@ def test_stacked_reilly_sides_and_residuals_match_pointwise(M, u, r):
         close([lhs[k], rhs[k]], want)
     if r == 0:
         return
-    h = 2e-3 if u.analytic else 6e-3
+    h = 2e-3
     res = reilly1_residual_stack(u, M, P, r, (h, h / 2))
     assert res.shape == (2, len(P))
     for j, step in enumerate((h, h / 2)):
@@ -303,7 +353,7 @@ def test_stacked_reilly_sides_and_residuals_match_pointwise(M, u, r):
     (euclidean(3), QuadraticFormField(np.diag([1.0, 1.0, 4.0])), 0.5),
     (euclidean(4), Anon(lambda M, p: 0.5 * float(p @ p) + 0.1 * p[0]), 0.7),
     (constant_curvature(-1.0, 3), OffCenterDistanceField(0.3), 0.8),
-    (constant_curvature(-1.0, 4), Anon(bumped), 1.1),
+    (constant_curvature(-1.0, 4), BUMPED, 1.1),
     (euclidean(3), RadialDistanceField(center=[0.1, 0.0, -0.05]), 0.8),
     (constant_curvature(-1.0, 3), RadialSquaredHalfField(), 0.5),
 ])
@@ -527,7 +577,9 @@ def test_guards_name_the_node_of_the_rule_whatever_the_split(monkeypatch):
     assert msg.startswith(f"node {first}: u is not increasing along the ray")
 
     # root solve: the rays of the lower cap never cross the level
-    flat_below = Anon(lambda M, p: 0.0 if lower_cap(p) else 0.5 * float(p @ p))
+    flat_below = Anon(lambda M, p: 0.0 if lower_cap(p) else 0.5 * float(p @ p),
+                      lambda M, p: np.zeros(3) if lower_cap(p) else p,
+                      lambda M, p: np.zeros((3, 3)) if lower_cap(p) else np.eye(3))
     msg = first_failure(lambda t: surface_integral(flat_below, M, 0.5, ones, SPEC, t),
                         SPLITS, monkeypatch)
     assert msg.startswith(f"node {first}: no crossing of level 0.5")
