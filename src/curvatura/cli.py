@@ -211,7 +211,8 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
     _check_keys(cfg, "", _TOP_KEYS, {"schema_version"})
-    if cfg["schema_version"] != SCHEMA_VERSION:
+    # the integer only: True and 1.0 compare equal to 1
+    if type(cfg["schema_version"]) is not int or cfg["schema_version"] != SCHEMA_VERSION:
         _fail("schema_version", f"expected {SCHEMA_VERSION}, got {cfg['schema_version']!r}")
     if "seed" in cfg:
         _check_int(cfg["seed"], "seed", 0)

@@ -179,8 +179,10 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     """(|{u < level}|, estimate, node count) in closed form: a geodesic ball
     of radius rho = u.ball_radius(level) has volume |S^{n-1}| Int_0^rho g
     with g = f^{n-1}, a quadratic field's flat ellipsoid |S^{n-1}|/n times
-    its semi-axes sqrt(2 level / lambda_i).  Refuses level <= 0, sets past
-    the working radius and every other field.
+    its semi-axes sqrt(2 level / lambda_i).  Refuses level <= 0, balls that
+    reach past the working radius (centre distance plus radius, which a
+    ball attains), ellipsoids whose largest semi-axis does, and every other
+    field.
 
     The ball's estimate is the last doubling difference of the radial rule
     plus its roundoff.  Rounding moves each node by at most 4 eps rho, which
@@ -194,7 +196,7 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     rho = u.ball_radius(level)
     if rho is not None:
         f, _, _ = radial_profile(M)
-        _within_working_radius(M, level, rho)
+        _within_working_radius(M, level, rho, center=u.ball_center_distance())
         sphere = unit_sphere_volume(n)
         integral, diff, order = _radial_rule(lambda t: f(t) ** (n - 1), (0.0, rho))
         v = sphere * integral
@@ -277,7 +279,7 @@ def comparison_rhs(u: ScalarField, M: ModelManifold, levels, r: int,
     def corrections(P, hd, pf, e):
         if M.is_flat:
             return np.zeros(len(P)), np.zeros(len(P))
-        rd = riemann_stack(M, P, pf.frame_chart)
+        rd = riemann_stack(M, P, pf.frame)
         return correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd, hd.grad_norm, r)
 
     return _comparison(u, M, levels, r, spec, threads, corrections)
@@ -312,7 +314,7 @@ def ricci_comparison(u: ScalarField, M: ModelManifold, levels,
         zero = np.zeros(len(P))
         if M.is_flat:
             return zero, zero
-        return -riemann_stack(M, P, pf.frame_chart).ricci_n, zero
+        return -riemann_stack(M, P, pf.frame).ricci_n, zero
 
     return _comparison(u, M, levels, 1, spec, threads, corrections, path="ricci")
 

@@ -4,12 +4,12 @@ mean curvatures of level sets, and residuals of the two Reilly-type identities
 together with the curvature contraction for div(T_r) and its finite-difference
 oracle.  Everything past the per-point covariant Hessian runs on node stacks.
 
-Conventions.  Operations take chart coordinates as plain arrays.  The
-orthonormal frame attached to a point is the one obtained from the triangular
-factorization of the (diagonal) chart metric, i.e. E_a = (g_aa)^{-1/2} d_a;
-"frame components" always refer to that frame unless a principal frame is
-constructed explicitly.  The gradient-degeneracy cutoff is EPS_GRAD; below it
-operations raise instead of regularizing.
+Conventions.  Operations take chart coordinates as plain arrays.  Vectors,
+frames and tensors pass between the kernels in components of the orthonormal
+frame E_a = (g_aa)^{-1/2} d_a of the (diagonal) chart metric, "frame
+components"; chart components appear only inside the two finite-difference
+kernels.  The gradient-degeneracy cutoff is EPS_GRAD; below it operations
+raise instead of regularizing.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ class ScalarField:
     only partials_stack, which calls partials() row by row.
 
     ball_radius(level) is the radius of the geodesic ball {u < level} when
-    that set is one; star_radius(level) is that radius when the ball is
-    centred on the chart base point.
+    that set is one, and ball_center_distance() the distance of its centre
+    from the chart base point; star_radius(level) is that radius when the
+    ball is centred on the chart base point.
     """
 
     kind = "abstract"
@@ -103,6 +104,11 @@ class ScalarField:
     def ball_radius(self, level: float):
         """None unless {u < level} is a geodesic ball (never for level <= 0)."""
         return None
+
+    def ball_center_distance(self) -> float:
+        """Distance from the chart base point to the centre of the balls of
+        ball_radius."""
+        return 0.0
 
     def star_radius(self, level: float):
         """Radius of the level sphere about the chart base point when the
@@ -172,6 +178,9 @@ class _RadialField(_StackedField):
         if self.center is not None and np.any(self.center != 0.0):
             return None
         return self.ball_radius(level)
+
+    def ball_center_distance(self):
+        return 0.0 if self.center is None else float(np.linalg.norm(self.center))
 
     def describe(self):
         d = {"field": self.kind}
@@ -383,6 +392,9 @@ class OffCenterDistanceField(_StackedField):
         # about the offset point, in a model _bind_check keeps homogeneous
         return level if level > 0 else None
 
+    def ball_center_distance(self):
+        return self.offset
+
     def describe(self):
         return {"field": self.kind, "offset": self.offset}
 
@@ -428,7 +440,7 @@ class HessianData:
     every field."""
     grad_norm: float
     hess_frame: np.ndarray    # covariant Hessian in the orthonormal frame
-    frame: np.ndarray         # columns: chart components of the frame vectors
+    frame_scale: np.ndarray   # E_a = frame_scale[a] d_a: the diagonal 1/sqrt(g_aa)
     grad_frame: np.ndarray    # gradient in frame components
 
 
@@ -465,14 +477,12 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p) -> HessianData:
     hess_chart = D2
     if M.chart == "polar":
         hess_chart = D2 - np.tensordot(du, christoffel_at(M, p), axes=([0], [0]))
-    D = metric_diag(M, p)
-    inv_sqrt = 1.0 / np.sqrt(D)
-    frame = np.diag(inv_sqrt)
+    inv_sqrt = 1.0 / np.sqrt(metric_diag(M, p))
     hess_f = hess_chart * np.outer(inv_sqrt, inv_sqrt)
     hess_f = 0.5 * (hess_f + hess_f.T)
     grad_f = du * inv_sqrt
     return HessianData(grad_norm=float(np.linalg.norm(grad_f)),
-                       hess_frame=hess_f, frame=frame, grad_frame=grad_f)
+                       hess_frame=hess_f, frame_scale=inv_sqrt, grad_frame=grad_f)
 
 
 def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
@@ -498,7 +508,8 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
 
         return HessianData(grad_norm=stack("grad_norm", ()),
                            hess_frame=stack("hess_frame", (n, n)),
-                           frame=stack("frame", (n, n)), grad_frame=stack("grad_frame", (n,)))
+                           frame_scale=stack("frame_scale", (n,)),
+                           grad_frame=stack("grad_frame", (n,)))
     du = u.partials_stack(M, P)
     D2 = u.second_partials_stack(M, P)
     D = metric_diag_stack(M, P)
@@ -511,10 +522,8 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
     hess_f = hess_chart * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
     hess_f = 0.5 * (hess_f + hess_f.transpose(0, 2, 1))
     grad_f = du * inv_sqrt
-    frame = np.zeros((N, n, n))
-    frame[:, np.arange(n), np.arange(n)] = inv_sqrt
     return HessianData(grad_norm=np.sqrt(_rowdot(grad_f, grad_f)),
-                       hess_frame=hess_f, frame=frame, grad_frame=grad_f)
+                       hess_frame=hess_f, frame_scale=inv_sqrt, grad_frame=grad_f)
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +535,15 @@ class PrincipalFrameData:
     """Principal curvatures and frames of the level sets through a node
     stack, with a leading node axis on every field.
 
-    kappa is ascending; directions are the matching principal directions
-    (chart components, columns); nu is the unit normal grad u / |grad u|;
-    grad_norm_derivs[i] is the derivative of |grad u| along direction i,
-    equal to the Hessian row against nu in this frame.  frame_chart stacks
-    the directions and nu as the columns of a full orthonormal frame.
+    kappa is ascending; the columns of frame are the matching principal
+    directions and then the unit normal nu = grad u / |grad u|, in frame
+    components (an orthogonal matrix per node), as riemann_stack takes
+    them; grad_norm_derivs[i] is the derivative of |grad u| along direction
+    i, equal to the Hessian row against nu in this frame.
     """
     kappa: np.ndarray
-    directions: np.ndarray
-    nu: np.ndarray
     grad_norm_derivs: np.ndarray
-    frame_chart: np.ndarray
+    frame: np.ndarray
 
 
 def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
@@ -565,11 +572,8 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
     dirs_f = matmul_stack(B, V)
     H_nu = matmul_stack(hd.hess_frame, nu_f[:, :, None])
     derivs = matmul_stack(dirs_f.transpose(0, 2, 1), H_nu)[:, :, 0]
-    dirs_chart = matmul_stack(hd.frame, dirs_f)
-    nu_chart = matmul_stack(hd.frame, nu_f[:, :, None])
-    return PrincipalFrameData(kappa=kappa, directions=dirs_chart, nu=nu_chart[:, :, 0],
-                              grad_norm_derivs=derivs,
-                              frame_chart=np.concatenate([dirs_chart, nu_chart], axis=2))
+    return PrincipalFrameData(kappa=kappa, grad_norm_derivs=derivs,
+                              frame=np.concatenate([dirs_f, nu_f[:, :, None]], axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +629,7 @@ def div_newton_stack(M: ModelManifold, P, hd: HessianData, r: int) -> np.ndarray
 
     Contracts the generalized Kronecker tensor against r-1 Hessian factors
     and one factor R[i, j_r, i_r, k] u_k, all in the metric-factorization
-    frame.  Identically zero in flat space.
+    frame (identity frames to riemann_stack).  Identically zero in flat space.
     """
     if r < 1:
         raise ValueError(f"div(T_r) contraction needs r >= 1, got {r}")
@@ -633,7 +637,7 @@ def div_newton_stack(M: ModelManifold, P, hd: HessianData, r: int) -> np.ndarray
     _check_gradients(hd.grad_norm, "degenerate gradient in div(T_r)")
     if M.is_flat:
         return np.zeros((N, n))
-    R = riemann_stack(M, P, hd.frame).R
+    R = riemann_stack(M, P, np.broadcast_to(np.eye(n), (N, n, n))).R
     g = hd.grad_frame
     W = R[..., 0] * g[:, 0, None, None, None]
     for l in range(1, n):
@@ -676,9 +680,9 @@ def div_newton_fd_stack(u: ScalarField, M: ModelManifold, P, hd: HessianData, r:
     N, n = P.shape
 
     def t_chart(hq):
-        F = hq.frame
-        return matmul_stack(matmul_stack(F, newton_matrices_stack(hq.hess_frame, r)[r]),
-                            np.linalg.inv(F))
+        # F T F^-1 for the diagonal frame F = diag(frame_scale)
+        s = hq.frame_scale
+        return s[:, :, None] * newton_matrices_stack(hq.hess_frame, r)[r] * (1.0 / s)[:, None, :]
 
     steps, Q = _stencil(M, P, (h,))
     T = t_chart(hessian_frame_stack(u, M, Q)).reshape(N, n, 2, n, n)
@@ -690,7 +694,7 @@ def div_newton_fd_stack(u: ScalarField, M: ModelManifold, P, hd: HessianData, r:
         for m in range(n):
             div = div + Gam[:, i, i, m, None] * T0[:, m, :]
             div = div - Gam[:, m, i, :] * T0[:, i, m, None]
-    return _matvec(hd.frame.transpose(0, 2, 1), div)
+    return hd.frame_scale * div
 
 
 def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> np.ndarray:
@@ -719,7 +723,7 @@ def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> n
     hd = hessian_frame_stack(u, M, Q)
     _check_gradients(hd.grad_norm, "degenerate gradient in the stencil")
     Tm = newton_matrices_stack(hd.hess_frame, r - 1)[r - 1]
-    Vc = _matvec(hd.frame, _matvec(Tm, hd.grad_frame) / hd.grad_norm[:, None] ** r)
+    Vc = hd.frame_scale * (_matvec(Tm, hd.grad_frame) / hd.grad_norm[:, None] ** r)
     vol = np.sqrt(np.prod(metric_diag_stack(M, Q), axis=1))
     weighted = (vol[:, None] * Vc).reshape(len(hs), N, n, 2, n)
     lhs = 0.0

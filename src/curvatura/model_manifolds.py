@@ -220,8 +220,9 @@ def metric_diag(M: ModelManifold, p) -> np.ndarray:
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     """fn (a scalar `math` function or warping-profile callable) applied to
-    each element.  Transcendental functions stay on `math`, as on the
-    pointwise route: numpy's vector forms can differ from it in the last bit."""
+    each element.  Transcendental functions stay on `math` so that a node's
+    bits do not depend on its stack: numpy's vector forms may take SIMD or
+    scalar paths by array length and differ from each other in the last bit."""
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
@@ -353,20 +354,25 @@ def _constant_tensors(n: int, a: float):
 
 def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
     """Curvature tensor of the model at every row of an (N, n) point stack,
-    in the supplied orthonormal frames (N, n, n): columns are chart
-    components of n tangent vectors.  Raises for the first node whose Gram
-    matrix against the chart metric is not the identity to 1e-8.  Constant
-    curvature returns read-only broadcast views."""
+    in the supplied orthonormal frames (N, n, n): columns are components of
+    n tangent vectors in the frame E_a = g_aa^{-1/2} d_a.  Raises for the
+    first node off the polar chart or whose F^T F is not the identity to
+    1e-8.  Flat and constant curvature return read-only broadcast views.  A
+    warped product, with k_rad = -f''/f, k_tan = (1 - f'^2)/f^2 and x = row 0
+    of F (the components of d_r), has in elementwise products (a node's bits do
+    not depend on its stack)
+        R_abcd = k_tan (d_ac d_bd - d_ad d_bc) + (k_rad - k_tan)
+                 (x_a x_c d_bd + x_b x_d d_ac - x_a x_d d_bc - x_b x_c d_ad)."""
     P = np.asarray(P, dtype=float)
     F = np.asarray(frames, dtype=float)
     N, n = P.shape
     if F.shape != (N, n, n):
         raise ValueError(f"frames must be {N}x{n}x{n}, got {F.shape}")
-    D = metric_diag_stack(M, P)
-    DF = D[:, :, None] * F
-    gram = F[:, 0, :, None] * DF[:, 0, None, :]
+    if M.chart == "polar":
+        _polar_guard_stack(M, P)
+    gram = F[:, 0, :, None] * F[:, 0, None, :]
     for i in range(1, n):
-        gram += F[:, i, :, None] * DF[:, i, None, :]
+        gram += F[:, i, :, None] * F[:, i, None, :]
     bad = np.abs(gram - np.eye(n)).max(axis=(1, 2)) > 1e-8
     if bad.any():
         raise node_error(ValueError, int(np.argmax(bad)), "frame is not g-orthonormal")
@@ -381,25 +387,16 @@ def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
                                    K=np.broadcast_to(K, (N,) + K.shape),
                                    ricci_n=np.full(N, (n - 1) * M.a))
 
-    # warped product: closed form in the chart-adapted frame, then rotated
     f, df, d2f = radial_profile(M)
     fr = _elementwise(f, P[:, 0])
     k_rad = -_elementwise(d2f, P[:, 0]) / fr
     k_tan = (1.0 - _elementwise(df, P[:, 0]) ** 2) / fr ** 2
-    K_hat = np.broadcast_to(k_tan[:, None, None], (N, n, n)).copy()
-    K_hat[:, 0, :] = k_rad[:, None]
-    K_hat[:, :, 0] = k_rad[:, None]
-    K_hat[:, np.arange(n), np.arange(n)] = 0.0
-    R = K_hat[:, :, :, None, None] * _pair_patterns(n)
-    # Pm[:, a, i] = <adapted frame vector a, supplied frame vector i>
-    Pm = np.sqrt(D)[:, :, None] * F
-    for _ in range(4):
-        # contract the leading tensor index against Pm; the new index goes last
-        T = R.reshape(N, n, -1)
-        acc = T[:, 0, :, None] * Pm[:, 0, None, :]
-        for a in range(1, n):
-            acc += T[:, a, :, None] * Pm[:, a, None, :]
-        R = acc.reshape((N,) + (n,) * 4)
+    x = F[:, 0, :]
+    # Q[:, a, b, c, d] = x_a x_c d_bd; its index swaps give the other three terms
+    Q = (x[:, :, None, None, None] * x[:, None, None, :, None]) * np.eye(n)[:, None, :]
+    S = Q + Q.transpose(0, 2, 1, 4, 3) - Q.transpose(0, 1, 2, 4, 3) - Q.transpose(0, 2, 1, 3, 4)
+    R = (k_tan[:, None, None, None, None] * _pair_patterns(n)
+         + (k_rad - k_tan)[:, None, None, None, None] * S)
     K = np.einsum("nijij->nij", R)
     ricci = K[:, 0, n - 1].copy()
     for i in range(1, n - 1):

@@ -153,11 +153,14 @@ def _angular_grid(n: int, orders: tuple, margin: float):
 
 
 def _within_working_radius(M: ModelManifold, level: float, radius: float,
-                           shape: str = "sphere") -> float:
-    """radius, refused past the working radius, as a root solve refuses a crossing there."""
-    if not radius <= M.working_radius:   # NaN included
-        raise GeometryError(f"the level-{level:g} {shape} (radius {radius:g}) lies beyond "
-                            f"the working radius {M.working_radius:g}")
+                           shape: str = "sphere", center: float = 0.0) -> float:
+    """radius, refused when the shape, centred at distance `center` from the
+    base point, reaches past the working radius, as a root solve refuses a
+    crossing there."""
+    if not center + radius <= M.working_radius:   # NaN included
+        about = f", centre at distance {center:g}" if center else ""
+        raise GeometryError(f"the level-{level:g} {shape} (radius {radius:g}{about}) lies "
+                            f"beyond the working radius {M.working_radius:g}")
     return radius
 
 

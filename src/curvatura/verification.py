@@ -54,6 +54,7 @@ from .curvature_integrals import (
     comparison_rhs,
     comparison_rhs_constant,
     correction_sums_stack,
+    m1_volume_bound,
     ricci_comparison,
     total_mean_curvature,
 )
@@ -317,7 +318,7 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
                 scale = np.maximum(1.0, np.max(np.abs(dn), axis=1))
                 worst, tol = _worst(np.max(np.abs(dn - oracle), axis=1) / scale), tol_fd
                 pf = principal_frame_stack(hd)
-                rd = riemann_stack(M, P, pf.frame_chart)
+                rd = riemann_stack(M, P, pf.frame)
                 sect, mixed = correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd,
                                                     hd.grad_norm, r)
                 via_div = np.sum(dn * hd.grad_frame, axis=1) / hd.grad_norm ** (r + 1)
@@ -520,27 +521,30 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
     thr = cfg.threads
     pair_count = 0
 
-    # Cor. 4.3 in dimension 3: M_1 - 4|Omega| = 8 pi rho for hyperbolic balls
-    M = constant_curvature(-1.0, 3)
+    # Cor. 4.3 in dimension 3: M_1 + 4a|Omega| = 8 pi rho for balls in every
+    # curvature a < 0 (M_1 = 8 pi f f', |Omega| = 4 pi Int f^2, f = sinh(s rho)/s);
+    # the a = -1 rows carry no a in their case ids
     u = RadialDistanceField()
     spec = QuadratureSpec(angular_orders=(12,), level_order=8)
     rho_grid = (0.5, 1.0) if cfg.quick else (0.25, 0.5, 1.0, 2.0)
-    for rho in rho_grid:
-        base = f"inequality/m1_volume/rho={rho:g}"
-        with cs.timed(base):
-            m1 = total_mean_curvature(u, M, rho, 1, spec, thr)
-            vol = total_mean_curvature(u, M, rho, -1, spec, thr)
-            margin = m1.value - 4.0 * vol.value
-            closed = 8.0 * math.pi * rho
-            budget = 10.0 * (m1.error_estimate + 4 * vol.error_estimate)
-            cs.required.append((M.label, 1))
-            inputs = {"model": M.describe(), "field": u.describe(), "rho": rho}
-            tol_m1 = cfg.tol("m1_volume", 1e-6)
-            cs.add(f"{base}/margin_vs_closed_form", M.label, u.kind, 3, 1, "rel_error",
-                   abs(margin - closed) / closed, tol_m1,
-                   abs(margin - closed) / closed <= tol_m1, inputs)
-            cs.add(f"{base}/strict", M.label, u.kind, 3, 1, "margin",
-                   margin, 10.0 * budget, margin > 10.0 * budget, inputs)
+    for a in (-1.0, -0.25, -4.0):
+        M = constant_curvature(a, 3)
+        for rho in rho_grid:
+            base = "inequality/m1_volume/" + ("" if a == -1.0 else f"a={a:g}/") + f"rho={rho:g}"
+            with cs.timed(base):
+                m1 = total_mean_curvature(u, M, rho, 1, spec, thr)
+                vol = total_mean_curvature(u, M, rho, -1, spec, thr)
+                margin = m1.value - m1_volume_bound(a, vol.value, 3)[1]
+                closed = 8.0 * math.pi * rho
+                budget = 10.0 * (m1.error_estimate + 4 * abs(a) * vol.error_estimate)
+                cs.required.append((M.label, 1))
+                inputs = {"model": M.describe(), "field": u.describe(), "rho": rho}
+                tol_m1 = cfg.tol("m1_volume", 1e-6)
+                cs.add(f"{base}/margin_vs_closed_form", M.label, u.kind, 3, 1, "rel_error",
+                       abs(margin - closed) / closed, tol_m1,
+                       abs(margin - closed) / closed <= tol_m1, inputs)
+                cs.add(f"{base}/strict", M.label, u.kind, 3, 1, "margin",
+                       margin, 10.0 * budget, margin > 10.0 * budget, inputs)
 
     # Cor. 4.4 / 4.5 / 4.1: monotonicity along parallels and nested levels
     models = [euclidean(3), constant_curvature(-1.0, 3),

@@ -1,7 +1,7 @@
 """Per-point reference implementations of the node-stack kernels.
 
-These are the library's former per-point kernels, kept verbatim as test
-oracles: the stacked kernels of curvatura are checked against them in
+These are the library's former per-point kernels, kept as test oracles on
+chart-component frames: the stacked kernels of curvatura are checked against them in
 tests/test_node_kernel.py and the other test modules, so each stack is
 compared with an independent implementation.  The finite-difference field
 derivatives (fd_partials, hessian_frame_fd) check every field's closed
@@ -11,6 +11,7 @@ back into the package.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from curvatura.errors import DegenerateGradientError
 from curvatura.level_set_geometry import (
     EPS_GRAD,
     HessianData,
-    PrincipalFrameData,
     ScalarField,
     _div_contraction_table,
     fd_steps,
@@ -205,7 +205,20 @@ def _householder_complement(nu_f: np.ndarray) -> np.ndarray:
     return Hm[:, : n - 1]
 
 
-def principal_frame(hd: HessianData) -> PrincipalFrameData:
+@dataclass(frozen=True)
+class PrincipalFrame:
+    """A principal frame in chart components: kappa ascending, directions
+    the matching principal directions (columns), nu the unit normal,
+    grad_norm_derivs the derivatives of |grad u| along the directions, and
+    frame_chart the directions and nu as the columns of one frame."""
+    kappa: np.ndarray
+    directions: np.ndarray
+    nu: np.ndarray
+    grad_norm_derivs: np.ndarray
+    frame_chart: np.ndarray
+
+
+def principal_frame(hd: HessianData) -> PrincipalFrame:
     """Diagonalize the shape operator of the level set through hd's point.
 
     The shape operator is the covariant Hessian restricted to nu^perp and
@@ -223,11 +236,11 @@ def principal_frame(hd: HessianData) -> PrincipalFrameData:
     kappa, V = jacobi_eigh(S)
     dirs_f = B @ V
     derivs = dirs_f.T @ (hd.hess_frame @ nu_f)
-    dirs_chart = hd.frame @ dirs_f
-    nu_chart = hd.frame @ nu_f
+    dirs_chart = np.diag(hd.frame_scale) @ dirs_f
+    nu_chart = np.diag(hd.frame_scale) @ nu_f
     frame_chart = np.hstack([dirs_chart, nu_chart[:, None]])
-    return PrincipalFrameData(kappa=kappa, directions=dirs_chart, nu=nu_chart,
-                              grad_norm_derivs=derivs, frame_chart=frame_chart)
+    return PrincipalFrame(kappa=kappa, directions=dirs_chart, nu=nu_chart,
+                          grad_norm_derivs=derivs, frame_chart=frame_chart)
 
 
 def _reilly2_sides(u: ScalarField, M: ModelManifold, p, r: int):
@@ -256,7 +269,7 @@ def div_newton_frame(u: ScalarField, M: ModelManifold, p, r: int) -> np.ndarray:
         raise DegenerateGradientError("degenerate gradient in div(T_r)")
     if M.is_flat:
         return np.zeros(n)
-    rd = riemann_at(M, p, hd.frame)
+    rd = riemann_at(M, p, np.diag(hd.frame_scale))
     W = np.tensordot(rd.R, hd.grad_frame, axes=([3], [0]))
     H = hd.hess_frame
     out = np.zeros(n)
@@ -281,7 +294,7 @@ def div_newton_fd(u: ScalarField, M: ModelManifold, p, r: int, h: float = 1e-3) 
     def t_chart(q):
         hd = hessian_frame(u, M, q)
         Tf = newton_matrices(hd.hess_frame, r)[r]
-        F = hd.frame
+        F = np.diag(hd.frame_scale)
         return F @ Tf @ np.linalg.inv(F)
 
     steps = fd_steps(M, p, h)
@@ -304,7 +317,7 @@ def div_newton_fd(u: ScalarField, M: ModelManifold, p, r: int, h: float = 1e-3) 
                 tot -= Gam[m, i, j] * T0[i, m]
         div[j] = tot
     hd0 = hessian_frame(u, M, p)
-    return hd0.frame.T @ div
+    return np.diag(hd0.frame_scale).T @ div
 
 
 def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> float:
@@ -334,7 +347,7 @@ def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> f
             raise DegenerateGradientError("degenerate gradient in the stencil")
         Tm = newton_matrices(hd.hess_frame, r - 1)[r - 1]
         Vf = Tm @ hd.grad_frame / hd.grad_norm ** r
-        Vc = hd.frame @ Vf
+        Vc = np.diag(hd.frame_scale) @ Vf
         vol = math.sqrt(float(np.prod(metric_diag(M, q))))
         return vol * Vc
 

@@ -278,12 +278,12 @@ def test_criterion_09_small_sphere_asymptotics(asymptotic_report):
 
 
 def test_criterion_10_m1_volume_bound_dim3(inequality_report):
-    """Hyperbolic balls, n=3: M_1 - 4|Omega| reproduces 8 pi rho within 1e-6
-    relative at rho in {0.25, 0.5, 1, 2}."""
+    """Hyperbolic balls, n=3: M_1 + 4a|Omega| reproduces 8 pi rho within 1e-6
+    relative at rho in {0.25, 0.5, 1, 2} for a in {-1, -0.25, -4}."""
     cases = [c for c in inequality_report.cases
              if c.case_id.startswith("inequality/m1_volume") and
              c.metric == "rel_error"]
-    assert len(cases) == 4
+    assert len(cases) == 12
     worst = max(c.measured for c in cases)
     ok = all(c.passed for c in cases) and worst <= 1e-6
     report("criterion 10 (volume bound, dimension 3)", ok,

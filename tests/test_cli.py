@@ -132,6 +132,9 @@ def compute_cfg(**changes):
 
 
 @pytest.mark.parametrize("command,obj,code,names", [
+    # the schema version is the integer 1, not a value equal to it
+    ("compute", compute_cfg(schema_version=True), 2, "schema_version"),
+    ("compute", compute_cfg(schema_version=1.0), 2, "schema_version"),
     # a field that does not fit its chart is refused when it is built
     ("compute", compute_cfg(manifold=HYPERBOLIC,
                             field={"field": "radial", "center": [0.3, 0.0, 0.0]}), 2, "field"),
@@ -160,6 +163,11 @@ def compute_cfg(**changes):
      2, "sweep.rho.grid[1]"),
     ("compute", compute_cfg(field={"field": "radial"}, level=1e300), 3, "working radius"),
     ("compute", compute_cfg(field={"field": "radial"}, r=-1, level=1e300), 3, "working radius"),
+    # a ball off the base point reaches its centre's distance plus its radius
+    ("compute", compute_cfg(manifold=HYPERBOLIC, field={"field": "offcenter", "offset": 0.3},
+                            r=[-1], level=9.9), 3, "working radius"),
+    ("compute", compute_cfg(field={"field": "radial", "center": [5.0, 0.0, 0.0]},
+                            r=-1, level=6.0), 3, "working radius"),
 ])
 def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, names):
     cfg = write_cfg(tmp_path, "c.json", obj)
@@ -167,6 +175,16 @@ def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, na
     assert main(argv + (["--quick"] if command == "verify" else [])) == code
     err = capsys.readouterr().err
     assert names in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("manifold,field,level", [
+    (HYPERBOLIC, {"field": "offcenter", "offset": 0.3}, 9.6),
+    ({"family": "euclidean", "dim": 3}, {"field": "radial", "center": [5.0, 0.0, 0.0]}, 4.9),
+])
+def test_ball_just_inside_the_working_radius_is_answered(tmp_path, manifold, field, level):
+    obj = compute_cfg(manifold=manifold, field=field, r=-1, level=level)
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_centred_polar_field_is_accepted(tmp_path):

@@ -266,7 +266,7 @@ class TestComparisonCurved:
         P = np.array([[1.0, 0.9, 0.4]])
         hd = hessian_frame_stack(u, M, P)
         pf = principal_frame_stack(hd)
-        rd = riemann_stack(M, P, pf.frame_chart)
+        rd = riemann_stack(M, P, pf.frame)
         for r in (1, 2):
             sect, mixed = correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd,
                                                 hd.grad_norm, r)

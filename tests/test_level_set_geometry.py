@@ -136,7 +136,7 @@ def hessian_frame_christoffel_form(u, M, p):
     hess_f = hess_chart * np.outer(inv_sqrt, inv_sqrt)
     grad_f = du * inv_sqrt
     return HessianData(grad_norm=float(np.linalg.norm(grad_f)),
-                       hess_frame=0.5 * (hess_f + hess_f.T), frame=np.diag(inv_sqrt),
+                       hess_frame=0.5 * (hess_f + hess_f.T), frame_scale=inv_sqrt,
                        grad_frame=grad_f)
 
 
@@ -198,7 +198,7 @@ class TestPrincipalFrame:
         M = euclidean(3)
         u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
         _, pf = frames(u, M, [[1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(pf.nu[0], [1.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(pf.frame[0, :, -1], [1.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(pf.kappa[0], [1.0, 4.0], rtol=1e-13)
 
     def test_principal_frame_structure(self):
@@ -207,9 +207,9 @@ class TestPrincipalFrame:
         u = OffCenterDistanceField(0.3)
         hd, pf = frames(u, M, sample_points(M, 5, 5))
         for k in range(5):
-            F_inv_cols = np.linalg.solve(hd.frame[k], pf.frame_chart[k])  # frame comps
-            Hp = F_inv_cols.T @ hd.hess_frame[k] @ F_inv_cols
-            gp = F_inv_cols.T @ hd.grad_frame[k]
+            F = pf.frame[k]
+            Hp = F.T @ hd.hess_frame[k] @ F
+            gp = F.T @ hd.grad_frame[k]
             assert np.max(np.abs(gp[:2])) <= 1e-10 * hd.grad_norm[k]
             assert gp[2] == pytest.approx(hd.grad_norm[k], rel=1e-12)
             assert abs(Hp[0, 1]) <= 1e-8 * max(1.0, np.max(np.abs(hd.hess_frame[k])))
@@ -267,10 +267,10 @@ class TestPrincipalFrame:
         M = constant_curvature(-1.0, 3)
         u = OffCenterDistanceField(0.4)
         p = np.array([1.1, 0.9, 0.5])
-        _, pf = frames(u, M, [p])
+        hd, pf = frames(u, M, [p])
         h = 1e-4
         for i in range(2):
-            d = pf.directions[0, :, i]
+            d = hd.frame_scale[0] * pf.frame[0, :, i]  # chart components
             gp = hessian_frame(u, M, p + h * d).grad_norm
             gm = hessian_frame(u, M, p - h * d).grad_norm
             fd = (gp - gm) / (2 * h)

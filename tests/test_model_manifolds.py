@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import curvatura.model_manifolds as model_manifolds
 from curvatura.errors import ChartSingularityError
 from curvatura.model_manifolds import (
     WarpingProfile,
@@ -14,7 +15,6 @@ from curvatura.model_manifolds import (
     constant_curvature,
     euclidean,
     linear_profile,
-    metric_diag,
     poly3_profile,
     riemann_stack,
     sinh_profile,
@@ -55,7 +55,8 @@ def fd_christoffel(M, p, h):
 
 
 def orthonormal_frame(M, p):
-    return np.diag(1.0 / np.sqrt(metric_diag(M, p)))
+    """The metric-factorization frame in its own components: the identity."""
+    return np.eye(M.dim)
 
 
 SAMPLE_POINTS = {
@@ -182,6 +183,22 @@ class TestRiemann:
             assert np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))) < 1e-10
             assert np.max(rd.K) <= 1e-12  # nonpositive curvature
             np.testing.assert_allclose(rd.K, np.einsum("ijij->ij", R), atol=1e-14)
+
+    def test_reads_no_metric(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("metric_diag_stack called")
+
+        monkeypatch.setattr(model_manifolds, "metric_diag_stack", refuse)
+        P = np.array(SAMPLE_POINTS[3])
+        frames = np.broadcast_to(np.eye(3), (len(P), 3, 3))
+        for M in (euclidean(3), constant_curvature(-1.0, 3), warped(poly3_profile(), 3)):
+            assert riemann_stack(M, P, frames).R.shape == (len(P), 3, 3, 3, 3)
+
+    def test_refuses_points_off_the_polar_chart(self):
+        M = warped(poly3_profile(), 3)
+        P = np.array([[0.8, 0.9, 0.3], [1.0, 0.0, 0.5]])
+        with pytest.raises(ChartSingularityError, match="node 1: polar chart is singular"):
+            riemann_stack(M, P, np.broadcast_to(np.eye(3), (2, 3, 3)))
 
     def test_rejects_non_orthonormal_frame(self):
         M = constant_curvature(-1.0, 3)

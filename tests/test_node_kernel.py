@@ -190,15 +190,17 @@ def test_stacked_frames_match_pointwise(M, u):
     es = elementary_all_stack(ps.kappa)
     for k, p in enumerate(P):
         hd = hessian_frame(u, M, p)
-        for name in ("grad_norm", "hess_frame", "frame", "grad_frame"):
+        for name in ("grad_norm", "hess_frame", "frame_scale", "grad_frame"):
             close(getattr(hs, name)[k], getattr(hd, name))
         pf = principal_frame(hd)
+        chart = np.diag(hs.frame_scale[k]) @ ps.frame[k]
+        dirs = chart[:, :-1]
         close(ps.kappa[k], pf.kappa)
-        close(ps.nu[k], pf.nu)
+        close(chart[:, -1], pf.nu)
         # invariant under the eigenvector choice inside repeated eigenvalues
-        close(ps.directions[k] @ np.diag(ps.kappa[k]) @ ps.directions[k].T,
+        close(dirs @ np.diag(ps.kappa[k]) @ dirs.T,
               pf.directions @ np.diag(pf.kappa) @ pf.directions.T)
-        close(ps.directions[k] @ ps.grad_norm_derivs[k], pf.directions @ pf.grad_norm_derivs)
+        close(dirs @ ps.grad_norm_derivs[k], pf.directions @ pf.grad_norm_derivs)
         # sigma_r: the same recurrence on the same kappa gives the same bits
         for r in range(M.dim + 1):
             assert (es[k, r] if r < M.dim else 0.0) == sigma_elementary(ps.kappa[k], r)
@@ -209,18 +211,16 @@ def test_stacked_curvature_and_corrections_match_pointwise(M, u):
     P = sample_points(M, 11)
     hs = hessian_frame_stack(u, M, P)
     ps = principal_frame_stack(hs)
-    frames = np.array([principal_frame(hessian_frame(u, M, p)).frame_chart for p in P])
-    rs = riemann_stack(M, P, frames)
+    rs = riemann_stack(M, P, ps.frame)
     for k, p in enumerate(P):
-        rd = riemann_at(M, p, frames[k])
+        rd = riemann_at(M, p, np.diag(hs.frame_scale[k]) @ ps.frame[k])
         close(rs.R[k], rd.R)
         close(rs.K[k], rd.K)
         close(rs.ricci_n[k], rd.ricci_n)
     if M.is_flat:
         return
-    rd = riemann_stack(M, P, ps.frame_chart)
     for r in range(M.dim):
-        sect, mixed = correction_sums_stack(ps.kappa, ps.grad_norm_derivs, rd, hs.grad_norm, r)
+        sect, mixed = correction_sums_stack(ps.kappa, ps.grad_norm_derivs, rs, hs.grad_norm, r)
         for k, p in enumerate(P):
             s1, m1 = correction_terms_pointwise(u, M, p, r)
             scale = max(1.0, abs(s1), abs(m1))
@@ -475,12 +475,17 @@ def test_nan_values_are_refused_by_the_root_solve():
 
 
 def test_frame_gram_check_raises():
+    # riemann_at takes chart components, riemann_stack frame components: the
+    # orthonormal frame of each basis is not orthonormal in the other
     M = warped(poly3_profile(), 3)
     p = np.array([1.0, 1.0, 0.5])
+    chart = np.diag(hessian_frame(RadialDistanceField(), M, p).frame_scale)
+    riemann_at(M, p, chart)
+    riemann_stack(M, p[None, :], np.eye(3)[None])
     with pytest.raises(ValueError):
         riemann_at(M, p, np.eye(3))
     with pytest.raises(ValueError, match="g-orthonormal"):
-        riemann_stack(M, p[None, :], np.eye(3)[None])
+        riemann_stack(M, p[None, :], chart[None])
 
 
 def test_level_not_enclosing_origin_raises():
