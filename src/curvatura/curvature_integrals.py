@@ -163,10 +163,11 @@ def correction_sums_stack(kappa, derivs, rd, grad_norm, r: int):
     return sect, mixed / grad_norm
 
 
-def _node_geometry(u, M, P):
-    """Hessian data and principal frames of a node stack, and the
-    elementary symmetric functions of its principal curvatures."""
-    hd = hessian_frame_stack(u, M, P)
+def _node_geometry(u, M, P, chart):
+    """Hessian data and principal frames of a node stack with its
+    chart_stack, and the elementary symmetric functions of its principal
+    curvatures."""
+    hd = hessian_frame_stack(u, M, P, chart)
     pf = principal_frame_stack(hd)
     return hd, pf, elementary_all_stack(pf.kappa)
 
@@ -179,10 +180,12 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     """(|{u < level}|, estimate, node count) in closed form: a geodesic ball
     of radius rho = u.ball_radius(level) has volume |S^{n-1}| Int_0^rho g
     with g = f^{n-1}, a quadratic field's flat ellipsoid |S^{n-1}|/n times
-    its semi-axes sqrt(2 level / lambda_i).  Refuses level <= 0, balls that
-    reach past the working radius (centre distance plus radius, which a
-    ball attains), ellipsoids whose largest semi-axis does, and every other
-    field.
+    its semi-axes sqrt(2 level / lambda_i).  Refuses, as the ray root solve
+    of M_r (r >= 0) does: level <= 0; sets that do not contain the base
+    point (a ball whose centre distance is not below its radius, an
+    ellipsoid with u >= level there); balls that reach past the working
+    radius (centre distance plus radius, which a ball attains); ellipsoids
+    whose farthest point (u.reach) does; and every other field.
 
     The ball's estimate is the last doubling difference of the radial rule
     plus its roundoff.  Rounding moves each node by at most 4 eps rho, which
@@ -196,7 +199,11 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     rho = u.ball_radius(level)
     if rho is not None:
         f, _, _ = radial_profile(M)
-        _within_working_radius(M, level, rho, center=u.ball_center_distance())
+        center = u.ball_center_distance()
+        if not center < rho:
+            raise GeometryError(f"the level-{level:g} ball (radius {rho:g}, centre at "
+                                f"distance {center:g}) does not enclose the ray origin")
+        _within_working_radius(M, level, rho, center=center)
         sphere = unit_sphere_volume(n)
         integral, diff, order = _radial_rule(lambda t: f(t) ** (n - 1), (0.0, rho))
         v = sphere * integral
@@ -206,8 +213,15 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
         return v, err, 1
     if u.kind == "quadratic":
         u._check(M)
+        base = u.value(M, np.zeros(n))
+        if not base < level:
+            raise GeometryError(f"the level-{level:g} ellipsoid does not enclose the ray "
+                                f"origin (u = {base:g} there)")
+        reach = u.reach(level)
+        if not reach <= M.working_radius:
+            raise GeometryError(f"the level-{level:g} ellipsoid reaches distance {reach:g}, "
+                                f"beyond the working radius {M.working_radius:g}")
         axes = [math.sqrt(2.0 * level / lam) for lam in u.eigenvalues]
-        _within_working_radius(M, level, max(axes), "ellipsoid")
         v = unit_sphere_volume(n) / n * math.prod(axes)
         return v, 1e-14 * abs(v), 1
     raise GeometryError(f"no enclosed-volume path for field '{u.kind}'")
@@ -226,8 +240,8 @@ def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,
         return MeanCurvatureReport(r=r, value=value, error_estimate=err,
                                    level=level, node_count=nodes)
 
-    def integrand(P):
-        return sigma_stack(_node_geometry(u, M, P)[2], r)
+    def integrand(P, chart):
+        return sigma_stack(_node_geometry(u, M, P, chart)[2], r)
 
     res = surface_integral(u, M, level, integrand, spec, threads)
     return MeanCurvatureReport(r=r, value=res.value, error_estimate=res.error_estimate,
@@ -243,14 +257,15 @@ def _comparison(u, M, levels, r, spec, threads, corrections,
     """The comparison identity between the level sets at levels = (c1, c2):
     the LHS M_r(outer) - M_r(inner), and the RHS as the coarea integrals of
     the principal column (r+1) sigma_{r+1} and the path's two correction
-    columns, corrections(P, hd, pf, e) -> (sectional, mixed) at a node
-    stack.  path names a specialised path in the meta."""
+    columns, corrections(P, chart, hd, pf, e) -> (sectional, mixed) at a
+    node stack.  path names a specialised path in the meta."""
     if not 0 <= r <= M.dim - 1:
         raise ValueError(f"order r must lie in [0, {M.dim - 1}], got {r}")
 
-    def integrand(P):
-        hd, pf, e = _node_geometry(u, M, P)
-        return np.column_stack(((r + 1) * sigma_stack(e, r + 1), *corrections(P, hd, pf, e)))
+    def integrand(P, chart):
+        hd, pf, e = _node_geometry(u, M, P, chart)
+        return np.column_stack(((r + 1) * sigma_stack(e, r + 1),
+                                *corrections(P, chart, hd, pf, e)))
 
     terms, errs, nodes_rhs = coarea_volume_integral_multi(
         u, M, levels, integrand, spec, 3, threads)
@@ -276,10 +291,10 @@ def comparison_rhs(u: ScalarField, M: ModelManifold, levels, r: int,
     levels = (c1, c2), with the right side itemized into the principal,
     sectional, and mixed terms."""
 
-    def corrections(P, hd, pf, e):
+    def corrections(P, chart, hd, pf, e):
         if M.is_flat:
             return np.zeros(len(P)), np.zeros(len(P))
-        rd = riemann_stack(M, P, pf.frame)
+        rd = riemann_stack(M, P, pf.frame, chart)
         return correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd, hd.grad_norm, r)
 
     return _comparison(u, M, levels, r, spec, threads, corrections)
@@ -297,7 +312,7 @@ def comparison_rhs_constant(u: ScalarField, M: ModelManifold, levels, r: int,
     n = M.dim
     a = M.a
 
-    def corrections(P, hd, pf, e):
+    def corrections(P, chart, hd, pf, e):
         zero = np.zeros(len(P))
         return (zero if r == 0 else -a * (n - r) * sigma_stack(e, r - 1)), zero
 
@@ -310,11 +325,11 @@ def ricci_comparison(u: ScalarField, M: ModelManifold, levels,
     """The r = 1 identity with the sectional term contracted as a Ricci
     curvature: M_1(outer) - M_1(inner) = 2 Int sigma_2 - Int Ric(nu)."""
 
-    def corrections(P, hd, pf, e):
+    def corrections(P, chart, hd, pf, e):
         zero = np.zeros(len(P))
         if M.is_flat:
             return zero, zero
-        return -riemann_stack(M, P, pf.frame).ricci_n, zero
+        return -riemann_stack(M, P, pf.frame, chart).ricci_n, zero
 
     return _comparison(u, M, levels, 1, spec, threads, corrections, path="ricci")
 

@@ -18,17 +18,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Optional
 
 import numpy as np
 
 from .errors import CurvaturaError, DegenerateGradientError, node_error
 from .model_manifolds import (
+    ChartStack,
     ModelManifold,
     _elementwise,
+    _log_derivatives,
+    chart_stack,
     christoffel_at,
     christoffel_stack,
     metric_diag,
-    metric_diag_stack,
     riemann_stack,
 )
 from .symmetric_algebra import (
@@ -262,11 +265,12 @@ class QuadraticFormField(ScalarField):
             raise ValueError("Q must be a square matrix")
         if np.max(np.abs(self.Q - self.Q.T)) > 1e-12 * max(1.0, np.max(np.abs(self.Q))):
             raise ValueError("Q must be symmetric")
-        w, _ = jacobi_eigh(self.Q)
+        w, V = jacobi_eigh(self.Q)
         if w[0] <= 0:
             raise ValueError("Q must be positive definite")
         # ascending, as Python floats: the sublevel ellipsoid's semi-axes
         self.eigenvalues = tuple(float(x) for x in w)
+        self.eigenvectors = V
         self.center = None if center is None else np.asarray(center, dtype=float)
 
     def _check(self, M):
@@ -292,6 +296,37 @@ class QuadraticFormField(ScalarField):
     def second_partials(self, M, p):
         self._check(M)
         return self.Q.copy()
+
+    def reach(self, level: float) -> float:
+        """Largest distance from the chart base point to a point of the
+        ellipsoid {u <= level}: the maximum of |c + sum_i a_i z_i v_i| over
+        unit z, with (lambda_i, v_i) the eigenpairs of Q, s_i = a_i^2 =
+        2 level / lambda_i and c_i the centre's components along v_i.
+
+        A stationary point has z_i = a_i c_i / (mu - s_i), and the maximum
+        has mu >= max s_i.  Unless the centre has no component along the
+        longest axes and the other z_i, at mu = max s_i, are no longer
+        than 1 (then mu = max s_i and the rest of z lies along those axes),
+        mu is the root of the secular equation sum s_i c_i^2 / (mu - s_i)^2
+        = 1 above max s_i, found by bisection."""
+        s = [2.0 * level / lam for lam in self.eigenvalues]
+        c = ([0.0] * len(s) if self.center is None
+             else (self.center @ self.eigenvectors).tolist())
+        terms = [(si, ci) for si, ci in zip(s, c) if ci != 0.0]
+        top = max(s)
+
+        def norm2(mu):   # |z|^2 at mu, over the axes the centre leans along
+            return sum(si * ci * ci / (mu - si) ** 2 for si, ci in terms)
+
+        mu = top
+        if any(si == top for si, _ in terms) or norm2(top) > 1.0:
+            lo, hi = top, top + math.sqrt(sum(si * ci * ci for si, ci in terms))
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if norm2(mid) > 1.0 else (lo, mid)
+            mu = hi
+        far2 = sum((ci * mu / (mu - si)) ** 2 for si, ci in terms)
+        return math.sqrt(far2 + top * max(0.0, 1.0 - norm2(mu)))
 
     def describe(self):
         d = {"field": self.kind, "Q": [list(row) for row in self.Q]}
@@ -485,13 +520,19 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p) -> HessianData:
                        hess_frame=hess_f, frame_scale=inv_sqrt, grad_frame=grad_f)
 
 
-def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
+def hessian_frame_stack(u: ScalarField, M: ModelManifold, P,
+                        chart: Optional[ChartStack] = None) -> HessianData:
     """hessian_frame of every row of an (N, n) point stack, as one
-    HessianData whose fields carry a leading node axis.
+    HessianData whose fields carry a leading node axis.  chart: the
+    stack's chart_stack, built here when not given.
 
     Stacked fields use their closed forms on the whole stack; the others
     (in the package, only the quadratic field) call hessian_frame node by
-    node.
+    node.  The Christoffel contraction subtracts only the nonzero symbols
+    of the diagonal metric, with l[k] = d_k log g_jj (j > k) from
+    _log_derivatives, in ascending k as the full contraction over
+    christoffel_stack would: du_b l[a] / 2 from entries (a, b) and (b, a),
+    a < b, and du_k (-g_aa l[k] / (2 g_kk)), k < a, from entry (a, a).
     """
     P = np.asarray(P, dtype=float)
     N, n = P.shape
@@ -511,13 +552,21 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P) -> HessianData:
                            frame_scale=stack("frame_scale", (n,)),
                            grad_frame=stack("grad_frame", (n,)))
     du = u.partials_stack(M, P)
-    D2 = u.second_partials_stack(M, P)
-    D = metric_diag_stack(M, P)
-    hess_chart = D2
+    hess_chart = u.second_partials_stack(M, P)
+    if chart is None:
+        chart = chart_stack(M, P)
+    D = chart.D
     if M.chart == "polar":
-        Gam = christoffel_stack(M, P, D)
-        for k in range(n):
-            hess_chart = hess_chart - du[:, k, None, None] * Gam[:, k]
+        hess_chart = hess_chart.copy()
+        logd = _log_derivatives(chart, P)
+        for a in range(n - 1):
+            t = du[:, a + 1:] * (0.5 * logd[a])[:, None]
+            hess_chart[:, a, a + 1:] = hess_chart[:, a, a + 1:] - t
+            hess_chart[:, a + 1:, a] = hess_chart[:, a + 1:, a] - t
+        for a in range(1, n):
+            for k in range(a):
+                hess_chart[:, a, a] = (hess_chart[:, a, a]
+                                       - du[:, k] * (-D[:, a] * logd[k] / (2.0 * D[:, k])))
     inv_sqrt = 1.0 / np.sqrt(D)
     hess_f = hess_chart * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
     hess_f = 0.5 * (hess_f + hess_f.transpose(0, 2, 1))
@@ -712,7 +761,8 @@ def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> n
         raise ValueError(f"the identity needs r >= 1, got {r}")
     P = np.asarray(P, dtype=float)
     N, n = P.shape
-    hd0 = hessian_frame_stack(u, M, P)
+    chart0 = chart_stack(M, P)
+    hd0 = hessian_frame_stack(u, M, P, chart0)
     _check_gradients(hd0.grad_norm, "degenerate gradient at the center point")
     rhs = r * sigma_stack(elementary_all_stack(principal_frame_stack(hd0).kappa), r)
     if r >= 2:
@@ -720,14 +770,15 @@ def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> n
         rhs = rhs + _rowdot(divT, hd0.grad_frame) / hd0.grad_norm ** r
 
     steps, Q = _stencil(M, P, hs)
-    hd = hessian_frame_stack(u, M, Q)
+    chart = chart_stack(M, Q)
+    hd = hessian_frame_stack(u, M, Q, chart)
     _check_gradients(hd.grad_norm, "degenerate gradient in the stencil")
     Tm = newton_matrices_stack(hd.hess_frame, r - 1)[r - 1]
     Vc = hd.frame_scale * (_matvec(Tm, hd.grad_frame) / hd.grad_norm[:, None] ** r)
-    vol = np.sqrt(np.prod(metric_diag_stack(M, Q), axis=1))
+    vol = np.sqrt(np.prod(chart.D, axis=1))
     weighted = (vol[:, None] * Vc).reshape(len(hs), N, n, 2, n)
     lhs = 0.0
     for i in range(n):
         lhs = lhs + (weighted[:, :, i, 0, i] - weighted[:, :, i, 1, i]) / (2 * steps[:, :, i])
-    lhs = lhs / np.sqrt(np.prod(metric_diag_stack(M, P), axis=1))
+    lhs = lhs / np.sqrt(np.prod(chart0.D, axis=1))
     return np.abs(lhs - rhs)

@@ -12,7 +12,9 @@ curvature a < 0).  Euclidean space and the a = 0 member of the constant
 family use a Cartesian chart, where the tensors are trivial.
 
 All Christoffel symbols are analytic closed forms of the diagonal metric;
-nothing on the shipped path is differentiated numerically.
+nothing on the shipped path is differentiated numerically.  A node stack's
+chart (chart_stack: metric diagonal and f, f' at each radius, behind one
+polar guard) is evaluated once and handed to the kernels that read it.
 """
 
 from __future__ import annotations
@@ -243,22 +245,44 @@ def _polar_guard_stack(M: ModelManifold, P: np.ndarray) -> list:
     return sines
 
 
-def metric_diag_stack(M: ModelManifold, P) -> np.ndarray:
-    """metric_diag of every row of an (N, n) point stack."""
+@dataclass(frozen=True)
+class ChartStack:
+    """The chart at every row of an (N, n) point stack (chart_stack): the
+    metric diagonal D (N, n) and, on polar charts, the warping profile f
+    and f' at each radius (N,).  Cartesian charts carry D = 1 and nothing
+    else.  The node kernels take it instead of evaluating the chart again."""
+    D: np.ndarray
+    f: Optional[np.ndarray] = None
+    df: Optional[np.ndarray] = None
+
+
+def chart_stack(M: ModelManifold, P) -> ChartStack:
+    """The ChartStack of an (N, n) point stack.  On polar charts this runs
+    the polar guard, raising for the first node off the chart, and
+    evaluates f and f' once per node."""
     P = np.asarray(P, dtype=float)
     N, n = P.shape
     if M.chart == "cartesian":
-        return np.ones((N, n))
+        return ChartStack(D=np.ones((N, n)))
     sines = _polar_guard_stack(M, P)
-    f, _, _ = radial_profile(M)
-    acc = _elementwise(f, P[:, 0]) ** 2
+    f, df, _ = radial_profile(M)
+    fr = _elementwise(f, P[:, 0])
+    acc = fr ** 2
     D = np.empty((N, n))
     D[:, 0] = 1.0
     for j in range(1, n):
         D[:, j] = acc
         if j < n - 1:
             acc = acc * sines[j - 1] ** 2
-    return D
+    return ChartStack(D=D, f=fr, df=_elementwise(df, P[:, 0]))
+
+
+def _log_derivatives(chart: ChartStack, P) -> list:
+    """l[k] = d_k log g_jj for every j > k (N,), k = 0..n-2, on a polar
+    chart: 2 f'/f for the radius, 2 / tan of polar angle k otherwise.
+    d_k log g_jj vanishes for j <= k."""
+    return [2.0 * chart.df / chart.f] + [2.0 / _elementwise(math.tan, P[:, m])
+                                         for m in range(1, P.shape[1] - 1)]
 
 
 def christoffel_at(M: ModelManifold, p) -> np.ndarray:
@@ -294,24 +318,22 @@ def christoffel_at(M: ModelManifold, p) -> np.ndarray:
     return G
 
 
-def christoffel_stack(M: ModelManifold, P, D=None) -> np.ndarray:
+def christoffel_stack(M: ModelManifold, P, chart: Optional[ChartStack] = None) -> np.ndarray:
     """christoffel_at of every row of an (N, n) point stack: (N, n, n, n).
-    D: the stack's metric_diag_stack, when the caller has it already."""
+    chart: the stack's chart_stack, built here when not given."""
     P = np.asarray(P, dtype=float)
     N, n = P.shape
     G = np.zeros((N, n, n, n))
     if M.chart == "cartesian":
         return G
-    if D is None:
-        D = metric_diag_stack(M, P)
-    f, df, _ = radial_profile(M)
+    if chart is None:
+        chart = chart_stack(M, P)
+    D = chart.D
+    logd = _log_derivatives(chart, P)
     L = np.zeros((N, n, n))
-    ratio = 2.0 * _elementwise(df, P[:, 0]) / _elementwise(f, P[:, 0])
-    cot2 = {m: 2.0 / _elementwise(math.tan, P[:, m]) for m in range(1, n - 1)}
     for j in range(1, n):
-        L[:, 0, j] = ratio
-        for m in range(1, j):
-            L[:, m, j] = cot2[m]
+        for m in range(j):
+            L[:, m, j] = logd[m]
     for k in range(n):
         for i in range(n):
             if i == k:
@@ -352,15 +374,17 @@ def _constant_tensors(n: int, a: float):
     return R, K
 
 
-def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
+def riemann_stack(M: ModelManifold, P, frames,
+                  chart: Optional[ChartStack] = None) -> CurvatureTensorData:
     """Curvature tensor of the model at every row of an (N, n) point stack,
     in the supplied orthonormal frames (N, n, n): columns are components of
-    n tangent vectors in the frame E_a = g_aa^{-1/2} d_a.  Raises for the
-    first node off the polar chart or whose F^T F is not the identity to
-    1e-8.  Flat and constant curvature return read-only broadcast views.  A
-    warped product, with k_rad = -f''/f, k_tan = (1 - f'^2)/f^2 and x = row 0
-    of F (the components of d_r), has in elementwise products (a node's bits do
-    not depend on its stack)
+    n tangent vectors in the frame E_a = g_aa^{-1/2} d_a.  chart: the
+    stack's chart_stack, built here when not given (which raises for the
+    first node off the polar chart).  Raises for the first node whose F^T F
+    is not the identity to 1e-8.  Flat and constant curvature return
+    read-only broadcast views.  A warped product, with k_rad = -f''/f,
+    k_tan = (1 - f'^2)/f^2 and x = row 0 of F (the components of d_r), has
+    in elementwise products (a node's bits do not depend on its stack)
         R_abcd = k_tan (d_ac d_bd - d_ad d_bc) + (k_rad - k_tan)
                  (x_a x_c d_bd + x_b x_d d_ac - x_a x_d d_bc - x_b x_c d_ad)."""
     P = np.asarray(P, dtype=float)
@@ -368,8 +392,8 @@ def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
     N, n = P.shape
     if F.shape != (N, n, n):
         raise ValueError(f"frames must be {N}x{n}x{n}, got {F.shape}")
-    if M.chart == "polar":
-        _polar_guard_stack(M, P)
+    if chart is None:
+        chart = chart_stack(M, P)
     gram = F[:, 0, :, None] * F[:, 0, None, :]
     for i in range(1, n):
         gram += F[:, i, :, None] * F[:, i, None, :]
@@ -387,10 +411,9 @@ def riemann_stack(M: ModelManifold, P, frames) -> CurvatureTensorData:
                                    K=np.broadcast_to(K, (N,) + K.shape),
                                    ricci_n=np.full(N, (n - 1) * M.a))
 
-    f, df, d2f = radial_profile(M)
-    fr = _elementwise(f, P[:, 0])
-    k_rad = -_elementwise(d2f, P[:, 0]) / fr
-    k_tan = (1.0 - _elementwise(df, P[:, 0]) ** 2) / fr ** 2
+    _, _, d2f = radial_profile(M)
+    k_rad = -_elementwise(d2f, P[:, 0]) / chart.f
+    k_tan = (1.0 - chart.df ** 2) / chart.f ** 2
     x = F[:, 0, :]
     # Q[:, a, b, c, d] = x_a x_c d_bd; its index swaps give the other three terms
     Q = (x[:, :, None, None, None] * x[:, None, None, :, None]) * np.eye(n)[:, None, :]

@@ -20,12 +20,16 @@ each run once on (N, ...) arrays.  The ray root solve (find_level_radii) is
 exact for level spheres about the base point and otherwise runs
 find_level_radius ray by ray.  The quadratic field, the one field without
 stacked closed forms (ScalarField.stacked false), keeps its partials and
-Hessian per node, inside the stacked stages.  Integrands
-receive the (N, n) point stack.  Rules above _CHUNK nodes, and rules split
-over `threads` workers, run as several contiguous stacks.  Every stage
-computes each node with the same operations whatever the stack it sits in,
-and reductions are fixed-order pairwise sums over the node index, so
-results are bit-identical for any split and worker count.
+Hessian per node, inside the stacked stages.  Each stack's chart is
+evaluated once, by surface_nodes (chart_stack: the metric, the profile f
+and f' on polar charts, and the polar guard).  Integrands are called as
+integrand(P, chart) with the (N, n) point stack and that ChartStack, and
+pass the chart on to the node kernels that take one (hessian_frame_stack,
+riemann_stack).  Rules above _CHUNK nodes, and rules split over `threads`
+workers, run as several contiguous stacks.  Every stage computes each node
+with the same operations whatever the stack it sits in, and reductions are
+fixed-order pairwise sums over the node index, so results are
+bit-identical for any split and worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GeometryError, node_error
-from .model_manifolds import ModelManifold, _elementwise, metric_diag_stack, radial_profile
+from .model_manifolds import ModelManifold, _elementwise, chart_stack
 from .level_set_geometry import ScalarField, _rowdot, sphere_direction
 
 _ROOT_BISECT_WIDTH = 1e-6
@@ -95,24 +99,54 @@ class IntegralResult:
     node_count: int
 
 
-def pairwise_sum(values):
-    """Fixed-order pairwise summation (binary tree over the index range).
-    A 1-d input sums to a float; a 2-d input sums down axis 0, column by
-    column over the same tree (scalar adds beat adds of short rows)."""
-    vals = np.asarray(values, dtype=float)
+@lru_cache(maxsize=None)
+def _pairwise_tree(count: int):
+    """The summation tree of pairwise_sum over `count` items: the range
+    halves (mid = (lo + hi) // 2) until a part holds at most 8 items.
+    Returns (leaves, levels, root) over an array of the 2L - 1 tree nodes:
+    leaves (L, 8) holds the item indices of leaf k (node k) in order,
+    padded with the index `count`; the internal nodes take the indices -1,
+    -2, ... as they are built; levels lists, by height above the leaves,
+    the (node, left, right) index arrays of the internal nodes."""
+    leaves, merges = [], []
 
-    def rec(col, lo, hi):
+    def build(lo, hi):
         if hi - lo <= 8:
-            s = 0.0
-            for k in range(lo, hi):
-                s += col[k]
-            return s
+            leaves.append(list(range(lo, hi)) + [count] * (8 - (hi - lo)))
+            return len(leaves) - 1, 0
         mid = (lo + hi) // 2
-        return rec(col, lo, mid) + rec(col, mid, hi)
+        (left, hl), (right, hr) = build(lo, mid), build(mid, hi)
+        merges.append((-1 - len(merges), left, right, 1 + max(hl, hr)))
+        return merges[-1][0], merges[-1][3]
 
+    root, height = build(0, count)
+    levels = tuple(tuple(np.array(col) for col in zip(*(m[:3] for m in merges if m[3] == h)))
+                   for h in range(1, height + 1))
+    return np.array(leaves), levels, root
+
+
+def pairwise_sum(values):
+    """Fixed-order pairwise summation (binary tree over the index range):
+    each leaf of at most 8 items is summed left to right from 0.0, then
+    the leaves are merged pairwise up the tree of _pairwise_tree, one
+    vector add per tree level.  A 1-d input sums to a float (np.float64
+    when not empty); a 2-d input sums down axis 0, every column over the
+    same tree."""
+    vals = np.asarray(values, dtype=float)
+    cols = vals if vals.ndim == 2 else vals[:, None]
+    leaves, levels, root = _pairwise_tree(len(cols))
+    # appending 0.0 to a leaf sum leaves it unchanged: from 0.0 it is never -0.0
+    padded = np.concatenate((cols, np.zeros((1, cols.shape[1]))))[leaves]
+    nodes = np.empty((2 * len(leaves) - 1, cols.shape[1]))
+    acc = 0.0 + padded[:, 0]
+    for j in range(1, 8):
+        acc = acc + padded[:, j]
+    nodes[:len(leaves)] = acc
+    for out, left, right in levels:
+        nodes[out] = nodes[left] + nodes[right]
     if vals.ndim == 2:
-        return np.array([rec(col, 0, len(col)) for col in vals.T])
-    return rec(vals, 0, len(vals))
+        return nodes[root]
+    return nodes[root, 0] if len(vals) else 0.0
 
 
 @lru_cache(maxsize=None)
@@ -153,13 +187,13 @@ def _angular_grid(n: int, orders: tuple, margin: float):
 
 
 def _within_working_radius(M: ModelManifold, level: float, radius: float,
-                           shape: str = "sphere", center: float = 0.0) -> float:
-    """radius, refused when the shape, centred at distance `center` from the
-    base point, reaches past the working radius, as a root solve refuses a
-    crossing there."""
+                           center: float = 0.0) -> float:
+    """radius, refused when the sphere, centred at distance `center` from
+    the base point, reaches past the working radius, as a root solve
+    refuses a crossing there."""
     if not center + radius <= M.working_radius:   # NaN included
         about = f", centre at distance {center:g}" if center else ""
-        raise GeometryError(f"the level-{level:g} {shape} (radius {radius:g}{about}) lies "
+        raise GeometryError(f"the level-{level:g} sphere (radius {radius:g}{about}) lies "
                             f"beyond the working radius {M.working_radius:g}")
     return radius
 
@@ -255,8 +289,8 @@ def find_level_radii(u: ScalarField, M: ModelManifold, levels, angles) -> np.nda
 
 def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
                   directions) -> tuple:
-    """(points, surface weights, |grad u|) of a stack of angular nodes,
-    each on the level set of its level.
+    """(points, surface weights, |grad u|, chart_stack) of a stack of
+    angular nodes, each on the level set of its level.
 
     The surface weight of a node is its angular weight times
     f(rho)^{n-1} |grad u| / d_rho u at the crossing.
@@ -265,11 +299,11 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     rho = find_level_radii(u, M, levels, angles)
     P = np.column_stack((rho, angles)) if M.chart == "polar" else rho[:, None] * directions
     du = u.partials_stack(M, P)
-    grad_norm = np.sqrt(_rowdot(du, du / metric_diag_stack(M, P)))
+    chart = chart_stack(M, P)
+    grad_norm = np.sqrt(_rowdot(du, du / chart.D))
     if M.chart == "polar":
         u_rho = du[:, 0]
-        f, _, _ = radial_profile(M)
-        scale = _elementwise(lambda t: f(t) ** (n - 1), rho)
+        scale = _elementwise(lambda t: t ** (n - 1), chart.f)
     else:
         u_rho = _rowdot(directions, du)
         scale = _elementwise(lambda t: t ** (n - 1), rho)
@@ -277,7 +311,7 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
         k = int(np.argmin(u_rho > 0))
         raise node_error(GeometryError, k, f"u is not increasing along the ray at the "
                                            f"crossing (angles {angles[k].tolist()})")
-    return P, weights * scale * grad_norm / u_rho, grad_norm
+    return P, weights * scale * grad_norm / u_rho, grad_norm, chart
 
 
 def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
@@ -294,11 +328,12 @@ def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
 
     def rows(lo, hi):
         try:
-            P, w, grad_norm = surface_nodes(u, M, levels[lo:hi], angles[lo:hi],
-                                            weights[lo:hi], directions[lo:hi])
+            P, w, grad_norm, chart = surface_nodes(u, M, levels[lo:hi], angles[lo:hi],
+                                                   weights[lo:hi], directions[lo:hi])
             if level_weights is not None:
                 w = w * level_weights[lo:hi] / grad_norm
-            return w[:, None] * np.asarray(integrand(P), dtype=float).reshape(len(P), n_comp)
+            values = np.asarray(integrand(P, chart), dtype=float).reshape(len(P), n_comp)
+            return w[:, None] * values
         except Exception as e:
             # errors name nodes within this stack; renumber them for the rule
             if lo and getattr(e, "node", None) is not None:
@@ -350,7 +385,7 @@ def surface_integral(u: ScalarField, M: ModelManifold, level: float,
                      integrand, spec: QuadratureSpec,
                      threads: int = 1) -> IntegralResult:
     """Integral over the level set {u = level} of integrand, which maps an
-    (N, n) point stack to its N values.
+    (N, n) point stack and its chart_stack to the N values.
 
     The error estimate is the difference against the next-lower (halved)
     order companion rule plus the analytic polar-cap omission bound.
@@ -378,8 +413,8 @@ def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
                            integrand, spec: QuadratureSpec,
                            threads: int = 1) -> IntegralResult:
     """Integral over the region {c1 < u < c2} of integrand, which maps an
-    (N, n) point stack to its N values, computed as a level integral of
-    1/|grad u|-weighted surface integrals."""
+    (N, n) point stack and its chart_stack to the N values, computed as a
+    level integral of 1/|grad u|-weighted surface integrals."""
     values, errs, nodes = _halving_estimate(
         lambda s: _coarea_values(u, M, levels, integrand, s, 1, threads), M, spec)
     return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
@@ -388,7 +423,7 @@ def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
 def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
                                  threads: int = 1):
     """Vector-valued coarea integral: integrand maps an (N, n) point stack
-    to its (N, n_comp) rows.
+    and its chart_stack to the (N, n_comp) rows.
 
     Returns (values, error_estimates, node_count) as arrays of length n_comp.
     """

@@ -384,3 +384,24 @@ def correction_terms_pointwise(u: ScalarField, M: ModelManifold, p, r: int):
                   * rd.R[ir, irm1, ir, last])
     mixed /= hd.grad_norm
     return sect, mixed
+
+
+def pairwise_sum_recursive(values):
+    """The former scalar recursion of quadrature.pairwise_sum: a range of
+    at most 8 items sums left to right from 0.0, a longer one splits at
+    mid = (lo + hi) // 2.  A 1-d input sums to a float; a 2-d input sums
+    down axis 0, column by column."""
+    vals = np.asarray(values, dtype=float)
+
+    def rec(col, lo, hi):
+        if hi - lo <= 8:
+            s = 0.0
+            for k in range(lo, hi):
+                s += col[k]
+            return s
+        mid = (lo + hi) // 2
+        return rec(col, lo, mid) + rec(col, mid, hi)
+
+    if vals.ndim == 2:
+        return np.array([rec(col, 0, len(col)) for col in vals.T])
+    return rec(vals, 0, len(vals))

@@ -168,6 +168,18 @@ def compute_cfg(**changes):
                             r=[-1], level=9.9), 3, "working radius"),
     ("compute", compute_cfg(field={"field": "radial", "center": [5.0, 0.0, 0.0]},
                             r=-1, level=6.0), 3, "working radius"),
+    # the enclosed volume refuses what M_r (r >= 0) refuses: a set that does not
+    # contain the base point, and an ellipsoid whose farthest point lies too far
+    ("compute", compute_cfg(manifold=HYPERBOLIC, field={"field": "offcenter", "offset": 0.3},
+                            r=[-1], level=0.2), 3, "does not enclose the ray origin"),
+    ("compute", compute_cfg(field={"field": "radial", "center": [5.0, 0.0, 0.0]},
+                            r=[-1], level=1.0), 3, "does not enclose the ray origin"),
+    ("compute", compute_cfg(field={"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   "center": [8.0, 0.0, 0.0]}, r=[-1], level=2.0),
+     3, "does not enclose the ray origin"),
+    ("compute", compute_cfg(field={"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   "center": [5.0, 0.0, 0.0]}, r=[-1], level=18.0),
+     3, "working radius"),
 ])
 def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, names):
     cfg = write_cfg(tmp_path, "c.json", obj)
@@ -179,10 +191,20 @@ def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, na
 
 @pytest.mark.parametrize("manifold,field,level", [
     (HYPERBOLIC, {"field": "offcenter", "offset": 0.3}, 9.6),
-    ({"family": "euclidean", "dim": 3}, {"field": "radial", "center": [5.0, 0.0, 0.0]}, 4.9),
+    ({"family": "euclidean", "dim": 3}, {"field": "radial", "center": [4.0, 0.0, 0.0]}, 5.9),
 ])
 def test_ball_just_inside_the_working_radius_is_answered(tmp_path, manifold, field, level):
     obj = compute_cfg(manifold=manifold, field=field, r=-1, level=level)
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_ellipsoid_inside_the_working_radius_is_answered(tmp_path):
+    # centre distance 3 plus the longest semi-axis sqrt(80) passes the working
+    # radius, but the farthest point of the ellipsoid lies at about 9.59
+    field = {"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 4]],
+             "center": [0.0, 0.0, 3.0]}
+    obj = compute_cfg(field=field, r=[-1, 0], level=40.0)
     cfg = write_cfg(tmp_path, "c.json", obj)
     assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from curvatura import model_manifolds, quadrature
 from curvatura.errors import GeometryError
 from curvatura.model_manifolds import (
+    WarpingProfile,
     constant_curvature,
     euclidean,
     linear_profile,
@@ -433,3 +435,48 @@ class TestBreakdownRecord:
                       - rec["term_mixed"])
         assert rec["residual"] == pytest.approx(recomputed, abs=1e-12 * bd.scale)
         assert bd.error_budget >= 0
+
+
+class Counted:
+    """A profile callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return self.fn(r)
+
+
+def test_chart_is_evaluated_once_per_node_and_guarded_once_per_stack(monkeypatch):
+    prof = poly3_profile()
+    f, df, d2f = Counted(prof.f), Counted(prof.df), Counted(prof.d2f)
+    M = warped(WarpingProfile("counted", f, df, d2f), 3)
+    stacks, guards = [], []
+    surface_nodes, guard = quadrature.surface_nodes, model_manifolds._polar_guard_stack
+
+    def counted_nodes(*args):
+        stacks.append(len(args[2]))
+        return surface_nodes(*args)
+
+    def counted_guard(*args):
+        guards.append(len(args[1]))
+        return guard(*args)
+
+    monkeypatch.setattr(quadrature, "surface_nodes", counted_nodes)
+    monkeypatch.setattr(model_manifolds, "_polar_guard_stack", counted_guard)
+    spec = QuadratureSpec(angular_orders=(6,), level_order=4)
+    # one surface rule: 6 x 6 nodes, halved 3 x 3; coarea: 4 and 2 levels of them
+    for call, coarea, surfaces in (
+            (lambda: total_mean_curvature(RadialDistanceField(), M, 0.8, 2, spec), 0, 1),
+            (lambda: comparison_rhs(RadialDistanceField(), M, (0.5, 1.0), 1, spec), 1, 2)):
+        for fn in (f, df, d2f):
+            fn.calls = 0
+        stacks.clear()
+        guards.clear()
+        call()
+        nodes = coarea * (4 * 36 + 2 * 9) + surfaces * (36 + 9)
+        assert sum(stacks) == nodes and guards == stacks
+        assert f.calls == df.calls == nodes
+        # f'' only in the warped curvature tensor of the coarea rows
+        assert d2f.calls == coarea * (4 * 36 + 2 * 9)

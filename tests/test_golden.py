@@ -33,9 +33,19 @@ To list every pinned value that the current code moves outside the lock
     PYTHONPATH=src python tests/test_golden.py --moved
 
 A value moved on purpose is then re-pinned by hand in the data file.
+
+The lock cannot see a change in the last bits.  To print one SHA-256 digest
+over the full-precision repr of every value it covers (the compute records,
+the path breakdowns and the quick-suite measured values), writing nothing:
+
+    PYTHONPATH=src python tests/test_golden.py --fingerprint
+
+Equal digests before and after a change mean every one of those values is
+bit-identical.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -224,6 +234,11 @@ def test_moves_name_what_left_the_lock():
         ("x.lhs", 4.0, 4.0 + 1e-8, pytest.approx(2.5e-9)), ("x.nodes", 8, 9, None)]
 
 
+def plain(v):
+    """A numpy float as the Python float whose repr pastes into the data file."""
+    return float(v) if isinstance(v, float) else v
+
+
 def print_moves(workdir: Path) -> None:
     """Print every pinned value the current code moves outside the lock."""
     golden = json.loads(DATA.read_text())
@@ -234,14 +249,27 @@ def print_moves(workdir: Path) -> None:
                                    golden["configs"][name], name)
         for suite in SUITE_NAMES:
             moves += suite_moves(quick_suite(suite), golden["verify_quick"]["suites"][suite])
-    def plain(v):
-        """A numpy float as the Python float whose repr pastes into the data file."""
-        return float(v) if isinstance(v, float) else v
-
     for where, pinned, new, rel in moves:
         print(f"{where}\t{plain(pinned)!r}\t{plain(new)!r}\t"
               + ("-" if rel is None else f"{rel:.3e}"))
     print(f"{len(moves)} value(s) outside the lock", file=sys.stderr)
+
+
+def fingerprint(workdir: Path) -> str:
+    """SHA-256 over the repr of every value the lock covers, each named by
+    where it sits: the compute and path records of every config, then the
+    measured value of every quick-suite row."""
+    digest = hashlib.sha256()
+    with contextlib.redirect_stdout(io.StringIO()):   # the CLI's own report
+        for name in sorted(CONFIGS):
+            for key, records in sorted({**compute(name, workdir), **paths(name)}.items()):
+                for k, rec in enumerate(records):
+                    for field, v in sorted(rec.items()):
+                        digest.update(f"{name}.{key}[{k}].{field}={plain(v)!r}\n".encode())
+        for suite in SUITE_NAMES:
+            for cid, row in sorted(quick_suite(suite).items()):
+                digest.update(f"{cid}={plain(row['measured'])!r}\n".encode())
+    return digest.hexdigest()
 
 
 def write_golden(workdir: Path) -> None:
@@ -280,8 +308,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         if sys.argv[1:] == ["--moved"]:
             print_moves(Path(tmp))
+        elif sys.argv[1:] == ["--fingerprint"]:
+            print(fingerprint(Path(tmp)))
         elif sys.argv[1:]:
-            sys.exit(f"usage: {sys.argv[0]} [--moved]")
+            sys.exit(f"usage: {sys.argv[0]} [--moved | --fingerprint]")
         else:
             write_golden(Path(tmp))
     sys.exit(0)

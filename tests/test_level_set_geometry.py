@@ -460,6 +460,35 @@ class TestFields:
         with pytest.raises(ValueError):
             QuadraticFormField(np.diag([1.0, -1.0, 2.0]))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quadratic_reach_is_the_farthest_sampled_point(self, n):
+        rng = np.random.default_rng(80 + n)
+        if n == 2:
+            t = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+            Z = np.column_stack((np.cos(t), np.sin(t)))
+        else:
+            Z = rng.normal(size=(400_000, 3))
+            Z /= np.linalg.norm(Z, axis=1)[:, None]
+        A = rng.normal(size=(n, n))
+        cases = [(A @ A.T + 0.2 * np.eye(n), rng.normal(size=n)),
+                 (A @ A.T + 0.2 * np.eye(n), 4.0 * rng.normal(size=n)),
+                 (np.diag([1.0] + [4.0] * (n - 1)), None),
+                 # centre along the longest axis, and across it
+                 (np.diag([1.0] + [4.0] * (n - 1)), np.eye(n)[0]),
+                 (np.diag([1.0] + [4.0] * (n - 1)), 0.5 * np.eye(n)[1]),
+                 (np.eye(n), np.full(n, 0.7))]
+        for Q, center in cases:
+            u = QuadraticFormField(Q, center=center)
+            for level in (0.3, 2.5):
+                lam, V = np.linalg.eigh(Q)
+                X = (Z * np.sqrt(2.0 * level / lam)) @ V.T
+                if center is not None:
+                    X = X + center
+                far = np.linalg.norm(X, axis=1).max()
+                # no sampled point beyond the reach (to rounding), none far short of it
+                assert far * (1.0 - 1e-13) <= u.reach(level) <= far * (1.0 + 1e-4), \
+                    (Q, center, level)
+
     def test_radial_star_radius(self):
         assert RadialDistanceField().star_radius(1.3) == 1.3
         assert RadialSquaredHalfField().star_radius(0.5) == pytest.approx(1.0)

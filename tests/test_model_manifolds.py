@@ -11,10 +11,13 @@ import curvatura.model_manifolds as model_manifolds
 from curvatura.errors import ChartSingularityError
 from curvatura.model_manifolds import (
     WarpingProfile,
+    chart_stack,
     christoffel_at,
+    christoffel_stack,
     constant_curvature,
     euclidean,
     linear_profile,
+    metric_diag,
     poly3_profile,
     riemann_stack,
     sinh_profile,
@@ -87,6 +90,32 @@ class TestMetric:
             metric_at(M, [0.0, 1.0, 1.0])
         with pytest.raises(ChartSingularityError):
             metric_at(M, [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("M", [euclidean(4), constant_curvature(-1.0, 4),
+                                   warped(poly3_profile(), 4), warped(sinh_profile(), 2)],
+                             ids=lambda M: f"{M.label}-{M.dim}")
+    def test_chart_stack_rows_are_the_pointwise_chart(self, M):
+        rng = np.random.default_rng(5)
+        n = M.dim
+        P = np.column_stack([rng.uniform(0.1, 3.0, 9)] + [rng.uniform(0.2, 2.9, 9)] * (n - 2)
+                            + [rng.uniform(0.0, 6.2, 9)])
+        chart = chart_stack(M, P)
+        for k, p in enumerate(P):
+            assert chart.D[k].tobytes() == metric_diag(M, p).tobytes()
+        if M.chart == "polar":
+            prof = M.profile
+            assert chart.f.tolist() == [prof.f(r) for r in P[:, 0]]
+            assert chart.df.tolist() == [prof.df(r) for r in P[:, 0]]
+            for k in range(len(P)):
+                one = christoffel_stack(M, P[k:k + 1])[0]
+                assert one.tobytes() == christoffel_stack(M, P, chart)[k].tobytes()
+        else:
+            assert chart.f is None and chart.df is None
+
+    def test_chart_stack_refuses_the_first_node_off_the_chart(self):
+        M = constant_curvature(-1.0, 3)
+        with pytest.raises(ChartSingularityError, match="node 1: polar chart is singular"):
+            chart_stack(M, np.array([[0.8, 0.9, 0.3], [1.0, 0.0, 0.5], [0.0, 1.0, 1.0]]))
 
 
 class TestChristoffel:
@@ -184,15 +213,19 @@ class TestRiemann:
             assert np.max(rd.K) <= 1e-12  # nonpositive curvature
             np.testing.assert_allclose(rd.K, np.einsum("ijij->ij", R), atol=1e-14)
 
-    def test_reads_no_metric(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("metric_diag_stack called")
-
-        monkeypatch.setattr(model_manifolds, "metric_diag_stack", refuse)
+    def test_reads_the_chart_it_is_given(self, monkeypatch):
         P = np.array(SAMPLE_POINTS[3])
         frames = np.broadcast_to(np.eye(3), (len(P), 3, 3))
-        for M in (euclidean(3), constant_curvature(-1.0, 3), warped(poly3_profile(), 3)):
-            assert riemann_stack(M, P, frames).R.shape == (len(P), 3, 3, 3, 3)
+        models = (euclidean(3), constant_curvature(-1.0, 3), warped(poly3_profile(), 3))
+        charts = [chart_stack(M, P) for M in models]
+        want = [riemann_stack(M, P, frames).R for M in models]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("chart_stack called")
+
+        monkeypatch.setattr(model_manifolds, "chart_stack", refuse)
+        for M, chart, R in zip(models, charts, want):
+            assert np.array_equal(riemann_stack(M, P, frames, chart).R, R)
 
     def test_refuses_points_off_the_polar_chart(self):
         M = warped(poly3_profile(), 3)

@@ -88,7 +88,7 @@ REL = 1e-12
 SPEC = QuadratureSpec(angular_orders=(6,), level_order=3)
 
 
-def ones(P):
+def ones(P, chart):
     """The integrand 1 at every node of a point stack."""
     return np.ones(len(P))
 
@@ -317,7 +317,7 @@ def test_no_oracle_name_is_defined_in_the_package():
     defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
                 for t in node.targets if isinstance(t, ast.Name)}
     assert {"principal_frame", "riemann_at", "newton_matrices", "fd_partials",
-            "hessian_frame_fd"} <= defined
+            "hessian_frame_fd", "pairwise_sum_recursive"} <= defined
     modules = [curvatura] + [importlib.import_module(f"curvatura.{m.name}")
                              for m in pkgutil.iter_modules(curvatura.__path__)]
     back = {(mod.__name__, name) for mod in modules for name in defined if hasattr(mod, name)}
@@ -590,7 +590,7 @@ def test_guards_name_the_node_of_the_rule_whatever_the_split(monkeypatch):
     assert msg.startswith(f"node {first}: no crossing of level 0.5")
 
     # inside the integrand: the gram check of riemann_stack
-    def stretched_below(P):
+    def stretched_below(P, chart):
         F = np.where(lower_cap(P)[:, None, None], 2.0 * np.eye(3), np.eye(3))
         return riemann_stack(M, P, F).ricci_n
     msg = first_failure(lambda t: surface_integral(RadialDistanceField(), M, 1.0,
@@ -608,8 +608,9 @@ def test_integrand_gets_point_stacks_covering_the_rule(monkeypatch):
     u = RadialSquaredHalfField()
     seen = []
 
-    def area(P):
+    def area(P, chart):
         seen.append(np.shape(P))
+        assert np.array_equal(chart.D, np.ones(np.shape(P)))
         return np.ones(len(P))
 
     monkeypatch.setattr(quadrature, "_CHUNK", 100)

@@ -33,6 +33,7 @@ from curvatura.quadrature import (
     surface_integral,
 )
 from curvatura.symmetric_algebra import elementary_all_stack, sigma_stack
+from oracles import pairwise_sum_recursive
 
 SPEC = QuadratureSpec(angular_orders=(16,), level_order=8)
 
@@ -43,7 +44,7 @@ def sigma_r(u, M, P, r):
     return sigma_stack(elementary_all_stack(kappa), r)
 
 
-def ones(P):
+def ones(P, chart):
     """The integrand 1 at every node of a point stack."""
     return np.ones(len(P))
 
@@ -155,7 +156,7 @@ class TestSurfaceIntegral:
         M = euclidean(3)
         u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
 
-        def sigma1(P):
+        def sigma1(P, chart):
             return sigma_r(u, M, P, 1)
 
         res = surface_integral(u, M, 0.5, sigma1,
@@ -189,7 +190,7 @@ class TestCoareaIntegral:
         M = warped(poly3_profile(), 3)
         u = RadialDistanceField()
 
-        def sigma2(P):
+        def sigma2(P, chart):
             return sigma_r(u, M, P, 2)
 
         res = coarea_volume_integral(u, M, (0.5, 1.5), sigma2, SPEC)
@@ -245,7 +246,7 @@ class TestDeterminism:
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
 
-        def integrand(P):
+        def integrand(P, chart):
             return sigma_r(u, M, P, 1)
 
         r1 = surface_integral(u, M, 1.0, integrand, SPEC, threads=1)
@@ -267,6 +268,26 @@ class TestDeterminism:
         rng = np.random.default_rng(0)
         vals = rng.normal(size=1000)
         assert pairwise_sum(vals) == pairwise_sum(list(vals))
+
+    def test_pairwise_sum_is_the_recursion_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for count in list(range(301)) + [864, 4097]:
+            for shape in ((count,), (count, 1), (count, 3)):
+                mags = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+                zeros = rng.choice([0.0, -0.0], size=shape)
+                mixed = np.where(rng.random(shape) < 0.02, rng.choice(specials, size=shape), mags)
+                for vals in (mags, zeros, mixed):
+                    with np.errstate(invalid="ignore"):   # inf - inf in either sum
+                        got, want = pairwise_sum(vals), pairwise_sum_recursive(vals)
+                    assert type(got) is type(want), (shape, type(got), type(want))
+                    assert np.shape(got) == np.shape(want)
+                    # a NaN's sign bit (inf - inf gives the negative default NaN)
+                    # follows the operand order the machine add takes
+                    got, want = np.atleast_1d(got), np.atleast_1d(want)
+                    assert np.array_equal(np.isnan(got), np.isnan(want)), shape
+                    nan = np.isnan(want)
+                    assert got[~nan].tobytes() == want[~nan].tobytes(), shape
 
 
 # ---------------------------------------------------------------------------
