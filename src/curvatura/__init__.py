@@ -21,14 +21,12 @@ from .model_manifolds import (
     CurvatureTensorData,
     ModelManifold,
     WarpingProfile,
-    christoffel_at,
     constant_curvature,
     euclidean,
     linear_profile,
     poly3_profile,
     profile_by_name,
     sinh_profile,
-    sphere_data,
     sphere_total_mean_curvature,
     unit_sphere_volume,
     warped,

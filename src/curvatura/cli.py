@@ -221,12 +221,13 @@ def load_config(path: str) -> dict:
 
 def _resolve_seed(cfg) -> int:
     env = os.environ.get("CURVATURA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"CURVATURA_SEED: expected an integer, got {env!r}")
-    return int(cfg.get("seed", DEFAULT_SEED))
+    if env is None:
+        return int(cfg.get("seed", DEFAULT_SEED))
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ConfigError(f"CURVATURA_SEED: expected an integer, got {env!r}")
+    return _check_int(seed, "CURVATURA_SEED", 0)
 
 
 # ---------------------------------------------------------------------------

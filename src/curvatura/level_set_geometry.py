@@ -29,9 +29,7 @@ from .model_manifolds import (
     _elementwise,
     _log_derivatives,
     chart_stack,
-    christoffel_at,
     christoffel_stack,
-    metric_diag,
     riemann_stack,
 )
 from .symmetric_algebra import (
@@ -479,21 +477,21 @@ class HessianData:
     grad_frame: np.ndarray    # gradient in frame components
 
 
-def fd_steps(M: ModelManifold, p, h: float) -> np.ndarray:
-    """Per-coordinate steps of the finite-difference stencils (_stencil) of
-    the div(T_r) oracle and the reilly1 residual.
+def fd_steps(M: ModelManifold, P, h: float) -> np.ndarray:
+    """Per-coordinate steps (N, n) of the finite-difference stencils
+    (_stencil) of the div(T_r) oracle and the reilly1 residual, at every
+    row of an (N, n) point stack.
 
     Polar charts cap the radial step below r/2 and the polar-angle steps a
     safe fraction away from the axis so stencils stay inside the chart.
     """
-    n = M.dim
-    p = np.asarray(p, dtype=float)
-    steps = np.full(n, h)
+    P = np.asarray(P, dtype=float)
+    steps = np.full(P.shape, h, dtype=float)
     if M.chart == "polar":
-        steps[0] = min(h, 0.25 * p[0])
-        for m in range(1, n - 1):
-            gap = min(abs(p[m]), abs(math.pi - p[m]))
-            steps[m] = min(h, 0.25 * gap) if gap > 0 else h
+        steps[:, 0] = np.minimum(h, 0.25 * P[:, 0])
+        for m in range(1, M.dim - 1):
+            gap = np.minimum(np.abs(P[:, m]), np.abs(math.pi - P[:, m]))
+            steps[:, m] = np.where(gap > 0, np.minimum(h, 0.25 * gap), h)
     return steps
 
 
@@ -503,16 +501,21 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p) -> HessianData:
 
     The covariant Hessian is d_i d_j u - Gamma^k_ij d_k u in the chart (the
     symbols vanish on Cartesian charts), from the field's closed-form
-    partials, then conjugated into the frame.  The per-node route of
-    hessian_frame_stack for fields that are not stacked.
+    partials, then conjugated into the frame.  Polar charts read the metric
+    diagonal and the symbols from the one-row chart_stack and
+    christoffel_stack of p.  The per-node route of hessian_frame_stack for
+    fields that are not stacked.
     """
     p = np.asarray(p, dtype=float)
     du = u.partials(M, p)
     D2 = u.second_partials(M, p)
     hess_chart = D2
+    inv_sqrt = np.ones(M.dim)
     if M.chart == "polar":
-        hess_chart = D2 - np.tensordot(du, christoffel_at(M, p), axes=([0], [0]))
-    inv_sqrt = 1.0 / np.sqrt(metric_diag(M, p))
+        chart = chart_stack(M, p[None])
+        hess_chart = D2 - np.tensordot(du, christoffel_stack(M, p[None], chart)[0],
+                                       axes=([0], [0]))
+        inv_sqrt = 1.0 / np.sqrt(chart.D[0])
     hess_f = hess_chart * np.outer(inv_sqrt, inv_sqrt)
     hess_f = 0.5 * (hess_f + hess_f.T)
     grad_f = du * inv_sqrt
@@ -542,7 +545,8 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P,
             try:
                 rows.append(hessian_frame(u, M, p))
             except CurvaturaError as e:
-                raise node_error(type(e), k, str(e)) from None
+                # a chart error names node 0 of its one-row stack
+                raise node_error(type(e), k, getattr(e, "detail", str(e))) from None
 
         def stack(name, shape):
             return np.array([getattr(h, name) for h in rows], dtype=float).reshape((N,) + shape)
@@ -708,8 +712,8 @@ def _stencil(M: ModelManifold, P: np.ndarray, hs):
     """The central-difference stencil of every row of P for every step h of
     hs, placed by fd_steps: (steps (S, N, n), points (S * N * n * 2, n)),
     the points ordered by step, row, axis i, then +/- the step along i."""
-    N, n = P.shape
-    steps = np.array([[fd_steps(M, p, h) for p in P] for h in hs]).reshape(len(hs), N, n)
+    n = P.shape[1]
+    steps = np.stack([fd_steps(M, P, h) for h in hs])
     offsets = steps[:, :, :, None] * np.eye(n)
     Q = np.stack([P[None, :, None, :] + offsets, P[None, :, None, :] - offsets], axis=3)
     return steps, Q.reshape(-1, n)

@@ -188,38 +188,6 @@ def radial_profile(M: ModelManifold):
 # Chart tensors
 # ---------------------------------------------------------------------------
 
-def _polar_guard(M: ModelManifold, p: np.ndarray):
-    r = p[0]
-    if r <= 0:
-        raise ChartSingularityError(f"polar chart is singular at r={r:g}")
-    if r > M.working_radius:
-        raise ChartSingularityError(
-            f"r={r:g} exceeds the working radius {M.working_radius:g}")
-    for m in range(1, M.dim - 1):
-        s = math.sin(p[m])
-        if abs(s) <= _AXIS_TOL:
-            raise ChartSingularityError(f"polar chart is singular on the axis (angle {m})")
-
-
-def metric_diag(M: ModelManifold, p) -> np.ndarray:
-    """Diagonal of the chart metric (all supported charts are diagonal)."""
-    n = M.dim
-    p = np.asarray(p, dtype=float)
-    if M.chart == "cartesian":
-        return np.ones(n)
-    _polar_guard(M, p)
-    f, _, _ = radial_profile(M)
-    fr2 = f(p[0]) ** 2
-    D = np.empty(n)
-    D[0] = 1.0
-    acc = fr2
-    for j in range(1, n):
-        D[j] = acc
-        if j < n - 1:
-            acc *= math.sin(p[j]) ** 2
-    return D
-
-
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     """fn (a scalar `math` function or warping-profile callable) applied to
     each element.  Transcendental functions stay on `math` so that a node's
@@ -229,8 +197,9 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _polar_guard_stack(M: ModelManifold, P: np.ndarray) -> list:
-    """_polar_guard on every row of P; raises for the first failing node.
-    Returns the sines of the polar angles, columns 1..n-2."""
+    """Refuse a stack with a node off the polar chart: r <= 0, r beyond the
+    working radius, or a polar angle on the axis; raises for the first such
+    node.  Returns the sines of the polar angles, columns 1..n-2."""
     sines = [_elementwise(math.sin, P[:, m]) for m in range(1, M.dim - 1)]
     r = P[:, 0]
     bad = (r <= 0) | (r > M.working_radius)
@@ -238,10 +207,15 @@ def _polar_guard_stack(M: ModelManifold, P: np.ndarray) -> list:
         bad |= np.abs(s) <= _AXIS_TOL
     if bad.any():
         k = int(np.argmax(bad))
-        try:
-            _polar_guard(M, P[k])
-        except ChartSingularityError as e:
-            raise node_error(ChartSingularityError, k, str(e)) from None
+        rk = r[k]
+        if rk <= 0:
+            detail = f"polar chart is singular at r={rk:g}"
+        elif rk > M.working_radius:
+            detail = f"r={rk:g} exceeds the working radius {M.working_radius:g}"
+        else:
+            m = next(m for m, sin_m in enumerate(sines, 1) if abs(sin_m[k]) <= _AXIS_TOL)
+            detail = f"polar chart is singular on the axis (angle {m})"
+        raise node_error(ChartSingularityError, k, detail)
     return sines
 
 
@@ -285,42 +259,16 @@ def _log_derivatives(chart: ChartStack, P) -> list:
                                          for m in range(1, P.shape[1] - 1)]
 
 
-def christoffel_at(M: ModelManifold, p) -> np.ndarray:
-    """Levi-Civita symbols Gamma[k, i, j] of the chart metric, closed form.
+def christoffel_stack(M: ModelManifold, P, chart: Optional[ChartStack] = None) -> np.ndarray:
+    """Levi-Civita symbols Gamma[k, i, j] of the chart metric at every row
+    of an (N, n) point stack: (N, n, n, n), closed form.  chart: the
+    stack's chart_stack, built here when not given.
 
     For the diagonal polar metric the only nonzero symbols are
     Gamma^k_{ik} = (1/2) d_i log g_kk and Gamma^k_{ii} = -g_ii/(2 g_kk)
-    d_k log g_ii, assembled from analytic log-derivatives of the diagonal.
+    d_k log g_ii, assembled from the analytic log-derivatives of the
+    diagonal (_log_derivatives).
     """
-    n = M.dim
-    p = np.asarray(p, dtype=float)
-    G = np.zeros((n, n, n))
-    if M.chart == "cartesian":
-        return G
-    _polar_guard(M, p)
-    f, df, _ = radial_profile(M)
-    D = metric_diag(M, p)
-    # L[k, j] = d_k log g_jj
-    L = np.zeros((n, n))
-    ratio = 2.0 * df(p[0]) / f(p[0])
-    for j in range(1, n):
-        L[0, j] = ratio
-        for m in range(1, j):
-            L[m, j] = 2.0 / math.tan(p[m])
-    for k in range(n):
-        for i in range(n):
-            if i == k:
-                continue
-            half = 0.5 * L[i, k]
-            G[k, i, k] = half
-            G[k, k, i] = half
-            G[k, i, i] = -D[i] * L[k, i] / (2.0 * D[k])
-    return G
-
-
-def christoffel_stack(M: ModelManifold, P, chart: Optional[ChartStack] = None) -> np.ndarray:
-    """christoffel_at of every row of an (N, n) point stack: (N, n, n, n).
-    chart: the stack's chart_stack, built here when not given."""
     P = np.asarray(P, dtype=float)
     N, n = P.shape
     G = np.zeros((N, n, n, n))
@@ -436,17 +384,6 @@ def unit_sphere_volume(n: int) -> float:
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def sphere_data(M: ModelManifold, rho: float):
-    """(principal curvature, volume-element factor) of the geodesic sphere
-    of radius rho about the base point: kappa = f'/f, A = f^{n-1}."""
-    if rho <= 0:
-        raise ValueError(f"sphere radius must be positive, got {rho}")
-    if rho > M.working_radius:
-        raise ValueError(f"rho={rho:g} exceeds working radius {M.working_radius:g}")
-    f, df, _ = radial_profile(M)
-    return df(rho) / f(rho), f(rho) ** (M.dim - 1)
 
 
 def sphere_total_mean_curvature(M: ModelManifold, r: int, rho: float) -> float:

@@ -48,6 +48,9 @@ from .level_set_geometry import ScalarField, _rowdot, sphere_direction
 _ROOT_BISECT_WIDTH = 1e-6
 _ROOT_NEWTON_TOL = 1e-12
 _RADIAL_TOL = 1e-12
+# first order and order cap of the doubling 1-d rule (radial_integral)
+_RADIAL_ORDER = 16
+_RADIAL_MAX_ORDER = 4096
 # nodes per kernel call up to dimension 4; above it the limit shrinks with
 # n^4, so that the (N, n, n, n, n) curvature stacks stay the same size
 _CHUNK = 4096
@@ -369,15 +372,20 @@ def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value):
     return (M.dim - 2) * spec.margin ** 2 * abs(value)
 
 
-def _halving_estimate(rule_rows, M: ModelManifold, spec: QuadratureSpec):
+def _halving_estimate(rule_rows, M: ModelManifold, spec: QuadratureSpec, coarea: bool):
     """(values, error estimates, node count) of a rule and its halved-order
     companion: rule_rows(spec) gives the weighted integrand rows of one rule,
     the values are their pairwise sums, and each estimate is
-    |fine - coarse| plus the polar-cap bound."""
+    |fine - coarse| plus the polar-cap bound.  The companion floors orders
+    at 2, so an order-2 axis (angular, or for a coarea rule also the level
+    axis) is its own companion and the difference cannot see its error:
+    every estimate of such a rule is inf."""
     rows = rule_rows(spec)
     values = pairwise_sum(rows)
     values_lo = pairwise_sum(rule_rows(spec.coarser()))
     errs = np.abs(values - values_lo) + _cap_bound(M, spec, values)
+    if 2 in spec.angular_for(M.dim) + ((spec.level_order,) if coarea else ()):
+        errs = np.full_like(errs, math.inf)
     return values, errs, rows.shape[0]
 
 
@@ -388,10 +396,12 @@ def surface_integral(u: ScalarField, M: ModelManifold, level: float,
     (N, n) point stack and its chart_stack to the N values.
 
     The error estimate is the difference against the next-lower (halved)
-    order companion rule plus the analytic polar-cap omission bound.
+    order companion rule plus the analytic polar-cap omission bound; inf
+    when an angular order is 2.
     """
     values, errs, nodes = _halving_estimate(
-        lambda s: _surface_values(u, M, level, integrand, s, 1, threads), M, spec)
+        lambda s: _surface_values(u, M, level, integrand, s, 1, threads), M, spec,
+        coarea=False)
     return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
 
 
@@ -416,7 +426,8 @@ def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
     (N, n) point stack and its chart_stack to the N values, computed as a
     level integral of 1/|grad u|-weighted surface integrals."""
     values, errs, nodes = _halving_estimate(
-        lambda s: _coarea_values(u, M, levels, integrand, s, 1, threads), M, spec)
+        lambda s: _coarea_values(u, M, levels, integrand, s, 1, threads), M, spec,
+        coarea=True)
     return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
 
 
@@ -428,14 +439,16 @@ def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
     Returns (values, error_estimates, node_count) as arrays of length n_comp.
     """
     return _halving_estimate(
-        lambda s: _coarea_values(u, M, levels, integrand, s, n_comp, threads), M, spec)
+        lambda s: _coarea_values(u, M, levels, integrand, s, n_comp, threads), M, spec,
+        coarea=True)
 
 
-def _radial_rule(g, bounds, order: int = 16, max_order: int = 4096):
+def _radial_rule(g, bounds):
     """(value, last doubling difference, final order) of radial_integral."""
     a, b = bounds
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("bounds must be finite")
+    order, max_order = _RADIAL_ORDER, _RADIAL_MAX_ORDER
     prev = diff = None
     while order <= max_order:
         x, w = _gl_on(a, b, order)
@@ -451,8 +464,9 @@ def _radial_rule(g, bounds, order: int = 16, max_order: int = 4096):
                         f"{'none' if diff is None else format(diff, '.3e')}")
 
 
-def radial_integral(g, bounds, order: int = 16, max_order: int = 4096) -> float:
-    """1-D Gauss-Legendre integral, doubling the order until two successive
-    values differ by less than _RADIAL_TOL (relative).  Raises GeometryError,
-    with the last difference, when the order passes max_order first."""
-    return _radial_rule(g, bounds, order, max_order)[0]
+def radial_integral(g, bounds) -> float:
+    """1-D Gauss-Legendre integral from order _RADIAL_ORDER, doubling the
+    order until two successive values differ by less than _RADIAL_TOL
+    (relative).  Raises GeometryError, with the last difference, when the
+    order passes _RADIAL_MAX_ORDER first."""
+    return _radial_rule(g, bounds)[0]

@@ -155,7 +155,7 @@ def _perms_with_parity(r: int):
 # Eigenvalues: cyclic Jacobi
 # ---------------------------------------------------------------------------
 
-def jacobi_eigh(H, max_sweeps: int = _MAX_SWEEPS):
+def jacobi_eigh(H):
     """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi.
 
     Sweeps the strict upper triangle in fixed row-major order and rotates
@@ -172,12 +172,12 @@ def jacobi_eigh(H, max_sweeps: int = _MAX_SWEEPS):
 
     Returns (eigenvalues ascending, eigenvectors as matching columns); the
     ascending sort is stable.  Raises ValueError for a non-finite entry and
-    RuntimeError when max_sweeps sweeps do not converge.
+    RuntimeError when _MAX_SWEEPS sweeps do not converge.
     """
-    return _jacobi_eigh(as_sym_matrix(H), max_sweeps)
+    return _jacobi_eigh(as_sym_matrix(H))
 
 
-def _jacobi_eigh(A: np.ndarray, max_sweeps: int = _MAX_SWEEPS):
+def _jacobi_eigh(A: np.ndarray):
     """jacobi_eigh of a matrix that as_sym_matrix returned.  The pairs are
     put in order by Python's stable sort, which orders floats as a stable
     argsort does (-0.0 and 0.0 tie)."""
@@ -186,7 +186,7 @@ def _jacobi_eigh(A: np.ndarray, max_sweeps: int = _MAX_SWEEPS):
         return A.diagonal().copy(), np.eye(1)
     L = A.tolist()
     norm = max(abs(x) for row in L for x in row)
-    V = _jacobi_sweeps(L, _JACOBI_TOL * max(norm, _TINY), max_sweeps)
+    V = _jacobi_sweeps(L, _JACOBI_TOL * max(norm, _TINY), _MAX_SWEEPS)
     w = [L[i][i] for i in range(n)]
     order = sorted(range(n), key=w.__getitem__)
     return np.array([w[i] for i in order]), np.array([[row[i] for i in order] for row in V])

@@ -30,8 +30,7 @@ from curvatura.model_manifolds import (
     ModelManifold,
     _constant_tensors,
     _pair_patterns,
-    christoffel_at,
-    metric_diag,
+    christoffel_stack,
     radial_profile,
 )
 from curvatura.symmetric_algebra import (
@@ -94,12 +93,24 @@ def hessian_frame_fd(u: ScalarField, M: ModelManifold, p, h: float = None) -> He
     p = np.asarray(p, dtype=float)
     if h is None:
         h = 1e-4 * (1.0 + float(np.linalg.norm(p)))
-    return hessian_frame(_PartialsAt(*fd_partials(u, M, p, fd_steps(M, p, h))), M, p)
+    return hessian_frame(_PartialsAt(*fd_partials(u, M, p, fd_steps(M, p[None], h)[0])), M, p)
+
+
+def metric_diagonal(M: ModelManifold, p) -> np.ndarray:
+    """Diagonal of the chart metric at p in closed form: 1, f(r)^2,
+    f(r)^2 sin^2(theta_1), ..., f(r)^2 sin^2(theta_1) ... sin^2(theta_{n-2})
+    on polar charts, ones on Cartesian charts.  No chart guard."""
+    p = np.asarray(p, dtype=float)
+    if M.chart == "cartesian":
+        return np.ones(M.dim)
+    f = radial_profile(M)[0](p[0])
+    return np.array([1.0] + [f * f * math.prod(math.sin(t) ** 2 for t in p[1:j])
+                             for j in range(1, M.dim)])
 
 
 def metric_at(M: ModelManifold, p) -> np.ndarray:
     """Chart metric as a dense symmetric positive-definite matrix."""
-    return np.diag(metric_diag(M, p))
+    return np.diag(metric_diagonal(M, p))
 
 
 def riemann_at(M: ModelManifold, p, frame) -> CurvatureTensorData:
@@ -113,7 +124,7 @@ def riemann_at(M: ModelManifold, p, frame) -> CurvatureTensorData:
     F = np.asarray(frame, dtype=float)
     if F.shape != (n, n):
         raise ValueError(f"frame must be {n}x{n}, got {F.shape}")
-    D = metric_diag(M, p)
+    D = metric_diagonal(M, p)
     gram = F.T @ (D[:, None] * F)
     if np.max(np.abs(gram - np.eye(n))) > 1e-8:
         raise ValueError("frame is not g-orthonormal")
@@ -297,7 +308,7 @@ def div_newton_fd(u: ScalarField, M: ModelManifold, p, r: int, h: float = 1e-3) 
         F = np.diag(hd.frame_scale)
         return F @ Tf @ np.linalg.inv(F)
 
-    steps = fd_steps(M, p, h)
+    steps = fd_steps(M, p[None], h)[0]
     dT = np.zeros((n, n, n))   # dT[i, :, :] = d_i T
     for i in range(n):
         q = p.copy(); q[i] += steps[i]
@@ -306,7 +317,7 @@ def div_newton_fd(u: ScalarField, M: ModelManifold, p, r: int, h: float = 1e-3) 
         Tm = t_chart(q)
         dT[i] = (Tp - Tm) / (2 * steps[i])
     T0 = t_chart(p)
-    Gam = christoffel_at(M, p)
+    Gam = christoffel_stack(M, p[None])[0]
     div = np.zeros(n)
     for j in range(n):
         tot = 0.0
@@ -348,11 +359,11 @@ def reilly1_residual(u: ScalarField, M: ModelManifold, p, r: int, h: float) -> f
         Tm = newton_matrices(hd.hess_frame, r - 1)[r - 1]
         Vf = Tm @ hd.grad_frame / hd.grad_norm ** r
         Vc = np.diag(hd.frame_scale) @ Vf
-        vol = math.sqrt(float(np.prod(metric_diag(M, q))))
+        vol = math.sqrt(float(np.prod(metric_diagonal(M, q))))
         return vol * Vc
 
-    steps = fd_steps(M, p, h)
-    vol0 = math.sqrt(float(np.prod(metric_diag(M, p))))
+    steps = fd_steps(M, p[None], h)[0]
+    vol0 = math.sqrt(float(np.prod(metric_diagonal(M, p))))
     lhs = 0.0
     for i in range(n):
         q = p.copy(); q[i] += steps[i]

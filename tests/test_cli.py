@@ -313,6 +313,15 @@ class TestVerify:
         s = json.loads((out1 / "verify_summary.json").read_text())
         assert s["seed"] == 99
 
+    @pytest.mark.parametrize("env", ["-5", "abc"])
+    def test_bad_seed_env_exits_2(self, tmp_path, capsys, monkeypatch, env):
+        # the config seed's check: an integer >= 0
+        cfg = write_cfg(tmp_path, "v.json", {"schema_version": 1, "suites": ["pointwise"]})
+        monkeypatch.setenv("CURVATURA_SEED", env)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert "CURVATURA_SEED" in err and "Traceback" not in err
+
 
 class TestSweep:
     def test_sphere_sweep_rows(self, tmp_path):

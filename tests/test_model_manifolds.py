@@ -3,6 +3,7 @@ finite-difference oracles, curvature symmetries and signs, and geodesic
 sphere closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,21 +13,23 @@ from curvatura.errors import ChartSingularityError
 from curvatura.model_manifolds import (
     WarpingProfile,
     chart_stack,
-    christoffel_at,
     christoffel_stack,
     constant_curvature,
     euclidean,
     linear_profile,
-    metric_diag,
     poly3_profile,
     riemann_stack,
     sinh_profile,
-    sphere_data,
     sphere_total_mean_curvature,
     unit_sphere_volume,
     warped,
 )
-from oracles import metric_at
+from oracles import metric_at, metric_diagonal
+
+
+def christoffel_one(M, p):
+    """christoffel_stack at one point."""
+    return christoffel_stack(M, np.asarray(p, dtype=float)[None])[0]
 
 
 def riemann_one(M, p, frame):
@@ -84,13 +87,6 @@ class TestMetric:
         np.testing.assert_allclose(metric_at(M, [1.0, 0.4]),
                                    np.diag([1.0, math.sinh(1.0) ** 2]), rtol=1e-14)
 
-    def test_singular_at_origin(self):
-        M = constant_curvature(-1.0, 3)
-        with pytest.raises(ChartSingularityError):
-            metric_at(M, [0.0, 1.0, 1.0])
-        with pytest.raises(ChartSingularityError):
-            metric_at(M, [1.0, 0.0, 1.0])
-
     @pytest.mark.parametrize("M", [euclidean(4), constant_curvature(-1.0, 4),
                                    warped(poly3_profile(), 4), warped(sinh_profile(), 2)],
                              ids=lambda M: f"{M.label}-{M.dim}")
@@ -101,7 +97,8 @@ class TestMetric:
                             + [rng.uniform(0.0, 6.2, 9)])
         chart = chart_stack(M, P)
         for k, p in enumerate(P):
-            assert chart.D[k].tobytes() == metric_diag(M, p).tobytes()
+            np.testing.assert_allclose(chart.D[k], metric_diagonal(M, p), rtol=1e-15, atol=0)
+            assert chart.D[k].tobytes() == chart_stack(M, P[k:k + 1]).D[0].tobytes()
         if M.chart == "polar":
             prof = M.profile
             assert chart.f.tolist() == [prof.f(r) for r in P[:, 0]]
@@ -117,18 +114,33 @@ class TestMetric:
         with pytest.raises(ChartSingularityError, match="node 1: polar chart is singular"):
             chart_stack(M, np.array([[0.8, 0.9, 0.3], [1.0, 0.0, 0.5], [0.0, 1.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad,detail", [
+        ([0.0, 1.0, 1.0, 0.5], "polar chart is singular at r=0"),
+        ([-0.5, 0.0, 1.0, 0.5], "polar chart is singular at r=-0.5"),
+        ([11.0, 1.0, math.pi, 0.5], "r=11 exceeds the working radius 10"),
+        ([1.0, 0.0, 1.0, 0.5], "polar chart is singular on the axis (angle 1)"),
+        ([1.0, 1.0, math.pi, 0.5], "polar chart is singular on the axis (angle 2)"),
+    ])
+    def test_guard_message_names_the_first_failing_node(self, bad, detail):
+        # node 2 fails too, and a node off both radius and axis reads its radius
+        M = constant_curvature(-1.0, 4)
+        P = np.array([[0.8, 0.9, 1.2, 0.3], bad, [0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ChartSingularityError, match=f"^node 1: {re.escape(detail)}$") as e:
+            chart_stack(M, P)
+        assert (e.value.node, e.value.detail) == (1, detail)
+
 
 class TestChristoffel:
     def test_euclidean_zero(self):
         M = euclidean(4)
-        assert np.max(np.abs(christoffel_at(M, [1.0, 0.2, -0.3, 0.9]))) == 0.0
+        assert np.max(np.abs(christoffel_one(M, [1.0, 0.2, -0.3, 0.9]))) == 0.0
 
     def test_warped_radial_angular_symbol(self):
         # Gamma^r_{theta theta} = -f f' in dimension 2
         prof = poly3_profile()
         M = warped(prof, 2)
         r = 1.1
-        G = christoffel_at(M, [r, 0.7])
+        G = christoffel_one(M, [r, 0.7])
         assert G[0, 1, 1] == pytest.approx(-prof.f(r) * prof.df(r), rel=1e-13)
 
     @pytest.mark.parametrize("make", [lambda: constant_curvature(-1.0, 3),
@@ -137,7 +149,7 @@ class TestChristoffel:
     def test_matches_fd_oracle(self, make):
         M = make()
         for p in SAMPLE_POINTS[M.dim]:
-            G = christoffel_at(M, p)
+            G = christoffel_one(M, p)
             G_fd = fd_christoffel(M, p, 1e-5)
             np.testing.assert_allclose(G, G_fd, atol=5e-9)
 
@@ -145,7 +157,7 @@ class TestChristoffel:
         # analytic symbols vs O(h^2) differences: observed order >= 1.9
         M = warped(poly3_profile(), 3)
         p = np.array([0.9, 1.1, 0.4])
-        G = christoffel_at(M, p)
+        G = christoffel_one(M, p)
         errs = [np.max(np.abs(G - fd_christoffel(M, p, h)))
                 for h in (1e-2, 5e-3, 2.5e-3)]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -155,7 +167,7 @@ class TestChristoffel:
         Mc = constant_curvature(-1.0, 3)
         Mw = warped(sinh_profile(), 3)
         for p in SAMPLE_POINTS[3]:
-            np.testing.assert_allclose(christoffel_at(Mc, p), christoffel_at(Mw, p),
+            np.testing.assert_allclose(christoffel_one(Mc, p), christoffel_one(Mw, p),
                                        atol=1e-10)
 
 
@@ -246,27 +258,9 @@ class TestSphereClosedForms:
         assert unit_sphere_volume(3) == pytest.approx(4 * math.pi, rel=1e-15)
         assert unit_sphere_volume(4) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
 
-    def test_sphere_data_euclidean(self):
-        kappa, area_factor = sphere_data(euclidean(3), 2.0)
-        assert kappa == pytest.approx(0.5)
-        assert area_factor == pytest.approx(4.0)
-
-    def test_sphere_data_hyperbolic(self):
-        kappa, A = sphere_data(constant_curvature(-1.0, 3), 1.0)
-        assert kappa == pytest.approx(1 / math.tanh(1.0), rel=1e-14)
-        assert A == pytest.approx(math.sinh(1.0) ** 2, rel=1e-14)
-
-    def test_sphere_data_scaled_curvature(self):
-        a = -0.5
-        s = math.sqrt(-a)
-        kappa, _ = sphere_data(constant_curvature(a, 3), 1.3)
-        assert kappa == pytest.approx(s / math.tanh(s * 1.3), rel=1e-13)
-
     def test_warped_sinh_matches_constant(self):
         Mw, Mc = warped(sinh_profile(), 3), constant_curvature(-1.0, 3)
         for rho in (0.3, 1.0, 2.5):
-            np.testing.assert_allclose(sphere_data(Mw, rho), sphere_data(Mc, rho),
-                                       rtol=1e-12)
             for r in range(3):
                 assert sphere_total_mean_curvature(Mw, r, rho) == pytest.approx(
                     sphere_total_mean_curvature(Mc, r, rho), rel=1e-10)
@@ -299,7 +293,7 @@ class TestSphereClosedForms:
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            sphere_data(euclidean(3), 0.0)
+            sphere_total_mean_curvature(euclidean(3), 1, 0.0)
         with pytest.raises(ValueError):
             sphere_total_mean_curvature(euclidean(3), 3, 1.0)
 

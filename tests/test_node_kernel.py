@@ -4,7 +4,8 @@ and the former per-point kernels kept in tests/oracles.py (principal_frame,
 riemann_at, the correction sums, newton_matrices, sigma_hessian_eig, the
 trace identity, div_newton_frame, div_newton_fd and the Reilly residuals).
 Also the guards of the stacked route, the node-stack integrand contract, and
-that no oracle name comes back into the package."""
+that no oracle name, and no retired per-point chart kernel, comes back into
+the package."""
 
 import ast
 import importlib
@@ -310,6 +311,11 @@ def test_stacked_algebra_route_matches_per_matrix_sigma():
         trace_identity_residual_stack(np.eye(3)[None], np.ones((1, 3)))
 
 
+def package_modules():
+    return [curvatura] + [importlib.import_module(f"curvatura.{m.name}")
+                          for m in pkgutil.iter_modules(curvatura.__path__)]
+
+
 def test_no_oracle_name_is_defined_in_the_package():
     tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
     defined = {node.name for node in tree.body
@@ -318,9 +324,17 @@ def test_no_oracle_name_is_defined_in_the_package():
                 for t in node.targets if isinstance(t, ast.Name)}
     assert {"principal_frame", "riemann_at", "newton_matrices", "fd_partials",
             "hessian_frame_fd", "pairwise_sum_recursive"} <= defined
-    modules = [curvatura] + [importlib.import_module(f"curvatura.{m.name}")
-                             for m in pkgutil.iter_modules(curvatura.__path__)]
-    back = {(mod.__name__, name) for mod in modules for name in defined if hasattr(mod, name)}
+    back = {(mod.__name__, name) for mod in package_modules() for name in defined
+            if hasattr(mod, name)}
+    assert back == set()
+
+
+def test_retired_per_point_chart_kernels_stay_out_of_the_package():
+    # the chart has one implementation, per node stack (chart_stack,
+    # christoffel_stack); the geodesic-sphere data had no reader
+    retired = {"metric_diag", "christoffel_at", "_polar_guard", "sphere_data"}
+    back = {(mod.__name__, name) for mod in package_modules() for name in retired
+            if hasattr(mod, name)}
     assert back == set()
 
 
@@ -412,6 +426,10 @@ def test_axis_point_raises():
         hessian_frame(u, M, P[1])
     with pytest.raises(ChartSingularityError, match="node 1"):
         hessian_frame_stack(u, M, P)
+    # an unstacked field's per-node route names the node once
+    with pytest.raises(ChartSingularityError,
+                       match=r"^node 1: polar chart is singular on the axis \(angle 1\)$"):
+        hessian_frame_stack(BUMPED, M, P)
 
 
 def test_point_beyond_working_radius_raises():

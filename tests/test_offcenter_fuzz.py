@@ -55,8 +55,8 @@ def test_closed_forms_match_the_oracle_unit_gradient_and_one_row_calls(case):
         assert u.partials(M, p).tobytes() == du[k].tobytes()
         assert u.second_partials(M, p).tobytes() == D2[k].tobytes()
 
-        g1, H1 = fd_partials(u, M, p, fd_steps(M, p, H))
-        g2, H2 = fd_partials(u, M, p, fd_steps(M, p, H / 2))
+        g1, H1 = fd_partials(u, M, p, fd_steps(M, p[None], H)[0])
+        g2, H2 = fd_partials(u, M, p, fd_steps(M, p[None], H / 2)[0])
         noise = 64 * EPS * max(1.0, values[k])
         assert np.all(np.abs(du[k] - g2) <= np.abs(g1 - g2) + noise / (H / 2))
         assert np.all(np.abs(D2[k] - H2) <= np.abs(H1 - H2) + noise / (H / 2) ** 2)

@@ -27,6 +27,7 @@ from curvatura.level_set_geometry import (
 from curvatura.quadrature import (
     QuadratureSpec,
     coarea_volume_integral,
+    coarea_volume_integral_multi,
     find_level_radius,
     pairwise_sum,
     radial_integral,
@@ -83,10 +84,11 @@ class TestRadialIntegral:
         assert radial_integral(lambda t: math.cosh(2 * t), (0, 1)) == pytest.approx(
             math.sinh(2) / 2, rel=1e-13)
 
-    def test_cap_raises_with_last_difference(self):
+    def test_cap_raises_with_last_difference(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_RADIAL_ORDER", 4)
+        monkeypatch.setattr(quadrature, "_RADIAL_MAX_ORDER", 8)
         with pytest.raises(GeometryError, match=r"order cap 8 .* last difference \d"):
-            radial_integral(lambda t: abs(t - 1 / math.pi) ** 0.1, (0, 1),
-                            order=4, max_order=8)
+            radial_integral(lambda t: abs(t - 1 / math.pi) ** 0.1, (0, 1))
 
     def test_rejects_infinite_bounds(self):
         with pytest.raises(ValueError):
@@ -232,6 +234,27 @@ class TestRefinementAndErrorEstimates:
         us = RadialSquaredHalfField()
         res = surface_integral(us, M, 0.5, ones, SPEC)
         assert abs(res.value - 4 * math.pi) <= 10 * res.error_estimate
+
+    @pytest.mark.parametrize("angular,level_order,surface_blind,coarea_blind", [
+        ((4,), 4, False, False),
+        ((4,), 2, False, True),
+        ((4, 2), 4, True, True),
+        ((2,), 2, True, True),
+    ])
+    def test_an_order_two_axis_reads_an_infinite_estimate(self, angular, level_order,
+                                                           surface_blind, coarea_blind):
+        # the companion floors orders at 2, so an order 2 is its own companion
+        # and the halving difference cannot see that axis's error: at angular
+        # order 2 this level's area is 7.14 (8.67 exact), estimated 7.1e-12
+        M = euclidean(3)
+        u = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
+        spec = QuadratureSpec(angular_orders=angular, level_order=level_order)
+        surface = surface_integral(u, M, 0.5, ones, spec)
+        coarea = coarea_volume_integral(u, M, (0.5, 1.0), ones, spec)
+        _, multi, _ = coarea_volume_integral_multi(
+            u, M, (0.5, 1.0), lambda P, chart: np.ones((len(P), 2)), spec, 2)
+        assert math.isinf(surface.error_estimate) == surface_blind
+        assert [math.isinf(coarea.error_estimate)] + np.isinf(multi).tolist() == [coarea_blind] * 3
 
     def test_error_estimate_nonnegative_and_nodes_positive(self):
         M = euclidean(3)
