@@ -25,11 +25,15 @@ evaluated once, by surface_nodes (chart_stack: the metric, the profile f
 and f' on polar charts, and the polar guard).  Integrands are called as
 integrand(P, chart) with the (N, n) point stack and that ChartStack, and
 pass the chart on to the node kernels that take one (hessian_frame_stack,
-riemann_stack).  Rules above _CHUNK nodes, and rules split over `threads`
-workers, run as several contiguous stacks.  Every stage computes each node
-with the same operations whatever the stack it sits in, and reductions are
-fixed-order pairwise sums over the node index, so results are
-bit-identical for any split and worker count.
+riemann_stack).  Each integral joins its rule and the halved-order
+companion of its error estimate into one node stack, evaluated in one
+pass and split again at the rule's node count.  Stacks above _CHUNK nodes,
+and stacks split over `threads` workers, run as several contiguous
+chunks.  Every stage computes each node with the same operations whatever
+the stack and chunk it sits in, and each rule is reduced by its own
+fixed-order pairwise sum over its node index, so results are
+bit-identical for any split and worker count, and to a rule evaluated
+alone.
 """
 
 from __future__ import annotations
@@ -276,7 +280,10 @@ def find_level_radii(u: ScalarField, M: ModelManifold, levels, angles) -> np.nda
     levels = np.broadcast_to(np.asarray(levels, dtype=float), (N,))
     rho = np.empty(N)
     todo = np.ones(N, dtype=bool)
-    for c in np.unique(levels):
+    # levels in order of first appearance: a joined rule's own levels are
+    # checked before its companion's
+    distinct, first = np.unique(levels, return_index=True)
+    for c in distinct[np.argsort(first)]:
         sr = _star_radius(u, M, float(c))
         if sr is not None:
             sel = levels == c
@@ -319,13 +326,16 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
 
 def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
                integrand, n_comp, threads):
-    """Weighted integrand rows, one per node of a rule.
+    """Weighted integrand rows, one per node of a node stack (one rule, or a
+    rule and its halved-order companion joined by _halving_estimate).
 
     The node stack is evaluated in contiguous chunks of at most _CHUNK
     nodes (fewer above dimension 4), split further so that `threads`
     workers each get one when threads > 1.  Every stage works node by node,
-    so the rows do not depend on the split.  Coarea rules pass level_weights: their rows carry the
-    level weight over |grad u|.
+    so the rows do not depend on the split, nor on which rule shares the
+    stack.  Coarea rules pass level_weights: their rows carry the level
+    weight over |grad u|.  An error naming a node names it within the
+    whole stack.
     """
     count = len(levels)
 
@@ -338,7 +348,7 @@ def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
             values = np.asarray(integrand(P, chart), dtype=float).reshape(len(P), n_comp)
             return w[:, None] * values
         except Exception as e:
-            # errors name nodes within this stack; renumber them for the rule
+            # errors name nodes within this chunk; renumber them for the stack
             if lo and getattr(e, "node", None) is not None:
                 raise node_error(type(e), e.node + lo, e.detail) from None
             raise
@@ -354,13 +364,12 @@ def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
     return np.concatenate(parts)
 
 
-def _surface_values(u, M, level, integrand, spec, n_comp, threads):
-    """Weighted integrand rows (one per angular node)."""
+def _surface_rule(M, level, spec):
+    """Node set of the surface rule of `spec` on {u = level}: (levels,
+    angles, weights, directions, level weights), the last None."""
     n = M.dim
     angles, weights, directions = _angular_grid(n, spec.angular_for(n), spec.margin)
-    levels = np.full(angles.shape[0], float(level))
-    return _rule_rows(u, M, levels, angles, weights, directions, None,
-                      integrand, n_comp, threads)
+    return np.full(angles.shape[0], float(level)), angles, weights, directions, None
 
 
 def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value):
@@ -372,21 +381,37 @@ def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value):
     return (M.dim - 2) * spec.margin ** 2 * abs(value)
 
 
-def _halving_estimate(rule_rows, M: ModelManifold, spec: QuadratureSpec, coarea: bool):
+def _halving_estimate(u, M: ModelManifold, rule, spec: QuadratureSpec, integrand,
+                      n_comp, threads):
     """(values, error estimates, node count) of a rule and its halved-order
-    companion: rule_rows(spec) gives the weighted integrand rows of one rule,
-    the values are their pairwise sums, and each estimate is
-    |fine - coarse| plus the polar-cap bound.  The companion floors orders
+    companion.  rule(spec) gives the node set of one rule; the rule's nodes
+    and the companion's (rule(spec.coarser())) are joined into one stack,
+    evaluated by one _rule_rows pass, and split again at the rule's node
+    count.  Each part is summed by its own pairwise_sum, over the same tree
+    as alone, and each estimate is |fine - coarse| plus the polar-cap
+    bound.  A guard failing at a companion node names that node's index
+    within the companion.  The error raised is that of the first failing
+    chunk, and within it of the earliest failing stage, so where a chunk
+    holds rule and companion nodes, a companion node failing at an earlier
+    stage than a rule node is the one named.  The companion floors orders
     at 2, so an order-2 axis (angular, or for a coarea rule also the level
     axis) is its own companion and the difference cannot see its error:
     every estimate of such a rule is inf."""
-    rows = rule_rows(spec)
-    values = pairwise_sum(rows)
-    values_lo = pairwise_sum(rule_rows(spec.coarser()))
-    errs = np.abs(values - values_lo) + _cap_bound(M, spec, values)
+    fine, coarse = rule(spec), rule(spec.coarser())
+    count = len(fine[0])
+    joint = [a if a is None else np.concatenate((a, b)) for a, b in zip(fine, coarse)]
+    try:
+        rows = _rule_rows(u, M, *joint, integrand, n_comp, threads)
+    except Exception as e:
+        if getattr(e, "node", None) is not None and e.node >= count:
+            raise node_error(type(e), e.node - count, e.detail) from None
+        raise
+    values = pairwise_sum(rows[:count])
+    errs = np.abs(values - pairwise_sum(rows[count:])) + _cap_bound(M, spec, values)
+    coarea = fine[4] is not None
     if 2 in spec.angular_for(M.dim) + ((spec.level_order,) if coarea else ()):
         errs = np.full_like(errs, math.inf)
-    return values, errs, rows.shape[0]
+    return values, errs, count
 
 
 def surface_integral(u: ScalarField, M: ModelManifold, level: float,
@@ -400,13 +425,14 @@ def surface_integral(u: ScalarField, M: ModelManifold, level: float,
     when an angular order is 2.
     """
     values, errs, nodes = _halving_estimate(
-        lambda s: _surface_values(u, M, level, integrand, s, 1, threads), M, spec,
-        coarea=False)
+        u, M, lambda s: _surface_rule(M, level, s), spec, integrand, 1, threads)
     return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
 
 
-def _coarea_values(u, M, levels, integrand, spec, n_comp, threads):
-    """Weighted integrand rows, level-major over (level node, angular node)."""
+def _coarea_rule(M, levels, spec):
+    """Node set of the coarea rule of `spec` between levels (c1, c2),
+    level-major over (level node, angular node): (levels, angles, weights,
+    directions, level weights)."""
     n = M.dim
     c1, c2 = levels
     if not c1 < c2:
@@ -414,9 +440,9 @@ def _coarea_values(u, M, levels, integrand, spec, n_comp, threads):
     angles, weights, directions = _angular_grid(n, spec.angular_for(n), spec.margin)
     t_nodes, t_weights = _gl_on(c1, c2, spec.level_order)
     n_ang, n_lev = angles.shape[0], len(t_nodes)
-    return _rule_rows(u, M, np.repeat(t_nodes, n_ang), np.tile(angles, (n_lev, 1)),
-                      np.tile(weights, n_lev), np.tile(directions, (n_lev, 1)),
-                      np.repeat(t_weights, n_ang), integrand, n_comp, threads)
+    return (np.repeat(t_nodes, n_ang), np.tile(angles, (n_lev, 1)),
+            np.tile(weights, n_lev), np.tile(directions, (n_lev, 1)),
+            np.repeat(t_weights, n_ang))
 
 
 def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
@@ -426,8 +452,7 @@ def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
     (N, n) point stack and its chart_stack to the N values, computed as a
     level integral of 1/|grad u|-weighted surface integrals."""
     values, errs, nodes = _halving_estimate(
-        lambda s: _coarea_values(u, M, levels, integrand, s, 1, threads), M, spec,
-        coarea=True)
+        u, M, lambda s: _coarea_rule(M, levels, s), spec, integrand, 1, threads)
     return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
 
 
@@ -439,8 +464,7 @@ def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
     Returns (values, error_estimates, node_count) as arrays of length n_comp.
     """
     return _halving_estimate(
-        lambda s: _coarea_values(u, M, levels, integrand, s, n_comp, threads), M, spec,
-        coarea=True)
+        u, M, lambda s: _coarea_rule(M, levels, s), spec, integrand, n_comp, threads)
 
 
 def _radial_rule(g, bounds):

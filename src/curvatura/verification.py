@@ -607,6 +607,14 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
                 cs.add(f"inequality/balls/poly3/rho={rho:g}/r={r}", Mw.label, uw.kind, 3, r,
                        "margin_over_flat_bound", margin, 10.0 * budget, margin > 10.0 * budget,
                        {"model": Mw.describe(), "rho": rho, "r": r})
+                # the sharp constant: poly3 curvature -1/(1 + s^2/6) is largest
+                # on the ball at s = rho
+                a_rho = -1.0 / (1.0 + rho ** 2 / 6.0)
+                margin = rep.value - ball_bound(r, rho, a_rho, 3)
+                cs.add(f"inequality/balls/sharp/poly3/rho={rho:g}/r={r}", Mw.label, uw.kind,
+                       3, r, "margin_over_sharp_bound", margin, 10.0 * budget,
+                       margin > 10.0 * budget,
+                       {"model": Mw.describe(), "rho": rho, "r": r, "a": a_rho})
         # equality cases: matching profiles hit the bound exactly
         tol_eq = cfg.tol("ball_equality", 1e-9)
         for name, Meq, a_eq in (("linear", warped(linear_profile(), 3), 0.0),

@@ -302,18 +302,22 @@ def test_criterion_11_monotonicity(inequality_report):
 
 
 def test_criterion_12_ball_comparison(inequality_report):
-    """Warped poly3 balls beat the flat bound with positive margin for rho in
-    {0.5, 1, 2}, r in {1, 2}; matching profiles agree with their bound to
-    1e-9."""
+    """Warped poly3 balls beat the flat bound, and the bound at the sharp
+    constant a_rho = -1/(1 + rho^2/6) (Cor. 4.7), with positive margin for
+    rho in {0.5, 1, 2}, r in {1, 2}; matching profiles agree with their
+    bound to 1e-9."""
     strict = [c for c in inequality_report.cases
               if c.case_id.startswith("inequality/balls/poly3")]
+    sharp = [c for c in inequality_report.cases
+             if c.case_id.startswith("inequality/balls/sharp/poly3")]
     equal = [c for c in inequality_report.cases
              if c.case_id.startswith("inequality/balls/equality")]
-    assert len(strict) == 6 and len(equal) == 8
+    assert len(strict) == 6 and len(sharp) == 6 and len(equal) == 8
     worst_eq = max(c.measured for c in equal)
-    ok = all(c.passed for c in strict + equal) and worst_eq <= 1e-9
+    ok = all(c.passed for c in strict + sharp + equal) and worst_eq <= 1e-9
     report("criterion 12 (ball comparison)", ok,
-           f"{len(strict)} strict margins positive, equality dev {worst_eq:.1e}")
+           f"{len(strict)} flat and {len(sharp)} sharp margins positive, "
+           f"equality dev {worst_eq:.1e}")
 
 
 def test_criterion_13_determinism(tmp_path):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import curvatura
+import curvatura.curvature_integrals as curvature_integrals
 import curvatura.level_set_geometry as level_set_geometry
 import curvatura.quadrature as quadrature
 from curvatura.curvature_integrals import (
@@ -617,6 +618,41 @@ def test_guards_name_the_node_of_the_rule_whatever_the_split(monkeypatch):
     assert msg == f"node {first}: frame is not g-orthonormal"
 
 
+def test_a_companion_guard_names_the_node_of_the_companion(monkeypatch):
+    """The rule and its halved-order companion run as one stack; a guard
+    failing only at a companion node names its index in the companion."""
+    M = euclidean(3)
+    count = len(quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)[0])
+    coarse = SPEC.coarser()
+    directions = quadrature._angular_grid(3, coarse.angular_for(3), coarse.margin)[2]
+    k = 5
+    target = directions[k]
+
+    def at_target(P):
+        P = np.asarray(P, dtype=float)
+        return np.sum((P / np.linalg.norm(P, axis=-1, keepdims=True) - target) ** 2,
+                      axis=-1) < 1e-20
+
+    class DownhillAtTarget(RadialSquaredHalfField):
+        def partials_stack(self, M, P):
+            du = super().partials_stack(M, P)
+            return np.where(at_target(P)[:, None], -du, du)
+
+    splits = SPLITS + [(count - 1, 1), (count, 2), (count + 1, 1), (count + 1, 2)]
+    u = DownhillAtTarget(center=[0.0, 0.0, 1e-3])
+    msg = first_failure(lambda t: surface_integral(u, M, 0.5, ones, SPEC, t),
+                        splits, monkeypatch)
+    assert msg.startswith(f"node {k}: u is not increasing along the ray")
+
+    def stretched_at_target(P, chart):
+        F = np.where(at_target(P)[:, None, None], 2.0 * np.eye(3), np.eye(3))
+        return riemann_stack(M, P, F).ricci_n
+    msg = first_failure(lambda t: surface_integral(RadialDistanceField(), M, 1.0,
+                                                   stretched_at_target, SPEC, t),
+                        splits, monkeypatch)
+    assert msg == f"node {k}: frame is not g-orthonormal"
+
+
 # ---------------------------------------------------------------------------
 # Integrand contract and the split of a rule into stacks
 # ---------------------------------------------------------------------------
@@ -635,8 +671,9 @@ def test_integrand_gets_point_stacks_covering_the_rule(monkeypatch):
     res = surface_integral(u, M, 0.5, area, QuadratureSpec(angular_orders=(16,)))
     assert abs(res.value - 4 * math.pi) <= 1e-10
     assert res.node_count == 256
-    # the rule in stacks of at most 100 nodes, then its halved companion (8 x 8)
-    assert seen == [(100, 3), (100, 3), (56, 3), (64, 3)]
+    # the rule (16 x 16) and its halved companion (8 x 8) as one stack of
+    # 320 nodes, in chunks of at most 100
+    assert seen == [(100, 3), (100, 3), (100, 3), (20, 3)]
 
 
 def test_rows_do_not_depend_on_the_split(monkeypatch):
@@ -644,8 +681,44 @@ def test_rows_do_not_depend_on_the_split(monkeypatch):
     u = RadialDistanceField()
     whole = comparison_rhs(u, M, (0.5, 1.0), 2, SPEC)
     mono = total_mean_curvature(u, M, 0.8, 2, SPEC)
-    monkeypatch.setattr(quadrature, "_CHUNK", 7)
-    for threads in (1, 3):
+    # the surface rule has 6^3 nodes and the coarea rule 3 levels of them:
+    # chunks of one node more or less than a rule end next to its seam
+    # with the companion
+    surface, coarea = 6 ** 3, 3 * 6 ** 3
+    for chunk, threads in [(7, 1), (7, 2), (7, 3), (surface - 1, 1), (surface + 1, 2),
+                           (coarea - 1, 2), (coarea + 1, 1)]:
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
         split = comparison_rhs(u, M, (0.5, 1.0), 2, SPEC, threads)
         assert split.to_record() == whole.to_record()
         assert total_mean_curvature(u, M, 0.8, 2, SPEC, threads) == mono
+
+
+def test_each_integral_makes_one_rule_rows_pass(monkeypatch):
+    """A rule and its companion share one _rule_rows pass, for every public
+    integral, also when called from the curvature integrals."""
+    calls = {"entries": 0, "passes": 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(quadrature, "_rule_rows", counting(quadrature._rule_rows, "passes"))
+    for name in ("surface_integral", "coarea_volume_integral",
+                 "coarea_volume_integral_multi"):
+        fn = getattr(quadrature, name)
+        for mod in (quadrature, curvature_integrals):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(fn, "entries"))
+    M = constant_curvature(-1.0, 3)
+    u = RadialDistanceField()
+    quadrature.surface_integral(u, M, 0.8, ones, SPEC)
+    quadrature.coarea_volume_integral(u, M, (0.5, 1.0), ones, SPEC, 2)
+    quadrature.coarea_volume_integral_multi(
+        u, M, (0.5, 1.0), lambda P, chart: np.ones((len(P), 2)), SPEC, 2)
+    assert calls == {"entries": 3, "passes": 3}
+    comparison_rhs(u, M, (0.5, 1.0), 1, SPEC)
+    total_mean_curvature(u, M, 0.8, 2, SPEC, 2)
+    assert calls["entries"] > 5
+    assert calls["passes"] == calls["entries"]
