@@ -39,7 +39,6 @@ from .level_set_geometry import (
     RadialDistanceField,
     RadialSquaredHalfField,
     ScalarField,
-    field_from_spec,
     hessian_frame,
 )
 from .quadrature import (

@@ -37,7 +37,12 @@ from .model_manifolds import (
     sphere_total_mean_curvature,
     warped,
 )
-from .level_set_geometry import field_from_spec
+from .level_set_geometry import (
+    OffCenterDistanceField,
+    QuadraticFormField,
+    RadialDistanceField,
+    RadialSquaredHalfField,
+)
 from .quadrature import QuadratureSpec
 from .curvature_integrals import (
     BREAKDOWN_COLUMNS,
@@ -129,20 +134,25 @@ def _validate_manifold(d, path="manifold"):
     return warped(profile_by_name(d["profile"]), n)
 
 
+# the keys each field kind reads, beside 'field'
+_FIELD_KEYS = {"radial": {"center"}, "radial_sq": {"center"}, "quadratic": {"Q", "center"},
+               "offcenter": {"offset"}}
+
+
 def _validate_field(d, M, path="field"):
+    """Build a config's field by its constructor, then u.check(M); constructor
+    errors name their key, check errors the field (a radial field's center)."""
     if not isinstance(d, dict):
         _fail(path, "expected an object")
-    _check_keys(d, path, {"field", "center", "Q", "offset"}, {"field"})
-    kind = d["field"]
-    if kind not in ("radial", "radial_sq", "quadratic", "offcenter"):
+    kind = d.get("field")
+    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
         _fail(f"{path}.field", f"expected radial|radial_sq|quadratic|offcenter, got {kind!r}")
+    _check_keys(d, path, {"field"} | _FIELD_KEYS[kind])
+    center = None
     if "center" in d:
-        if kind == "offcenter":
-            _fail(f"{path}.center", "offcenter fields are centred `offset` along the "
-                                    "first axis and take no 'center'")
-        c = _check_vector(d["center"], f"{path}.center")
-        if len(c) != M.dim:
-            _fail(f"{path}.center", f"expected length {M.dim}, got {len(c)}")
+        center = _check_vector(d["center"], f"{path}.center")
+        if len(center) != M.dim:
+            _fail(f"{path}.center", f"expected length {M.dim}, got {len(center)}")
     if kind == "quadratic":
         if "Q" not in d:
             _fail(f"{path}.Q", "required for quadratic fields")
@@ -153,17 +163,20 @@ def _validate_field(d, M, path="field"):
         for i, row in enumerate(Q):
             for j, x in enumerate(row):
                 _check_number(x, f"{path}.Q[{i}][{j}]")
-    elif "Q" in d:
-        _fail(f"{path}.Q", f"only quadratic fields take 'Q'")
-    if kind == "offcenter":
-        if "offset" in d:
-            _check_number(d["offset"], f"{path}.offset", lo=1e-12)
-    elif "offset" in d:
-        _fail(f"{path}.offset", "only offcenter takes 'offset'")
+        try:
+            u = QuadraticFormField(Q, center=center)
+        except ValueError as e:
+            _fail(f"{path}.Q", str(e))
+    elif kind == "offcenter":
+        u = OffCenterDistanceField(_check_number(d.get("offset", 0.3), f"{path}.offset",
+                                                 lo=1e-12, hi=M.working_radius))
+    else:
+        u = (RadialDistanceField if kind == "radial" else RadialSquaredHalfField)(center=center)
     try:
-        return field_from_spec(d, M)
+        u.check(M)
     except ValueError as e:
-        _fail(path, str(e))
+        _fail(f"{path}.center" if kind in ("radial", "radial_sq") else path, str(e))
+    return u
 
 
 def _validate_quadrature(d, n, path="quadrature"):
@@ -344,13 +357,19 @@ def _sweep_grid(d, path, lo=None, hi=None):
     return list(np.linspace(start, stop, num))
 
 
+# the top-level keys each sweep kind reads, beside schema_version, seed and sweep
+_SWEEP_READS = {"sphere": {"manifold"}, "ball_bound": set(),
+                "levels": {"manifold", "field", "quadrature"}}
+
+
 def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
-    _check_keys(cfg, "", _TOP_KEYS - {"level", "levels", "suites", "r", "tolerances"},
-                {"schema_version", "sweep"})
-    sw = cfg["sweep"]
+    sw = cfg.get("sweep")
     if not isinstance(sw, dict):
         _fail("sweep", "expected an object")
     kind = sw.get("kind")
+    if not isinstance(kind, str) or kind not in _SWEEP_READS:
+        _fail("sweep.kind", f"expected sphere|ball_bound|levels, got {kind!r}")
+    _check_keys(cfg, "", {"schema_version", "seed", "sweep"} | _SWEEP_READS[kind])
     if kind == "sphere":
         _check_keys(sw, "sweep", {"kind", "rho", "r"}, {"kind", "rho", "r"})
         M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
@@ -376,7 +395,7 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
                  "value": ball_bound(r, rho, a, n)}
                 for a in a_grid for r in rs]
         columns = ("a", "n", "r", "rho", "value")
-    elif kind == "levels":
+    else:
         _check_keys(sw, "sweep", {"kind", "levels", "r"}, {"kind", "levels", "r"})
         M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
         u = _validate_field(cfg.get("field") or _fail("field", "required"), M)
@@ -389,8 +408,6 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
                 rep = total_mean_curvature(u, M, lev, r, spec, threads)
                 rows.append(rep.to_record(M, u))
         columns = MCR_COLUMNS
-    else:
-        _fail("sweep.kind", f"expected sphere|ball_bound|levels, got {kind!r}")
     write_csv(out / "sweep.csv", columns, rows)
     print(f"sweep '{kind}': {len(rows)} rows -> {out / 'sweep.csv'}")
     return 0

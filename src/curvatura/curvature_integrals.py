@@ -42,7 +42,7 @@ from .quadrature import (
     coarea_volume_integral_multi,
     surface_integral,
 )
-from .symmetric_algebra import double_factorial, elementary_all_stack, sigma_stack
+from .symmetric_algebra import _JACOBI_TOL, double_factorial, elementary_all_stack, sigma_stack
 
 MCR_COLUMNS = ("model", "field", "n", "r", "level", "value", "error_estimate", "nodes")
 BREAKDOWN_COLUMNS = ("model", "field", "n", "r", "c1", "c2", "lhs", "term_principal",
@@ -180,7 +180,8 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     """(|{u < level}|, estimate, node count) in closed form: a geodesic ball
     of radius rho = u.ball_radius(level) has volume |S^{n-1}| Int_0^rho g
     with g = f^{n-1}, a quadratic field's flat ellipsoid |S^{n-1}|/n times
-    its semi-axes sqrt(2 level / lambda_i).  Refuses, as the ray root solve
+    its semi-axes sqrt(2 level / lambda_i).  A field that cannot live on M
+    raises u.check's ValueError first.  Refuses, as the ray root solve
     of M_r (r >= 0) does: level <= 0; sets that do not contain the base
     point (a ball whose centre distance is not below its radius, an
     ellipsoid with u >= level there); balls that reach past the working
@@ -192,10 +193,18 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     moves the rule by at most 4 eps rho Int_0^rho |g'| = 4 eps rho g(rho)
     (g increases, as f' >= 1 in every model); that term grows with
     (n - 1) sqrt(-a) rho in the hyperbolic models.  The values, weights,
-    products and the pairwise sum add 2 (n + log2 order) eps |v|."""
+    products and the pairwise sum add 2 (n + log2 order) eps |v|.
+
+    The ellipsoid's estimate bounds the error of Q's computed eigenvalues:
+    Jacobi leaves off-diagonals within _JACOBI_TOL max|Q| <= _JACOBI_TOL
+    lambda_max (2-norm n times that) and its rotations round by at most
+    8 n eps lambda_max, so by Weyl's inequality each lambda_i is that close
+    to a true one; v ~ prod lambda_i^{-1/2} moves by half the sum of their
+    relative errors, and the roots and products add (3 n + 8) eps |v|."""
+    u.check(M)
     if not level > 0:   # NaN included
         raise GeometryError(f"the enclosed volume needs a positive level, got {level:g}")
-    n = M.dim
+    n, eps = M.dim, np.finfo(float).eps
     rho = u.ball_radius(level)
     if rho is not None:
         f, _, _ = radial_profile(M)
@@ -207,12 +216,10 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
         sphere = unit_sphere_volume(n)
         integral, diff, order = _radial_rule(lambda t: f(t) ** (n - 1), (0.0, rho))
         v = sphere * integral
-        eps = np.finfo(float).eps
         err = sphere * (diff + 4.0 * eps * rho * f(rho) ** (n - 1)) \
             + 2.0 * (n + math.log2(order)) * eps * v
         return v, err, 1
     if u.kind == "quadratic":
-        u._check(M)
         base = u.value(M, np.zeros(n))
         if not base < level:
             raise GeometryError(f"the level-{level:g} ellipsoid does not enclose the ray "
@@ -223,7 +230,9 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
                                 f"beyond the working radius {M.working_radius:g}")
         axes = [math.sqrt(2.0 * level / lam) for lam in u.eigenvalues]
         v = unit_sphere_volume(n) / n * math.prod(axes)
-        return v, 1e-14 * abs(v), 1
+        shift = (n * _JACOBI_TOL + 8 * n * eps) * u.eigenvalues[-1]
+        rel = 0.5 * sum(shift / lam for lam in u.eigenvalues) + (3 * n + 8) * eps
+        return v, rel * abs(v), 1
     raise GeometryError(f"no enclosed-volume path for field '{u.kind}'")
 
 

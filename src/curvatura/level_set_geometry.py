@@ -75,10 +75,12 @@ class ScalarField:
     whose per-point partials are one-row stacks; this base class defines
     only partials_stack, which calls partials() row by row.
 
+    check(M), the one test of whether the field can live on the model M,
+    raises ValueError when it cannot; the chart-dependent methods call it.
+
     ball_radius(level) is the radius of the geodesic ball {u < level} when
     that set is one, and ball_center_distance() the distance of its centre
-    from the chart base point; star_radius(level) is that radius when the
-    ball is centred on the chart base point.
+    from the chart base point.
     """
 
     kind = "abstract"
@@ -89,6 +91,10 @@ class ScalarField:
     # ellipsoid workload; once those counters read the stacked spans
     # (ROADMAP item 1), it can be stacked and this flag go.
     stacked = False
+
+    def check(self, M: ModelManifold):
+        """Raise ValueError unless the field can live on M; the base
+        class accepts every model."""
 
     def value(self, M: ModelManifold, p) -> float:
         raise NotImplementedError
@@ -110,11 +116,6 @@ class ScalarField:
         """Distance from the chart base point to the centre of the balls of
         ball_radius."""
         return 0.0
-
-    def star_radius(self, level: float):
-        """Radius of the level sphere about the chart base point when the
-        field is radial there; None for non-radial fields."""
-        return None
 
     def describe(self) -> dict:
         return {"field": self.kind}
@@ -143,15 +144,10 @@ def _check_gradients(grad_norm: np.ndarray, what: str):
                          f"|grad u| = {grad_norm[k]:.3e} <= {EPS_GRAD:g}: {what}")
 
 
-def _centered(center, M: ModelManifold, P) -> np.ndarray:
-    """A point, or a stack of points, less a radial field's Cartesian center
-    (checked once per call)."""
+def _centered(center, P) -> np.ndarray:
+    """A point, or a stack of points, less a field's Cartesian center."""
     X = np.asarray(P, dtype=float)
-    if center is not None:
-        if M.chart != "cartesian":
-            raise ValueError("radial field centers are Cartesian-chart only")
-        X = X - center
-    return X
+    return X if center is None else X - center
 
 
 class _StackedField(ScalarField):
@@ -169,16 +165,17 @@ class _StackedField(ScalarField):
 
 class _RadialField(_StackedField):
     """Base of the fields radial about the chart base point, or about a
-    Cartesian `center`: closed-form stacks, sublevel balls about any center,
-    and exact level spheres when the center is the base point."""
+    Cartesian `center`: closed-form stacks and sublevel balls about any
+    center.  Polar charts are centred on their base point, so a nonzero
+    center needs a Cartesian chart."""
 
     def __init__(self, center=None):
         self.center = None if center is None else np.asarray(center, dtype=float)
 
-    def star_radius(self, level):
-        if self.center is not None and np.any(self.center != 0.0):
-            return None
-        return self.ball_radius(level)
+    def check(self, M):
+        if M.chart != "cartesian" and self.center is not None and np.any(self.center != 0.0):
+            raise ValueError("radial fields on a polar chart are centred on its base "
+                             "point; their center must be zero")
 
     def ball_center_distance(self):
         return 0.0 if self.center is None else float(np.linalg.norm(self.center))
@@ -198,21 +195,24 @@ class RadialDistanceField(_RadialField):
 
     def value(self, M, p):
         if M.chart == "polar":
+            self.check(M)
             return float(p[0])
-        return float(np.linalg.norm(_centered(self.center, M, p)))
+        return float(np.linalg.norm(_centered(self.center, p)))
 
     def partials_stack(self, M, P):
         if M.chart == "polar":
+            self.check(M)
             du = np.zeros((len(P), M.dim))
             du[:, 0] = 1.0
             return du
-        X = _centered(self.center, M, P)
+        X = _centered(self.center, P)
         return X / np.sqrt(_rowdot(X, X))[:, None]
 
     def second_partials_stack(self, M, P):
         if M.chart == "polar":
+            self.check(M)
             return np.zeros((len(P), M.dim, M.dim))
-        X = _centered(self.center, M, P)
+        X = _centered(self.center, P)
         d = np.sqrt(_rowdot(X, X))
         W = X / d[:, None]
         return (np.eye(M.dim) - W[:, :, None] * W[:, None, :]) / d[:, None, None]
@@ -228,20 +228,23 @@ class RadialSquaredHalfField(_RadialField):
 
     def value(self, M, p):
         if M.chart == "polar":
+            self.check(M)
             return 0.5 * float(p[0]) ** 2
-        x = _centered(self.center, M, p)
+        x = _centered(self.center, p)
         return 0.5 * float(x @ x)
 
     def partials_stack(self, M, P):
         if M.chart == "polar":
+            self.check(M)
             du = np.zeros((len(P), M.dim))
             du[:, 0] = np.asarray(P, dtype=float)[:, 0]
             return du
-        return _centered(self.center, M, P).copy()
+        return _centered(self.center, P).copy()
 
     def second_partials_stack(self, M, P):
         D2 = np.zeros((len(P), M.dim, M.dim))
         if M.chart == "polar":
+            self.check(M)
             D2[:, 0, 0] = 1.0
         else:
             D2[:, np.arange(M.dim), np.arange(M.dim)] = 1.0
@@ -271,28 +274,24 @@ class QuadraticFormField(ScalarField):
         self.eigenvectors = V
         self.center = None if center is None else np.asarray(center, dtype=float)
 
-    def _check(self, M):
+    def check(self, M):
         if M.chart != "cartesian":
             raise ValueError("quadratic fields are Cartesian-chart only")
         if self.Q.shape[0] != M.dim:
             raise ValueError(f"Q is {self.Q.shape[0]}x..., manifold dim is {M.dim}")
 
-    def _offset(self, p):
-        x = np.asarray(p, dtype=float)
-        return x if self.center is None else x - self.center
-
     def value(self, M, p):
-        self._check(M)
-        x = self._offset(p)
+        self.check(M)
+        x = _centered(self.center, p)
         # ndarray.dot: about half the call cost of @ on vectors this short
         return 0.5 * float(x.dot(self.Q).dot(x))
 
     def partials(self, M, p):
-        self._check(M)
-        return self.Q.dot(self._offset(p))
+        self.check(M)
+        return self.Q.dot(_centered(self.center, p))
 
     def second_partials(self, M, p):
-        self._check(M)
+        self.check(M)
         return self.Q.copy()
 
     def reach(self, level: float) -> float:
@@ -359,7 +358,7 @@ class OffCenterDistanceField(_StackedField):
             raise ValueError("offset must be positive (use the radial field otherwise)")
         self.offset = float(offset)
 
-    def _bind_check(self, M):
+    def check(self, M):
         if M.chart == "polar" and M.family != "constant":
             raise ValueError(
                 "off-center distance has no closed form in non-constant warped models")
@@ -371,7 +370,7 @@ class OffCenterDistanceField(_StackedField):
         return RadialDistanceField(center=center)
 
     def value(self, M, p):
-        self._bind_check(M)
+        self.check(M)
         if M.chart == "cartesian":
             return self._radial(M).value(M, p)
         s, rho = math.sqrt(-M.a), float(p[0])
@@ -403,7 +402,7 @@ class OffCenterDistanceField(_StackedField):
         return s, A, B, dA, d2A
 
     def partials_stack(self, M, P):
-        self._bind_check(M)
+        self.check(M)
         if M.chart == "cartesian":
             return self._radial(M).partials_stack(M, P)
         s, _, B, dA, _ = self._cosines(M, P)
@@ -412,7 +411,7 @@ class OffCenterDistanceField(_StackedField):
         return du
 
     def second_partials_stack(self, M, P):
-        self._bind_check(M)
+        self.check(M)
         if M.chart == "cartesian":
             return self._radial(M).second_partials_stack(M, P)
         s, A, B, dA, d2A = self._cosines(M, P)
@@ -422,7 +421,7 @@ class OffCenterDistanceField(_StackedField):
         return D2
 
     def ball_radius(self, level):
-        # about the offset point, in a model _bind_check keeps homogeneous
+        # about the offset point; check(M) admits only homogeneous models
         return level if level > 0 else None
 
     def ball_center_distance(self):
@@ -430,35 +429,6 @@ class OffCenterDistanceField(_StackedField):
 
     def describe(self):
         return {"field": self.kind, "offset": self.offset}
-
-
-def field_from_spec(spec: dict, M: ModelManifold) -> ScalarField:
-    """Build a field from its JSON-style description (see the CLI schema)."""
-    kind = spec.get("field")
-    if kind in ("radial", "radial_sq"):
-        center = spec.get("center")
-        if M.chart == "polar" and center is not None and any(c != 0 for c in center):
-            raise ValueError("radial fields on a polar chart are centred on its base "
-                             "point; their center must be zero")
-        cls = RadialDistanceField if kind == "radial" else RadialSquaredHalfField
-        return cls(center=center)
-    if kind == "quadratic":
-        if "Q" not in spec:
-            raise ValueError("quadratic field requires a 'Q' matrix")
-        if M.chart != "cartesian":
-            raise ValueError("quadratic fields are Cartesian-chart only")
-        return QuadraticFormField(spec["Q"], center=spec.get("center"))
-    if kind == "offcenter":
-        if "center" in spec:
-            raise ValueError("offcenter fields are centred `offset` along the first axis "
-                             "and take no 'center'")
-        f = OffCenterDistanceField(spec.get("offset", 0.3))
-        f._bind_check(M)
-        if f.offset > M.working_radius:
-            raise ValueError(f"offset {f.offset:g} lies beyond the working radius "
-                             f"{M.working_radius:g}")
-        return f
-    raise ValueError(f"unknown field kind '{kind}'")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ the axis.  Volume integrals between two levels use the coarea fibration
 A rule is evaluated as one stack of nodes, not node by node: the field's
 closed-form partials, the surface weights (surface_nodes) and the integrand
 each run once on (N, ...) arrays.  The ray root solve (find_level_radii) is
-exact for level spheres about the base point and otherwise runs
-find_level_radius ray by ray.  The quadratic field, the one field without
+exact for level spheres about the base point (_star_radius) and otherwise
+runs find_level_radius ray by ray.  The quadratic field, the one field without
 stacked closed forms (ScalarField.stacked false), keeps its partials and
 Hessian per node, inside the stacked stages.  Each stack's chart is
 evaluated once, by surface_nodes (chart_stack: the metric, the profile f
@@ -206,9 +206,13 @@ def _within_working_radius(M: ModelManifold, level: float, radius: float,
 
 
 def _star_radius(u: ScalarField, M: ModelManifold, level: float):
-    """u.star_radius(level), refused beyond the working radius."""
-    sr = u.star_radius(level)
-    return sr if sr is None else _within_working_radius(M, level, sr)
+    """u.ball_radius(level) when u's balls are centred on the chart base
+    point (asked first: one call for a field without balls), else None;
+    refused beyond the working radius."""
+    rho = u.ball_radius(level)
+    if rho is None or u.ball_center_distance() != 0.0:
+        return None
+    return _within_working_radius(M, level, rho)
 
 
 def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) -> float:

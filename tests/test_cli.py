@@ -135,14 +135,31 @@ def compute_cfg(**changes):
     # the schema version is the integer 1, not a value equal to it
     ("compute", compute_cfg(schema_version=True), 2, "schema_version"),
     ("compute", compute_cfg(schema_version=1.0), 2, "schema_version"),
-    # a field that does not fit its chart is refused when it is built
+    # a field that does not fit its model is refused when it is built, by its
+    # check(M): naming the center of a radial field, the field otherwise
     ("compute", compute_cfg(manifold=HYPERBOLIC,
-                            field={"field": "radial", "center": [0.3, 0.0, 0.0]}), 2, "field"),
+                            field={"field": "radial", "center": [0.3, 0.0, 0.0]}),
+     2, "field.center: "),
     ("compute", compute_cfg(manifold=HYPERBOLIC,
-                            field={"field": "radial_sq", "center": [0.0, 0.0, -0.2]}), 2, "field"),
+                            field={"field": "radial_sq", "center": [0.0, 0.0, -0.2]}),
+     2, "field.center: "),
     ("compute", compute_cfg(manifold=HYPERBOLIC,
                             field={"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 4]]}),
-     2, "field"),
+     2, "field: quadratic fields are Cartesian-chart only"),
+    ("compute", compute_cfg(manifold={"family": "warped", "profile": "poly3", "dim": 3},
+                            field={"field": "offcenter", "offset": 0.3}),
+     2, "field: off-center distance has no closed form"),
+    # constructor errors name the key they read
+    ("compute", compute_cfg(field={"field": "quadratic", "Q": [[1, 0, 0], [0.5, 1, 0], [0, 0, 4]]}),
+     2, "field.Q: Q must be symmetric"),
+    ("compute", compute_cfg(field={"field": "quadratic", "Q": [[1, 0, 0], [0, -1, 0], [0, 0, 4]]}),
+     2, "field.Q: Q must be positive definite"),
+    ("compute", compute_cfg(field={"field": "quadratic", "Q": [[1e308, 0, 0], [0, 1, 0], [0, 0, 4]]}),
+     2, "field.Q: matrix entry"),
+    ("compute", compute_cfg(manifold=HYPERBOLIC, field={"field": "offcenter", "offset": 12}),
+     2, "field.offset: expected <= 10"),
+    ("compute", compute_cfg(field={"field": "nope"}), 2, "field.field: expected radial"),
+    ("compute", compute_cfg(field={"field": "quadratic"}), 2, "field.Q: required"),
     # an off-center field is centred by its offset, never by a center
     ("compute", compute_cfg(manifold=HYPERBOLIC, level=0.8,
                             field={"field": "offcenter", "offset": 0.3, "center": [5, 0, 0]}),
@@ -161,6 +178,19 @@ def compute_cfg(**changes):
     ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
                "sweep": {"kind": "sphere", "rho": {"grid": [0.5, 1e300]}, "r": [1]}},
      2, "sweep.rho.grid[1]"),
+    # each sweep kind refuses the top-level keys it does not read
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "field": {"field": "radial"},
+               "sweep": {"kind": "sphere", "rho": {"grid": [0.5]}, "r": [1]}},
+     2, "field: unknown key"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "quadrature": TINY_QUADRATURE,
+               "sweep": {"kind": "sphere", "rho": {"grid": [0.5]}, "r": [1]}},
+     2, "quadrature: unknown key"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
+               "sweep": {"kind": "ball_bound", "a_grid": [-1.0], "rho": 1.0, "r": [1], "dim": 3}},
+     2, "manifold: unknown key"),
+    ("sweep", {"schema_version": 1, "field": {"field": "radial"},
+               "sweep": {"kind": "ball_bound", "a_grid": [-1.0], "rho": 1.0, "r": [1], "dim": 3}},
+     2, "field: unknown key"),
     ("compute", compute_cfg(field={"field": "radial"}, level=1e300), 3, "working radius"),
     ("compute", compute_cfg(field={"field": "radial"}, r=-1, level=1e300), 3, "working radius"),
     # a ball off the base point reaches its centre's distance plus its radius

@@ -160,6 +160,50 @@ class TestTotalMeanCurvature:
                 exact = sphere * mp.quad(lambda t: f(t) ** (n - 1), mp.linspace(0, rho, 5))
                 assert abs(mp.mpf(rep.value) - exact) <= rep.error_estimate, (n, rho)
 
+    def test_ellipsoid_volume_estimate_bounds_the_error(self):
+        # against the exact volume |S^{n-1}|/n (2 level)^{n/2} / sqrt(det Q)
+        # at 50 digits: rotated spectra from 1 to a condition number of up
+        # to 1e10, where the eigenvalues carry errors of about eps cond(Q)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        rng = np.random.default_rng(2024)
+        for k in range(400):
+            n = 2 + k % 5
+            cond = 10.0 ** rng.uniform(0.0, 10.0)
+            lam = np.concatenate(([1.0, cond], 10.0 ** rng.uniform(0.0, math.log10(cond), n - 2)))
+            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            Q = (V * lam) @ V.T
+            Q = 0.5 * (Q + Q.T)
+            level = 10.0 ** rng.uniform(-2.0, 1.0)
+            rep = total_mean_curvature(QuadraticFormField(Q), euclidean(n), level, -1)
+            sphere = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+            exact = (sphere / n * (2 * mp.mpf(level)) ** (mp.mpf(n) / 2)
+                     / mp.sqrt(mp.det(mp.matrix(Q.tolist()))))
+            assert abs(mp.mpf(rep.value) - exact) <= rep.error_estimate, (k, n, cond, level)
+
+    @pytest.mark.parametrize("r", [-1, 1])
+    def test_radial_centre_off_a_polar_base_point_is_refused(self, r):
+        # a polar chart's radial fields are centred on its base point; a
+        # nonzero centre would be ignored, not honoured
+        M = constant_curvature(-1.0, 3)
+        for u in (RadialDistanceField(center=[0.3, 0.0, 0.0]),
+                  RadialSquaredHalfField(center=[0.0, 0.0, -0.2])):
+            with pytest.raises(ValueError, match="center must be zero"):
+                total_mean_curvature(u, M, 1.0, r, SPEC)
+        # a zero centre is the base point
+        rep = total_mean_curvature(RadialDistanceField(center=[0.0, 0.0, 0.0]), M, 1.0, r, SPEC)
+        assert rep.value == total_mean_curvature(RadialDistanceField(), M, 1.0, r, SPEC).value
+
+    def test_enclosed_volume_checks_the_field_against_the_model(self):
+        # an off-centre ball in a model that is not homogeneous has no closed form
+        with pytest.raises(ValueError, match="non-constant warped"):
+            total_mean_curvature(OffCenterDistanceField(0.3), warped(poly3_profile(), 3),
+                                 0.8, -1, SPEC)
+        with pytest.raises(ValueError, match="Cartesian-chart only"):
+            total_mean_curvature(QuadraticFormField(np.eye(3)), constant_curvature(-1.0, 3),
+                                 0.8, -1, SPEC)
+
     def test_enclosed_volume_refuses_nonpositive_levels(self):
         H = constant_curvature(-1.0, 3)
         E = euclidean(3)

@@ -54,17 +54,8 @@ from pathlib import Path
 
 import pytest
 
-from curvatura import (
-    QuadratureSpec,
-    comparison_rhs_constant,
-    constant_curvature,
-    euclidean,
-    field_from_spec,
-    profile_by_name,
-    ricci_comparison,
-    warped,
-)
-from curvatura.cli import main
+from curvatura import QuadratureSpec, comparison_rhs_constant, ricci_comparison
+from curvatura.cli import _validate_field, _validate_manifold, main
 from curvatura.verification import SUITE_NAMES, SuiteConfig, run_suite
 
 DATA = Path(__file__).with_name("golden_compute.json")
@@ -108,16 +99,12 @@ def compute(name, workdir: Path) -> dict:
 
 def paths(name) -> dict:
     """Breakdowns of the two specialised comparison paths for one config, by
-    direct library calls at compute's orders and levels."""
+    direct library calls at compute's orders and levels, on the model and
+    field that compute builds from the config."""
     manifold, field, order = CONFIGS[name]
     n = manifold["dim"]
-    if manifold["family"] == "euclidean":
-        M = euclidean(n)
-    elif manifold["family"] == "constant":
-        M = constant_curvature(manifold["a"], n)
-    else:
-        M = warped(profile_by_name(manifold["profile"]), n)
-    u = field_from_spec(field, M)
+    M = _validate_manifold(manifold)
+    u = _validate_field(field, M)
     spec = QuadratureSpec(angular_orders=(order,), level_order=4)
     out = {"ricci": [ricci_comparison(u, M, tuple(LEVELS), spec).to_record()]}
     if M.family == "constant":

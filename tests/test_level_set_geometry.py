@@ -22,9 +22,9 @@ from curvatura.level_set_geometry import (
     QuadraticFormField,
     RadialDistanceField,
     RadialSquaredHalfField,
+    ScalarField,
     div_newton_fd_stack,
     div_newton_stack,
-    field_from_spec,
     hessian_frame,
     hessian_frame_stack,
     principal_frame_stack,
@@ -419,21 +419,41 @@ class TestReilly1:
 
 
 class TestFields:
-    def test_field_from_spec(self):
-        M = euclidean(3)
-        u = field_from_spec({"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 4]]}, M)
-        assert isinstance(u, QuadraticFormField)
-        with pytest.raises(ValueError):
-            field_from_spec({"field": "nope"}, M)
-        with pytest.raises(ValueError):
-            field_from_spec({"field": "quadratic"}, M)
-        with pytest.raises(ValueError, match="no 'center'"):
-            field_from_spec({"field": "offcenter", "offset": 0.3, "center": [5, 0, 0]}, M)
+    def test_check_accepts_the_models_a_field_can_live_on(self):
+        E3, H3, poly3 = euclidean(3), constant_curvature(-1.0, 3), warped(poly3_profile(), 3)
+        for M in (E3, H3, poly3):
+            ScalarField().check(M)
+            RadialDistanceField().check(M)
+            RadialSquaredHalfField(center=[0.0, 0.0, 0.0]).check(M)
+        RadialDistanceField(center=[0.3, 0.0, 0.0]).check(E3)
+        QuadraticFormField(np.diag([1.0, 1.0, 4.0]), center=[0.0, 0.1, 0.0]).check(E3)
+        OffCenterDistanceField(0.3).check(E3)
+        OffCenterDistanceField(0.3).check(H3)
 
-    def test_offcenter_requires_constant_family(self):
-        with pytest.raises(ValueError):
-            field_from_spec({"field": "offcenter", "offset": 0.3},
-                            warped(poly3_profile(), 3))
+    def test_check_refuses_the_models_a_field_cannot_live_on(self):
+        E3, H3, poly3 = euclidean(3), constant_curvature(-1.0, 3), warped(poly3_profile(), 3)
+        for M in (H3, poly3):
+            with pytest.raises(ValueError, match="center must be zero"):
+                RadialDistanceField(center=[0.3, 0.0, 0.0]).check(M)
+            with pytest.raises(ValueError, match="center must be zero"):
+                RadialSquaredHalfField(center=[0.0, 0.0, -0.2]).check(M)
+            with pytest.raises(ValueError, match="Cartesian-chart only"):
+                QuadraticFormField(np.eye(3)).check(M)
+        with pytest.raises(ValueError, match="manifold dim is 3"):
+            QuadraticFormField(np.eye(2)).check(E3)
+        with pytest.raises(ValueError, match="non-constant warped"):
+            OffCenterDistanceField(0.3).check(poly3)
+
+    @pytest.mark.parametrize("make", [RadialDistanceField, RadialSquaredHalfField])
+    def test_polar_branches_check_a_radial_centre(self, make):
+        # the polar branches ignore the centre, so they refuse a nonzero one
+        M = constant_curvature(-1.0, 3)
+        u = make(center=[0.3, 0.0, 0.0])
+        P = np.array([[0.8, 1.0, 2.0]])
+        for call in (lambda: u.value(M, P[0]), lambda: u.partials_stack(M, P),
+                     lambda: u.second_partials_stack(M, P)):
+            with pytest.raises(ValueError, match="center must be zero"):
+                call()
 
     def test_offcenter_euclidean_matches_shifted_radial(self):
         M = euclidean(3)
@@ -489,8 +509,3 @@ class TestFields:
                 # no sampled point beyond the reach (to rounding), none far short of it
                 assert far * (1.0 - 1e-13) <= u.reach(level) <= far * (1.0 + 1e-4), \
                     (Q, center, level)
-
-    def test_radial_star_radius(self):
-        assert RadialDistanceField().star_radius(1.3) == 1.3
-        assert RadialSquaredHalfField().star_radius(0.5) == pytest.approx(1.0)
-        assert QuadraticFormField(np.eye(3)).star_radius(0.5) is None

@@ -339,6 +339,19 @@ def test_retired_per_point_chart_kernels_stay_out_of_the_package():
     assert back == set()
 
 
+def test_retired_field_decisions_stay_out_of_the_package():
+    # check(M) is a field's one compatibility test, the CLI builds fields
+    # with their constructors, and quadrature._star_radius derives level
+    # spheres from ball_radius; so no module or class defines these
+    retired = {"field_from_spec", "star_radius", "_check", "_bind_check"}
+    owners = package_modules()
+    owners += [cls for mod in package_modules() for cls in vars(mod).values()
+               if isinstance(cls, type) and cls.__module__.startswith("curvatura")]
+    back = {(owner.__qualname__ if isinstance(owner, type) else owner.__name__, name)
+            for owner in owners for name in retired if hasattr(owner, name)}
+    assert back == set()
+
+
 # reilly1's LHS is a central difference of O(1) values, so the stack's
 # roundoff gap to the pointwise route grows like 1/h (measured at most
 # 9e-16 / h on the grid below)

@@ -17,6 +17,7 @@ from curvatura.model_manifolds import (
     warped,
 )
 from curvatura.level_set_geometry import (
+    OffCenterDistanceField,
     QuadraticFormField,
     RadialDistanceField,
     RadialSquaredHalfField,
@@ -116,6 +117,21 @@ class TestSpecValidation:
 
 
 class TestRootFinding:
+    def test_star_radius_is_the_ball_radius_about_the_base_point(self):
+        # exact level spheres about the base point; None sends the rays to
+        # the root solve
+        star = quadrature._star_radius
+        E3, H3 = euclidean(3), constant_curvature(-1.0, 3)
+        assert star(RadialDistanceField(), H3, 1.3) == 1.3
+        assert star(RadialSquaredHalfField(), E3, 0.5) == 1.0
+        assert star(RadialDistanceField(center=[0.0, 0.0, 0.0]), E3, 1.3) == 1.3
+        assert star(RadialSquaredHalfField(center=[0.0, 0.0, 0.0]), H3, 0.5) == 1.0
+        assert star(RadialDistanceField(center=[0.3, 0.0, 0.0]), E3, 1.3) is None
+        assert star(OffCenterDistanceField(0.3), H3, 0.8) is None
+        assert star(QuadraticFormField(np.eye(3)), E3, 0.5) is None
+        with pytest.raises(GeometryError, match="working radius"):
+            star(RadialDistanceField(), H3, 10.5)
+
     def test_bisection_matches_star_radius(self):
         # strip the analytic radius to force the bracketing path
         class Anon(ScalarField):
