@@ -280,12 +280,11 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
     levels = _check_vector(cfg["levels"], "levels")
     if len(levels) != 2 or not levels[0] < levels[1]:
         _fail("levels", f"expected [c1, c2] with c1 < c2, got {levels}")
-    rows = []
-    for r in rs:
+    for i, r in enumerate(rs):
         if r < 0:
-            _fail("r", "comparison breakdowns need r >= 0")
-        bd = comparison_rhs(u, M, tuple(levels), r, spec, threads)
-        rows.append(bd.to_record())
+            _fail(f"r[{i}]" if isinstance(cfg["r"], list) else "r",
+                  "comparison breakdowns need r >= 0")
+    rows = [comparison_rhs(u, M, tuple(levels), r, spec, threads).to_record() for r in rs]
     write_csv(out / "comparison.csv", BREAKDOWN_COLUMNS, rows)
     write_json(out / "comparison.json", rows)
     print(f"comparison breakdowns over levels ({levels[0]:g}, {levels[1]:g}):")
@@ -402,11 +401,8 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         spec = _validate_quadrature(cfg.get("quadrature"), M.dim)
         grid = _sweep_grid(sw["levels"], "sweep.levels")
         rs = _validate_r(sw["r"], M.dim, "sweep.r")
-        rows = []
-        for r in rs:
-            for lev in grid:
-                rep = total_mean_curvature(u, M, lev, r, spec, threads)
-                rows.append(rep.to_record(M, u))
+        rows = [rep.to_record(M, u) for r in rs
+                for rep in total_mean_curvature(u, M, grid, r, spec, threads)]
         columns = MCR_COLUMNS
     write_csv(out / "sweep.csv", columns, rows)
     print(f"sweep '{kind}': {len(rows)} rows -> {out / 'sweep.csv'}")

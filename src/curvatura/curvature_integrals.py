@@ -236,25 +236,35 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     raise GeometryError(f"no enclosed-volume path for field '{u.kind}'")
 
 
-def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,
-                         spec: QuadratureSpec = QuadratureSpec(),
-                         threads: int = 1) -> MeanCurvatureReport:
+def total_mean_curvature(u: ScalarField, M: ModelManifold, level, r: int,
+                         spec: QuadratureSpec = QuadratureSpec(), threads: int = 1):
     """M_r of the level set {u = level}; M_{-1} is the enclosed volume,
-    in closed form (_enclosed_volume, which reads no spec or threads)."""
+    in closed form (_enclosed_volume, which reads no spec or threads).
+
+    level may also be a sequence of levels: the result is then the list of
+    their reports, from one surface_integral call whose node stack holds
+    every level, each report bit-identical to its level alone and with its
+    own level's node count."""
     n = M.dim
     if not -1 <= r <= n - 1:
         raise ValueError(f"order r must lie in [-1, {n - 1}], got {r}")
+    several = np.ndim(level) > 0
+    levels = list(level) if several else [level]
     if r == -1:
-        value, err, nodes = _enclosed_volume(u, M, level)
-        return MeanCurvatureReport(r=r, value=value, error_estimate=err,
-                                   level=level, node_count=nodes)
+        reports = []
+        for c in levels:
+            value, err, nodes = _enclosed_volume(u, M, c)
+            reports.append(MeanCurvatureReport(r=r, value=value, error_estimate=err,
+                                               level=c, node_count=nodes))
+    else:
+        def integrand(P, chart):
+            return sigma_stack(_node_geometry(u, M, P, chart)[2], r)
 
-    def integrand(P, chart):
-        return sigma_stack(_node_geometry(u, M, P, chart)[2], r)
-
-    res = surface_integral(u, M, level, integrand, spec, threads)
-    return MeanCurvatureReport(r=r, value=res.value, error_estimate=res.error_estimate,
-                               level=level, node_count=res.node_count)
+        values, errs, nodes = surface_integral(u, M, levels, integrand, spec, threads)
+        reports = [MeanCurvatureReport(r=r, value=v, error_estimate=e, level=c,
+                                       node_count=nodes // len(levels))
+                   for c, v, e in zip(levels, values, errs)]
+    return reports if several else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +274,8 @@ def total_mean_curvature(u: ScalarField, M: ModelManifold, level: float, r: int,
 def _comparison(u, M, levels, r, spec, threads, corrections,
                 path=None) -> ComparisonBreakdown:
     """The comparison identity between the level sets at levels = (c1, c2):
-    the LHS M_r(outer) - M_r(inner), and the RHS as the coarea integrals of
+    the LHS M_r(outer) - M_r(inner) from one two-level total_mean_curvature
+    call, and the RHS as the coarea integrals of
     the principal column (r+1) sigma_{r+1} and the path's two correction
     columns, corrections(P, chart, hd, pf, e) -> (sectional, mixed) at a
     node stack.  path names a specialised path in the meta."""
@@ -278,8 +289,7 @@ def _comparison(u, M, levels, r, spec, threads, corrections,
 
     terms, errs, nodes_rhs = coarea_volume_integral_multi(
         u, M, levels, integrand, spec, 3, threads)
-    inner = total_mean_curvature(u, M, levels[0], r, spec, threads)
-    outer = total_mean_curvature(u, M, levels[1], r, spec, threads)
+    inner, outer = total_mean_curvature(u, M, levels, r, spec, threads)
     lhs = outer.value - inner.value
     budget = 10.0 * (outer.error_estimate + inner.error_estimate + float(np.sum(errs)))
     meta = {"m_outer": outer.value, "m_inner": inner.value,

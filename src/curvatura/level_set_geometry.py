@@ -269,6 +269,9 @@ class QuadraticFormField(ScalarField):
         w, V = jacobi_eigh(self.Q)
         if w[0] <= 0:
             raise ValueError("Q must be positive definite")
+        # the symmetrized Q that gave the eigenvalues (jacobi_eigh refuses
+        # entries that overflow it) serves value and partials too
+        self.Q = 0.5 * (self.Q + self.Q.T)
         # ascending, as Python floats: the sublevel ellipsoid's semi-axes
         self.eigenvalues = tuple(float(x) for x in w)
         self.eigenvectors = V

@@ -27,13 +27,16 @@ integrand(P, chart) with the (N, n) point stack and that ChartStack, and
 pass the chart on to the node kernels that take one (hessian_frame_stack,
 riemann_stack).  Each integral joins its rule and the halved-order
 companion of its error estimate into one node stack, evaluated in one
-pass and split again at the rule's node count.  Stacks above _CHUNK nodes,
-and stacks split over `threads` workers, run as several contiguous
+pass and split again at the rule's node count.  A surface integral over
+several levels joins every level's rule, level-major, then every level's
+companion, into one stack and one pass as well.  Stacks above _CHUNK
+nodes, and stacks split over `threads` workers, run as several contiguous
 chunks.  Every stage computes each node with the same operations whatever
 the stack and chunk it sits in, and each rule is reduced by its own
 fixed-order pairwise sum over its node index, so results are
 bit-identical for any split and worker count, and to a rule evaluated
-alone.
+alone.  A failing stack raises the error of its lowest-indexed failing
+node, whatever the split.
 """
 
 from __future__ import annotations
@@ -277,18 +280,21 @@ def find_level_radii(u: ScalarField, M: ModelManifold, levels, angles) -> np.nda
     angles: (N, n-1); levels: one level or one per ray.  Levels whose level
     set is a sphere about the base point short-circuit to the exact radius;
     every other ray is solved by find_level_radius.  Raises the error of the
-    first ray that fails a guard, naming its node.
+    first ray that fails a guard, naming its node; a sphere refused beyond
+    the working radius names the first node of its level.
     """
     angles = np.asarray(angles, dtype=float)
     N = angles.shape[0]
     levels = np.broadcast_to(np.asarray(levels, dtype=float), (N,))
     rho = np.empty(N)
     todo = np.ones(N, dtype=bool)
-    # levels in order of first appearance: a joined rule's own levels are
-    # checked before its companion's
-    distinct, first = np.unique(levels, return_index=True)
-    for c in distinct[np.argsort(first)]:
-        sr = _star_radius(u, M, float(c))
+    # each level at its first node, in node order
+    for k in np.sort(np.unique(levels, return_index=True)[1]):
+        c = levels[k]
+        try:
+            sr = _star_radius(u, M, float(c))
+        except GeometryError as e:
+            raise node_error(GeometryError, int(k), str(e)) from None
         if sr is not None:
             sel = levels == c
             rho[sel] = sr
@@ -330,18 +336,22 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
 
 def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
                integrand, n_comp, threads):
-    """Weighted integrand rows, one per node of a node stack (one rule, or a
-    rule and its halved-order companion joined by _halving_estimate).
+    """Weighted integrand rows, one per node of a node stack (the rules of
+    one or more levels and their halved-order companions, joined by
+    _halving_estimate).
 
     The node stack is evaluated in contiguous chunks of at most _CHUNK
     nodes (fewer above dimension 4), split further so that `threads`
     workers each get one when threads > 1.  Every stage works node by node,
-    so the rows do not depend on the split, nor on which rule shares the
+    so the rows do not depend on the split, nor on which rules share the
     stack.  Coarea rules pass level_weights: their rows carry the level
     weight over |grad u|.  An error naming a node names it within the
-    whole stack.
+    whole stack, and it is the error of the lowest-indexed failing node, at
+    the earliest stage where that node fails, whatever the split: a chunk
+    raises at its earliest failing stage, naming the first node failing
+    there, so on the error path the nodes before the named one are
+    evaluated again until they pass (or fail naming no node).
     """
-    count = len(levels)
 
     def rows(lo, hi):
         try:
@@ -357,23 +367,41 @@ def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
                 raise node_error(type(e), e.node + lo, e.detail) from None
             raise
 
-    cap = min(_CHUNK, max(16, _CHUNK * 4 ** 4 // M.dim ** 4))
-    chunk = cap if threads <= 1 or count < 16 else min(cap, -(-count // threads))
-    bounds = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    if threads <= 1 or len(bounds) < 2:
-        parts = [rows(lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(rows, *zip(*bounds)))
-    return np.concatenate(parts)
+    def evaluate(count):
+        cap = min(_CHUNK, max(16, _CHUNK * 4 ** 4 // M.dim ** 4))
+        chunk = cap if threads <= 1 or count < 16 else min(cap, -(-count // threads))
+        bounds = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+        if threads <= 1 or len(bounds) < 2:
+            parts = [rows(lo, hi) for lo, hi in bounds]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                parts = list(ex.map(rows, *zip(*bounds)))
+        return np.concatenate(parts)
+
+    try:
+        return evaluate(len(levels))
+    except Exception as e:
+        err = e
+    while getattr(err, "node", None):   # a node above 0: do the nodes before it pass?
+        try:
+            evaluate(err.node)
+            break
+        except Exception as e:
+            if getattr(e, "node", None) is None:
+                break
+            err = e
+    raise err
 
 
-def _surface_rule(M, level, spec):
-    """Node set of the surface rule of `spec` on {u = level}: (levels,
-    angles, weights, directions, level weights), the last None."""
+def _surface_rule(M, levels, spec):
+    """Node set of the surface rule of `spec` on each level set {u = c}, c
+    in the array `levels`, level-major: (levels, angles, weights,
+    directions, level weights), the last None."""
     n = M.dim
     angles, weights, directions = _angular_grid(n, spec.angular_for(n), spec.margin)
-    return np.full(angles.shape[0], float(level)), angles, weights, directions, None
+    k = len(levels)
+    return (np.repeat(levels, angles.shape[0]), np.tile(angles, (k, 1)), np.tile(weights, k),
+            np.tile(directions, (k, 1)), None)
 
 
 def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value):
@@ -385,52 +413,76 @@ def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value):
     return (M.dim - 2) * spec.margin ** 2 * abs(value)
 
 
+def _part_sums(rows, parts):
+    """pairwise_sum of each of `parts` equal consecutive blocks of rows, as
+    a (parts, n_comp) array: the blocks stand side by side as the columns
+    of one sum, and each column is summed over the tree it has alone."""
+    size, n_comp = len(rows) // parts, rows.shape[1]
+    side = rows.reshape(parts, size, n_comp).swapaxes(0, 1).reshape(size, parts * n_comp)
+    return pairwise_sum(side).reshape(parts, n_comp)
+
+
 def _halving_estimate(u, M: ModelManifold, rule, spec: QuadratureSpec, integrand,
-                      n_comp, threads):
+                      n_comp, threads, parts=1):
     """(values, error estimates, node count) of a rule and its halved-order
-    companion.  rule(spec) gives the node set of one rule; the rule's nodes
-    and the companion's (rule(spec.coarser())) are joined into one stack,
-    evaluated by one _rule_rows pass, and split again at the rule's node
-    count.  Each part is summed by its own pairwise_sum, over the same tree
-    as alone, and each estimate is |fine - coarse| plus the polar-cap
-    bound.  A guard failing at a companion node names that node's index
-    within the companion.  The error raised is that of the first failing
-    chunk, and within it of the earliest failing stage, so where a chunk
-    holds rule and companion nodes, a companion node failing at an earlier
-    stage than a rule node is the one named.  The companion floors orders
-    at 2, so an order-2 axis (angular, or for a coarea rule also the level
-    axis) is its own companion and the difference cannot see its error:
-    every estimate of such a rule is inf."""
+    companion, values and estimates as (parts, n_comp) arrays.  rule(spec)
+    gives the node set of `parts` rules of equal size, part-major (one per
+    level of a multi-level surface integral); the rules' nodes and their
+    companions' (rule(spec.coarser())) are joined into one stack, evaluated
+    by one _rule_rows pass, and split again into parts.  Each part is summed
+    by its own pairwise_sum, over the same tree as alone, and each estimate
+    is |fine - coarse| plus the polar-cap bound; the node count is that of
+    all the rules.  The error raised is that of the lowest-indexed failing
+    node of the stack (every rule's nodes come before every companion's),
+    at the earliest stage where it fails, whatever the split; it names the
+    node by its index within its own part's rule, or within that part's
+    companion.  The companion floors orders at 2, so an order-2 axis
+    (angular, or for a coarea rule also the level axis) is its own
+    companion and the difference cannot see its error: every estimate of
+    such a rule is inf."""
     fine, coarse = rule(spec), rule(spec.coarser())
     count = len(fine[0])
     joint = [a if a is None else np.concatenate((a, b)) for a, b in zip(fine, coarse)]
     try:
         rows = _rule_rows(u, M, *joint, integrand, n_comp, threads)
     except Exception as e:
-        if getattr(e, "node", None) is not None and e.node >= count:
-            raise node_error(type(e), e.node - count, e.detail) from None
+        node = getattr(e, "node", None)
+        if node is not None:
+            lo, size = (0, count) if node < count else (count, len(joint[0]) - count)
+            raise node_error(type(e), (node - lo) % (size // parts), e.detail) from None
         raise
-    values = pairwise_sum(rows[:count])
-    errs = np.abs(values - pairwise_sum(rows[count:])) + _cap_bound(M, spec, values)
+    values = _part_sums(rows[:count], parts)
+    errs = np.abs(values - _part_sums(rows[count:], parts)) + _cap_bound(M, spec, values)
     coarea = fine[4] is not None
     if 2 in spec.angular_for(M.dim) + ((spec.level_order,) if coarea else ()):
         errs = np.full_like(errs, math.inf)
     return values, errs, count
 
 
-def surface_integral(u: ScalarField, M: ModelManifold, level: float,
-                     integrand, spec: QuadratureSpec,
-                     threads: int = 1) -> IntegralResult:
+def surface_integral(u: ScalarField, M: ModelManifold, level, integrand,
+                     spec: QuadratureSpec, threads: int = 1):
     """Integral over the level set {u = level} of integrand, which maps an
     (N, n) point stack and its chart_stack to the N values.
 
     The error estimate is the difference against the next-lower (halved)
     order companion rule plus the analytic polar-cap omission bound; inf
     when an angular order is 2.
+
+    level may also be a nonempty sequence of levels: every level's rule
+    and companion then run as one node stack, and the result is (values,
+    error_estimates, node_count), arrays with one entry per level, each
+    bit-identical to that level integrated alone, and the fine node count
+    of all the levels.
     """
+    levels = np.asarray(level, dtype=float)
+    if levels.ndim > 1 or not levels.size:
+        raise ValueError(f"expected a level or a nonempty sequence of levels, got {level!r}")
     values, errs, nodes = _halving_estimate(
-        u, M, lambda s: _surface_rule(M, level, s), spec, integrand, 1, threads)
-    return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
+        u, M, lambda s: _surface_rule(M, levels.reshape(-1), s), spec, integrand, 1,
+        threads, parts=levels.size)
+    if levels.ndim:
+        return values[:, 0], errs[:, 0], nodes
+    return IntegralResult(value=values[0, 0], error_estimate=errs[0, 0], node_count=nodes)
 
 
 def _coarea_rule(M, levels, spec):
@@ -457,7 +509,7 @@ def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
     level integral of 1/|grad u|-weighted surface integrals."""
     values, errs, nodes = _halving_estimate(
         u, M, lambda s: _coarea_rule(M, levels, s), spec, integrand, 1, threads)
-    return IntegralResult(value=values[0], error_estimate=errs[0], node_count=nodes)
+    return IntegralResult(value=values[0, 0], error_estimate=errs[0, 0], node_count=nodes)
 
 
 def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
@@ -467,8 +519,9 @@ def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
 
     Returns (values, error_estimates, node_count) as arrays of length n_comp.
     """
-    return _halving_estimate(
+    values, errs, nodes = _halving_estimate(
         u, M, lambda s: _coarea_rule(M, levels, s), spec, integrand, n_comp, threads)
+    return values[0], errs[0], nodes
 
 
 def _radial_rule(g, bounds):

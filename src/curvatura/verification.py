@@ -556,8 +556,7 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
         for r in range(1, 3):
             cs.required.append((M.label, r))
             with cs.timed(f"inequality/parallel/{M.label}/r={r}"):
-                reps = [total_mean_curvature(u, M, lev, r, spec_par, thr)
-                        for lev in level_grid]
+                reps = total_mean_curvature(u, M, level_grid, r, spec_par, thr)
                 for k in range(len(level_grid) - 1):
                     pair_count += 1
                     diff = reps[k + 1].value - reps[k].value
@@ -582,7 +581,7 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
                  (0.5, 1.0)),
                 ("offcenter", constant_curvature(-1.0, 3), OffCenterDistanceField(0.3),
                  (0.7, 1.2))):
-            reps = [total_mean_curvature(u, M, lev, 1, spec_ell, thr) for lev in levels]
+            reps = total_mean_curvature(u, M, levels, 1, spec_ell, thr)
             diff = reps[1].value - reps[0].value
             budget = 10.0 * (reps[0].error_estimate + reps[1].error_estimate)
             pair_count += 1
@@ -597,11 +596,12 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
         uw = RadialDistanceField()
         spec_ball = QuadratureSpec(angular_orders=(12,), level_order=8)
         rho_ball = (0.5, 1.0) if cfg.quick else (0.5, 1.0, 2.0)
-        for rho in rho_ball:
+        reps = {r: total_mean_curvature(uw, Mw, rho_ball, r, spec_ball, thr) for r in (1, 2)}
+        for k, rho in enumerate(rho_ball):
             for r in (1, 2):
                 pair_count += 1
                 cs.required.append((Mw.label, r))
-                rep = total_mean_curvature(uw, Mw, rho, r, spec_ball, thr)
+                rep = reps[r][k]
                 margin = rep.value - ball_bound(r, rho, 0.0, 3)
                 budget = 10.0 * rep.error_estimate
                 cs.add(f"inequality/balls/poly3/rho={rho:g}/r={r}", Mw.label, uw.kind, 3, r,
@@ -656,8 +656,8 @@ def run_asymptotic_suite(cfg: SuiteConfig) -> SuiteReport:
             cs.required.append((M.label, r))
             base = f"asymptotic/{M.label}/r={r}"
             with cs.timed(base):
-                vals = np.array([total_mean_curvature(u, M, rho, r, spec, thr).value
-                                 for rho in rho_grid])
+                vals = np.array([rep.value for rep in
+                                 total_mean_curvature(u, M, rho_grid, r, spec, thr)])
                 logs = np.log(vals)
                 slope = float(np.polyfit(np.log(rho_grid), logs, 1)[0])
                 inputs = {"model": M.describe(), "r": r, "rho_grid": list(rho_grid)}

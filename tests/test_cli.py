@@ -131,6 +131,13 @@ def compute_cfg(**changes):
     return dict(BASE_COMPUTE, quadrature=TINY_QUADRATURE, **changes)
 
 
+def comparison_cfg(**changes):
+    """compute_cfg asking for comparison breakdowns over the levels [0.5, 1.0]."""
+    obj = dict(compute_cfg(**changes), levels=[0.5, 1.0])
+    del obj["level"]
+    return obj
+
+
 @pytest.mark.parametrize("command,obj,code,names", [
     # the schema version is the integer 1, not a value equal to it
     ("compute", compute_cfg(schema_version=True), 2, "schema_version"),
@@ -191,6 +198,9 @@ def compute_cfg(**changes):
     ("sweep", {"schema_version": 1, "field": {"field": "radial"},
                "sweep": {"kind": "ball_bound", "a_grid": [-1.0], "rho": 1.0, "r": [1], "dim": 3}},
      2, "field: unknown key"),
+    # every order is checked before the first breakdown runs
+    ("compute", comparison_cfg(r=[0, 1, -1]), 2, "r[2]: comparison breakdowns need r >= 0"),
+    ("compute", comparison_cfg(r=-1), 2, "r: comparison breakdowns need r >= 0"),
     ("compute", compute_cfg(field={"field": "radial"}, level=1e300), 3, "working radius"),
     ("compute", compute_cfg(field={"field": "radial"}, r=-1, level=1e300), 3, "working radius"),
     # a ball off the base point reaches its centre's distance plus its radius

@@ -481,6 +481,17 @@ class TestFields:
         with pytest.raises(ValueError):
             QuadraticFormField(np.diag([1.0, -1.0, 2.0]))
 
+    def test_quadratic_derivatives_use_the_symmetrized_q(self):
+        # an asymmetry under the constructor's tolerance: the gradient is
+        # sym(Q) x, the matrix the eigenvalues come from
+        Q = np.diag([1.0, 2.0, 3.0])
+        Q[0, 1] = 5e-13
+        u, M = QuadraticFormField(Q), euclidean(3)
+        x = np.ones(3)
+        sym = 0.5 * (Q + Q.T)
+        assert np.array_equal(u.partials(M, x), sym @ x)
+        assert np.array_equal(u.second_partials(M, x), sym)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_quadratic_reach_is_the_farthest_sampled_point(self, n):
         rng = np.random.default_rng(80 + n)

@@ -68,9 +68,11 @@ from curvatura.symmetric_algebra import (
     trace_identity_residual_stack,
 )
 from curvatura.verification import (
+    SuiteConfig,
     _default_models,
     _field_grid,
     _sample_point,
+    run_suite,
 )
 from oracles import (
     _reilly2_sides,
@@ -596,6 +598,17 @@ def first_failure(run, splits, monkeypatch):
 SPLITS = [(4096, 1), (7, 1), (7, 3), (4096, 2)]
 
 
+def stretched_along(M, direction):
+    """An integrand whose frame fails riemann_stack's gram check at the
+    nodes on the ray along `direction` (a Cartesian point stack)."""
+    def integrand(P, chart):
+        at = np.sum((P / np.linalg.norm(P, axis=-1, keepdims=True) - direction) ** 2,
+                    axis=-1) < 1e-20
+        F = np.where(at[:, None, None], 2.0 * np.eye(3), np.eye(3))
+        return riemann_stack(M, P, F).ricci_n
+    return integrand
+
+
 def test_guards_name_the_node_of_the_rule_whatever_the_split(monkeypatch):
     M = euclidean(3)
 
@@ -629,6 +642,55 @@ def test_guards_name_the_node_of_the_rule_whatever_the_split(monkeypatch):
                                                    stretched_below, SPEC, t),
                         SPLITS, monkeypatch)
     assert msg == f"node {first}: frame is not g-orthonormal"
+
+
+def test_the_lowest_failing_node_is_named_whatever_the_split(monkeypatch):
+    """Two nodes failing at different stages: the u_rho guard of the lower
+    cap (first at node 10) and the gram check inside the integrand at node
+    1.  Every split names node 1, at the stage where it fails."""
+    M = euclidean(3)
+    grid = quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)
+    assert int(np.argmax(lower_cap(grid[2]))) == 10
+
+    class DownhillBelow(RadialSquaredHalfField):
+        def partials_stack(self, M, P):
+            du = super().partials_stack(M, P)
+            return np.where(lower_cap(P)[:, None], -du, du)
+
+    u = DownhillBelow(center=[0.0, 0.0, 1e-3])
+    integrand = stretched_along(M, grid[2][1])
+    msg = first_failure(lambda t: surface_integral(u, M, 0.5, integrand, SPEC, t),
+                        SPLITS, monkeypatch)
+    assert msg == "node 1: frame is not g-orthonormal"
+    # a level refused whole, its sphere past the working radius, fails at
+    # its first node (36), still above node 1 of the level before it
+    msg = first_failure(lambda t: surface_integral(RadialDistanceField(), M, (0.5, 20.0),
+                                                   integrand, SPEC, t),
+                        SPLITS, monkeypatch)
+    assert msg == "node 1: frame is not g-orthonormal"
+    msg = first_failure(lambda t: surface_integral(RadialDistanceField(), M, (0.5, 20.0),
+                                                   ones, SPEC, t),
+                        SPLITS, monkeypatch)
+    assert msg.startswith("node 0: the level-20 sphere (radius 20) lies beyond")
+
+
+def test_a_level_family_names_the_node_within_its_level(monkeypatch):
+    """A guard failing on the second level of a two-level stack raises the
+    error of that level integrated alone."""
+    M = euclidean(3)
+
+    class DownhillBelowOuter(RadialSquaredHalfField):
+        def partials_stack(self, M, P):
+            du = super().partials_stack(M, P)
+            outer = np.sum(P * P, axis=-1) > 2 * 0.55
+            return np.where((lower_cap(P) & outer)[:, None], -du, du)
+
+    u = DownhillBelowOuter(center=[0.0, 0.0, 1e-3])
+    alone = first_failure(lambda t: surface_integral(u, M, 0.6, ones, SPEC, t),
+                          SPLITS, monkeypatch)
+    assert alone.startswith("node 10: u is not increasing along the ray")
+    assert first_failure(lambda t: surface_integral(u, M, (0.5, 0.6), ones, SPEC, t),
+                         SPLITS, monkeypatch) == alone
 
 
 def test_a_companion_guard_names_the_node_of_the_companion(monkeypatch):
@@ -706,9 +768,45 @@ def test_rows_do_not_depend_on_the_split(monkeypatch):
         assert total_mean_curvature(u, M, 0.8, 2, SPEC, threads) == mono
 
 
-def test_each_integral_makes_one_rule_rows_pass(monkeypatch):
-    """A rule and its companion share one _rule_rows pass, for every public
-    integral, also when called from the curvature integrals."""
+LEVEL_FAMILIES = [
+    (RadialDistanceField(), constant_curvature(-1.0, 3), (0.5, 1.0, 0.5)),
+    (RadialDistanceField(), warped(poly3_profile(), 3), (0.3, 1.1)),
+    (QuadraticFormField(np.diag([1.0, 2.0, 4.0])), euclidean(3), (0.5, 1.0)),
+    (OffCenterDistanceField(0.3), constant_curvature(-1.0, 3), (0.7, 1.2)),
+]
+
+
+def hexed(value, estimate, nodes):
+    return float(value).hex(), float(estimate).hex(), nodes
+
+
+@pytest.mark.parametrize("chunk,threads", [(7, 1), (7, 2), (4096, 1), (4096, 2)])
+@pytest.mark.parametrize("u,M,levels", LEVEL_FAMILIES,
+                         ids=["radial-H3", "radial-poly3", "quadratic-E3", "offcenter-H3"])
+def test_a_level_family_equals_its_levels_alone(monkeypatch, chunk, threads, u, M, levels):
+    """Several levels in one node stack (the last H3 level repeats the
+    first): every value and estimate is bit-identical to its level's own
+    call, and the node count is that of all the levels."""
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+
+    def integrand(P, chart):   # the smallest principal curvature
+        return principal_frame_stack(hessian_frame_stack(u, M, P, chart)).kappa[:, 0]
+
+    values, errs, nodes = surface_integral(u, M, levels, integrand, SPEC, threads)
+    alone = [surface_integral(u, M, c, integrand, SPEC, threads) for c in levels]
+    assert [hexed(v, e, nodes // len(levels)) for v, e in zip(values, errs)] == \
+        [hexed(a.value, a.error_estimate, a.node_count) for a in alone]
+    assert nodes == sum(a.node_count for a in alone)
+    for r in (0, 2):
+        reps = total_mean_curvature(u, M, levels, r, SPEC, threads)
+        alone = [total_mean_curvature(u, M, c, r, SPEC, threads) for c in levels]
+        assert [(hexed(a.value, a.error_estimate, a.node_count), a.level) for a in reps] == \
+            [(hexed(a.value, a.error_estimate, a.node_count), a.level) for a in alone]
+
+
+def counting_passes(monkeypatch):
+    """Counters of the public integral entries and of the _rule_rows passes,
+    wrapped in the quadrature and curvature_integrals namespaces."""
     calls = {"entries": 0, "passes": 0}
 
     def counting(fn, key):
@@ -724,6 +822,21 @@ def test_each_integral_makes_one_rule_rows_pass(monkeypatch):
         for mod in (quadrature, curvature_integrals):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting(fn, "entries"))
+    return calls
+
+
+def test_the_quick_asymptotic_suite_makes_one_pass_per_model_and_order(monkeypatch):
+    # 3 models x 3 orders, each over its 4 radii in one node stack
+    calls = counting_passes(monkeypatch)
+    assert run_suite(SuiteConfig(suite="asymptotic", quick=True)).passed
+    assert calls == {"entries": 9, "passes": 9}
+
+
+def test_each_integral_makes_one_rule_rows_pass(monkeypatch):
+    """A rule and its companion share one _rule_rows pass, for every public
+    integral, also when called from the curvature integrals and the
+    suites."""
+    calls = counting_passes(monkeypatch)
     M = constant_curvature(-1.0, 3)
     u = RadialDistanceField()
     quadrature.surface_integral(u, M, 0.8, ones, SPEC)
@@ -733,5 +846,7 @@ def test_each_integral_makes_one_rule_rows_pass(monkeypatch):
     assert calls == {"entries": 3, "passes": 3}
     comparison_rhs(u, M, (0.5, 1.0), 1, SPEC)
     total_mean_curvature(u, M, 0.8, 2, SPEC, 2)
-    assert calls["entries"] > 5
+    total_mean_curvature(u, M, (0.5, 0.8), 1, SPEC)
+    run_suite(SuiteConfig(suite="asymptotic", quick=True))
+    assert calls["entries"] > 15
     assert calls["passes"] == calls["entries"]
