@@ -189,11 +189,24 @@ def radial_profile(M: ModelManifold):
 # ---------------------------------------------------------------------------
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn (a scalar `math` function or warping-profile callable) applied to
-    each element.  Transcendental functions stay on `math` so that a node's
-    bits do not depend on its stack: numpy's vector forms may take SIMD or
-    scalar paths by array length and differ from each other in the last bit."""
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    """fn (a scalar `math` function or warping-profile callable) at each
+    element of a float vector, called once per distinct bit pattern (radii
+    repeat per level, polar angles per axis), first occurrence first, so a
+    failing call raises as the first failing element would.  `math` keeps a
+    node's bits independent of its stack: numpy's vector forms may take SIMD
+    or scalar paths by array length, which differ in the last bit."""
+    keys = x.view(np.int64)
+    perm = keys.argsort(kind="stable")
+    sorted_keys = keys[perm]
+    opens = np.ones(x.size, dtype=bool)       # where a new key starts, in sorted order
+    opens[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first = perm[opens]                       # each key's first element
+    order = first.argsort()
+    values = np.empty(first.size)
+    values[order] = np.fromiter(map(fn, x[first[order]].tolist()), float, first.size)
+    out = np.empty(x.size)
+    out[perm] = values[opens.cumsum() - 1]
+    return out
 
 
 def _polar_guard_stack(M: ModelManifold, P: np.ndarray) -> list:
@@ -233,7 +246,7 @@ class ChartStack:
 def chart_stack(M: ModelManifold, P) -> ChartStack:
     """The ChartStack of an (N, n) point stack.  On polar charts this runs
     the polar guard, raising for the first node off the chart, and
-    evaluates f and f' once per node."""
+    evaluates f and f' once per distinct radius (_elementwise)."""
     P = np.asarray(P, dtype=float)
     N, n = P.shape
     if M.chart == "cartesian":

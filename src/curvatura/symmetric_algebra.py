@@ -7,13 +7,16 @@ eigenvalue route (cyclic Jacobi + stable coefficient recurrence) and an
 explicit Kronecker-delta contraction route (iteration over index subsets and
 signed permutations).  Downstream verification relies on cross-checking the
 two, so neither may be expressed in terms of the other.
+
+Cyclic Jacobi rotates all matrices of a stack in lockstep, each with the bits
+it gets alone; the Kronecker route loops over one matrix's Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 
 import numpy as np
 
@@ -156,88 +159,10 @@ def _perms_with_parity(r: int):
 # ---------------------------------------------------------------------------
 
 def jacobi_eigh(H):
-    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi.
-
-    Sweeps the strict upper triangle in fixed row-major order and rotates
-    every entry, stopping once the largest off-diagonal magnitude drops
-    below _JACOBI_TOL * ||H||_max.  Deterministic, no external dependency.
-
-    The sweeps run on plain Python floats (A and V as nested lists): each
-    rotation updates the columns p, q of A, then its rows p, q, then zeroes
-    A[p][q] = A[q][p], and updates the columns p, q of V.  Every entry is
-    formed by the same IEEE operations, in the same order, as in the numpy
-    slice-update form of the rotation, so the iteration order and the result
-    bits are unchanged from that form; only the per-entry array indexing is
-    gone.
-
-    Returns (eigenvalues ascending, eigenvectors as matching columns); the
-    ascending sort is stable.  Raises ValueError for a non-finite entry and
-    RuntimeError when _MAX_SWEEPS sweeps do not converge.
-    """
-    return _jacobi_eigh(as_sym_matrix(H))
-
-
-def _jacobi_eigh(A: np.ndarray):
-    """jacobi_eigh of a matrix that as_sym_matrix returned.  The pairs are
-    put in order by Python's stable sort, which orders floats as a stable
-    argsort does (-0.0 and 0.0 tie)."""
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy(), np.eye(1)
-    L = A.tolist()
-    norm = max(abs(x) for row in L for x in row)
-    V = _jacobi_sweeps(L, _JACOBI_TOL * max(norm, _TINY), _MAX_SWEEPS)
-    w = [L[i][i] for i in range(n)]
-    order = sorted(range(n), key=w.__getitem__)
-    return np.array([w[i] for i in order]), np.array([[row[i] for i in order] for row in V])
-
-
-def _jacobi_sweeps(A: list, tol: float, max_sweeps: int) -> list:
-    """The cyclic Jacobi iteration of jacobi_eigh on one validated, exactly
-    symmetric matrix of dimension >= 2, given as nested lists and rotated
-    in place until its off-diagonal part is within tol.  Returns the
-    accumulated rotations V as nested lists; A's diagonal holds the
-    eigenvalues, unsorted."""
-    n = len(A)
-    skip = tol * 1e-2
-    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            off = max(off, max(abs(x) for x in A[p][p + 1:]))
-        if off <= tol:
-            return V
-        for p, q in pairs:
-            Ap, Aq = A[p], A[q]
-            apq = Ap[q]
-            if abs(apq) <= skip:
-                continue
-            theta = (Aq[q] - Ap[p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            for R in A:
-                x, y = R[p], R[q]
-                R[p] = c * x - s * y
-                R[q] = s * x + c * y
-            for j in range(n):
-                x, y = Ap[j], Aq[j]
-                Ap[j] = c * x - s * y
-                Aq[j] = s * x + c * y
-            Ap[q] = Aq[p] = 0.0
-            for R in V:
-                x, y = R[p], R[q]
-                R[p] = c * x - s * y
-                R[q] = s * x + c * y
-    raise RuntimeError("Jacobi iteration did not converge")
-
-
-def _sorted_eigenpairs(w: np.ndarray, V: np.ndarray):
-    """Eigenvalues (K, m) stably sorted ascending per row, with the columns
-    of the eigenvector matrices (K, m, m) in the same order."""
-    order = np.argsort(w, axis=1, kind="stable")
-    return np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
+    """Eigen-decomposition of one symmetric matrix: jacobi_eigh_stack of the
+    one-matrix stack, with as_sym_matrix's checks."""
+    w, V = _jacobi_eigh_stack(as_sym_matrix(H)[None])
+    return w[0], V[0]
 
 
 def _as_sym_stack(H) -> np.ndarray:
@@ -269,36 +194,98 @@ def _as_sym_stack(H) -> np.ndarray:
 
 
 def jacobi_eigh_stack(H):
-    """jacobi_eigh of every matrix of a stack (N, m, m), bit-identical to
-    calling it on each matrix.
-
-    The stack is validated once, with as_sym_matrix's checks made per
-    matrix, and symmetrized the same way.  A matrix whose off-diagonal part
-    is already within tolerance (every shape operator of a radial field)
-    keeps its diagonal and the identity, as the sweep loop does when it
-    stops before its first rotation; the others run the sweeps of
-    jacobi_eigh one by one.  The sort is one stable argsort of the stack.
-    """
+    """Eigen-decomposition of every matrix of a stack (N, m, m) by cyclic
+    Jacobi: sweeps of the strict upper triangle, row-major, until the largest
+    off-diagonal magnitude is within _JACOBI_TOL * ||H||_max, all matrices in
+    lockstep, each with the bits it gets alone.  Eigenvalues ascend by a
+    stable sort, eigenvectors as matching columns.  Raises ValueError where
+    as_sym_matrix would (per matrix), RuntimeError after _MAX_SWEEPS sweeps."""
     return _jacobi_eigh_stack(_as_sym_stack(H))
 
 
 def _jacobi_eigh_stack(A: np.ndarray):
     """jacobi_eigh_stack of a stack that _as_sym_stack returned."""
     N, m = A.shape[0], A.shape[1]
-    if N == 0:
-        return np.zeros((0, m)), np.zeros((0, m, m))
-    if m == 1:
-        return A[:, :, 0].copy(), np.ones((N, 1, 1))
     tol = _JACOBI_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), _TINY)
-    upper = np.triu_indices(m, 1)
-    rotate = ~(np.abs(A[:, upper[0], upper[1]]).max(axis=1) <= tol)
+    rows, cols, _ = _upper_triangle(m)
     w = np.diagonal(A, axis1=1, axis2=2).copy()
     V = np.broadcast_to(np.eye(m), (N, m, m)).copy()
-    for k in np.nonzero(rotate)[0]:
-        Ak = A[k].tolist()
-        V[k] = _jacobi_sweeps(Ak, float(tol[k]), _MAX_SWEEPS)
-        w[k] = [Ak[i][i] for i in range(m)]
-    return _sorted_eigenpairs(w, V)
+    # a matrix within tolerance (radial fields) keeps its diagonal and the identity
+    act = np.flatnonzero(~(np.abs(A[:, rows, cols]).max(axis=1, initial=0.0) <= tol))
+    if act.size:
+        # entries of order 1e308 may overflow, silently as on Python floats
+        with np.errstate(all="ignore"):
+            _jacobi_sweeps_stack(np.concatenate((A[act], V[act]), axis=1), tol[act], act, w, V)
+    order = np.argsort(w, axis=1, kind="stable")
+    return np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
+
+
+def _jacobi_sweeps_stack(AV, tol, act, w, V):
+    """Sweeps of the matrices act of a stack, above their tolerances tol.
+    AV (K, 2m, m) holds each over its accumulated rotations; one within
+    tolerance at the start of a sweep leaves, its diagonal going to w[act]
+    and its rotations to V[act].  At a pair (p, q) those with |a_pq| above
+    tol * 1e-2 rotate, by the same IEEE operations as one matrix alone
+    (math.hypot stays: np.hypot may differ in the last bit)."""
+    m = AV.shape[2]
+    rows, cols, pairs = _upper_triangle(m)
+    for sweep in range(_MAX_SWEEPS):
+        if sweep:   # the caller made the first sweep's test
+            done = _off_diagonal_max(AV, rows, cols) <= tol
+            if done.any():
+                w[act[done]] = np.diagonal(AV[done, :m], axis1=1, axis2=2)
+                V[act[done]] = AV[done, m:]
+                if done.all():
+                    return
+                AV, tol, act = AV[~done], tol[~done], act[~done]
+        skip = tol * 1e-2
+        for p, q in pairs:
+            rot = ~(np.abs(AV[:, p, q]) <= skip)   # NaN included
+            if rot.all():
+                _rotate(AV, p, q)
+            elif rot.any():
+                S = AV[rot]
+                _rotate(S, p, q)
+                AV[rot] = S
+    raise RuntimeError("Jacobi iteration did not converge")
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(m: int):
+    """Rows and columns of the strict upper triangle, row-major, as index
+    arrays and as (p, q) pairs."""
+    rows, cols = np.triu_indices(m, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols, tuple(zip(rows.tolist(), cols.tolist()))
+
+
+def _off_diagonal_max(A, rows, cols):
+    """Each matrix's largest off-diagonal magnitude as the scalar sweep's
+    Python max() over rows of row maxima takes it: a NaN never wins against
+    a number, and a row whose first entry is NaN drops out."""
+    U = np.abs(A[:, rows, cols])
+    off = U.max(axis=1)
+    nan = np.isnan(off)
+    if nan.any():
+        U = U[nan]
+        dead = np.isnan(U) | np.isnan(U[:, cols == rows + 1])[:, rows]
+        off[nan] = np.where(dead, 0.0, U).max(axis=1)
+    return off
+
+
+def _rotate(AV, p, q):
+    """One rotation in the plane (p, q) of every matrix of AV, in place."""
+    theta = (AV[:, q, q] - AV[:, p, p]) / (2.0 * AV[:, p, q])
+    hyp = np.fromiter(map(math.hypot, theta.tolist(), repeat(1.0)), float, theta.size)
+    t = np.copysign(1.0, theta) / (np.abs(theta) + hyp)
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    c, s = c[:, None], s[:, None]
+    x, y = AV[:, :, p], AV[:, :, q]
+    AV[:, :, p], AV[:, :, q] = c * x - s * y, s * x + c * y
+    x, y = AV[:, p], AV[:, q]
+    AV[:, p], AV[:, q] = c * x - s * y, s * x + c * y
+    AV[:, p, q] = AV[:, q, p] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -492,16 +492,18 @@ class Counted:
         return self.fn(r)
 
 
-def test_chart_is_evaluated_once_per_node_and_guarded_once_per_stack(monkeypatch):
+def test_chart_is_evaluated_once_per_radius_and_guarded_once_per_stack(monkeypatch):
     prof = poly3_profile()
     f, df, d2f = Counted(prof.f), Counted(prof.df), Counted(prof.d2f)
     M = warped(WarpingProfile("counted", f, df, d2f), 3)
-    stacks, guards = [], []
+    stacks, radii, guards = [], [], []
     surface_nodes, guard = quadrature.surface_nodes, model_manifolds._polar_guard_stack
 
     def counted_nodes(*args):
+        out = surface_nodes(*args)
         stacks.append(len(args[2]))
-        return surface_nodes(*args)
+        radii.append(np.unique(out[0][:, 0]).size)
+        return out
 
     def counted_guard(*args):
         guards.append(len(args[1]))
@@ -510,17 +512,21 @@ def test_chart_is_evaluated_once_per_node_and_guarded_once_per_stack(monkeypatch
     monkeypatch.setattr(quadrature, "surface_nodes", counted_nodes)
     monkeypatch.setattr(model_manifolds, "_polar_guard_stack", counted_guard)
     spec = QuadratureSpec(angular_orders=(6,), level_order=4)
-    # one surface rule: 6 x 6 nodes, halved 3 x 3; coarea: 4 and 2 levels of them
-    for call, coarea, surfaces in (
-            (lambda: total_mean_curvature(RadialDistanceField(), M, 0.8, 2, spec), 0, 1),
-            (lambda: comparison_rhs(RadialDistanceField(), M, (0.5, 1.0), 1, spec), 1, 2)):
+    # one surface rule: 6 x 6 nodes, halved 3 x 3, on one sphere; coarea: 4
+    # and 2 levels of them.  Each stack is a rule and its halved companion,
+    # so f and f' are evaluated once per distinct radius of the stack: 1 for
+    # a sphere, 4 + 2 for a coarea stack; f'' only in the warped curvature
+    # tensor of the coarea rows
+    for call, coarea, surfaces, radius_calls, d2f_calls in (
+            (lambda: total_mean_curvature(RadialDistanceField(), M, 0.8, 2, spec), 0, 1, 1, 0),
+            (lambda: comparison_rhs(RadialDistanceField(), M, (0.5, 1.0), 1, spec), 1, 2, 8, 6)):
         for fn in (f, df, d2f):
             fn.calls = 0
         stacks.clear()
+        radii.clear()
         guards.clear()
         call()
         nodes = coarea * (4 * 36 + 2 * 9) + surfaces * (36 + 9)
         assert sum(stacks) == nodes and guards == stacks
-        assert f.calls == df.calls == nodes
-        # f'' only in the warped curvature tensor of the coarea rows
-        assert d2f.calls == coarea * (4 * 36 + 2 * 9)
+        assert f.calls == df.calls == sum(radii) == radius_calls
+        assert d2f.calls == d2f_calls

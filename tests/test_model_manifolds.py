@@ -322,3 +322,55 @@ class TestProfiles:
             euclidean(7)
         with pytest.raises(ValueError):
             euclidean(1)
+
+
+def _with_bits(values, bits):
+    """values as floats, with the entries named in bits (index -> int64
+    pattern) set bit for bit: NaN payloads and signs numpy does not make."""
+    x = np.array(values, dtype=float)
+    for k, b in bits.items():
+        x.view(np.int64)[k] = b
+    return x
+
+
+def _elementwise_inputs():
+    rng = np.random.default_rng(8)
+    P = np.empty((12, 3))
+    P[:, 0] = rng.choice([0.25, 1.5, 0.25, -0.0, 0.0, 3.0], 12)
+    P[:, 1] = rng.normal(size=12)
+    P[:, 2] = math.pi / 2
+    nans = _with_bits([math.nan, 1.0, math.nan, math.nan, -0.0, 0.0, math.inf, -math.inf,
+                       math.inf, 1.0],
+                      {1: 0x7FF8000000000001, 2: -0x0008000000000000, 3: 0x7FF0000000000001})
+    return {"column with repeats": P[:, 0], "constant column": P[:, 2],
+            "every other": P[::2, 1], "special values": nans, "size 0": np.zeros(0),
+            "size 1": np.array([-0.0]), "reversed": nans[::-1]}
+
+
+@pytest.mark.parametrize("name", sorted(_elementwise_inputs()))
+@pytest.mark.parametrize("fn", [lambda t: t, math.atan, math.tanh, lambda t: math.copysign(2.0, t)],
+                         ids=["identity", "atan", "tanh", "sign"])
+def test_elementwise_is_the_scalar_map_once_per_distinct_input(name, fn):
+    x = _elementwise_inputs()[name]
+    seen = []
+
+    def counted(t):
+        seen.append(t)
+        return fn(t)
+
+    want = np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    got = model_manifolds._elementwise(counted, x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # one call per distinct bit pattern, in the order of first occurrence
+    firsts = list(dict.fromkeys(x.view(np.int64).tolist()))
+    assert np.array(seen, dtype=float).view(np.int64).tolist() == firsts
+
+
+def test_elementwise_raises_what_the_first_failing_element_raises():
+    def picky(t):
+        if t > 1.0:
+            raise ValueError(f"refused {t}")
+        return t
+
+    with pytest.raises(ValueError, match="refused 3.0"):
+        model_manifolds._elementwise(picky, np.array([0.5, 3.0, 2.0, 3.0, 0.5]))
