@@ -34,7 +34,12 @@ from .model_manifolds import (
     sphere_total_mean_curvature,
     unit_sphere_volume,
 )
-from .level_set_geometry import ScalarField, hessian_frame_stack, principal_frame_stack
+from .level_set_geometry import (
+    ScalarField,
+    _order_groups,
+    hessian_frame_stack,
+    principal_frame_stack,
+)
 from .quadrature import (
     QuadratureSpec,
     _radial_rule,
@@ -145,21 +150,25 @@ def _kprod(kappa, prefix):
     return prod
 
 
-def correction_sums_stack(kappa, derivs, rd, grad_norm, r: int):
+def correction_sums_stack(kappa, derivs, rd, grad_norm, r):
     """(sectional, mixed) correction integrands at a stack of nodes, by the
     displayed index enumeration in the principal frames.
 
     kappa, derivs: (N, n-1) principal curvatures and |grad u| derivatives;
-    rd: riemann_stack in the principal frames; grad_norm: (N,).
+    rd: riemann_stack in the principal frames; grad_norm: (N,); r: one
+    order, or per-row orders summed on the rows of each order alone.
     """
-    last = kappa.shape[1]
-    sect = np.zeros(kappa.shape[0])
-    for prefix, ir in sectional_sum_terms(last, r):
-        sect = sect - _kprod(kappa, prefix) * rd.K[:, ir, last]
-    mixed = np.zeros(kappa.shape[0])
-    for prefix, irm1, ir in mixed_sum_terms(last, r):
-        mixed = mixed + (_kprod(kappa, prefix) * derivs[:, irm1]
-                         * rd.R[:, ir, irm1, ir, last])
+    N, last = kappa.shape
+    sect, mixed = np.zeros(N), np.zeros(N)
+    for q, rows in _order_groups(r, N, 0):
+        k, d, K, R = kappa[rows], derivs[rows], rd.K[rows], rd.R[rows]
+        s = np.zeros(len(k))
+        for prefix, ir in sectional_sum_terms(last, q):
+            s = s - _kprod(k, prefix) * K[:, ir, last]
+        m = np.zeros(len(k))
+        for prefix, irm1, ir in mixed_sum_terms(last, q):
+            m = m + _kprod(k, prefix) * d[:, irm1] * R[:, ir, irm1, ir, last]
+        sect[rows], mixed[rows] = s, m
     return sect, mixed / grad_norm
 
 

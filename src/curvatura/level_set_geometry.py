@@ -449,6 +449,11 @@ class HessianData:
     frame_scale: np.ndarray   # E_a = frame_scale[a] d_a: the diagonal 1/sqrt(g_aa)
     grad_frame: np.ndarray    # gradient in frame components
 
+    def take(self, rows) -> "HessianData":
+        """The record of the nodes `rows` of a stacked record."""
+        return HessianData(grad_norm=self.grad_norm[rows], hess_frame=self.hess_frame[rows],
+                           frame_scale=self.frame_scale[rows], grad_frame=self.grad_frame[rows])
+
 
 def fd_steps(M: ModelManifold, P, h: float) -> np.ndarray:
     """Per-coordinate steps (N, n) of the finite-difference stencils
@@ -606,18 +611,71 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
 # Reilly identities and div(T_r) over node stacks
 # ---------------------------------------------------------------------------
 
-def reilly2_sides_stack(u: ScalarField, M: ModelManifold, P, r: int):
+# The Reilly kernels below take an order r, or an (N,) array of per-row
+# orders, so that the cases of several orders share one node stack.  Every
+# stage works node by node, and an order-dependent step runs once per
+# distinct order on the rows that carry it, by the operations of that order
+# alone: a row's result does not depend on the other rows or their orders.
+
+def _order_groups(r, N: int, lowest: int) -> list:
+    """[(q, rows)]: for one order r, [(r, slice(None))]; for per-row orders
+    (an (N,) integer array), one entry per distinct order q, ascending, with
+    the index array of its rows.  Raises ValueError for an order below
+    `lowest`."""
+    if np.ndim(r) == 0:
+        groups = [(int(r), slice(None))]
+    else:
+        r = np.asarray(r)
+        if r.shape != (N,) or r.dtype.kind not in "iu":
+            raise ValueError(f"per-row orders must be {N} integers, got {r.dtype} {r.shape}")
+        groups = [(int(q), np.flatnonzero(r == q)) for q in np.unique(r)]
+    if groups and groups[0][0] < lowest:
+        raise ValueError(f"order r must be >= {lowest}, got {groups[0][0]}")
+    return groups
+
+
+def _stencil_orders(r, n: int, steps: int):
+    """The orders of _stencil's points, each centre's at its 2n points per step."""
+    return r if np.ndim(r) == 0 else np.tile(np.repeat(r, 2 * n), steps)
+
+
+def _newton_rows(H: np.ndarray, groups: list) -> np.ndarray:
+    """T_q of the rows of every (q, rows) of _order_groups, from one Newton
+    recursion of the stack (N, n, n) up to the largest order."""
+    mats = newton_matrices_stack(H, max((q for q, _ in groups), default=0))
+    if len(groups) == 1:
+        return mats[groups[0][0]]
+    T = np.empty(H.shape)
+    for q, rows in groups:
+        T[rows] = mats[q][rows]
+    return T
+
+
+def _power_rows(x: np.ndarray, groups: list, offset: int) -> np.ndarray:
+    """x ** (q + offset) on the rows of every (q, rows) of _order_groups."""
+    out = np.empty(x.shape)
+    for q, rows in groups:
+        out[rows] = x[rows] ** (q + offset)
+    return out
+
+
+def reilly2_sides_stack(u: ScalarField, M: ModelManifold, P, r):
     """(sigma_r(kappa), <T_r grad u, grad u> / |grad u|^{r+2}) at every row of
-    an (N, n) point stack, each of shape (N,), from one Hessian stack.
+    an (N, n) point stack, each of shape (N,), from one Hessian stack; r is
+    one order or per-row orders.
 
     The identity is exact; the sides keep independent routes: sigma_r of
     the principal curvatures from principal_frame_stack, and the Newton
     recursion of newton_matrices_stack contracted against the gradient."""
     hd = hessian_frame_stack(u, M, P)
-    lhs = sigma_stack(elementary_all_stack(principal_frame_stack(hd).kappa), r)
-    T = newton_matrices_stack(hd.hess_frame, r)[r]
+    groups = _order_groups(r, len(hd.grad_norm), 0)
+    e = elementary_all_stack(principal_frame_stack(hd).kappa)
+    lhs = np.empty(len(e))
+    for q, rows in groups:
+        lhs[rows] = sigma_stack(e[rows], q)
     g = hd.grad_frame
-    return lhs, _rowdot(g, _matvec(T, g)) / hd.grad_norm ** (r + 2)
+    return lhs, _rowdot(g, _matvec(_newton_rows(hd.hess_frame, groups), g)) / _power_rows(
+        hd.grad_norm, groups, 2)
 
 
 @lru_cache(maxsize=None)
@@ -648,18 +706,17 @@ def _div_contraction_table(n: int, r: int):
     return tuple(tuple(row) for row in table)
 
 
-def div_newton_stack(M: ModelManifold, P, hd: HessianData, r: int) -> np.ndarray:
+def div_newton_stack(M: ModelManifold, P, hd: HessianData, r) -> np.ndarray:
     """Frame components of div(T_r) via the curvature contraction at every
     row of an (N, n) point stack, given the stack's hessian_frame_stack hd:
-    (N, n).
+    (N, n); r >= 1 is one order or per-row orders.
 
     Contracts the generalized Kronecker tensor against r-1 Hessian factors
     and one factor R[i, j_r, i_r, k] u_k, all in the metric-factorization
     frame (identity frames to riemann_stack).  Identically zero in flat space.
     """
-    if r < 1:
-        raise ValueError(f"div(T_r) contraction needs r >= 1, got {r}")
     N, n = hd.grad_frame.shape
+    groups = _order_groups(r, N, 1)
     _check_gradients(hd.grad_norm, "degenerate gradient in div(T_r)")
     if M.is_flat:
         return np.zeros((N, n))
@@ -668,16 +725,17 @@ def div_newton_stack(M: ModelManifold, P, hd: HessianData, r: int) -> np.ndarray
     W = R[..., 0] * g[:, 0, None, None, None]
     for l in range(1, n):
         W = W + R[..., l] * g[:, l, None, None, None]
-    H = hd.hess_frame
     out = np.zeros((N, n))
-    for j, row in enumerate(_div_contraction_table(n, r)):
-        tot = np.zeros(N)
-        for sgn, pairs, (a, b, c) in row:
-            prod = float(sgn)
-            for (x, y) in pairs:
-                prod = prod * H[:, x, y]
-            tot = tot + prod * W[:, a, b, c]
-        out[:, j] = tot
+    for q, rows in groups:
+        H, Wq = hd.hess_frame[rows], W[rows]
+        for j, row in enumerate(_div_contraction_table(n, q)):
+            tot = np.zeros(len(H))
+            for sgn, pairs, (a, b, c) in row:
+                prod = float(sgn)
+                for (x, y) in pairs:
+                    prod = prod * H[:, x, y]
+                tot = tot + prod * Wq[:, a, b, c]
+            out[rows, j] = tot
     return out
 
 
@@ -692,12 +750,13 @@ def _stencil(M: ModelManifold, P: np.ndarray, hs):
     return steps, Q.reshape(-1, n)
 
 
-def div_newton_fd_stack(u: ScalarField, M: ModelManifold, P, hd: HessianData, r: int,
+def div_newton_fd_stack(u: ScalarField, M: ModelManifold, P, hd: HessianData, r,
                         h: float = 1e-3) -> np.ndarray:
     """Finite-difference oracle for div(T_r) at every row of an (N, n) point
     stack, given the stack's hessian_frame_stack hd: the covariant divergence
     of the Newton operator as a (1,1) chart tensor field, in the frame of
-    div_newton_stack, (N, n).  Converges at O(h^2).
+    div_newton_stack, (N, n); r is one order or per-row orders.  Converges
+    at O(h^2).
 
     The 2n stencil points of every row form one stack; the Christoffel
     symbols and the undifferentiated T_r are taken at the centres.
@@ -705,14 +764,15 @@ def div_newton_fd_stack(u: ScalarField, M: ModelManifold, P, hd: HessianData, r:
     P = np.asarray(P, dtype=float)
     N, n = P.shape
 
-    def t_chart(hq):
+    def t_chart(hq, orders):
         # F T F^-1 for the diagonal frame F = diag(frame_scale)
         s = hq.frame_scale
-        return s[:, :, None] * newton_matrices_stack(hq.hess_frame, r)[r] * (1.0 / s)[:, None, :]
+        T = _newton_rows(hq.hess_frame, _order_groups(orders, len(s), 0))
+        return s[:, :, None] * T * (1.0 / s)[:, None, :]
 
     steps, Q = _stencil(M, P, (h,))
-    T = t_chart(hessian_frame_stack(u, M, Q)).reshape(N, n, 2, n, n)
-    T0 = t_chart(hd)
+    T = t_chart(hessian_frame_stack(u, M, Q), _stencil_orders(r, n, 1)).reshape(N, n, 2, n, n)
+    T0 = t_chart(hd, r)
     Gam = christoffel_stack(M, P)
     div = np.zeros((N, n))
     for i in range(n):
@@ -723,10 +783,11 @@ def div_newton_fd_stack(u: ScalarField, M: ModelManifold, P, hd: HessianData, r:
     return hd.frame_scale * div
 
 
-def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> np.ndarray:
+def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r, hs) -> np.ndarray:
     """|LHS - RHS| of the divergence identity for T_{r-1}(grad u/|grad u|^r)
     at every row of an (N, n) point stack and every step h of hs:
-    (len(hs), N).  Converges to zero at O(h^2).
+    (len(hs), N); r >= 1 is one order or per-row orders.  Converges to zero
+    at O(h^2).
 
     LHS is a central-difference covariant divergence of the vector field
     (via the volume-weighted coordinate form); RHS combines the div(T_{r-1})
@@ -734,24 +795,30 @@ def reilly1_residual_stack(u: ScalarField, M: ModelManifold, P, r: int, hs) -> n
     step, so it is formed once per row, from one stack of centres.  The 2n
     stencil points of every row and step form one stack.
     """
-    if r < 1:
-        raise ValueError(f"the identity needs r >= 1, got {r}")
     P = np.asarray(P, dtype=float)
     N, n = P.shape
+    groups = _order_groups(r, N, 1)
     chart0 = chart_stack(M, P)
     hd0 = hessian_frame_stack(u, M, P, chart0)
     _check_gradients(hd0.grad_norm, "degenerate gradient at the center point")
-    rhs = r * sigma_stack(elementary_all_stack(principal_frame_stack(hd0).kappa), r)
-    if r >= 2:
-        divT = div_newton_stack(M, P, hd0, r - 1)
-        rhs = rhs + _rowdot(divT, hd0.grad_frame) / hd0.grad_norm ** r
+    e = elementary_all_stack(principal_frame_stack(hd0).kappa)
+    rhs = np.empty(N)
+    for q, rows in groups:
+        rhs_q = q * sigma_stack(e[rows], q)
+        if q >= 2:
+            hq = hd0.take(rows)
+            divT = div_newton_stack(M, P[rows], hq, q - 1)
+            rhs_q = rhs_q + _rowdot(divT, hq.grad_frame) / hq.grad_norm ** q
+        rhs[rows] = rhs_q
 
     steps, Q = _stencil(M, P, hs)
     chart = chart_stack(M, Q)
     hd = hessian_frame_stack(u, M, Q, chart)
     _check_gradients(hd.grad_norm, "degenerate gradient in the stencil")
-    Tm = newton_matrices_stack(hd.hess_frame, r - 1)[r - 1]
-    Vc = hd.frame_scale * (_matvec(Tm, hd.grad_frame) / hd.grad_norm[:, None] ** r)
+    qgroups = _order_groups(_stencil_orders(r, n, len(hs)), len(Q), 1)
+    Tm = _newton_rows(hd.hess_frame, [(q - 1, rows) for q, rows in qgroups])
+    Vc = hd.frame_scale * (_matvec(Tm, hd.grad_frame)
+                           / _power_rows(hd.grad_norm[:, None], qgroups, 0))
     vol = np.sqrt(np.prod(chart.D, axis=1))
     weighted = (vol[:, None] * Vc).reshape(len(hs), N, n, 2, n)
     lhs = 0.0

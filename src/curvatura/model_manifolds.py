@@ -188,13 +188,11 @@ def radial_profile(M: ModelManifold):
 # Chart tensors
 # ---------------------------------------------------------------------------
 
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn (a scalar `math` function or warping-profile callable) at each
-    element of a float vector, called once per distinct bit pattern (radii
-    repeat per level, polar angles per axis), first occurrence first, so a
-    failing call raises as the first failing element would.  `math` keeps a
-    node's bits independent of its stack: numpy's vector forms may take SIMD
-    or scalar paths by array length, which differ in the last bit."""
+def _distinct(x: np.ndarray):
+    """(values, order, back) of the distinct bit patterns of a float
+    vector: the values in the order of first occurrence, where each lands
+    in ascending key order, and each element's place in that key order
+    (_on_distinct)."""
     keys = x.view(np.int64)
     perm = keys.argsort(kind="stable")
     sorted_keys = keys[perm]
@@ -202,11 +200,27 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     opens[1:] = sorted_keys[1:] != sorted_keys[:-1]
     first = perm[opens]                       # each key's first element
     order = first.argsort()
-    values = np.empty(first.size)
-    values[order] = np.fromiter(map(fn, x[first[order]].tolist()), float, first.size)
-    out = np.empty(x.size)
-    out[perm] = values[opens.cumsum() - 1]
-    return out
+    back = np.empty(x.size, dtype=np.intp)
+    back[perm] = opens.cumsum() - 1
+    return x[first[order]], order, back
+
+
+def _on_distinct(fn, values: np.ndarray, order: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """fn at each of the distinct values of _distinct, in order, spread
+    back over the elements."""
+    out = np.empty(values.size)
+    out[order] = np.fromiter(map(fn, values.tolist()), float, values.size)
+    return out[back]
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn (a scalar `math` function or warping-profile callable) at each
+    element of a float vector, called once per distinct bit pattern (radii
+    repeat per level, polar angles per axis), first occurrence first, so a
+    failing call raises as the first failing element would.  `math` keeps a
+    node's bits independent of its stack: numpy's vector forms may take SIMD
+    or scalar paths by array length, which differ in the last bit."""
+    return _on_distinct(fn, *_distinct(x))
 
 
 def _polar_guard_stack(M: ModelManifold, P: np.ndarray) -> list:
@@ -246,14 +260,15 @@ class ChartStack:
 def chart_stack(M: ModelManifold, P) -> ChartStack:
     """The ChartStack of an (N, n) point stack.  On polar charts this runs
     the polar guard, raising for the first node off the chart, and
-    evaluates f and f' once per distinct radius (_elementwise)."""
+    evaluates f and f' once per distinct radius of one _distinct pass."""
     P = np.asarray(P, dtype=float)
     N, n = P.shape
     if M.chart == "cartesian":
         return ChartStack(D=np.ones((N, n)))
     sines = _polar_guard_stack(M, P)
     f, df, _ = radial_profile(M)
-    fr = _elementwise(f, P[:, 0])
+    radii = _distinct(P[:, 0])
+    fr = _on_distinct(f, *radii)
     acc = fr ** 2
     D = np.empty((N, n))
     D[:, 0] = 1.0
@@ -261,7 +276,7 @@ def chart_stack(M: ModelManifold, P) -> ChartStack:
         D[:, j] = acc
         if j < n - 1:
             acc = acc * sines[j - 1] ** 2
-    return ChartStack(D=D, f=fr, df=_elementwise(df, P[:, 0]))
+    return ChartStack(D=D, f=fr, df=_on_distinct(df, *radii))
 
 
 def _log_derivatives(chart: ChartStack, P) -> list:

@@ -8,8 +8,9 @@ explicit Kronecker-delta contraction route (iteration over index subsets and
 signed permutations).  Downstream verification relies on cross-checking the
 two, so neither may be expressed in terms of the other.
 
-Cyclic Jacobi rotates all matrices of a stack in lockstep, each with the bits
-it gets alone; the Kronecker route loops over one matrix's Python floats.
+Both routes run over whole matrix stacks, each matrix with the bits it gets
+alone: cyclic Jacobi rotates all matrices in lockstep, and the Kronecker
+route gathers each term's entries from every matrix at once.
 """
 
 from __future__ import annotations
@@ -296,49 +297,69 @@ def _rotate(AV, p, q):
 def _kronecker_terms(n: int, r: int):
     """Signed terms of the order-r Kronecker contraction in dimension n.
 
-    One (sign, flat indices) pair per ascending r-subset S of range(n) and
-    signed permutation perm of range(r), in that nesting order; the flat
-    indices address H[S[m], S[perm[m]]] for m = 0..r-1 in a row-major
-    ravel of the n x n matrix.
+    One term per ascending r-subset S of range(n) and signed permutation
+    perm of range(r), in that nesting order, as read-only arrays: the signs
+    (T,) as floats and the flat indices (r, T), whose row m addresses
+    H[S[m], S[perm[m]]] in a row-major ravel of the n x n matrix.
     """
-    return tuple(
-        (sgn, tuple(S[m] * n + S[perm[m]] for m in range(r)))
-        for S in combinations(range(n), r)
-        for perm, sgn in _perms_with_parity(r))
+    terms = [(sgn, [S[m] * n + S[perm[m]] for m in range(r)])
+             for S in combinations(range(n), r)
+             for perm, sgn in _perms_with_parity(r)]
+    signs = np.array([sgn for sgn, _ in terms], dtype=float)
+    idx = np.array([i for _, i in terms], dtype=np.intp).reshape(len(terms), r).T.copy()
+    signs.flags.writeable = idx.flags.writeable = False
+    return signs, idx
 
 
 def sigma_hessian_kronecker(H, r: int) -> float:
-    """sigma_r of H via the explicit generalized-Kronecker contraction.
+    """sigma_r of H via the explicit generalized-Kronecker contraction: the
+    one-matrix case of sigma_hessian_kronecker_stack, with as_sym_matrix's
+    checks."""
+    return float(_sigma_kronecker_stack(as_sym_matrix(H)[None], r)[0])
+
+
+def sigma_hessian_kronecker_stack(H, r: int) -> np.ndarray:
+    """sigma_r of every matrix of a stack (N, n, n) via the explicit
+    generalized-Kronecker contraction, (N,).  Raises ValueError where
+    as_sym_matrix would (naming the first failing matrix) and for r < 0,
+    CapabilityError above dimension _KRONECKER_MAX_DIM.
 
     The 1/r! prefactor cancels against the sum over orderings of the upper
     index tuple, so what is iterated is: ascending r-subsets S of the index
     range, and signed permutations pairing the lower indices against S.
-    The terms come from a table cached per (n, r) (`_kronecker_terms`);
-    each is a product formed left to right from 1.0 over the entries of H
-    as plain floats, added to the running total in table order.  The
-    iteration order, and so the result bits, are unchanged from the direct
-    nested loops over subsets and permutations.  Nothing from the eigenvalue
-    route is used.
+    The terms come from index arrays cached per (n, r) (`_kronecker_terms`),
+    gathered from every matrix at once; each is a product formed left to
+    right over its r entries, and the signed terms are added to a running
+    total from 0.0 in table order (a cumulative sum, never a pairwise one),
+    so each matrix gets the bits of the direct nested loops over subsets and
+    permutations, whatever the stack.  Overflow gives inf and NaN silently,
+    as on Python floats.  Nothing from the eigenvalue route is used.
     """
-    A = as_sym_matrix(H)
-    n = A.shape[0]
+    return _sigma_kronecker_stack(_as_sym_stack(H), r)
+
+
+def _sigma_kronecker_stack(A: np.ndarray, r: int) -> np.ndarray:
+    """sigma_hessian_kronecker_stack of a stack that _as_sym_stack returned."""
+    N, n = A.shape[0], A.shape[1]
     if r < 0:
         raise ValueError(f"order r must be nonnegative, got {r}")
     if n > _KRONECKER_MAX_DIM:
         raise CapabilityError(
             f"Kronecker contraction limited to dimension {_KRONECKER_MAX_DIM}")
     if r == 0:
-        return 1.0
+        return np.ones(N)
     if r > n:
-        return 0.0
-    a = A.ravel().tolist()
-    total = 0.0
-    for sgn, idx in _kronecker_terms(n, r):
-        prod = 1.0
-        for k in idx:
-            prod *= a[k]
-        total += sgn * prod
-    return total
+        return np.zeros(N)
+    signs, idx = _kronecker_terms(n, r)
+    flat = A.reshape(N, n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = flat[:, idx[0]]
+        for m in range(1, r):
+            prod *= flat[:, idx[m]]
+        prod *= signs
+        # the walk starts from 0.0: a first term of -0.0 sums to +0.0
+        prod[:, 0] += 0.0
+        return np.cumsum(prod, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .level_set_geometry import (
     principal_frame_stack,
     reilly1_residual_stack,
     reilly2_sides_stack,
-    sphere_direction,
 )
 from .quadrature import QuadratureSpec, radial_integral
 from .curvature_integrals import (
@@ -64,7 +63,7 @@ from .symmetric_algebra import (
     jacobi_eigh_stack,
     newton_matrices_stack,
     newton_partial_form,
-    sigma_hessian_kronecker,
+    sigma_hessian_kronecker_stack,
     trace_identity_residual_stack,
 )
 
@@ -192,13 +191,28 @@ def _fields_for(M: ModelManifold):
     return [RadialDistanceField(), RadialSquaredHalfField()]
 
 
-def _sample_point(M: ModelManifold, rng) -> np.ndarray:
-    r = rng.uniform(0.6, 1.4)
-    angles = [rng.uniform(0.5, math.pi - 0.5) for _ in range(M.dim - 2)]
-    angles.append(rng.uniform(0.0, 2.0 * math.pi))
+def _sample_points(M: ModelManifold, rng, k: int) -> np.ndarray:
+    """k sample points (k, n) in chart coordinates, from one uniform draw
+    of a (k, n) block: per point the radius in (0.6, 1.4), the polar angles
+    in (0.5, pi - 0.5) and the last angle in (0, 2 pi).  Cartesian charts
+    take radius * level_set_geometry.sphere_direction(angles), with `math`
+    cosines and sines in its order of operations."""
+    n = M.dim
+    lo = np.array([0.6] + [0.5] * (n - 2) + [0.0])
+    hi = np.array([1.4] + [math.pi - 0.5] * (n - 2) + [2.0 * math.pi])
+    X = rng.uniform(lo, hi, size=(k, n))
     if M.chart == "polar":
-        return np.array([r] + angles)
-    return r * sphere_direction(angles)
+        return X
+    angles = X[:, 1:].ravel().tolist()
+    cos = np.fromiter(map(math.cos, angles), float, len(angles)).reshape(k, n - 1)
+    sin = np.fromiter(map(math.sin, angles), float, len(angles)).reshape(k, n - 1)
+    out = np.empty((k, n))
+    s = np.ones(k)
+    for m in range(n - 1):
+        out[:, m] = s * cos[:, m]
+        s = s * sin[:, m]
+    out[:, -1] = s
+    return X[:, :1] * out
 
 
 def _field_grid(models, r_min: int):
@@ -207,6 +221,19 @@ def _field_grid(models, r_min: int):
         for u in _fields_for(M):
             for r in range(r_min, M.dim):
                 yield M, u, r
+
+
+def _case_groups(models, r_min: int, rngs, k: int):
+    """The cases of _field_grid(models, r_min) one (model, field) at a time:
+    (M, u, rs, seeds, P, orders), where case j has order rs[j], the seed
+    pair seeds[j] and the rows j*k .. (j+1)*k - 1 of the point stack P,
+    drawn by _sample_points from its own generator, taken from rngs in
+    grid order; orders gives every row of P its case's order."""
+    for (M, u), grid in itertools.groupby(_field_grid(models, r_min), key=lambda c: c[:2]):
+        rs = [r for _, _, r in grid]
+        draws = [(_sample_points(M, rng, k), seed) for _, (rng, seed) in zip(rs, rngs)]
+        yield (M, u, rs, [seed for _, seed in draws],
+               np.concatenate([P for P, _ in draws]), np.repeat(rs, k))
 
 
 def _spawn(seed: int):
@@ -246,16 +273,20 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     contraction vs its finite-difference oracle, the correction-term
     enumeration vs the div route, and the algebra dual paths.
 
-    Each case draws all of its sample points (or matrices) first, from its
-    own generator, and evaluates them as node stacks: reilly2_sides_stack;
-    reilly1_residual_stack; one hessian_frame_stack of the centres shared
-    by div_newton_stack, div_newton_fd_stack and, through
-    principal_frame_stack and riemann_stack, correction_sums_stack; and
-    one jacobi_eigh_stack per algebra case, whose elementary symmetric
-    functions give every eigenvalue sigma_r and the trace identity's right
-    side, against the scalar Kronecker walk sigma_hessian_kronecker.  In
-    flat space div_newton_stack is zero by construction, so the flat cases
-    also report the size of the finite-difference oracle (div_newton_fd).
+    Each case draws its sample points (or matrices) from its own
+    generator.  The r-cases of one (model, field) form one node stack per
+    family, with per-row orders, timed as one block
+    (pointwise/<model>/<field>/<family>), and each case reads its rows
+    back out: reilly2_sides_stack; reilly1_residual_stack; one
+    hessian_frame_stack of the centres shared by div_newton_stack,
+    div_newton_fd_stack and, through principal_frame_stack and
+    riemann_stack, correction_sums_stack.  Every stage works node by node,
+    so a case's values are those of its own points run alone.  Each algebra
+    case makes one jacobi_eigh_stack, whose elementary symmetric functions
+    give every eigenvalue sigma_r and the trace identity's right side,
+    against the Kronecker route sigma_hessian_kronecker_stack.  In flat
+    space div_newton_stack is zero by construction, so the flat cases also
+    report the size of the finite-difference oracle (div_newton_fd).
     The full grid adds the Newton operators of the recursion against the
     Kronecker partial form (newton_dual_path, under the sigma_dual
     tolerance).  Every worst case and sum
@@ -269,71 +300,75 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     tol_order = cfg.tol("order", 1.9)
     rngs = _spawn(cfg.seed)
 
-    for (M, u, r), (rng, seed) in zip(_field_grid(models, 0), rngs):
-        cs.required.append((M.label, r))
-        cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly2"
-        with cs.timed(cid):
-            P = np.array([_sample_point(M, rng) for _ in range(n_pts)])
-            lhs, rhs = reilly2_sides_stack(u, M, P, r)
-            res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
-            worst = _worst(res)
-            cs.add(cid, M.label, u.kind, M.dim, r, "max_rel_residual", worst, tol_r2, worst < tol_r2,
-                   {"model": M.describe(), "field": u.describe(), "r": r,
-                    "points": n_pts, "seed": seed,
-                    "worst_point": None if worst == 0.0 else list(P[int(np.argmax(res))])})
+    for M, u, rs, seeds, P, orders in _case_groups(models, 0, rngs, n_pts):
+        with cs.timed(f"pointwise/{M.label}/{u.kind}/reilly2"):
+            lhs, rhs = reilly2_sides_stack(u, M, P, orders)
+            rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
+            for j, r in enumerate(rs):
+                cs.required.append((M.label, r))
+                Pj, res = P[j * n_pts:(j + 1) * n_pts], rel[j * n_pts:(j + 1) * n_pts]
+                worst = _worst(res)
+                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/reilly2", M.label, u.kind, M.dim, r,
+                       "max_rel_residual", worst, tol_r2, worst < tol_r2,
+                       {"model": M.describe(), "field": u.describe(), "r": r,
+                        "points": n_pts, "seed": seeds[j],
+                        "worst_point": None if worst == 0.0 else list(Pj[int(np.argmax(res))])})
 
-    for (M, u, r), (rng, seed) in zip(_field_grid(models, 1), rngs):
-        cid = f"pointwise/{M.label}/{u.kind}/r={r}/reilly1_order"
-        with cs.timed(cid):
-            h = 2e-3
-            P = np.array([_sample_point(M, rng) for _ in range(n_pts_fd)])
-            res = reilly1_residual_stack(u, M, P, r, (h, h / 2))
-            # summed left to right in sample order (sum() compensates on
-            # Python >= 3.12, which would move the pinned orders)
-            s_h = s_h2 = 0.0
-            for a, b in res.T.tolist():
-                s_h += a
-                s_h2 += b
-            order = _convergence_order(s_h, s_h2)
-            cs.add(cid, M.label, u.kind, M.dim, r, "convergence_order", order, tol_order,
-                   order >= tol_order,
-                   {"model": M.describe(), "field": u.describe(), "r": r,
-                    "h": h, "points": n_pts_fd, "seed": seed},
-                   expected=2.0, residual=0.0 if order >= tol_order else tol_order - order)
+    h = 2e-3
+    for M, u, rs, seeds, P, orders in _case_groups(models, 1, rngs, n_pts_fd):
+        with cs.timed(f"pointwise/{M.label}/{u.kind}/reilly1_order"):
+            res = reilly1_residual_stack(u, M, P, orders, (h, h / 2))
+            for j, r in enumerate(rs):
+                # summed left to right in sample order (sum() compensates on
+                # Python >= 3.12, which would move the pinned orders)
+                s_h = s_h2 = 0.0
+                for a, b in res[:, j * n_pts_fd:(j + 1) * n_pts_fd].T.tolist():
+                    s_h += a
+                    s_h2 += b
+                order = _convergence_order(s_h, s_h2)
+                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/reilly1_order", M.label, u.kind,
+                       M.dim, r, "convergence_order", order, tol_order, order >= tol_order,
+                       {"model": M.describe(), "field": u.describe(), "r": r,
+                        "h": h, "points": n_pts_fd, "seed": seeds[j]},
+                       expected=2.0, residual=0.0 if order >= tol_order else tol_order - order)
 
-    for (M, u, r), (rng, seed) in zip(_field_grid(models, 1), rngs):
-        cid = f"pointwise/{M.label}/{u.kind}/r={r}/div_newton"
+    tol_fd, tol_flat = cfg.tol("div_fd", 1e-4), cfg.tol("div_flat", 1e-12)
+    tol_c = cfg.tol("correction_cross", 1e-10)
+    for M, u, rs, seeds, P, orders in _case_groups(models, 1, rngs, n_pts_div):
         flat = M.is_flat
-        inputs = {"model": M.describe(), "field": u.describe(), "r": r,
-                  "h": 1e-3, "points": n_pts_div, "seed": seed}
-        with cs.timed(cid):
-            P = np.array([_sample_point(M, rng) for _ in range(n_pts_div)])
+        with cs.timed(f"pointwise/{M.label}/{u.kind}/div_newton"):
             hd = hessian_frame_stack(u, M, P)
-            dn = div_newton_stack(M, P, hd, r)
-            oracle = div_newton_fd_stack(u, M, P, hd, r, h=1e-3)
-            tol_fd = cfg.tol("div_fd", 1e-4)
-            if flat:
-                worst, tol = _worst(np.abs(dn)), cfg.tol("div_flat", 1e-12)
-            else:
-                scale = np.maximum(1.0, np.max(np.abs(dn), axis=1))
-                worst, tol = _worst(np.max(np.abs(dn - oracle), axis=1) / scale), tol_fd
+            dn = div_newton_stack(M, P, hd, orders)
+            oracle = div_newton_fd_stack(u, M, P, hd, orders, h=1e-3)
+            if not flat:
                 pf = principal_frame_stack(hd)
                 rd = riemann_stack(M, P, pf.frame)
                 sect, mixed = correction_sums_stack(pf.kappa, pf.grad_norm_derivs, rd,
-                                                    hd.grad_norm, r)
-                via_div = np.sum(dn * hd.grad_frame, axis=1) / hd.grad_norm ** (r + 1)
-                worst_corr = _worst(np.abs((sect + mixed) - via_div))
-            cs.add(cid, M.label, u.kind, M.dim, r, "max_div_residual", worst, tol, worst < tol,
-                   inputs)
-        if flat:
-            worst_fd = _worst(np.abs(oracle))
-            cs.add(f"{cid}_fd", M.label, u.kind, M.dim, r, "max_abs_fd_oracle", worst_fd, tol_fd,
-                   worst_fd < tol_fd, inputs)
-        else:
-            tol_c = cfg.tol("correction_cross", 1e-10)
-            cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/correction_cross", M.label, u.kind,
-                   M.dim, r, "max_abs_residual", worst_corr, tol_c, worst_corr < tol_c,
-                   {"model": M.describe(), "field": u.describe(), "r": r})
+                                                    hd.grad_norm, orders)
+                corr = sect + mixed
+                dots = np.sum(dn * hd.grad_frame, axis=1)
+            for j, r in enumerate(rs):
+                rows = slice(j * n_pts_div, (j + 1) * n_pts_div)
+                cid = f"pointwise/{M.label}/{u.kind}/r={r}/div_newton"
+                inputs = {"model": M.describe(), "field": u.describe(), "r": r,
+                          "h": 1e-3, "points": n_pts_div, "seed": seeds[j]}
+                if flat:
+                    worst = _worst(np.abs(dn[rows]))
+                    cs.add(cid, M.label, u.kind, M.dim, r, "max_div_residual", worst, tol_flat,
+                           worst < tol_flat, inputs)
+                    worst_fd = _worst(np.abs(oracle[rows]))
+                    cs.add(f"{cid}_fd", M.label, u.kind, M.dim, r, "max_abs_fd_oracle", worst_fd,
+                           tol_fd, worst_fd < tol_fd, inputs)
+                    continue
+                scale = np.maximum(1.0, np.max(np.abs(dn[rows]), axis=1))
+                worst = _worst(np.max(np.abs(dn[rows] - oracle[rows]), axis=1) / scale)
+                cs.add(cid, M.label, u.kind, M.dim, r, "max_div_residual", worst, tol_fd,
+                       worst < tol_fd, inputs)
+                via_div = dots[rows] / hd.grad_norm[rows] ** (r + 1)
+                worst_corr = _worst(np.abs(corr[rows] - via_div))
+                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/correction_cross", M.label, u.kind,
+                       M.dim, r, "max_abs_residual", worst_corr, tol_c, worst_corr < tol_c,
+                       {"model": M.describe(), "field": u.describe(), "r": r})
 
     # algebra dual paths at randomized matrices: one Jacobi per matrix
     n_mats = 20 if cfg.quick else 100
@@ -346,10 +381,11 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
             scale = np.maximum(1.0, np.abs(H).max(axis=(1, 2))).tolist()
             e = elementary_all_stack(jacobi_eigh_stack(H)[0])
             traces = trace_identity_residual_stack(H, e)
+            kron = [None] + [sigma_hessian_kronecker_stack(H, r).tolist() for r in range(1, n + 1)]
             sigmas, trace_rel = [], []
             for k in range(n_mats):
                 for r in range(1, n + 1):
-                    d = abs(float(e[k, r]) - sigma_hessian_kronecker(H[k], r))
+                    d = abs(float(e[k, r]) - kron[r][k])
                     sigmas.append(d / scale[k] ** r)
                     if r <= n - 1:
                         trace_rel.append(float(traces[k, r]) / scale[k] ** (r + 1))
@@ -489,13 +525,14 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
     M = constant_curvature(-1.0, 3)
     u = OffCenterDistanceField(0.3)
     spec_off = QuadratureSpec(angular_orders=(16,), level_order=8)
-    for rho in (0.7, 1.2):
-        base = f"comparison/offcenter_sphere/rho={rho:g}"
-        with cs.timed(base):
-            rep = total_mean_curvature(u, M, rho, 1, spec_off, thr)
+    rho_off = (0.7, 1.2)
+    with cs.timed("comparison/offcenter_sphere"):
+        reps = total_mean_curvature(u, M, rho_off, 1, spec_off, thr)
+        for rho, rep in zip(rho_off, reps):
             oracle = sphere_total_mean_curvature(M, 1, rho)
             cs.required.append((M.label, 1))
-            _within(cs, base, M, u, 1, "rel_error", abs(rep.value - oracle) / abs(oracle),
+            _within(cs, f"comparison/offcenter_sphere/rho={rho:g}", M, u, 1, "rel_error",
+                    abs(rep.value - oracle) / abs(oracle),
                     cfg.tol("offcenter_sphere", 1e-6), {"level": rho})
     if not cfg.quick:
         for r in (1, 2):
@@ -529,11 +566,12 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
     rho_grid = (0.5, 1.0) if cfg.quick else (0.25, 0.5, 1.0, 2.0)
     for a in (-1.0, -0.25, -4.0):
         M = constant_curvature(a, 3)
-        for rho in rho_grid:
-            base = "inequality/m1_volume/" + ("" if a == -1.0 else f"a={a:g}/") + f"rho={rho:g}"
-            with cs.timed(base):
-                m1 = total_mean_curvature(u, M, rho, 1, spec, thr)
-                vol = total_mean_curvature(u, M, rho, -1, spec, thr)
+        prefix = "inequality/m1_volume/" + ("" if a == -1.0 else f"a={a:g}/")
+        with cs.timed(f"inequality/m1_volume/a={a:g}"):
+            m1s = total_mean_curvature(u, M, rho_grid, 1, spec, thr)
+            vols = total_mean_curvature(u, M, rho_grid, -1, spec, thr)
+            for rho, m1, vol in zip(rho_grid, m1s, vols):
+                base = prefix + f"rho={rho:g}"
                 margin = m1.value - m1_volume_bound(a, vol.value, 3)[1]
                 closed = 8.0 * math.pi * rho
                 budget = 10.0 * (m1.error_estimate + 4 * abs(a) * vol.error_estimate)

@@ -71,7 +71,7 @@ from curvatura.verification import (
     SuiteConfig,
     _default_models,
     _field_grid,
-    _sample_point,
+    _sample_points,
     run_suite,
 )
 from oracles import (
@@ -288,7 +288,7 @@ DIV_FD_ABS = 5e-12
                          ids=lambda v: getattr(v, "label", getattr(v, "kind", None)))
 def test_stacked_div_newton_fd_matches_pointwise(M, u, r):
     rng = np.random.default_rng(23)
-    P = np.array([_sample_point(M, rng) for _ in range(6)])
+    P = _sample_points(M, rng, 6)
     fd = div_newton_fd_stack(u, M, P, hessian_frame_stack(u, M, P), r, h=1e-3)
     assert fd.shape == P.shape
     for k, p in enumerate(P):
@@ -356,6 +356,56 @@ def test_retired_field_decisions_stay_out_of_the_package():
     assert back == set()
 
 
+@pytest.mark.parametrize("M,u", CASES, ids=IDS)
+def test_per_row_orders_give_each_row_the_bits_of_its_order_alone(M, u):
+    # orders interleaved over the stack, so each order's rows are scattered
+    P = sample_points(M, 37)
+    orders = np.arange(len(P)) % M.dim
+    lhs, rhs = reilly2_sides_stack(u, M, P, orders)
+    for r in range(M.dim):
+        rows = orders == r
+        alone = reilly2_sides_stack(u, M, P[rows], r)
+        assert lhs[rows].tobytes() == alone[0].tobytes()
+        assert rhs[rows].tobytes() == alone[1].tobytes()
+    orders = np.maximum(orders, 1)
+    hs = hessian_frame_stack(u, M, P)
+    ps = principal_frame_stack(hs)
+    got = {"reilly1": reilly1_residual_stack(u, M, P, orders, (2e-3, 1e-3)),
+           "div": div_newton_stack(M, P, hs, orders),
+           "fd": div_newton_fd_stack(u, M, P, hs, orders, h=1e-3),
+           "corr": np.stack(correction_sums_stack(ps.kappa, ps.grad_norm_derivs,
+                                                  riemann_stack(M, P, ps.frame),
+                                                  hs.grad_norm, orders), axis=1)}
+    for r in range(1, M.dim):
+        rows = orders == r
+        Pr = P[rows]
+        hr = hessian_frame_stack(u, M, Pr)
+        pr = principal_frame_stack(hr)
+        want = {"reilly1": reilly1_residual_stack(u, M, Pr, r, (2e-3, 1e-3)),
+                "div": div_newton_stack(M, Pr, hr, r),
+                "fd": div_newton_fd_stack(u, M, Pr, hr, r, h=1e-3),
+                "corr": np.stack(correction_sums_stack(pr.kappa, pr.grad_norm_derivs,
+                                                       riemann_stack(M, Pr, pr.frame),
+                                                       hr.grad_norm, r), axis=1)}
+        for name, value in want.items():
+            part = got[name][:, rows] if name == "reilly1" else got[name][rows]
+            assert part.tobytes() == value.tobytes(), (name, r)
+
+
+def test_per_row_orders_are_checked():
+    M, u = constant_curvature(-1.0, 3), RadialDistanceField()
+    P = sample_points(M, 41, count=4)
+    hs = hessian_frame_stack(u, M, P)
+    with pytest.raises(ValueError, match="order r must be >= 1, got 0"):
+        div_newton_stack(M, P, hs, np.array([1, 0, 2, 1]))
+    with pytest.raises(ValueError, match="order r must be >= 1, got 0"):
+        reilly1_residual_stack(u, M, P, np.array([2, 2, 0, 1]), (1e-3,))
+    with pytest.raises(ValueError, match="per-row orders must be 4 integers"):
+        reilly2_sides_stack(u, M, P, np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="per-row orders must be 4 integers"):
+        reilly2_sides_stack(u, M, P, np.array([0.0, 1.0, 2.0, 1.0]))
+
+
 # reilly1's LHS is a central difference of O(1) values, so the stack's
 # roundoff gap to the pointwise route grows like 1/h (measured at most
 # 9e-16 / h on the grid below)
@@ -366,7 +416,7 @@ REILLY1_ABS = 1e-13
                          ids=lambda v: getattr(v, "label", getattr(v, "kind", None)))
 def test_stacked_reilly_sides_and_residuals_match_pointwise(M, u, r):
     rng = np.random.default_rng(19)
-    P = np.array([_sample_point(M, rng) for _ in range(6)])
+    P = _sample_points(M, rng, 6)
     lhs, rhs = reilly2_sides_stack(u, M, P, r)
     for k, p in enumerate(P):
         want = _reilly2_sides(u, M, p, r)

@@ -25,6 +25,7 @@ from curvatura.symmetric_algebra import (
     jacobi_eigh_stack,
     sigma_elementary,
     sigma_hessian_kronecker,
+    sigma_hessian_kronecker_stack,
     sigma_stack,
 )
 
@@ -161,6 +162,55 @@ def test_kronecker_bits_match_array_form(n):
     for H in sample_matrices(n, count=5):
         for r in range(1, n + 1):
             assert sigma_hessian_kronecker(H, r).hex() == kronecker_array_form(H, r).hex()
+
+
+def kronecker_stack_inputs(n):
+    """Symmetric matrices at scales 1e-150..1e150, where the r-fold products
+    underflow or overflow to inf and NaN, with signed zeros and ties."""
+    rng = np.random.default_rng(700 + n)
+    out = [np.zeros((n, n)), np.full((n, n), -0.0), np.eye(n), np.ones((n, n))]
+    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        for _ in range(4):
+            A = rng.normal(size=(n, n)) * scale
+            out.append(A + A.T)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kronecker_stack_bits_match_array_form(n):
+    H = kronecker_stack_inputs(n)
+    for r in range(n + 2):
+        got = sigma_hessian_kronecker_stack(H, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [kronecker_array_form(h, r) for h in H]
+        assert got.shape == (len(H),)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], r
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kronecker_stack_rows_do_not_depend_on_the_stack(n):
+    H = kronecker_stack_inputs(n)
+    for r in range(1, n + 1):
+        whole = sigma_hessian_kronecker_stack(H, r)
+        for k in range(len(H)):
+            alone = sigma_hessian_kronecker_stack(H[k:k + 1], r)
+            assert alone.tobytes() == whole[k:k + 1].tobytes(), (r, k)
+            assert sigma_hessian_kronecker(H[k], r).hex() == float(whole[k]).hex(), (r, k)
+        halves = np.concatenate([sigma_hessian_kronecker_stack(H[:5], r),
+                                 sigma_hessian_kronecker_stack(H[5:], r)])
+        assert halves.tobytes() == whole.tobytes()
+
+
+def test_kronecker_stack_validates_input():
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        sigma_hessian_kronecker_stack(np.eye(3)[None], -1)
+    H = np.array([np.eye(3)] * 3)
+    H[1, 0, 2] = H[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="matrix 1 of the stack has non-finite entries"):
+        sigma_hessian_kronecker_stack(H, 2)
+    with pytest.raises(CapabilityError, match="dimension 6"):
+        sigma_hessian_kronecker_stack(np.zeros((2, 7, 7)), 2)
+    assert sigma_hessian_kronecker_stack(np.zeros((0, 3, 3)), 2).shape == (0,)
 
 
 def test_kronecker_uses_no_eigenvalue_route(monkeypatch):

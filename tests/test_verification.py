@@ -5,18 +5,30 @@ by the acceptance module; here quick mode keeps the runtime down."""
 import inspect
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from curvatura import verification
+from curvatura import level_set_geometry, verification
 from curvatura.errors import ConfigError
+from curvatura.level_set_geometry import (
+    div_newton_fd_stack,
+    div_newton_stack,
+    hessian_frame_stack,
+    reilly1_residual_stack,
+    reilly2_sides_stack,
+    sphere_direction,
+)
+from curvatura.model_manifolds import constant_curvature, euclidean, poly3_profile, warped
 from curvatura.reporting import csv_string
 from curvatura.verification import (
     CASE_COLUMNS,
     SUITE_NAMES,
     TOLERANCE_KEYS,
     SuiteConfig,
+    _default_models,
+    _field_grid,
     run_suite,
 )
 
@@ -126,7 +138,8 @@ def test_failing_case_carries_rerun_inputs():
      r"^pointwise/(constant|warped).*/div_newton$|/div_newton_fd$", math.nan),
     ("correction_sums_stack", lambda kappa, derivs, rd, gn, r: (np.full(len(gn), math.nan),) * 2,
      r"/correction_cross$", math.nan),
-    ("sigma_hessian_kronecker", lambda H, r: math.nan, r"/sigma_dual_path$", math.nan),
+    ("sigma_hessian_kronecker_stack", lambda H, r: np.full(len(H), math.nan),
+     r"/sigma_dual_path$", math.nan),
     ("trace_identity_residual_stack", lambda H, e: np.full(np.shape(H)[:2], math.nan),
      r"/trace_identity$", math.nan),
 ])
@@ -168,3 +181,82 @@ def test_full_comparison_suite_passes():
     assert rep.passed, [c.case_id for c in rep.failures()]
     assert any("offcenter/r=2" in c.case_id for c in rep.cases)
     assert any("/n=4/" in c.case_id for c in rep.cases)
+
+
+def _point_by_point(M, rng, k):
+    """The pointwise suite's sampling one point and one scalar draw at a
+    time: the reference for the stacked draw of _sample_points."""
+    out = []
+    for _ in range(k):
+        r = rng.uniform(0.6, 1.4)
+        angles = [rng.uniform(0.5, math.pi - 0.5) for _ in range(M.dim - 2)]
+        angles.append(rng.uniform(0.0, 2.0 * math.pi))
+        out.append([r] + angles if M.chart == "polar" else r * sphere_direction(angles))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("M", [euclidean(2), euclidean(3), euclidean(5),
+                               constant_curvature(-1.0, 3), warped(poly3_profile(), 4)],
+                         ids=lambda M: f"{M.label}/n={M.dim}")
+def test_stacked_sampling_draws_the_point_by_point_bits(M):
+    for k in range(20):
+        got = verification._sample_points(M, np.random.default_rng((99, k)), 7)
+        want = _point_by_point(M, np.random.default_rng((99, k)), 7)
+        assert got.shape == (7, M.dim) and got.tobytes() == want.tobytes()
+
+
+def test_pointwise_families_make_one_centre_stack_per_model_and_field(monkeypatch):
+    sizes = []
+    stack = level_set_geometry.hessian_frame_stack
+
+    def counted(u, M, P, chart=None):
+        sizes.append(len(P))
+        return stack(u, M, P, chart)
+
+    for module in (level_set_geometry, verification):
+        monkeypatch.setattr(module, "hessian_frame_stack", counted)
+    assert run_suite(SuiteConfig(suite="pointwise", quick=True, seed=424242)).passed
+    pairs = sum(len(verification._fields_for(M)) for M in verification._default_models())
+    # n = 3 everywhere.  Centres: reilly2 r = 0..2 at 40 points, reilly1_order
+    # and div_newton r = 1..2 at 10 and 6; stencils: 2n points per centre,
+    # for two steps in reilly1_order and one in the div_newton oracle
+    assert Counter(sizes) == {120: pairs, 20: pairs, 240: pairs, 12: pairs, 72: pairs}
+
+
+def _alone(case, M, u):
+    """The measured value of a pointwise case from its own points run
+    alone through the public kernels at its one order."""
+    r, inp = case.r, case.inputs
+    P = verification._sample_points(M, np.random.default_rng(tuple(inp["seed"])), inp["points"])
+    family = case.case_id.rsplit("/", 1)[1]
+    if family == "reilly2":
+        lhs, rhs = reilly2_sides_stack(u, M, P, r)
+        return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
+    if family == "reilly1_order":
+        s_h = s_h2 = 0.0
+        for a, b in reilly1_residual_stack(u, M, P, r, (inp["h"], inp["h"] / 2)).T.tolist():
+            s_h += a
+            s_h2 += b
+        return verification._convergence_order(s_h, s_h2)
+    hd = hessian_frame_stack(u, M, P)
+    dn = div_newton_stack(M, P, hd, r)
+    oracle = div_newton_fd_stack(u, M, P, hd, r, h=inp["h"])
+    if family == "div_newton_fd":
+        return float(np.max(np.abs(oracle)))
+    if M.is_flat:
+        return float(np.max(np.abs(dn)))
+    scale = np.maximum(1.0, np.max(np.abs(dn), axis=1))
+    return float(np.max(np.max(np.abs(dn - oracle), axis=1) / scale))
+
+
+def test_pointwise_cases_read_the_bits_of_their_points_alone():
+    rep = run_suite(SuiteConfig(suite="pointwise", quick=True, seed=12345))
+    grid = {(M.label, u.kind, r): (M, u) for M, u, r in _field_grid(_default_models(), 0)}
+    families = set()
+    for c in rep.cases:
+        if c.model == "algebra" or c.metric == "max_abs_residual":
+            continue
+        families.add(c.case_id.rsplit("/", 1)[1])
+        got = _alone(c, *grid[(c.model, c.field, c.r)])
+        assert got.hex() == c.measured.hex(), c.case_id
+    assert families == {"reilly2", "reilly1_order", "div_newton", "div_newton_fd"}
