@@ -9,7 +9,8 @@ frames and tensors pass between the kernels in components of the orthonormal
 frame E_a = (g_aa)^{-1/2} d_a of the (diagonal) chart metric, "frame
 components"; chart components appear only inside the two finite-difference
 kernels.  The gradient-degeneracy cutoff is EPS_GRAD; below it operations
-raise instead of regularizing.
+raise instead of regularizing.  Node stacks have shape (N, ...) and the
+stack kernels store them node-last, as symmetric_algebra does.
 """
 
 from __future__ import annotations
@@ -26,17 +27,21 @@ from .errors import CurvaturaError, DegenerateGradientError, node_error
 from .model_manifolds import (
     ChartStack,
     ModelManifold,
+    _distinct,
     _elementwise,
     _log_derivatives,
+    _on_distinct,
     chart_stack,
     christoffel_stack,
     riemann_stack,
 )
 from .symmetric_algebra import (
+    _matmul_node_last,
+    _node_first,
+    _node_last,
     elementary_all_stack,
     jacobi_eigh,
     jacobi_eigh_stack,
-    matmul_stack,
     newton_matrices_stack,
     parity_between,
     sigma_stack,
@@ -130,8 +135,9 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Products A[k] @ X[k] of a matrix stack and a vector stack."""
-    return matmul_stack(A, X[:, :, None])[:, :, 0]
+    """Products A[k] @ X[k] of a matrix stack and a vector stack, as an
+    (N, m) view of node-last storage."""
+    return _matmul_node_last(_node_last(A), _node_last(X)[:, None])[:, 0].T
 
 
 def _check_gradients(grad_norm: np.ndarray, what: str):
@@ -389,9 +395,9 @@ class OffCenterDistanceField(_StackedField):
         P = np.asarray(P, dtype=float)
         s = math.sqrt(-M.a)
         sh_d = math.sinh(s * self.offset)
-        sr = s * P[:, 0]
         t = s * (P[:, 0] - self.offset)
-        sh, ch = _elementwise(math.sinh, sr), _elementwise(math.cosh, sr)
+        srho = _distinct(s * P[:, 0])
+        sh, ch = _on_distinct(math.sinh, *srho), _on_distinct(math.cosh, *srho)
         sin_t, sin_half = _elementwise(math.sin, P[:, 1]), _elementwise(math.sin, 0.5 * P[:, 1])
         half2 = sin_half * sin_half
         Am1 = 2.0 * _elementwise(math.sinh, 0.5 * t) ** 2 + 2.0 * sh * sh_d * half2
@@ -514,6 +520,7 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P,
     _log_derivatives, in ascending k as the full contraction over
     christoffel_stack would: du_b l[a] / 2 from entries (a, b) and (b, a),
     a < b, and du_k (-g_aa l[k] / (2 g_kk)), k < a, from entry (a, a).
+    The stacked route computes node-last and returns views of that storage.
     """
     P = np.asarray(P, dtype=float)
     N, n = P.shape
@@ -533,28 +540,29 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P,
                            hess_frame=stack("hess_frame", (n, n)),
                            frame_scale=stack("frame_scale", (n,)),
                            grad_frame=stack("grad_frame", (n,)))
-    du = u.partials_stack(M, P)
-    hess_chart = u.second_partials_stack(M, P)
+    # node-last: du and D (n, N), the Hessian (n, n, N)
+    du = _node_last(u.partials_stack(M, P))
+    hc = _node_last(u.second_partials_stack(M, P))
     if chart is None:
         chart = chart_stack(M, P)
-    D = chart.D
+    D = _node_last(chart.D)
     if M.chart == "polar":
-        hess_chart = hess_chart.copy()
-        logd = _log_derivatives(chart, P)
+        if not hc.flags.owndata:    # a view of the field's array: write to a copy
+            hc = hc.copy()
+        logd = _log_derivatives(chart)
         for a in range(n - 1):
-            t = du[:, a + 1:] * (0.5 * logd[a])[:, None]
-            hess_chart[:, a, a + 1:] = hess_chart[:, a, a + 1:] - t
-            hess_chart[:, a + 1:, a] = hess_chart[:, a + 1:, a] - t
+            t = du[a + 1:] * (0.5 * logd[a])
+            hc[a, a + 1:] = hc[a, a + 1:] - t
+            hc[a + 1:, a] = hc[a + 1:, a] - t
         for a in range(1, n):
             for k in range(a):
-                hess_chart[:, a, a] = (hess_chart[:, a, a]
-                                       - du[:, k] * (-D[:, a] * logd[k] / (2.0 * D[:, k])))
+                hc[a, a] = hc[a, a] - du[k] * (-D[a] * logd[k] / (2.0 * D[k]))
     inv_sqrt = 1.0 / np.sqrt(D)
-    hess_f = hess_chart * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
-    hess_f = 0.5 * (hess_f + hess_f.transpose(0, 2, 1))
+    hess_f = hc * (inv_sqrt[:, None] * inv_sqrt[None])
+    hess_f = 0.5 * (hess_f + hess_f.transpose(1, 0, 2))
     grad_f = du * inv_sqrt
-    return HessianData(grad_norm=np.sqrt(_rowdot(grad_f, grad_f)),
-                       hess_frame=hess_f, frame_scale=inv_sqrt, grad_frame=grad_f)
+    return HessianData(grad_norm=np.sqrt(_rowdot(grad_f.T, grad_f.T)),
+                       hess_frame=_node_first(hess_f), frame_scale=inv_sqrt.T, grad_frame=grad_f.T)
 
 
 # ---------------------------------------------------------------------------
@@ -587,24 +595,27 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
     eigenvalues, from jacobi_eigh_stack, are the principal curvatures.
     Eigenvector choice inside repeated-eigenvalue spaces is arbitrary, which
     is fine downstream: only symmetric functions of kappa are consumed.
+    Everything but the eigensolver runs on node-last arrays; the frames
+    and derivatives are views of them.
     """
     gn = hd.grad_norm
     _check_gradients(gn, "level-set frame undefined")
-    N, n = hd.grad_frame.shape
-    nu_f = hd.grad_frame / gn[:, None]
+    n = hd.grad_frame.shape[1]
+    # node-last: vectors (n, N), matrices (n, m, N)
+    H = _node_last(hd.hess_frame)
+    nu = _node_last(hd.grad_frame) / gn
     # Householder reflection taking nu to -/+ e_n: its first n-1 columns span nu^perp
-    v = nu_f.copy()
-    v[:, -1] += np.where(nu_f[:, -1] >= 0, 1.0, -1.0)
-    Hm = np.eye(n) - 2.0 * (v[:, :, None] * v[:, None, :]) / _rowdot(v, v)[:, None, None]
-    B = Hm[:, :, : n - 1]
-    Bt = B.transpose(0, 2, 1)
-    S = matmul_stack(matmul_stack(Bt, hd.hess_frame), B) / gn[:, None, None]
-    kappa, V = jacobi_eigh_stack(S)
-    dirs_f = matmul_stack(B, V)
-    H_nu = matmul_stack(hd.hess_frame, nu_f[:, :, None])
-    derivs = matmul_stack(dirs_f.transpose(0, 2, 1), H_nu)[:, :, 0]
-    return PrincipalFrameData(kappa=kappa, grad_norm_derivs=derivs,
-                              frame=np.concatenate([dirs_f, nu_f[:, :, None]], axis=2))
+    v = nu.copy()
+    v[-1] += np.where(nu[-1] >= 0, 1.0, -1.0)
+    B = np.eye(n, n - 1)[:, :, None] - 2.0 * (v[:, None] * v[None, : n - 1]) / _rowdot(v.T, v.T)
+    Bt = B.transpose(1, 0, 2)
+    S = _matmul_node_last(_matmul_node_last(Bt, H), B) / gn
+    kappa, V = jacobi_eigh_stack(_node_first(S))
+    dirs = _matmul_node_last(B, _node_last(V))
+    derivs = _matmul_node_last(dirs.transpose(1, 0, 2), _matmul_node_last(H, nu[:, None]))[:, 0]
+    frame = np.concatenate([dirs, nu[:, None]], axis=1)
+    return PrincipalFrameData(kappa=kappa, grad_norm_derivs=derivs.T,
+                              frame=_node_first(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +656,7 @@ def _newton_rows(H: np.ndarray, groups: list) -> np.ndarray:
     mats = newton_matrices_stack(H, max((q for q, _ in groups), default=0))
     if len(groups) == 1:
         return mats[groups[0][0]]
-    T = np.empty(H.shape)
+    T = np.empty_like(mats[0])     # node-last, as mats
     for q, rows in groups:
         T[rows] = mats[q][rows]
     return T

@@ -27,7 +27,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .errors import ChartSingularityError, node_error
-from .symmetric_algebra import binomial
+from .symmetric_algebra import _node_last, binomial
 
 _AXIS_TOL = 1e-12
 # exponents x with e^x well inside the double range (e^710 overflows)
@@ -223,11 +223,13 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     return _on_distinct(fn, *_distinct(x))
 
 
-def _polar_guard_stack(M: ModelManifold, P: np.ndarray) -> list:
+def _polar_guard_stack(M: ModelManifold, P: np.ndarray):
     """Refuse a stack with a node off the polar chart: r <= 0, r beyond the
     working radius, or a polar angle on the axis; raises for the first such
-    node.  Returns the sines of the polar angles, columns 1..n-2."""
-    sines = [_elementwise(math.sin, P[:, m]) for m in range(1, M.dim - 1)]
+    node.  Returns the _distinct triples and the sines of the polar angles,
+    columns 1..n-2."""
+    angles = tuple(_distinct(P[:, m]) for m in range(1, M.dim - 1))
+    sines = [_on_distinct(math.sin, *a) for a in angles]
     r = P[:, 0]
     bad = (r <= 0) | (r > M.working_radius)
     for s in sines:
@@ -243,18 +245,21 @@ def _polar_guard_stack(M: ModelManifold, P: np.ndarray) -> list:
             m = next(m for m, sin_m in enumerate(sines, 1) if abs(sin_m[k]) <= _AXIS_TOL)
             detail = f"polar chart is singular on the axis (angle {m})"
         raise node_error(ChartSingularityError, k, detail)
-    return sines
+    return angles, sines
 
 
 @dataclass(frozen=True)
 class ChartStack:
     """The chart at every row of an (N, n) point stack (chart_stack): the
     metric diagonal D (N, n) and, on polar charts, the warping profile f
-    and f' at each radius (N,).  Cartesian charts carry D = 1 and nothing
-    else.  The node kernels take it instead of evaluating the chart again."""
+    and f' at each radius (N,), with the _distinct triples of the polar
+    angles, columns 1..n-2, for _log_derivatives.  Cartesian charts carry
+    D = 1 and nothing else.  The node kernels take it instead of evaluating
+    the chart again."""
     D: np.ndarray
     f: Optional[np.ndarray] = None
     df: Optional[np.ndarray] = None
+    _angles: tuple = field(default=(), repr=False)
 
 
 def chart_stack(M: ModelManifold, P) -> ChartStack:
@@ -265,7 +270,7 @@ def chart_stack(M: ModelManifold, P) -> ChartStack:
     N, n = P.shape
     if M.chart == "cartesian":
         return ChartStack(D=np.ones((N, n)))
-    sines = _polar_guard_stack(M, P)
+    angles, sines = _polar_guard_stack(M, P)
     f, df, _ = radial_profile(M)
     radii = _distinct(P[:, 0])
     fr = _on_distinct(f, *radii)
@@ -276,15 +281,15 @@ def chart_stack(M: ModelManifold, P) -> ChartStack:
         D[:, j] = acc
         if j < n - 1:
             acc = acc * sines[j - 1] ** 2
-    return ChartStack(D=D, f=fr, df=_on_distinct(df, *radii))
+    return ChartStack(D=D, f=fr, df=_on_distinct(df, *radii), _angles=angles)
 
 
-def _log_derivatives(chart: ChartStack, P) -> list:
+def _log_derivatives(chart: ChartStack) -> list:
     """l[k] = d_k log g_jj for every j > k (N,), k = 0..n-2, on a polar
     chart: 2 f'/f for the radius, 2 / tan of polar angle k otherwise.
     d_k log g_jj vanishes for j <= k."""
-    return [2.0 * chart.df / chart.f] + [2.0 / _elementwise(math.tan, P[:, m])
-                                         for m in range(1, P.shape[1] - 1)]
+    return [2.0 * chart.df / chart.f] + [2.0 / _on_distinct(math.tan, *a)
+                                         for a in chart._angles]
 
 
 def christoffel_stack(M: ModelManifold, P, chart: Optional[ChartStack] = None) -> np.ndarray:
@@ -305,7 +310,7 @@ def christoffel_stack(M: ModelManifold, P, chart: Optional[ChartStack] = None) -
     if chart is None:
         chart = chart_stack(M, P)
     D = chart.D
-    logd = _log_derivatives(chart, P)
+    logd = _log_derivatives(chart)
     L = np.zeros((N, n, n))
     for j in range(1, n):
         for m in range(j):
@@ -370,10 +375,11 @@ def riemann_stack(M: ModelManifold, P, frames,
         raise ValueError(f"frames must be {N}x{n}x{n}, got {F.shape}")
     if chart is None:
         chart = chart_stack(M, P)
-    gram = F[:, 0, :, None] * F[:, 0, None, :]
+    f = _node_last(F)
+    gram = f[0, :, None] * f[0, None, :]
     for i in range(1, n):
-        gram += F[:, i, :, None] * F[:, i, None, :]
-    bad = np.abs(gram - np.eye(n)).max(axis=(1, 2)) > 1e-8
+        gram += f[i, :, None] * f[i, None, :]
+    bad = np.abs(gram - np.eye(n)[:, :, None]).max(axis=(0, 1)) > 1e-8
     if bad.any():
         raise node_error(ValueError, int(np.argmax(bad)), "frame is not g-orthonormal")
 

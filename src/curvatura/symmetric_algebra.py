@@ -9,8 +9,14 @@ signed permutations).  Downstream verification relies on cross-checking the
 two, so neither may be expressed in terms of the other.
 
 Both routes run over whole matrix stacks, each matrix with the bits it gets
-alone: cyclic Jacobi rotates all matrices in lockstep, and the Kronecker
-route gathers each term's entries from every matrix at once.
+alone: cyclic Jacobi rotates all matrices in lockstep (small stacks walk one
+matrix at a time on Python floats, by the same operations), and the
+Kronecker route gathers each term's entries from every matrix at once.
+
+A stack has shape (N, ...) and is stored node-last: its node axis is the
+contiguous one, so that an elementwise product runs over a whole node
+vector at a time.  The kernels accept either order (_node_last) and return
+(N, ...) views of node-last storage; the memory order never changes a bit.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ _SYM_MAX = float(np.finfo(float).max) / 2
 # fraction of the matrix's largest entry
 _JACOBI_TOL = 1e-13
 _MAX_SWEEPS = 60
+# stacks of fewer matrices take the plain-float walk (_jacobi_eigh_stack):
+# the two routes cost the same at about 10 (m = 2, 6) to 16 (m = 3..5)
+# random matrices, measured on a 2-vCPU x86-64 host
+_LOCKSTEP_MIN = 12
 
 
 def as_sym_matrix(H) -> np.ndarray:
@@ -101,16 +111,39 @@ def sigma_stack(e: np.ndarray, r: int) -> np.ndarray:
     return e[:, r]
 
 
+def _node_last(X) -> np.ndarray:
+    """The node-last array (..., N) behind a stack X of shape (N, ...): a
+    view when X is stored node-last (its node axis has unit stride), one
+    copy otherwise.  Stack kernels compute on these arrays, whose
+    elementwise products run over contiguous node vectors, and hand back
+    (N, ...) views of them (_node_first)."""
+    X = np.asarray(X, dtype=float)
+    Y = X.transpose(*range(1, X.ndim), 0)
+    return Y if Y.strides[-1] == Y.itemsize else np.ascontiguousarray(Y)
+
+
+def _node_first(Y: np.ndarray) -> np.ndarray:
+    """The stack (N, ...) viewing a node-last array Y (..., N)."""
+    return Y.transpose(-1, *range(Y.ndim - 1))
+
+
+def _matmul_node_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul_stack of node-last arrays a (m, k, N) and b (k, p, N):
+    (m, p, N)."""
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
 def matmul_stack(A, B) -> np.ndarray:
     """Products A[k] @ B[k] of two matrix stacks, summed over the inner
-    index in ascending order.  Each product is formed by the same
-    operations whatever the stack's length, so a node's result does not
-    depend on how a rule is split into stacks (BLAS kernels may change
-    their summation order with the problem size)."""
-    out = A[:, :, 0, None] * B[:, None, 0, :]
-    for k in range(1, A.shape[2]):
-        out += A[:, :, k, None] * B[:, None, k, :]
-    return out
+    index in ascending order, as an (N, m, p) view of node-last storage.
+    Each product is formed by the same operations whatever the stack's
+    length or memory order, so a node's result does not depend on how a
+    rule is split into stacks (BLAS kernels may change their summation
+    order with the problem size)."""
+    return _node_first(_matmul_node_last(_node_last(A), _node_last(B)))
 
 
 def sigma_elementary(x, r: int) -> float:
@@ -169,7 +202,7 @@ def jacobi_eigh(H):
 def _as_sym_stack(H) -> np.ndarray:
     """as_sym_matrix of every matrix of a stack (N, m, m): the checks are
     made per matrix and name the first one that fails."""
-    A = np.array(H, dtype=float)
+    A = np.asarray(H, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
     N, m = A.shape[0], A.shape[1]
@@ -205,8 +238,17 @@ def jacobi_eigh_stack(H):
 
 
 def _jacobi_eigh_stack(A: np.ndarray):
-    """jacobi_eigh_stack of a stack that _as_sym_stack returned."""
+    """jacobi_eigh_stack of a stack that _as_sym_stack returned: stacks
+    below _LOCKSTEP_MIN matrices by the plain-float walk, one matrix at a
+    time, larger ones in lockstep, with the same bits (the lockstep pays a
+    fixed cost in numpy calls per rotation, which only a stack of that size
+    repays)."""
     N, m = A.shape[0], A.shape[1]
+    if N < _LOCKSTEP_MIN:
+        w, V = np.empty((N, m)), np.empty((N, m, m))
+        for k in range(N):
+            w[k], V[k] = _jacobi_walk(A[k])
+        return w, V
     tol = _JACOBI_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), _TINY)
     rows, cols, _ = _upper_triangle(m)
     w = np.diagonal(A, axis1=1, axis2=2).copy()
@@ -217,8 +259,11 @@ def _jacobi_eigh_stack(A: np.ndarray):
         # entries of order 1e308 may overflow, silently as on Python floats
         with np.errstate(all="ignore"):
             _jacobi_sweeps_stack(np.concatenate((A[act], V[act]), axis=1), tol[act], act, w, V)
-    order = np.argsort(w, axis=1, kind="stable")
-    return np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
+    # each matrix's eigenvalues and columns of V in ascending order, gathered
+    # as rows of w and of V's transpose by one flat index
+    idx = (np.argsort(w, axis=1, kind="stable") + m * np.arange(N)[:, None]).ravel()
+    Vt = V.transpose(0, 2, 1).reshape(N * m, m).take(idx, axis=0)
+    return w.take(idx).reshape(N, m), Vt.reshape(N, m, m).transpose(0, 2, 1)
 
 
 def _jacobi_sweeps_stack(AV, tol, act, w, V):
@@ -248,6 +293,64 @@ def _jacobi_sweeps_stack(AV, tol, act, w, V):
                 S = AV[rot]
                 _rotate(S, p, q)
                 AV[rot] = S
+    raise RuntimeError("Jacobi iteration did not converge")
+
+
+def _jacobi_walk(A: np.ndarray):
+    """Cyclic Jacobi of one matrix that as_sym_matrix returned, on plain
+    Python floats: the lockstep's operations, each in the same order, so
+    the same bits.  The pairs are put in order by Python's stable sort,
+    which orders floats as a stable argsort does (-0.0 and 0.0 tie)."""
+    n = A.shape[0]
+    if n == 1:
+        return A.diagonal().copy(), np.eye(1)
+    L = A.tolist()
+    norm = max(abs(x) for row in L for x in row)
+    V = _walk_sweeps(L, _JACOBI_TOL * max(norm, _TINY), _MAX_SWEEPS)
+    w = [L[i][i] for i in range(n)]
+    order = sorted(range(n), key=w.__getitem__)
+    return np.array([w[i] for i in order]), np.array([[row[i] for i in order] for row in V])
+
+
+def _walk_sweeps(A: list, tol: float, max_sweeps: int) -> list:
+    """The sweeps of _jacobi_walk on one exactly symmetric matrix of
+    dimension >= 2, given as nested lists and rotated in place until its
+    off-diagonal part is within tol.  Each rotation updates the columns
+    p, q of A, then its rows p, q, then zeroes A[p][q] = A[q][p], and
+    updates the columns p, q of V.  Returns the accumulated rotations V
+    as nested lists; A's diagonal holds the eigenvalues, unsorted."""
+    n = len(A)
+    skip = tol * 1e-2
+    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    pairs = _upper_triangle(n)[2]
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            off = max(off, max(abs(x) for x in A[p][p + 1:]))
+        if off <= tol:
+            return V
+        for p, q in pairs:
+            Ap, Aq = A[p], A[q]
+            apq = Ap[q]
+            if abs(apq) <= skip:
+                continue
+            theta = (Aq[q] - Ap[p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            for R in A:
+                x, y = R[p], R[q]
+                R[p] = c * x - s * y
+                R[q] = s * x + c * y
+            for j in range(n):
+                x, y = Ap[j], Aq[j]
+                Ap[j] = c * x - s * y
+                Aq[j] = s * x + c * y
+            Ap[q] = Aq[p] = 0.0
+            for R in V:
+                x, y = R[p], R[q]
+                R[p] = c * x - s * y
+                R[q] = s * x + c * y
     raise RuntimeError("Jacobi iteration did not converge")
 
 
@@ -368,25 +471,28 @@ def _sigma_kronecker_stack(A: np.ndarray, r: int) -> np.ndarray:
 
 def newton_matrices_stack(H, r: int) -> list[np.ndarray]:
     """The Newton operators [T_0, ..., T_r] of every matrix of a stack
-    (N, n, n), each (N, n, n), from the defining recursion T_0 = I,
-    T_k = sigma_k(H) I - T_{k-1} H on jacobi_eigh_stack eigenvalues.
-    Products are summed in ascending index order (matmul_stack)."""
+    (N, n, n), each (N, n, n) and stored node-last, from the defining
+    recursion T_0 = I, T_k = sigma_k(H) I - T_{k-1} H on jacobi_eigh_stack
+    eigenvalues.  Products are summed in ascending index order
+    (matmul_stack)."""
     A = _as_sym_stack(H)
     n = A.shape[1]
     if not 0 <= r <= n:
         raise ValueError(f"order r must satisfy 0 <= r <= {n}, got {r}")
-    return _newton_recursion(A, elementary_all_stack(_jacobi_eigh_stack(A)[0]), r)
+    e = elementary_all_stack(_jacobi_eigh_stack(A)[0])
+    return [_node_first(T) for T in _newton_recursion(_node_last(A), e, r)]
 
 
-def _newton_recursion(A: np.ndarray, e: np.ndarray, r: int) -> list[np.ndarray]:
-    """[T_0, ..., T_r] of a stack that _as_sym_stack returned, given the
-    elementary symmetric functions e (N, n + 1) of its eigenvalues."""
-    N, n = A.shape[0], A.shape[1]
-    I = np.eye(n)
-    mats = [np.broadcast_to(I, (N, n, n)).copy()]
+def _newton_recursion(a: np.ndarray, e: np.ndarray, r: int) -> list[np.ndarray]:
+    """[T_0, ..., T_r], node-last (n, n, N), of the node-last array a of a
+    stack that _as_sym_stack returned, given the elementary symmetric
+    functions e (N, n + 1) of its eigenvalues."""
+    n, N = a.shape[1], a.shape[2]
+    I = np.eye(n)[:, :, None]
+    mats = [np.broadcast_to(I, (n, n, N)).copy()]
     for k in range(1, r + 1):
-        T = e[:, k, None, None] * I - matmul_stack(mats[-1], A)
-        mats.append(0.5 * (T + T.transpose(0, 2, 1)))
+        T = e[:, k] * I - _matmul_node_last(mats[-1], a)
+        mats.append(0.5 * (T + T.transpose(1, 0, 2)))
     return mats
 
 
@@ -429,7 +535,7 @@ def newton_partial_form(H, r: int) -> np.ndarray:
 
 def trace_identity_residual_stack(H, e) -> np.ndarray:
     """|trace(T_r H) - (r+1) sigma_{r+1}(H)| for r = 0..n-1 at every matrix
-    of a stack (N, n, n): (N, n), column r for T_r.
+    of a stack (N, n, n): (N, n), column r for T_r, stored node-last.
 
     e is elementary_all_stack of the stack's jacobi_eigh_stack eigenvalues,
     (N, n + 1); it feeds both the Newton recursion and the right side.  Both
@@ -441,14 +547,15 @@ def trace_identity_residual_stack(H, e) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     if e.shape != (N, n + 1):
         raise ValueError(f"e must be {N}x{n + 1}, got {e.shape}")
-    out = np.empty((N, n))
-    for r, T in enumerate(_newton_recursion(A, e, n - 1)):
-        TA = matmul_stack(T, A)
-        lhs = TA[:, 0, 0]
+    a = _node_last(A)
+    out = np.empty((n, N))
+    for r, T in enumerate(_newton_recursion(a, e, n - 1)):
+        TA = _matmul_node_last(T, a)
+        lhs = TA[0, 0]
         for i in range(1, n):
-            lhs = lhs + TA[:, i, i]
-        out[:, r] = np.abs(lhs - (r + 1) * e[:, r + 1])
-    return out
+            lhs = lhs + TA[i, i]
+        out[r] = np.abs(lhs - (r + 1) * e[:, r + 1])
+    return out.T
 
 
 def double_factorial(k: int) -> int:

@@ -17,6 +17,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -178,8 +179,11 @@ class _Cases:
 # Shared grids
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _default_models():
-    return [euclidean(3), constant_curvature(-1.0, 3), warped(poly3_profile(), 3)]
+    """The suites' three models, built once per process (warped screens its
+    profile on 1000 samples); they are frozen, so sharing them is safe."""
+    return (euclidean(3), constant_curvature(-1.0, 3), warped(poly3_profile(), 3))
 
 
 def _fields_for(M: ModelManifold):

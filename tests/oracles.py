@@ -154,65 +154,6 @@ def riemann_at(M: ModelManifold, p, frame) -> CurvatureTensorData:
     return CurvatureTensorData(R=R, K=K, ricci_n=ricci)
 
 
-def _jacobi_eigh(A: np.ndarray):
-    """Cyclic Jacobi of one matrix that as_sym_matrix returned, on plain
-    Python floats: jacobi_eigh's former scalar kernel.  The pairs are put in
-    order by Python's stable sort, which orders floats as a stable argsort
-    does (-0.0 and 0.0 tie).  Reads the package's tolerance and sweep limit
-    at call time, so a patched _MAX_SWEEPS holds for both."""
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy(), np.eye(1)
-    L = A.tolist()
-    norm = max(abs(x) for row in L for x in row)
-    V = _jacobi_sweeps(L, sa._JACOBI_TOL * max(norm, sa._TINY), sa._MAX_SWEEPS)
-    w = [L[i][i] for i in range(n)]
-    order = sorted(range(n), key=w.__getitem__)
-    return np.array([w[i] for i in order]), np.array([[row[i] for i in order] for row in V])
-
-
-def _jacobi_sweeps(A: list, tol: float, max_sweeps: int) -> list:
-    """The cyclic Jacobi iteration on one validated, exactly symmetric
-    matrix of dimension >= 2, given as nested lists and rotated in place
-    until its off-diagonal part is within tol.  Each rotation updates the
-    columns p, q of A, then its rows p, q, then zeroes A[p][q] = A[q][p],
-    and updates the columns p, q of V.  Returns the accumulated rotations V
-    as nested lists; A's diagonal holds the eigenvalues, unsorted."""
-    n = len(A)
-    skip = tol * 1e-2
-    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            off = max(off, max(abs(x) for x in A[p][p + 1:]))
-        if off <= tol:
-            return V
-        for p, q in pairs:
-            Ap, Aq = A[p], A[q]
-            apq = Ap[q]
-            if abs(apq) <= skip:
-                continue
-            theta = (Aq[q] - Ap[p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            for R in A:
-                x, y = R[p], R[q]
-                R[p] = c * x - s * y
-                R[q] = s * x + c * y
-            for j in range(n):
-                x, y = Ap[j], Aq[j]
-                Ap[j] = c * x - s * y
-                Aq[j] = s * x + c * y
-            Ap[q] = Aq[p] = 0.0
-            for R in V:
-                x, y = R[p], R[q]
-                R[p] = c * x - s * y
-                R[q] = s * x + c * y
-    raise RuntimeError("Jacobi iteration did not converge")
-
-
 def newton_matrices(H, r: int) -> list[np.ndarray]:
     """The Newton operators [T_0, ..., T_r] of a symmetric matrix, from the
     defining recursion T_0 = I, T_r = sigma_r(H) I - T_{r-1} H."""
@@ -227,7 +168,7 @@ def _newton_matrices(A: np.ndarray, r: int):
     """([T_0, ..., T_r], e_0..e_n of the eigenvalues) of a matrix that
     as_sym_matrix returned."""
     I = np.eye(A.shape[0])
-    e = elementary_all(_jacobi_eigh(A)[0])
+    e = elementary_all(sa._jacobi_walk(A)[0])
     mats = [I]
     for k in range(1, r + 1):
         T = e[k] * I - mats[-1] @ A
@@ -240,7 +181,7 @@ def sigma_hessian_eig(H, r: int) -> float:
     A = as_sym_matrix(H)
     if r < 0:
         raise ValueError(f"order r must be nonnegative, got {r}")
-    return sigma_elementary(_jacobi_eigh(A)[0], r)
+    return sigma_elementary(sa._jacobi_walk(A)[0], r)
 
 
 def trace_identity_residual(H, r: int) -> float:
@@ -298,7 +239,7 @@ def principal_frame(hd: HessianData) -> PrincipalFrame:
     nu_f = hd.grad_frame / gn
     B = _householder_complement(nu_f)
     S = B.T @ hd.hess_frame @ B / gn
-    kappa, V = _jacobi_eigh(as_sym_matrix(S))
+    kappa, V = sa._jacobi_walk(as_sym_matrix(S))
     dirs_f = B @ V
     derivs = dirs_f.T @ (hd.hess_frame @ nu_f)
     dirs_chart = np.diag(hd.frame_scale) @ dirs_f

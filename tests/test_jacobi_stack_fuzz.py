@@ -1,5 +1,7 @@
-"""Fuzz of the stacked Jacobi kernel against the scalar oracle (Python
-floats, one matrix at a time) with Hypothesis.
+"""Fuzz of the lockstep Jacobi route against the plain-float walk (Python
+floats, one matrix at a time, the route of stacks below _LOCKSTEP_MIN
+matrices) with Hypothesis: every stack here runs the lockstep, and each of
+its matrices must get the walk's bits.
 
 Small stacks: symmetric m x m matrices, m = 1..6, with entries from 1e-300
 to 1e308 in magnitude, repeated entries (so tied eigenvalues), signed zeros
@@ -20,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from curvatura import symmetric_algebra as sa
 from curvatura.symmetric_algebra import as_sym_matrix, jacobi_eigh, jacobi_eigh_stack
 
-from oracles import _jacobi_eigh
 
 SCALES = (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300, 1e307, 1e308)
 ENTRIES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, math.nan)),
@@ -32,8 +33,13 @@ KINDS = ("diagonal", "converged", "skipped", "tied", "full", "positive")
 MIXED_SCALES = SCALES + (8e307,)
 
 
+@pytest.fixture(autouse=True)
+def lockstep_only(monkeypatch):
+    monkeypatch.setattr(sa, "_LOCKSTEP_MIN", 0)
+
+
 def oracle(A):
-    return _jacobi_eigh(as_sym_matrix(A))
+    return sa._jacobi_walk(as_sym_matrix(A))
 
 
 def assert_stack_matches_oracle(stack):
@@ -199,3 +205,27 @@ def test_the_sweep_test_takes_nan_as_the_oracle_does(m):
     got = sa._off_diagonal_max(A, rows, cols)
     want = np.array([python_off_diagonal_max(Ak) for Ak in A])
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_stacks_below_the_lockstep_size_take_the_walk(monkeypatch, m):
+    # the default routing: fewer than _LOCKSTEP_MIN matrices walk one at a
+    # time, larger stacks rotate in lockstep, and both give every matrix
+    # the same bits
+    monkeypatch.undo()
+    walked = []
+    walk = sa._jacobi_walk
+    monkeypatch.setattr(sa, "_jacobi_walk", lambda A: walked.append(1) or walk(A))
+    rng = np.random.default_rng(90 + m)
+    stack = np.array([mixed_matrix(kind, m, scale, rng)
+                      for scale in (1e-8, 1.0, 1e150) for kind in KINDS])
+    size = sa._LOCKSTEP_MIN
+    w, V = jacobi_eigh_stack(stack)
+    assert walked == []
+    for k0 in range(0, len(stack), size - 1):
+        part = stack[k0:k0 + size - 1]
+        wp, Vp = jacobi_eigh_stack(part)
+        assert len(walked) == k0 + len(part)
+        assert wp.tobytes() == w[k0:k0 + len(part)].tobytes()
+        assert Vp.tobytes() == V[k0:k0 + len(part)].tobytes()
+    assert jacobi_eigh_stack(stack[:0])[1].shape == (0, m, m)

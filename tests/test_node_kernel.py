@@ -334,10 +334,8 @@ def test_no_oracle_name_is_defined_in_the_package():
 
 def test_retired_per_point_chart_kernels_stay_out_of_the_package():
     # the chart has one implementation, per node stack (chart_stack,
-    # christoffel_stack), and so has cyclic Jacobi (jacobi_eigh is the
-    # one-matrix stack); the geodesic-sphere data had no reader
-    retired = {"metric_diag", "christoffel_at", "_polar_guard", "sphere_data",
-               "_jacobi_eigh", "_jacobi_sweeps"}
+    # christoffel_stack); the geodesic-sphere data had no reader
+    retired = {"metric_diag", "christoffel_at", "_polar_guard", "sphere_data"}
     back = {(mod.__name__, name) for mod in package_modules() for name in retired
             if hasattr(mod, name)}
     assert back == set()

@@ -29,7 +29,6 @@ from curvatura.symmetric_algebra import (
     sigma_stack,
 )
 
-from oracles import _jacobi_sweeps
 
 
 def jacobi_array_form(H, tol_factor=1e-13, max_sweeps=60):
@@ -72,7 +71,7 @@ def jacobi_argsort_form(H):
     if n == 1:
         return H.diagonal().copy(), np.eye(1)
     A = H.tolist()
-    V = _jacobi_sweeps(A, 1e-13 * max(float(np.abs(H).max()), np.finfo(float).tiny), 60)
+    V = sa._walk_sweeps(A, 1e-13 * max(float(np.abs(H).max()), np.finfo(float).tiny), 60)
     w, V = np.array([[A[i][i] for i in range(n)]]), np.array([V])
     order = np.argsort(w, axis=1, kind="stable")
     return (np.take_along_axis(w, order, axis=1)[0],
