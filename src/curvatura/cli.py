@@ -78,6 +78,8 @@ def _check_keys(d: dict, path: str, allowed: set, required: set = frozenset()):
 def _check_number(v, path, lo=None, hi=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        _fail(path, "expected a finite number, got an integer beyond the double range")
     if not math.isfinite(v):
         _fail(path, f"expected a finite number, got {v}")
     if lo is not None and v < lo:

@@ -42,6 +42,7 @@ from .level_set_geometry import (
 )
 from .quadrature import (
     QuadratureSpec,
+    _level_array,
     _radial_rule,
     _within_working_radius,
     coarea_volume_integral_multi,
@@ -257,7 +258,7 @@ def total_mean_curvature(u: ScalarField, M: ModelManifold, level, r: int,
     n = M.dim
     if not -1 <= r <= n - 1:
         raise ValueError(f"order r must lie in [-1, {n - 1}], got {r}")
-    several = np.ndim(level) > 0
+    several = _level_array(level).ndim > 0
     levels = list(level) if several else [level]
     if r == -1:
         reports = []

@@ -51,15 +51,20 @@ EPS_GRAD = 1e-8
 
 
 def sphere_direction(angles) -> np.ndarray:
-    """Unit vector in R^n from n-1 iterated spherical angles."""
-    angles = np.asarray(angles, dtype=float)
-    out = np.empty(angles.size + 1)
-    s = 1.0
-    for m, a in enumerate(angles):
-        out[m] = s * math.cos(a)
-        s *= math.sin(a)
-    out[-1] = s
-    return out
+    """Unit vectors in R^n from n-1 iterated spherical angles: (n,) from
+    angles (n-1,), (N, n) from a stack (N, n-1), each row with the bits of
+    its angles alone (`math` cosines and sines, products in angle order)."""
+    stack = np.atleast_2d(np.asarray(angles, dtype=float))
+    flat = stack.ravel().tolist()
+    cos, sin = (np.fromiter(map(fn, flat), float, len(flat)).reshape(stack.shape)
+                for fn in (math.cos, math.sin))
+    out = np.empty((len(stack), stack.shape[1] + 1))
+    s = np.ones(len(stack))
+    for j in range(stack.shape[1]):
+        out[:, j] = s * cos[:, j]
+        s = s * sin[:, j]
+    out[:, -1] = s
+    return out if np.ndim(angles) == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------

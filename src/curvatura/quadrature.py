@@ -18,25 +18,25 @@ A rule is evaluated as one stack of nodes, not node by node: the field's
 closed-form partials, the surface weights (surface_nodes) and the integrand
 each run once on (N, ...) arrays.  The ray root solve (find_level_radii) is
 exact for level spheres about the base point (_star_radius) and otherwise
-runs find_level_radius ray by ray.  The quadratic field, the one field without
-stacked closed forms (ScalarField.stacked false), keeps its partials and
-Hessian per node, inside the stacked stages.  Each stack's chart is
-evaluated once, by surface_nodes (chart_stack: the metric, the profile f
-and f' on polar charts, and the polar guard).  Integrands are called as
+runs find_level_radius ray by ray, each ray as the chart reads it (angles,
+or _angular_grid's unit direction).  The quadratic field, the one field
+without stacked closed forms (ScalarField.stacked false), keeps its partials
+and Hessian per node, inside the stacked stages.  Each stack's chart is
+evaluated once, by surface_nodes (chart_stack: the metric, the profile f and
+f' on polar charts, and the polar guard).  Integrands are called as
 integrand(P, chart) with the (N, n) point stack and that ChartStack, and
 pass the chart on to the node kernels that take one (hessian_frame_stack,
-riemann_stack).  Each integral joins its rule and the halved-order
-companion of its error estimate into one node stack, evaluated in one
-pass and split again at the rule's node count.  A surface integral over
-several levels joins every level's rule, level-major, then every level's
-companion, into one stack and one pass as well.  Stacks above _CHUNK
-nodes, and stacks split over `threads` workers, run as several contiguous
-chunks.  Every stage computes each node with the same operations whatever
-the stack and chunk it sits in, and each rule is reduced by its own
-fixed-order pairwise sum over its node index, so results are
-bit-identical for any split and worker count, and to a rule evaluated
-alone.  A failing stack raises the error of its lowest-indexed failing
-node, whatever the split.
+riemann_stack).  Each integral joins its rule and the halved-order companion
+of its error estimate into one node stack, evaluated in one pass and split
+again at the rule's node count.  A surface integral over several levels
+joins every level's rule, level-major, then every level's companion, into
+one stack and one pass as well.  Stacks above _CHUNK nodes, and stacks split
+over `threads` workers, run as several contiguous chunks.  Every stage
+computes each node with the same operations whatever the stack and chunk it
+sits in, and each rule is reduced by its own fixed-order pairwise sum over
+its node index, so results are bit-identical for any split and worker count,
+and to a rule evaluated alone.  A failing stack raises the error of its
+lowest-indexed failing node, whatever the split.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _angular_grid(n: int, orders: tuple, margin: float):
     weights = np.ones(angles.shape[0])
     for wg in wgrids:
         weights = weights * wg.ravel()
-    return angles, weights, np.array([sphere_direction(a) for a in angles])
+    return angles, weights, sphere_direction(angles)
 
 
 def _within_working_radius(M: ModelManifold, level: float, radius: float,
@@ -218,32 +218,32 @@ def _star_radius(u: ScalarField, M: ModelManifold, level: float):
     return _within_working_radius(M, level, rho)
 
 
-def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) -> float:
+def find_level_radius(u: ScalarField, M: ModelManifold, level: float, ray) -> float:
     """Radius along one ray where u = level (bisection then Newton), with
-    one scalar value() call per evaluation.  Fields radial about the base
-    point short-circuit to the exact radius."""
+    one scalar value() call per evaluation; the ray is its n-1 angles on a
+    polar chart, its unit direction on a Cartesian one.  Fields radial about
+    the base point short-circuit to the exact radius."""
     sr = _star_radius(u, M, level)
     if sr is not None:
         return sr
-    angles = np.asarray(angles, dtype=float)
-    # a Cartesian ray's direction is fixed; only the radius moves
-    direction = None if M.chart == "polar" else sphere_direction(angles)
+    ray = np.asarray(ray, dtype=float)
+    polar = M.chart == "polar"
 
     def f(rho):
-        p = np.concatenate(([rho], angles)) if direction is None else rho * direction
+        p = np.concatenate(([rho], ray)) if polar else rho * ray
         return u.value(M, p) - level
 
     lo = 1e-9
     flo = f(lo)
     if not flo < 0:   # NaN included
         raise GeometryError(f"level {level:g} does not enclose the ray origin "
-                            f"(u - c = {flo:.3e} at r=0+) (angles {angles.tolist()})")
+                            f"(u - c = {flo:.3e} at r=0+) (ray {ray.tolist()})")
     hi = 0.25
     fhi = f(hi)
     while fhi < 0:
         if hi >= M.working_radius:
             raise GeometryError(f"no crossing of level {level:g} found within the "
-                                f"working radius (angles {angles.tolist()})")
+                                f"working radius (ray {ray.tolist()})")
         hi = min(2.0 * hi, M.working_radius)
         fhi = f(hi)
     while hi - lo > _ROOT_BISECT_WIDTH:
@@ -269,22 +269,22 @@ def find_level_radius(u: ScalarField, M: ModelManifold, level: float, angles) ->
     resid = abs(f(rho))
     if not resid <= 1e-9 * max(1.0, abs(level)):   # NaN included
         # refuse a half-resolved crossing rather than degrade the quadrature
-        raise GeometryError(f"root polish failed: |u - c| = {resid:.3e} "
-                            f"(angles {angles.tolist()})")
+        raise GeometryError(f"root polish failed: |u - c| = {resid:.3e} (ray {ray.tolist()})")
     return rho
 
 
-def find_level_radii(u: ScalarField, M: ModelManifold, levels, angles) -> np.ndarray:
+def find_level_radii(u: ScalarField, M: ModelManifold, levels, rays) -> np.ndarray:
     """Radii along a stack of rays where u = level.
 
-    angles: (N, n-1); levels: one level or one per ray.  Levels whose level
-    set is a sphere about the base point short-circuit to the exact radius;
-    every other ray is solved by find_level_radius.  Raises the error of the
-    first ray that fails a guard, naming its node; a sphere refused beyond
-    the working radius names the first node of its level.
+    rays: (N, ...), each as find_level_radius reads it; levels: one level
+    or one per ray.  Levels whose level set is a sphere about the base point
+    short-circuit to the exact radius; every other ray is solved by
+    find_level_radius.  Raises the error of the first ray that fails a
+    guard, naming its node; a sphere refused beyond the working radius
+    names the first node of its level.
     """
-    angles = np.asarray(angles, dtype=float)
-    N = angles.shape[0]
+    rays = np.asarray(rays, dtype=float)
+    N = rays.shape[0]
     levels = np.broadcast_to(np.asarray(levels, dtype=float), (N,))
     rho = np.empty(N)
     todo = np.ones(N, dtype=bool)
@@ -301,7 +301,7 @@ def find_level_radii(u: ScalarField, M: ModelManifold, levels, angles) -> np.nda
             todo[sel] = False
     for k in np.nonzero(todo)[0]:
         try:
-            rho[k] = find_level_radius(u, M, float(levels[k]), angles[k])
+            rho[k] = find_level_radius(u, M, float(levels[k]), rays[k])
         except GeometryError as e:
             raise node_error(GeometryError, int(k), str(e)) from None
     return rho
@@ -316,12 +316,13 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     f(rho)^{n-1} |grad u| / d_rho u at the crossing.
     """
     n = M.dim
-    rho = find_level_radii(u, M, levels, angles)
-    P = np.column_stack((rho, angles)) if M.chart == "polar" else rho[:, None] * directions
+    polar = M.chart == "polar"
+    rho = find_level_radii(u, M, levels, angles if polar else directions)
+    P = np.column_stack((rho, angles)) if polar else rho[:, None] * directions
     du = u.partials_stack(M, P)
     chart = chart_stack(M, P)
     grad_norm = np.sqrt(_rowdot(du, du / chart.D))
-    if M.chart == "polar":
+    if polar:
         u_rho = du[:, 0]
         scale = _elementwise(lambda t: t ** (n - 1), chart.f)
     else:
@@ -459,6 +460,14 @@ def _halving_estimate(u, M: ModelManifold, rule, spec: QuadratureSpec, integrand
     return values, errs, count
 
 
+def _level_array(level) -> np.ndarray:
+    """level, one level or a nonempty sequence of levels, as an array."""
+    levels = np.asarray(level, dtype=float)
+    if levels.ndim > 1 or not levels.size:
+        raise ValueError(f"expected a level or a nonempty sequence of levels, got {level!r}")
+    return levels
+
+
 def surface_integral(u: ScalarField, M: ModelManifold, level, integrand,
                      spec: QuadratureSpec, threads: int = 1):
     """Integral over the level set {u = level} of integrand, which maps an
@@ -474,9 +483,7 @@ def surface_integral(u: ScalarField, M: ModelManifold, level, integrand,
     bit-identical to that level integrated alone, and the fine node count
     of all the levels.
     """
-    levels = np.asarray(level, dtype=float)
-    if levels.ndim > 1 or not levels.size:
-        raise ValueError(f"expected a level or a nonempty sequence of levels, got {level!r}")
+    levels = _level_array(level)
     values, errs, nodes = _halving_estimate(
         u, M, lambda s: _surface_rule(M, levels.reshape(-1), s), spec, integrand, 1,
         threads, parts=levels.size)

@@ -128,22 +128,14 @@ def _node_first(Y: np.ndarray) -> np.ndarray:
 
 
 def _matmul_node_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul_stack of node-last arrays a (m, k, N) and b (k, p, N):
-    (m, p, N)."""
+    """Products of node-last arrays a (m, k, N) and b (k, p, N), (m, p, N),
+    each summed over the inner index in ascending order whatever the stack's
+    length, so a node's result does not depend on how a rule is split into
+    stacks (BLAS kernels may change their summation order with the size)."""
     out = a[:, 0, None] * b[None, 0]
     for k in range(1, a.shape[1]):
         out += a[:, k, None] * b[None, k]
     return out
-
-
-def matmul_stack(A, B) -> np.ndarray:
-    """Products A[k] @ B[k] of two matrix stacks, summed over the inner
-    index in ascending order, as an (N, m, p) view of node-last storage.
-    Each product is formed by the same operations whatever the stack's
-    length or memory order, so a node's result does not depend on how a
-    rule is split into stacks (BLAS kernels may change their summation
-    order with the problem size)."""
-    return _node_first(_matmul_node_last(_node_last(A), _node_last(B)))
 
 
 def sigma_elementary(x, r: int) -> float:
@@ -474,7 +466,7 @@ def newton_matrices_stack(H, r: int) -> list[np.ndarray]:
     (N, n, n), each (N, n, n) and stored node-last, from the defining
     recursion T_0 = I, T_k = sigma_k(H) I - T_{k-1} H on jacobi_eigh_stack
     eigenvalues.  Products are summed in ascending index order
-    (matmul_stack)."""
+    (_matmul_node_last)."""
     A = _as_sym_stack(H)
     n = A.shape[1]
     if not 0 <= r <= n:

@@ -178,6 +178,16 @@ def comparison_cfg(**changes):
      2, "tolerances.slop"),
     ("verify", {"schema_version": 1, "suites": ["asymptotic"], "tolerances": {"slope": -1}},
      2, "tolerances.slope"),
+    # a JSON integer beyond the double range is refused by its key
+    ("compute", compute_cfg(level=10 ** 400), 2, "level: expected a finite number"),
+    ("compute", compute_cfg(manifold={"family": "constant", "a": 10 ** 400, "dim": 3}),
+     2, "manifold.a: expected a finite number"),
+    ("compute", compute_cfg(field={"field": "quadratic",
+                                   "Q": [[10 ** 400, 0, 0], [0, 1, 0], [0, 0, 4]]}),
+     2, "field.Q[0][0]: expected a finite number"),
+    ("verify", {"schema_version": 1, "suites": ["asymptotic"],
+                "tolerances": {"slope": 10 ** 400}},
+     2, "tolerances.slope: expected a finite number"),
     # radii and levels out of range
     ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
                "sweep": {"kind": "sphere", "rho": {"grid": [0.5, -1]}, "r": [1]}},

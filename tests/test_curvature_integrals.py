@@ -204,6 +204,12 @@ class TestTotalMeanCurvature:
             total_mean_curvature(QuadraticFormField(np.eye(3)), constant_curvature(-1.0, 3),
                                  0.8, -1, SPEC)
 
+    @pytest.mark.parametrize("level", [[], [[0.5]], [[0.5, 1.0]]])
+    @pytest.mark.parametrize("r", [-1, 0, 2])
+    def test_every_order_refuses_a_level_that_is_no_level_or_sequence(self, level, r):
+        with pytest.raises(ValueError, match="expected a level or a nonempty sequence of levels"):
+            total_mean_curvature(RadialDistanceField(), euclidean(3), level, r, SPEC)
+
     def test_enclosed_volume_refuses_nonpositive_levels(self):
         H = constant_curvature(-1.0, 3)
         E = euclidean(3)

@@ -354,6 +354,22 @@ def test_retired_field_decisions_stay_out_of_the_package():
     assert back == set()
 
 
+def test_every_public_name_is_used_in_the_package_or_exported():
+    # a public module-level function or class is called or read by package
+    # code other than its definition, or exported by curvatura/__init__.py
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(curvatura.__file__).parent.glob("*.py")}
+    exported = {alias.asname or alias.name for node in trees.pop("__init__").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = {(module, node.name) for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used | exported}
+    assert unused == set()
+
+
 @pytest.mark.parametrize("M,u", CASES, ids=IDS)
 def test_per_row_orders_give_each_row_the_bits_of_its_order_alone(M, u):
     # orders interleaved over the stack, so each order's rows are scattered
@@ -441,11 +457,12 @@ def test_stacked_root_solve_matches_per_ray(M, u, level):
     rng = np.random.default_rng(3)
     angles = np.column_stack([rng.uniform(0.2, math.pi - 0.2, 20) for _ in range(M.dim - 2)]
                              + [rng.uniform(0.0, 2 * math.pi, 20)])
-    radii = find_level_radii(u, M, level, angles)
-    assert radii.tolist() == [find_level_radius(u, M, level, a) for a in angles]
-    levels = np.linspace(level, 1.5 * level, len(angles))
-    radii = find_level_radii(u, M, levels, angles)
-    assert radii.tolist() == [find_level_radius(u, M, c, a) for c, a in zip(levels, angles)]
+    rays = angles if M.chart == "polar" else sphere_direction(angles)
+    radii = find_level_radii(u, M, level, rays)
+    assert radii.tolist() == [find_level_radius(u, M, level, a) for a in rays]
+    levels = np.linspace(level, 1.5 * level, len(rays))
+    radii = find_level_radii(u, M, levels, rays)
+    assert radii.tolist() == [find_level_radius(u, M, c, a) for c, a in zip(levels, rays)]
 
 
 def test_stacked_jacobi_is_jacobi_on_each_matrix():
@@ -548,7 +565,7 @@ def nan_past(edge):
 
 def test_nan_values_are_refused_by_the_root_solve():
     M = euclidean(3)
-    ray = np.array([2.5, 2.0])               # x0 = cos 2.5 < 0
+    ray = sphere_direction([2.5, 2.0])       # x0 = cos 2.5 < 0
     u = nan_past(0.6)
     with pytest.raises(GeometryError, match=r"root polish failed: \|u - c\| = nan"):
         find_level_radius(u, M, 0.5, ray)
@@ -601,7 +618,7 @@ def test_half_resolved_crossing_is_refused():
     M = euclidean(3)
     u = Anon(lambda M, p: 0.0 if float(p @ p) < 1.0 else 2.0)
     with pytest.raises(GeometryError, match="root polish failed"):
-        find_level_radius(u, M, 1.0, np.array([1.0, 2.0]))
+        find_level_radius(u, M, 1.0, sphere_direction([1.0, 2.0]))
     with pytest.raises(GeometryError, match="root polish failed"):
         surface_integral(u, M, 1.0, ones, SPEC)
 

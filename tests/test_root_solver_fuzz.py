@@ -30,5 +30,5 @@ def test_root_solve_recovers_the_crossing_radius(ray):
     n, Q, angles, rho_star = ray
     d = sphere_direction(angles)
     level = 0.5 * rho_star ** 2 * float(d @ Q @ d)
-    rho = find_level_radius(QuadraticFormField(Q), euclidean(n), level, angles)
+    rho = find_level_radius(QuadraticFormField(Q), euclidean(n), level, d)
     assert abs(rho - rho_star) <= 1e-12 * rho_star

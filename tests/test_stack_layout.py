@@ -10,6 +10,8 @@ float.hex and have the documented (N, ...) shapes.  Results are pinned,
 not strides.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,15 @@ from curvatura.level_set_geometry import (
     RadialSquaredHalfField,
     hessian_frame_stack,
     principal_frame_stack,
+    sphere_direction,
 )
 from curvatura.model_manifolds import constant_curvature, euclidean, poly3_profile, riemann_stack, warped
 from curvatura.symmetric_algebra import (
+    _matmul_node_last,
+    _node_first,
+    _node_last,
     elementary_all_stack,
     jacobi_eigh_stack,
-    matmul_stack,
     newton_matrices_stack,
     trace_identity_residual_stack,
 )
@@ -59,6 +64,12 @@ def symmetric_stack(n, seed):
     return X + X.transpose(0, 2, 1)
 
 
+def matmul(A, B):
+    """The products A[k] @ B[k] of two (N, ...) stacks, by the kernels'
+    node-last product."""
+    return _node_first(_matmul_node_last(_node_last(A), _node_last(B)))
+
+
 def check_layouts(kernel, inputs, shapes):
     """kernel(*inputs) -> tuple of arrays, against the node-last inputs and
     the inputs split at each point of splits()."""
@@ -74,15 +85,15 @@ def check_layouts(kernel, inputs, shapes):
 
 
 @pytest.mark.parametrize("m,k,p", [(1, 1, 1), (3, 4, 3), (4, 4, 1), (5, 2, 6)])
-def test_matmul_stack(m, k, p):
+def test_matmul_node_last(m, k, p):
     rng = np.random.default_rng(m * 100 + k * 10 + p)
     A, B = rng.normal(size=(N, m, k)), rng.normal(size=(N, k, p))
-    check_layouts(lambda A, B: (matmul_stack(A, B),), (A, B), [(N, m, p)])
+    check_layouts(lambda A, B: (matmul(A, B),), (A, B), [(N, m, p)])
     # each product as the ascending sum of its terms
     want = A[:, :, 0, None] * B[:, None, 0, :]
     for j in range(1, k):
         want = want + A[:, :, j, None] * B[:, None, j, :]
-    assert_same(matmul_stack(A, B), want, (N, m, p))
+    assert_same(matmul(A, B), want, (N, m, p))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -96,6 +107,25 @@ def test_trace_identity_residual_stack(n):
     H = symmetric_stack(n, 20 + n)
     e = elementary_all_stack(jacobi_eigh_stack(H)[0])
     check_layouts(lambda H, e: (trace_identity_residual_stack(H, e),), (H, e), [(N, n)])
+
+
+def scalar_direction(angles):
+    """The unit vector of iterated spherical angles, one float at a time."""
+    out, s = [], 1.0
+    for a in angles:
+        out.append(s * math.cos(a))
+        s *= math.sin(a)
+    return out + [s]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_sphere_direction(n):
+    A = np.random.default_rng(30 + n).uniform(0.0, 2 * np.pi, (N, n - 1))
+    check_layouts(lambda A: (sphere_direction(A),), (A,), [(N, n)])
+    # each row has the bits of its angles alone, and one ray is one row
+    assert hexes(sphere_direction(A)) == hexes([scalar_direction(a) for a in A])
+    assert_same(sphere_direction(list(A[3])), scalar_direction(A[3]), (n,))
+    assert sphere_direction(A[:0]).shape == (0, n)
 
 
 CASES = [
@@ -139,7 +169,7 @@ def test_riemann_stack_in_principal_frames(M):
     G = np.broadcast_to(np.eye(n), (N, n, n)).copy()
     G[:, 0, 0] = G[:, 1, 1] = np.cos(theta)
     G[:, 0, 1], G[:, 1, 0] = -np.sin(theta), np.sin(theta)
-    frames = matmul_stack(G, frames)
+    frames = matmul(G, frames)
 
     def curvature(P, F):
         rd = riemann_stack(M, P, F)

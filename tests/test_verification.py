@@ -78,6 +78,17 @@ def test_coverage_guard_refuses_vacuous_reports():
         verification._Cases("demo").report()
 
 
+def test_pointwise_guard_refuses_a_model_left_without_fields(monkeypatch):
+    # the required (model, r) pairs come from the model grid, not from the
+    # cases the field loops make
+    fields_for = verification._fields_for
+    monkeypatch.setattr(verification, "_fields_for",
+                        lambda M: [] if M.label == "warped(poly3)" else fields_for(M))
+    missing = [("warped(poly3)", r) for r in range(3)]
+    with pytest.raises(ConfigError, match=re.escape(f"no cases for {missing}") + "$"):
+        run_suite(SuiteConfig(suite="pointwise", quick=True, seed=424242))
+
+
 def test_structural_coverage(quick_reports):
     # every suite covers each configured model family with >= 1 case
     for name, rep in quick_reports.items():
