@@ -6,7 +6,8 @@
 
 The JSON config is schema-validated before any computation; violations are
 rejected with the offending key path.  CURVATURA_SEED overrides the config
-seed.  Exit codes: 0 success (for verify: aggregate pass), 2 config error,
+seed.  Quadrature orders are capped at MAX_ORDER and --threads at
+MAX_THREADS.  Exit codes: 0 success (for verify: aggregate pass), 2 config error,
 3 geometry/degeneracy error, 1 internal error or aggregate failure.
 """
 
@@ -56,6 +57,13 @@ from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCE_KEYS, SuiteConfig
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240817
+# the largest quadrature order accepted, well above the largest the suites and
+# tests use (96): Gauss-Legendre nodes of order k cost O(k^2) memory and O(k^3)
+# time, so that an order of 10^7 asked for 728 TiB
+MAX_ORDER = 1024
+# the largest --threads accepted: a rule is split into up to that many
+# chunks, each of which may start a pool thread
+MAX_THREADS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +200,11 @@ def _validate_quadrature(d, n, path="quadrature"):
         if len(ang) not in (1, n - 1):
             _fail(f"{path}.angular_order",
                   f"expected one order or {n - 1} orders for dim {n}, got {len(ang)}")
-        ang = tuple(_check_int(x, f"{path}.angular_order[{i}]", 2)
+        ang = tuple(_check_int(x, f"{path}.angular_order[{i}]", 2, MAX_ORDER)
                     for i, x in enumerate(ang))
     else:
-        ang = (_check_int(ang, f"{path}.angular_order", 2),)
-    lvl = _check_int(d.get("level_order", 8), f"{path}.level_order", 2)
+        ang = (_check_int(ang, f"{path}.angular_order", 2, MAX_ORDER),)
+    lvl = _check_int(d.get("level_order", 8), f"{path}.level_order", 2, MAX_ORDER)
     margin = _check_number(d.get("margin", 1e-6), f"{path}.margin", 1e-12, 1e-3)
     return QuadratureSpec(angular_orders=ang, level_order=lvl, margin=margin)
 
@@ -424,7 +432,8 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default="out", help="output directory (created)")
-        p.add_argument("--threads", type=int, default=1, help="worker-thread cap")
+        p.add_argument("--threads", type=int, default=1,
+                       help=f"worker-thread cap, 1..{MAX_THREADS}")
         if name == "verify":
             p.add_argument("--quick", action="store_true", help="reduced grids")
     return ap
@@ -434,8 +443,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.threads < 1:
-            raise ConfigError("--threads: expected >= 1")
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ConfigError(f"--threads: expected an integer in [1, {MAX_THREADS}], "
+                              f"got {args.threads}")
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

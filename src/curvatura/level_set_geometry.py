@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -574,7 +574,6 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P,
 # Principal curvature frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PrincipalFrameData:
     """Principal curvatures and frames of the level sets through a node
     stack, with a leading node axis on every field.
@@ -583,11 +582,30 @@ class PrincipalFrameData:
     directions and then the unit normal nu = grad u / |grad u|, in frame
     components (an orthogonal matrix per node), as riemann_stack takes
     them; grad_norm_derivs[i] is the derivative of |grad u| along direction
-    i, equal to the Hessian row against nu in this frame.
+    i, equal to the Hessian row against nu in this frame.  frame and
+    grad_norm_derivs are formed from the node-last Hessian H, normal nu,
+    Householder basis B and eigenvectors V when first read, and kept: a
+    caller that reads only kappa pays for neither product.
     """
-    kappa: np.ndarray
-    grad_norm_derivs: np.ndarray
-    frame: np.ndarray
+
+    def __init__(self, kappa: np.ndarray, H: np.ndarray, nu: np.ndarray, B: np.ndarray,
+                 V: np.ndarray):
+        self.kappa = kappa
+        self._H, self._nu, self._B, self._V = H, nu, B, V
+
+    @cached_property
+    def _directions(self) -> np.ndarray:
+        """The principal directions in frame components, node-last (n, n-1, N)."""
+        return _matmul_node_last(self._B, _node_last(self._V))
+
+    @cached_property
+    def grad_norm_derivs(self) -> np.ndarray:
+        Hnu = _matmul_node_last(self._H, self._nu[:, None])
+        return _matmul_node_last(self._directions.transpose(1, 0, 2), Hnu)[:, 0].T
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        return _node_first(np.concatenate([self._directions, self._nu[:, None]], axis=1))
 
 
 def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
@@ -601,7 +619,7 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
     Eigenvector choice inside repeated-eigenvalue spaces is arbitrary, which
     is fine downstream: only symmetric functions of kappa are consumed.
     Everything but the eigensolver runs on node-last arrays; the frames
-    and derivatives are views of them.
+    and derivatives, formed on first read, are views of them.
     """
     gn = hd.grad_norm
     _check_gradients(gn, "level-set frame undefined")
@@ -616,11 +634,7 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
     Bt = B.transpose(1, 0, 2)
     S = _matmul_node_last(_matmul_node_last(Bt, H), B) / gn
     kappa, V = jacobi_eigh_stack(_node_first(S))
-    dirs = _matmul_node_last(B, _node_last(V))
-    derivs = _matmul_node_last(dirs.transpose(1, 0, 2), _matmul_node_last(H, nu[:, None]))[:, 0]
-    frame = np.concatenate([dirs, nu[:, None]], axis=1)
-    return PrincipalFrameData(kappa=kappa, grad_norm_derivs=derivs.T,
-                              frame=_node_first(frame))
+    return PrincipalFrameData(kappa, H, nu, B, V)
 
 
 # ---------------------------------------------------------------------------

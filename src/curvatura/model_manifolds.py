@@ -208,8 +208,14 @@ def _distinct(x: np.ndarray):
 def _on_distinct(fn, values: np.ndarray, order: np.ndarray, back: np.ndarray) -> np.ndarray:
     """fn at each of the distinct values of _distinct, in order, spread
     back over the elements."""
-    out = np.empty(values.size)
-    out[order] = np.fromiter(map(fn, values.tolist()), float, values.size)
+    return _spread(np.fromiter(map(fn, values.tolist()), float, values.size), order, back)
+
+
+def _spread(mapped: np.ndarray, order: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Values at the distinct values of _distinct, in their order, spread
+    back over the elements."""
+    out = np.empty(mapped.size)
+    out[order] = mapped
     return out[back]
 
 
@@ -253,13 +259,16 @@ class ChartStack:
     """The chart at every row of an (N, n) point stack (chart_stack): the
     metric diagonal D (N, n) and, on polar charts, the warping profile f
     and f' at each radius (N,), with the _distinct triples of the polar
-    angles, columns 1..n-2, for _log_derivatives.  Cartesian charts carry
-    D = 1 and nothing else.  The node kernels take it instead of evaluating
-    the chart again."""
+    angles, columns 1..n-2, for _log_derivatives, and _f_radii, the triple
+    of the radii with f in place of each distinct radius, for functions of
+    f taken once per distinct radius (_on_distinct).  Cartesian charts
+    carry D = 1 and nothing else.  The node kernels take it instead of
+    evaluating the chart again."""
     D: np.ndarray
     f: Optional[np.ndarray] = None
     df: Optional[np.ndarray] = None
     _angles: tuple = field(default=(), repr=False)
+    _f_radii: tuple = field(default=(), repr=False)
 
 
 def chart_stack(M: ModelManifold, P) -> ChartStack:
@@ -272,8 +281,9 @@ def chart_stack(M: ModelManifold, P) -> ChartStack:
         return ChartStack(D=np.ones((N, n)))
     angles, sines = _polar_guard_stack(M, P)
     f, df, _ = radial_profile(M)
-    radii = _distinct(P[:, 0])
-    fr = _on_distinct(f, *radii)
+    values, order, back = _distinct(P[:, 0])
+    f_radii = (np.fromiter(map(f, values.tolist()), float, values.size), order, back)
+    fr = _spread(*f_radii)
     acc = fr ** 2
     D = np.empty((N, n))
     D[:, 0] = 1.0
@@ -281,7 +291,8 @@ def chart_stack(M: ModelManifold, P) -> ChartStack:
         D[:, j] = acc
         if j < n - 1:
             acc = acc * sines[j - 1] ** 2
-    return ChartStack(D=D, f=fr, df=_on_distinct(df, *radii), _angles=angles)
+    return ChartStack(D=D, f=fr, df=_on_distinct(df, values, order, back), _angles=angles,
+                      _f_radii=f_radii)
 
 
 def _log_derivatives(chart: ChartStack) -> list:

@@ -30,13 +30,15 @@ riemann_stack).  Each integral joins its rule and the halved-order companion
 of its error estimate into one node stack, evaluated in one pass and split
 again at the rule's node count.  A surface integral over several levels
 joins every level's rule, level-major, then every level's companion, into
-one stack and one pass as well.  Stacks above _CHUNK nodes, and stacks split
-over `threads` workers, run as several contiguous chunks.  Every stage
-computes each node with the same operations whatever the stack and chunk it
-sits in, and each rule is reduced by its own fixed-order pairwise sum over
-its node index, so results are bit-identical for any split and worker count,
-and to a rule evaluated alone.  A failing stack raises the error of its
-lowest-indexed failing node, whatever the split.
+one stack and one pass as well.  The columns of that stack that no level
+value enters are built once per rule, as a read-only plan (_rule_plan), and
+a call builds only its level columns.  Stacks above _CHUNK nodes, and
+stacks split over `threads` workers, run as several contiguous chunks.
+Every stage computes each node with the same operations whatever the stack
+and chunk it sits in, and each rule is reduced by its own fixed-order
+pairwise sum over its node index, so results are bit-identical for any
+split and worker count, and to a rule evaluated alone.  A failing stack
+raises the error of its lowest-indexed failing node, whatever the split.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GeometryError, node_error
-from .model_manifolds import ModelManifold, _elementwise, chart_stack
+from .model_manifolds import ModelManifold, _elementwise, _on_distinct, chart_stack
 from .level_set_geometry import ScalarField, _rowdot, sphere_direction
 
 _ROOT_BISECT_WIDTH = 1e-6
@@ -61,6 +63,8 @@ _RADIAL_MAX_ORDER = 4096
 # nodes per kernel call up to dimension 4; above it the limit shrinks with
 # n^4, so that the (N, n, n, n, n) curvature stacks stay the same size
 _CHUNK = 4096
+# rule plans kept (_rule_plan): the suites cycle through a few rules at a time
+_PLANS = 8
 
 
 @dataclass(frozen=True)
@@ -110,53 +114,54 @@ class IntegralResult:
 
 
 @lru_cache(maxsize=None)
-def _pairwise_tree(count: int):
-    """The summation tree of pairwise_sum over `count` items: the range
-    halves (mid = (lo + hi) // 2) until a part holds at most 8 items.
-    Returns (leaves, levels, root) over an array of the 2L - 1 tree nodes:
-    leaves (L, 8) holds the item indices of leaf k (node k) in order,
-    padded with the index `count`; the internal nodes take the indices -1,
-    -2, ... as they are built; levels lists, by height above the leaves,
-    the (node, left, right) index arrays of the internal nodes."""
-    leaves, merges = [], []
+def _pairwise_leaves(count: int) -> np.ndarray:
+    """The summation tree of pairwise_sum over `count` items as a leaf
+    layout (8, 2^H), read-only: the range halves (mid = (lo + hi) // 2)
+    until a part holds at most 8 items, and a leaf at depth d, reached by
+    the branch bits b (left 0), takes column b * 2^(H - d), H the tree's
+    height, with its item indices in order, padded with the index `count`.
+    A column no leaf takes (under a leaf higher than the bottom) holds
+    `count` only, so that halving the columns pairwise merges them as the
+    tree does."""
+    leaves = {}
 
-    def build(lo, hi):
+    def build(lo, hi, place, depth):
         if hi - lo <= 8:
-            leaves.append(list(range(lo, hi)) + [count] * (8 - (hi - lo)))
-            return len(leaves) - 1, 0
+            leaves[place, depth] = list(range(lo, hi)) + [count] * (8 - (hi - lo))
+            return depth
         mid = (lo + hi) // 2
-        (left, hl), (right, hr) = build(lo, mid), build(mid, hi)
-        merges.append((-1 - len(merges), left, right, 1 + max(hl, hr)))
-        return merges[-1][0], merges[-1][3]
+        return max(build(lo, mid, 2 * place, depth + 1),
+                   build(mid, hi, 2 * place + 1, depth + 1))
 
-    root, height = build(0, count)
-    levels = tuple(tuple(np.array(col) for col in zip(*(m[:3] for m in merges if m[3] == h)))
-                   for h in range(1, height + 1))
-    return np.array(leaves), levels, root
+    height = build(0, count, 0, 0)
+    layout = np.full((8, 2 ** height), count)
+    for (place, depth), items in leaves.items():
+        layout[:, place << (height - depth)] = items
+    layout.flags.writeable = False
+    return layout
 
 
 def pairwise_sum(values):
     """Fixed-order pairwise summation (binary tree over the index range):
     each leaf of at most 8 items is summed left to right from 0.0, then
-    the leaves are merged pairwise up the tree of _pairwise_tree, one
-    vector add per tree level.  A 1-d input sums to a float (np.float64
-    when not empty); a 2-d input sums down axis 0, every column over the
-    same tree."""
+    the leaves are merged pairwise up the tree of _pairwise_leaves, one
+    strided vector add per tree level.  A leaf higher than the bottom is
+    carried up by sums of zero leaves, which leave it unchanged: a sum
+    that starts from 0.0 is never -0.0, so x + 0.0 is x.  A 1-d input
+    sums to a float (np.float64 when not empty); a 2-d input sums down
+    axis 0, every column over the same tree."""
     vals = np.asarray(values, dtype=float)
     cols = vals if vals.ndim == 2 else vals[:, None]
-    leaves, levels, root = _pairwise_tree(len(cols))
-    # appending 0.0 to a leaf sum leaves it unchanged: from 0.0 it is never -0.0
-    padded = np.concatenate((cols, np.zeros((1, cols.shape[1]))))[leaves]
-    nodes = np.empty((2 * len(leaves) - 1, cols.shape[1]))
-    acc = 0.0 + padded[:, 0]
+    padded = np.concatenate((cols, np.zeros((1, cols.shape[1])))).take(
+        _pairwise_leaves(len(cols)), axis=0)
+    acc = 0.0 + padded[0]
     for j in range(1, 8):
-        acc = acc + padded[:, j]
-    nodes[:len(leaves)] = acc
-    for out, left, right in levels:
-        nodes[out] = nodes[left] + nodes[right]
+        acc += padded[j]
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
     if vals.ndim == 2:
-        return nodes[root]
-    return nodes[root, 0] if len(vals) else 0.0
+        return acc[0]
+    return acc[0, 0] if len(vals) else 0.0
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +181,8 @@ def _angular_grid(n: int, orders: tuple, margin: float):
     """All angular nodes of S^{n-1} with weights including sqrt(det ghat).
 
     Returns (angles array N x (n-1), weights length N, unit ray directions
-    N x n); node order is the lexicographic product order, which fixes the
-    reduction order.
+    N x n), read-only; node order is the lexicographic product order, which
+    fixes the reduction order.
     """
     per_nodes, per_weights = [], []
     for m in range(n - 2):
@@ -193,7 +198,10 @@ def _angular_grid(n: int, orders: tuple, margin: float):
     weights = np.ones(angles.shape[0])
     for wg in wgrids:
         weights = weights * wg.ravel()
-    return angles, weights, sphere_direction(angles)
+    directions = sphere_direction(angles)
+    for a in (angles, weights, directions):
+        a.flags.writeable = False
+    return angles, weights, directions
 
 
 def _within_working_radius(M: ModelManifold, level: float, radius: float,
@@ -324,7 +332,7 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     grad_norm = np.sqrt(_rowdot(du, du / chart.D))
     if polar:
         u_rho = du[:, 0]
-        scale = _elementwise(lambda t: t ** (n - 1), chart.f)
+        scale = _on_distinct(lambda t: t ** (n - 1), *chart._f_radii)
     else:
         u_rho = _rowdot(directions, du)
         scale = _elementwise(lambda t: t ** (n - 1), rho)
@@ -394,17 +402,6 @@ def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
     raise err
 
 
-def _surface_rule(M, levels, spec):
-    """Node set of the surface rule of `spec` on each level set {u = c}, c
-    in the array `levels`, level-major: (levels, angles, weights,
-    directions, level weights), the last None."""
-    n = M.dim
-    angles, weights, directions = _angular_grid(n, spec.angular_for(n), spec.margin)
-    k = len(levels)
-    return (np.repeat(levels, angles.shape[0]), np.tile(angles, (k, 1)), np.tile(weights, k),
-            np.tile(directions, (k, 1)), None)
-
-
 def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value):
     """Analytic bound on the measure omitted by the polar-axis margin.
 
@@ -423,38 +420,75 @@ def _part_sums(rows, parts):
     return pairwise_sum(side).reshape(parts, n_comp)
 
 
-def _halving_estimate(u, M: ModelManifold, rule, spec: QuadratureSpec, integrand,
-                      n_comp, threads, parts=1):
+@dataclass(frozen=True)
+class _RulePlan:
+    """The columns of a rule's joint node stack that no level value enters
+    (_rule_plan), read-only: angles, weights and directions of every node
+    of the rule and then of its halved-order companion, and levels, the
+    index of each node's level within the rule's level values followed by
+    the companion's.  count: the rule's node count."""
+    angles: np.ndarray
+    weights: np.ndarray
+    directions: np.ndarray
+    levels: np.ndarray
+    count: int
+
+
+@lru_cache(maxsize=_PLANS)
+def _rule_plan(kind: str, n: int, spec: QuadratureSpec, levels: int) -> _RulePlan:
+    """The _RulePlan of spec's surface rule on `levels` level sets (kind
+    "surface") or of its coarea rule (kind "coarea", levels =
+    spec.level_order), each rule level-major over (level, angular node).
+    Keyed on the number of levels, not on their values, so that a call
+    builds only its level columns from its values."""
+    cols, index, offset = [], [], 0
+    for s in (spec, spec.coarser()):
+        k = levels if kind == "surface" else s.level_order
+        angles, weights, directions = _angular_grid(n, s.angular_for(n), s.margin)
+        cols.append((np.tile(angles, (k, 1)), np.tile(weights, k), np.tile(directions, (k, 1))))
+        index.append(np.repeat(np.arange(offset, offset + k), len(weights)))
+        offset += k
+    angles, weights, directions = (np.concatenate(c) for c in zip(*cols))
+    levels = np.concatenate(index)
+    for a in (angles, weights, directions, levels):
+        a.flags.writeable = False
+    return _RulePlan(angles, weights, directions, levels, len(cols[0][1]))
+
+
+def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_weights,
+                      spec: QuadratureSpec, integrand, n_comp, threads, parts=1):
     """(values, error estimates, node count) of a rule and its halved-order
-    companion, values and estimates as (parts, n_comp) arrays.  rule(spec)
-    gives the node set of `parts` rules of equal size, part-major (one per
-    level of a multi-level surface integral); the rules' nodes and their
-    companions' (rule(spec.coarser())) are joined into one stack, evaluated
-    by one _rule_rows pass, and split again into parts.  Each part is summed
-    by its own pairwise_sum, over the same tree as alone, and each estimate
-    is |fine - coarse| plus the polar-cap bound; the node count is that of
-    all the rules.  The error raised is that of the lowest-indexed failing
-    node of the stack (every rule's nodes come before every companion's),
-    at the earliest stage where it fails, whatever the split; it names the
-    node by its index within its own part's rule, or within that part's
-    companion.  The companion floors orders at 2, so an order-2 axis
-    (angular, or for a coarea rule also the level axis) is its own
-    companion and the difference cannot see its error: every estimate of
-    such a rule is inf."""
-    fine, coarse = rule(spec), rule(spec.coarser())
-    count = len(fine[0])
-    joint = [a if a is None else np.concatenate((a, b)) for a, b in zip(fine, coarse)]
+    companion, values and estimates as (parts, n_comp) arrays.  The rule's
+    plan gives the node set of `parts` rules of equal size, part-major (one
+    per level of a multi-level surface integral), joined with their
+    companions' into one stack; level_values and level_weights (None for a
+    surface rule) hold the level values and level weights of the rule and
+    then of the companion, which plan.levels spreads over the nodes.  The
+    stack is evaluated by one _rule_rows pass and split again into parts.
+    Each part is summed by its own pairwise_sum, over the same tree as
+    alone, and each estimate is |fine - coarse| plus the polar-cap bound;
+    the node count is that of all the rules.  The error raised is that of
+    the lowest-indexed failing node of the stack (every rule's nodes come
+    before every companion's), at the earliest stage where it fails,
+    whatever the split; it names the node by its index within its own
+    part's rule, or within that part's companion.  The companion floors
+    orders at 2, so an order-2 axis (angular, or for a coarea rule also the
+    level axis) is its own companion and the difference cannot see its
+    error: every estimate of such a rule is inf."""
+    count, total = plan.count, len(plan.weights)
+    weights = None if level_weights is None else level_weights[plan.levels]
     try:
-        rows = _rule_rows(u, M, *joint, integrand, n_comp, threads)
+        rows = _rule_rows(u, M, level_values[plan.levels], plan.angles, plan.weights,
+                          plan.directions, weights, integrand, n_comp, threads)
     except Exception as e:
         node = getattr(e, "node", None)
         if node is not None:
-            lo, size = (0, count) if node < count else (count, len(joint[0]) - count)
+            lo, size = (0, count) if node < count else (count, total - count)
             raise node_error(type(e), (node - lo) % (size // parts), e.detail) from None
         raise
     values = _part_sums(rows[:count], parts)
     errs = np.abs(values - _part_sums(rows[count:], parts)) + _cap_bound(M, spec, values)
-    coarea = fine[4] is not None
+    coarea = level_weights is not None
     if 2 in spec.angular_for(M.dim) + ((spec.level_order,) if coarea else ()):
         errs = np.full_like(errs, math.inf)
     return values, errs, count
@@ -484,28 +518,29 @@ def surface_integral(u: ScalarField, M: ModelManifold, level, integrand,
     of all the levels.
     """
     levels = _level_array(level)
+    flat = levels.reshape(-1)
     values, errs, nodes = _halving_estimate(
-        u, M, lambda s: _surface_rule(M, levels.reshape(-1), s), spec, integrand, 1,
-        threads, parts=levels.size)
+        u, M, _rule_plan("surface", M.dim, spec, flat.size), np.concatenate((flat, flat)),
+        None, spec, integrand, 1, threads, parts=flat.size)
     if levels.ndim:
         return values[:, 0], errs[:, 0], nodes
     return IntegralResult(value=values[0, 0], error_estimate=errs[0, 0], node_count=nodes)
 
 
-def _coarea_rule(M, levels, spec):
-    """Node set of the coarea rule of `spec` between levels (c1, c2),
-    level-major over (level node, angular node): (levels, angles, weights,
-    directions, level weights)."""
-    n = M.dim
+def _coarea_estimate(u, M, levels, integrand, spec, n_comp, threads):
+    """_halving_estimate of the coarea rule of `spec` between levels
+    (c1, c2): Gauss-Legendre level nodes and weights on (c1, c2), of the
+    rule's level order and then of the companion's, over the plan's
+    angular nodes."""
     c1, c2 = levels
     if not c1 < c2:
         raise ValueError(f"levels must satisfy c1 < c2, got ({c1}, {c2})")
-    angles, weights, directions = _angular_grid(n, spec.angular_for(n), spec.margin)
-    t_nodes, t_weights = _gl_on(c1, c2, spec.level_order)
-    n_ang, n_lev = angles.shape[0], len(t_nodes)
-    return (np.repeat(t_nodes, n_ang), np.tile(angles, (n_lev, 1)),
-            np.tile(weights, n_lev), np.tile(directions, (n_lev, 1)),
-            np.repeat(t_weights, n_ang))
+    fine = _gl_on(c1, c2, spec.level_order)
+    coarse = _gl_on(c1, c2, spec.coarser().level_order)
+    return _halving_estimate(
+        u, M, _rule_plan("coarea", M.dim, spec, spec.level_order),
+        np.concatenate((fine[0], coarse[0])), np.concatenate((fine[1], coarse[1])),
+        spec, integrand, n_comp, threads)
 
 
 def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
@@ -514,8 +549,7 @@ def coarea_volume_integral(u: ScalarField, M: ModelManifold, levels,
     """Integral over the region {c1 < u < c2} of integrand, which maps an
     (N, n) point stack and its chart_stack to the N values, computed as a
     level integral of 1/|grad u|-weighted surface integrals."""
-    values, errs, nodes = _halving_estimate(
-        u, M, lambda s: _coarea_rule(M, levels, s), spec, integrand, 1, threads)
+    values, errs, nodes = _coarea_estimate(u, M, levels, integrand, spec, 1, threads)
     return IntegralResult(value=values[0, 0], error_estimate=errs[0, 0], node_count=nodes)
 
 
@@ -526,8 +560,7 @@ def coarea_volume_integral_multi(u, M, levels, integrand, spec, n_comp,
 
     Returns (values, error_estimates, node_count) as arrays of length n_comp.
     """
-    values, errs, nodes = _halving_estimate(
-        u, M, lambda s: _coarea_rule(M, levels, s), spec, integrand, n_comp, threads)
+    values, errs, nodes = _coarea_estimate(u, M, levels, integrand, spec, n_comp, threads)
     return values[0], errs[0], nodes
 
 

@@ -244,16 +244,22 @@ def _jacobi_eigh_stack(A: np.ndarray):
     tol = _JACOBI_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), _TINY)
     rows, cols, _ = _upper_triangle(m)
     w = np.diagonal(A, axis1=1, axis2=2).copy()
-    V = np.broadcast_to(np.eye(m), (N, m, m)).copy()
     # a matrix within tolerance (radial fields) keeps its diagonal and the identity
     act = np.flatnonzero(~(np.abs(A[:, rows, cols]).max(axis=1, initial=0.0) <= tol))
     if act.size:
+        V = np.broadcast_to(np.eye(m), (N, m, m)).copy()
         # entries of order 1e308 may overflow, silently as on Python floats
         with np.errstate(all="ignore"):
             _jacobi_sweeps_stack(np.concatenate((A[act], V[act]), axis=1), tol[act], act, w, V)
     # each matrix's eigenvalues and columns of V in ascending order, gathered
     # as rows of w and of V's transpose by one flat index
-    idx = (np.argsort(w, axis=1, kind="stable") + m * np.arange(N)[:, None]).ravel()
+    order = np.argsort(w, axis=1, kind="stable")
+    idx = (order + m * np.arange(N)[:, None]).ravel()
+    if not act.size:
+        # nothing rotated: column j of V is the identity's column order[j],
+        # formed node-last (V[i, j] is order[:, j] == i)
+        V = (order.T[None] == np.arange(m)[:, None, None]).astype(float)
+        return w.take(idx).reshape(N, m), _node_first(V)
     Vt = V.transpose(0, 2, 1).reshape(N * m, m).take(idx, axis=0)
     return w.take(idx).reshape(N, m), Vt.reshape(N, m, m).transpose(0, 2, 1)
 

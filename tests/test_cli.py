@@ -188,6 +188,18 @@ def comparison_cfg(**changes):
     ("verify", {"schema_version": 1, "suites": ["asymptotic"],
                 "tolerances": {"slope": 10 ** 400}},
      2, "tolerances.slope: expected a finite number"),
+    # quadrature orders above MAX_ORDER are refused by their key before any
+    # rule is built (an order of 10^7 asked Gauss-Legendre for 728 TiB)
+    ("compute", dict(compute_cfg(), quadrature={"angular_order": 10 ** 7}),
+     2, "quadrature.angular_order: expected <= 1024"),
+    ("compute", dict(compute_cfg(), quadrature={"angular_order": [8, 10 ** 7]}),
+     2, "quadrature.angular_order[1]: expected <= 1024"),
+    ("compute", dict(comparison_cfg(), quadrature={"angular_order": 4, "level_order": 10 ** 7}),
+     2, "quadrature.level_order: expected <= 1024"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "field": {"field": "radial"},
+               "quadrature": {"angular_order": 1025},
+               "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
+     2, "quadrature.angular_order: expected <= 1024"),
     # radii and levels out of range
     ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
                "sweep": {"kind": "sphere", "rho": {"grid": [0.5, -1]}, "r": [1]}},
@@ -237,6 +249,53 @@ def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, na
     assert main(argv + (["--quick"] if command == "verify" else [])) == code
     err = capsys.readouterr().err
     assert names in err and "Traceback" not in err
+
+
+def test_the_order_cap_admits_its_bound():
+    from curvatura.cli import MAX_ORDER, _validate_quadrature
+    spec = _validate_quadrature({"angular_order": [MAX_ORDER, 8], "level_order": MAX_ORDER}, 3)
+    assert spec.angular_orders == (MAX_ORDER, 8) and spec.level_order == MAX_ORDER
+
+
+class RecordingPool:
+    """A stand-in for ThreadPoolExecutor that starts no thread: it records
+    the worker count asked for and maps on the calling thread."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+@pytest.mark.parametrize("threads,code", [(0, 2), (1, 0), (4, 0), (64, 0), (65, 2),
+                                          (10 ** 6, 2)])
+def test_threads_are_capped_before_any_pool_starts(tmp_path, capsys, monkeypatch,
+                                                    threads, code):
+    """--threads outside [1, MAX_THREADS] exits 2 naming the option before a
+    pool is asked for; inside it, the pool is asked for at most that many
+    workers.  The pool is replaced, so no thread is started."""
+    from curvatura import cli, quadrature
+    made = []
+    monkeypatch.setattr(quadrature, "ThreadPoolExecutor",
+                        lambda max_workers: RecordingPool(made, max_workers))
+    # a 20-node stack (order 4 and its companion): a pool for every threads > 1
+    cfg = write_cfg(tmp_path, "c.json", compute_cfg())
+    assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", str(threads)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"--threads: expected an integer in [1, {cli.MAX_THREADS}]" in err
+        assert made == []
+    else:
+        assert "Traceback" not in err
+        assert made == ([] if threads == 1 else [threads])
 
 
 @pytest.mark.parametrize("manifold,field,level", [

@@ -8,10 +8,13 @@ to 1e308 in magnitude, repeated entries (so tied eigenvalues), signed zeros
 and NaN.  Large stacks: up to 64 matrices, m = 2..8, mixing diagonal,
 already-converged, tied-eigenvalue, full and partly skipped matrices at
 every scale, so that matrices leave the lockstep at different sweeps and
-skip pairs that others rotate.  jacobi_eigh_stack must raise ValueError
-exactly when the oracle raises it on some matrix of the stack, raise
-RuntimeError exactly when the oracle does not converge on some matrix, and
-otherwise return the same eigenpairs, byte for byte."""
+skip pairs that others rotate.  Resting stacks: up to 64 matrices, m =
+1..8, with nothing to rotate (tied and signed-zero diagonals, off-diagonal
+entries within the tolerance), which return before any sweep.
+jacobi_eigh_stack must raise ValueError exactly when the oracle raises it
+on some matrix of the stack, raise RuntimeError exactly when the oracle
+does not converge on some matrix, and otherwise return the same
+eigenpairs, byte for byte."""
 
 import math
 
@@ -229,3 +232,37 @@ def test_stacks_below_the_lockstep_size_take_the_walk(monkeypatch, m):
         assert wp.tobytes() == w[k0:k0 + len(part)].tobytes()
         assert Vp.tobytes() == V[k0:k0 + len(part)].tobytes()
     assert jacobi_eigh_stack(stack[:0])[1].shape == (0, m, m)
+
+
+@st.composite
+def resting_stacks(draw):
+    """Whole stacks with nothing to rotate: diagonals with ties and signed
+    zeros, and off-diagonal entries within the tolerance (at most 1e-13
+    times the largest diagonal magnitude, some exactly zero or -0.0)."""
+    m = draw(st.integers(1, 8))
+    size = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from(SCALES))
+    d = rng.choice(np.concatenate((SPECIALS, rng.uniform(-1.0, 1.0, 3))), (size, m)) * scale
+    A = np.zeros((size, m, m))
+    A[:, np.arange(m), np.arange(m)] = d
+    dmax = np.abs(d).max(axis=1)
+    off = rng.uniform(-1.0, 1.0, (size, m, m)) * 1e-13 * dmax[:, None, None]
+    off[rng.random(off.shape) < 0.3] = rng.choice([0.0, -0.0])
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    A[:, upper] = off[:, upper]
+    A = A + np.triu(A, 1).transpose(0, 2, 1)
+    return A
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(resting_stacks())
+def test_a_stack_with_nothing_to_rotate_returns_at_once_with_the_walks_bits(stack):
+    # the early return: no sweep runs, and every matrix gets the walk's
+    # sorted diagonal and permutation columns, byte for byte
+    def no_sweeps(*args):
+        raise AssertionError("a resting stack entered the sweeps")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "_jacobi_sweeps_stack", no_sweeps)
+        assert_stack_matches_oracle(stack)

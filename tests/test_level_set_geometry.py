@@ -278,6 +278,69 @@ class TestPrincipalFrame:
             assert abs(fd - pf.grad_norm_derivs[0, i]) <= 5e-4
 
 
+def hexed(a):
+    return [float(x).hex() for x in np.asarray(a).ravel()]
+
+
+class TestLazyFrames:
+    """principal_frame_stack forms the frames and the |grad u| derivatives
+    when they are first read, and keeps them."""
+
+    CASES = [(RadialDistanceField(), constant_curvature(-1.0, 4)),       # nothing rotates
+             (QuadraticFormField(np.diag([1.0, 2.0, 4.0])), euclidean(3)),
+             (OffCenterDistanceField(0.3), constant_curvature(-1.0, 3))]
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_reading_kappa_leaves_the_frames_unformed(self, case):
+        u, M = self.CASES[case]
+        _, pf = frames(u, M, sample_points(M, 20 + case, 16))
+        assert pf.kappa.shape == (16, M.dim - 1)
+        assert not {"_directions", "frame", "grad_norm_derivs"} & set(vars(pf))
+        pf.frame
+        assert {"_directions", "frame"} <= set(vars(pf))
+        assert "grad_norm_derivs" not in vars(pf)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_frames_read_later_equal_frames_read_at_once(self, case):
+        # one record reads both at once; the other reads kappa, waits while
+        # other stacks form their frames, then reads them in the other order
+        u, M = self.CASES[case]
+        P = sample_points(M, 30 + case, 16)
+        _, eager = frames(u, M, P)
+        frame, derivs = hexed(eager.frame), hexed(eager.grad_norm_derivs)
+        _, late = frames(u, M, P)
+        kappa = hexed(late.kappa)
+        for seed in range(3):
+            hexed(frames(u, M, sample_points(M, seed, 16))[1].frame)
+        assert hexed(late.grad_norm_derivs) == derivs
+        assert hexed(late.frame) == frame
+        assert hexed(late.kappa) == kappa == hexed(eager.kappa)
+        assert late.frame is late.frame
+
+    def test_a_radial_mean_curvature_forms_no_frame(self, monkeypatch):
+        from curvatura import level_set_geometry
+        from curvatura.curvature_integrals import (
+            comparison_rhs,
+            comparison_rhs_constant,
+            total_mean_curvature,
+        )
+        from curvatura.quadrature import QuadratureSpec
+        formed = []
+        form = level_set_geometry.PrincipalFrameData._directions.func
+        monkeypatch.setattr(level_set_geometry.PrincipalFrameData, "_directions",
+                            property(lambda pf: formed.append(1) or form(pf)))
+        M, u = constant_curvature(-1.0, 4), RadialDistanceField()
+        spec = QuadratureSpec(angular_orders=(4,), level_order=2)
+        for r in range(4):
+            total_mean_curvature(u, M, 0.8, r, spec)
+            total_mean_curvature(u, M, [0.5, 1.0], r, spec)
+            comparison_rhs_constant(u, M, (0.5, 1.0), r, spec)
+        assert formed == []
+        # the general path reads the frames of its coarea rule only
+        comparison_rhs(u, M, (0.5, 1.0), 1, spec)
+        assert len(formed) == 2     # frame, then grad_norm_derivs
+
+
 def reilly2_residuals(u, M, points, r):
     lhs, rhs = reilly2_sides_stack(u, M, np.array(points), r)
     return np.abs(lhs - rhs)

@@ -2,6 +2,7 @@
 1-d Gauss-Legendre helper.  Oracles: closed-form sphere/shell values, a
 surface-of-revolution quadrature for the ellipsoid, and antiderivatives."""
 
+import json
 import math
 import sys
 
@@ -327,6 +328,83 @@ class TestDeterminism:
                     assert np.array_equal(np.isnan(got), np.isnan(want)), shape
                     nan = np.isnan(want)
                     assert got[~nan].tobytes() == want[~nan].tobytes(), shape
+
+
+class TestRulePlans:
+    """A rule's level-free columns (and its companion's) are built once per
+    (kind, n, spec, number of levels) by quadrature._rule_plan, read-only;
+    a call builds only its level columns."""
+
+    def test_plan_arrays_are_read_only(self):
+        for kind, levels in (("surface", 3), ("coarea", SPEC.level_order)):
+            plan = quadrature._rule_plan(kind, 3, SPEC, levels)
+            for a in (plan.angles, plan.weights, plan.directions, plan.levels):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+        with pytest.raises(ValueError, match="read-only"):
+            quadrature._pairwise_leaves(100)[0, 0] = 0
+
+    def test_warm_and_cold_plans_give_the_same_bits(self):
+        M = constant_curvature(-1.0, 3)
+        u = RadialDistanceField()
+
+        def integrand(P, chart):
+            return sigma_r(u, M, P, 1)
+
+        def rows(P, chart):
+            return np.column_stack((sigma_r(u, M, P, 1), sigma_r(u, M, P, 2)))
+
+        def run():
+            one = surface_integral(u, M, 0.8, integrand, SPEC)
+            three = surface_integral(u, M, [0.5, 0.8, 1.1], integrand, SPEC)
+            multi = coarea_volume_integral_multi(u, M, (0.5, 1.0), rows, SPEC, 2)
+            nums = [one.value, one.error_estimate, *three[0], *three[1], *multi[0], *multi[1]]
+            return [float(x).hex() for x in nums], one.node_count, three[2], multi[2]
+
+        quadrature._rule_plan.cache_clear()
+        cold = run()
+        built = quadrature._rule_plan.cache_info()
+        assert built.misses == 3
+        assert run() == cold
+        assert quadrature._rule_plan.cache_info().misses == built.misses
+
+    def test_a_failing_node_is_named_the_same_with_a_warm_plan_or_a_cold_one(self):
+        M = euclidean(3)
+
+        class DownhillBelow(RadialSquaredHalfField):
+            """u decreases along the rays about the lower pole at the crossing."""
+            def partials_stack(self, M, P):
+                du = super().partials_stack(M, P)
+                below = P[:, 2] < -0.9 * np.linalg.norm(P, axis=1)
+                return np.where(below[:, None], -du, du)
+
+        u = DownhillBelow(center=[0.0, 0.0, 1e-3])
+        for call in (lambda: surface_integral(u, M, 0.5, ones, SPEC),
+                     lambda: surface_integral(u, M, [0.4, 0.5], ones, SPEC),
+                     lambda: coarea_volume_integral(u, M, (0.4, 0.5), ones, SPEC)):
+            quadrature._rule_plan.cache_clear()
+            with pytest.raises(GeometryError) as cold:
+                call()
+            with pytest.raises(GeometryError) as warm:
+                call()
+            assert str(cold.value).startswith("node ")
+            assert "u is not increasing along the ray" in str(cold.value)
+            assert str(warm.value) == str(cold.value)
+
+    def test_a_fifty_level_sweep_adds_one_plan_whatever_its_levels(self, tmp_path):
+        from curvatura.cli import main
+        quadrature._rule_plan.cache_clear()
+        for k, (start, stop) in enumerate(((0.1, 2.0), (0.2, 3.0))):
+            cfg = tmp_path / f"sweep{k}.json"
+            cfg.write_text(json.dumps({
+                "schema_version": 1, "manifold": {"family": "euclidean", "dim": 3},
+                "field": {"field": "radial_sq"},
+                "quadrature": {"angular_order": 4, "level_order": 2},
+                "sweep": {"kind": "levels", "levels": {"start": start, "stop": stop, "num": 50},
+                          "r": [0, 1]}}))
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / f"o{k}")]) == 0
+            info = quadrature._rule_plan.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
