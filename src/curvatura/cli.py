@@ -6,9 +6,10 @@
 
 The JSON config is schema-validated before any computation; violations are
 rejected with the offending key path.  CURVATURA_SEED overrides the config
-seed.  Quadrature orders are capped at MAX_ORDER and --threads at
-MAX_THREADS.  Exit codes: 0 success (for verify: aggregate pass), 2 config error,
-3 geometry/degeneracy error, 1 internal error or aggregate failure.
+seed.  Quadrature orders are capped at MAX_ORDER, a rule's node count at
+MAX_NODES and --threads at MAX_THREADS.  Exit codes: 0 success (for verify:
+aggregate pass), 2 config error, 3 geometry/degeneracy error, 1 internal
+error or aggregate failure.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ DEFAULT_SEED = 20240817
 # tests use (96): Gauss-Legendre nodes of order k cost O(k^2) memory and O(k^3)
 # time, so that an order of 10^7 asked for 728 TiB
 MAX_ORDER = 1024
+# the largest rule accepted, in nodes: the product of the angular orders, times
+# the level order for a coarea rule.  It is the default rule (orders 16 and 8)
+# in dimension 6; orders within MAX_ORDER still multiply to 1024^5 nodes there,
+# whose angular grid alone asked for 8 PiB
+MAX_NODES = 16 ** 5 * 8
 # the largest --threads accepted: a rule is split into up to that many
 # chunks, each of which may start a pool thread
 MAX_THREADS = 64
@@ -189,7 +195,10 @@ def _validate_field(d, M, path="field"):
     return u
 
 
-def _validate_quadrature(d, n, path="quadrature"):
+def _validate_quadrature(d, n, path="quadrature", coarea=False):
+    """The QuadratureSpec of a config's quadrature object for dimension n,
+    refused when its rule (its coarea rule when `coarea`) has more than
+    MAX_NODES nodes."""
     if d is None:
         return QuadratureSpec()
     if not isinstance(d, dict):
@@ -206,7 +215,13 @@ def _validate_quadrature(d, n, path="quadrature"):
         ang = (_check_int(ang, f"{path}.angular_order", 2, MAX_ORDER),)
     lvl = _check_int(d.get("level_order", 8), f"{path}.level_order", 2, MAX_ORDER)
     margin = _check_number(d.get("margin", 1e-6), f"{path}.margin", 1e-12, 1e-3)
-    return QuadratureSpec(angular_orders=ang, level_order=lvl, margin=margin)
+    spec = QuadratureSpec(angular_orders=ang, level_order=lvl, margin=margin)
+    nodes = math.prod(spec.angular_for(n)) * (lvl if coarea else 1)
+    if nodes > MAX_NODES:
+        _fail(f"{path}.angular_order",
+              f"expected a rule of at most {MAX_NODES} nodes (the product of the angular "
+              f"orders{', times level_order' if coarea else ''}), got {nodes}")
+    return spec
 
 
 def _validate_r(v, n, path="r", lo=-1):
@@ -270,7 +285,7 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
                 {"schema_version", "manifold", "field"})
     M = _validate_manifold(cfg["manifold"])
     u = _validate_field(cfg["field"], M)
-    spec = _validate_quadrature(cfg.get("quadrature"), M.dim)
+    spec = _validate_quadrature(cfg.get("quadrature"), M.dim, coarea="levels" in cfg)
     if "r" not in cfg:
         _fail("r", "required for compute")
     rs = _validate_r(cfg["r"], M.dim)

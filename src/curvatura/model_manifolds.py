@@ -14,7 +14,9 @@ family use a Cartesian chart, where the tensors are trivial.
 All Christoffel symbols are analytic closed forms of the diagonal metric;
 nothing on the shipped path is differentiated numerically.  A node stack's
 chart (chart_stack: metric diagonal and f, f' at each radius, behind one
-polar guard) is evaluated once and handed to the kernels that read it.
+polar guard) is evaluated once and handed to the kernels that read it.  The
+sines and tangents of the polar angles come with the stack when a rule plan
+carries them, and are computed from the stack otherwise (_angle_trig).
 """
 
 from __future__ import annotations
@@ -229,57 +231,76 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     return _on_distinct(fn, *_distinct(x))
 
 
-def _polar_guard_stack(M: ModelManifold, P: np.ndarray):
-    """Refuse a stack with a node off the polar chart: r <= 0, r beyond the
-    working radius, or a polar angle on the axis; raises for the first such
-    node.  Returns the _distinct triples and the sines of the polar angles,
-    columns 1..n-2."""
-    angles = tuple(_distinct(P[:, m]) for m in range(1, M.dim - 1))
-    sines = [_on_distinct(math.sin, *a) for a in angles]
+def _angle_trig(theta: np.ndarray):
+    """(sines, tangents) of an (N, k) stack of polar angles, each (N, k):
+    math.sin and math.tan once per distinct bit pattern of each column
+    (_distinct), so a node's bits do not depend on its stack.  A
+    non-finite angle gives NaN for both, which the polar guard refuses."""
+    sines, tangents = np.empty(theta.shape), np.empty(theta.shape)
+    for m in range(theta.shape[1]):
+        values, order, back = _distinct(theta[:, m])
+        finite = np.where(np.isfinite(values), values, math.nan).tolist()
+        for fn, out in ((math.sin, sines), (math.tan, tangents)):
+            out[:, m] = _spread(np.fromiter(map(fn, finite), float, len(finite)), order, back)
+    return sines, tangents
+
+
+def _polar_guard_stack(M: ModelManifold, P: np.ndarray, sines: np.ndarray):
+    """Refuse a stack with a node off the polar chart: r not in (0, working
+    radius] (NaN included), or a polar angle (columns 1..n-2) on the axis or
+    not finite, read from the sines of those angles (_angle_trig); raises for
+    the first such node."""
     r = P[:, 0]
-    bad = (r <= 0) | (r > M.working_radius)
-    for s in sines:
-        bad |= np.abs(s) <= _AXIS_TOL
-    if bad.any():
-        k = int(np.argmax(bad))
+    on_chart = (r > 0) & (r <= M.working_radius)
+    off_axis = np.abs(sines) > _AXIS_TOL
+    if not (on_chart.all() and off_axis.all()):         # NaN included
+        k = int(np.argmin(on_chart & off_axis.all(axis=1)))
         rk = r[k]
         if rk <= 0:
             detail = f"polar chart is singular at r={rk:g}"
         elif rk > M.working_radius:
             detail = f"r={rk:g} exceeds the working radius {M.working_radius:g}"
+        elif not rk > 0:
+            detail = f"polar chart is undefined at r={rk:g}"
         else:
-            m = next(m for m, sin_m in enumerate(sines, 1) if abs(sin_m[k]) <= _AXIS_TOL)
-            detail = f"polar chart is singular on the axis (angle {m})"
+            m = 1 + int(np.argmin(off_axis[k]))
+            if math.isfinite(sines[k, m - 1]):
+                detail = f"polar chart is singular on the axis (angle {m})"
+            else:
+                detail = f"polar chart is undefined at angle {m} = {P[k, m]:g}"
         raise node_error(ChartSingularityError, k, detail)
-    return angles, sines
 
 
 @dataclass(frozen=True)
 class ChartStack:
     """The chart at every row of an (N, n) point stack (chart_stack): the
     metric diagonal D (N, n) and, on polar charts, the warping profile f
-    and f' at each radius (N,), with the _distinct triples of the polar
-    angles, columns 1..n-2, for _log_derivatives, and _f_radii, the triple
-    of the radii with f in place of each distinct radius, for functions of
-    f taken once per distinct radius (_on_distinct).  Cartesian charts
-    carry D = 1 and nothing else.  The node kernels take it instead of
-    evaluating the chart again."""
+    and f' at each radius (N,), with _tangents, the tangents of the polar
+    angles (N, n-2), columns 1..n-2 of the stack, for _log_derivatives, and
+    _f_radii, the _distinct triple of the radii with f in place of each
+    distinct radius, for functions of f taken once per distinct radius
+    (_on_distinct).  Cartesian charts carry D = 1 and nothing else.  The
+    node kernels take it instead of evaluating the chart again."""
     D: np.ndarray
     f: Optional[np.ndarray] = None
     df: Optional[np.ndarray] = None
-    _angles: tuple = field(default=(), repr=False)
+    _tangents: Optional[np.ndarray] = field(default=None, repr=False)
     _f_radii: tuple = field(default=(), repr=False)
 
 
-def chart_stack(M: ModelManifold, P) -> ChartStack:
-    """The ChartStack of an (N, n) point stack.  On polar charts this runs
-    the polar guard, raising for the first node off the chart, and
-    evaluates f and f' once per distinct radius of one _distinct pass."""
+def chart_stack(M: ModelManifold, P, trig: Optional[tuple] = None) -> ChartStack:
+    """The ChartStack of an (N, n) point stack.  trig: the (sines,
+    tangents) of the stack's polar angles (_angle_trig of columns 1..n-2),
+    as a rule plan carries them; computed from P when not given.  On polar
+    charts this runs the polar guard, raising for the first node off the
+    chart, and evaluates f and f' once per distinct radius of one _distinct
+    pass."""
     P = np.asarray(P, dtype=float)
     N, n = P.shape
     if M.chart == "cartesian":
         return ChartStack(D=np.ones((N, n)))
-    angles, sines = _polar_guard_stack(M, P)
+    sines, tangents = _angle_trig(P[:, 1:n - 1]) if trig is None else trig
+    _polar_guard_stack(M, P, sines)
     f, df, _ = radial_profile(M)
     values, order, back = _distinct(P[:, 0])
     f_radii = (np.fromiter(map(f, values.tolist()), float, values.size), order, back)
@@ -290,8 +311,8 @@ def chart_stack(M: ModelManifold, P) -> ChartStack:
     for j in range(1, n):
         D[:, j] = acc
         if j < n - 1:
-            acc = acc * sines[j - 1] ** 2
-    return ChartStack(D=D, f=fr, df=_on_distinct(df, values, order, back), _angles=angles,
+            acc = acc * sines[:, j - 1] ** 2
+    return ChartStack(D=D, f=fr, df=_on_distinct(df, values, order, back), _tangents=tangents,
                       _f_radii=f_radii)
 
 
@@ -299,8 +320,7 @@ def _log_derivatives(chart: ChartStack) -> list:
     """l[k] = d_k log g_jj for every j > k (N,), k = 0..n-2, on a polar
     chart: 2 f'/f for the radius, 2 / tan of polar angle k otherwise.
     d_k log g_jj vanishes for j <= k."""
-    return [2.0 * chart.df / chart.f] + [2.0 / _on_distinct(math.tan, *a)
-                                         for a in chart._angles]
+    return [2.0 * chart.df / chart.f] + [2.0 / t for t in chart._tangents.T]
 
 
 def christoffel_stack(M: ModelManifold, P, chart: Optional[ChartStack] = None) -> np.ndarray:

@@ -17,28 +17,32 @@ the axis.  Volume integrals between two levels use the coarea fibration
 A rule is evaluated as one stack of nodes, not node by node: the field's
 closed-form partials, the surface weights (surface_nodes) and the integrand
 each run once on (N, ...) arrays.  The ray root solve (find_level_radii) is
-exact for level spheres about the base point (_star_radius) and otherwise
+exact for level spheres about the base point (_star_radius, asked once per
+distinct level value of an integral by _sphere_crossings) and otherwise
 runs find_level_radius ray by ray, each ray as the chart reads it (angles,
 or _angular_grid's unit direction).  The quadratic field, the one field
 without stacked closed forms (ScalarField.stacked false), keeps its partials
 and Hessian per node, inside the stacked stages.  Each stack's chart is
 evaluated once, by surface_nodes (chart_stack: the metric, the profile f and
-f' on polar charts, and the polar guard).  Integrands are called as
-integrand(P, chart) with the (N, n) point stack and that ChartStack, and
-pass the chart on to the node kernels that take one (hessian_frame_stack,
-riemann_stack).  Each integral joins its rule and the halved-order companion
-of its error estimate into one node stack, evaluated in one pass and split
-again at the rule's node count.  A surface integral over several levels
-joins every level's rule, level-major, then every level's companion, into
-one stack and one pass as well.  The columns of that stack that no level
-value enters are built once per rule, as a read-only plan (_rule_plan), and
-a call builds only its level columns.  Stacks above _CHUNK nodes, and
-stacks split over `threads` workers, run as several contiguous chunks.
-Every stage computes each node with the same operations whatever the stack
-and chunk it sits in, and each rule is reduced by its own fixed-order
-pairwise sum over its node index, so results are bit-identical for any
-split and worker count, and to a rule evaluated alone.  A failing stack
-raises the error of its lowest-indexed failing node, whatever the split.
+f' on polar charts, and the polar guard); on polar charts the sines and
+tangents of its polar angles come from the rule plan, so a stack pays only
+for its radii.  Integrands are called as integrand(P, chart) with the
+(N, n) point stack and that ChartStack, and pass the chart on to the node
+kernels that take one (hessian_frame_stack, riemann_stack).  Each integral
+joins its rule and the halved-order companion of its error estimate into
+one node stack, evaluated in one pass and split again at the rule's node
+count.  A surface integral over several levels joins every level's rule,
+level-major, then every level's companion, into one stack and one pass as
+well.  The columns of that stack that no level value enters are built once
+per rule, as a read-only plan (_rule_plan: angles, weights, directions,
+and on polar charts the sines and tangents of the polar angles), and a call
+builds only its level columns.  Stacks above _CHUNK nodes, and stacks split over `threads`
+workers, run as several contiguous chunks.  Every stage computes each node
+with the same operations whatever the stack and chunk it sits in, and each
+rule is reduced by its own fixed-order pairwise sum over its node index, so
+results are bit-identical for any split and worker count, and to a rule
+evaluated alone.  A failing stack raises the error of its lowest-indexed
+failing node, whatever the split.
 """
 
 from __future__ import annotations
@@ -46,12 +50,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import GeometryError, node_error
-from .model_manifolds import ModelManifold, _elementwise, _on_distinct, chart_stack
+from .model_manifolds import (
+    ModelManifold,
+    _angle_trig,
+    _elementwise,
+    _on_distinct,
+    chart_stack,
+)
 from .level_set_geometry import ScalarField, _rowdot, sphere_direction
 
 _ROOT_BISECT_WIDTH = 1e-6
@@ -281,33 +291,56 @@ def find_level_radius(u: ScalarField, M: ModelManifold, level: float, ray) -> fl
     return rho
 
 
-def find_level_radii(u: ScalarField, M: ModelManifold, levels, rays) -> np.ndarray:
+def _sphere_crossings(u: ScalarField, M: ModelManifold, levels: np.ndarray):
+    """(radii, refusals) of a vector of level values: the exact radius where
+    the level set is a sphere about the base point (_star_radius, asked once
+    per distinct value), NaN where it is solved ray by ray, and the
+    GeometryError of each sphere refused beyond the working radius, keyed
+    by position."""
+    radii = np.full(len(levels), math.nan)
+    refusals, seen = {}, {}
+    for i, c in enumerate(levels.tolist()):
+        if c not in seen:
+            try:
+                seen[c] = _star_radius(u, M, c)
+            except GeometryError as e:
+                seen[c] = e
+        if isinstance(seen[c], GeometryError):
+            refusals[i] = seen[c]
+        elif seen[c] is not None:
+            radii[i] = seen[c]
+    return radii, refusals
+
+
+def find_level_radii(u: ScalarField, M: ModelManifold, levels, rays,
+                     spheres=None) -> np.ndarray:
     """Radii along a stack of rays where u = level.
 
     rays: (N, ...), each as find_level_radius reads it; levels: one level
     or one per ray.  Levels whose level set is a sphere about the base point
     short-circuit to the exact radius; every other ray is solved by
-    find_level_radius.  Raises the error of the first ray that fails a
-    guard, naming its node; a sphere refused beyond the working radius
-    names the first node of its level.
+    find_level_radius.  spheres: (radii, refusals, index), the
+    _sphere_crossings of the caller's level values and each ray's index
+    into them, when the caller resolved its levels once; else the distinct
+    levels of the stack are resolved here.  Raises the error of the first
+    ray that fails a guard, naming its node; a sphere refused beyond the
+    working radius names the first node of its level, before any ray is
+    solved.
     """
     rays = np.asarray(rays, dtype=float)
     N = rays.shape[0]
     levels = np.broadcast_to(np.asarray(levels, dtype=float), (N,))
-    rho = np.empty(N)
-    todo = np.ones(N, dtype=bool)
-    # each level at its first node, in node order
-    for k in np.sort(np.unique(levels, return_index=True)[1]):
-        c = levels[k]
-        try:
-            sr = _star_radius(u, M, float(c))
-        except GeometryError as e:
-            raise node_error(GeometryError, int(k), str(e)) from None
-        if sr is not None:
-            sel = levels == c
-            rho[sel] = sr
-            todo[sel] = False
-    for k in np.nonzero(todo)[0]:
+    if spheres is None:
+        values, index = np.unique(levels, return_inverse=True)
+        spheres = _sphere_crossings(u, M, values) + (index,)
+    radii, refusals, index = spheres
+    if refusals:
+        refused = np.isin(index, list(refusals))
+        if refused.any():
+            k = int(np.argmax(refused))
+            raise node_error(GeometryError, k, str(refusals[int(index[k])]))
+    rho = radii[index]
+    for k in np.flatnonzero(np.isnan(rho)):
         try:
             rho[k] = find_level_radius(u, M, float(levels[k]), rays[k])
         except GeometryError as e:
@@ -316,19 +349,22 @@ def find_level_radii(u: ScalarField, M: ModelManifold, levels, rays) -> np.ndarr
 
 
 def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
-                  directions) -> tuple:
+                  directions, spheres=None, trig=None) -> tuple:
     """(points, surface weights, |grad u|, chart_stack) of a stack of
     angular nodes, each on the level set of its level.
 
     The surface weight of a node is its angular weight times
-    f(rho)^{n-1} |grad u| / d_rho u at the crossing.
+    f(rho)^{n-1} |grad u| / d_rho u at the crossing.  spheres: the
+    stack's level crossings resolved by the caller (find_level_radii);
+    trig: the sines and tangents of its polar angles (chart_stack); both
+    as a rule plan gives them, computed here when not given.
     """
     n = M.dim
     polar = M.chart == "polar"
-    rho = find_level_radii(u, M, levels, angles if polar else directions)
+    rho = find_level_radii(u, M, levels, angles if polar else directions, spheres)
     P = np.column_stack((rho, angles)) if polar else rho[:, None] * directions
     du = u.partials_stack(M, P)
-    chart = chart_stack(M, P)
+    chart = chart_stack(M, P, trig)
     grad_norm = np.sqrt(_rowdot(du, du / chart.D))
     if polar:
         u_rho = du[:, 0]
@@ -343,11 +379,12 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     return P, weights * scale * grad_norm / u_rho, grad_norm, chart
 
 
-def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
-               integrand, n_comp, threads):
-    """Weighted integrand rows, one per node of a node stack (the rules of
-    one or more levels and their halved-order companions, joined by
-    _halving_estimate).
+def _rule_rows(u, M, plan, levels, spheres, level_weights, integrand, n_comp, threads):
+    """Weighted integrand rows, one per node of a rule plan's node stack
+    (the rules of one or more levels and their halved-order companions,
+    joined by _halving_estimate), with levels the level value of each node
+    and spheres the (radii, refusals) of _sphere_crossings for each of the
+    plan's level indices.
 
     The node stack is evaluated in contiguous chunks of at most _CHUNK
     nodes (fewer above dimension 4), split further so that `threads`
@@ -364,8 +401,10 @@ def _rule_rows(u, M, levels, angles, weights, directions, level_weights,
 
     def rows(lo, hi):
         try:
-            P, w, grad_norm, chart = surface_nodes(u, M, levels[lo:hi], angles[lo:hi],
-                                                   weights[lo:hi], directions[lo:hi])
+            P, w, grad_norm, chart = surface_nodes(
+                u, M, levels[lo:hi], plan.angles[lo:hi], plan.weights[lo:hi],
+                plan.directions[lo:hi], spheres + (plan.levels[lo:hi],),
+                tuple(a[lo:hi] for a in plan.trig) if M.chart == "polar" else None)
             if level_weights is not None:
                 w = w * level_weights[lo:hi] / grad_norm
             values = np.asarray(integrand(P, chart), dtype=float).reshape(len(P), n_comp)
@@ -433,6 +472,16 @@ class _RulePlan:
     levels: np.ndarray
     count: int
 
+    @cached_property
+    def trig(self) -> tuple:
+        """(sines, tangents) of every node's polar angles, angle columns
+        0..n-3 (_angle_trig), read-only, for chart_stack on polar charts;
+        built on first use, since Cartesian charts never read them."""
+        trig = _angle_trig(self.angles[:, :-1])
+        for a in trig:
+            a.flags.writeable = False
+        return trig
+
 
 @lru_cache(maxsize=_PLANS)
 def _rule_plan(kind: str, n: int, spec: QuadratureSpec, levels: int) -> _RulePlan:
@@ -463,11 +512,12 @@ def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_
     per level of a multi-level surface integral), joined with their
     companions' into one stack; level_values and level_weights (None for a
     surface rule) hold the level values and level weights of the rule and
-    then of the companion, which plan.levels spreads over the nodes.  The
-    stack is evaluated by one _rule_rows pass and split again into parts.
-    Each part is summed by its own pairwise_sum, over the same tree as
-    alone, and each estimate is |fine - coarse| plus the polar-cap bound;
-    the node count is that of all the rules.  The error raised is that of
+    then of the companion, which plan.levels spreads over the nodes; each
+    level value's crossing is resolved once (_sphere_crossings) for all of
+    its nodes.  The stack is evaluated by one _rule_rows pass and split
+    again into parts.  Each part is summed by its own pairwise_sum, over
+    the same tree as alone, and each estimate is |fine - coarse| plus the
+    polar-cap bound; the node count is that of all the rules.  The error raised is that of
     the lowest-indexed failing node of the stack (every rule's nodes come
     before every companion's), at the earliest stage where it fails,
     whatever the split; it names the node by its index within its own
@@ -478,8 +528,9 @@ def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_
     count, total = plan.count, len(plan.weights)
     weights = None if level_weights is None else level_weights[plan.levels]
     try:
-        rows = _rule_rows(u, M, level_values[plan.levels], plan.angles, plan.weights,
-                          plan.directions, weights, integrand, n_comp, threads)
+        rows = _rule_rows(u, M, plan, level_values[plan.levels],
+                          _sphere_crossings(u, M, level_values), weights, integrand,
+                          n_comp, threads)
     except Exception as e:
         node = getattr(e, "node", None)
         if node is not None:

@@ -200,6 +200,19 @@ def comparison_cfg(**changes):
                "quadrature": {"angular_order": 1025},
                "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
      2, "quadrature.angular_order: expected <= 1024"),
+    # a rule of more than MAX_NODES nodes is refused by the angular orders'
+    # key before any grid is built (orders of 1024 in dimension 6 asked the
+    # angular grid for 8 PiB); a comparison counts its coarea rule, orders
+    # times level order, and a levels sweep its surface rule
+    ("compute", dict(compute_cfg(manifold={"family": "euclidean", "dim": 6}),
+                     quadrature={"angular_order": 1024}),
+     2, "quadrature.angular_order: expected a rule of at most 8388608 nodes"),
+    ("compute", dict(comparison_cfg(), quadrature={"angular_order": 1024, "level_order": 1024}),
+     2, "times level_order), got 1073741824"),
+    ("sweep", {"schema_version": 1, "manifold": {"family": "constant", "a": -1.0, "dim": 4},
+               "field": {"field": "radial"}, "quadrature": {"angular_order": [1024, 1024, 16]},
+               "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
+     2, "quadrature.angular_order: expected a rule of at most 8388608 nodes"),
     # radii and levels out of range
     ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
                "sweep": {"kind": "sphere", "rho": {"grid": [0.5, -1]}, "r": [1]}},
@@ -255,6 +268,21 @@ def test_the_order_cap_admits_its_bound():
     from curvatura.cli import MAX_ORDER, _validate_quadrature
     spec = _validate_quadrature({"angular_order": [MAX_ORDER, 8], "level_order": MAX_ORDER}, 3)
     assert spec.angular_orders == (MAX_ORDER, 8) and spec.level_order == MAX_ORDER
+
+
+def test_the_node_cap_admits_its_bound():
+    from curvatura.cli import MAX_NODES, MAX_ORDER, _validate_quadrature
+    from curvatura.errors import ConfigError
+    from curvatura.quadrature import QuadratureSpec
+    default = QuadratureSpec()
+    assert math.prod(default.angular_for(6)) * default.level_order == MAX_NODES
+    assert _validate_quadrature({"angular_order": 16, "level_order": 8}, 6,
+                                coarea=True) == default
+    bound = {"angular_order": MAX_ORDER, "level_order": MAX_NODES // MAX_ORDER ** 2}
+    assert _validate_quadrature(bound, 3, coarea=True).level_order == 8
+    with pytest.raises(ConfigError, match="^quadrature.angular_order: .* got 9437184$"):
+        _validate_quadrature(dict(bound, level_order=9), 3, coarea=True)
+    assert _validate_quadrature(dict(bound, level_order=MAX_ORDER), 3).level_order == MAX_ORDER
 
 
 class RecordingPool:

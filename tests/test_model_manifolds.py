@@ -109,6 +109,31 @@ class TestMetric:
         else:
             assert chart.f is None and chart.df is None
 
+    @pytest.mark.parametrize("M", [constant_curvature(-1.0, 5), warped(poly3_profile(), 4),
+                                   warped(sinh_profile(), 2)],
+                             ids=lambda M: f"{M.label}-{M.dim}")
+    def test_a_chart_from_given_angle_columns_is_the_chart_from_the_points(self, M):
+        # the sines and tangents a rule plan carries, sliced at any split,
+        # give the bits of the chart that computes them from the points
+        rng = np.random.default_rng(8)
+        n = M.dim
+        P = np.column_stack([rng.choice([0.5, 1.2], 24)]
+                            + [rng.choice([0.3, 1.1, 2.5], 24) for _ in range(n - 2)]
+                            + [rng.uniform(0.0, 6.2, 24)])
+        sines, tangents = model_manifolds._angle_trig(P[:, 1:n - 1])
+        assert sines.shape == tangents.shape == (24, n - 2)
+
+        def bits(chart):
+            return [[x.hex() for x in a.ravel().tolist()]
+                    for a in (chart.D, chart.f, chart.df, *model_manifolds._log_derivatives(chart))]
+
+        for lo, hi in ((0, 24), (0, 7), (7, 24), (13, 14)):
+            given = chart_stack(M, P[lo:hi], (sines[lo:hi], tangents[lo:hi]))
+            assert bits(given) == bits(chart_stack(M, P[lo:hi]))
+            # the rows of the whole stack's chart (D holds n entries per row)
+            assert bits(given) == [col[lo * len(col) // 24:hi * len(col) // 24]
+                                   for col in bits(chart_stack(M, P))]
+
     def test_chart_stack_refuses_the_first_node_off_the_chart(self):
         M = constant_curvature(-1.0, 3)
         with pytest.raises(ChartSingularityError, match="node 1: polar chart is singular"):
@@ -120,6 +145,13 @@ class TestMetric:
         ([11.0, 1.0, math.pi, 0.5], "r=11 exceeds the working radius 10"),
         ([1.0, 0.0, 1.0, 0.5], "polar chart is singular on the axis (angle 1)"),
         ([1.0, 1.0, math.pi, 0.5], "polar chart is singular on the axis (angle 2)"),
+        # NaN is off the chart too: a radius or polar angle, and an infinite angle
+        ([math.nan, 1.0, 1.0, 0.5], "polar chart is undefined at r=nan"),
+        ([math.nan, 0.0, math.nan, 0.5], "polar chart is undefined at r=nan"),
+        ([1.0, math.nan, 1.0, 0.5], "polar chart is undefined at angle 1 = nan"),
+        ([1.0, 1.0, math.nan, 0.5], "polar chart is undefined at angle 2 = nan"),
+        ([1.0, math.nan, 0.0, 0.5], "polar chart is undefined at angle 1 = nan"),
+        ([1.0, 1.0, -math.inf, 0.5], "polar chart is undefined at angle 2 = -inf"),
     ])
     def test_guard_message_names_the_first_failing_node(self, bad, detail):
         # node 2 fails too, and a node off both radius and axis reads its radius

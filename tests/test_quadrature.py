@@ -9,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from curvatura import curvature_integrals, quadrature
-from curvatura.errors import GeometryError
+from curvatura import curvature_integrals, model_manifolds, quadrature
+from curvatura.errors import GeometryError, node_error
 from curvatura.model_manifolds import (
+    _log_derivatives,
+    chart_stack,
     constant_curvature,
     euclidean,
     poly3_profile,
@@ -39,6 +41,7 @@ from curvatura.symmetric_algebra import elementary_all_stack, sigma_stack
 from oracles import pairwise_sum_recursive
 
 SPEC = QuadratureSpec(angular_orders=(16,), level_order=8)
+HYPERBOLIC = constant_curvature(-1.0, 3)
 
 
 def sigma_r(u, M, P, r):
@@ -338,7 +341,7 @@ class TestRulePlans:
     def test_plan_arrays_are_read_only(self):
         for kind, levels in (("surface", 3), ("coarea", SPEC.level_order)):
             plan = quadrature._rule_plan(kind, 3, SPEC, levels)
-            for a in (plan.angles, plan.weights, plan.directions, plan.levels):
+            for a in (plan.angles, plan.weights, plan.directions, *plan.trig, plan.levels):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = a[0]
         with pytest.raises(ValueError, match="read-only"):
@@ -390,6 +393,94 @@ class TestRulePlans:
             assert str(cold.value).startswith("node ")
             assert "u is not increasing along the ray" in str(cold.value)
             assert str(warm.value) == str(cold.value)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("M", [constant_curvature(-1.0, 5), warped(poly3_profile(), 3)],
+                             ids=lambda M: f"{M.label}-{M.dim}")
+    def test_plan_charts_are_the_charts_of_their_points(self, monkeypatch, M, warm, threads):
+        # every chunk's chart, built from the plan's sines and tangents, has
+        # the bits of the chart computed from the chunk's points alone
+        u = RadialDistanceField()
+        spec = QuadratureSpec(angular_orders=(4,), level_order=3)
+        built, charts = quadrature.chart_stack, []
+
+        def recorded(M, P, trig=None):
+            chart = built(M, P, trig)
+            charts.append((P.copy(), trig is not None, chart))
+            return chart
+
+        def run():
+            surface_integral(u, M, [0.5, 0.8, 1.1], ones, spec, threads)
+            coarea_volume_integral(u, M, (0.5, 1.0), ones, spec, threads)
+
+        monkeypatch.setattr(quadrature, "_CHUNK", 16)     # several chunks per stack
+        quadrature._rule_plan.cache_clear()
+        if warm:
+            run()
+        monkeypatch.setattr(quadrature, "chart_stack", recorded)
+        run()
+        assert len(charts) > 2
+        for P, from_plan, chart in charts:
+            alone = chart_stack(M, P)
+            assert from_plan
+            for got, want in ((chart.D, alone.D), (chart.f, alone.f), (chart.df, alone.df),
+                              *zip(_log_derivatives(chart), _log_derivatives(alone))):
+                assert [x.hex() for x in got.ravel().tolist()] == \
+                    [x.hex() for x in want.ravel().tolist()]
+
+    @pytest.mark.parametrize("call,message,before", [
+        (lambda f, t: surface_integral(RadialDistanceField(), HYPERBOLIC, 12.0, f, SPEC, t),
+         "node 0: the level-12 sphere (radius 12) lies beyond the working radius 10", False),
+        (lambda f, t: surface_integral(RadialDistanceField(), HYPERBOLIC, [0.5, 12.0], f, SPEC, t),
+         "node 0: the level-12 sphere (radius 12) lies beyond the working radius 10", True),
+        (lambda f, t: coarea_volume_integral(RadialDistanceField(), HYPERBOLIC, (0.5, 12.0), f,
+                                             SPEC, t),
+         "node 1536: the level-10.8308 sphere (radius 10.8308) lies beyond the working radius 10",
+         True),
+    ], ids=["one level", "two levels", "coarea"])
+    def test_a_sphere_beyond_the_working_radius_is_named_the_same_warm_or_cold(
+            self, monkeypatch, call, message, before):
+        # each level's crossing is resolved once per integral, and a refused
+        # sphere still raises at its first node's radius stage, whatever the
+        # split: when nodes come before it (before), an integrand refusing
+        # every node names node 0 instead
+        def refuse(P, chart):
+            raise node_error(ValueError, 0, "refused")
+
+        for chunk in (quadrature._CHUNK, 100):
+            monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+            for threads in (1, 2):
+                quadrature._rule_plan.cache_clear()
+                for _ in ("cold", "warm"):
+                    with pytest.raises(GeometryError) as e:
+                        call(ones, threads)
+                    assert str(e.value) == message
+                    with pytest.raises((GeometryError, ValueError)) as e:
+                        call(refuse, threads)
+                    assert str(e.value) == ("node 0: refused" if before else message)
+
+    def test_a_warm_polar_rule_dedupes_no_angle_column(self, monkeypatch):
+        # the plan carries the sines and tangents of its polar angles, so a
+        # stack of a sphere dedupes its radius column and nothing else
+        M = constant_curvature(-1.0, 4)
+        u = RadialDistanceField()
+        quadrature._rule_plan.cache_clear()
+        surface_integral(u, euclidean(4), 0.8, ones, SPEC)
+        plan = quadrature._rule_plan("surface", 4, SPEC, 1)
+        assert "trig" not in vars(plan)         # a Cartesian chart builds none
+        surface_integral(u, M, 0.8, ones, SPEC)
+        assert "trig" in vars(plan)
+        distinct, columns = model_manifolds._distinct, []
+
+        def recorded(x):
+            columns.append(x.copy())
+            return distinct(x)
+
+        monkeypatch.setattr(model_manifolds, "_distinct", recorded)
+        surface_integral(u, M, 0.8, ones, SPEC)
+        assert len(columns) == 2        # one per chunk: the rule and its companion
+        assert all((x == 0.8).all() for x in columns)
 
     def test_a_fifty_level_sweep_adds_one_plan_whatever_its_levels(self, tmp_path):
         from curvatura.cli import main
