@@ -302,7 +302,7 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
         print(f"total mean curvatures at level {level:g}:")
         _print_table(MCR_COLUMNS, rows)
         return 0
-    levels = _check_vector(cfg["levels"], "levels")
+    levels = _check_vector(cfg["levels"], "levels", lo=1e-12)
     if len(levels) != 2 or not levels[0] < levels[1]:
         _fail("levels", f"expected [c1, c2] with c1 < c2, got {levels}")
     for i, r in enumerate(rs):
@@ -357,9 +357,9 @@ def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
     return 0 if all_passed else 1
 
 
-def _sweep_grid(d, path, lo=None, hi=None):
-    """A grid of numbers in [lo, hi]: an explicit 'grid', or 'start'/'stop'/
-    'num' with linear or log 'spacing'."""
+def _sweep_grid(d, path, lo, hi=None):
+    """A grid of numbers in [lo, hi], lo > 0: an explicit 'grid', or
+    'start'/'stop'/'num' with linear or log 'spacing'."""
     if not isinstance(d, dict):
         _fail(path, "expected an object")
     _check_keys(d, path, {"grid", "start", "stop", "num", "spacing"})
@@ -372,9 +372,6 @@ def _sweep_grid(d, path, lo=None, hi=None):
     num = _check_int(d["num"], f"{path}.num", 2)
     spacing = d.get("spacing", "linear")
     if spacing == "log":
-        for key, v in (("start", start), ("stop", stop)):
-            if v <= 0:
-                _fail(f"{path}.{key}", "log spacing needs start and stop > 0")
         return list(np.geomspace(start, stop, num))
     if spacing != "linear":
         _fail(f"{path}.spacing", f"expected linear|log, got {spacing!r}")
@@ -424,7 +421,7 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
         u = _validate_field(cfg.get("field") or _fail("field", "required"), M)
         spec = _validate_quadrature(cfg.get("quadrature"), M.dim)
-        grid = _sweep_grid(sw["levels"], "sweep.levels")
+        grid = _sweep_grid(sw["levels"], "sweep.levels", 1e-12)
         rs = _validate_r(sw["r"], M.dim, "sweep.r")
         rows = [rep.to_record(M, u) for r in rs
                 for rep in total_mean_curvature(u, M, grid, r, spec, threads)]

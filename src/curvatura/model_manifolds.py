@@ -247,11 +247,11 @@ def _angle_trig(theta: np.ndarray):
 
 def _polar_guard_stack(M: ModelManifold, P: np.ndarray, sines: np.ndarray):
     """Refuse a stack with a node off the polar chart: r not in (0, working
-    radius] (NaN included), or a polar angle (columns 1..n-2) on the axis or
-    not finite, read from the sines of those angles (_angle_trig); raises for
-    the first such node."""
-    r = P[:, 0]
-    on_chart = (r > 0) & (r <= M.working_radius)
+    radius] (NaN included), a polar angle (columns 1..n-2) on the axis or
+    not finite, read from the sines of those angles (_angle_trig), or an
+    azimuth (column n-1) not finite; raises for the first such node."""
+    r, n = P[:, 0], P.shape[1]
+    on_chart = (r > 0) & (r <= M.working_radius) & np.isfinite(P[:, n - 1])
     off_axis = np.abs(sines) > _AXIS_TOL
     if not (on_chart.all() and off_axis.all()):         # NaN included
         k = int(np.argmin(on_chart & off_axis.all(axis=1)))
@@ -262,6 +262,8 @@ def _polar_guard_stack(M: ModelManifold, P: np.ndarray, sines: np.ndarray):
             detail = f"r={rk:g} exceeds the working radius {M.working_radius:g}"
         elif not rk > 0:
             detail = f"polar chart is undefined at r={rk:g}"
+        elif off_axis[k].all():
+            detail = f"polar chart is undefined at angle {n - 1} = {P[k, n - 1]:g}"
         else:
             m = 1 + int(np.argmin(off_axis[k]))
             if math.isfinite(sines[k, m - 1]):

@@ -16,18 +16,20 @@ the axis.  Volume integrals between two levels use the coarea fibration
 
 A rule is evaluated as one stack of nodes, not node by node: the field's
 closed-form partials, the surface weights (surface_nodes) and the integrand
-each run once on (N, ...) arrays.  The ray root solve (find_level_radii) is
-exact for level spheres about the base point (_star_radius, asked once per
-distinct level value of an integral by _sphere_crossings) and otherwise
-runs find_level_radius ray by ray, each ray as the chart reads it (angles,
-or _angular_grid's unit direction).  The quadratic field, the one field
-without stacked closed forms (ScalarField.stacked false), keeps its partials
-and Hessian per node, inside the stacked stages.  Each stack's chart is
-evaluated once, by surface_nodes (chart_stack: the metric, the profile f and
-f' on polar charts, and the polar guard); on polar charts the sines and
-tangents of its polar angles come from the rule plan, so a stack pays only
-for its radii.  Integrands are called as integrand(P, chart) with the
-(N, n) point stack and that ChartStack, and pass the chart on to the node
+each run once on (N, ...) arrays.  Each level value's crossing is resolved
+once per integral (_sphere_radii): the exact radius of a level sphere about
+the base point (_star_radius), else NaN; find_level_radii solves the NaN
+rays by find_level_radius, each ray as the chart reads it (angles, or
+_angular_grid's unit direction), whose _star_radius check is the one place
+a sphere beyond the working radius is refused, at its level's first node.
+The quadratic field, the one field without stacked closed forms
+(ScalarField.stacked false), keeps its partials and Hessian per node,
+inside the stacked stages.  Each stack's chart is evaluated once, by
+surface_nodes (chart_stack: the metric, the profile f and f' on polar
+charts, and the polar guard); on polar charts the sines and tangents of its
+polar angles come from the rule plan, so a stack pays only for its radii.
+Integrands are called as integrand(P, chart) with the (N, n) point stack
+and that ChartStack, and pass the chart on to the node
 kernels that take one (hessian_frame_stack, riemann_stack).  Each integral
 joins its rule and the halved-order companion of its error estimate into
 one node stack, evaluated in one pass and split again at the rule's node
@@ -240,7 +242,8 @@ def find_level_radius(u: ScalarField, M: ModelManifold, level: float, ray) -> fl
     """Radius along one ray where u = level (bisection then Newton), with
     one scalar value() call per evaluation; the ray is its n-1 angles on a
     polar chart, its unit direction on a Cartesian one.  Fields radial about
-    the base point short-circuit to the exact radius."""
+    the base point short-circuit to the exact radius (_star_radius, which
+    refuses a sphere beyond the working radius)."""
     sr = _star_radius(u, M, level)
     if sr is not None:
         return sr
@@ -291,55 +294,27 @@ def find_level_radius(u: ScalarField, M: ModelManifold, level: float, ray) -> fl
     return rho
 
 
-def _sphere_crossings(u: ScalarField, M: ModelManifold, levels: np.ndarray):
-    """(radii, refusals) of a vector of level values: the exact radius where
-    the level set is a sphere about the base point (_star_radius, asked once
-    per distinct value), NaN where it is solved ray by ray, and the
-    GeometryError of each sphere refused beyond the working radius, keyed
-    by position."""
-    radii = np.full(len(levels), math.nan)
-    refusals, seen = {}, {}
-    for i, c in enumerate(levels.tolist()):
-        if c not in seen:
+def _sphere_radii(u: ScalarField, M: ModelManifold, level_values: np.ndarray) -> np.ndarray:
+    """The crossing radius of each level value: _star_radius, asked once
+    per distinct value, where the level set is a sphere about the base
+    point, else NaN, as also for a sphere refused beyond the working radius,
+    which find_level_radius then refuses at the level's first node."""
+    values, radii = level_values.tolist(), {}
+    for c in values:
+        if c not in radii:
             try:
-                seen[c] = _star_radius(u, M, c)
-            except GeometryError as e:
-                seen[c] = e
-        if isinstance(seen[c], GeometryError):
-            refusals[i] = seen[c]
-        elif seen[c] is not None:
-            radii[i] = seen[c]
-    return radii, refusals
+                radii[c] = _star_radius(u, M, c)
+            except GeometryError:
+                radii[c] = None
+    return np.array([radii[c] for c in values], dtype=float)   # None: NaN
 
 
-def find_level_radii(u: ScalarField, M: ModelManifold, levels, rays,
-                     spheres=None) -> np.ndarray:
-    """Radii along a stack of rays where u = level.
-
-    rays: (N, ...), each as find_level_radius reads it; levels: one level
-    or one per ray.  Levels whose level set is a sphere about the base point
-    short-circuit to the exact radius; every other ray is solved by
-    find_level_radius.  spheres: (radii, refusals, index), the
-    _sphere_crossings of the caller's level values and each ray's index
-    into them, when the caller resolved its levels once; else the distinct
-    levels of the stack are resolved here.  Raises the error of the first
-    ray that fails a guard, naming its node; a sphere refused beyond the
-    working radius names the first node of its level, before any ray is
-    solved.
-    """
-    rays = np.asarray(rays, dtype=float)
-    N = rays.shape[0]
-    levels = np.broadcast_to(np.asarray(levels, dtype=float), (N,))
-    if spheres is None:
-        values, index = np.unique(levels, return_inverse=True)
-        spheres = _sphere_crossings(u, M, values) + (index,)
-    radii, refusals, index = spheres
-    if refusals:
-        refused = np.isin(index, list(refusals))
-        if refused.any():
-            k = int(np.argmax(refused))
-            raise node_error(GeometryError, k, str(refusals[int(index[k])]))
-    rho = radii[index]
+def find_level_radii(u: ScalarField, M: ModelManifold, levels, rays, radii) -> np.ndarray:
+    """Radii along a stack of rays (N, ...), each as find_level_radius reads
+    it, where u = its level (levels, one per ray): radii, the rays'
+    _sphere_radii, with each NaN ray solved by find_level_radius.  Raises
+    the error of the first ray that fails a guard, naming its node."""
+    rho = np.array(radii, dtype=float)
     for k in np.flatnonzero(np.isnan(rho)):
         try:
             rho[k] = find_level_radius(u, M, float(levels[k]), rays[k])
@@ -349,19 +324,19 @@ def find_level_radii(u: ScalarField, M: ModelManifold, levels, rays,
 
 
 def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
-                  directions, spheres=None, trig=None) -> tuple:
+                  directions, radii, trig) -> tuple:
     """(points, surface weights, |grad u|, chart_stack) of a stack of
     angular nodes, each on the level set of its level.
 
     The surface weight of a node is its angular weight times
-    f(rho)^{n-1} |grad u| / d_rho u at the crossing.  spheres: the
-    stack's level crossings resolved by the caller (find_level_radii);
-    trig: the sines and tangents of its polar angles (chart_stack); both
-    as a rule plan gives them, computed here when not given.
+    f(rho)^{n-1} |grad u| / d_rho u at the crossing.  radii: the nodes'
+    _sphere_radii (find_level_radii); trig: the sines and tangents of their
+    polar angles (chart_stack), None on Cartesian charts; both as a rule
+    plan gives them.
     """
     n = M.dim
     polar = M.chart == "polar"
-    rho = find_level_radii(u, M, levels, angles if polar else directions, spheres)
+    rho = find_level_radii(u, M, levels, angles if polar else directions, radii)
     P = np.column_stack((rho, angles)) if polar else rho[:, None] * directions
     du = u.partials_stack(M, P)
     chart = chart_stack(M, P, trig)
@@ -379,12 +354,11 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     return P, weights * scale * grad_norm / u_rho, grad_norm, chart
 
 
-def _rule_rows(u, M, plan, levels, spheres, level_weights, integrand, n_comp, threads):
+def _rule_rows(u, M, plan, levels, radii, level_weights, integrand, n_comp, threads):
     """Weighted integrand rows, one per node of a rule plan's node stack
     (the rules of one or more levels and their halved-order companions,
     joined by _halving_estimate), with levels the level value of each node
-    and spheres the (radii, refusals) of _sphere_crossings for each of the
-    plan's level indices.
+    and radii its _sphere_radii.
 
     The node stack is evaluated in contiguous chunks of at most _CHUNK
     nodes (fewer above dimension 4), split further so that `threads`
@@ -403,7 +377,7 @@ def _rule_rows(u, M, plan, levels, spheres, level_weights, integrand, n_comp, th
         try:
             P, w, grad_norm, chart = surface_nodes(
                 u, M, levels[lo:hi], plan.angles[lo:hi], plan.weights[lo:hi],
-                plan.directions[lo:hi], spheres + (plan.levels[lo:hi],),
+                plan.directions[lo:hi], radii[lo:hi],
                 tuple(a[lo:hi] for a in plan.trig) if M.chart == "polar" else None)
             if level_weights is not None:
                 w = w * level_weights[lo:hi] / grad_norm
@@ -513,7 +487,7 @@ def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_
     companions' into one stack; level_values and level_weights (None for a
     surface rule) hold the level values and level weights of the rule and
     then of the companion, which plan.levels spreads over the nodes; each
-    level value's crossing is resolved once (_sphere_crossings) for all of
+    level value's crossing is resolved once (_sphere_radii) for all of
     its nodes.  The stack is evaluated by one _rule_rows pass and split
     again into parts.  Each part is summed by its own pairwise_sum, over
     the same tree as alone, and each estimate is |fine - coarse| plus the
@@ -529,8 +503,8 @@ def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_
     weights = None if level_weights is None else level_weights[plan.levels]
     try:
         rows = _rule_rows(u, M, plan, level_values[plan.levels],
-                          _sphere_crossings(u, M, level_values), weights, integrand,
-                          n_comp, threads)
+                          _sphere_radii(u, M, level_values)[plan.levels], weights,
+                          integrand, n_comp, threads)
     except Exception as e:
         node = getattr(e, "node", None)
         if node is not None:

@@ -213,7 +213,15 @@ def comparison_cfg(**changes):
                "field": {"field": "radial"}, "quadrature": {"angular_order": [1024, 1024, 16]},
                "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
      2, "quadrature.angular_order: expected a rule of at most 8388608 nodes"),
-    # radii and levels out of range
+    # radii and levels out of range; no level <= 0 encloses the base point
+    ("compute", dict(comparison_cfg(), levels=[-1.0, 0.5]), 2, "levels[0]: expected >= 1e-12"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "field": {"field": "radial"},
+               "sweep": {"kind": "levels", "levels": {"grid": [-1.0, 0.5]}, "r": [1]}},
+     2, "sweep.levels.grid[0]: expected >= 1e-12"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "field": {"field": "radial"},
+               "sweep": {"kind": "levels", "levels": {"start": -1.0, "stop": 0.5, "num": 3},
+                         "r": [1]}},
+     2, "sweep.levels.start: expected >= 1e-12"),
     ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
                "sweep": {"kind": "sphere", "rho": {"grid": [0.5, -1]}, "r": [1]}},
      2, "sweep.rho.grid[1]"),

@@ -41,16 +41,23 @@ the path breakdowns and the quick-suite measured values), writing nothing:
     PYTHONPATH=src python tests/test_golden.py --fingerprint
 
 Equal digests before and after a change mean every one of those values is
-bit-identical.
+bit-identical.  To print one SHA-256 digest per seed (12345 and 424242) over
+the bytes of the four CSVs that `verify --quick --threads 1` writes, exiting
+1 unless `--threads 2` writes the same bytes (written to a temporary
+directory only):
+
+    PYTHONPATH=src python tests/test_golden.py --quick-csvs
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -61,6 +68,7 @@ from curvatura.verification import SUITE_NAMES, SuiteConfig, run_suite
 DATA = Path(__file__).with_name("golden_compute.json")
 REL_TOL = 1e-9
 QUICK_SEED = 12345
+QUICK_CSV_SEEDS = (12345, 424242)
 ROUNDOFF_SHARE = 1e-2
 LEVEL = 0.8
 LEVELS = [0.5, 1.0]
@@ -259,6 +267,30 @@ def fingerprint(workdir: Path) -> str:
     return digest.hexdigest()
 
 
+def quick_csv_digests(workdir: Path):
+    """({seed: SHA-256 over the four suite CSVs of `verify --quick --threads
+    1`}, whether `--threads 2` wrote the same bytes at every seed)."""
+    digests, same = {}, True
+    with contextlib.redirect_stdout(io.StringIO()), mock.patch.dict(os.environ):
+        os.environ.pop("CURVATURA_SEED", None)     # the config's seed decides
+        for seed in QUICK_CSV_SEEDS:
+            cfg = workdir / f"verify-{seed}.json"
+            cfg.write_text(json.dumps({"schema_version": 1, "seed": seed, "suites": "all"}))
+            written = []
+            for threads in ("1", "2"):
+                out = workdir / f"verify-{seed}-threads{threads}"
+                main(["verify", "--config", str(cfg), "--out", str(out), "--quick",
+                      "--threads", threads])
+                written.append([(out / f"suite_{suite}.csv").read_bytes()
+                                for suite in SUITE_NAMES])
+            digest = hashlib.sha256()
+            for suite, data in zip(SUITE_NAMES, written[0]):
+                digest.update(f"suite_{suite}.csv {len(data)}\n".encode() + data)
+            digests[seed] = digest.hexdigest()
+            same = same and written[0] == written[1]
+    return digests, same
+
+
 def write_golden(workdir: Path) -> None:
     """Pin every record missing from the data file at the current commit.
     Records already in the file stay byte-identical, so pins taken at an
@@ -297,8 +329,14 @@ if __name__ == "__main__":
             print_moves(Path(tmp))
         elif sys.argv[1:] == ["--fingerprint"]:
             print(fingerprint(Path(tmp)))
+        elif sys.argv[1:] == ["--quick-csvs"]:
+            digests, same = quick_csv_digests(Path(tmp))
+            for seed, digest in digests.items():
+                print(f"seed {seed}: {digest}")
+            if not same:
+                sys.exit("verify --quick --threads 2 wrote other CSV bytes than --threads 1")
         elif sys.argv[1:]:
-            sys.exit(f"usage: {sys.argv[0]} [--moved | --fingerprint]")
+            sys.exit(f"usage: {sys.argv[0]} [--moved | --fingerprint | --quick-csvs]")
         else:
             write_golden(Path(tmp))
     sys.exit(0)

@@ -152,6 +152,10 @@ class TestMetric:
         ([1.0, 1.0, math.nan, 0.5], "polar chart is undefined at angle 2 = nan"),
         ([1.0, math.nan, 0.0, 0.5], "polar chart is undefined at angle 1 = nan"),
         ([1.0, 1.0, -math.inf, 0.5], "polar chart is undefined at angle 2 = -inf"),
+        # and so is an azimuth that is not finite; a bad polar angle comes first
+        ([1.0, 1.0, 1.0, math.nan], "polar chart is undefined at angle 3 = nan"),
+        ([1.0, 1.0, 1.0, math.inf], "polar chart is undefined at angle 3 = inf"),
+        ([1.0, 0.0, 1.0, math.nan], "polar chart is singular on the axis (angle 1)"),
     ])
     def test_guard_message_names_the_first_failing_node(self, bad, detail):
         # node 2 fails too, and a node off both radius and axis reads its radius

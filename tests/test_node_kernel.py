@@ -458,10 +458,11 @@ def test_stacked_root_solve_matches_per_ray(M, u, level):
     angles = np.column_stack([rng.uniform(0.2, math.pi - 0.2, 20) for _ in range(M.dim - 2)]
                              + [rng.uniform(0.0, 2 * math.pi, 20)])
     rays = angles if M.chart == "polar" else sphere_direction(angles)
-    radii = find_level_radii(u, M, level, rays)
+    solved = np.full(len(rays), math.nan)
+    radii = find_level_radii(u, M, np.full(len(rays), level), rays, solved)
     assert radii.tolist() == [find_level_radius(u, M, level, a) for a in rays]
     levels = np.linspace(level, 1.5 * level, len(rays))
-    radii = find_level_radii(u, M, levels, rays)
+    radii = find_level_radii(u, M, levels, rays, solved)
     assert radii.tolist() == [find_level_radius(u, M, c, a) for c, a in zip(levels, rays)]
 
 

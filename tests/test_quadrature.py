@@ -498,6 +498,42 @@ class TestRulePlans:
             assert (info.misses, info.currsize) == (1, 1)
 
 
+class TestCrossings:
+    """Each level value's crossing is resolved once per integral into a node
+    column (quadrature._sphere_radii); find_level_radius solves the other
+    rays and is the one place a sphere past the working radius is refused."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_level_value_is_resolved_once_per_integral(self, monkeypatch, threads):
+        star, asked = quadrature._star_radius, []
+
+        def counted(u, M, level):
+            asked.append(level)
+            return star(u, M, level)
+
+        monkeypatch.setattr(quadrature, "_CHUNK", 7)       # many chunks per stack
+        monkeypatch.setattr(quadrature, "_star_radius", counted)
+        u = RadialDistanceField()
+        surface_integral(u, HYPERBOLIC, [0.5, 0.8, 1.1], ones, SPEC, threads)
+        assert sorted(asked) == [0.5, 0.8, 1.1]
+        asked.clear()
+        coarea_volume_integral(u, HYPERBOLIC, (0.5, 1.0), ones, SPEC, threads)
+        # the rule's level nodes and its companion's, all distinct
+        assert len(asked) == len(set(asked)) == SPEC.level_order + SPEC.coarser().level_order
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("levels,message", [
+        ([math.nan], "node 0: level nan does not enclose the ray origin"),
+        ([0.5, math.nan], "node 0: level nan does not enclose the ray origin"),
+        ([-1.0, 12.0], "node 0: level -1 does not enclose the ray origin"),
+        ([0.5, 12.0], "node 0: the level-12 sphere (radius 12) lies beyond the working radius 10"),
+    ])
+    def test_a_level_without_a_crossing_names_its_node(self, levels, message, threads):
+        with pytest.raises(GeometryError) as e:
+            surface_integral(RadialDistanceField(), HYPERBOLIC, levels, ones, SPEC, threads)
+        assert str(e.value).startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # Tap contract: each integral passes through exactly one public entry point,
 # so wrappers rebound in every namespace count each rule's nodes once
