@@ -91,6 +91,10 @@ class ScalarField:
     ball_radius(level) is the radius of the geodesic ball {u < level} when
     that set is one, and ball_center_distance() the distance of its centre
     from the chart base point.
+
+    ray_map() is the linear map A by which a quadrature rule on a Cartesian
+    chart warps its ray directions xi to A xi / |A xi|, or None, the
+    identity, for every field but the quadratic one.
     """
 
     kind = "abstract"
@@ -126,6 +130,10 @@ class ScalarField:
         """Distance from the chart base point to the centre of the balls of
         ball_radius."""
         return 0.0
+
+    def ray_map(self):
+        """None: quadrature rules keep their ray directions."""
+        return None
 
     def describe(self) -> dict:
         return {"field": self.kind}
@@ -338,6 +346,14 @@ class QuadraticFormField(ScalarField):
             mu = hi
         far2 = sum((ci * mu / (mu - si)) ** 2 for si, ci in terms)
         return math.sqrt(far2 + top * max(0.0, 1.0 - norm2(mu)))
+
+    def ray_map(self):
+        """Q^{-1/2} = V diag(lambda^{-1/2}) V^T from the eigenpairs of Q: it
+        maps the unit sphere onto the shape of the level ellipsoids, so that
+        a rule's warped rays meet a centred level set at the linear image of
+        the grid's nodes on the sphere."""
+        V = self.eigenvectors
+        return (V * [lam ** -0.5 for lam in self.eigenvalues]) @ V.T
 
     def describe(self):
         d = {"field": self.kind, "Q": [list(row) for row in self.Q]}

@@ -14,14 +14,24 @@ Gauss-Legendre tensor products, with polar angles pulled a fixed margin off
 the axis.  Volume integrals between two levels use the coarea fibration
 (Gauss-Legendre across levels, 1/|grad u|-weighted surface rule inside).
 
+On a Cartesian chart a field may warp the rays (ScalarField.ray_map): each
+grid direction xi moves to A xi / |A xi| and its weight takes the Jacobian
+|det A| / |A xi|^n of that map of S^{n-1} onto itself (_warp), so the rule
+still integrates over the whole sphere.  With the quadratic field's
+A = Q^{-1/2}, a centred level ellipsoid's nodes are the linear image
+sqrt(2c) A xi of the grid's nodes on the unit sphere; the polar-cap term of
+its estimates takes the map's largest Jacobian.  Every other field keeps
+the identity map, its plans and its bits.
+
 A rule is evaluated as one stack of nodes, not node by node: the field's
 closed-form partials, the surface weights (surface_nodes) and the integrand
 each run once on (N, ...) arrays.  Each level value's crossing is resolved
 once per integral (_sphere_radii): the exact radius of a level sphere about
 the base point (_star_radius), else NaN; find_level_radii solves the NaN
-rays by find_level_radius, each ray as the chart reads it (angles, or
-_angular_grid's unit direction), whose _star_radius check is the one place
-a sphere beyond the working radius is refused, at its level's first node.
+rays by find_level_radius, each ray as the chart reads it (angles, or the
+plan's unit direction, warped or not), whose _star_radius check is the one
+place a sphere beyond the working radius is refused, at its level's first
+node; a node error of surface_nodes names that ray too.
 The quadratic field, the one field without stacked closed forms
 (ScalarField.stacked false), keeps its partials and Hessian per node,
 inside the stacked stages.  Each stack's chart is evaluated once, by
@@ -36,10 +46,11 @@ one node stack, evaluated in one pass and split again at the rule's node
 count.  A surface integral over several levels joins every level's rule,
 level-major, then every level's companion, into one stack and one pass as
 well.  The columns of that stack that no level value enters are built once
-per rule, as a read-only plan (_rule_plan: angles, weights, directions,
-and on polar charts the sines and tangents of the polar angles), and a call
-builds only its level columns.  Stacks above _CHUNK nodes, and stacks split over `threads`
-workers, run as several contiguous chunks.  Every stage computes each node
+per rule and ray map, as a read-only plan (_rule_plan: angles, weights,
+directions, and on polar charts the sines and tangents of the polar
+angles), and a call builds only its level columns.  Stacks above _CHUNK
+nodes, and stacks split over `threads` workers, run as several contiguous
+chunks.  Every stage computes each node
 with the same operations whatever the stack and chunk it sits in, and each
 rule is reduced by its own fixed-order pairwise sum over its node index, so
 results are bit-identical for any split and worker count, and to a rule
@@ -336,7 +347,8 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     """
     n = M.dim
     polar = M.chart == "polar"
-    rho = find_level_radii(u, M, levels, angles if polar else directions, radii)
+    rays = angles if polar else directions
+    rho = find_level_radii(u, M, levels, rays, radii)
     P = np.column_stack((rho, angles)) if polar else rho[:, None] * directions
     du = u.partials_stack(M, P)
     chart = chart_stack(M, P, trig)
@@ -350,7 +362,7 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     if not (u_rho > 0).all():   # NaN included
         k = int(np.argmin(u_rho > 0))
         raise node_error(GeometryError, k, f"u is not increasing along the ray at the "
-                                           f"crossing (angles {angles[k].tolist()})")
+                                           f"crossing (ray {rays[k].tolist()})")
     return P, weights * scale * grad_norm / u_rho, grad_norm, chart
 
 
@@ -415,13 +427,15 @@ def _rule_rows(u, M, plan, levels, radii, level_weights, integrand, n_comp, thre
     raise err
 
 
-def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value):
+def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value, jacobian_max: float):
     """Analytic bound on the measure omitted by the polar-axis margin.
 
-    The relative measure of each excluded cap is below margin^2, so the
-    systematic part of the error (invisible to order halving) is bounded by
-    (number of polar angles) * margin^2 * |value|."""
-    return (M.dim - 2) * spec.margin ** 2 * abs(value)
+    The relative measure of each excluded cap is below margin^2, and a ray
+    map (_warp) stretches no part of the sphere by more than its largest
+    Jacobian, so the systematic part of the error (invisible to order
+    halving) is bounded by (number of polar angles) * margin^2 * |value| *
+    jacobian_max, which is 1.0 for the identity map."""
+    return (M.dim - 2) * spec.margin ** 2 * abs(value) * jacobian_max
 
 
 def _part_sums(rows, parts):
@@ -439,12 +453,14 @@ class _RulePlan:
     (_rule_plan), read-only: angles, weights and directions of every node
     of the rule and then of its halved-order companion, and levels, the
     index of each node's level within the rule's level values followed by
-    the companion's.  count: the rule's node count."""
+    the companion's.  count: the rule's node count; jacobian_max: the
+    largest Jacobian of its ray map (_warp), 1.0 for the identity."""
     angles: np.ndarray
     weights: np.ndarray
     directions: np.ndarray
     levels: np.ndarray
     count: int
+    jacobian_max: float
 
     @cached_property
     def trig(self) -> tuple:
@@ -457,17 +473,47 @@ class _RulePlan:
         return trig
 
 
+def _warp(A: np.ndarray, directions: np.ndarray, weights: np.ndarray):
+    """(directions, weights) of an angular rule moved by the ray map A
+    (ScalarField.ray_map): each direction xi goes to A xi / |A xi|, and its
+    weight takes the Jacobian |det A| / |A xi|^n of that map of S^{n-1}
+    onto itself.  Row by row, with the bits of each row alone."""
+    n = len(A)
+    X = directions[:, :1] * A[:, 0]
+    for j in range(1, n):
+        X = X + directions[:, j:j + 1] * A[:, j]
+    norm = np.sqrt(_rowdot(X, X))
+    return X / norm[:, None], weights * (abs(np.linalg.det(A)) / norm ** n)
+
+
 @lru_cache(maxsize=_PLANS)
-def _rule_plan(kind: str, n: int, spec: QuadratureSpec, levels: int) -> _RulePlan:
+def _rule_plan(kind: str, n: int, spec: QuadratureSpec, levels: int,
+               ray_map: tuple = None) -> _RulePlan:
     """The _RulePlan of spec's surface rule on `levels` level sets (kind
     "surface") or of its coarea rule (kind "coarea", levels =
     spec.level_order), each rule level-major over (level, angular node).
     Keyed on the number of levels, not on their values, so that a call
-    builds only its level columns from its values."""
+    builds only its level columns from its values.  ray_map: None, or a
+    field's ray map as a tuple of rows (_field_plan), by which every
+    direction and weight of the rule and its companion is warped (_warp);
+    the angles stay the grid's, which a warped direction no longer
+    follows."""
+    A, jmax = None, 1.0
+    if ray_map is not None:
+        A = np.array(ray_map, dtype=float)
+        sv = np.linalg.svd(A, compute_uv=False)
+        # |det A| ||A^-1||^n, the largest Jacobian, as a product of ratios;
+        # A scaled to |det A| = 1, which moves neither a direction nor a
+        # Jacobian, so that neither |det A| nor |A xi|^n underflows for a
+        # Q of widely spread eigenvalues
+        jmax = float(np.prod(sv / sv[-1]))
+        A = A / math.exp(np.log(sv).mean())
     cols, index, offset = [], [], 0
     for s in (spec, spec.coarser()):
         k = levels if kind == "surface" else s.level_order
         angles, weights, directions = _angular_grid(n, s.angular_for(n), s.margin)
+        if A is not None:
+            directions, weights = _warp(A, directions, weights)
         cols.append((np.tile(angles, (k, 1)), np.tile(weights, k), np.tile(directions, (k, 1))))
         index.append(np.repeat(np.arange(offset, offset + k), len(weights)))
         offset += k
@@ -475,7 +521,17 @@ def _rule_plan(kind: str, n: int, spec: QuadratureSpec, levels: int) -> _RulePla
     levels = np.concatenate(index)
     for a in (angles, weights, directions, levels):
         a.flags.writeable = False
-    return _RulePlan(angles, weights, directions, levels, len(cols[0][1]))
+    return _RulePlan(angles, weights, directions, levels, len(cols[0][1]), jmax)
+
+
+def _field_plan(u: ScalarField, M: ModelManifold, kind: str, spec: QuadratureSpec,
+                levels: int) -> _RulePlan:
+    """_rule_plan for u on M: warped by u.ray_map(), else the identity
+    plan, which the call without ray_map keys."""
+    A = u.ray_map()
+    if A is None:
+        return _rule_plan(kind, M.dim, spec, levels)
+    return _rule_plan(kind, M.dim, spec, levels, tuple(map(tuple, np.asarray(A).tolist())))
 
 
 def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_weights,
@@ -512,7 +568,8 @@ def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_
             raise node_error(type(e), (node - lo) % (size // parts), e.detail) from None
         raise
     values = _part_sums(rows[:count], parts)
-    errs = np.abs(values - _part_sums(rows[count:], parts)) + _cap_bound(M, spec, values)
+    errs = (np.abs(values - _part_sums(rows[count:], parts))
+            + _cap_bound(M, spec, values, plan.jacobian_max))
     coarea = level_weights is not None
     if 2 in spec.angular_for(M.dim) + ((spec.level_order,) if coarea else ()):
         errs = np.full_like(errs, math.inf)
@@ -545,7 +602,7 @@ def surface_integral(u: ScalarField, M: ModelManifold, level, integrand,
     levels = _level_array(level)
     flat = levels.reshape(-1)
     values, errs, nodes = _halving_estimate(
-        u, M, _rule_plan("surface", M.dim, spec, flat.size), np.concatenate((flat, flat)),
+        u, M, _field_plan(u, M, "surface", spec, flat.size), np.concatenate((flat, flat)),
         None, spec, integrand, 1, threads, parts=flat.size)
     if levels.ndim:
         return values[:, 0], errs[:, 0], nodes
@@ -563,7 +620,7 @@ def _coarea_estimate(u, M, levels, integrand, spec, n_comp, threads):
     fine = _gl_on(c1, c2, spec.level_order)
     coarse = _gl_on(c1, c2, spec.coarser().level_order)
     return _halving_estimate(
-        u, M, _rule_plan("coarea", M.dim, spec, spec.level_order),
+        u, M, _field_plan(u, M, "coarea", spec, spec.level_order),
         np.concatenate((fine[0], coarse[0])), np.concatenate((fine[1], coarse[1])),
         spec, integrand, n_comp, threads)
 

@@ -76,6 +76,15 @@ def revolution_ellipsoid_m1(c):
 ELLIPSOID_M1_HALF = 21.478435327884206
 
 
+def turned(spectrum) -> np.ndarray:
+    """diag(spectrum) turned by a fixed rotation that keeps no coordinate
+    axis, symmetric to the last bit."""
+    n = len(spectrum)
+    R, _ = np.linalg.qr(np.arange(1.0, n * n + 1).reshape(n, n) ** 1.5)
+    Q = R @ np.diag(spectrum) @ R.T
+    return 0.5 * (Q + Q.T)
+
+
 class TestRadialIntegral:
     def test_polynomial(self):
         assert radial_integral(lambda t: t * t, (0, 1)) == pytest.approx(1 / 3, rel=1e-14)
@@ -339,11 +348,13 @@ class TestRulePlans:
     a call builds only its level columns."""
 
     def test_plan_arrays_are_read_only(self):
+        warped = QuadraticFormField(np.diag([1.0, 1.0, 4.0]))
         for kind, levels in (("surface", 3), ("coarea", SPEC.level_order)):
-            plan = quadrature._rule_plan(kind, 3, SPEC, levels)
-            for a in (plan.angles, plan.weights, plan.directions, *plan.trig, plan.levels):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = a[0]
+            for plan in (quadrature._rule_plan(kind, 3, SPEC, levels),
+                         quadrature._field_plan(warped, euclidean(3), kind, SPEC, levels)):
+                for a in (plan.angles, plan.weights, plan.directions, *plan.trig, plan.levels):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = a[0]
         with pytest.raises(ValueError, match="read-only"):
             quadrature._pairwise_leaves(100)[0, 0] = 0
 
@@ -496,6 +507,103 @@ class TestRulePlans:
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / f"o{k}")]) == 0
             info = quadrature._rule_plan.cache_info()
             assert (info.misses, info.currsize) == (1, 1)
+
+    def test_each_ray_map_keys_its_own_plan(self):
+        # two Q's give two warped plans; a second field of the same Q finds
+        # its plan, and a radial field the identity plan of the 4-argument key
+        E3 = euclidean(3)
+        oblate, triaxial = np.diag([1.0, 1.0, 4.0]), np.diag([1.0, 2.0, 3.0])
+        quadrature._rule_plan.cache_clear()
+        plans = [quadrature._field_plan(u, E3, "surface", SPEC, 1)
+                 for u in (QuadraticFormField(oblate), QuadraticFormField(triaxial),
+                           QuadraticFormField(oblate), RadialDistanceField(),
+                           OffCenterDistanceField(0.3))]
+        assert quadrature._rule_plan.cache_info().misses == 3
+        assert plans[0] is not plans[1] and plans[0] is plans[2]
+        identity = quadrature._rule_plan("surface", 3, SPEC, 1)
+        assert plans[3] is identity and plans[4] is identity
+        _, _, directions = quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)
+        assert np.array_equal(identity.directions[:identity.count], directions)
+        for plan in plans[:2]:
+            assert np.array_equal(plan.angles, identity.angles)
+            assert not np.array_equal(plan.directions, identity.directions)
+            assert np.allclose(np.linalg.norm(plan.directions, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n,Q,orders", [
+        (2, turned((1.0, 2.0)), (64,)),
+        (3, turned((1.0, 1.5, 2.0)), (64, 64)),
+        # one stretched axis, along x_1 = cos(angle 0): the other polar
+        # angles then meet only their sin^k weights, which order 12 resolves
+        (4, np.diag([2.0, 1.0, 1.0, 1.0]), (32, 12, 2)),
+        (5, np.diag([2.0, 1.0, 1.0, 1.0, 1.0]), (32, 12, 12, 2)),
+        (6, np.diag([2.0, 1.0, 1.0, 1.0, 1.0, 1.0]), (32, 12, 12, 12, 2)),
+    ], ids=["n=2", "n=3", "n=4", "n=5", "n=6"])
+    def test_warped_weights_integrate_one_to_the_sphere(self, n, Q, orders):
+        # the weights carry the Jacobian |det A| / |A xi|^n of the ray map, so
+        # they sum to |S^{n-1}| (a margin of 1e-9 omits caps below 1e-18)
+        spec = QuadratureSpec(angular_orders=orders, margin=1e-9)
+        plan = quadrature._field_plan(QuadraticFormField(Q), euclidean(n), "surface", spec, 1)
+        area = 2 * math.pi ** (n / 2) / math.gamma(n / 2)
+        assert abs(pairwise_sum(plan.weights[:plan.count]) - area) <= 1e-13 * area
+
+    def test_the_cap_bound_takes_the_largest_ray_jacobian(self):
+        # J_max = |det A| ||A^-1||^n = lambda_max^{n/2} / sqrt(det Q) of the
+        # map A = Q^{-1/2}; exactly 1.0 for the identity, so that the cap term
+        # of every other field keeps its bits
+        E3 = euclidean(3)
+        assert quadrature._field_plan(RadialDistanceField(), E3, "surface", SPEC, 1) \
+            .jacobian_max == 1.0
+        assert quadrature._cap_bound(E3, SPEC, -3.0, 1.0) == SPEC.margin ** 2 * 3.0
+        plan = quadrature._field_plan(QuadraticFormField(np.diag([1.0, 1.0, 4.0])), E3,
+                                      "surface", SPEC, 1)
+        assert plan.jacobian_max == pytest.approx(4.0, rel=1e-14)
+        # no node's Jacobian (warped weight over grid weight) exceeds it
+        _, weights, _ = quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)
+        ratio = plan.weights[:plan.count] / weights
+        assert 3.0 < ratio.max() <= plan.jacobian_max * (1 + 1e-14)
+        plan = quadrature._field_plan(QuadraticFormField(turned((1.0, 2.0, 3.0, 5.0))),
+                                      euclidean(4), "surface", SPEC, 1)
+        assert plan.jacobian_max == pytest.approx(5.0 ** 2 / math.sqrt(30.0), rel=1e-12)
+        assert quadrature._cap_bound(E3, SPEC, 2.0, plan.jacobian_max) == \
+            SPEC.margin ** 2 * 2.0 * plan.jacobian_max
+
+    def test_a_node_error_names_the_warped_ray(self):
+        # the direction handed to the root solve, not the grid's angles
+        class DownhillWarped(RadialSquaredHalfField):
+            def partials_stack(self, M, P):
+                return -super().partials_stack(M, P)
+
+            def ray_map(self):
+                return np.diag([1.0, 1.0, 0.5])
+
+        u, E3 = DownhillWarped(), euclidean(3)
+        with pytest.raises(GeometryError) as e:
+            surface_integral(u, E3, 0.5, ones, SPEC)
+        ray = quadrature._field_plan(u, E3, "surface", SPEC, 1).directions[0]
+        assert str(e.value) == ("node 0: u is not increasing along the ray at the crossing "
+                                f"(ray {ray.tolist()})")
+
+    def test_warped_outputs_are_bit_identical_across_threads_and_chunks(
+            self, monkeypatch, tmp_path):
+        from curvatura.cli import main
+        cfg = tmp_path / "quadratic.json"
+        out = {}
+        for threads, chunk in (("1", quadrature._CHUNK), ("2", 7)):
+            monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+            for key, extra in (("m", {"level": 0.8, "r": [0, 1, 2]}),
+                               ("c", {"levels": [0.5, 1.0], "r": [0, 1, 2]})):
+                cfg.write_text(json.dumps({
+                    "schema_version": 1, "manifold": {"family": "euclidean", "dim": 3},
+                    "field": {"field": "quadratic",
+                              "Q": [[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 4.0]]},
+                    "quadrature": {"angular_order": 6, "level_order": 4}, **extra}))
+                where = tmp_path / f"{key}-{threads}"
+                assert main(["compute", "--config", str(cfg), "--out", str(where),
+                             "--threads", threads]) == 0
+                for f in sorted(where.glob("*.csv")):
+                    out.setdefault(threads, {})[f"{key}/{f.name}"] = f.read_bytes()
+        assert sorted(out["1"]) == ["c/comparison.csv", "m/mean_curvature.csv"]
+        assert out["1"] == out["2"]
 
 
 class TestCrossings:
