@@ -16,9 +16,11 @@ The quick suites run at seed QUICK_SEED and are keyed by case_id.  A row's
 measured value is compared with relative tolerance 1e-9 against the larger
 of its magnitude and its expected value, except for roundoff residuals:
 rows expecting 0 whose pinned value lies within ROUNDOFF_SHARE of their
-tolerance may move anywhere inside that share.  A reordered sum passes,
-changed maths does not.  A row's expected value and tolerance must match
-exactly.
+tolerance are locked on a log scale, passing when the new value is within a
+factor ROUNDOFF_FACTOR of the pinned one (same sign), or when both lie
+under ROUNDOFF_FLOOR.  A reordered sum passes, changed maths does not, and
+a residual that moves by a decade is listed.  A row's expected value and
+tolerance must match exactly.
 
 The data file records the commit its first records were generated on, and
 the commit that last added records.  To add missing records (existing ones
@@ -28,8 +30,10 @@ of results is intended and checked):
     PYTHONPATH=src python tests/test_golden.py
 
 To list every pinned value that the current code moves outside the lock
-(where, pinned value, new value, relative move), and every roundoff
-residual that moved inside its band, marked "(roundoff band)", writing
+(where, pinned value, new value, relative move, and for a quick-suite row
+its distance to its expected value before and after, |pinned - expected|
+and |new - expected|), and every roundoff residual that moved past 1e-9
+but stayed inside its log-scale lock, marked "(roundoff band)", writing
 nothing:
 
     PYTHONPATH=src python tests/test_golden.py --moved
@@ -71,8 +75,13 @@ DATA = Path(__file__).with_name("golden_compute.json")
 REL_TOL = 1e-9
 QUICK_SEED = 12345
 QUICK_CSV_SEEDS = (12345, 424242)
+# a row expecting 0 pinned within this share of its tolerance is a roundoff
+# residual, locked on a log scale: within ROUNDOFF_FACTOR of its pin, or
+# with its pin both under ROUNDOFF_FLOOR
 ROUNDOFF_SHARE = 1e-2
-# marks a --moved row that moved inside its ROUNDOFF_SHARE band
+ROUNDOFF_FACTOR = 4.0
+ROUNDOFF_FLOOR = 1e-14
+# marks a --moved row that moved past REL_TOL inside its log-scale lock
 IN_BAND = " (roundoff band)"
 LEVEL = 0.8
 LEVELS = [0.5, 1.0]
@@ -158,12 +167,22 @@ def records_moves(got: dict, want: dict, where: str):
             yield from record_moves(gr, wr, f"{where}.{key}[r={wr['r']}]")
 
 
+def roundoff_holds(pinned: float, new: float) -> bool:
+    """The log-scale lock of a roundoff residual: new within a factor
+    ROUNDOFF_FACTOR of pinned, of the same sign, or both at most
+    ROUNDOFF_FLOOR in magnitude."""
+    if abs(pinned) <= ROUNDOFF_FLOOR and abs(new) <= ROUNDOFF_FLOOR:
+        return True
+    return pinned != 0.0 and 1.0 / ROUNDOFF_FACTOR <= new / pinned <= ROUNDOFF_FACTOR
+
+
 def suite_moves(got: dict, want: dict, band: bool = False):
     """(case_id, pinned, new, relative move) for every quick-suite row
     outside the lock, and every added or missing row (move None).  With
-    band, also every row expecting 0 that moved past REL_TOL but stayed
-    inside its ROUNDOFF_SHARE band, marked by IN_BAND after its case_id:
-    the lock passes it, a re-pin should still list it."""
+    band, also every roundoff residual (a row expecting 0 pinned within
+    ROUNDOFF_SHARE of its tolerance) that moved past REL_TOL but stayed
+    inside its log-scale lock (roundoff_holds), marked by IN_BAND after its
+    case_id: the lock passes it, a re-pin should still list it."""
     for cid in sorted(got.keys() | want.keys()):
         if cid not in got or cid not in want:
             yield cid, want.get(cid), got.get(cid), None
@@ -171,14 +190,11 @@ def suite_moves(got: dict, want: dict, band: bool = False):
         g, w = got[cid], want[cid]
         move = abs(g["measured"] - w["measured"])
         rel = move / max(abs(w["measured"]), abs(w["expected"]), 1e-300)
-        strict = REL_TOL * max(abs(w["measured"]), abs(w["expected"]))
-        if w["expected"] == 0.0 and abs(w["measured"]) <= ROUNDOFF_SHARE * w["tolerance"]:
-            bound = ROUNDOFF_SHARE * w["tolerance"]
-        else:
-            bound = strict
-        if not move <= bound:
+        strict = move <= REL_TOL * max(abs(w["measured"]), abs(w["expected"]))
+        roundoff = w["expected"] == 0.0 and abs(w["measured"]) <= ROUNDOFF_SHARE * w["tolerance"]
+        if not (strict or roundoff and roundoff_holds(w["measured"], g["measured"])):
             yield cid, w["measured"], g["measured"], rel
-        elif band and not move <= strict:
+        elif band and not strict:
             yield cid + IN_BAND, w["measured"], g["measured"], rel
         for key in ("expected", "tolerance"):
             if g[key] != w[key]:
@@ -224,20 +240,31 @@ def test_quick_suite_matches_golden(suite, golden):
 def test_moves_name_what_left_the_lock():
     want = {"a": {"measured": 2.0, "expected": 2.0, "tolerance": 1.9},
             "b": {"measured": 1e-16, "expected": 0.0, "tolerance": 1e-8},
-            "c": {"measured": 1.0, "expected": 0.0, "tolerance": 1e-8}}
+            "c": {"measured": 1.0, "expected": 0.0, "tolerance": 1e-8},
+            "e": {"measured": 1e-13, "expected": 0.0, "tolerance": 1e-6},
+            "f": {"measured": 2e-13, "expected": 0.0, "tolerance": 1e-8},
+            "g": {"measured": 2e-16, "expected": 0.0, "tolerance": 1e-10},
+            "h": {"measured": 3e-13, "expected": 0.0, "tolerance": 1e-8}}
     got = {"a": {"measured": 2.0 + 1e-12, "expected": 2.0, "tolerance": 1.9},
            "b": {"measured": 5e-11, "expected": 0.0, "tolerance": 1e-8},
            "c": {"measured": float("nan"), "expected": 0.0, "tolerance": 1e-7},
-           "d": {"measured": 0.0, "expected": 0.0, "tolerance": 1.0}}
+           "d": {"measured": 0.0, "expected": 0.0, "tolerance": 1.0},
+           "e": {"measured": 1e-10, "expected": 0.0, "tolerance": 1e-6},
+           "f": {"measured": 5e-13, "expected": 0.0, "tolerance": 1e-8},
+           "g": {"measured": 0.0, "expected": 0.0, "tolerance": 1e-10},
+           "h": {"measured": -3e-13, "expected": 0.0, "tolerance": 1e-8}}
+    # b and e moved 5e5 and 1e3 times inside 1% of their tolerance, and h
+    # changed sign: roundoff residuals are locked on a log scale
     moves = list(suite_moves(got, want))
-    assert [m[0] for m in moves] == ["c", "c.tolerance", "d"]
+    assert [m[0] for m in moves] == ["b", "c", "c.tolerance", "d", "e", "h"]
     got["a"]["measured"] = 2.0 + 1e-8
     assert list(suite_moves(got, want))[0] == ("a", 2.0, 2.0 + 1e-8, pytest.approx(5e-9))
-    # b moved inside its roundoff band: the lock passes it, the listing names it
+    # f moved 2.5 times, g to 0 under the floor: the lock passes them, the
+    # listing names them
     assert [m[0] for m in suite_moves(got, want, band=True)] == [
-        "a", "b (roundoff band)", "c", "c.tolerance", "d"]
-    assert list(suite_moves(got, want, band=True))[1][1:] == (
-        1e-16, 5e-11, pytest.approx(499999.0))
+        "a", "b", "c", "c.tolerance", "d", "e", "f (roundoff band)", "g (roundoff band)", "h"]
+    assert list(suite_moves(got, want, band=True))[6][1:] == (
+        2e-13, 5e-13, pytest.approx(1.5))
     rec = {"r": 1, "lhs": 4.0, "nodes": 8}
     assert list(record_moves(dict(rec, lhs=4.0 + 1e-9), rec, "x")) == []
     assert list(record_moves(dict(rec, lhs=4.0 + 1e-8, nodes=9), rec, "x")) == [
@@ -249,20 +276,32 @@ def plain(v):
     return float(v) if isinstance(v, float) else v
 
 
+def oracle_distances(where: str, pinned, new, suites: dict) -> str:
+    """|pinned - expected| and |new - expected| of a moved quick-suite
+    row's measured value, tab-separated, "-" for any other move."""
+    cid = where.removesuffix(IN_BAND)
+    expected = next((rows[cid]["expected"] for rows in suites.values() if cid in rows), None)
+    if expected is None or not all(isinstance(v, float) for v in (pinned, new)):
+        return "-\t-"
+    return f"{abs(pinned - expected):.3e}\t{abs(new - expected):.3e}"
+
+
 def print_moves(workdir: Path) -> None:
-    """Print every pinned value the current code moves outside the lock."""
+    """Print every pinned value the current code moves outside the lock,
+    and for a quick-suite row whether it moved toward its expected value."""
     golden = json.loads(DATA.read_text())
+    suites = golden["verify_quick"]["suites"]
     moves = []
     with contextlib.redirect_stdout(io.StringIO()):   # the CLI's own report
         for name in sorted(CONFIGS):
             moves += records_moves({**compute(name, workdir), **paths(name)},
                                    golden["configs"][name], name)
         for suite in SUITE_NAMES:
-            moves += suite_moves(quick_suite(suite), golden["verify_quick"]["suites"][suite],
-                                 band=True)
+            moves += suite_moves(quick_suite(suite), suites[suite], band=True)
     for where, pinned, new, rel in moves:
         print(f"{where}\t{plain(pinned)!r}\t{plain(new)!r}\t"
-              + ("-" if rel is None else f"{rel:.3e}"))
+              + ("-" if rel is None else f"{rel:.3e}") + "\t"
+              + oracle_distances(where, plain(pinned), plain(new), suites))
     banded = sum(where.endswith(IN_BAND) for where, *_ in moves)
     print(f"{len(moves) - banded} value(s) outside the lock, {banded} moved inside "
           f"a roundoff band", file=sys.stderr)
