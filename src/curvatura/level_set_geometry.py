@@ -27,10 +27,7 @@ from .errors import CurvaturaError, DegenerateGradientError, node_error
 from .model_manifolds import (
     ChartStack,
     ModelManifold,
-    _distinct,
-    _elementwise,
     _log_derivatives,
-    _on_distinct,
     chart_stack,
     christoffel_stack,
     riemann_stack,
@@ -53,11 +50,14 @@ EPS_GRAD = 1e-8
 def sphere_direction(angles) -> np.ndarray:
     """Unit vectors in R^n from n-1 iterated spherical angles: (n,) from
     angles (n-1,), (N, n) from a stack (N, n-1), each row with the bits of
-    its angles alone (`math` cosines and sines, products in angle order)."""
+    its angles alone: np.cos and np.sin of the whole stack, which give a
+    column the bits of any split of it (test_model_manifolds.py's
+    test_ufuncs_give_a_column_the_bits_of_its_splits) and, where numpy's
+    sin and cos agree with `math` (test_stack_layout.py's
+    test_sphere_direction), the bits of a scalar evaluation; products in
+    angle order."""
     stack = np.atleast_2d(np.asarray(angles, dtype=float))
-    flat = stack.ravel().tolist()
-    cos, sin = (np.fromiter(map(fn, flat), float, len(flat)).reshape(stack.shape)
-                for fn in (math.cos, math.sin))
+    cos, sin = np.cos(stack), np.sin(stack)
     out = np.empty((len(stack), stack.shape[1] + 1))
     s = np.ones(len(stack))
     for j in range(stack.shape[1]):
@@ -417,14 +417,13 @@ class OffCenterDistanceField(_StackedField):
         s = math.sqrt(-M.a)
         sh_d = math.sinh(s * self.offset)
         t = s * (P[:, 0] - self.offset)
-        srho = _distinct(s * P[:, 0])
-        sh, ch = _on_distinct(math.sinh, *srho), _on_distinct(math.cosh, *srho)
-        sin_t, sin_half = _elementwise(math.sin, P[:, 1]), _elementwise(math.sin, 0.5 * P[:, 1])
+        sh, ch = np.sinh(s * P[:, 0]), np.cosh(s * P[:, 0])
+        sin_t, sin_half = np.sin(P[:, 1]), np.sin(0.5 * P[:, 1])
         half2 = sin_half * sin_half
-        Am1 = 2.0 * _elementwise(math.sinh, 0.5 * t) ** 2 + 2.0 * sh * sh_d * half2
+        Am1 = 2.0 * np.sinh(0.5 * t) ** 2 + 2.0 * sh * sh_d * half2
         A = 1.0 + Am1
         B = np.sqrt(Am1 * (2.0 + Am1))
-        dA = np.column_stack((s * (_elementwise(math.sinh, t) + 2.0 * ch * sh_d * half2),
+        dA = np.column_stack((s * (np.sinh(t) + 2.0 * ch * sh_d * half2),
                               sh * sh_d * sin_t))
         mixed = s * ch * sh_d * sin_t
         d2A = np.stack((np.column_stack((s * s * A, mixed)),

@@ -14,9 +14,17 @@ family use a Cartesian chart, where the tensors are trivial.
 All Christoffel symbols are analytic closed forms of the diagonal metric;
 nothing on the shipped path is differentiated numerically.  A node stack's
 chart (chart_stack: metric diagonal and f, f' at each radius, behind one
-polar guard) is evaluated once and handed to the kernels that read it.  The
-sines and tangents of the polar angles come with the stack when a rule plan
-carries them, and are computed from the stack otherwise (_angle_trig).
+polar guard) is evaluated once and handed to the kernels that read it.
+
+Elementary functions run as numpy ufuncs on whole columns: warping profiles
+take arrays, and the chart takes np.sin and np.tan of its polar-angle
+columns.  A node's bits do not depend on its stack because these ufuncs
+give the same bits on a column as on any split of it (whole, in short
+slices or as strided views), which tests/test_model_manifolds.py's
+test_ufuncs_give_a_column_the_bits_of_its_splits checks on the host that
+runs it.  A numpy scalar power (np.float64 ** k) does not share those bits,
+so kernels and per-point oracles evaluate arrays, a point as a one-row
+stack.
 """
 
 from __future__ import annotations
@@ -40,31 +48,35 @@ _MAX_EXP = 700.0
 class WarpingProfile:
     """Analytic triple (f, f', f'') of a rotational warping profile.
 
-    The three callables must be mutually consistent; construction spot-checks
-    the derivatives against central differences on a sample grid.
+    The three callables take a float array and return an array of its
+    shape, elementwise (numpy ufuncs), and must be mutually consistent;
+    construction spot-checks the derivatives against central differences
+    on a sample grid, evaluated as one array, and names the first failing r.
     """
     name: str
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    d2f: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
+    df: Callable[[np.ndarray], np.ndarray]
+    d2f: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        h = 1e-5
-        for r in (0.1, 0.37, 0.9, 1.6, 3.2):
-            fd1 = (self.f(r + h) - self.f(r - h)) / (2 * h)
-            fd2 = (self.df(r + h) - self.df(r - h)) / (2 * h)
-            if abs(fd1 - self.df(r)) > 1e-6 * (1 + abs(self.df(r))):
-                raise ValueError(f"profile '{self.name}': f' inconsistent with f at r={r}")
-            if abs(fd2 - self.d2f(r)) > 1e-6 * (1 + abs(self.d2f(r))):
-                raise ValueError(f"profile '{self.name}': f'' inconsistent with f' at r={r}")
+        h, r = 1e-5, np.array([0.1, 0.37, 0.9, 1.6, 3.2])
+        df, d2f = self.df(r), self.d2f(r)
+        fd1 = (self.f(r + h) - self.f(r - h)) / (2 * h)
+        fd2 = (self.df(r + h) - self.df(r - h)) / (2 * h)
+        bad1 = np.abs(fd1 - df) > 1e-6 * (1 + np.abs(df))
+        bad2 = np.abs(fd2 - d2f) > 1e-6 * (1 + np.abs(d2f))
+        if (bad1 | bad2).any():
+            k = int(np.argmax(bad1 | bad2))
+            which = "f' inconsistent with f" if bad1[k] else "f'' inconsistent with f'"
+            raise ValueError(f"profile '{self.name}': {which} at r={r[k]}")
 
 
 def sinh_profile() -> WarpingProfile:
-    return WarpingProfile("sinh", math.sinh, math.cosh, math.sinh)
+    return WarpingProfile("sinh", np.sinh, np.cosh, np.sinh)
 
 
 def linear_profile() -> WarpingProfile:
-    return WarpingProfile("linear", lambda r: r, lambda r: 1.0, lambda r: 0.0)
+    return WarpingProfile("linear", np.positive, np.ones_like, np.zeros_like)
 
 
 def poly3_profile() -> WarpingProfile:
@@ -84,9 +96,9 @@ def scaled_sinh_profile(a: float) -> WarpingProfile:
     s = math.sqrt(-a)
     return WarpingProfile(
         f"sinh[a={a:g}]",
-        lambda r: math.sinh(s * r) / s,
-        lambda r: math.cosh(s * r),
-        lambda r: s * math.sinh(s * r),
+        lambda r: np.sinh(s * r) / s,
+        lambda r: np.cosh(s * r),
+        lambda r: s * np.sinh(s * r),
     )
 
 
@@ -162,94 +174,45 @@ def warped(profile: WarpingProfile, n: int) -> ModelManifold:
 
     The profile is screened by sampling: f(0) = 0, f'(0) = 1, f > 0, and both
     model sectional curvatures -f''/f and (1 - f'^2)/f^2 nonpositive on the
-    working radius.  Sampling is a sanity gate, not a proof.
+    working radius, the 1000 samples evaluated as one array; the first
+    failing sample is named.  Sampling is a sanity gate, not a proof.
     """
     _check_dim(n)
-    if abs(profile.f(0.0)) > 1e-12 or abs(profile.df(0.0) - 1.0) > 1e-10:
+    zero = np.zeros(1)
+    if abs(profile.f(zero)) > 1e-12 or abs(profile.df(zero) - 1.0) > 1e-10:
         raise ValueError(f"profile '{profile.name}' must satisfy f(0)=0, f'(0)=1")
-    for r in np.linspace(1e-3, ModelManifold.working_radius, 1000):
-        fr = profile.f(r)
-        if fr <= 0:
-            raise ValueError(f"profile '{profile.name}' not positive at r={r:g}")
-        if -profile.d2f(r) / fr > 1e-12:
-            raise ValueError(f"profile '{profile.name}' has positive radial curvature at r={r:g}")
-        if (1.0 - profile.df(r) ** 2) / fr ** 2 > 1e-12:
-            raise ValueError(f"profile '{profile.name}' has positive tangential curvature at r={r:g}")
+    r = np.linspace(1e-3, ModelManifold.working_radius, 1000)
+    fr = profile.f(r)
+    with np.errstate(divide="ignore", invalid="ignore"):   # f <= 0 is named first
+        bad = np.column_stack((fr <= 0, -profile.d2f(r) / fr > 1e-12,
+                               (1.0 - profile.df(r) ** 2) / fr ** 2 > 1e-12))
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        detail = ("not positive", "has positive radial curvature",
+                  "has positive tangential curvature")[int(np.argmax(bad[k]))]
+        raise ValueError(f"profile '{profile.name}' {detail} at r={r[k]:g}")
     return ModelManifold(family="warped", dim=n, profile=profile)
 
 
 def radial_profile(M: ModelManifold):
-    """(f, f', f'') governing geodesic spheres about the base point."""
+    """(f, f', f'') governing geodesic spheres about the base point, each
+    taking an array (WarpingProfile)."""
     if M.family == "warped" or (M.family == "constant" and M.a < 0):
         p = M.profile
         return p.f, p.df, p.d2f
-    return (lambda r: r), (lambda r: 1.0), (lambda r: 0.0)
+    return np.positive, np.ones_like, np.zeros_like
 
 
 # ---------------------------------------------------------------------------
 # Chart tensors
 # ---------------------------------------------------------------------------
 
-def _distinct(x: np.ndarray):
-    """(values, order, back) of the distinct bit patterns of a float
-    vector: the values in the order of first occurrence, where each lands
-    in ascending key order, and each element's place in that key order
-    (_on_distinct)."""
-    keys = x.view(np.int64)
-    perm = keys.argsort(kind="stable")
-    sorted_keys = keys[perm]
-    opens = np.ones(x.size, dtype=bool)       # where a new key starts, in sorted order
-    opens[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    first = perm[opens]                       # each key's first element
-    order = first.argsort()
-    back = np.empty(x.size, dtype=np.intp)
-    back[perm] = opens.cumsum() - 1
-    return x[first[order]], order, back
-
-
-def _on_distinct(fn, values: np.ndarray, order: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """fn at each of the distinct values of _distinct, in order, spread
-    back over the elements."""
-    return _spread(np.fromiter(map(fn, values.tolist()), float, values.size), order, back)
-
-
-def _spread(mapped: np.ndarray, order: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """Values at the distinct values of _distinct, in their order, spread
-    back over the elements."""
-    out = np.empty(mapped.size)
-    out[order] = mapped
-    return out[back]
-
-
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn (a scalar `math` function or warping-profile callable) at each
-    element of a float vector, called once per distinct bit pattern (radii
-    repeat per level, polar angles per axis), first occurrence first, so a
-    failing call raises as the first failing element would.  `math` keeps a
-    node's bits independent of its stack: numpy's vector forms may take SIMD
-    or scalar paths by array length, which differ in the last bit."""
-    return _on_distinct(fn, *_distinct(x))
-
-
-def _angle_trig(theta: np.ndarray):
-    """(sines, tangents) of an (N, k) stack of polar angles, each (N, k):
-    math.sin and math.tan once per distinct bit pattern of each column
-    (_distinct), so a node's bits do not depend on its stack.  A
-    non-finite angle gives NaN for both, which the polar guard refuses."""
-    sines, tangents = np.empty(theta.shape), np.empty(theta.shape)
-    for m in range(theta.shape[1]):
-        values, order, back = _distinct(theta[:, m])
-        finite = np.where(np.isfinite(values), values, math.nan).tolist()
-        for fn, out in ((math.sin, sines), (math.tan, tangents)):
-            out[:, m] = _spread(np.fromiter(map(fn, finite), float, len(finite)), order, back)
-    return sines, tangents
-
-
 def _polar_guard_stack(M: ModelManifold, P: np.ndarray, sines: np.ndarray):
     """Refuse a stack with a node off the polar chart: r not in (0, working
     radius] (NaN included), a polar angle (columns 1..n-2) on the axis or
-    not finite, read from the sines of those angles (_angle_trig), or an
-    azimuth (column n-1) not finite; raises for the first such node."""
+    not finite, read from the sines of those angles (NaN for a non-finite
+    angle), or an azimuth (column n-1) not finite; raises for the first
+    such node."""
     r, n = P[:, 0], P.shape[1]
     on_chart = (r > 0) & (r <= M.working_radius) & np.isfinite(P[:, n - 1])
     off_axis = np.abs(sines) > _AXIS_TOL
@@ -278,35 +241,30 @@ class ChartStack:
     """The chart at every row of an (N, n) point stack (chart_stack): the
     metric diagonal D (N, n) and, on polar charts, the warping profile f
     and f' at each radius (N,), with _tangents, the tangents of the polar
-    angles (N, n-2), columns 1..n-2 of the stack, for _log_derivatives, and
-    _f_radii, the _distinct triple of the radii with f in place of each
-    distinct radius, for functions of f taken once per distinct radius
-    (_on_distinct).  Cartesian charts carry D = 1 and nothing else.  The
-    node kernels take it instead of evaluating the chart again."""
+    angles (N, n-2), columns 1..n-2 of the stack, for _log_derivatives.
+    Cartesian charts carry D = 1 and nothing else.  The node kernels take
+    it instead of evaluating the chart again."""
     D: np.ndarray
     f: Optional[np.ndarray] = None
     df: Optional[np.ndarray] = None
     _tangents: Optional[np.ndarray] = field(default=None, repr=False)
-    _f_radii: tuple = field(default=(), repr=False)
 
 
-def chart_stack(M: ModelManifold, P, trig: Optional[tuple] = None) -> ChartStack:
-    """The ChartStack of an (N, n) point stack.  trig: the (sines,
-    tangents) of the stack's polar angles (_angle_trig of columns 1..n-2),
-    as a rule plan carries them; computed from P when not given.  On polar
-    charts this runs the polar guard, raising for the first node off the
-    chart, and evaluates f and f' once per distinct radius of one _distinct
-    pass."""
+def chart_stack(M: ModelManifold, P) -> ChartStack:
+    """The ChartStack of an (N, n) point stack.  On polar charts this takes
+    np.sin and np.tan of the polar-angle columns, a non-finite angle giving
+    NaN, runs the polar guard, raising for the first node off the chart,
+    and evaluates f and f' on the radius column."""
     P = np.asarray(P, dtype=float)
     N, n = P.shape
     if M.chart == "cartesian":
         return ChartStack(D=np.ones((N, n)))
-    sines, tangents = _angle_trig(P[:, 1:n - 1]) if trig is None else trig
+    theta = P[:, 1:n - 1]
+    with np.errstate(invalid="ignore"):         # sin(inf) is NaN, refused by the guard
+        sines, tangents = np.sin(theta), np.tan(theta)
     _polar_guard_stack(M, P, sines)
     f, df, _ = radial_profile(M)
-    values, order, back = _distinct(P[:, 0])
-    f_radii = (np.fromiter(map(f, values.tolist()), float, values.size), order, back)
-    fr = _spread(*f_radii)
+    fr = f(P[:, 0])
     acc = fr ** 2
     D = np.empty((N, n))
     D[:, 0] = 1.0
@@ -314,8 +272,7 @@ def chart_stack(M: ModelManifold, P, trig: Optional[tuple] = None) -> ChartStack
         D[:, j] = acc
         if j < n - 1:
             acc = acc * sines[:, j - 1] ** 2
-    return ChartStack(D=D, f=fr, df=_on_distinct(df, values, order, back), _tangents=tangents,
-                      _f_radii=f_radii)
+    return ChartStack(D=D, f=fr, df=df(P[:, 0]), _tangents=tangents)
 
 
 def _log_derivatives(chart: ChartStack) -> list:
@@ -427,7 +384,7 @@ def riemann_stack(M: ModelManifold, P, frames,
                                    ricci_n=np.full(N, (n - 1) * M.a))
 
     _, _, d2f = radial_profile(M)
-    k_rad = -_elementwise(d2f, P[:, 0]) / chart.f
+    k_rad = -d2f(P[:, 0]) / chart.f
     k_tan = (1.0 - chart.df ** 2) / chart.f ** 2
     x = F[:, 0, :]
     # Q[:, a, b, c, d] = x_a x_c d_bd; its index swaps give the other three terms

@@ -36,8 +36,7 @@ The quadratic field, the one field without stacked closed forms
 (ScalarField.stacked false), keeps its partials and Hessian per node,
 inside the stacked stages.  Each stack's chart is evaluated once, by
 surface_nodes (chart_stack: the metric, the profile f and f' on polar
-charts, and the polar guard); on polar charts the sines and tangents of its
-polar angles come from the rule plan, so a stack pays only for its radii.
+charts, and the polar guard), with numpy ufuncs on its whole columns.
 Integrands are called as integrand(P, chart) with the (N, n) point stack
 and that ChartStack, and pass the chart on to the node
 kernels that take one (hessian_frame_stack, riemann_stack).  Each integral
@@ -46,9 +45,8 @@ one node stack, evaluated in one pass and split again at the rule's node
 count.  A surface integral over several levels joins every level's rule,
 level-major, then every level's companion, into one stack and one pass as
 well.  The columns of that stack that no level value enters are built once
-per rule and ray map, as a read-only plan (_rule_plan: angles, weights,
-directions, and on polar charts the sines and tangents of the polar
-angles), and a call builds only its level columns.  Stacks above _CHUNK
+per rule and ray map, as a read-only plan (_rule_plan: angles, weights
+and directions), and a call builds only its level columns.  Stacks above _CHUNK
 nodes, and stacks split over `threads` workers, run as several contiguous
 chunks.  Every stage computes each node
 with the same operations whatever the stack and chunk it sits in, and each
@@ -63,18 +61,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import GeometryError, node_error
-from .model_manifolds import (
-    ModelManifold,
-    _angle_trig,
-    _elementwise,
-    _on_distinct,
-    chart_stack,
-)
+from .model_manifolds import ModelManifold, chart_stack
 from .level_set_geometry import ScalarField, _rowdot, sphere_direction
 
 _ROOT_BISECT_WIDTH = 1e-6
@@ -335,15 +327,13 @@ def find_level_radii(u: ScalarField, M: ModelManifold, levels, rays, radii) -> n
 
 
 def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
-                  directions, radii, trig) -> tuple:
+                  directions, radii) -> tuple:
     """(points, surface weights, |grad u|, chart_stack) of a stack of
     angular nodes, each on the level set of its level.
 
     The surface weight of a node is its angular weight times
     f(rho)^{n-1} |grad u| / d_rho u at the crossing.  radii: the nodes'
-    _sphere_radii (find_level_radii); trig: the sines and tangents of their
-    polar angles (chart_stack), None on Cartesian charts; both as a rule
-    plan gives them.
+    _sphere_radii (find_level_radii).
     """
     n = M.dim
     polar = M.chart == "polar"
@@ -351,14 +341,14 @@ def surface_nodes(u: ScalarField, M: ModelManifold, levels, angles, weights,
     rho = find_level_radii(u, M, levels, rays, radii)
     P = np.column_stack((rho, angles)) if polar else rho[:, None] * directions
     du = u.partials_stack(M, P)
-    chart = chart_stack(M, P, trig)
+    chart = chart_stack(M, P)
     grad_norm = np.sqrt(_rowdot(du, du / chart.D))
     if polar:
         u_rho = du[:, 0]
-        scale = _on_distinct(lambda t: t ** (n - 1), *chart._f_radii)
+        scale = chart.f ** (n - 1)
     else:
         u_rho = _rowdot(directions, du)
-        scale = _elementwise(lambda t: t ** (n - 1), rho)
+        scale = rho ** (n - 1)
     if not (u_rho > 0).all():   # NaN included
         k = int(np.argmin(u_rho > 0))
         raise node_error(GeometryError, k, f"u is not increasing along the ray at the "
@@ -389,8 +379,7 @@ def _rule_rows(u, M, plan, levels, radii, level_weights, integrand, n_comp, thre
         try:
             P, w, grad_norm, chart = surface_nodes(
                 u, M, levels[lo:hi], plan.angles[lo:hi], plan.weights[lo:hi],
-                plan.directions[lo:hi], radii[lo:hi],
-                tuple(a[lo:hi] for a in plan.trig) if M.chart == "polar" else None)
+                plan.directions[lo:hi], radii[lo:hi])
             if level_weights is not None:
                 w = w * level_weights[lo:hi] / grad_norm
             values = np.asarray(integrand(P, chart), dtype=float).reshape(len(P), n_comp)
@@ -461,16 +450,6 @@ class _RulePlan:
     levels: np.ndarray
     count: int
     jacobian_max: float
-
-    @cached_property
-    def trig(self) -> tuple:
-        """(sines, tangents) of every node's polar angles, angle columns
-        0..n-3 (_angle_trig), read-only, for chart_stack on polar charts;
-        built on first use, since Cartesian charts never read them."""
-        trig = _angle_trig(self.angles[:, :-1])
-        for a in trig:
-            a.flags.writeable = False
-        return trig
 
 
 def _warp(A: np.ndarray, directions: np.ndarray, weights: np.ndarray):

@@ -498,17 +498,16 @@ class Counted:
         return self.fn(r)
 
 
-def test_chart_is_evaluated_once_per_radius_and_guarded_once_per_stack(monkeypatch):
+def test_chart_is_evaluated_once_per_stack_and_guarded_once_per_stack(monkeypatch):
     prof = poly3_profile()
     f, df, d2f = Counted(prof.f), Counted(prof.df), Counted(prof.d2f)
     M = warped(WarpingProfile("counted", f, df, d2f), 3)
-    stacks, radii, guards = [], [], []
+    stacks, guards = [], []
     surface_nodes, guard = quadrature.surface_nodes, model_manifolds._polar_guard_stack
 
     def counted_nodes(*args):
         out = surface_nodes(*args)
         stacks.append(len(args[2]))
-        radii.append(np.unique(out[0][:, 0]).size)
         return out
 
     def counted_guard(*args):
@@ -520,19 +519,17 @@ def test_chart_is_evaluated_once_per_radius_and_guarded_once_per_stack(monkeypat
     spec = QuadratureSpec(angular_orders=(6,), level_order=4)
     # one surface rule: 6 x 6 nodes, halved 3 x 3, on one sphere; coarea: 4
     # and 2 levels of them.  Each stack is a rule and its halved companion,
-    # so f and f' are evaluated once per distinct radius of the stack: 1 for
-    # a sphere, 4 + 2 for a coarea stack; f'' only in the warped curvature
-    # tensor of the coarea rows
-    for call, coarea, surfaces, radius_calls, d2f_calls in (
-            (lambda: total_mean_curvature(RadialDistanceField(), M, 0.8, 2, spec), 0, 1, 1, 0),
-            (lambda: comparison_rhs(RadialDistanceField(), M, (0.5, 1.0), 1, spec), 1, 2, 8, 6)):
+    # and its chart calls f and f' once each, on the whole radius column;
+    # f'' is called only by the warped curvature tensor of the coarea rows
+    for call, coarea, surfaces in (
+            (lambda: total_mean_curvature(RadialDistanceField(), M, 0.8, 2, spec), 0, 1),
+            (lambda: comparison_rhs(RadialDistanceField(), M, (0.5, 1.0), 1, spec), 1, 2)):
         for fn in (f, df, d2f):
             fn.calls = 0
         stacks.clear()
-        radii.clear()
         guards.clear()
         call()
         nodes = coarea * (4 * 36 + 2 * 9) + surfaces * (36 + 9)
         assert sum(stacks) == nodes and guards == stacks
-        assert f.calls == df.calls == sum(radii) == radius_calls
-        assert d2f.calls == d2f_calls
+        assert f.calls == df.calls == len(stacks)
+        assert d2f.calls == coarea

@@ -100,9 +100,13 @@ class TestMetric:
             np.testing.assert_allclose(chart.D[k], metric_diagonal(M, p), rtol=1e-15, atol=0)
             assert chart.D[k].tobytes() == chart_stack(M, P[k:k + 1]).D[0].tobytes()
         if M.chart == "polar":
+            # each row against its point as a one-row stack: a numpy scalar
+            # power (np.float64 ** k) need not give the bits of an array's
             prof = M.profile
-            assert chart.f.tolist() == [prof.f(r) for r in P[:, 0]]
-            assert chart.df.tolist() == [prof.df(r) for r in P[:, 0]]
+            for k in range(len(P)):
+                one = P[k:k + 1, 0]
+                assert chart.f[k:k + 1].tobytes() == prof.f(one).tobytes()
+                assert chart.df[k:k + 1].tobytes() == prof.df(one).tobytes()
             for k in range(len(P)):
                 one = christoffel_stack(M, P[k:k + 1])[0]
                 assert one.tobytes() == christoffel_stack(M, P, chart)[k].tobytes()
@@ -112,27 +116,24 @@ class TestMetric:
     @pytest.mark.parametrize("M", [constant_curvature(-1.0, 5), warped(poly3_profile(), 4),
                                    warped(sinh_profile(), 2)],
                              ids=lambda M: f"{M.label}-{M.dim}")
-    def test_a_chart_from_given_angle_columns_is_the_chart_from_the_points(self, M):
-        # the sines and tangents a rule plan carries, sliced at any split,
-        # give the bits of the chart that computes them from the points
+    def test_the_chart_of_a_slice_is_the_slice_of_the_chart(self, M):
+        # a stack's chart, sliced at any split, has the bits of the chart
+        # of the slice alone
         rng = np.random.default_rng(8)
         n = M.dim
         P = np.column_stack([rng.choice([0.5, 1.2], 24)]
                             + [rng.choice([0.3, 1.1, 2.5], 24) for _ in range(n - 2)]
                             + [rng.uniform(0.0, 6.2, 24)])
-        sines, tangents = model_manifolds._angle_trig(P[:, 1:n - 1])
-        assert sines.shape == tangents.shape == (24, n - 2)
 
         def bits(chart):
             return [[x.hex() for x in a.ravel().tolist()]
                     for a in (chart.D, chart.f, chart.df, *model_manifolds._log_derivatives(chart))]
 
+        whole = bits(chart_stack(M, P))
         for lo, hi in ((0, 24), (0, 7), (7, 24), (13, 14)):
-            given = chart_stack(M, P[lo:hi], (sines[lo:hi], tangents[lo:hi]))
-            assert bits(given) == bits(chart_stack(M, P[lo:hi]))
             # the rows of the whole stack's chart (D holds n entries per row)
-            assert bits(given) == [col[lo * len(col) // 24:hi * len(col) // 24]
-                                   for col in bits(chart_stack(M, P))]
+            assert bits(chart_stack(M, P[lo:hi])) == [col[lo * len(col) // 24:hi * len(col) // 24]
+                                                     for col in whole]
 
     def test_chart_stack_refuses_the_first_node_off_the_chart(self):
         M = constant_curvature(-1.0, 3)
@@ -337,15 +338,15 @@ class TestSphereClosedForms:
 class TestProfiles:
     def test_inconsistent_derivatives_rejected(self):
         with pytest.raises(ValueError):
-            WarpingProfile("broken", math.sinh, math.sinh, math.sinh)
+            WarpingProfile("broken", np.sinh, np.sinh, np.sinh)
 
     def test_positive_curvature_rejected(self):
-        good = WarpingProfile("sin", math.sin, math.cos, lambda r: -math.sin(r))
+        good = WarpingProfile("sin", np.sin, np.cos, lambda r: -np.sin(r))
         with pytest.raises(ValueError):
             warped(good, 3)
 
     def test_bad_origin_behavior_rejected(self):
-        prof = WarpingProfile("shifted", lambda r: r + 1.0, lambda r: 1.0, lambda r: 0.0)
+        prof = WarpingProfile("shifted", lambda r: r + 1.0, np.ones_like, np.zeros_like)
         with pytest.raises(ValueError):
             warped(prof, 3)
 
@@ -360,53 +361,34 @@ class TestProfiles:
             euclidean(1)
 
 
-def _with_bits(values, bits):
-    """values as floats, with the entries named in bits (index -> int64
-    pattern) set bit for bit: NaN payloads and signs numpy does not make."""
-    x = np.array(values, dtype=float)
-    for k, b in bits.items():
-        x.view(np.int64)[k] = b
-    return x
+# every elementwise function the package applies to whole columns (warping
+# profiles, charts, the off-centre field, sphere directions, surface weights
+# and frames), and ** with each integer exponent it takes (f^{n-1}, squares)
+_COLUMN_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sinh": np.sinh,
+                  "cosh": np.cosh, "sqrt": lambda x: np.sqrt(np.abs(x)),
+                  **{f"power{k}": (lambda k: lambda x: x ** k)(k) for k in range(1, 6)}}
 
 
-def _elementwise_inputs():
-    rng = np.random.default_rng(8)
-    P = np.empty((12, 3))
-    P[:, 0] = rng.choice([0.25, 1.5, 0.25, -0.0, 0.0, 3.0], 12)
-    P[:, 1] = rng.normal(size=12)
-    P[:, 2] = math.pi / 2
-    nans = _with_bits([math.nan, 1.0, math.nan, math.nan, -0.0, 0.0, math.inf, -math.inf,
-                       math.inf, 1.0],
-                      {1: 0x7FF8000000000001, 2: -0x0008000000000000, 3: 0x7FF0000000000001})
-    return {"column with repeats": P[:, 0], "constant column": P[:, 2],
-            "every other": P[::2, 1], "special values": nans, "size 0": np.zeros(0),
-            "size 1": np.array([-0.0]), "reversed": nans[::-1]}
-
-
-@pytest.mark.parametrize("name", sorted(_elementwise_inputs()))
-@pytest.mark.parametrize("fn", [lambda t: t, math.atan, math.tanh, lambda t: math.copysign(2.0, t)],
-                         ids=["identity", "atan", "tanh", "sign"])
-def test_elementwise_is_the_scalar_map_once_per_distinct_input(name, fn):
-    x = _elementwise_inputs()[name]
-    seen = []
-
-    def counted(t):
-        seen.append(t)
-        return fn(t)
-
-    want = np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
-    got = model_manifolds._elementwise(counted, x)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    # one call per distinct bit pattern, in the order of first occurrence
-    firsts = list(dict.fromkeys(x.view(np.int64).tolist()))
-    assert np.array(seen, dtype=float).view(np.int64).tolist() == firsts
-
-
-def test_elementwise_raises_what_the_first_failing_element_raises():
-    def picky(t):
-        if t > 1.0:
-            raise ValueError(f"refused {t}")
-        return t
-
-    with pytest.raises(ValueError, match="refused 3.0"):
-        model_manifolds._elementwise(picky, np.array([0.5, 3.0, 2.0, 3.0, 0.5]))
+@pytest.mark.parametrize("name", sorted(_COLUMN_UFUNCS))
+def test_ufuncs_give_a_column_the_bits_of_its_splits(name):
+    # the premise of evaluating whole columns: a ufunc gives an element the
+    # same bits whatever array it sits in, so a node's bits do not depend on
+    # its stack, its chunk or its split over threads.  A host where numpy's
+    # vector and scalar paths disagree fails here.
+    fn = _COLUMN_UFUNCS[name]
+    rng = np.random.default_rng(27)
+    x = np.concatenate((rng.uniform(-20.0, 20.0, 2048), rng.uniform(0.0, math.pi, 2048),
+                        rng.uniform(0.0, 10.0, 2048), rng.normal(scale=1e-3, size=512)))
+    whole = fn(x)
+    for length in range(1, 65):
+        for lo in rng.integers(0, x.size - length, 8).tolist():
+            assert fn(x[lo:lo + length]).tobytes() == whole[lo:lo + length].tobytes(), (lo, length)
+    for step in (2, 3, 7):
+        for lo in range(step):
+            assert fn(x[lo::step]).tobytes() == whole[lo::step].tobytes(), (lo, step)
+    # a column of a node stack is a strided view too
+    stack = x.reshape(-1, 4)
+    for j in range(4):
+        assert fn(stack[:, j]).tobytes() == whole.reshape(-1, 4)[:, j].tobytes(), j
+    for k in rng.integers(0, x.size, 256).tolist():
+        assert fn(np.array([x[k]])).tobytes() == whole[k:k + 1].tobytes(), k

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from curvatura import curvature_integrals, model_manifolds, quadrature
+from curvatura import curvature_integrals, quadrature
 from curvatura.errors import GeometryError, node_error
 from curvatura.model_manifolds import (
     _log_derivatives,
@@ -352,7 +352,7 @@ class TestRulePlans:
         for kind, levels in (("surface", 3), ("coarea", SPEC.level_order)):
             for plan in (quadrature._rule_plan(kind, 3, SPEC, levels),
                          quadrature._field_plan(warped, euclidean(3), kind, SPEC, levels)):
-                for a in (plan.angles, plan.weights, plan.directions, *plan.trig, plan.levels):
+                for a in (plan.angles, plan.weights, plan.directions, plan.levels):
                     with pytest.raises(ValueError, match="read-only"):
                         a[0] = a[0]
         with pytest.raises(ValueError, match="read-only"):
@@ -410,15 +410,15 @@ class TestRulePlans:
     @pytest.mark.parametrize("M", [constant_curvature(-1.0, 5), warped(poly3_profile(), 3)],
                              ids=lambda M: f"{M.label}-{M.dim}")
     def test_plan_charts_are_the_charts_of_their_points(self, monkeypatch, M, warm, threads):
-        # every chunk's chart, built from the plan's sines and tangents, has
-        # the bits of the chart computed from the chunk's points alone
+        # every chunk's chart has the bits of the chart computed from the
+        # chunk's points alone
         u = RadialDistanceField()
         spec = QuadratureSpec(angular_orders=(4,), level_order=3)
         built, charts = quadrature.chart_stack, []
 
-        def recorded(M, P, trig=None):
-            chart = built(M, P, trig)
-            charts.append((P.copy(), trig is not None, chart))
+        def recorded(M, P):
+            chart = built(M, P)
+            charts.append((P.copy(), chart))
             return chart
 
         def run():
@@ -432,9 +432,8 @@ class TestRulePlans:
         monkeypatch.setattr(quadrature, "chart_stack", recorded)
         run()
         assert len(charts) > 2
-        for P, from_plan, chart in charts:
+        for P, chart in charts:
             alone = chart_stack(M, P)
-            assert from_plan
             for got, want in ((chart.D, alone.D), (chart.f, alone.f), (chart.df, alone.df),
                               *zip(_log_derivatives(chart), _log_derivatives(alone))):
                 assert [x.hex() for x in got.ravel().tolist()] == \
@@ -470,28 +469,6 @@ class TestRulePlans:
                     with pytest.raises((GeometryError, ValueError)) as e:
                         call(refuse, threads)
                     assert str(e.value) == ("node 0: refused" if before else message)
-
-    def test_a_warm_polar_rule_dedupes_no_angle_column(self, monkeypatch):
-        # the plan carries the sines and tangents of its polar angles, so a
-        # stack of a sphere dedupes its radius column and nothing else
-        M = constant_curvature(-1.0, 4)
-        u = RadialDistanceField()
-        quadrature._rule_plan.cache_clear()
-        surface_integral(u, euclidean(4), 0.8, ones, SPEC)
-        plan = quadrature._rule_plan("surface", 4, SPEC, 1)
-        assert "trig" not in vars(plan)         # a Cartesian chart builds none
-        surface_integral(u, M, 0.8, ones, SPEC)
-        assert "trig" in vars(plan)
-        distinct, columns = model_manifolds._distinct, []
-
-        def recorded(x):
-            columns.append(x.copy())
-            return distinct(x)
-
-        monkeypatch.setattr(model_manifolds, "_distinct", recorded)
-        surface_integral(u, M, 0.8, ones, SPEC)
-        assert len(columns) == 2        # one per chunk: the rule and its companion
-        assert all((x == 0.8).all() for x in columns)
 
     def test_a_fifty_level_sweep_adds_one_plan_whatever_its_levels(self, tmp_path):
         from curvatura.cli import main
