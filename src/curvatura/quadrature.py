@@ -46,13 +46,13 @@ count.  A surface integral over several levels joins every level's rule,
 level-major, then every level's companion, into one stack and one pass as
 well.  The columns of that stack that no level value enters are built once
 per rule and ray map, as a read-only plan (_rule_plan: angles, weights
-and directions), and a call builds only its level columns.  Stacks above _CHUNK
-nodes, and stacks split over `threads` workers, run as several contiguous
-chunks.  Every stage computes each node
-with the same operations whatever the stack and chunk it sits in, and each
-rule is reduced by its own fixed-order pairwise sum over its node index, so
-results are bit-identical for any split and worker count, and to a rule
-evaluated alone.  A failing stack raises the error of its lowest-indexed
+and directions), and a call builds only its level columns.  Stacks above
+_CHUNK nodes, and stacks split over `threads` workers, run as several
+contiguous chunks.  Every stage computes each node with the same
+operations whatever the stack and chunk it sits in, and each rule is
+reduced by its own fixed-order pairwise sum over its node index, so results
+are bit-identical for any split and worker count, and to a rule evaluated
+alone.  A failing stack raises the error of its lowest-indexed
 failing node, whatever the split.
 """
 
