@@ -4,6 +4,7 @@ sphere closed forms."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from curvatura.model_manifolds import (
     linear_profile,
     poly3_profile,
     riemann_stack,
+    scaled_sinh_profile,
     sinh_profile,
     sphere_total_mean_curvature,
     unit_sphere_volume,
@@ -166,6 +168,23 @@ class TestMetric:
             chart_stack(M, P)
         assert (e.value.node, e.value.detail) == (1, detail)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_angle_in_a_long_column_is_refused_by_name(self, value, n):
+        # np.sin and np.tan of +-inf warn "invalid value" where math.sin
+        # raised: the chart reads such an angle as NaN, off the chart, and
+        # the guard names its first node, with no warning on any column length
+        rng = np.random.default_rng(6)
+        P = np.column_stack([rng.uniform(0.2, 2.0, 64)]
+                            + [rng.uniform(0.2, 2.9, 64) for _ in range(n - 2)]
+                            + [rng.uniform(0.0, 6.2, 64)])
+        P[37:, n - 2] = value       # the last polar angle, from node 37 on
+        detail = f"polar chart is undefined at angle {n - 2} = {value:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChartSingularityError, match=f"^node 37: {re.escape(detail)}$"):
+                chart_stack(constant_curvature(-1.0, n), P)
+
 
 class TestChristoffel:
     def test_euclidean_zero(self):
@@ -262,6 +281,25 @@ class TestRiemann:
             assert np.max(rd.K) <= 1e-12  # nonpositive curvature
             np.testing.assert_allclose(rd.K, np.einsum("ijij->ij", R), atol=1e-14)
 
+    @pytest.mark.parametrize("M", [warped(poly3_profile(), 3), warped(poly3_profile(), 5),
+                                   warped(sinh_profile(), 4),
+                                   warped(scaled_sinh_profile(-0.25), 6)],
+                             ids=lambda M: f"{M.label}-{M.dim}")
+    def test_a_row_has_the_bits_of_its_point_alone(self, M):
+        # f, f' and f'' act on whole columns, so each row of a stack's
+        # tensors has the bits of the one-row stack of its point and frame
+        rng = np.random.default_rng(11)
+        n, N = M.dim, 37
+        P = np.column_stack([rng.uniform(0.1, 3.0, N)]
+                            + [rng.uniform(0.2, 2.9, N) for _ in range(n - 2)]
+                            + [rng.uniform(0.0, 6.2, N)])
+        F = np.linalg.qr(rng.normal(size=(N, n, n)))[0]     # g-orthonormal frames
+        rd = riemann_stack(M, P, F)
+        for k in range(N):
+            one = riemann_stack(M, P[k:k + 1], F[k:k + 1])
+            for got, want in ((rd.R, one.R), (rd.K, one.K), (rd.ricci_n, one.ricci_n)):
+                assert got[k:k + 1].tobytes() == want.tobytes(), k
+
     def test_reads_the_chart_it_is_given(self, monkeypatch):
         P = np.array(SAMPLE_POINTS[3])
         frames = np.broadcast_to(np.eye(3), (len(P), 3, 3))
@@ -350,6 +388,68 @@ class TestProfiles:
         with pytest.raises(ValueError):
             warped(prof, 3)
 
+    @pytest.mark.parametrize("prof", [sinh_profile(), linear_profile(), poly3_profile(),
+                                      scaled_sinh_profile(-0.25), scaled_sinh_profile(-4.0)],
+                             ids=lambda prof: prof.name)
+    def test_a_profile_maps_an_array_to_an_array_of_its_shape(self, prof):
+        # kernels hand a profile a whole radius column; every element of the
+        # result has the bits of that element's one-element array
+        r = np.random.default_rng(4).uniform(0.01, 3.0, (3, 5))
+        for fn in (prof.f, prof.df, prof.d2f):
+            for x in (r, r[0], r[:, 1], r[0, :1], r[:0, 0]):
+                out = fn(x)
+                assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == x.shape
+            flat = r.ravel()
+            whole = fn(flat)
+            for k in range(flat.size):
+                assert fn(flat[k:k + 1]).tobytes() == whole[k:k + 1].tobytes(), k
+
+    def test_profile_checks_evaluate_each_sample_grid_as_one_array(self):
+        shapes = []
+
+        def recorded(fn):
+            def call(r):
+                assert isinstance(r, np.ndarray)
+                shapes.append(r.shape)
+                return fn(r)
+            return call
+
+        prof = WarpingProfile("recorded", recorded(np.sinh), recorded(np.cosh), recorded(np.sinh))
+        # df and d2f at the spot-check grid, f and df at its two shifts
+        assert shapes == [(5,)] * 6
+        shapes.clear()
+        warped(prof, 3)
+        # f and f' at the origin, then f, f'' and f' on the 1000 samples
+        assert shapes == [(1,)] * 2 + [(1000,)] * 3
+
+    @pytest.mark.parametrize("df,d2f,message", [
+        (lambda r: np.cosh(r) + np.where(r > 0.5, (r - 0.5) ** 2, 0.0), np.sinh,
+         "f' inconsistent with f at r=0.9"),
+        (np.cosh, lambda r: np.sinh(r) + np.where(r > 1.0, r - 1.0, 0.0),
+         "f'' inconsistent with f' at r=1.6"),
+    ], ids=["df", "d2f"])
+    def test_inconsistent_derivatives_name_the_first_failing_radius(self, df, d2f, message):
+        with pytest.raises(ValueError, match=f"^profile 'broken': {re.escape(message)}$"):
+            WarpingProfile("broken", np.sinh, df, d2f)
+
+    @pytest.mark.parametrize("f,df,d2f,message", [
+        # f'' = r (c - r) turns negative past r = c: the first sample past c
+        (lambda r: r + r ** 3 / 2.0 - r ** 4 / 12.0, lambda r: 1.0 + 1.5 * r ** 2 - r ** 3 / 3.0,
+         lambda r: r * (3.0 - r), "has positive radial curvature at r=3.0037"),
+        (lambda r: r + 7.0 * r ** 3 / 6.0 - r ** 4 / 12.0,
+         lambda r: 1.0 + 3.5 * r ** 2 - r ** 3 / 3.0,
+         lambda r: r * (7.0 - r), "has positive radial curvature at r=7.00731"),
+        # a flat profile whose slope is under 1, within the origin tolerance
+        (lambda r: (1.0 - 5e-11) * r, lambda r: np.full_like(r, 1.0 - 5e-11), np.zeros_like,
+         "has positive tangential curvature at r=0.001"),
+        (lambda r: 2.0 * r, lambda r: np.full_like(r, 2.0), np.zeros_like,
+         "must satisfy f(0)=0, f'(0)=1"),
+    ], ids=["radial@3", "radial@7", "tangential", "origin"])
+    def test_screening_names_the_first_failing_sample(self, f, df, d2f, message):
+        prof = WarpingProfile("screened", f, df, d2f)
+        with pytest.raises(ValueError, match=f"^profile 'screened' {re.escape(message)}$"):
+            warped(prof, 3)
+
     def test_constant_requires_nonpositive(self):
         with pytest.raises(ValueError):
             constant_curvature(0.5, 3)
@@ -363,10 +463,13 @@ class TestProfiles:
 
 # every elementwise function the package applies to whole columns (warping
 # profiles, charts, the off-centre field, sphere directions, surface weights
-# and frames), and ** with each integer exponent it takes (f^{n-1}, squares)
+# and frames, logs of singular values and of fitted samples), and ** with
+# each integer exponent it takes (squares, f^{n-1}, |grad u|^{r+2} up to
+# r = n - 1 = 5)
 _COLUMN_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sinh": np.sinh,
                   "cosh": np.cosh, "sqrt": lambda x: np.sqrt(np.abs(x)),
-                  **{f"power{k}": (lambda k: lambda x: x ** k)(k) for k in range(1, 6)}}
+                  "log": lambda x: np.log(np.abs(x)),
+                  **{f"power{k}": (lambda k: lambda x: x ** k)(k) for k in range(1, 8)}}
 
 
 @pytest.mark.parametrize("name", sorted(_COLUMN_UFUNCS))
