@@ -59,8 +59,8 @@ from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCE_KEYS, SuiteConfig
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240817
 # the largest quadrature order accepted, well above the largest the suites and
-# tests use (96): Gauss-Legendre nodes of order k cost O(k^2) memory and O(k^3)
-# time, so that an order of 10^7 asked for 728 TiB
+# tests use (96): Gauss nodes of order k cost O(k^2) memory and O(k^3) time
+# (an eigenproblem of order k), so that an order of 10^7 asked for 728 TiB
 MAX_ORDER = 1024
 # the largest rule accepted, in nodes: the product of the angular orders, times
 # the level order for a coarea rule.  It is the default rule (orders 16 and 8)
@@ -203,7 +203,7 @@ def _validate_quadrature(d, n, path="quadrature", coarea=False):
         return QuadratureSpec()
     if not isinstance(d, dict):
         _fail(path, "expected an object")
-    _check_keys(d, path, {"angular_order", "level_order", "margin"})
+    _check_keys(d, path, {"angular_order", "level_order"})
     ang = d.get("angular_order", 16)
     if isinstance(ang, list):
         if len(ang) not in (1, n - 1):
@@ -214,8 +214,7 @@ def _validate_quadrature(d, n, path="quadrature", coarea=False):
     else:
         ang = (_check_int(ang, f"{path}.angular_order", 2, MAX_ORDER),)
     lvl = _check_int(d.get("level_order", 8), f"{path}.level_order", 2, MAX_ORDER)
-    margin = _check_number(d.get("margin", 1e-6), f"{path}.margin", 1e-12, 1e-3)
-    spec = QuadratureSpec(angular_orders=ang, level_order=lvl, margin=margin)
+    spec = QuadratureSpec(angular_orders=ang, level_order=lvl)
     nodes = math.prod(spec.angular_for(n)) * (lvl if coarea else 1)
     if nodes > MAX_NODES:
         _fail(f"{path}.angular_order",

@@ -10,8 +10,8 @@ bisection then Newton polish, and the surface measure of the radial graph is
 
 with f the radial scale of the chart (f = rho in Cartesian charts) and ghat
 the round metric of S^{n-1} in iterated spherical angles.  Angular nodes are
-Gauss-Legendre tensor products, with polar angles pulled a fixed margin off
-the axis.  Volume integrals between two levels use the coarea fibration
+the Gauss product rule of S^{n-1} (_angular_grid), whose nodes never reach
+the polar axis.  Volume integrals between two levels use the coarea fibration
 (Gauss-Legendre across levels, 1/|grad u|-weighted surface rule inside).
 
 On a Cartesian chart a field may warp the rays (ScalarField.ray_map): each
@@ -19,9 +19,8 @@ grid direction xi moves to A xi / |A xi| and its weight takes the Jacobian
 |det A| / |A xi|^n of that map of S^{n-1} onto itself (_warp), so the rule
 still integrates over the whole sphere.  With the quadratic field's
 A = Q^{-1/2}, a centred level ellipsoid's nodes are the linear image
-sqrt(2c) A xi of the grid's nodes on the unit sphere; the polar-cap term of
-its estimates takes the map's largest Jacobian.  Every other field keeps
-the identity map, its plans and its bits.
+sqrt(2c) A xi of the grid's nodes on the unit sphere.  Every other field
+keeps the identity map, its plans and its bits.
 
 A rule is evaluated as one stack of nodes, not node by node: the field's
 closed-form partials, the surface weights (surface_nodes) and the integrand
@@ -87,12 +86,11 @@ class QuadratureSpec:
     """Orders of the tensor-product rule.
 
     angular_orders: either one order broadcast to every angle or a tuple with
-    one Gauss-Legendre order per angle; level_order: nodes across the level
-    interval of coarea integrals; margin: polar-axis exclusion in radians.
+    one order per angle (its node count, _angular_grid); level_order: nodes
+    across the level interval of coarea integrals.
     """
     angular_orders: tuple = (16,)
     level_order: int = 8
-    margin: float = 1e-6
 
     def __post_init__(self):
         orders = self.angular_orders
@@ -101,8 +99,6 @@ class QuadratureSpec:
         object.__setattr__(self, "angular_orders", tuple(int(o) for o in orders))
         if any(o < 2 for o in self.angular_orders) or self.level_order < 2:
             raise ValueError("all quadrature orders must be >= 2")
-        if not 0.0 < self.margin <= 1e-3:
-            raise ValueError("margin must lie in (0, 1e-3]")
 
     def angular_for(self, n: int) -> tuple:
         if len(self.angular_orders) == 1:
@@ -117,7 +113,6 @@ class QuadratureSpec:
         return QuadratureSpec(
             angular_orders=tuple(max(2, o // 2) for o in self.angular_orders),
             level_order=max(2, self.level_order // 2),
-            margin=self.margin,
         )
 
 
@@ -192,23 +187,39 @@ def _gl_on(a: float, b: float, order: int):
 
 
 @lru_cache(maxsize=None)
-def _angular_grid(n: int, orders: tuple, margin: float):
-    """All angular nodes of S^{n-1} with weights including sqrt(det ghat).
+def _polar_rule(order: int, k: int):
+    """(angles ascending, weights), read-only, of the Gauss rule of weight
+    sin^k theta on [0, pi]: in t = cos theta the Gauss rule of (1 - t^2)^a,
+    a = (k - 1)/2, by Golub-Welsch (Math. Comp. 23, 1969), the eigenvalues
+    of its Jacobi matrix, each weighted by mu_0 = B(1/2, a + 1) times the
+    squared first component of its unit eigenvector."""
+    a = 0.5 * (k - 1)
+    j = np.arange(1.0, order)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a - 1) * (2 * j + 2 * a + 1)))
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
+    angles, weights = np.arccos(t[::-1]), mu0 * v[0, ::-1] ** 2
+    angles.flags.writeable = weights.flags.writeable = False
+    return angles, weights
+
+
+@lru_cache(maxsize=None)
+def _angular_grid(n: int, orders: tuple):
+    """All angular nodes of S^{n-1} with weights including sqrt(det ghat),
+    by the Gauss product rule: polar angle m takes the _polar_rule of its
+    weight sin^{n-2-m} theta, and the periodic azimuth the trapezoid rule at
+    2 pi (j + 1/2) / N, which converges geometrically on a smooth periodic
+    integrand (Trefethen and Weideman, SIAM Rev. 56, 2014).
 
     Returns (angles array N x (n-1), weights length N, unit ray directions
     N x n), read-only; node order is the lexicographic product order, which
     fixes the reduction order.
     """
-    per_nodes, per_weights = [], []
-    for m in range(n - 2):
-        x, w = _gl_on(margin, math.pi - margin, orders[m])
-        per_weights.append(w * np.sin(x) ** (n - 2 - m))
-        per_nodes.append(x)
-    x, w = _gl_on(0.0, 2.0 * math.pi, orders[n - 2])
-    per_nodes.append(x)
-    per_weights.append(w)
-    grids = np.meshgrid(*per_nodes, indexing="ij")
-    wgrids = np.meshgrid(*per_weights, indexing="ij")
+    per = [_polar_rule(o, n - 2 - m) for m, o in enumerate(orders[:-1])]
+    step = 2.0 * math.pi / orders[-1]
+    per.append((step * (np.arange(orders[-1]) + 0.5), np.full(orders[-1], step)))
+    grids = np.meshgrid(*(x for x, _ in per), indexing="ij")
+    wgrids = np.meshgrid(*(w for _, w in per), indexing="ij")
     angles = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.ones(angles.shape[0])
     for wg in wgrids:
@@ -416,17 +427,6 @@ def _rule_rows(u, M, plan, levels, radii, level_weights, integrand, n_comp, thre
     raise err
 
 
-def _cap_bound(M: ModelManifold, spec: QuadratureSpec, value, jacobian_max: float):
-    """Analytic bound on the measure omitted by the polar-axis margin.
-
-    The relative measure of each excluded cap is below margin^2, and a ray
-    map (_warp) stretches no part of the sphere by more than its largest
-    Jacobian, so the systematic part of the error (invisible to order
-    halving) is bounded by (number of polar angles) * margin^2 * |value| *
-    jacobian_max, which is 1.0 for the identity map."""
-    return (M.dim - 2) * spec.margin ** 2 * abs(value) * jacobian_max
-
-
 def _part_sums(rows, parts):
     """pairwise_sum of each of `parts` equal consecutive blocks of rows, as
     a (parts, n_comp) array: the blocks stand side by side as the columns
@@ -442,14 +442,12 @@ class _RulePlan:
     (_rule_plan), read-only: angles, weights and directions of every node
     of the rule and then of its halved-order companion, and levels, the
     index of each node's level within the rule's level values followed by
-    the companion's.  count: the rule's node count; jacobian_max: the
-    largest Jacobian of its ray map (_warp), 1.0 for the identity."""
+    the companion's.  count: the rule's node count."""
     angles: np.ndarray
     weights: np.ndarray
     directions: np.ndarray
     levels: np.ndarray
     count: int
-    jacobian_max: float
 
 
 def _warp(A: np.ndarray, directions: np.ndarray, weights: np.ndarray):
@@ -477,20 +475,17 @@ def _rule_plan(kind: str, n: int, spec: QuadratureSpec, levels: int,
     direction and weight of the rule and its companion is warped (_warp);
     the angles stay the grid's, which a warped direction no longer
     follows."""
-    A, jmax = None, 1.0
+    A = None
     if ray_map is not None:
         A = np.array(ray_map, dtype=float)
-        sv = np.linalg.svd(A, compute_uv=False)
-        # |det A| ||A^-1||^n, the largest Jacobian, as a product of ratios;
         # A scaled to |det A| = 1, which moves neither a direction nor a
         # Jacobian, so that neither |det A| nor |A xi|^n underflows for a
         # Q of widely spread eigenvalues
-        jmax = float(np.prod(sv / sv[-1]))
-        A = A / math.exp(np.log(sv).mean())
+        A = A / math.exp(np.linalg.slogdet(A)[1] / n)
     cols, index, offset = [], [], 0
     for s in (spec, spec.coarser()):
         k = levels if kind == "surface" else s.level_order
-        angles, weights, directions = _angular_grid(n, s.angular_for(n), s.margin)
+        angles, weights, directions = _angular_grid(n, s.angular_for(n))
         if A is not None:
             directions, weights = _warp(A, directions, weights)
         cols.append((np.tile(angles, (k, 1)), np.tile(weights, k), np.tile(directions, (k, 1))))
@@ -500,7 +495,7 @@ def _rule_plan(kind: str, n: int, spec: QuadratureSpec, levels: int,
     levels = np.concatenate(index)
     for a in (angles, weights, directions, levels):
         a.flags.writeable = False
-    return _RulePlan(angles, weights, directions, levels, len(cols[0][1]), jmax)
+    return _RulePlan(angles, weights, directions, levels, len(cols[0][1]))
 
 
 def _field_plan(u: ScalarField, M: ModelManifold, kind: str, spec: QuadratureSpec,
@@ -526,14 +521,14 @@ def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_
     its nodes.  The stack is evaluated by one _rule_rows pass and split
     again into parts.  Each part is summed by its own pairwise_sum, over
     the same tree as alone, and each estimate is |fine - coarse| plus the
-    polar-cap bound; the node count is that of all the rules.  The error raised is that of
-    the lowest-indexed failing node of the stack (every rule's nodes come
-    before every companion's), at the earliest stage where it fails,
-    whatever the split; it names the node by its index within its own
-    part's rule, or within that part's companion.  The companion floors
-    orders at 2, so an order-2 axis (angular, or for a coarea rule also the
-    level axis) is its own companion and the difference cannot see its
-    error: every estimate of such a rule is inf."""
+    rounding floor of the fine sum; the node count is that of all the rules.
+    The error raised is that of the lowest-indexed failing node of the stack
+    (every rule's nodes come before every companion's), at the earliest
+    stage where it fails, whatever the split; it names the node by its index
+    within its own part's rule, or within that part's companion.  The
+    companion floors orders at 2, so an order-2 axis (angular, or for a
+    coarea rule also the level axis) is its own companion and the difference
+    cannot see its error: every estimate of such a rule is inf."""
     count, total = plan.count, len(plan.weights)
     weights = None if level_weights is None else level_weights[plan.levels]
     try:
@@ -547,8 +542,12 @@ def _halving_estimate(u, M: ModelManifold, plan: _RulePlan, level_values, level_
             raise node_error(type(e), (node - lo) % (size // parts), e.detail) from None
         raise
     values = _part_sums(rows[:count], parts)
-    errs = (np.abs(values - _part_sums(rows[count:], parts))
-            + _cap_bound(M, spec, values, plan.jacobian_max))
+    # the rounding floor of a part of N rows: pairwise_sum makes 7 left-to-
+    # right adds per 8-item leaf, its tree is at most ceil(log2 N) high, and
+    # each weight product rounds once (Higham, SIAM J. Sci. Comput. 14, 1993)
+    floor = (math.ceil(math.log2(count // parts)) + 8) * 2.0 ** -52 \
+        * _part_sums(np.abs(rows[:count]), parts)
+    errs = np.abs(values - _part_sums(rows[count:], parts)) + floor
     coarea = level_weights is not None
     if 2 in spec.angular_for(M.dim) + ((spec.level_order,) if coarea else ()):
         errs = np.full_like(errs, math.inf)
@@ -569,8 +568,8 @@ def surface_integral(u: ScalarField, M: ModelManifold, level, integrand,
     (N, n) point stack and its chart_stack to the N values.
 
     The error estimate is the difference against the next-lower (halved)
-    order companion rule plus the analytic polar-cap omission bound; inf
-    when an angular order is 2.
+    order companion rule plus the rounding floor of the sum; inf when an
+    angular order is 2.
 
     level may also be a nonempty sequence of levels: every level's rule
     and companion then run as one node stack, and the result is (values,
@@ -634,7 +633,7 @@ def _radial_rule(g, bounds):
     prev = diff = None
     while order <= max_order:
         x, w = _gl_on(a, b, order)
-        val = pairwise_sum([wk * g(xk) for xk, wk in zip(x, w)])
+        val = pairwise_sum(w * g(x))
         if prev is not None:
             diff = abs(val - prev)
             if diff <= _RADIAL_TOL * max(1.0, abs(val)):
@@ -647,8 +646,8 @@ def _radial_rule(g, bounds):
 
 
 def radial_integral(g, bounds) -> float:
-    """1-D Gauss-Legendre integral from order _RADIAL_ORDER, doubling the
-    order until two successive values differ by less than _RADIAL_TOL
-    (relative).  Raises GeometryError, with the last difference, when the
-    order passes _RADIAL_MAX_ORDER first."""
+    """1-D Gauss-Legendre integral of g, an array map, from order
+    _RADIAL_ORDER, doubling the order until two successive values differ by
+    less than _RADIAL_TOL (relative).  Raises GeometryError, with the last
+    difference, when the order passes _RADIAL_MAX_ORDER first."""
     return _radial_rule(g, bounds)[0]

@@ -418,7 +418,7 @@ def _poly3_rhs_oracle(M: ModelManifold, levels, r: int):
 
     def sectional(t):
         if r == 0:
-            return 0.0
+            return np.zeros_like(t)
         return (r * binomial(n - 1, r) * (df(t) / f(t)) ** (r - 1)
                 * (d2f(t) / f(t)) * f(t) ** (n - 1))
 

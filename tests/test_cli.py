@@ -196,6 +196,9 @@ def comparison_cfg(**changes):
      2, "quadrature.angular_order[1]: expected <= 1024"),
     ("compute", dict(comparison_cfg(), quadrature={"angular_order": 4, "level_order": 10 ** 7}),
      2, "quadrature.level_order: expected <= 1024"),
+    # the Gauss product rule has no polar margin, and its old key is refused
+    ("compute", dict(compute_cfg(), quadrature={"angular_order": 8, "margin": 1e-6}),
+     2, "quadrature.margin: unknown key"),
     ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "field": {"field": "radial"},
                "quadrature": {"angular_order": 1025},
                "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from curvatura.cli import main
 
 HYPERBOLIC = {"family": "constant", "a": -1.0, "dim": 3}
-TINY = {"angular_order": 4, "level_order": 2, "margin": 1e-6}
+TINY = {"angular_order": 4, "level_order": 2}
 
 VALID = {
     "compute_radial": ("compute", {

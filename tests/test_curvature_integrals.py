@@ -344,7 +344,7 @@ class TestConstantCurvaturePaths:
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
         cc = comparison_rhs_constant(u, M, (0.5, 1.0), 1, SPEC)
-        exact = 8 * math.pi * radial_integral(lambda t: math.cosh(2 * t), (0.5, 1.0))
+        exact = 8 * math.pi * radial_integral(lambda t: np.cosh(2 * t), (0.5, 1.0))
         assert cc.lhs == pytest.approx(exact, rel=1e-8)
         assert abs(cc.residual) <= 1e-8 * abs(exact)
 
@@ -368,7 +368,7 @@ class TestRicciComparison:
         M = constant_curvature(a, n)
         u = RadialDistanceField()
         bd = ricci_comparison(u, M, (0.5, 1.0), SPEC)
-        vol = 4 * math.pi * radial_integral(lambda t: math.sinh(t) ** 2, (0.5, 1.0))
+        vol = 4 * math.pi * radial_integral(lambda t: np.sinh(t) ** 2, (0.5, 1.0))
         assert bd.term_sectional == pytest.approx(-(n - 1) * a * vol, rel=1e-9)
 
     def test_matches_general_path_poly3(self):
@@ -409,7 +409,7 @@ class TestSolanes:
         a, rho = -1.0, 0.9
         M = constant_curvature(a, 4)
         vol = unit_sphere_volume(4) * radial_integral(
-            lambda t: math.sinh(t) ** 3, (0.0, rho))
+            lambda t: np.sinh(t) ** 3, (0.0, rho))
         m = {1: sphere_total_mean_curvature(M, 1, rho), -1: vol}
         pred = solanes_prediction(m, a, 4)
         assert pred == pytest.approx(sphere_total_mean_curvature(M, 3, rho), rel=1e-11)

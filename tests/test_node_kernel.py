@@ -686,7 +686,7 @@ def test_guards_name_the_node_of_the_rule_whatever_the_split(monkeypatch):
             du = super().partials_stack(M, P)
             return np.where(lower_cap(P)[:, None], -du, du)
 
-    grid = quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)
+    grid = quadrature._angular_grid(3, SPEC.angular_for(3))
     first = int(np.argmax(lower_cap(grid[2])))
     assert first > 7                     # lies outside the first stack of 7
     u = DownhillBelow(center=[0.0, 0.0, 1e-3])
@@ -717,7 +717,7 @@ def test_the_lowest_failing_node_is_named_whatever_the_split(monkeypatch):
     cap (first at node 10) and the gram check inside the integrand at node
     1.  Every split names node 1, at the stage where it fails."""
     M = euclidean(3)
-    grid = quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)
+    grid = quadrature._angular_grid(3, SPEC.angular_for(3))
     assert int(np.argmax(lower_cap(grid[2]))) == 10
 
     class DownhillBelow(RadialSquaredHalfField):
@@ -765,9 +765,9 @@ def test_a_companion_guard_names_the_node_of_the_companion(monkeypatch):
     """The rule and its halved-order companion run as one stack; a guard
     failing only at a companion node names its index in the companion."""
     M = euclidean(3)
-    count = len(quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)[0])
+    count = len(quadrature._angular_grid(3, SPEC.angular_for(3))[0])
     coarse = SPEC.coarser()
-    directions = quadrature._angular_grid(3, coarse.angular_for(3), coarse.margin)[2]
+    directions = quadrature._angular_grid(3, coarse.angular_for(3))[2]
     k = 5
     target = directions[k]
 

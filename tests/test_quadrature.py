@@ -6,17 +6,20 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from curvatura import curvature_integrals, quadrature
 from curvatura.errors import GeometryError, node_error
 from curvatura.model_manifolds import (
+    _AXIS_TOL,
     _log_derivatives,
     chart_stack,
     constant_curvature,
     euclidean,
     poly3_profile,
+    sphere_total_mean_curvature,
     warped,
 )
 from curvatura.level_set_geometry import (
@@ -91,11 +94,11 @@ class TestRadialIntegral:
 
     def test_sinh_squared(self):
         exact = (math.sinh(1) * math.cosh(1) - 1) / 2
-        assert radial_integral(lambda t: math.sinh(t) ** 2, (0, 1)) == pytest.approx(
+        assert radial_integral(lambda t: np.sinh(t) ** 2, (0, 1)) == pytest.approx(
             exact, rel=1e-13)
 
     def test_cosh(self):
-        assert radial_integral(lambda t: math.cosh(2 * t), (0, 1)) == pytest.approx(
+        assert radial_integral(lambda t: np.cosh(2 * t), (0, 1)) == pytest.approx(
             math.sinh(2) / 2, rel=1e-13)
 
     def test_cap_raises_with_last_difference(self, monkeypatch):
@@ -116,17 +119,73 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(level_order=1)
 
-    def test_margin_range(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(margin=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(margin=2e-3)
-
     def test_angular_broadcast(self):
         assert QuadratureSpec(angular_orders=(8,)).angular_for(4) == (8, 8, 8)
         assert QuadratureSpec(angular_orders=(8, 6, 4)).angular_for(4) == (8, 6, 4)
         with pytest.raises(ValueError):
             QuadratureSpec(angular_orders=(8, 6)).angular_for(4)
+
+
+class TestGaussProductRule:
+    """The angular rule is the Gauss product rule of S^{n-1}: the Gauss nodes
+    of each polar angle's weight sin^k theta in t = cos theta, by
+    Golub-Welsch, and the trapezoid rule in the azimuth."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_polar_weights_integrate_the_moments_of_their_weight(self, k):
+        # sum w_i t_i^{2j} = B(j + 1/2, a + 1), a = (k - 1)/2, for 2j <= 2N - 1,
+        # and the odd moments vanish, here to within 1e-15 of the weights'
+        # mass mu_0 = B(1/2, a + 1).  A relative node error d moves t^{2j} by
+        # 2j d, so the highest moments take (2j + 1) 10 eps: orders 2..64
+        # read at most 5.5 (2j + 1) eps relative, and 5.6e-14 at worst
+        a = 0.5 * (k - 1)
+        eps = np.finfo(float).eps
+        mu0 = float(mpmath.beta(0.5, a + 1))
+        for order in range(2, 65):
+            angles, weights = quadrature._polar_rule(order, k)
+            assert 0.0 < angles[0] and (np.diff(angles) > 0).all() and angles[-1] < math.pi
+            t = np.cos(angles)
+            for j in range(order):
+                exact = float(mpmath.beta(j + 0.5, a + 1))
+                got = math.fsum(weights * t ** (2 * j))
+                assert abs(got - exact) <= max(1e-14, (2 * j + 1) * 10 * eps) * exact, \
+                    (order, j)
+                assert abs(math.fsum(weights * t ** (2 * j + 1))) <= 1e-15 * mu0, (order, j)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_an_order_1024_rule_keeps_its_mass_and_its_nodes_off_the_axis(self, k):
+        angles, weights = quadrature._polar_rule(1024, k)
+        mu0 = float(mpmath.beta(0.5, 0.5 * (k + 1)))
+        assert abs(math.fsum(weights) - mu0) <= 1e-14 * mu0
+        # the first and last nodes sit about 2.4 / 1024 rad off the axis
+        assert min(angles[0], math.pi - angles[-1]) > 1e-3 > 1e6 * _AXIS_TOL
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_the_grid_integrates_even_monomials_of_low_degree_exactly(self, n):
+        # int over S^{n-1} of prod x_i^{2 b_i} = 2 prod Gamma(b_i + 1/2) /
+        # Gamma(sum b_i + n/2); order 8 is exact up to degree 7 in every angle
+        _, weights, directions = quadrature._angular_grid(n, (8,) * (n - 1))
+        for b in np.ndindex(*(4,) * n):
+            if sum(b) > 3:
+                continue
+            exact = 2 * math.prod(math.gamma(bi + 0.5) for bi in b) / math.gamma(sum(b) + n / 2)
+            got = pairwise_sum(weights * np.prod(directions ** (2 * np.array(b)), axis=1))
+            assert abs(got - exact) <= 1e-14 * exact, b
+
+    @pytest.mark.parametrize("M", [euclidean(2), euclidean(3), constant_curvature(-1.0, 4),
+                                   constant_curvature(-4.0, 5)], ids=lambda M: M.label)
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_a_constant_gets_an_estimate_at_the_rounding_floor(self, M, order):
+        # every order integrates 1 over a sphere exactly, so the halving
+        # difference is rounding and the estimate at most twice the floor
+        # (ceil(log2 N) + 8) eps sum |w_i|
+        spec = QuadratureSpec(angular_orders=(order,), level_order=4)
+        res = surface_integral(RadialDistanceField(), M, 0.7, ones, spec)
+        area = sphere_total_mean_curvature(M, 0, 0.7)
+        assert abs(res.value - area) <= res.error_estimate
+        floor = (math.ceil(math.log2(res.node_count)) + 8) * 2.0 ** -52 * res.value
+        assert res.error_estimate <= 2 * floor
+        assert res.error_estimate <= 1e-14 * area
 
 
 class TestRootFinding:
@@ -214,7 +273,7 @@ class TestCoareaIntegral:
         M = constant_curvature(-1.0, 3)
         u = RadialDistanceField()
         res = coarea_volume_integral(u, M, (0.5, 1.0), ones, SPEC)
-        oracle = 4 * math.pi * radial_integral(lambda t: math.sinh(t) ** 2, (0.5, 1.0))
+        oracle = 4 * math.pi * radial_integral(lambda t: np.sinh(t) ** 2, (0.5, 1.0))
         assert abs(res.value - oracle) <= 1e-8
 
     def test_poly3_sigma2_radial_oracle(self):
@@ -499,7 +558,7 @@ class TestRulePlans:
         assert plans[0] is not plans[1] and plans[0] is plans[2]
         identity = quadrature._rule_plan("surface", 3, SPEC, 1)
         assert plans[3] is identity and plans[4] is identity
-        _, _, directions = quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)
+        _, _, directions = quadrature._angular_grid(3, SPEC.angular_for(3))
         assert np.array_equal(identity.directions[:identity.count], directions)
         for plan in plans[:2]:
             assert np.array_equal(plan.angles, identity.angles)
@@ -517,32 +576,11 @@ class TestRulePlans:
     ], ids=["n=2", "n=3", "n=4", "n=5", "n=6"])
     def test_warped_weights_integrate_one_to_the_sphere(self, n, Q, orders):
         # the weights carry the Jacobian |det A| / |A xi|^n of the ray map, so
-        # they sum to |S^{n-1}| (a margin of 1e-9 omits caps below 1e-18)
-        spec = QuadratureSpec(angular_orders=orders, margin=1e-9)
+        # they sum to |S^{n-1}|
+        spec = QuadratureSpec(angular_orders=orders)
         plan = quadrature._field_plan(QuadraticFormField(Q), euclidean(n), "surface", spec, 1)
         area = 2 * math.pi ** (n / 2) / math.gamma(n / 2)
         assert abs(pairwise_sum(plan.weights[:plan.count]) - area) <= 1e-13 * area
-
-    def test_the_cap_bound_takes_the_largest_ray_jacobian(self):
-        # J_max = |det A| ||A^-1||^n = lambda_max^{n/2} / sqrt(det Q) of the
-        # map A = Q^{-1/2}; exactly 1.0 for the identity, so that the cap term
-        # of every other field keeps its bits
-        E3 = euclidean(3)
-        assert quadrature._field_plan(RadialDistanceField(), E3, "surface", SPEC, 1) \
-            .jacobian_max == 1.0
-        assert quadrature._cap_bound(E3, SPEC, -3.0, 1.0) == SPEC.margin ** 2 * 3.0
-        plan = quadrature._field_plan(QuadraticFormField(np.diag([1.0, 1.0, 4.0])), E3,
-                                      "surface", SPEC, 1)
-        assert plan.jacobian_max == pytest.approx(4.0, rel=1e-14)
-        # no node's Jacobian (warped weight over grid weight) exceeds it
-        _, weights, _ = quadrature._angular_grid(3, SPEC.angular_for(3), SPEC.margin)
-        ratio = plan.weights[:plan.count] / weights
-        assert 3.0 < ratio.max() <= plan.jacobian_max * (1 + 1e-14)
-        plan = quadrature._field_plan(QuadraticFormField(turned((1.0, 2.0, 3.0, 5.0))),
-                                      euclidean(4), "surface", SPEC, 1)
-        assert plan.jacobian_max == pytest.approx(5.0 ** 2 / math.sqrt(30.0), rel=1e-12)
-        assert quadrature._cap_bound(E3, SPEC, 2.0, plan.jacobian_max) == \
-            SPEC.margin ** 2 * 2.0 * plan.jacobian_max
 
     def test_a_node_error_names_the_warped_ray(self):
         # the direction handed to the root solve, not the grid's angles
