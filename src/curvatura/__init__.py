@@ -12,7 +12,7 @@ from .errors import (
 )
 from .symmetric_algebra import (
     double_factorial,
-    jacobi_eigh,
+    eigh,
     newton_partial_form,
     sigma_elementary,
     sigma_hessian_kronecker,

@@ -48,7 +48,7 @@ from .quadrature import (
     coarea_volume_integral_multi,
     surface_integral,
 )
-from .symmetric_algebra import _JACOBI_TOL, double_factorial, elementary_all_stack, sigma_stack
+from .symmetric_algebra import double_factorial, elementary_all_stack, sigma_stack
 
 MCR_COLUMNS = ("model", "field", "n", "r", "level", "value", "error_estimate", "nodes")
 BREAKDOWN_COLUMNS = ("model", "field", "n", "r", "c1", "c2", "lhs", "term_principal",
@@ -205,12 +205,13 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
     (n - 1) sqrt(-a) rho in the hyperbolic models.  The values, weights,
     products and the pairwise sum add 2 (n + log2 order) eps |v|.
 
-    The ellipsoid's estimate bounds the error of Q's computed eigenvalues:
-    Jacobi leaves off-diagonals within _JACOBI_TOL max|Q| <= _JACOBI_TOL
-    lambda_max (2-norm n times that) and its rotations round by at most
-    8 n eps lambda_max, so by Weyl's inequality each lambda_i is that close
-    to a true one; v ~ prod lambda_i^{-1/2} moves by half the sum of their
-    relative errors, and the roots and products add (3 n + 8) eps |v|."""
+    The ellipsoid's estimate bounds the error of Q's computed eigenpairs
+    (w_i, V) a posteriori: each true eigenvalue lies within
+    ||Q - V W V^T||_F (Weyl's inequality) + |w_i| ||V^T V - I||_F
+    (Ostrowski's theorem, V nearly orthogonal) + 2 n (n + 1) eps max|w|
+    (rounding in forming the first two) of w_i; v ~ prod w_i^{-1/2} moves
+    by half the sum of their relative errors, and the roots and products
+    add (3 n + 8) eps |v|."""
     u.check(M)
     if not level > 0:   # NaN included
         raise GeometryError(f"the enclosed volume needs a positive level, got {level:g}")
@@ -240,8 +241,10 @@ def _enclosed_volume(u: ScalarField, M: ModelManifold, level: float):
                                 f"beyond the working radius {M.working_radius:g}")
         axes = [math.sqrt(2.0 * level / lam) for lam in u.eigenvalues]
         v = unit_sphere_volume(n) / n * math.prod(axes)
-        shift = (n * _JACOBI_TOL + 8 * n * eps) * u.eigenvalues[-1]
-        rel = 0.5 * sum(shift / lam for lam in u.eigenvalues) + (3 * n + 8) * eps
+        w, V = np.array(u.eigenvalues), u.eigenvectors
+        shift = (np.linalg.norm(u.Q - (V * w) @ V.T) + w * np.linalg.norm(V.T @ V - np.eye(n))
+                 + 2 * n * (n + 1) * eps * w[-1])
+        rel = 0.5 * float(np.sum(shift / w)) + (3 * n + 8) * eps
         return v, rel * abs(v), 1
     raise GeometryError(f"no enclosed-volume path for field '{u.kind}'")
 

@@ -36,9 +36,9 @@ from .symmetric_algebra import (
     _matmul_node_last,
     _node_first,
     _node_last,
+    eigh,
+    eigh_stack,
     elementary_all_stack,
-    jacobi_eigh,
-    jacobi_eigh_stack,
     newton_matrices_stack,
     parity_between,
     sigma_stack,
@@ -285,10 +285,10 @@ class QuadraticFormField(ScalarField):
             raise ValueError("Q must be a square matrix")
         if np.max(np.abs(self.Q - self.Q.T)) > 1e-12 * max(1.0, np.max(np.abs(self.Q))):
             raise ValueError("Q must be symmetric")
-        w, V = jacobi_eigh(self.Q)
+        w, V = eigh(self.Q)
         if w[0] <= 0:
             raise ValueError("Q must be positive definite")
-        # the symmetrized Q that gave the eigenvalues (jacobi_eigh refuses
+        # the symmetrized Q that gave the eigenvalues (eigh refuses
         # entries that overflow it) serves value and partials too
         self.Q = 0.5 * (self.Q + self.Q.T)
         # ascending, as Python floats: the sublevel ellipsoid's semi-axes
@@ -630,7 +630,7 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
 
     The shape operator is the covariant Hessian restricted to nu^perp (a
     deterministic Householder basis) and scaled by 1/|grad u|; its
-    eigenvalues, from jacobi_eigh_stack, are the principal curvatures.
+    eigenvalues, from eigh_stack, are the principal curvatures.
     Eigenvector choice inside repeated-eigenvalue spaces is arbitrary, which
     is fine downstream: only symmetric functions of kappa are consumed.
     Everything but the eigensolver runs on node-last arrays; the frames
@@ -648,7 +648,7 @@ def principal_frame_stack(hd: HessianData) -> PrincipalFrameData:
     B = np.eye(n, n - 1)[:, :, None] - 2.0 * (v[:, None] * v[None, : n - 1]) / _rowdot(v.T, v.T)
     Bt = B.transpose(1, 0, 2)
     S = _matmul_node_last(_matmul_node_last(Bt, H), B) / gn
-    kappa, V = jacobi_eigh_stack(_node_first(S))
+    kappa, V = eigh_stack(_node_first(S))
     return PrincipalFrameData(kappa, H, nu, B, V)
 
 

@@ -3,15 +3,16 @@ operators of small symmetric matrices.
 
 Everything here is plain dense linear algebra on matrices of dimension <= 8.
 Two independent evaluation routes are kept side by side on purpose: an
-eigenvalue route (cyclic Jacobi + stable coefficient recurrence) and an
-explicit Kronecker-delta contraction route (iteration over index subsets and
-signed permutations).  Downstream verification relies on cross-checking the
-two, so neither may be expressed in terms of the other.
+eigenvalue route (LAPACK's symmetric eigensolver + stable coefficient
+recurrence) and an explicit Kronecker-delta contraction route (iteration
+over index subsets and signed permutations).  Downstream verification relies
+on cross-checking the two, so neither may be expressed in terms of the
+other.
 
 Both routes run over whole matrix stacks, each matrix with the bits it gets
-alone: cyclic Jacobi rotates all matrices in lockstep (small stacks walk one
-matrix at a time on Python floats, by the same operations), and the
-Kronecker route gathers each term's entries from every matrix at once.
+alone: the eigensolver works on one matrix at a time (a diagonal matrix
+keeps its sorted diagonal), and the Kronecker route gathers each term's
+entries from every matrix at once.
 
 A stack has shape (N, ...) and is stored node-last: its node axis is the
 contiguous one, so that an elementwise product runs over a whole node
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -31,16 +32,7 @@ from .errors import CapabilityError
 
 MAX_DIM = 8
 _KRONECKER_MAX_DIM = 6
-_TINY = float(np.finfo(float).tiny)
 _SYM_MAX = float(np.finfo(float).max) / 2
-# Jacobi stops once the largest off-diagonal magnitude is within this
-# fraction of the matrix's largest entry
-_JACOBI_TOL = 1e-13
-_MAX_SWEEPS = 60
-# stacks of fewer matrices take the plain-float walk (_jacobi_eigh_stack):
-# the two routes cost the same at about 10 (m = 2, 6) to 16 (m = 3..5)
-# random matrices, measured on a 2-vCPU x86-64 host
-_LOCKSTEP_MIN = 12
 
 
 def as_sym_matrix(H) -> np.ndarray:
@@ -70,35 +62,28 @@ def as_sym_matrix(H) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def elementary_all(x) -> np.ndarray:
-    """All elementary symmetric functions e_0..e_k of a vector of length k.
+def elementary_all_stack(X) -> np.ndarray:
+    """All elementary symmetric functions e_0..e_k of every row of an
+    (N, k) array, (N, k + 1).
 
     Uses the incremental product recurrence (building up prod_i (t + x_i)
     one root at a time), which is O(k^2) and numerically stable; subsets are
-    never enumerated.
+    never enumerated.  Each row gets the bits it gets alone.
     """
-    xs = np.asarray(x, dtype=float).ravel()
-    k = xs.size
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for i, xi in enumerate(xs):
-        # update in place, descending so e[j-1] is still the old value
-        for j in range(i + 1, 0, -1):
-            e[j] += xi * e[j - 1]
-    return e
-
-
-def elementary_all_stack(X) -> np.ndarray:
-    """elementary_all of every row of an (N, k) array, by the same
-    recurrence in the same order, so each row is bit-identical."""
     X = np.asarray(X, dtype=float)
     e = np.zeros((X.shape[0], X.shape[1] + 1))
     e[:, 0] = 1.0
     for i in range(X.shape[1]):
         xi = X[:, i]
+        # update in place, descending so e[:, j-1] is still the old value
         for j in range(i + 1, 0, -1):
             e[:, j] += xi * e[:, j - 1]
     return e
+
+
+def elementary_all(x) -> np.ndarray:
+    """elementary_all_stack of a vector of length k as one row, (k + 1,)."""
+    return elementary_all_stack(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def sigma_stack(e: np.ndarray, r: int) -> np.ndarray:
@@ -181,13 +166,13 @@ def _perms_with_parity(r: int):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: cyclic Jacobi
+# Eigenvalues
 # ---------------------------------------------------------------------------
 
-def jacobi_eigh(H):
-    """Eigen-decomposition of one symmetric matrix: jacobi_eigh_stack of the
+def eigh(H):
+    """Eigen-decomposition of one symmetric matrix: eigh_stack of the
     one-matrix stack, with as_sym_matrix's checks."""
-    w, V = _jacobi_eigh_stack(as_sym_matrix(H)[None])
+    w, V = _eigh_stack(as_sym_matrix(H)[None])
     return w[0], V[0]
 
 
@@ -219,175 +204,42 @@ def _as_sym_stack(H) -> np.ndarray:
     return 0.5 * (A + At)
 
 
-def jacobi_eigh_stack(H):
-    """Eigen-decomposition of every matrix of a stack (N, m, m) by cyclic
-    Jacobi: sweeps of the strict upper triangle, row-major, until the largest
-    off-diagonal magnitude is within _JACOBI_TOL * ||H||_max, all matrices in
-    lockstep, each with the bits it gets alone.  Eigenvalues ascend by a
-    stable sort, eigenvectors as matching columns.  Raises ValueError where
-    as_sym_matrix would (per matrix), RuntimeError after _MAX_SWEEPS sweeps."""
-    return _jacobi_eigh_stack(_as_sym_stack(H))
+def eigh_stack(H):
+    """Eigen-decomposition of every matrix of a stack (N, m, m), each with
+    the bits it gets alone: eigenvalues ascending (N, m), eigenvectors as
+    matching columns (N, m, m).  Raises ValueError where as_sym_matrix
+    would, naming the first failing matrix."""
+    return _eigh_stack(_as_sym_stack(H))
 
 
-def _jacobi_eigh_stack(A: np.ndarray):
-    """jacobi_eigh_stack of a stack that _as_sym_stack returned: stacks
-    below _LOCKSTEP_MIN matrices by the plain-float walk, one matrix at a
-    time, larger ones in lockstep, with the same bits (the lockstep pays a
-    fixed cost in numpy calls per rotation, which only a stack of that size
-    repays)."""
+def _eigh_stack(A: np.ndarray):
+    """eigh_stack of a stack that _as_sym_stack returned.  A matrix whose
+    off-diagonal entries are all zero (a radial field's shape operators in
+    a polar chart) keeps its diagonal, sorted by a stable argsort, and the
+    matching permutation matrix; every other one goes to LAPACK's symmetric
+    eigensolver (np.linalg.eigh), which works on each matrix alone.
+    Entries of order 1e308 may give infinite eigenvalues, silently."""
     N, m = A.shape[0], A.shape[1]
-    if N < _LOCKSTEP_MIN:
-        w, V = np.empty((N, m)), np.empty((N, m, m))
-        for k in range(N):
-            w[k], V[k] = _jacobi_walk(A[k])
-        return w, V
-    tol = _JACOBI_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), _TINY)
-    rows, cols, _ = _upper_triangle(m)
-    w = np.diagonal(A, axis1=1, axis2=2).copy()
-    # a matrix within tolerance (radial fields) keeps its diagonal and the identity
-    act = np.flatnonzero(~(np.abs(A[:, rows, cols]).max(axis=1, initial=0.0) <= tol))
-    if act.size:
-        V = np.broadcast_to(np.eye(m), (N, m, m)).copy()
-        # entries of order 1e308 may overflow, silently as on Python floats
-        with np.errstate(all="ignore"):
-            _jacobi_sweeps_stack(np.concatenate((A[act], V[act]), axis=1), tol[act], act, w, V)
-    # each matrix's eigenvalues and columns of V in ascending order, gathered
-    # as rows of w and of V's transpose by one flat index
-    order = np.argsort(w, axis=1, kind="stable")
-    idx = (order + m * np.arange(N)[:, None]).ravel()
-    if not act.size:
-        # nothing rotated: column j of V is the identity's column order[j],
-        # formed node-last (V[i, j] is order[:, j] == i)
-        V = (order.T[None] == np.arange(m)[:, None, None]).astype(float)
-        return w.take(idx).reshape(N, m), _node_first(V)
-    Vt = V.transpose(0, 2, 1).reshape(N * m, m).take(idx, axis=0)
-    return w.take(idx).reshape(N, m), Vt.reshape(N, m, m).transpose(0, 2, 1)
-
-
-def _jacobi_sweeps_stack(AV, tol, act, w, V):
-    """Sweeps of the matrices act of a stack, above their tolerances tol.
-    AV (K, 2m, m) holds each over its accumulated rotations; one within
-    tolerance at the start of a sweep leaves, its diagonal going to w[act]
-    and its rotations to V[act].  At a pair (p, q) those with |a_pq| above
-    tol * 1e-2 rotate, by the same IEEE operations as one matrix alone
-    (math.hypot stays: np.hypot may differ in the last bit)."""
-    m = AV.shape[2]
-    rows, cols, pairs = _upper_triangle(m)
-    for sweep in range(_MAX_SWEEPS):
-        if sweep:   # the caller made the first sweep's test
-            done = _off_diagonal_max(AV, rows, cols) <= tol
-            if done.any():
-                w[act[done]] = np.diagonal(AV[done, :m], axis1=1, axis2=2)
-                V[act[done]] = AV[done, m:]
-                if done.all():
-                    return
-                AV, tol, act = AV[~done], tol[~done], act[~done]
-        skip = tol * 1e-2
-        for p, q in pairs:
-            rot = ~(np.abs(AV[:, p, q]) <= skip)   # NaN included
-            if rot.all():
-                _rotate(AV, p, q)
-            elif rot.any():
-                S = AV[rot]
-                _rotate(S, p, q)
-                AV[rot] = S
-    raise RuntimeError("Jacobi iteration did not converge")
-
-
-def _jacobi_walk(A: np.ndarray):
-    """Cyclic Jacobi of one matrix that as_sym_matrix returned, on plain
-    Python floats: the lockstep's operations, each in the same order, so
-    the same bits.  The pairs are put in order by Python's stable sort,
-    which orders floats as a stable argsort does (-0.0 and 0.0 tie)."""
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy(), np.eye(1)
-    L = A.tolist()
-    norm = max(abs(x) for row in L for x in row)
-    V = _walk_sweeps(L, _JACOBI_TOL * max(norm, _TINY), _MAX_SWEEPS)
-    w = [L[i][i] for i in range(n)]
-    order = sorted(range(n), key=w.__getitem__)
-    return np.array([w[i] for i in order]), np.array([[row[i] for i in order] for row in V])
-
-
-def _walk_sweeps(A: list, tol: float, max_sweeps: int) -> list:
-    """The sweeps of _jacobi_walk on one exactly symmetric matrix of
-    dimension >= 2, given as nested lists and rotated in place until its
-    off-diagonal part is within tol.  Each rotation updates the columns
-    p, q of A, then its rows p, q, then zeroes A[p][q] = A[q][p], and
-    updates the columns p, q of V.  Returns the accumulated rotations V
-    as nested lists; A's diagonal holds the eigenvalues, unsorted."""
-    n = len(A)
-    skip = tol * 1e-2
-    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    pairs = _upper_triangle(n)[2]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            off = max(off, max(abs(x) for x in A[p][p + 1:]))
-        if off <= tol:
-            return V
-        for p, q in pairs:
-            Ap, Aq = A[p], A[q]
-            apq = Ap[q]
-            if abs(apq) <= skip:
-                continue
-            theta = (Aq[q] - Ap[p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            for R in A:
-                x, y = R[p], R[q]
-                R[p] = c * x - s * y
-                R[q] = s * x + c * y
-            for j in range(n):
-                x, y = Ap[j], Aq[j]
-                Ap[j] = c * x - s * y
-                Aq[j] = s * x + c * y
-            Ap[q] = Aq[p] = 0.0
-            for R in V:
-                x, y = R[p], R[q]
-                R[p] = c * x - s * y
-                R[q] = s * x + c * y
-    raise RuntimeError("Jacobi iteration did not converge")
+    rows, cols = _upper_triangle(m)
+    full = np.flatnonzero(A[:, rows, cols].any(axis=1))
+    d = np.diagonal(A, axis1=1, axis2=2)
+    order = np.argsort(d, axis=1, kind="stable")
+    w = np.take_along_axis(d, order, axis=1)
+    # column j of V is the identity's column order[j], formed node-last
+    # (V[i, j] is order[:, j] == i)
+    V = _node_first((order.T[None] == np.arange(m)[:, None, None]).astype(float))
+    if full.size:
+        w[full], V[full] = np.linalg.eigh(A[full])
+    return w, V
 
 
 @lru_cache(maxsize=None)
 def _upper_triangle(m: int):
-    """Rows and columns of the strict upper triangle, row-major, as index
-    arrays and as (p, q) pairs."""
+    """Rows and columns of the strict upper triangle, as read-only index
+    arrays."""
     rows, cols = np.triu_indices(m, 1)
     rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols, tuple(zip(rows.tolist(), cols.tolist()))
-
-
-def _off_diagonal_max(A, rows, cols):
-    """Each matrix's largest off-diagonal magnitude as the scalar sweep's
-    Python max() over rows of row maxima takes it: a NaN never wins against
-    a number, and a row whose first entry is NaN drops out."""
-    U = np.abs(A[:, rows, cols])
-    off = U.max(axis=1)
-    nan = np.isnan(off)
-    if nan.any():
-        U = U[nan]
-        dead = np.isnan(U) | np.isnan(U[:, cols == rows + 1])[:, rows]
-        off[nan] = np.where(dead, 0.0, U).max(axis=1)
-    return off
-
-
-def _rotate(AV, p, q):
-    """One rotation in the plane (p, q) of every matrix of AV, in place."""
-    theta = (AV[:, q, q] - AV[:, p, p]) / (2.0 * AV[:, p, q])
-    hyp = np.fromiter(map(math.hypot, theta.tolist(), repeat(1.0)), float, theta.size)
-    t = np.copysign(1.0, theta) / (np.abs(theta) + hyp)
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    c, s = c[:, None], s[:, None]
-    x, y = AV[:, :, p], AV[:, :, q]
-    AV[:, :, p], AV[:, :, q] = c * x - s * y, s * x + c * y
-    x, y = AV[:, p], AV[:, q]
-    AV[:, p], AV[:, q] = c * x - s * y, s * x + c * y
-    AV[:, p, q] = AV[:, q, p] = 0.0
+    return rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +322,14 @@ def _sigma_kronecker_stack(A: np.ndarray, r: int) -> np.ndarray:
 def newton_matrices_stack(H, r: int) -> list[np.ndarray]:
     """The Newton operators [T_0, ..., T_r] of every matrix of a stack
     (N, n, n), each (N, n, n) and stored node-last, from the defining
-    recursion T_0 = I, T_k = sigma_k(H) I - T_{k-1} H on jacobi_eigh_stack
+    recursion T_0 = I, T_k = sigma_k(H) I - T_{k-1} H on eigh_stack
     eigenvalues.  Products are summed in ascending index order
     (_matmul_node_last)."""
     A = _as_sym_stack(H)
     n = A.shape[1]
     if not 0 <= r <= n:
         raise ValueError(f"order r must satisfy 0 <= r <= {n}, got {r}")
-    e = elementary_all_stack(_jacobi_eigh_stack(A)[0])
+    e = elementary_all_stack(_eigh_stack(A)[0])
     return [_node_first(T) for T in _newton_recursion(_node_last(A), e, r)]
 
 
@@ -535,7 +387,7 @@ def trace_identity_residual_stack(H, e) -> np.ndarray:
     """|trace(T_r H) - (r+1) sigma_{r+1}(H)| for r = 0..n-1 at every matrix
     of a stack (N, n, n): (N, n), column r for T_r, stored node-last.
 
-    e is elementary_all_stack of the stack's jacobi_eigh_stack eigenvalues,
+    e is elementary_all_stack of the stack's eigh_stack eigenvalues,
     (N, n + 1); it feeds both the Newton recursion and the right side.  Both
     sides are exactly equal in real arithmetic (Euler's identity for the
     homogeneous polynomial sigma_{r+1}); the residual is pure roundoff.

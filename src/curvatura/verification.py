@@ -61,8 +61,8 @@ from .curvature_integrals import (
 )
 from .symmetric_algebra import (
     binomial,
+    eigh_stack,
     elementary_all_stack,
-    jacobi_eigh_stack,
     newton_matrices_stack,
     newton_partial_form,
     sigma_hessian_kronecker_stack,
@@ -277,7 +277,7 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     div_newton_fd_stack and, through principal_frame_stack and
     riemann_stack, correction_sums_stack.  Every stage works node by node,
     so a case's values are those of its own points run alone.  Each algebra
-    case makes one jacobi_eigh_stack, whose elementary symmetric functions
+    case makes one eigh_stack, whose elementary symmetric functions
     give every eigenvalue sigma_r and the trace identity's right side,
     against the Kronecker route sigma_hessian_kronecker_stack.  In flat
     space div_newton_stack is zero by construction, so the flat cases also
@@ -365,7 +365,7 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
                        M.dim, r, "max_abs_residual", worst_corr, tol_c, worst_corr < tol_c,
                        {"model": M.describe(), "field": u.describe(), "r": r})
 
-    # algebra dual paths at randomized matrices: one Jacobi per matrix
+    # algebra dual paths at randomized matrices: one eigensolve per matrix
     n_mats = 20 if cfg.quick else 100
     tol_sigma, tol_trace = cfg.tol("sigma_dual", 1e-10), cfg.tol("trace", 1e-10)
     for n, (rng, seed) in zip(range(2, 7), rngs):
@@ -374,7 +374,7 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
             A = np.array([rng.normal(size=(n, n)) for _ in range(n_mats)])
             H = A + A.transpose(0, 2, 1)
             scale = np.maximum(1.0, np.abs(H).max(axis=(1, 2))).tolist()
-            e = elementary_all_stack(jacobi_eigh_stack(H)[0])
+            e = elementary_all_stack(eigh_stack(H)[0])
             traces = trace_identity_residual_stack(H, e)
             kron = [None] + [sigma_hessian_kronecker_stack(H, r).tolist() for r in range(1, n + 1)]
             sigmas, trace_rel = [], []

@@ -33,8 +33,7 @@ from curvatura.model_manifolds import (
     christoffel_stack,
     radial_profile,
 )
-from curvatura import symmetric_algebra as sa
-from curvatura.symmetric_algebra import as_sym_matrix, elementary_all, sigma_elementary
+from curvatura.symmetric_algebra import as_sym_matrix, eigh, elementary_all, sigma_elementary
 
 
 def fd_partials(u: ScalarField, M: ModelManifold, p, steps):
@@ -168,7 +167,7 @@ def _newton_matrices(A: np.ndarray, r: int):
     """([T_0, ..., T_r], e_0..e_n of the eigenvalues) of a matrix that
     as_sym_matrix returned."""
     I = np.eye(A.shape[0])
-    e = elementary_all(sa._jacobi_walk(A)[0])
+    e = elementary_all(eigh(A)[0])
     mats = [I]
     for k in range(1, r + 1):
         T = e[k] * I - mats[-1] @ A
@@ -177,11 +176,11 @@ def _newton_matrices(A: np.ndarray, r: int):
 
 
 def sigma_hessian_eig(H, r: int) -> float:
-    """sigma_r of the eigenvalues of H (Jacobi + coefficient recurrence)."""
+    """sigma_r of the eigenvalues of H (eigh + coefficient recurrence)."""
     A = as_sym_matrix(H)
     if r < 0:
         raise ValueError(f"order r must be nonnegative, got {r}")
-    return sigma_elementary(sa._jacobi_walk(A)[0], r)
+    return sigma_elementary(eigh(A)[0], r)
 
 
 def trace_identity_residual(H, r: int) -> float:
@@ -239,7 +238,7 @@ def principal_frame(hd: HessianData) -> PrincipalFrame:
     nu_f = hd.grad_frame / gn
     B = _householder_complement(nu_f)
     S = B.T @ hd.hess_frame @ B / gn
-    kappa, V = sa._jacobi_walk(as_sym_matrix(S))
+    kappa, V = eigh(S)
     dirs_f = B @ V
     derivs = dirs_f.T @ (hd.hess_frame @ nu_f)
     dirs_chart = np.diag(hd.frame_scale) @ dirs_f

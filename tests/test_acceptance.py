@@ -41,8 +41,8 @@ from curvatura.curvature_integrals import (
 )
 from curvatura.symmetric_algebra import (
     binomial,
+    eigh,
     elementary_all,
-    jacobi_eigh,
     sigma_hessian_kronecker,
 )
 from curvatura.verification import SuiteConfig, run_suite
@@ -79,7 +79,7 @@ def test_criterion_01_algebra_suite():
             A = rng.normal(size=(n, n))
             H = A + A.T
             scale = max(1.0, float(np.max(np.abs(H))))
-            w, _ = jacobi_eigh(H)
+            w, _ = eigh(H)
             e = elementary_all(w)
             mats = [np.eye(n)]
             for k in range(1, n + 1):

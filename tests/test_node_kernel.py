@@ -1,5 +1,5 @@
 """The stacked node kernel against per-point oracles: hessian_frame,
-sigma_elementary, the per-ray root solve and jacobi_eigh from the package,
+sigma_elementary, the per-ray root solve and eigh from the package,
 and the former per-point kernels kept in tests/oracles.py (principal_frame,
 riemann_at, the correction sums, newton_matrices, sigma_hessian_eig, the
 trace identity, div_newton_frame, div_newton_fd and the Reilly residuals).
@@ -60,9 +60,9 @@ from curvatura.quadrature import (
     surface_integral,
 )
 from curvatura.symmetric_algebra import (
+    eigh,
+    eigh_stack,
     elementary_all_stack,
-    jacobi_eigh,
-    jacobi_eigh_stack,
     newton_matrices_stack,
     sigma_elementary,
     trace_identity_residual_stack,
@@ -301,7 +301,7 @@ def test_stacked_algebra_route_matches_per_matrix_sigma():
     for n in range(2, 7):
         A = np.array([rng.normal(size=(n, n)) for _ in range(20)])
         H = A + A.transpose(0, 2, 1)
-        e = elementary_all_stack(jacobi_eigh_stack(H)[0])
+        e = elementary_all_stack(eigh_stack(H)[0])
         traces = trace_identity_residual_stack(H, e)
         for k in range(len(H)):
             for r in range(n + 1):
@@ -466,7 +466,7 @@ def test_stacked_root_solve_matches_per_ray(M, u, level):
     assert radii.tolist() == [find_level_radius(u, M, c, a) for c, a in zip(levels, rays)]
 
 
-def test_stacked_jacobi_is_jacobi_on_each_matrix():
+def test_stacked_eigh_is_eigh_on_each_matrix():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3, 5):
         stack = []
@@ -474,28 +474,28 @@ def test_stacked_jacobi_is_jacobi_on_each_matrix():
             A = rng.normal(size=(m, m))
             A = A + A.T
             if k % 3 == 0:
-                A = np.diag(np.diag(A))          # takes the no-rotation shortcut
+                A = np.diag(np.diag(A))          # keeps its sorted diagonal
             if k % 5 == 0:
                 A = np.diag(np.full(m, 1.5))     # repeated eigenvalues
             stack.append(A)
-        w, V = jacobi_eigh_stack(np.array(stack))
+        w, V = eigh_stack(np.array(stack))
         for k, A in enumerate(stack):
-            wk, Vk = jacobi_eigh(A)
+            wk, Vk = eigh(A)
             assert w[k].tobytes() == wk.tobytes()
             assert V[k].tobytes() == Vk.tobytes()
 
 
-def test_stacked_jacobi_validates_the_stack():
+def test_stacked_eigh_validates_the_stack():
     with pytest.raises(ValueError):
-        jacobi_eigh_stack(np.array([np.eye(3), [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]))
+        eigh_stack(np.array([np.eye(3), [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]))
     with pytest.raises(ValueError):
-        jacobi_eigh_stack(np.ones((2, 3, 4)))
+        eigh_stack(np.ones((2, 3, 4)))
     with pytest.raises(ValueError):
-        jacobi_eigh_stack(np.array([np.eye(2), [[np.nan, 1.0], [1.0, 2.0]]]))
-    # entries that overflow when symmetrized, as jacobi_eigh refuses them
+        eigh_stack(np.array([np.eye(2), [[np.nan, 1.0], [1.0, 2.0]]]))
+    # entries that overflow when symmetrized, as eigh refuses them
     for A in ([[1.0, 1e308], [1e308, 2.0]], [[1e308, 1.0], [1.0, 2.0]]):
         with pytest.raises(ValueError, match="matrix 1 of the stack overflows"):
-            jacobi_eigh_stack(np.array([np.eye(2), A]))
+            eigh_stack(np.array([np.eye(2), A]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ their input stacks.
 Stacks have shape (N, ...) and the kernels store them node-last (the node
 axis contiguous); they accept either order.  Each kernel here runs on a
 C-ordered stack, on the same stack stored node-last, and on the stack
-split in two (halves, and a short head that takes the one-matrix Jacobi
-walk where the rest takes the lockstep), and the results must agree by
+split in two (halves, and a short head), and the results must agree by
 float.hex and have the documented (N, ...) shapes.  Results are pinned,
 not strides.
 """
@@ -30,8 +29,8 @@ from curvatura.symmetric_algebra import (
     _matmul_node_last,
     _node_first,
     _node_last,
+    eigh_stack,
     elementary_all_stack,
-    jacobi_eigh_stack,
     newton_matrices_stack,
     trace_identity_residual_stack,
 )
@@ -105,7 +104,7 @@ def test_newton_matrices_stack(n):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_trace_identity_residual_stack(n):
     H = symmetric_stack(n, 20 + n)
-    e = elementary_all_stack(jacobi_eigh_stack(H)[0])
+    e = elementary_all_stack(eigh_stack(H)[0])
     check_layouts(lambda H, e: (trace_identity_residual_stack(H, e),), (H, e), [(N, n)])
 
 

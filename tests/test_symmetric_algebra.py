@@ -1,6 +1,6 @@
 """Tests for elementary symmetric functions, permutation parities, and Newton
-operators.  Eigenvalue oracles use numpy.linalg, independent of the in-package
-Jacobi path."""
+operators.  The eigensolver's accuracy against an independent
+high-precision oracle is checked in tests/test_eigh_stack_fuzz.py."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,10 @@ from curvatura.errors import CapabilityError
 from curvatura.symmetric_algebra import (
     binomial,
     double_factorial,
+    eigh,
+    eigh_stack,
     elementary_all,
     elementary_all_stack,
-    jacobi_eigh,
-    jacobi_eigh_stack,
     newton_matrices_stack,
     newton_partial_form,
     parity_between,
@@ -24,9 +24,9 @@ from curvatura.symmetric_algebra import (
 
 
 def sigma_eig(H, r):
-    """sigma_r of H by the eigenvalue route: jacobi_eigh_stack, then the
+    """sigma_r of H by the eigenvalue route: eigh_stack, then the
     elementary symmetric functions of the eigenvalues."""
-    return float(sigma_stack(elementary_all_stack(jacobi_eigh_stack([H])[0]), r)[0])
+    return float(sigma_stack(elementary_all_stack(eigh_stack([H])[0]), r)[0])
 
 
 def newton(H, r):
@@ -36,7 +36,7 @@ def newton(H, r):
 
 def trace_residual(H, r):
     """trace_identity_residual_stack of [H] at order r."""
-    e = elementary_all_stack(jacobi_eigh_stack([H])[0])
+    e = elementary_all_stack(eigh_stack([H])[0])
     return float(trace_identity_residual_stack([H], e)[0, r])
 
 
@@ -82,20 +82,20 @@ class TestParity:
         assert parity_between((1, 2, 3), (2, 3, 1)) == 1
 
 
-class TestJacobi:
+class TestEigh:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_against_numpy(self, n):
         rng = np.random.default_rng(n)
         for _ in range(20):
             H = random_sym(rng, n)
-            w, V = jacobi_eigh(H)
+            w, V = eigh(H)
             w_ref = np.linalg.eigvalsh(H)
             np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=1e-11)
             np.testing.assert_allclose(V.T @ V, np.eye(n), atol=1e-12)
             np.testing.assert_allclose(H @ V, V @ np.diag(w), atol=1e-10)
 
     def test_ascending(self):
-        w, _ = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
+        w, _ = eigh(np.diag([3.0, -1.0, 2.0]))
         assert list(w) == sorted(w)
 
 
