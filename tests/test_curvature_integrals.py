@@ -79,6 +79,22 @@ class TestIndexEnumeration:
             assert len(ids) == 4
 
 
+def twelve_decade_ellipsoids():
+    """Per n = 2..6, 40 rotated quadratic forms with eigenvalues 1e-6, 1e6
+    and n - 2 more within them, each with a level that keeps the longest
+    semi-axis, sqrt(2 level / 1e-6), within the working radius; drawn in
+    turn over n from one generator."""
+    rng = np.random.default_rng(29)
+    out = {n: [] for n in range(2, 7)}
+    for k in range(200):
+        n = 2 + k % 5
+        lam = np.concatenate(([1e-6, 1e6], 10.0 ** rng.uniform(-6.0, 6.0, n - 2)))
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        Q = (V * lam) @ V.T
+        out[n].append((0.5 * (Q + Q.T), 1e-6 * 10.0 ** rng.uniform(-2.0, 1.5)))
+    return out
+
+
 class TestTotalMeanCurvature:
     def test_euclidean_unit_sphere_m1(self):
         M = euclidean(3)
@@ -182,28 +198,21 @@ class TestTotalMeanCurvature:
                      / mp.sqrt(mp.det(mp.matrix(Q.tolist()))))
             assert abs(mp.mpf(rep.value) - exact) <= rep.error_estimate, (k, n, cond, level)
 
-    def test_ellipsoid_estimate_bounds_the_error_across_twelve_decades(self):
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_ellipsoid_estimate_bounds_the_error_across_twelve_decades(self, n):
         # rotated spectra within 1e-6..1e6, against the volume from Q's
         # eigenvalues at 40 digits: the a posteriori bound on the computed
         # eigenvalues carries the error of the smallest ones
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 40
-        rng = np.random.default_rng(29)
-        for k in range(200):
-            n = 2 + k % 5
-            lam = np.concatenate(([1e-6, 1e6], 10.0 ** rng.uniform(-6.0, 6.0, n - 2)))
-            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            Q = (V * lam) @ V.T
-            Q = 0.5 * (Q + Q.T)
-            # the longest semi-axis, sqrt(2 level / 1e-6), stays within the working radius
-            level = 1e-6 * 10.0 ** rng.uniform(-2.0, 1.5)
+        sphere = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        for k, (Q, level) in enumerate(twelve_decade_ellipsoids()[n]):
             rep = total_mean_curvature(QuadraticFormField(Q), euclidean(n), level, -1)
-            sphere = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
             exact = sphere / n
             for x in mp.eigsy(mp.matrix(Q.tolist()), eigvals_only=True):
                 exact *= mp.sqrt(2 * mp.mpf(level) / x)
-            assert abs(mp.mpf(rep.value) - exact) <= rep.error_estimate, (k, n, level)
+            assert abs(mp.mpf(rep.value) - exact) <= rep.error_estimate, (k, level)
 
     @pytest.mark.parametrize("r", [-1, 1])
     def test_radial_centre_off_a_polar_base_point_is_refused(self, r):

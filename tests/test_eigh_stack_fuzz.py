@@ -201,30 +201,71 @@ def eigenvalue_bounds(Q, w, V):
             + 2 * n * (n + 1) * eps * np.abs(w).max())
 
 
-def test_eigenvalues_lie_within_their_a_posteriori_bounds():
-    # against mpmath's Jacobi at 40 digits: rotated spectra with signed
-    # eigenvalues spread over up to e^12, in stacks of 50
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 40
+def rotated_spectra():
+    """Per n = 2..6, 60 rotated spectra with signed eigenvalues spread over
+    up to e^12, drawn in that order from one generator."""
     rng = np.random.default_rng(29)
+    out = {}
     for n in range(2, 7):
         lam = rng.choice([-1.0, 1.0], (60, n)) * np.exp(rng.uniform(0.0, 12.0, (60, n)))
         R = np.linalg.qr(rng.normal(size=(60, n, n)))[0]
         Q = (R * lam[:, None]) @ R.transpose(0, 2, 1)
-        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
-        w, V = eigh_stack(Q)
-        for k in range(len(Q)):
-            exact = sorted(mp.eigsy(mp.matrix(Q[k].tolist()), eigvals_only=True))
-            bound = eigenvalue_bounds(Q[k], w[k], V[k])
-            for i in range(n):
-                assert abs(mp.mpf(w[k, i]) - exact[i]) <= bound[i], (n, k, i)
+        out[n] = 0.5 * (Q + Q.transpose(0, 2, 1))
+    return out
 
 
-def test_diagonal_matrices_are_exact():
-    rng = np.random.default_rng(30)
-    for m in range(1, 9):
-        d = rng.normal(size=(20, m)) * np.exp(rng.uniform(-30.0, 30.0, (20, 1)))
-        w, V = eigh_stack(d[:, :, None] * np.eye(m))
-        assert w.tobytes() == np.sort(d, axis=1).tobytes()
-        assert set(np.unique(V).tolist()) <= {0.0, 1.0}
+@pytest.mark.parametrize("n", range(2, 7))
+def test_eigenvalues_lie_within_their_a_posteriori_bounds(n):
+    # against mpmath's Jacobi at 40 digits, in stacks of 60
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    Q = rotated_spectra()[n]
+    w, V = eigh_stack(Q)
+    for k in range(len(Q)):
+        exact = sorted(mp.eigsy(mp.matrix(Q[k].tolist()), eigvals_only=True))
+        bound = eigenvalue_bounds(Q[k], w[k], V[k])
+        for i in range(n):
+            assert abs(mp.mpf(w[k, i]) - exact[i]) <= bound[i], (k, i)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_diagonal_matrices_are_exact(m):
+    rng = np.random.default_rng(30 + m)
+    d = rng.normal(size=(20, m)) * np.exp(rng.uniform(-30.0, 30.0, (20, 1)))
+    w, V = eigh_stack(d[:, :, None] * np.eye(m))
+    assert w.tobytes() == np.sort(d, axis=1).tobytes()
+    assert set(np.unique(V).tolist()) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_the_diagonal_test_is_exact_zero_per_entry(m):
+    # the fork between the sorted diagonal and LAPACK: -0.0 off the
+    # diagonal counts as zero, the smallest subnormal does not, and a
+    # non-finite entry is refused whichever branch would take it.  Each
+    # off-diagonal pair is set alone, in a matrix alone and in a diagonal
+    # stack, and only its own matrix leaves the diagonal branch.
+    rng = np.random.default_rng(80 + m)
+    base = np.diag(rng.choice([-1.0, 0.0, -0.0, 0.5, 2.0], m))
+    order = np.argsort(np.diagonal(base), kind="stable")
+    resting = (np.diagonal(base)[order], np.eye(m)[:, order])
+    stack = np.repeat(base[None], 5, axis=0)
+    for p, q in zip(*np.triu_indices(m, 1)):
+        for x in (-0.0, 5e-324, -5e-324, math.nan, math.inf):
+            A = base.copy()
+            A[p, q] = A[q, p] = x
+            mixed = stack.copy()
+            mixed[2] = A
+            if not math.isfinite(x):
+                with pytest.raises(ValueError, match="non-finite"):
+                    eigh(A)
+                with pytest.raises(ValueError, match="matrix 2 "):
+                    eigh_stack(mixed)
+                continue
+            want = resting if x == 0.0 else np.linalg.eigh(A)
+            w, V = eigh(A)
+            assert w.tobytes() == want[0].tobytes() and V.tobytes() == want[1].tobytes(), (p, q, x)
+            ws, Vs = eigh_stack(mixed)
+            for k in range(len(mixed)):
+                wk, Vk = want if k == 2 else resting
+                assert ws[k].tobytes() == wk.tobytes() and Vs[k].tobytes() == Vk.tobytes(), (p, q, x, k)

@@ -1,7 +1,8 @@
 """Contracts of the two scalar kernels, the eigensolver and the Kronecker
 contraction, and bit-identity with their direct array forms.
 
-The array forms below are the reference: nested loops over numpy scalar
+The array forms below are the reference: the sorted diagonal or LAPACK, one
+matrix at a time, for the eigensolver, nested loops over numpy scalar
 indexing for the contraction, and for sigma_r of the stacked eigenvalue
 route one diagonalization per matrix.  The kernels must give the same bits,
 not merely close values, because the CSVs of the verification pipeline are
@@ -74,6 +75,27 @@ def sort_cases(n):
             B[0, n - 1] = B[n - 1, 0] = 1e-3
         out.append(B)
     return out
+
+
+def eigh_array_form(H):
+    # the two branches one matrix at a time: a matrix with no nonzero entry
+    # off the diagonal keeps its diagonal in stable argsort order and the
+    # matching identity columns, every other one is LAPACK's
+    A = as_sym_matrix(H)
+    n = A.shape[0]
+    if not np.any(A[~np.eye(n, dtype=bool)]):
+        order = np.argsort(A.diagonal(), kind="stable")
+        return A.diagonal()[order], np.eye(n)[:, order]
+    return np.linalg.eigh(A)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_eigh_bits_match_array_form(n):
+    for H in sample_matrices(n) + sort_cases(n):
+        w, V = eigh(H)
+        w0, V0 = eigh_array_form(H)
+        assert w.tobytes() == w0.tobytes()
+        assert V.tobytes() == V0.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
