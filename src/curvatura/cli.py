@@ -57,16 +57,16 @@ from .reporting import fmt_value, write_csv, write_json
 from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCE_KEYS, SuiteConfig, run_suite
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = 20240817
+DEFAULT_SEED = SuiteConfig.seed
 # the largest quadrature order accepted, well above the largest the suites and
 # tests use (96): Gauss nodes of order k cost O(k^2) memory and O(k^3) time
 # (an eigenproblem of order k), so that an order of 10^7 asked for 728 TiB
 MAX_ORDER = 1024
 # the largest rule accepted, in nodes: the product of the angular orders, times
-# the level order for a coarea rule.  It is the default rule (orders 16 and 8)
-# in dimension 6; orders within MAX_ORDER still multiply to 1024^5 nodes there,
-# whose angular grid alone asked for 8 PiB
-MAX_NODES = 16 ** 5 * 8
+# the level order for a coarea rule or the level count of a levels sweep.  It
+# is the default coarea rule in dimension 6; orders within MAX_ORDER still
+# multiply to 1024^5 nodes there, whose angular grid alone asked for 8 PiB
+MAX_NODES = math.prod(QuadratureSpec().angular_for(6)) * QuadratureSpec().level_order
 # the largest --threads accepted: a rule is split into up to that many
 # chunks, each of which may start a pool thread
 MAX_THREADS = 64
@@ -204,7 +204,8 @@ def _validate_quadrature(d, n, path="quadrature", coarea=False):
     if not isinstance(d, dict):
         _fail(path, "expected an object")
     _check_keys(d, path, {"angular_order", "level_order"})
-    ang = d.get("angular_order", 16)
+    std = QuadratureSpec()
+    ang = d.get("angular_order", list(std.angular_orders))
     if isinstance(ang, list):
         if len(ang) not in (1, n - 1):
             _fail(f"{path}.angular_order",
@@ -213,7 +214,7 @@ def _validate_quadrature(d, n, path="quadrature", coarea=False):
                     for i, x in enumerate(ang))
     else:
         ang = (_check_int(ang, f"{path}.angular_order", 2, MAX_ORDER),)
-    lvl = _check_int(d.get("level_order", 8), f"{path}.level_order", 2, MAX_ORDER)
+    lvl = _check_int(d.get("level_order", std.level_order), f"{path}.level_order", 2, MAX_ORDER)
     spec = QuadratureSpec(angular_orders=ang, level_order=lvl)
     nodes = math.prod(spec.angular_for(n)) * (lvl if coarea else 1)
     if nodes > MAX_NODES:
@@ -356,19 +357,22 @@ def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
     return 0 if all_passed else 1
 
 
-def _sweep_grid(d, path, lo, hi=None):
-    """A grid of numbers in [lo, hi], lo > 0: an explicit 'grid', or
-    'start'/'stop'/'num' with linear or log 'spacing'."""
+def _sweep_grid(d, path, most, lo, hi=None):
+    """A grid of at most `most` numbers in [lo, hi], lo > 0: an explicit
+    'grid', or 'start'/'stop'/'num' with linear or log 'spacing'."""
     if not isinstance(d, dict):
         _fail(path, "expected an object")
     _check_keys(d, path, {"grid", "start", "stop", "num", "spacing"})
     if "grid" in d:
-        return _check_vector(d["grid"], f"{path}.grid", lo, hi)
+        grid = _check_vector(d["grid"], f"{path}.grid", lo, hi)
+        if len(grid) > most:
+            _fail(f"{path}.grid", f"expected at most {most} values, got {len(grid)}")
+        return grid
     if "start" not in d or "stop" not in d or "num" not in d:
         _fail(path, "expected either 'grid' or 'start'/'stop'/'num'")
     start = _check_number(d["start"], f"{path}.start", lo, hi)
     stop = _check_number(d["stop"], f"{path}.stop", lo, hi)
-    num = _check_int(d["num"], f"{path}.num", 2)
+    num = _check_int(d["num"], f"{path}.num", 2, most)
     spacing = d.get("spacing", "linear")
     if spacing == "log":
         return list(np.geomspace(start, stop, num))
@@ -393,7 +397,7 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     if kind == "sphere":
         _check_keys(sw, "sweep", {"kind", "rho", "r"}, {"kind", "rho", "r"})
         M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
-        grid = _sweep_grid(sw["rho"], "sweep.rho", 1e-12, M.working_radius)
+        grid = _sweep_grid(sw["rho"], "sweep.rho", MAX_NODES, 1e-12, M.working_radius)
         rs = _validate_r(sw["r"], M.dim, "sweep.r", lo=0)
         rows = [{"model": M.label, "n": M.dim, "r": r, "rho": rho,
                  "value": sphere_total_mean_curvature(M, r, rho)}
@@ -420,7 +424,9 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
         u = _validate_field(cfg.get("field") or _fail("field", "required"), M)
         spec = _validate_quadrature(cfg.get("quadrature"), M.dim)
-        grid = _sweep_grid(sw["levels"], "sweep.levels", 1e-12)
+        # every level's rule joins one node stack of at most MAX_NODES nodes
+        grid = _sweep_grid(sw["levels"], "sweep.levels",
+                           MAX_NODES // math.prod(spec.angular_for(M.dim)), 1e-12)
         rs = _validate_r(sw["r"], M.dim, "sweep.r")
         rows = [rep.to_record(M, u) for r in rs
                 for rep in total_mean_curvature(u, M, grid, r, spec, threads)]

@@ -507,24 +507,23 @@ def hessian_frame(u: ScalarField, M: ModelManifold, p) -> HessianData:
     symbols vanish on Cartesian charts), from the field's closed-form
     partials, then conjugated into the frame.  Polar charts read the metric
     diagonal and the symbols from the one-row chart_stack and
-    christoffel_stack of p.  The per-node route of hessian_frame_stack for
-    fields that are not stacked.
+    christoffel_stack of p; a Cartesian frame is the coordinate frame.  The
+    per-node route of hessian_frame_stack for fields that are not stacked.
     """
     p = np.asarray(p, dtype=float)
-    du = u.partials(M, p)
-    D2 = u.second_partials(M, p)
-    hess_chart = D2
+    du = np.array(u.partials(M, p), dtype=float)    # the record's own copy
+    hess_f = u.second_partials(M, p)
     inv_sqrt = np.ones(M.dim)
     if M.chart == "polar":
         chart = chart_stack(M, p[None])
-        hess_chart = D2 - np.tensordot(du, christoffel_stack(M, p[None], chart)[0],
-                                       axes=([0], [0]))
         inv_sqrt = 1.0 / np.sqrt(chart.D[0])
-    hess_f = hess_chart * np.outer(inv_sqrt, inv_sqrt)
+        hess_f = (hess_f - np.tensordot(du, christoffel_stack(M, p[None], chart)[0],
+                                        axes=([0], [0]))) * np.outer(inv_sqrt, inv_sqrt)
+        du = du * inv_sqrt
     hess_f = 0.5 * (hess_f + hess_f.T)
-    grad_f = du * inv_sqrt
-    return HessianData(grad_norm=float(np.linalg.norm(grad_f)),
-                       hess_frame=hess_f, frame_scale=inv_sqrt, grad_frame=grad_f)
+    # |grad u| as np.linalg.norm forms it for a real vector
+    return HessianData(grad_norm=math.sqrt(du.dot(du)), hess_frame=hess_f,
+                       frame_scale=inv_sqrt, grad_frame=du)
 
 
 def hessian_frame_stack(u: ScalarField, M: ModelManifold, P,
@@ -535,31 +534,30 @@ def hessian_frame_stack(u: ScalarField, M: ModelManifold, P,
 
     Stacked fields use their closed forms on the whole stack; the others
     (in the package, only the quadratic field) call hessian_frame node by
-    node.  The Christoffel contraction subtracts only the nonzero symbols
-    of the diagonal metric, with l[k] = d_k log g_jj (j > k) from
-    _log_derivatives, in ascending k as the full contraction over
-    christoffel_stack would: du_b l[a] / 2 from entries (a, b) and (b, a),
-    a < b, and du_k (-g_aa l[k] / (2 g_kk)), k < a, from entry (a, a).
-    The stacked route computes node-last and returns views of that storage.
+    node and copy each record into its row of the stack.  The Christoffel
+    contraction subtracts only the nonzero symbols of the diagonal metric,
+    with l[k] = d_k log g_jj (j > k) from _log_derivatives, in ascending k
+    as the full contraction over christoffel_stack would: du_b l[a] / 2 from
+    entries (a, b) and (b, a), a < b, and du_k (-g_aa l[k] / (2 g_kk)),
+    k < a, from entry (a, a).  The stacked route computes node-last and
+    returns views of that storage.
     """
     P = np.asarray(P, dtype=float)
     N, n = P.shape
     if not u.stacked:
-        rows = []
+        out = HessianData(grad_norm=np.empty(N), hess_frame=np.empty((N, n, n)),
+                          frame_scale=np.empty((N, n)), grad_frame=np.empty((N, n)))
         for k, p in enumerate(P):
             try:
-                rows.append(hessian_frame(u, M, p))
+                hd = hessian_frame(u, M, p)
             except CurvaturaError as e:
                 # a chart error names node 0 of its one-row stack
                 raise node_error(type(e), k, getattr(e, "detail", str(e))) from None
-
-        def stack(name, shape):
-            return np.array([getattr(h, name) for h in rows], dtype=float).reshape((N,) + shape)
-
-        return HessianData(grad_norm=stack("grad_norm", ()),
-                           hess_frame=stack("hess_frame", (n, n)),
-                           frame_scale=stack("frame_scale", (n,)),
-                           grad_frame=stack("grad_frame", (n,)))
+            out.grad_norm[k] = hd.grad_norm
+            out.hess_frame[k] = hd.hess_frame
+            out.frame_scale[k] = hd.frame_scale
+            out.grad_frame[k] = hd.grad_frame
+        return out
     # node-last: du and D (n, N), the Hessian (n, n, N)
     du = _node_last(u.partials_stack(M, P))
     hc = _node_last(u.second_partials_stack(M, P))

@@ -16,7 +16,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
 from typing import Optional
 
@@ -71,9 +71,6 @@ from .symmetric_algebra import (
 
 SUITE_NAMES = ("pointwise", "comparison", "inequality", "asymptotic")
 
-CASE_COLUMNS = ("suite", "case_id", "model", "field", "n", "r", "metric",
-                "measured", "expected", "residual", "tolerance", "passed")
-
 # every key the suites read through SuiteConfig.tol: the keys a config's
 # "tolerances" object may set
 TOLERANCE_KEYS = (
@@ -85,7 +82,7 @@ TOLERANCE_KEYS = (
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
-    seed: int = 20240817
+    seed: int = 20240817      # also the CLI's seed for a config without one
     quick: bool = False
     threads: int = 1
     tolerances: dict = dc_field(default_factory=dict)
@@ -98,6 +95,8 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class CaseRecord:
+    """One case of a suite: its CSV row, then the inputs that rerun it."""
+    suite: str
     case_id: str
     model: str
     field: str
@@ -111,49 +110,33 @@ class CaseRecord:
     passed: bool
     inputs: dict
 
-    def to_row(self, suite: str) -> dict:
-        return {"suite": suite, "case_id": self.case_id, "model": self.model,
-                "field": self.field, "n": self.n, "r": self.r,
-                "metric": self.metric, "measured": self.measured,
-                "expected": self.expected, "residual": self.residual,
-                "tolerance": self.tolerance, "passed": self.passed}
+    def to_row(self) -> dict:
+        return {c: getattr(self, c) for c in CASE_COLUMNS}
 
 
-@dataclass(frozen=True)
+# the columns of a suite CSV: every CaseRecord field but the inputs
+CASE_COLUMNS = tuple(f.name for f in fields(CaseRecord) if f.name != "inputs")
+
+
+@dataclass
 class SuiteReport:
+    """One suite run: its runner adds the cases and block timings, and the
+    (model label, r) pairs that must have cases, then calls report()."""
     suite: str
-    cases: tuple
-    passed: bool
-    timings: dict
+    cases: list = dc_field(default_factory=list)
+    timings: dict = dc_field(default_factory=dict)
+    required: list = dc_field(default_factory=list)
 
-    def to_rows(self):
-        return [c.to_row(self.suite) for c in self.cases]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "cases": [dict(c.to_row(self.suite), inputs=c.inputs) for c in self.cases],
-            "timings": self.timings,
-        }
-
-    def failures(self):
-        return [c for c in self.cases if not c.passed]
-
-
-class _Cases:
-    """The case records, timings and required (model label, r) pairs of one
-    suite run."""
-
-    def __init__(self, suite: str):
-        self.suite, self.cases, self.timings, self.required = suite, [], {}, []
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.cases)
 
     def add(self, cid, model, field, n, r, metric, measured, tol, passed, inputs,
             expected=0.0, residual=None):
         if residual is None:
             residual = abs(measured - expected)
         self.cases.append(CaseRecord(
-            case_id=cid, model=model, field=field, n=n, r=r, metric=metric,
+            suite=self.suite, case_id=cid, model=model, field=field, n=n, r=r, metric=metric,
             measured=measured, expected=expected, residual=residual, tolerance=tol,
             passed=passed, inputs=inputs))
 
@@ -163,17 +146,27 @@ class _Cases:
         yield
         self.timings[key] = time.perf_counter() - t0
 
-    def report(self) -> SuiteReport:
+    def report(self) -> "SuiteReport":
         """Refuse a vacuous report: every required (model label, r) pair must
-        have produced at least one case, and the suite at least one case."""
+        have produced a case, and the suite at least one; freeze the cases."""
         seen = {(c.model, c.r) for c in self.cases} | {(c.model, None) for c in self.cases}
         missing = [p for p in self.required if p not in seen]
         if missing:
             raise ConfigError(f"suite produced no cases for {missing}")
         if not self.cases:
             raise ConfigError(f"suite '{self.suite}' produced no cases")
-        return SuiteReport(suite=self.suite, cases=tuple(self.cases),
-                           passed=all(c.passed for c in self.cases), timings=self.timings)
+        self.cases = tuple(self.cases)
+        return self
+
+    def to_rows(self):
+        return [c.to_row() for c in self.cases]
+
+    def to_json_dict(self) -> dict:
+        return {"suite": self.suite, "passed": self.passed, "timings": self.timings,
+                "cases": [dict(c.to_row(), inputs=c.inputs) for c in self.cases]}
+
+    def failures(self):
+        return [c for c in self.cases if not c.passed]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     Kronecker partial form (newton_dual_path, under the sigma_dual
     tolerance).  Every worst case and sum
     propagates NaN, so a NaN residual fails its case."""
-    cs = _Cases("pointwise")
+    cs = SuiteReport("pointwise")
     models = _default_models()
     n_pts = 40 if cfg.quick else 200
     n_pts_fd = 10 if cfg.quick else 50
@@ -427,7 +420,7 @@ def _poly3_rhs_oracle(M: ModelManifold, levels, r: int):
     return p, s
 
 
-def _within(cs: _Cases, cid, M, u, r, metric, measured, tol, extra: dict):
+def _within(cs: SuiteReport, cid, M, u, r, metric, measured, tol, extra: dict):
     """A comparison case, passed when |measured| <= tol, with inputs M, u, r and extra."""
     cs.add(cid, M.label, u.kind, M.dim, r, metric, measured, tol, abs(measured) <= tol,
            {"model": M.describe(), "field": u.describe(), "r": r, **extra})
@@ -437,7 +430,7 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
     """Comparison identity across nested-sphere, radial-warped, ellipsoid,
     and off-center configurations, with the constant-curvature and Ricci
     specializations cross-checked path against path."""
-    cs = _Cases("comparison")
+    cs = SuiteReport("comparison")
     thr = cfg.threads
 
     # 1. nested geodesic spheres in constant curvature
@@ -549,7 +542,7 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
     """Monotonicity and bound corollaries with strictness margins: nested
     M_1, the dimension-3 volume bound, outer-parallel monotonicity of all
     M_r, constant-curvature monotonicity, and the ball comparison."""
-    cs = _Cases("inequality")
+    cs = SuiteReport("inequality")
     thr = cfg.threads
 
     # Cor. 4.3 in dimension 3: M_1 + 4a|Omega| = 8 pi rho for balls in every
@@ -672,7 +665,7 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
 def run_asymptotic_suite(cfg: SuiteConfig) -> SuiteReport:
     """Small-sphere behavior of M_r(S_rho): log-log slope n-1-r, the limit
     |S^{n-1}| for r = n-1, and a quadratic bound on the correction factor."""
-    cs = _Cases("asymptotic")
+    cs = SuiteReport("asymptotic")
     thr = cfg.threads
     models = _default_models()
     # slope tolerance 0.02 needs the grid to stay small: the O(rho^2)

@@ -296,6 +296,65 @@ def test_the_node_cap_admits_its_bound():
     assert _validate_quadrature(dict(bound, level_order=MAX_ORDER), 3).level_order == MAX_ORDER
 
 
+def test_missing_orders_and_seed_are_the_library_defaults():
+    from curvatura.cli import DEFAULT_SEED, _validate_quadrature
+    from curvatura.quadrature import QuadratureSpec
+    from curvatura.verification import SuiteConfig
+    assert _validate_quadrature({}, 4) == QuadratureSpec()
+    assert _validate_quadrature({"angular_order": 6}, 4).level_order == QuadratureSpec().level_order
+    assert DEFAULT_SEED == SuiteConfig(suite="pointwise").seed
+
+
+# at angular order 4 in dimension 3 a level's rule has 4 * 4 = 16 nodes, so a
+# node cap of 64 admits 4 levels, and 64 sphere radii
+SMALL_CAP = 64
+
+
+def sweep_cfg(kind, grid):
+    if kind == "levels":
+        return {"schema_version": 1, "manifold": HYPERBOLIC, "field": {"field": "radial"},
+                "quadrature": TINY_QUADRATURE, "sweep": {"kind": kind, "levels": grid, "r": [1]}}
+    return {"schema_version": 1, "manifold": HYPERBOLIC,
+            "sweep": {"kind": kind, "rho": grid, "r": [1]}}
+
+
+@pytest.mark.parametrize("kind,grid,message", [
+    ("levels", {"start": 0.5, "stop": 1.0, "num": 5}, "sweep.levels.num: expected <= 4, got 5"),
+    ("levels", {"grid": [0.5, 0.6, 0.7, 0.8, 0.9]},
+     "sweep.levels.grid: expected at most 4 values, got 5"),
+    ("sphere", {"start": 0.5, "stop": 1.0, "num": SMALL_CAP + 1},
+     "sweep.rho.num: expected <= 64, got 65"),
+    ("sphere", {"grid": [0.5] * (SMALL_CAP + 1)}, "sweep.rho.grid: expected at most 64 values"),
+])
+def test_sweep_grids_past_the_node_cap_are_refused(tmp_path, capsys, monkeypatch, kind, grid,
+                                                   message):
+    """A levels sweep joins every level's rule into one node stack, so its
+    level count is capped at MAX_NODES over the nodes of one level, and a
+    sphere sweep's radii at MAX_NODES: past either, it exits 2 naming its
+    key before any grid is spaced or integral run."""
+    from curvatura import cli
+    monkeypatch.setattr(cli, "MAX_NODES", SMALL_CAP)
+    reached = []
+    monkeypatch.setattr(cli.np, "linspace", lambda *a, **k: reached.append(a))
+    monkeypatch.setattr(cli, "total_mean_curvature", lambda *a, **k: reached.append(a))
+    cfg = write_cfg(tmp_path, "s.json", sweep_cfg(kind, grid))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert reached == []
+
+
+@pytest.mark.parametrize("kind,count", [("levels", SMALL_CAP // 16), ("sphere", SMALL_CAP)])
+def test_sweep_grids_at_the_node_cap_are_run(tmp_path, monkeypatch, kind, count):
+    from curvatura import cli
+    monkeypatch.setattr(cli, "MAX_NODES", SMALL_CAP)
+    for grid in ({"start": 0.5, "stop": 1.0, "num": count},
+                 {"grid": [0.5 + 0.01 * k for k in range(count)]}):
+        cfg = write_cfg(tmp_path, "s.json", sweep_cfg(kind, grid))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len((tmp_path / "o" / "sweep.csv").read_text().splitlines()) == count + 1
+
+
 class RecordingPool:
     """A stand-in for ThreadPoolExecutor that starts no thread: it records
     the worker count asked for and maps on the calling thread."""

@@ -210,6 +210,37 @@ def test_stacked_frames_match_pointwise(M, u):
             assert (es[k, r] if r < M.dim else 0.0) == sigma_elementary(ps.kappa[k], r)
 
 
+UNSTACKED = [(i, c) for i, c in zip(IDS, CASES) if not c[1].stacked]
+
+
+@pytest.mark.parametrize("M,u", [c for _, c in UNSTACKED], ids=[i for i, _ in UNSTACKED])
+def test_per_node_stack_rows_are_the_pointwise_records(M, u):
+    """The per-node route of hessian_frame_stack (fields without stacked
+    closed forms) holds each node's hessian_frame record, bit for bit, in
+    arrays of its own."""
+    P = sample_points(M, 7)
+    hs = hessian_frame_stack(u, M, P)
+    for k, p in enumerate(P):
+        hd = hessian_frame(u, M, p)
+        for name in ("grad_norm", "hess_frame", "frame_scale", "grad_frame"):
+            assert np.asarray(getattr(hs, name)[k]).tobytes() == np.asarray(
+                getattr(hd, name)).tobytes(), (k, name)
+    assert all(getattr(hs, name).flags.owndata
+               for name in ("grad_norm", "hess_frame", "frame_scale", "grad_frame"))
+
+
+@pytest.mark.parametrize("M", [euclidean(3), warped(poly3_profile(), 3)], ids=["flat", "poly3"])
+def test_pointwise_records_own_their_arrays(M):
+    """A field that hands out one stored gradient and Hessian: hessian_frame
+    copies them, on a Cartesian chart too, where it does not scale them."""
+    g, H = np.array([1.0, 0.5, 0.25]), np.diag([1.0, 2.0, 3.0])
+    u = Anon(lambda M, p: float(g @ p), lambda M, p: g, lambda M, p: H)
+    hd = hessian_frame(u, M, [1.0, 1.0, 1.0])
+    for name in ("hess_frame", "frame_scale", "grad_frame"):
+        assert not np.shares_memory(getattr(hd, name), g)
+        assert not np.shares_memory(getattr(hd, name), H)
+
+
 @pytest.mark.parametrize("M,u", CASES, ids=IDS)
 def test_stacked_curvature_and_corrections_match_pointwise(M, u):
     P = sample_points(M, 11)

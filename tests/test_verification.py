@@ -61,7 +61,7 @@ def test_unknown_suite_rejected():
 
 
 def test_coverage_guard_refuses_vacuous_reports():
-    cs = verification._Cases("demo")
+    cs = verification.SuiteReport("demo")
     cs.required += [("euclidean", 1), ("euclidean", 2), ("algebra", None)]
     cs.add("demo/r=1", "euclidean", "radial", 3, 1, "m", 0.25, 1.0, True, {}, expected=0.5)
     cs.add("demo/n=2", "algebra", "-", 2, None, "m", 0.0, 1.0, True, {})
@@ -75,7 +75,7 @@ def test_coverage_guard_refuses_vacuous_reports():
     assert [c.residual for c in rep.cases] == [0.25, 0.0, 1.0]
     assert not rep.passed and list(rep.timings) == ["demo/block"]
     with pytest.raises(ConfigError, match="suite 'demo' produced no cases"):
-        verification._Cases("demo").report()
+        verification.SuiteReport("demo").report()
 
 
 def test_pointwise_guard_refuses_a_model_left_without_fields(monkeypatch):
