@@ -54,10 +54,8 @@ from .curvature_integrals import (
     total_mean_curvature,
 )
 from .reporting import fmt_value, write_csv, write_json
-from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCE_KEYS, SuiteConfig, run_suite
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = SuiteConfig.seed
 # the largest quadrature order accepted, well above the largest the suites and
 # tests use (96): Gauss nodes of order k cost O(k^2) memory and O(k^3) time
 # (an eigenproblem of order k), so that an order of 10^7 asked for 728 TiB
@@ -257,10 +255,10 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _resolve_seed(cfg) -> int:
+def _resolve_seed(cfg, default: int) -> int:
     env = os.environ.get("CURVATURA_SEED")
     if env is None:
-        return int(cfg.get("seed", DEFAULT_SEED))
+        return int(cfg.get("seed", default))
     try:
         seed = int(env)
     except ValueError:
@@ -318,6 +316,9 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
 
 
 def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
+    # imported here, not at module level: a cold start of compute or sweep skips the suites
+    from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCE_KEYS, SuiteConfig, run_suite
+
     _check_keys(cfg, "", {"schema_version", "seed", "suites", "tolerances"},
                 {"schema_version"})
     suites = cfg.get("suites", "all")
@@ -328,13 +329,15 @@ def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
     for i, s in enumerate(suites):
         if s not in SUITE_NAMES:
             _fail(f"suites[{i}]", f"unknown suite {s!r} (expected one of {SUITE_NAMES})")
+        if s in suites[:i]:
+            _fail(f"suites[{i}]", f"suite {s!r} listed twice")
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         _fail("tolerances", "expected an object")
     _check_keys(tolerances, "tolerances", set(TOLERANCE_KEYS))
     for k, v in tolerances.items():
         _check_number(v, f"tolerances.{k}", lo=0.0)
-    seed = _resolve_seed(cfg)
+    seed = _resolve_seed(cfg, SuiteConfig.seed)
     all_passed = True
     summary = []
     for name in suites:
@@ -399,9 +402,11 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
         grid = _sweep_grid(sw["rho"], "sweep.rho", MAX_NODES, 1e-12, M.working_radius)
         rs = _validate_r(sw["r"], M.dim, "sweep.r", lo=0)
-        rows = [{"model": M.label, "n": M.dim, "r": r, "rho": rho,
+        # rows go to the CSV as they are made: up to MAX_NODES radii per order
+        rows = ({"model": M.label, "n": M.dim, "r": r, "rho": rho,
                  "value": sphere_total_mean_curvature(M, r, rho)}
-                for r in rs for rho in grid]
+                for r in rs for rho in grid)
+        count = len(rs) * len(grid)
         columns = ("model", "n", "r", "rho", "value")
     elif kind == "ball_bound":
         _check_keys(sw, "sweep", {"kind", "a_grid", "rho", "r", "dim"},
@@ -418,6 +423,7 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         rows = [{"a": a, "n": n, "r": r, "rho": rho,
                  "value": ball_bound(r, rho, a, n)}
                 for a in a_grid for r in rs]
+        count = len(rows)
         columns = ("a", "n", "r", "rho", "value")
     else:
         _check_keys(sw, "sweep", {"kind", "levels", "r"}, {"kind", "levels", "r"})
@@ -430,9 +436,10 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         rs = _validate_r(sw["r"], M.dim, "sweep.r")
         rows = [rep.to_record(M, u) for r in rs
                 for rep in total_mean_curvature(u, M, grid, r, spec, threads)]
+        count = len(rows)
         columns = MCR_COLUMNS
     write_csv(out / "sweep.csv", columns, rows)
-    print(f"sweep '{kind}': {len(rows)} rows -> {out / 'sweep.csv'}")
+    print(f"sweep '{kind}': {count} rows -> {out / 'sweep.csv'}")
     return 0
 
 

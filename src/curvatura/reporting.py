@@ -34,15 +34,13 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
-def csv_string(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt_value(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
 def write_csv(path, columns, rows) -> None:
-    Path(path).write_text(csv_string(columns, rows), encoding="ascii", newline="\n")
+    """Write the header, then each row of any iterable as it is drawn, so
+    that neither the rows nor the CSV text are held whole."""
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(fmt_value(row.get(c)) for c in columns) + "\n")
 
 
 def json_string(obj) -> str:

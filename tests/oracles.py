@@ -5,7 +5,8 @@ chart-component frames: the stacked kernels of curvatura are checked against the
 tests/test_node_kernel.py and the other test modules, so each stack is
 compared with an independent implementation.  The finite-difference field
 derivatives (fd_partials, hessian_frame_fd) check every field's closed
-forms.  Nothing in curvatura calls
+forms, and csv_string, the former in-memory CSV writer, checks the bytes of
+the streamed reporting.write_csv.  Nothing in curvatura calls
 them, and tests/test_node_kernel.py checks that none of these names comes
 back into the package.
 """
@@ -25,6 +26,7 @@ from curvatura.level_set_geometry import (
     fd_steps,
     hessian_frame,
 )
+from curvatura.reporting import fmt_value
 from curvatura.model_manifolds import (
     CurvatureTensorData,
     ModelManifold,
@@ -410,3 +412,12 @@ def pairwise_sum_recursive(values):
     if vals.ndim == 2:
         return np.array([rec(col, 0, len(col)) for col in vals.T])
     return rec(vals, 0, len(vals))
+
+
+def csv_string(columns, rows) -> str:
+    """The former reporting.csv_string: the whole CSV text of a list of
+    rows, built in memory."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(fmt_value(row.get(c)) for c in columns))
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,10 @@ files, seed override, and sweep shapes."""
 import json
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from curvatura.cli import main
@@ -266,6 +269,9 @@ def comparison_cfg(**changes):
     ("compute", compute_cfg(field={"field": "quadratic", "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                    "center": [5.0, 0.0, 0.0]}, r=[-1], level=18.0),
      3, "working radius"),
+    # a suite runs once: a second listing would overwrite its reports
+    ("verify", {"schema_version": 1, "suites": ["asymptotic", "asymptotic"]},
+     2, "suites[1]: suite 'asymptotic' listed twice"),
 ])
 def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, names):
     cfg = write_cfg(tmp_path, "c.json", obj)
@@ -296,13 +302,27 @@ def test_the_node_cap_admits_its_bound():
     assert _validate_quadrature(dict(bound, level_order=MAX_ORDER), 3).level_order == MAX_ORDER
 
 
-def test_missing_orders_and_seed_are_the_library_defaults():
-    from curvatura.cli import DEFAULT_SEED, _validate_quadrature
+def test_missing_orders_and_seed_are_the_library_defaults(tmp_path, monkeypatch):
+    from curvatura.cli import _validate_quadrature
     from curvatura.quadrature import QuadratureSpec
     from curvatura.verification import SuiteConfig
     assert _validate_quadrature({}, 4) == QuadratureSpec()
     assert _validate_quadrature({"angular_order": 6}, 4).level_order == QuadratureSpec().level_order
-    assert DEFAULT_SEED == SuiteConfig(suite="pointwise").seed
+    monkeypatch.delenv("CURVATURA_SEED", raising=False)
+    cfg = write_cfg(tmp_path, "v.json", {"schema_version": 1, "suites": ["asymptotic"]})
+    out = tmp_path / "o"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quick"]) == 0
+    assert json.loads((out / "verify_summary.json").read_text())["seed"] == SuiteConfig.seed
+
+
+def test_importing_the_cli_leaves_the_suites_unloaded():
+    """compute and sweep start without compiling the verification suites;
+    verify imports them when it runs."""
+    code = ("import sys, curvatura, curvatura.cli; "
+            "print('curvatura.verification' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert res.stdout.strip() == "False"
 
 
 # at angular order 4 in dimension 3 a level's rule has 4 * 4 = 16 nodes, so a
@@ -586,6 +606,23 @@ class TestSweep:
 
 
 class TestCsvFormat:
+    def test_a_streamed_sweep_writes_the_bytes_of_its_rows(self, tmp_path, capsys):
+        from curvatura.model_manifolds import constant_curvature, sphere_total_mean_curvature
+        from oracles import csv_string
+        cfg = write_cfg(tmp_path, "s.json", {
+            "schema_version": 1, "manifold": HYPERBOLIC,
+            "sweep": {"kind": "sphere", "rho": {"start": 0.01, "stop": 2.0, "num": 50},
+                      "r": [0, 1, 2]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert "sweep 'sphere': 150 rows" in capsys.readouterr().out
+        M = constant_curvature(-1.0, 3)
+        columns = ("model", "n", "r", "rho", "value")
+        rows = [{"model": M.label, "n": 3, "r": r, "rho": rho,
+                 "value": sphere_total_mean_curvature(M, r, rho)}
+                for r in (0, 1, 2) for rho in np.linspace(0.01, 2.0, 50)]
+        assert (out / "sweep.csv").read_bytes() == csv_string(columns, rows).encode("ascii")
+
     def test_seventeen_significant_digits(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", BASE_COMPUTE)
         out = tmp_path / "out"

@@ -21,7 +21,6 @@ from curvatura.level_set_geometry import (
     sphere_direction,
 )
 from curvatura.model_manifolds import constant_curvature, euclidean, poly3_profile, warped
-from curvatura.reporting import csv_string
 from curvatura.verification import (
     CASE_COLUMNS,
     SUITE_NAMES,
@@ -31,6 +30,7 @@ from curvatura.verification import (
     _field_grid,
     run_suite,
 )
+from oracles import csv_string
 
 
 @pytest.fixture(scope="module")
