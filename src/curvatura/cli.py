@@ -15,6 +15,7 @@ error or aggregate failure.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -54,6 +55,24 @@ from .curvature_integrals import (
     total_mean_curvature,
 )
 from .reporting import fmt_value, write_csv, write_json
+
+
+def _register_lazily(name: str) -> None:
+    """Bind the package module `name` in sys.modules and on the package, as
+    an import does, but compile and run its body on first attribute access."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+
+
+# only verify runs the suites, so a cold start of compute or sweep skips them;
+# code that walks the package's modules still finds the module
+_register_lazily("verification")
 
 SCHEMA_VERSION = 1
 # the largest quadrature order accepted, well above the largest the suites and
@@ -316,7 +335,7 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
 
 
 def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
-    # imported here, not at module level: a cold start of compute or sweep skips the suites
+    # the suites' body runs here, on first use (see _register_lazily)
     from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCE_KEYS, SuiteConfig, run_suite
 
     _check_keys(cfg, "", {"schema_version", "seed", "suites", "tolerances"},
@@ -406,7 +425,6 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         rows = ({"model": M.label, "n": M.dim, "r": r, "rho": rho,
                  "value": sphere_total_mean_curvature(M, r, rho)}
                 for r in rs for rho in grid)
-        count = len(rs) * len(grid)
         columns = ("model", "n", "r", "rho", "value")
     elif kind == "ball_bound":
         _check_keys(sw, "sweep", {"kind", "a_grid", "rho", "r", "dim"},
@@ -423,7 +441,6 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         rows = [{"a": a, "n": n, "r": r, "rho": rho,
                  "value": ball_bound(r, rho, a, n)}
                 for a in a_grid for r in rs]
-        count = len(rows)
         columns = ("a", "n", "r", "rho", "value")
     else:
         _check_keys(sw, "sweep", {"kind", "levels", "r"}, {"kind", "levels", "r"})
@@ -436,9 +453,8 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         rs = _validate_r(sw["r"], M.dim, "sweep.r")
         rows = [rep.to_record(M, u) for r in rs
                 for rep in total_mean_curvature(u, M, grid, r, spec, threads)]
-        count = len(rows)
         columns = MCR_COLUMNS
-    write_csv(out / "sweep.csv", columns, rows)
+    count = write_csv(out / "sweep.csv", columns, rows)
     print(f"sweep '{kind}': {count} rows -> {out / 'sweep.csv'}")
     return 0
 

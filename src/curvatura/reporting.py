@@ -34,13 +34,17 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
-def write_csv(path, columns, rows) -> None:
+def write_csv(path, columns, rows) -> int:
     """Write the header, then each row of any iterable as it is drawn, so
-    that neither the rows nor the CSV text are held whole."""
+    that neither the rows nor the CSV text are held whole; return the number
+    of rows written."""
+    count = 0
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(",".join(columns) + "\n")
         for row in rows:
             f.write(",".join(fmt_value(row.get(c)) for c in columns) + "\n")
+            count += 1
+    return count
 
 
 def json_string(obj) -> str:

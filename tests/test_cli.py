@@ -315,14 +315,18 @@ def test_missing_orders_and_seed_are_the_library_defaults(tmp_path, monkeypatch)
     assert json.loads((out / "verify_summary.json").read_text())["seed"] == SuiteConfig.seed
 
 
-def test_importing_the_cli_leaves_the_suites_unloaded():
-    """compute and sweep start without compiling the verification suites;
-    verify imports them when it runs."""
+def test_importing_the_cli_defers_the_suites():
+    """compute and sweep start without compiling the verification suites:
+    importing the CLI binds curvatura.verification as an import does, in
+    sys.modules and on the package, but its body runs on first use."""
     code = ("import sys, curvatura, curvatura.cli; "
-            "print('curvatura.verification' in sys.modules)")
+            "m = sys.modules['curvatura.verification']; "
+            "print(curvatura.verification is m, "
+            "'run_suite' in object.__getattribute__(m, '__dict__')); "
+            "print(callable(m.run_suite), type(m) is type(sys))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.split("\n")[:2] == ["True False", "True True"]
 
 
 # at angular order 4 in dimension 3 a level's rule has 4 * 4 = 16 nodes, so a
