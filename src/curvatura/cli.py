@@ -101,7 +101,7 @@ def _check_keys(d: dict, path: str, allowed: set, required: set = frozenset()):
     for k in d:
         if k not in allowed:
             _fail(f"{path}.{k}" if path else k, f"unknown key (allowed: {sorted(allowed)})")
-    for k in required:
+    for k in sorted(required):
         if k not in d:
             _fail(f"{path}.{k}" if path else k, "required key is missing")
 
@@ -216,8 +216,6 @@ def _validate_quadrature(d, n, path="quadrature", coarea=False):
     """The QuadratureSpec of a config's quadrature object for dimension n,
     refused when its rule (its coarea rule when `coarea`) has more than
     MAX_NODES nodes."""
-    if d is None:
-        return QuadratureSpec()
     if not isinstance(d, dict):
         _fail(path, "expected an object")
     _check_keys(d, path, {"angular_order", "level_order"})
@@ -302,7 +300,7 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
                 {"schema_version", "manifold", "field"})
     M = _validate_manifold(cfg["manifold"])
     u = _validate_field(cfg["field"], M)
-    spec = _validate_quadrature(cfg.get("quadrature"), M.dim, coarea="levels" in cfg)
+    spec = _validate_quadrature(cfg.get("quadrature", {}), M.dim, coarea="levels" in cfg)
     if "r" not in cfg:
         _fail("r", "required for compute")
     rs = _validate_r(cfg["r"], M.dim)
@@ -336,7 +334,7 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
 
 def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
     # the suites' body runs here, on first use (see _register_lazily)
-    from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCE_KEYS, SuiteConfig, run_suite
+    from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCES, SuiteConfig, run_suite
 
     _check_keys(cfg, "", {"schema_version", "seed", "suites", "tolerances"},
                 {"schema_version"})
@@ -353,7 +351,7 @@ def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         _fail("tolerances", "expected an object")
-    _check_keys(tolerances, "tolerances", set(TOLERANCE_KEYS))
+    _check_keys(tolerances, "tolerances", set(TOLERANCES))
     for k, v in tolerances.items():
         _check_number(v, f"tolerances.{k}", lo=0.0)
     seed = _resolve_seed(cfg, SuiteConfig.seed)
@@ -381,7 +379,8 @@ def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
 
 def _sweep_grid(d, path, most, lo, hi=None):
     """A grid of at most `most` numbers in [lo, hi], lo > 0: an explicit
-    'grid', or 'start'/'stop'/'num' with linear or log 'spacing'."""
+    'grid', or 'start'/'stop'/'num' with linear or log 'spacing', kept as
+    one numpy array (a list of its scalars took 46 MB per 10^6 radii)."""
     if not isinstance(d, dict):
         _fail(path, "expected an object")
     _check_keys(d, path, {"grid", "start", "stop", "num", "spacing"})
@@ -397,13 +396,14 @@ def _sweep_grid(d, path, most, lo, hi=None):
     num = _check_int(d["num"], f"{path}.num", 2, most)
     spacing = d.get("spacing", "linear")
     if spacing == "log":
-        return list(np.geomspace(start, stop, num))
+        return np.geomspace(start, stop, num)
     if spacing != "linear":
         _fail(f"{path}.spacing", f"expected linear|log, got {spacing!r}")
-    return list(np.linspace(start, stop, num))
+    return np.linspace(start, stop, num)
 
 
-# the top-level keys each sweep kind reads, beside schema_version, seed and sweep
+# the top-level keys each sweep kind reads, beside schema_version, seed and
+# sweep; each but quadrature is required
 _SWEEP_READS = {"sphere": {"manifold"}, "ball_bound": set(),
                 "levels": {"manifold", "field", "quadrature"}}
 
@@ -415,10 +415,11 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     kind = sw.get("kind")
     if not isinstance(kind, str) or kind not in _SWEEP_READS:
         _fail("sweep.kind", f"expected sphere|ball_bound|levels, got {kind!r}")
-    _check_keys(cfg, "", {"schema_version", "seed", "sweep"} | _SWEEP_READS[kind])
+    _check_keys(cfg, "", {"schema_version", "seed", "sweep"} | _SWEEP_READS[kind],
+                _SWEEP_READS[kind] - {"quadrature"})
     if kind == "sphere":
         _check_keys(sw, "sweep", {"kind", "rho", "r"}, {"kind", "rho", "r"})
-        M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
+        M = _validate_manifold(cfg["manifold"])
         grid = _sweep_grid(sw["rho"], "sweep.rho", MAX_NODES, 1e-12, M.working_radius)
         rs = _validate_r(sw["r"], M.dim, "sweep.r", lo=0)
         # rows go to the CSV as they are made: up to MAX_NODES radii per order
@@ -444,9 +445,9 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         columns = ("a", "n", "r", "rho", "value")
     else:
         _check_keys(sw, "sweep", {"kind", "levels", "r"}, {"kind", "levels", "r"})
-        M = _validate_manifold(cfg.get("manifold") or _fail("manifold", "required"))
-        u = _validate_field(cfg.get("field") or _fail("field", "required"), M)
-        spec = _validate_quadrature(cfg.get("quadrature"), M.dim)
+        M = _validate_manifold(cfg["manifold"])
+        u = _validate_field(cfg["field"], M)
+        spec = _validate_quadrature(cfg.get("quadrature", {}), M.dim)
         # every level's rule joins one node stack of at most MAX_NODES nodes
         grid = _sweep_grid(sw["levels"], "sweep.levels",
                            MAX_NODES // math.prod(spec.angular_for(M.dim)), 1e-12)

@@ -69,14 +69,14 @@ from .symmetric_algebra import (
     trace_identity_residual_stack,
 )
 
-SUITE_NAMES = ("pointwise", "comparison", "inequality", "asymptotic")
-
-# every key the suites read through SuiteConfig.tol: the keys a config's
-# "tolerances" object may set
-TOLERANCE_KEYS = (
-    "reilly2", "order", "div_flat", "div_fd", "correction_cross", "sigma_dual", "trace",
-    "sphere_oracle", "cc_two_path", "ricci_path", "poly3_oracle", "ellipsoid",
-    "offcenter_sphere", "offcenter", "m1_volume", "ball_equality", "slope", "gauss_limit")
+# every tolerance the suites read through SuiteConfig.tol, with its default:
+# the keys a config's "tolerances" object may set
+TOLERANCES = {
+    "reilly2": 1e-8, "order": 1.9, "div_flat": 1e-12, "div_fd": 1e-4, "correction_cross": 1e-10,
+    "sigma_dual": 1e-10, "trace": 1e-10, "sphere_oracle": 1e-6, "cc_two_path": 1e-7,
+    "ricci_path": 1e-9, "poly3_oracle": 1e-6, "ellipsoid": 1e-3, "offcenter_sphere": 1e-6,
+    "offcenter": 1e-3, "m1_volume": 1e-6, "ball_equality": 1e-9, "slope": 0.02,
+    "gauss_limit": 0.01}
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,8 @@ class SuiteConfig:
     threads: int = 1
     tolerances: dict = dc_field(default_factory=dict)
 
-    def tol(self, key: str, default: float) -> float:
-        if key not in TOLERANCE_KEYS:
-            raise KeyError(f"tolerance {key!r} is missing from TOLERANCE_KEYS")
-        return float(self.tolerances.get(key, default))
+    def tol(self, key: str) -> float:
+        return float(self.tolerances.get(key, TOLERANCES[key]))
 
 
 @dataclass(frozen=True)
@@ -131,8 +129,19 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.cases)
 
-    def add(self, cid, model, field, n, r, metric, measured, tol, passed, inputs,
-            expected=0.0, residual=None):
+    def add(self, cid, M, u, r, metric, measured, tol, passed=None, expected=0.0,
+            residual=None, **inputs):
+        """Record the case of model M and field u at order r, passed when
+        |measured| <= tol unless `passed` is given; its rerun inputs are M's
+        and u's descriptions, r and the keyword arguments.  An algebra case
+        has no M, u or r, and its inputs give its n."""
+        if M is None:
+            model, field, n = "algebra", "-", inputs["n"]
+        else:
+            model, field, n = M.label, u.kind, M.dim
+            inputs = {"model": M.describe(), "field": u.describe(), "r": r, **inputs}
+        if passed is None:
+            passed = abs(measured) <= tol
         if residual is None:
             residual = abs(measured - expected)
         self.cases.append(CaseRecord(
@@ -284,8 +293,7 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
     n_pts = 40 if cfg.quick else 200
     n_pts_fd = 10 if cfg.quick else 50
     n_pts_div = 6 if cfg.quick else 25
-    tol_r2 = cfg.tol("reilly2", 1e-8)
-    tol_order = cfg.tol("order", 1.9)
+    tol_r2, tol_order = cfg.tol("reilly2"), cfg.tol("order")
     rngs = _spawn(cfg.seed)
     cs.required.extend((M.label, r) for M in models for r in range(M.dim))
 
@@ -296,11 +304,9 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
             for j, r in enumerate(rs):
                 Pj, res = P[j * n_pts:(j + 1) * n_pts], rel[j * n_pts:(j + 1) * n_pts]
                 worst = _worst(res)
-                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/reilly2", M.label, u.kind, M.dim, r,
-                       "max_rel_residual", worst, tol_r2, worst < tol_r2,
-                       {"model": M.describe(), "field": u.describe(), "r": r,
-                        "points": n_pts, "seed": seeds[j],
-                        "worst_point": None if worst == 0.0 else list(Pj[int(np.argmax(res))])})
+                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/reilly2", M, u, r,
+                       "max_rel_residual", worst, tol_r2, points=n_pts, seed=seeds[j],
+                       worst_point=None if worst == 0.0 else list(Pj[int(np.argmax(res))]))
 
     h = 2e-3
     for M, u, rs, seeds, P, orders in _case_groups(models, 1, rngs, n_pts_fd):
@@ -314,14 +320,12 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
                     s_h += a
                     s_h2 += b
                 order = _convergence_order(s_h, s_h2)
-                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/reilly1_order", M.label, u.kind,
-                       M.dim, r, "convergence_order", order, tol_order, order >= tol_order,
-                       {"model": M.describe(), "field": u.describe(), "r": r,
-                        "h": h, "points": n_pts_fd, "seed": seeds[j]},
-                       expected=2.0, residual=0.0 if order >= tol_order else tol_order - order)
+                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/reilly1_order", M, u, r,
+                       "convergence_order", order, tol_order, order >= tol_order, expected=2.0,
+                       residual=0.0 if order >= tol_order else tol_order - order,
+                       h=h, points=n_pts_fd, seed=seeds[j])
 
-    tol_fd, tol_flat = cfg.tol("div_fd", 1e-4), cfg.tol("div_flat", 1e-12)
-    tol_c = cfg.tol("correction_cross", 1e-10)
+    tol_fd, tol_flat, tol_c = cfg.tol("div_fd"), cfg.tol("div_flat"), cfg.tol("correction_cross")
     for M, u, rs, seeds, P, orders in _case_groups(models, 1, rngs, n_pts_div):
         flat = M.is_flat
         with cs.timed(f"pointwise/{M.label}/{u.kind}/div_newton"):
@@ -338,29 +342,23 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
             for j, r in enumerate(rs):
                 rows = slice(j * n_pts_div, (j + 1) * n_pts_div)
                 cid = f"pointwise/{M.label}/{u.kind}/r={r}/div_newton"
-                inputs = {"model": M.describe(), "field": u.describe(), "r": r,
-                          "h": 1e-3, "points": n_pts_div, "seed": seeds[j]}
+                inputs = {"h": 1e-3, "points": n_pts_div, "seed": seeds[j]}
                 if flat:
-                    worst = _worst(np.abs(dn[rows]))
-                    cs.add(cid, M.label, u.kind, M.dim, r, "max_div_residual", worst, tol_flat,
-                           worst < tol_flat, inputs)
-                    worst_fd = _worst(np.abs(oracle[rows]))
-                    cs.add(f"{cid}_fd", M.label, u.kind, M.dim, r, "max_abs_fd_oracle", worst_fd,
-                           tol_fd, worst_fd < tol_fd, inputs)
+                    cs.add(cid, M, u, r, "max_div_residual", _worst(np.abs(dn[rows])), tol_flat,
+                           **inputs)
+                    cs.add(f"{cid}_fd", M, u, r, "max_abs_fd_oracle",
+                           _worst(np.abs(oracle[rows])), tol_fd, **inputs)
                     continue
                 scale = np.maximum(1.0, np.max(np.abs(dn[rows]), axis=1))
                 worst = _worst(np.max(np.abs(dn[rows] - oracle[rows]), axis=1) / scale)
-                cs.add(cid, M.label, u.kind, M.dim, r, "max_div_residual", worst, tol_fd,
-                       worst < tol_fd, inputs)
+                cs.add(cid, M, u, r, "max_div_residual", worst, tol_fd, **inputs)
                 via_div = dots[rows] / hd.grad_norm[rows] ** (r + 1)
-                worst_corr = _worst(np.abs(corr[rows] - via_div))
-                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/correction_cross", M.label, u.kind,
-                       M.dim, r, "max_abs_residual", worst_corr, tol_c, worst_corr < tol_c,
-                       {"model": M.describe(), "field": u.describe(), "r": r})
+                cs.add(f"pointwise/{M.label}/{u.kind}/r={r}/correction_cross", M, u, r,
+                       "max_abs_residual", _worst(np.abs(corr[rows] - via_div)), tol_c)
 
     # algebra dual paths at randomized matrices: one eigensolve per matrix
     n_mats = 20 if cfg.quick else 100
-    tol_sigma, tol_trace = cfg.tol("sigma_dual", 1e-10), cfg.tol("trace", 1e-10)
+    tol_sigma, tol_trace = cfg.tol("sigma_dual"), cfg.tol("trace")
     for n, (rng, seed) in zip(range(2, 7), rngs):
         inputs = {"n": n, "matrices": n_mats, "seed": seed}
         with cs.timed(f"pointwise/algebra/n={n}"):
@@ -379,8 +377,8 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
                         trace_rel.append(float(traces[k, r]) / scale[k] ** (r + 1))
             for metric, worst, tol in (("sigma_dual_path", _worst(sigmas), tol_sigma),
                                        ("trace_identity", _worst(trace_rel), tol_trace)):
-                cs.add(f"pointwise/algebra/n={n}/{metric}", "algebra", "-", n, None, metric,
-                       worst, tol, worst < tol, inputs)
+                cs.add(f"pointwise/algebra/n={n}/{metric}", None, None, None, metric, worst, tol,
+                       **inputs)
         if not cfg.quick:
             cid = f"pointwise/algebra/n={n}/newton_dual_path"
             with cs.timed(cid):
@@ -388,8 +386,8 @@ def run_pointwise_suite(cfg: SuiteConfig) -> SuiteReport:
                 mats = newton_matrices_stack(H[:20], n)
                 worst = _worst([float(np.max(np.abs(T[k] - newton_partial_form(H[k], r))))
                                 / scale[k] ** r for k in range(20) for r, T in enumerate(mats)])
-                cs.add(cid, "algebra", "-", n, None, "newton_dual_path", worst, tol_sigma,
-                       worst < tol_sigma, dict(inputs, matrices=20))
+                cs.add(cid, None, None, None, "newton_dual_path", worst, tol_sigma,
+                       **dict(inputs, matrices=20))
 
     cs.required.append(("algebra", None))
     return cs.report()
@@ -420,12 +418,6 @@ def _poly3_rhs_oracle(M: ModelManifold, levels, r: int):
     return p, s
 
 
-def _within(cs: SuiteReport, cid, M, u, r, metric, measured, tol, extra: dict):
-    """A comparison case, passed when |measured| <= tol, with inputs M, u, r and extra."""
-    cs.add(cid, M.label, u.kind, M.dim, r, metric, measured, tol, abs(measured) <= tol,
-           {"model": M.describe(), "field": u.describe(), "r": r, **extra})
-
-
 def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
     """Comparison identity across nested-sphere, radial-warped, ellipsoid,
     and off-center configurations, with the constant-curvature and Ricci
@@ -450,22 +442,22 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
                     oracle = (sphere_total_mean_curvature(M, r, levels[1])
                               - sphere_total_mean_curvature(M, r, levels[0]))
                     extra = {"levels": list(levels), "spec": [8, 12]}
-                    _within(cs, f"{base}/residual_vs_budget", M, u, r, "residual_vs_budget",
-                            abs(bd.residual), bd.error_budget, extra)
-                    _within(cs, f"{base}/lhs_vs_oracle", M, u, r, "rel_error",
-                            abs(bd.lhs - oracle) / max(1.0, abs(oracle)),
-                            cfg.tol("sphere_oracle", 1e-6), extra)
+                    cs.add(f"{base}/residual_vs_budget", M, u, r, "residual_vs_budget",
+                           abs(bd.residual), bd.error_budget, **extra)
+                    cs.add(f"{base}/lhs_vs_oracle", M, u, r, "rel_error",
+                           abs(bd.lhs - oracle) / max(1.0, abs(oracle)),
+                           cfg.tol("sphere_oracle"), **extra)
                     if a < 0:
                         cc = comparison_rhs_constant(u, M, levels, r, spec_sphere, thr)
                         tot = bd.term_principal + bd.term_sectional + bd.term_mixed
                         tot_cc = cc.term_principal + cc.term_sectional
-                        _within(cs, f"{base}/two_path", M, u, r, "rel_error",
-                                abs(tot - tot_cc) / bd.scale, cfg.tol("cc_two_path", 1e-7), extra)
+                        cs.add(f"{base}/two_path", M, u, r, "rel_error",
+                               abs(tot - tot_cc) / bd.scale, cfg.tol("cc_two_path"), **extra)
                         if r == 1:
                             rc = ricci_comparison(u, M, levels, spec_sphere, thr)
-                            _within(cs, f"{base}/ricci_path", M, u, r, "rel_error",
-                                    abs(rc.term_sectional - bd.term_sectional) / bd.scale,
-                                    cfg.tol("ricci_path", 1e-9), extra)
+                            cs.add(f"{base}/ricci_path", M, u, r, "rel_error",
+                                   abs(rc.term_sectional - bd.term_sectional) / bd.scale,
+                                   cfg.tol("ricci_path"), **extra)
 
     # 2. radial field in the poly3 warped product vs the 1-d oracle
     n_poly = 3 if cfg.quick else 4
@@ -481,14 +473,13 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
             oracle_lhs = (sphere_total_mean_curvature(M, r, levels_poly[1])
                           - sphere_total_mean_curvature(M, r, levels_poly[0]))
             op, os_ = _poly3_rhs_oracle(M, levels_poly, r)
-            extra = {"levels": list(levels_poly)}
             scale = max(1.0, abs(oracle_lhs), abs(op))
-            _within(cs, f"{base}/residual_vs_oracle", M, u, r, "rel_error",
-                    (abs(bd.lhs - oracle_lhs) + abs(bd.term_principal - op)
-                     + abs(bd.term_sectional - os_) + abs(bd.term_mixed)) / scale,
-                    cfg.tol("poly3_oracle", 1e-6), extra)
-            _within(cs, f"{base}/residual_vs_budget", M, u, r, "residual_vs_budget",
-                    abs(bd.residual), bd.error_budget, extra)
+            cs.add(f"{base}/residual_vs_oracle", M, u, r, "rel_error",
+                   (abs(bd.lhs - oracle_lhs) + abs(bd.term_principal - op)
+                    + abs(bd.term_sectional - os_) + abs(bd.term_mixed)) / scale,
+                   cfg.tol("poly3_oracle"), levels=list(levels_poly))
+            cs.add(f"{base}/residual_vs_budget", M, u, r, "residual_vs_budget",
+                   abs(bd.residual), bd.error_budget, levels=list(levels_poly))
 
     # 3. Euclidean ellipsoid levels (flat, non-radial).  |grad u| has a
     # complex branch point near the real angular domain, so convergence is
@@ -503,11 +494,10 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
         base = f"comparison/ellipsoid/r={r}"
         with cs.timed(base):
             bd = comparison_rhs(u, M, (0.5, 1.0), r, spec_ell, thr)
-            extra = {"levels": [0.5, 1.0]}
-            _within(cs, f"{base}/rel_residual", M, u, r, "rel_error",
-                    abs(bd.residual) / bd.scale, cfg.tol("ellipsoid", 1e-3), extra)
-            _within(cs, f"{base}/correction_zero", M, u, r, "abs_error",
-                    abs(bd.term_sectional) + abs(bd.term_mixed), 1e-30, extra)
+            cs.add(f"{base}/rel_residual", M, u, r, "rel_error",
+                   abs(bd.residual) / bd.scale, cfg.tol("ellipsoid"), levels=[0.5, 1.0])
+            cs.add(f"{base}/correction_zero", M, u, r, "abs_error",
+                   abs(bd.term_sectional) + abs(bd.term_mixed), 1e-30, levels=[0.5, 1.0])
 
     # 4. off-center distance field in hyperbolic space
     M = constant_curvature(-1.0, 3)
@@ -519,17 +509,15 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
         for rho, rep in zip(rho_off, reps):
             oracle = sphere_total_mean_curvature(M, 1, rho)
             cs.required.append((M.label, 1))
-            _within(cs, f"comparison/offcenter_sphere/rho={rho:g}", M, u, 1, "rel_error",
-                    abs(rep.value - oracle) / abs(oracle),
-                    cfg.tol("offcenter_sphere", 1e-6), {"level": rho})
+            cs.add(f"comparison/offcenter_sphere/rho={rho:g}", M, u, 1, "rel_error",
+                   abs(rep.value - oracle) / abs(oracle), cfg.tol("offcenter_sphere"), level=rho)
     if not cfg.quick:
         for r in (1, 2):
             base = f"comparison/offcenter/r={r}"
             with cs.timed(base):
                 bd = comparison_rhs(u, M, (0.7, 1.2), r, spec_off, thr)
-                _within(cs, f"{base}/rel_residual", M, u, r, "rel_error",
-                        abs(bd.residual) / bd.scale, cfg.tol("offcenter", 1e-3),
-                        {"levels": [0.7, 1.2]})
+                cs.add(f"{base}/rel_residual", M, u, r, "rel_error",
+                       abs(bd.residual) / bd.scale, cfg.tol("offcenter"), levels=[0.7, 1.2])
 
     return cs.report()
 
@@ -551,6 +539,7 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
     u = RadialDistanceField()
     spec = QuadratureSpec(angular_orders=(12,), level_order=8)
     rho_grid = (0.5, 1.0) if cfg.quick else (0.25, 0.5, 1.0, 2.0)
+    tol_m1 = cfg.tol("m1_volume")
     for a in (-1.0, -0.25, -4.0):
         M = constant_curvature(a, 3)
         prefix = "inequality/m1_volume/" + ("" if a == -1.0 else f"a={a:g}/")
@@ -563,13 +552,10 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
                 closed = 8.0 * math.pi * rho
                 budget = 10.0 * (m1.error_estimate + 4 * abs(a) * vol.error_estimate)
                 cs.required.append((M.label, 1))
-                inputs = {"model": M.describe(), "field": u.describe(), "rho": rho}
-                tol_m1 = cfg.tol("m1_volume", 1e-6)
-                cs.add(f"{base}/margin_vs_closed_form", M.label, u.kind, 3, 1, "rel_error",
-                       abs(margin - closed) / closed, tol_m1,
-                       abs(margin - closed) / closed <= tol_m1, inputs)
-                cs.add(f"{base}/strict", M.label, u.kind, 3, 1, "margin",
-                       margin, 10.0 * budget, margin > 10.0 * budget, inputs)
+                cs.add(f"{base}/margin_vs_closed_form", M, u, 1, "rel_error",
+                       abs(margin - closed) / closed, tol_m1, rho=rho)
+                cs.add(f"{base}/strict", M, u, 1, "margin", margin, 10.0 * budget,
+                       margin > 10.0 * budget, rho=rho)
 
     # Cor. 4.4 / 4.5 / 4.1: monotonicity along parallels and nested levels
     models = [euclidean(3), constant_curvature(-1.0, 3),
@@ -589,10 +575,9 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
                     ok = diff >= (10.0 * budget if strict else -budget)
                     cs.add(f"inequality/parallel/{M.label}/r={r}/"
                            f"levels=({level_grid[k]:g},{level_grid[k + 1]:g})",
-                           M.label, u.kind, 3, r, "mr_outer_minus_inner", diff,
+                           M, u, r, "mr_outer_minus_inner", diff,
                            10.0 * budget if strict else budget, ok,
-                           {"model": M.describe(), "field": u.describe(), "r": r,
-                            "levels": [level_grid[k], level_grid[k + 1]]})
+                           levels=[level_grid[k], level_grid[k + 1]])
 
     # Cor. 4.1 for genuinely non-parallel nested pairs (ellipsoid levels and
     # off-center spheres).  Strictness is certified against 100x the
@@ -609,9 +594,8 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
             diff = reps[1].value - reps[0].value
             budget = 10.0 * (reps[0].error_estimate + reps[1].error_estimate)
             cs.required.append((M.label, 1))
-            cs.add(f"inequality/m1_nested/{name}", M.label, u.kind, 3, 1,
-                   "m1_outer_minus_inner", diff, 10.0 * budget, diff > 10.0 * budget,
-                   {"model": M.describe(), "field": u.describe(), "levels": list(levels)})
+            cs.add(f"inequality/m1_nested/{name}", M, u, 1, "m1_outer_minus_inner", diff,
+                   10.0 * budget, diff > 10.0 * budget, levels=list(levels))
 
     # Cor. 4.7: warped balls against the constant-curvature bound
     with cs.timed("inequality/balls"):
@@ -626,29 +610,27 @@ def run_inequality_suite(cfg: SuiteConfig) -> SuiteReport:
                 rep = reps[r][k]
                 margin = rep.value - ball_bound(r, rho, 0.0, 3)
                 budget = 10.0 * rep.error_estimate
-                cs.add(f"inequality/balls/poly3/rho={rho:g}/r={r}", Mw.label, uw.kind, 3, r,
+                cs.add(f"inequality/balls/poly3/rho={rho:g}/r={r}", Mw, uw, r,
                        "margin_over_flat_bound", margin, 10.0 * budget, margin > 10.0 * budget,
-                       {"model": Mw.describe(), "rho": rho, "r": r})
+                       rho=rho)
                 # the sharp constant: poly3 curvature -1/(1 + s^2/6) is largest
                 # on the ball at s = rho
                 a_rho = -1.0 / (1.0 + rho ** 2 / 6.0)
                 margin = rep.value - ball_bound(r, rho, a_rho, 3)
-                cs.add(f"inequality/balls/sharp/poly3/rho={rho:g}/r={r}", Mw.label, uw.kind,
-                       3, r, "margin_over_sharp_bound", margin, 10.0 * budget,
-                       margin > 10.0 * budget,
-                       {"model": Mw.describe(), "rho": rho, "r": r, "a": a_rho})
+                cs.add(f"inequality/balls/sharp/poly3/rho={rho:g}/r={r}", Mw, uw, r,
+                       "margin_over_sharp_bound", margin, 10.0 * budget,
+                       margin > 10.0 * budget, rho=rho, a=a_rho)
         # equality cases: matching profiles hit the bound exactly
-        tol_eq = cfg.tol("ball_equality", 1e-9)
+        tol_eq = cfg.tol("ball_equality")
         for name, Meq, a_eq in (("linear", warped(linear_profile(), 3), 0.0),
                                 ("sinh", warped(sinh_profile(), 3), -1.0)):
             for rho in (0.5, 1.0):
                 for r in (1, 2):
                     closed = sphere_total_mean_curvature(Meq, r, rho)
                     bound = ball_bound(r, rho, a_eq, 3)
-                    dev = abs(closed - bound) / max(1.0, abs(bound))
-                    cs.add(f"inequality/balls/equality/{name}/rho={rho:g}/r={r}", Meq.label,
-                           "radial", 3, r, "rel_error", dev, tol_eq, dev <= tol_eq,
-                           {"model": Meq.describe(), "rho": rho, "r": r, "a": a_eq})
+                    cs.add(f"inequality/balls/equality/{name}/rho={rho:g}/r={r}", Meq, uw, r,
+                           "rel_error", abs(closed - bound) / max(1.0, abs(bound)), tol_eq,
+                           rho=rho, a=a_eq)
 
     pairs = sum(c.metric in ("mr_outer_minus_inner", "m1_outer_minus_inner",
                              "margin_over_flat_bound") for c in cs.cases)
@@ -674,6 +656,8 @@ def run_asymptotic_suite(cfg: SuiteConfig) -> SuiteReport:
     rho_grid = np.geomspace(0.01, 0.16, 4 if cfg.quick else 6)
     u = RadialDistanceField()
     sphere = unit_sphere_volume(3)
+    inputs = {"rho_grid": list(rho_grid)}
+    tol_slope, tol_lim = cfg.tol("slope"), cfg.tol("gauss_limit")
 
     for M in models:
         for r in range(0, 3):
@@ -684,27 +668,22 @@ def run_asymptotic_suite(cfg: SuiteConfig) -> SuiteReport:
                                  total_mean_curvature(u, M, rho_grid, r, spec, thr)])
                 logs = np.log(vals)
                 slope = float(np.polyfit(np.log(rho_grid), logs, 1)[0])
-                inputs = {"model": M.describe(), "r": r, "rho_grid": list(rho_grid)}
-                tol_slope = cfg.tol("slope", 0.02)
-                cs.add(f"{base}/slope", M.label, u.kind, 3, r, "loglog_slope", slope,
-                       tol_slope, abs(slope - (2 - r)) <= tol_slope, inputs,
-                       expected=float(2 - r))
+                cs.add(f"{base}/slope", M, u, r, "loglog_slope", slope, tol_slope,
+                       abs(slope - (2 - r)) <= tol_slope, expected=float(2 - r), **inputs)
                 ratio = vals / (binomial(2, r) * sphere * rho_grid ** (2 - r))
                 if r == 2:
                     dev = abs(ratio[0] - 1.0)
-                    tol_lim = cfg.tol("gauss_limit", 0.01)
-                    cs.add(f"{base}/limit", M.label, u.kind, 3, r, "gauss_kronecker_limit",
-                           float(vals[0]), tol_lim, dev <= tol_lim, inputs,
-                           expected=sphere, residual=dev)
+                    cs.add(f"{base}/limit", M, u, r, "gauss_kronecker_limit", float(vals[0]),
+                           tol_lim, dev <= tol_lim, expected=sphere, residual=dev, **inputs)
                 # quadratic correction: constant fitted on the two coarsest radii
                 # must cover the rest with a factor-2 allowance
                 corr = np.abs(ratio - 1.0)
                 cfit = max(corr[-1] / rho_grid[-1] ** 2, corr[-2] / rho_grid[-2] ** 2)
                 bound = 2.0 * cfit * rho_grid ** 2 + 1e-10
                 worst = float(np.max(corr - bound))
-                cs.add(f"{base}/quadratic_correction", M.label, u.kind, 3, r,
-                       "correction_excess", worst, 0.0, worst <= 0.0,
-                       dict(inputs, fitted_constant=float(cfit)), residual=max(worst, 0.0))
+                cs.add(f"{base}/quadratic_correction", M, u, r, "correction_excess", worst, 0.0,
+                       worst <= 0.0, residual=max(worst, 0.0), fitted_constant=float(cfit),
+                       **inputs)
 
     return cs.report()
 
@@ -715,6 +694,7 @@ _RUNNERS = {
     "inequality": run_inequality_suite,
     "asymptotic": run_asymptotic_suite,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:

@@ -272,6 +272,34 @@ def comparison_cfg(**changes):
     # a suite runs once: a second listing would overwrite its reports
     ("verify", {"schema_version": 1, "suites": ["asymptotic", "asymptotic"]},
      2, "suites[1]: suite 'asymptotic' listed twice"),
+    # a null object is refused as the object it stands for, not taken as missing
+    ("compute", dict(compute_cfg(), quadrature=None), 2, "quadrature: expected an object"),
+    ("compute", dict(comparison_cfg(), quadrature=None), 2, "quadrature: expected an object"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "field": {"field": "radial"},
+               "quadrature": None, "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
+     2, "quadrature: expected an object"),
+    # a sweep checks its manifold and field as compute does; missing keys are
+    # named in sorted order, whatever the hash seed
+    ("sweep", {"schema_version": 1, "manifold": None,
+               "sweep": {"kind": "sphere", "rho": {"grid": [0.5]}, "r": [1]}},
+     2, "manifold: expected an object"),
+    ("sweep", {"schema_version": 1, "manifold": {},
+               "sweep": {"kind": "sphere", "rho": {"grid": [0.5]}, "r": [1]}},
+     2, "manifold.dim: required key is missing"),
+    ("sweep", {"schema_version": 1, "sweep": {"kind": "sphere", "rho": {"grid": [0.5]}, "r": [1]}},
+     2, "manifold: required key is missing"),
+    ("sweep", {"schema_version": 1, "manifold": {}, "field": {"field": "radial"},
+               "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
+     2, "manifold.dim: required key is missing"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "field": None,
+               "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
+     2, "field: expected an object"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC, "field": {},
+               "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
+     2, "field.field: expected radial|radial_sq|quadratic|offcenter, got None"),
+    ("sweep", {"schema_version": 1, "manifold": HYPERBOLIC,
+               "sweep": {"kind": "levels", "levels": {"grid": [0.5]}, "r": [1]}},
+     2, "field: required key is missing"),
 ])
 def test_bad_config_exits_with_its_code(tmp_path, capsys, command, obj, code, names):
     cfg = write_cfg(tmp_path, "c.json", obj)
@@ -613,19 +641,21 @@ class TestCsvFormat:
     def test_a_streamed_sweep_writes_the_bytes_of_its_rows(self, tmp_path, capsys):
         from curvatura.model_manifolds import constant_curvature, sphere_total_mean_curvature
         from oracles import csv_string
-        cfg = write_cfg(tmp_path, "s.json", {
-            "schema_version": 1, "manifold": HYPERBOLIC,
-            "sweep": {"kind": "sphere", "rho": {"start": 0.01, "stop": 2.0, "num": 50},
-                      "r": [0, 1, 2]}})
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert "sweep 'sphere': 150 rows" in capsys.readouterr().out
         M = constant_curvature(-1.0, 3)
         columns = ("model", "n", "r", "rho", "value")
-        rows = [{"model": M.label, "n": 3, "r": r, "rho": rho,
-                 "value": sphere_total_mean_curvature(M, r, rho)}
-                for r in (0, 1, 2) for rho in np.linspace(0.01, 2.0, 50)]
-        assert (out / "sweep.csv").read_bytes() == csv_string(columns, rows).encode("ascii")
+        for spacing, radii in (("linear", np.linspace(0.01, 2.0, 50)),
+                               ("log", np.geomspace(0.01, 2.0, 50))):
+            cfg = write_cfg(tmp_path, "s.json", {
+                "schema_version": 1, "manifold": HYPERBOLIC,
+                "sweep": {"kind": "sphere", "r": [0, 1, 2],
+                          "rho": {"start": 0.01, "stop": 2.0, "num": 50, "spacing": spacing}}})
+            out = tmp_path / spacing
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+            assert "sweep 'sphere': 150 rows" in capsys.readouterr().out
+            rows = [{"model": M.label, "n": 3, "r": r, "rho": float(rho),
+                     "value": sphere_total_mean_curvature(M, r, float(rho))}
+                    for r in (0, 1, 2) for rho in radii]
+            assert (out / "sweep.csv").read_bytes() == csv_string(columns, rows).encode("ascii")
 
     def test_seventeen_significant_digits(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", BASE_COMPUTE)

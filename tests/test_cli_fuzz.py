@@ -5,7 +5,9 @@ empty list or an unknown string, and runs it.  The run must end with exit 0,
 2 or 3 (1 only for a verify run whose suites ran and failed), print no
 traceback, and name a key path on exit 2 that is the changed key, one of its
 ancestors or one of its descendants.  Orders are tiny, so that the 100
-derandomized examples take about a second."""
+derandomized examples take about a second.  Beside the sample, every key
+path set to null is run once: null never stands for a missing key, so each
+such run must exit 2 during validation."""
 
 import contextlib
 import copy
@@ -73,6 +75,24 @@ MUTATIONS = [(name, path, keys) for name, (_, cfg) in VALID.items()
              for path, keys in key_paths(cfg)]
 
 
+def mutated(name, keys, bad):
+    """A copy of the VALID config `name` with the key at `keys` set to bad."""
+    command, obj = VALID[name]
+    obj = copy.deepcopy(obj)
+    node = obj
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = copy.deepcopy(bad)
+    return command, obj
+
+
+def named_path(err):
+    """The key path a config error (exit 2) names."""
+    m = re.match(r"config error: ([A-Za-z_][\w.\[\]]*): ", err)
+    assert m, err
+    return m.group(1)
+
+
 def run_cli(command, obj):
     """(exit code, stderr, verify summary or None) of one in-process run."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,19 +128,20 @@ def test_unchanged_configs_run(name):
 @given(mutation=st.sampled_from(MUTATIONS), bad=st.sampled_from(BAD_VALUES))
 def test_one_bad_key_exits_cleanly(mutation, bad):
     name, path, keys = mutation
-    command, obj = VALID[name]
-    obj = copy.deepcopy(obj)
-    node = obj
-    for k in keys[:-1]:
-        node = node[k]
-    node[keys[-1]] = copy.deepcopy(bad)
-    code, err, summary = run_cli(command, obj)
+    code, err, summary = run_cli(*mutated(name, keys, bad))
     assert "Traceback" not in err, err
     if code == 1:
         assert command == "verify" and summary is not None and summary["passed"] is False, err
         return
     assert code in (0, 2, 3), err
     if code == 2:
-        m = re.match(r"config error: ([A-Za-z_][\w.\[\]]*): ", err)
-        assert m, err
-        assert related(m.group(1), path), (path, err)
+        assert related(named_path(err), path), (path, err)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS,
+                         ids=[f"{name}:{path}" for name, path, _ in MUTATIONS])
+def test_each_key_set_to_null_is_refused_by_its_path(mutation):
+    name, path, keys = mutation
+    code, err, _ = run_cli(*mutated(name, keys, None))
+    assert code == 2 and "Traceback" not in err, (path, code, err)
+    assert related(named_path(err), path), (path, err)

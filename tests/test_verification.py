@@ -2,10 +2,12 @@
 failure reporting.  Numerical assertions of the suites themselves are covered
 by the acceptance module; here quick mode keeps the runtime down."""
 
+import dataclasses
 import inspect
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from curvatura import level_set_geometry, verification
 from curvatura.errors import ConfigError
 from curvatura.level_set_geometry import (
+    RadialDistanceField,
     div_newton_fd_stack,
     div_newton_stack,
     hessian_frame_stack,
@@ -24,7 +27,7 @@ from curvatura.model_manifolds import constant_curvature, euclidean, poly3_profi
 from curvatura.verification import (
     CASE_COLUMNS,
     SUITE_NAMES,
-    TOLERANCE_KEYS,
+    TOLERANCES,
     SuiteConfig,
     _default_models,
     _field_grid,
@@ -45,14 +48,20 @@ def test_all_quick_suites_pass(quick_reports):
 
 
 def test_tolerance_keys_are_the_keys_the_suites_read():
-    # each declared key is read somewhere after the declaration; reading an
-    # undeclared key fails at once
-    src = inspect.getsource(verification)
-    after = src.split("TOLERANCE_KEYS = (", 1)[1].split(")", 1)[1]
-    assert [k for k in TOLERANCE_KEYS if f'"{k}"' not in after] == []
-    assert len(set(TOLERANCE_KEYS)) == len(TOLERANCE_KEYS)
-    with pytest.raises(KeyError, match="TOLERANCE_KEYS"):
-        SuiteConfig(suite="pointwise").tol("reily2", 1e-8)
+    # the suites read every key of the table and no other; a config's value
+    # overrides the default, and reading an undeclared key fails at once
+    read = re.findall(r'\btol\("(\w+)"\)', inspect.getsource(verification))
+    assert sorted(set(read)) == sorted(TOLERANCES)
+    cfg = SuiteConfig(suite="pointwise", tolerances={"slope": 0.5})
+    assert cfg.tol("slope") == 0.5 and cfg.tol("reilly2") == TOLERANCES["reilly2"] == 1e-8
+    with pytest.raises(KeyError, match="reily2"):
+        cfg.tol("reily2")
+
+
+def test_readme_lists_every_tolerance_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {k: float(v) for k, v in re.findall(r"`(\w+)`: (\d[\d.]*(?:e[+-]?\d+)?)", readme)}
+    assert {k: listed.get(k) for k in TOLERANCES} == TOLERANCES
 
 
 def test_unknown_suite_rejected():
@@ -61,18 +70,26 @@ def test_unknown_suite_rejected():
 
 
 def test_coverage_guard_refuses_vacuous_reports():
+    M, u = euclidean(3), RadialDistanceField()
     cs = verification.SuiteReport("demo")
     cs.required += [("euclidean", 1), ("euclidean", 2), ("algebra", None)]
-    cs.add("demo/r=1", "euclidean", "radial", 3, 1, "m", 0.25, 1.0, True, {}, expected=0.5)
-    cs.add("demo/n=2", "algebra", "-", 2, None, "m", 0.0, 1.0, True, {})
+    cs.add("demo/r=1", M, u, 1, "m", 0.25, 1.0, expected=0.5, h=0.1)
+    cs.add("demo/n=2", None, None, None, "m", 0.0, 1.0, n=2, seed=[1, 0])
     with pytest.raises(ConfigError, match=r"no cases for \[\('euclidean', 2\)\]$"):
         cs.report()
-    cs.add("demo/r=2", "euclidean", "radial", 3, 2, "m", 2.0, 1.0, False, {}, residual=1.0)
+    cs.add("demo/r=2", M, u, 2, "m", 0.5, 1.0, passed=False, residual=1.0)
     with cs.timed("demo/block"):
         pass
     rep = cs.report()
     assert [c.case_id for c in rep.cases] == ["demo/r=1", "demo/n=2", "demo/r=2"]
     assert [c.residual for c in rep.cases] == [0.25, 0.0, 1.0]
+    assert [c.passed for c in rep.cases] == [True, True, False]
+    assert [c.to_row()["model"] for c in rep.cases] == ["euclidean", "algebra", "euclidean"]
+    assert [(c.field, c.n, c.r) for c in rep.cases] == [("radial", 3, 1), ("-", 2, None),
+                                                        ("radial", 3, 2)]
+    assert rep.cases[0].inputs == {"model": M.describe(), "field": u.describe(), "r": 1,
+                                   "h": 0.1}
+    assert rep.cases[1].inputs == {"n": 2, "seed": [1, 0]}
     assert not rep.passed and list(rep.timings) == ["demo/block"]
     with pytest.raises(ConfigError, match="suite 'demo' produced no cases"):
         verification.SuiteReport("demo").report()
@@ -120,6 +137,19 @@ def test_seed_changes_sampled_cases():
     measured_a = [c.measured for c in a.cases if c.metric == "max_rel_residual"]
     measured_b = [c.measured for c in b.cases if c.metric == "max_rel_residual"]
     assert measured_a != measured_b
+
+
+def test_every_model_case_carries_its_rerun_inputs(quick_reports):
+    # the rerun contract: a case names its model, field and order; algebra
+    # cases name their matrix size and seed instead
+    for rep in quick_reports.values():
+        for c in rep.cases:
+            if c.model == "algebra":
+                assert {"n", "matrices", "seed"} <= set(c.inputs), c.case_id
+                continue
+            assert {"model", "field", "r"} <= set(c.inputs), c.case_id
+            assert c.inputs["r"] == c.r and c.inputs["model"]["dim"] == c.n, c.case_id
+            assert c.inputs["field"]["field"] == c.field, c.case_id
 
 
 def test_failing_case_carries_rerun_inputs():
@@ -183,6 +213,29 @@ def test_json_dict_shape(quick_reports):
     assert d["suite"] == "inequality"
     assert isinstance(d["cases"], list) and d["cases"]
     assert all("inputs" in c for c in d["cases"])
+
+
+def test_a_term_moved_by_a_millionth_fails_its_budget(monkeypatch, quick_reports):
+    # the budgets can fail: one term of one breakdown moved by 1e-6 relative
+    # (the residual with it) fails that case's residual_vs_budget row and no
+    # other.  The poly3 r = 1 sectional term is read by no other row finely
+    # enough to see it: residual_vs_oracle divides the move by the oracle LHS
+    assert quick_reports["comparison"].passed
+    real = verification.comparison_rhs
+
+    def perturbed(u, M, levels, r, spec, threads):
+        bd = real(u, M, levels, r, spec, threads)
+        if M.label != "warped(poly3)" or r != 1:
+            return bd
+        moved = bd.term_sectional * (1.0 + 1e-6)
+        return dataclasses.replace(bd, term_sectional=moved,
+                                   residual=bd.lhs - (bd.term_principal + moved + bd.term_mixed))
+
+    monkeypatch.setattr(verification, "comparison_rhs", perturbed)
+    rep = run_suite(SuiteConfig(suite="comparison", quick=True, seed=424242))
+    assert [c.case_id for c in rep.failures()] == ["comparison/poly3/n=3/r=1/residual_vs_budget"]
+    (case,) = rep.failures()
+    assert case.measured > 1e5 * case.tolerance
 
 
 def test_full_comparison_suite_passes():
