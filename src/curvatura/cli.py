@@ -106,6 +106,14 @@ def _check_keys(d: dict, path: str, allowed: set, required: set = frozenset()):
             _fail(f"{path}.{k}" if path else k, "required key is missing")
 
 
+def _check_bounds(v, path, lo, hi):
+    if lo is not None and v < lo:
+        _fail(path, f"expected >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        _fail(path, f"expected <= {hi}, got {v}")
+    return v
+
+
 def _check_number(v, path, lo=None, hi=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
@@ -113,21 +121,13 @@ def _check_number(v, path, lo=None, hi=None):
         _fail(path, "expected a finite number, got an integer beyond the double range")
     if not math.isfinite(v):
         _fail(path, f"expected a finite number, got {v}")
-    if lo is not None and v < lo:
-        _fail(path, f"expected >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        _fail(path, f"expected <= {hi}, got {v}")
-    return float(v)
+    return float(_check_bounds(v, path, lo, hi))
 
 
 def _check_int(v, path, lo=None, hi=None):
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(path, f"expected an integer, got {type(v).__name__}")
-    if lo is not None and v < lo:
-        _fail(path, f"expected >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        _fail(path, f"expected <= {hi}, got {v}")
-    return v
+    return _check_bounds(v, path, lo, hi)
 
 
 def _check_vector(v, path, lo=None, hi=None):
@@ -136,34 +136,35 @@ def _check_vector(v, path, lo=None, hi=None):
     return [_check_number(x, f"{path}[{i}]", lo, hi) for i, x in enumerate(v)]
 
 
+# the keys each manifold family reads beside 'family' and 'dim', each required
+_MANIFOLD_KEYS = {"euclidean": set(), "constant": {"a"}, "warped": {"profile"}}
+
+
 def _validate_manifold(d, path="manifold"):
+    """The manifold of a config's manifold object.  A missing 'dim' or
+    'family' is named first, then an unknown family, then a key the family
+    does not take or needs."""
     if not isinstance(d, dict):
         _fail(path, "expected an object")
-    _check_keys(d, path, {"family", "a", "profile", "dim"}, {"family", "dim"})
+    for k in ("dim", "family"):
+        if k not in d:
+            _fail(f"{path}.{k}", "required key is missing")
     fam = d["family"]
-    if fam not in ("euclidean", "constant", "warped"):
+    if not isinstance(fam, str) or fam not in _MANIFOLD_KEYS:
         _fail(f"{path}.family", f"expected euclidean|constant|warped, got {fam!r}")
     n = _check_int(d["dim"], f"{path}.dim", 2, 6)
+    keys = {"family", "dim"} | _MANIFOLD_KEYS[fam]
+    _check_keys(d, path, keys, keys)
     if fam == "euclidean":
-        if "a" in d or "profile" in d:
-            _fail(path, "euclidean takes neither 'a' nor 'profile'")
         return euclidean(n)
     if fam == "constant":
-        if "a" not in d:
-            _fail(f"{path}.a", "required for the constant family")
         a = _check_number(d["a"], f"{path}.a", hi=0.0)
-        if "profile" in d:
-            _fail(f"{path}.profile", "the constant family fixes its own profile")
         try:
             return constant_curvature(a, n)
         except ValueError as e:
             _fail(f"{path}.a", str(e))
-    if "profile" not in d:
-        _fail(f"{path}.profile", "required for the warped family")
     if d["profile"] not in ("sinh", "linear", "poly3"):
         _fail(f"{path}.profile", f"expected sinh|linear|poly3, got {d['profile']!r}")
-    if "a" in d:
-        _fail(f"{path}.a", "the warped family takes no 'a'")
     return warped(profile_by_name(d["profile"]), n)
 
 
@@ -248,10 +249,6 @@ def _validate_r(v, n, path="r", lo=-1):
     return [_check_int(v, path, lo, n - 1)]
 
 
-_TOP_KEYS = {"schema_version", "seed", "manifold", "field", "quadrature", "r",
-             "level", "levels", "suites", "sweep", "tolerances"}
-
-
 def load_config(path: str) -> dict:
     try:
         raw = Path(path).read_text()
@@ -263,7 +260,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config: invalid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
-    _check_keys(cfg, "", _TOP_KEYS, {"schema_version"})
+    if "schema_version" not in cfg:
+        _fail("schema_version", "required key is missing")
     # the integer only: True and 1.0 compare equal to 1
     if type(cfg["schema_version"]) is not int or cfg["schema_version"] != SCHEMA_VERSION:
         _fail("schema_version", f"expected {SCHEMA_VERSION}, got {cfg['schema_version']!r}")
@@ -287,20 +285,31 @@ def _resolve_seed(cfg, default: int) -> int:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _print_table(columns, rows):
+def _validate_integral(cfg, coarea=False):
+    """The manifold, field and QuadratureSpec that a compute or levels-sweep
+    config integrates over."""
+    M = _validate_manifold(cfg["manifold"])
+    u = _validate_field(cfg["field"], M)
+    return M, u, _validate_quadrature(cfg.get("quadrature", {}), M.dim, coarea=coarea)
+
+
+def _report(out: Path, name: str, columns, rows, title: str) -> int:
+    """Write rows to name.csv and name.json, then print them as a table."""
+    write_csv(out / f"{name}.csv", columns, rows)
+    write_json(out / f"{name}.json", rows)
+    print(title)
     widths = [max(len(c), *(len(fmt_value(r.get(c))[:22]) for r in rows)) if rows else len(c)
               for c in columns]
     print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
     for r in rows:
         print("  ".join(fmt_value(r.get(c))[:22].ljust(w) for c, w in zip(columns, widths)))
+    return 0
 
 
 def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
-    _check_keys(cfg, "", _TOP_KEYS - {"suites", "sweep", "tolerances"},
-                {"schema_version", "manifold", "field"})
-    M = _validate_manifold(cfg["manifold"])
-    u = _validate_field(cfg["field"], M)
-    spec = _validate_quadrature(cfg.get("quadrature", {}), M.dim, coarea="levels" in cfg)
+    _check_keys(cfg, "", {"schema_version", "seed", "manifold", "field", "quadrature", "r",
+                          "level", "levels"}, {"manifold", "field"})
+    M, u, spec = _validate_integral(cfg, coarea="levels" in cfg)
     if "r" not in cfg:
         _fail("r", "required for compute")
     rs = _validate_r(cfg["r"], M.dim)
@@ -308,15 +317,9 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
         _fail("level", "compute needs exactly one of 'level' or 'levels'")
     if "level" in cfg:
         level = _check_number(cfg["level"], "level", lo=1e-12)
-        rows = []
-        for r in rs:
-            rep = total_mean_curvature(u, M, level, r, spec, threads)
-            rows.append(rep.to_record(M, u))
-        write_csv(out / "mean_curvature.csv", MCR_COLUMNS, rows)
-        write_json(out / "mean_curvature.json", rows)
-        print(f"total mean curvatures at level {level:g}:")
-        _print_table(MCR_COLUMNS, rows)
-        return 0
+        rows = [total_mean_curvature(u, M, level, r, spec, threads).to_record(M, u) for r in rs]
+        return _report(out, "mean_curvature", MCR_COLUMNS, rows,
+                       f"total mean curvatures at level {level:g}:")
     levels = _check_vector(cfg["levels"], "levels", lo=1e-12)
     if len(levels) != 2 or not levels[0] < levels[1]:
         _fail("levels", f"expected [c1, c2] with c1 < c2, got {levels}")
@@ -325,19 +328,15 @@ def cmd_compute(cfg: dict, out: Path, threads: int) -> int:
             _fail(f"r[{i}]" if isinstance(cfg["r"], list) else "r",
                   "comparison breakdowns need r >= 0")
     rows = [comparison_rhs(u, M, tuple(levels), r, spec, threads).to_record() for r in rs]
-    write_csv(out / "comparison.csv", BREAKDOWN_COLUMNS, rows)
-    write_json(out / "comparison.json", rows)
-    print(f"comparison breakdowns over levels ({levels[0]:g}, {levels[1]:g}):")
-    _print_table(BREAKDOWN_COLUMNS, rows)
-    return 0
+    return _report(out, "comparison", BREAKDOWN_COLUMNS, rows,
+                   f"comparison breakdowns over levels ({levels[0]:g}, {levels[1]:g}):")
 
 
 def cmd_verify(cfg: dict, out: Path, threads: int, quick: bool) -> int:
     # the suites' body runs here, on first use (see _register_lazily)
     from .verification import CASE_COLUMNS, SUITE_NAMES, TOLERANCES, SuiteConfig, run_suite
 
-    _check_keys(cfg, "", {"schema_version", "seed", "suites", "tolerances"},
-                {"schema_version"})
+    _check_keys(cfg, "", {"schema_version", "seed", "suites", "tolerances"})
     suites = cfg.get("suites", "all")
     if suites == "all":
         suites = list(SUITE_NAMES)
@@ -402,10 +401,11 @@ def _sweep_grid(d, path, most, lo, hi=None):
     return np.linspace(start, stop, num)
 
 
-# the top-level keys each sweep kind reads, beside schema_version, seed and
-# sweep; each but quadrature is required
-_SWEEP_READS = {"sphere": {"manifold"}, "ball_bound": set(),
-                "levels": {"manifold", "field", "quadrature"}}
+# each sweep kind's keys, all required, and the top-level keys it reads beside
+# schema_version, seed and sweep, each but quadrature required
+_SWEEPS = {"sphere": ({"kind", "rho", "r"}, {"manifold"}),
+           "ball_bound": ({"kind", "a_grid", "rho", "r", "dim"}, set()),
+           "levels": ({"kind", "levels", "r"}, {"manifold", "field", "quadrature"})}
 
 
 def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
@@ -413,12 +413,12 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     if not isinstance(sw, dict):
         _fail("sweep", "expected an object")
     kind = sw.get("kind")
-    if not isinstance(kind, str) or kind not in _SWEEP_READS:
+    if not isinstance(kind, str) or kind not in _SWEEPS:
         _fail("sweep.kind", f"expected sphere|ball_bound|levels, got {kind!r}")
-    _check_keys(cfg, "", {"schema_version", "seed", "sweep"} | _SWEEP_READS[kind],
-                _SWEEP_READS[kind] - {"quadrature"})
+    keys, reads = _SWEEPS[kind]
+    _check_keys(cfg, "", {"schema_version", "seed", "sweep"} | reads, reads - {"quadrature"})
+    _check_keys(sw, "sweep", keys, keys)
     if kind == "sphere":
-        _check_keys(sw, "sweep", {"kind", "rho", "r"}, {"kind", "rho", "r"})
         M = _validate_manifold(cfg["manifold"])
         grid = _sweep_grid(sw["rho"], "sweep.rho", MAX_NODES, 1e-12, M.working_radius)
         rs = _validate_r(sw["r"], M.dim, "sweep.r", lo=0)
@@ -428,8 +428,6 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
                 for r in rs for rho in grid)
         columns = ("model", "n", "r", "rho", "value")
     elif kind == "ball_bound":
-        _check_keys(sw, "sweep", {"kind", "a_grid", "rho", "r", "dim"},
-                    {"kind", "a_grid", "rho", "r", "dim"})
         n = _check_int(sw["dim"], "sweep.dim", 2, 6)
         a_grid = _check_vector(sw["a_grid"], "sweep.a_grid", hi=0.0)
         for i, a in enumerate(a_grid):
@@ -444,10 +442,7 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
                 for a in a_grid for r in rs]
         columns = ("a", "n", "r", "rho", "value")
     else:
-        _check_keys(sw, "sweep", {"kind", "levels", "r"}, {"kind", "levels", "r"})
-        M = _validate_manifold(cfg["manifold"])
-        u = _validate_field(cfg["field"], M)
-        spec = _validate_quadrature(cfg.get("quadrature", {}), M.dim)
+        M, u, spec = _validate_integral(cfg)
         # every level's rule joins one node stack of at most MAX_NODES nodes
         grid = _sweep_grid(sw["levels"], "sweep.levels",
                            MAX_NODES // math.prod(spec.angular_for(M.dim)), 1e-12)

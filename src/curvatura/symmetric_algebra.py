@@ -87,8 +87,8 @@ def elementary_all(x) -> np.ndarray:
 
 
 def sigma_stack(e: np.ndarray, r: int) -> np.ndarray:
-    """sigma_r per row from elementary_all_stack rows (sigma_elementary's
-    conventions: 1 at r = 0, 0 beyond the row length)."""
+    """sigma_r per row from elementary_all_stack rows, by convention 1 at
+    r = 0 and 0 beyond the row length."""
     if r == 0:
         return np.ones(e.shape[0])
     if r >= e.shape[1]:
@@ -124,18 +124,11 @@ def _matmul_node_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigma_elementary(x, r: int) -> float:
-    """r-th elementary symmetric function of a real vector.
-
-    sigma_0 = 1 and sigma_r = 0 for r >= len(x) + 1 by convention.
-    """
+    """r-th elementary symmetric function of a real vector, with
+    sigma_stack's conventions (sigma_0 = 1, sigma_r = 0 for r > len(x))."""
     if r < 0:
         raise ValueError(f"order r must be nonnegative, got {r}")
-    xs = np.asarray(x, dtype=float).ravel()
-    if r == 0:
-        return 1.0
-    if r > xs.size:
-        return 0.0
-    return float(elementary_all(xs)[r])
+    return float(sigma_stack(elementary_all(x)[None], r)[0])
 
 
 def _perm_parity(perm) -> int:
